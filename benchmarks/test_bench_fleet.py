@@ -37,14 +37,14 @@ from repro.split.config import ModelConfig
 SUBLINEAR_MARGIN = 0.95
 
 #: The batched joint step must beat the loop reference by at least this
-#: factor at every measured fleet size >= 512 (measured 12-14x on the
+#: factor at every measured fleet size >= 512 (measured 10-12x on the
 #: benchmark geometry; the bar leaves margin for slower CI hosts).
 MIN_BATCHED_SPEEDUP = 10.0
 
 #: The 10x bar applies from N=512 up; below that the per-step costs shared
 #: by both backends (one scheduler pass, one BS step) amortize over fewer
 #: members, so the N=256 row is held to this softer floor instead
-#: (measured 10-12x).
+#: (measured 10-11x).
 MIN_BATCHED_SPEEDUP_SMALL_N = 8.0
 
 #: Fleet size from which the full MIN_BATCHED_SPEEDUP bar applies.

@@ -7,6 +7,11 @@ reports per-layer throughput in samples/s next to the retained
 ``*_reference`` loop implementations.  The numbers are the perf baseline for
 future kernel work; the conv forward speedup is asserted to stay >= 5x.
 
+One row compares two vectorized formulations instead: ``Conv2D.backward``
+(transposed-convolution input gradient) against the ``Wᵀ · grad`` columns +
+``col2im`` scatter-add it replaced, rebuilt inline, at the fast scale's
+``conv_out`` geometry; that speedup is asserted to stay >= 4x.
+
 Reference timings are taken at a small batch and normalized per sample so
 the naive loops keep the benchmark fast; the vectorized kernels run at the
 paper's batch size.  ``REPRO_BENCH_SCALE=smoke`` shrinks batches and repeats
@@ -23,8 +28,10 @@ import numpy as np
 from repro.experiments import ExperimentScale
 from repro.nn.layers.conv import (
     Conv2D,
+    col2im,
     conv2d_backward_reference,
     conv2d_forward_reference,
+    im2col,
 )
 from repro.nn.layers.pooling import (
     AveragePool2D,
@@ -53,6 +60,11 @@ HIDDEN = 32
 RNN_INPUT = (IMAGE_SIZE // POOL) ** 2 + 1  # pooled features + RF power
 
 MIN_CONV_FORWARD_SPEEDUP = 5.0
+MIN_CONV_BACKWARD_SPEEDUP = 4.0
+
+#: The fast scale's ``conv_out`` layer: batch * L images, in -> out channels,
+#: image size.
+CONV_OUT_GEOMETRY = (128, 4, 1, 20)
 
 
 @dataclass
@@ -87,6 +99,44 @@ def _bench_batches(scale: ExperimentScale) -> tuple[int, int, int]:
     if scale.num_samples <= ExperimentScale.smoke().num_samples:
         return 8, 1, 2
     return scale.batch_size, 2, 5
+
+
+def _col2im_conv_backward(
+    layer: Conv2D, cols: np.ndarray, input_shape: tuple, grad_output: np.ndarray
+) -> np.ndarray:
+    """``Conv2D.backward`` as it was before the transposed-convolution input
+    gradient: the weight gradient, then ``Wᵀ · grad`` columns scattered back
+    by ``col2im``."""
+    batch, out_channels = grad_output.shape[:2]
+    grad_flat = grad_output.reshape(batch, out_channels, -1)
+    grad_kernel = np.matmul(grad_flat, cols.transpose(0, 2, 1)).sum(axis=0)
+    layer.weight.grad += grad_kernel.reshape(layer.weight.value.shape)
+    layer.bias.grad += grad_flat.sum(axis=(0, 2))
+    kernel_matrix = layer.weight.value.reshape(out_channels, -1)
+    grad_cols = np.matmul(kernel_matrix.T, grad_flat)
+    return col2im(
+        grad_cols, input_shape, layer.kernel_size, layer.stride, layer.padding
+    )
+
+
+def _conv_backward_record(gen: np.random.Generator, repeats: int) -> KernelRecord:
+    """``Conv2D.backward`` vs the ``col2im`` formulation at ``conv_out``."""
+    batch, in_channels, out_channels, size = CONV_OUT_GEOMETRY
+    layer = Conv2D(in_channels, out_channels, 3, padding="same", seed=0)
+    inputs = gen.normal(size=(batch, in_channels, size, size))
+    grad_output = gen.normal(size=layer.forward(inputs).shape)
+    cols = im2col(inputs, layer.kernel_size, layer.stride, layer.padding)
+    old = _col2im_conv_backward(layer, cols, inputs.shape, grad_output)
+    assert np.allclose(layer.backward(grad_output), old, rtol=0.0, atol=1e-12)
+    return KernelRecord(
+        "conv_out backward/col2im",
+        _throughput(lambda: layer.backward(grad_output), batch, repeats),
+        _throughput(
+            lambda: _col2im_conv_backward(layer, cols, inputs.shape, grad_output),
+            batch,
+            repeats,
+        ),
+    )
 
 
 def _run_kernel_suite(scale: ExperimentScale) -> List[KernelRecord]:
@@ -129,6 +179,7 @@ def _run_kernel_suite(scale: ExperimentScale) -> List[KernelRecord]:
             ),
         )
     )
+    records.append(_conv_backward_record(gen, max(repeats, 10)))
 
     # -- pooling: the paper's 4x4 compression knob -----------------------------
     feature_maps = gen.normal(size=(vec_batch, 1, IMAGE_SIZE, IMAGE_SIZE))
@@ -224,6 +275,11 @@ def test_nn_kernel_throughput(benchmark, scale):
     assert conv_forward.speedup >= MIN_CONV_FORWARD_SPEEDUP, (
         f"conv forward speedup {conv_forward.speedup:.1f}x below "
         f"{MIN_CONV_FORWARD_SPEEDUP}x"
+    )
+    conv_backward = by_name["conv_out backward/col2im"]
+    assert conv_backward.speedup >= MIN_CONV_BACKWARD_SPEEDUP, (
+        f"conv backward speedup over the col2im formulation "
+        f"{conv_backward.speedup:.1f}x below {MIN_CONV_BACKWARD_SPEEDUP}x"
     )
     # The remaining rows are informational (recurrent forward sits near 1x by
     # construction at L=4); just require sane, finite measurements.

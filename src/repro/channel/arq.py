@@ -120,26 +120,29 @@ class ArqStatistics:
     # -- recording ------------------------------------------------------------------
     def record(self, step: StepCommunication) -> None:
         """Fold one exchange outcome into the running aggregates."""
+        uplink, downlink = step.uplink, step.downlink
         self.steps += 1
-        self.uplink_slots += step.uplink.slots_used
-        self.uplink_first_attempt_successes += int(step.uplink.first_attempt_success)
-        self.uplink_failures += int(not step.uplink.success)
-        if step.downlink is None:
+        self.uplink_slots += uplink.slots_used
+        self.uplink_first_attempt_successes += int(uplink.first_attempt_success)
+        self.uplink_failures += int(not uplink.success)
+        if downlink is None:
             self.downlink_skipped += 1
         else:
-            self.downlink_slots += step.downlink.slots_used
+            self.downlink_slots += downlink.slots_used
             self.downlink_first_attempt_successes += int(
-                step.downlink.first_attempt_success
+                downlink.first_attempt_success
             )
-            self.downlink_failures += int(not step.downlink.success)
-        self.total_elapsed_s += step.total_elapsed_s
+            self.downlink_failures += int(not downlink.success)
+        total_slots = step.total_slots
+        total_elapsed_s = step.total_elapsed_s
+        self.total_elapsed_s += total_elapsed_s
 
-        delta = step.total_slots - self.slots_mean
+        delta = total_slots - self.slots_mean
         self.slots_mean += delta / self.steps
-        self.slots_m2 += delta * (step.total_slots - self.slots_mean)
-        delta = step.total_elapsed_s - self.latency_mean_s
+        self.slots_m2 += delta * (total_slots - self.slots_mean)
+        delta = total_elapsed_s - self.latency_mean_s
         self.latency_mean_s += delta / self.steps
-        self.latency_m2 += delta * (step.total_elapsed_s - self.latency_mean_s)
+        self.latency_m2 += delta * (total_elapsed_s - self.latency_mean_s)
 
     def record_batch(
         self,

@@ -152,6 +152,19 @@ class BatchTransmissionResult:
             first_attempt_success=bool(self.first_attempt_success[index]),
         )
 
+    def results(self) -> list[TransmissionResult]:
+        """Every entry as a :class:`TransmissionResult`; ``self[i]`` for all
+        ``i``, unpacked through ``tolist`` instead of per-element indexing."""
+        return [
+            TransmissionResult(*entry)
+            for entry in zip(
+                self.success.tolist(),
+                self.slots_used.tolist(),
+                np.asarray(self.elapsed_s, dtype=np.float64).tolist(),
+                self.first_attempt_success.tolist(),
+            )
+        ]
+
     @property
     def total_slots(self) -> int:
         return int(self.slots_used.sum())
@@ -194,7 +207,8 @@ class WirelessLink:
     fading: ExponentialFadingProcess = field(init=False)
 
     def __post_init__(self):
-        self.params.direction(self.direction)  # validates the direction name
+        # Validates the direction name.
+        self._bandwidth_hz = self.params.direction(self.direction).bandwidth_hz
         (fading_rng,) = spawn_generators(self.seed, 1)
         self.fading = ExponentialFadingProcess(seed=fading_rng)
         self._mean_snr = self.params.mean_snr(self.direction)
@@ -206,7 +220,7 @@ class WirelessLink:
 
     @property
     def bandwidth_hz(self) -> float:
-        return self.params.direction(self.direction).bandwidth_hz
+        return self._bandwidth_hz
 
     def snr_threshold(self, payload_bits: float) -> float:
         """SNR needed to decode ``payload_bits`` in one slot."""

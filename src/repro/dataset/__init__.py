@@ -1,5 +1,6 @@
 """Synthetic dataset generation, sequence building and train/val splitting."""
 from repro.dataset.cache import (
+    TRAJECTORY_VERSION,
     config_fingerprint,
     dataset_cache_path,
     default_cache_dir,
@@ -40,6 +41,7 @@ __all__ = [
     "PAPER_TRAIN_BOUNDARY",
     "PAPER_TRAIN_FRACTION",
     "SequenceDataset",
+    "TRAJECTORY_VERSION",
     "TrainValidationSplit",
     "build_sequences",
     "config_fingerprint",

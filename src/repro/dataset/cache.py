@@ -21,6 +21,16 @@ from repro.dataset.generator import (
 from repro.nn.serialization import atomic_savez
 from repro.scenarios import get_scenario, scenario_fingerprint
 
+#: Version of the numerical semantics behind every cached artifact.  It is
+#: hashed into the dataset and trained-model cache keys, so bumping it makes
+#: stale entries miss instead of being served.  Bump it whenever a change
+#: moves generated data or training trajectories, even at the ulp level, and
+#: re-pin ``tests/regression/test_trajectory_version.py`` in the same change.
+#:
+#: 1: ``Conv2D`` computes its input gradient as a transposed convolution
+#:    instead of a ``col2im`` scatter-add.
+TRAJECTORY_VERSION = 1
+
 
 def save_dataset(dataset: DepthPowerDataset, path: str | os.PathLike) -> None:
     """Persist a dataset to an ``.npz`` archive.
@@ -67,10 +77,12 @@ def config_fingerprint(config: DatasetConfig) -> str:
 
     The scenario enters through its *content* hash, so a renamed but
     physically identical scenario keeps its cache entries while any change to
-    a preset's physics invalidates them.
+    a preset's physics invalidates them; :data:`TRAJECTORY_VERSION` does the
+    same for changes to the code.
     """
     payload = json.dumps(
         {
+            "trajectory_version": TRAJECTORY_VERSION,
             "num_samples": config.num_samples,
             "image_height": config.image_height,
             "image_width": config.image_width,

@@ -107,8 +107,9 @@ def run_fig3a(
 
     result = Fig3aResult(scale=scale)
     for name, model_config in configs.items():
-        trained = pipeline.train(pipeline.split_job(name, model_config))
-        result.histories[name] = trained.history
+        # Only the history is kept, so each model is freed before the next.
+        job = pipeline.split_job(name, model_config)
+        result.histories[name] = pipeline.train(job).history
     return result
 
 

@@ -148,8 +148,8 @@ def run_fig3b(
         transition_mask=transition_mask_from_truth(truth),
     )
     for name, model_config in schemes.items():
-        trained = pipeline.train(pipeline.split_job(name, model_config))
-        predictions = pipeline.predict_dbm(trained, window)
+        job = pipeline.split_job(name, model_config)
+        predictions = pipeline.predict_dbm(pipeline.train(job), window)
         overall = root_mean_squared_error(predictions, truth)
         if result.transition_mask.any():
             transition = root_mean_squared_error(

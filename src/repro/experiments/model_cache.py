@@ -12,8 +12,12 @@ determines the training trajectory:
 * the full :class:`~repro.experiments.common.ExperimentScale` (validation
   subsampling and eval batching enter the recorded learning curve),
 * the model, training and channel configurations,
-* the trainer kind (single-UE vs fleet) with the fleet configuration, and
-  any extra ``fit`` arguments (e.g. ``max_rounds``).
+* the trainer kind (single-UE vs fleet) with the fleet configuration minus
+  its execution-only ``backend`` (the backends are bitwise identical), and
+  any extra ``fit`` arguments (e.g. ``max_rounds``),
+* :data:`~repro.dataset.cache.TRAJECTORY_VERSION`, through the dataset
+  fingerprint, so a code change that moves trajectories stops serving
+  entries trained before it.
 
 Loading a cache entry is exactly resuming a finished run: ``fit`` restores
 the checkpoint, observes the run is complete and returns the stored history
@@ -44,6 +48,10 @@ def trained_model_fingerprint(
     extra: Optional[Mapping[str, Any]] = None,
 ) -> str:
     """Stable hash of everything determining a training run's trajectory."""
+    fleet = None
+    if fleet_config is not None:
+        fleet = asdict(fleet_config)
+        del fleet["backend"]
     payload = json.dumps(
         {
             "dataset": config_fingerprint(scale.dataset_config()),
@@ -52,7 +60,7 @@ def trained_model_fingerprint(
             "training": asdict(config.training),
             "channel": asdict(config.channel),
             "kind": kind,
-            "fleet": asdict(fleet_config) if fleet_config is not None else None,
+            "fleet": fleet,
             "extra": dict(extra) if extra else {},
         },
         sort_keys=True,

@@ -29,7 +29,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.nn.layers.activations import ReLU, Sigmoid, stable_sigmoid
-from repro.nn.layers.conv import Conv2D
+from repro.nn.layers.conv import Conv2D, dilated_buffer, padded_buffer
 from repro.nn.layers.pooling import AveragePool2D
 from repro.nn.layers.reshape import Flatten
 from repro.nn.optim import Adam
@@ -64,8 +64,8 @@ class StackedUEBank:
                 raise ValueError("StackedUEBank requires identical architectures")
 
         # One entry per CNN layer: ("conv", weight_index, bias_index,
-        # stride, padding) or ("relu",) / ("sigmoid",).  Tuples only, so the
-        # plan reads as immutable configuration.
+        # stride, padding, needs_input_grad) or ("relu",) / ("sigmoid",).
+        # Tuples only, so the plan reads as immutable configuration.
         plan: List[Tuple] = []
         param_cursor = 0
         for layer in template.cnn.layers:
@@ -73,7 +73,14 @@ class StackedUEBank:
                 if not layer.use_bias:
                     raise ValueError("StackedUEBank expects biased convolutions")
                 plan.append(
-                    ("conv", param_cursor, param_cursor + 1, layer.stride, layer.padding)
+                    (
+                        "conv",
+                        param_cursor,
+                        param_cursor + 1,
+                        layer.stride,
+                        layer.padding,
+                        layer.needs_input_grad,
+                    )
                 )
                 param_cursor += 2
             elif isinstance(layer, ReLU):
@@ -192,8 +199,13 @@ class StackedUEBank:
         cache: Dict[str, object] = self._cache
         for step, spec in enumerate(self._plan):
             if spec[0] == "conv":
-                _, weight_index, bias_index, stride, padding = spec
+                _, weight_index, bias_index, stride, padding, _ = spec
                 cols_key = f"cols/{step}"
+                padded = cache[f"padded/{step}"] = padded_buffer(
+                    (members * flat_batch,) + x.shape[2:],
+                    padding,
+                    cache.get(f"padded/{step}"),
+                )
                 output, cols = stacked_conv2d_forward(
                     self._values[weight_index],
                     self._values[bias_index],
@@ -201,6 +213,7 @@ class StackedUEBank:
                     stride,
                     padding,
                     cols_out=cache.get(cols_key),
+                    padded_out=padded,
                 )
                 cache[cols_key] = cols
                 cache[f"conv_input_shape/{step}"] = x.shape
@@ -227,6 +240,9 @@ class StackedUEBank:
             cut_gradients: ``(members, batch, L, F)`` — zeros for members
                 whose downlink failed (their parameter gradients come out
                 zero, and their update is masked off anyway).
+
+        A convolution built with ``needs_input_grad=False`` (the first one)
+        ends the pass, as it ends ``Sequential.backward`` in the loop backend.
         """
         members = len(self._clients)
         pool_shape = self._cache["pool_input_shape"]
@@ -245,18 +261,29 @@ class StackedUEBank:
         for step in reversed(range(len(self._plan))):
             spec = self._plan[step]
             if spec[0] == "conv":
-                _, weight_index, bias_index, stride, padding = spec
+                _, weight_index, bias_index, stride, padding, needs_input_grad = spec
                 input_shape = cache[f"conv_input_shape/{step}"]
-                out_channels = self._values[weight_index].shape[1]
+                weights = self._values[weight_index]
+                grad_output = x_grad.reshape(
+                    (members, flat_batch, weights.shape[1]) + x_grad.shape[-2:]
+                )
+                dilated = None
+                if needs_input_grad:
+                    dilated = cache[f"dilated/{step}"] = dilated_buffer(
+                        (members * flat_batch, weights.shape[1]),
+                        input_shape[3:],
+                        weights.shape[3:],
+                        cache.get(f"dilated/{step}"),
+                    )
                 x_grad, grad_weights, grad_biases = stacked_conv2d_backward(
-                    self._values[weight_index],
+                    weights,
                     cache[f"cols/{step}"],
-                    x_grad.reshape(
-                        members, flat_batch, out_channels, x_grad.shape[-2], x_grad.shape[-1]
-                    ),
+                    grad_output,
                     input_shape,
                     stride,
                     padding,
+                    needs_input_grad=needs_input_grad,
+                    dilated_out=dilated,
                 )
                 # `+ 0.0` mirrors the layers' accumulate-from-zero (`grad +=`)
                 # so even signed zeros match the loop backend bitwise.

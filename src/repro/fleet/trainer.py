@@ -629,13 +629,17 @@ class FleetTrainer(NormalizedEvaluationMixin):
         downlink_bits = float(protocol.codec.sized_payload_bits(expected_elements))
 
         # Uplink phase: one batched draw sweep over the members' own sessions.
-        uplinks = transmit_uplink_across(
-            [member.arq for member in members], uplink_bits
-        )
+        sessions = [member.arq for member in members]
+        uplinks = transmit_uplink_across(sessions, uplink_bits)
         uplink_schedule = self.scheduler.schedule(
             uplinks.slots_used, payload_bits=uplink_bits
         )
-        uplink_completions = uplink_schedule.completion_times_s(tau)
+        # The recorded results carry the medium completion times; stamping
+        # them onto the whole batch keeps per-member bookkeeping to one
+        # result object per direction.
+        uplink_results = dataclass_replace(
+            uplinks, elapsed_s=uplink_schedule.completion_times_s(tau)
+        ).results()
         uplink_busy = uplink_schedule.busy_time_s(tau)
         duration += uplink_busy
         busy = uplink_busy
@@ -644,7 +648,6 @@ class FleetTrainer(NormalizedEvaluationMixin):
         decoded = [int(index) for index in np.flatnonzero(uplinks.success)]
         loss_value: Optional[float] = None
         downlinks = {}
-        downlink_completions = {}
         if decoded:
             bs_features = features[decoded].reshape(
                 (len(decoded) * batch_size,) + features.shape[2:]
@@ -662,21 +665,24 @@ class FleetTrainer(NormalizedEvaluationMixin):
             )
 
             attempts = transmit_downlink_across(
-                [members[index].arq for index in decoded], downlink_bits
+                [sessions[index] for index in decoded], downlink_bits
             )
             downlink_schedule = self.scheduler.schedule(
                 attempts.slots_used,
                 payload_bits=[downlink_bits] * len(decoded),
             )
-            completions = downlink_schedule.completion_times_s(tau)
             downlink_busy = downlink_schedule.busy_time_s(tau)
             duration += downlink_busy
             busy += downlink_busy
-            downlinks = {
-                index: attempts[position]
-                for position, index in enumerate(decoded)
-            }
-            downlink_completions = dict(zip(decoded, completions))
+            downlinks = dict(
+                zip(
+                    decoded,
+                    dataclass_replace(
+                        attempts,
+                        elapsed_s=downlink_schedule.completion_times_s(tau),
+                    ).results(),
+                )
+            )
 
             # Scatter delivered gradients through the member codecs, then one
             # masked stacked backward/update; non-delivered members' lanes
@@ -704,20 +710,13 @@ class FleetTrainer(NormalizedEvaluationMixin):
                 loss_value = None
 
         lost = 0
-        for index, member in enumerate(members):
-            uplink_result = dataclass_replace(
-                uplinks[index], elapsed_s=float(uplink_completions[index])
-            )
-            downlink_result = None
-            if index in downlinks:
-                downlink_result = dataclass_replace(
-                    downlinks[index],
-                    elapsed_s=float(downlink_completions[index]),
-                )
-            step = member.arq.record_exchange(uplink_result, downlink_result)
+        for index, (session, uplink_result) in enumerate(
+            zip(sessions, uplink_results)
+        ):
+            step = session.record_exchange(uplink_result, downlinks.get(index))
             if not step.success:
                 lost += 1
-                member.protocol.abort_step()
+                members[index].protocol.abort_step()
         return loss_value, lost, duration, busy
 
     # -- evaluation -------------------------------------------------------------------

@@ -8,11 +8,23 @@ The hot path lowers convolution to batched GEMMs: patches are gathered with
 :func:`numpy.lib.stride_tricks.sliding_window_view` into a column matrix
 (``im2col``) that is contracted against the flattened kernel with
 ``np.matmul`` (one broadcasted GEMM over the batch axis).  The column buffer
-is cached on the layer and reused across steps with the same geometry, so
-steady-state training does no per-step patch allocation.  The same matmul
-formulations generalize to a leading fleet-member axis bitwise-identically —
-see :mod:`repro.nn.stacked` for the stacked-weight variants used by the
-batched fleet backend.
+and the zero-bordered padding buffer are cached on the layer and reused
+across steps with the same geometry, so steady-state training does no
+per-step patch or padding allocation.
+
+The backward pass computes the weight gradient as one GEMM against the
+cached columns and the input gradient as a transposed convolution: the
+output gradient is zero-dilated by the stride into a persistent buffer with
+``k - 1 - padding`` leading zeros (:func:`dilate`), lowered with a stride-1
+``im2col`` and contracted against the spatially flipped, channel-swapped
+kernel (:func:`transposed_kernel_matrix`).  That replaces the ``col2im``
+scatter-add of a ``Wᵀ · grad`` column matrix; :func:`col2im` itself is kept as
+the inverse of :func:`im2col` for tests and tools.  A layer built with
+``needs_input_grad=False`` (the first layer of a network, whose input is
+data) skips the input gradient entirely.  The same matmul formulations
+generalize to a leading fleet-member axis bitwise-identically — see
+:mod:`repro.nn.stacked` for the stacked-weight variants used by the batched
+fleet backend.
 
 Naive per-output-pixel loop implementations are retained as
 ``conv2d_forward_reference`` / ``conv2d_backward_reference``.  They are the
@@ -59,6 +71,7 @@ def im2col(
     stride: Tuple[int, int],
     padding: Tuple[int, int],
     out: Optional[np.ndarray] = None,
+    padded: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Rearrange image patches into columns (stride-tricks based).
 
@@ -70,6 +83,11 @@ def im2col(
         out: optional preallocated output buffer of the correct shape and
             dtype; reused when compatible, otherwise a fresh array is
             allocated.
+        padded: optional zero-bordered buffer of shape
+            ``(batch, channels, height + 2 ph, width + 2 pw)``, as returned by
+            :func:`padded_buffer`; only its interior is written, so its
+            border must hold zeros.  When absent or incompatible the input
+            is padded into a fresh array.
 
     Returns:
         Array of shape ``(batch, channels * kh * kw, out_h * out_w)``.
@@ -81,12 +99,18 @@ def im2col(
     out_h = conv_output_size(height, kh, sh, ph)
     out_w = conv_output_size(width, kw, sw, pw)
 
-    if ph or pw:
+    if not (ph or pw):
+        padded = images
+    elif (
+        padded is None
+        or padded.shape != (batch, channels, height + 2 * ph, width + 2 * pw)
+        or padded.dtype != images.dtype
+    ):
         padded = np.pad(
             images, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant"
         )
     else:
-        padded = images
+        padded[:, :, ph : ph + height, pw : pw + width] = images
     # (batch, channels, out_h, out_w, kh, kw) strided view — no copy yet.
     windows = sliding_window_view(padded, (kh, kw), axis=(2, 3))[
         :, :, ::sh, ::sw, :, :
@@ -107,6 +131,114 @@ def im2col(
     return out
 
 
+def padded_buffer(
+    images_shape: Tuple[int, ...],
+    padding: Tuple[int, int],
+    previous: Optional[np.ndarray] = None,
+) -> Optional[np.ndarray]:
+    """Zero-bordered padding buffer for :func:`im2col`'s ``padded`` argument.
+
+    Returns ``previous`` when it already has the padded shape (its border is
+    still zero: :func:`im2col` only ever writes the interior), a fresh zero
+    array otherwise, and ``None`` when there is no padding to hold.
+    """
+    ph, pw = padding
+    if not (ph or pw):
+        return None
+    batch, channels, height, width = images_shape
+    shape = (batch, channels, height + 2 * ph, width + 2 * pw)
+    if previous is not None and previous.shape == shape:
+        return previous
+    return np.zeros(shape)
+
+
+def _dilated_slices(
+    out_size: int, size: int, kernel: int, stride: int, padding: int
+) -> Tuple[slice, slice]:
+    """``(source, target)`` slices placing one gradient axis in :func:`dilate`.
+
+    Output position ``i`` lands at ``i * stride + kernel - 1 - padding`` of a
+    buffer of length ``size + kernel - 1``; positions outside it only ever
+    reach the cropped padding border, so they are dropped.
+    """
+    offset = kernel - 1 - padding
+    first = max(0, -(offset // stride))
+    end = min(out_size, -(-(size + padding) // stride))
+    start = offset + first * stride
+    return slice(first, end), slice(start, start + (end - first) * stride, stride)
+
+
+def dilated_buffer(
+    grad_shape: Tuple[int, ...],
+    input_size: Tuple[int, int],
+    kernel_size: Tuple[int, int],
+    previous: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Zero buffer for :func:`dilate`'s ``out`` argument.
+
+    Returns ``previous`` when it already has the dilated shape, a fresh zero
+    array otherwise.
+    """
+    batch, channels = grad_shape[:2]
+    shape = (
+        batch,
+        channels,
+        input_size[0] + kernel_size[0] - 1,
+        input_size[1] + kernel_size[1] - 1,
+    )
+    if previous is not None and previous.shape == shape:
+        return previous
+    return np.zeros(shape)
+
+
+def dilate(
+    grad_output: np.ndarray,
+    input_size: Tuple[int, int],
+    kernel_size: Tuple[int, int],
+    stride: Tuple[int, int],
+    padding: Tuple[int, int],
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Zero-dilate an output gradient for the transposed convolution.
+
+    The stride-1, unpadded correlation of the returned buffer with the
+    flipped kernel (:func:`transposed_kernel_matrix`) is the input gradient
+    of a convolution with the given geometry, already cropped to the
+    ``input_size`` interior.
+
+    Args:
+        grad_output: ``(batch, out_channels, out_h, out_w)``.
+        input_size: the forward input's ``(H, W)``.
+        kernel_size / stride / padding: the forward geometry.
+        out: optional buffer from :func:`dilated_buffer` or a previous call
+            with the same geometry; reused when its shape matches (only the
+            gradient positions are written, the zeros between them stay),
+            otherwise a fresh zero array is allocated.
+
+    Returns:
+        Array of shape ``(batch, out_channels, H + kh - 1, W + kw - 1)``.
+    """
+    out_h, out_w = grad_output.shape[2:]
+    (height, width), (kh, kw) = input_size, kernel_size
+    out = dilated_buffer(grad_output.shape, input_size, kernel_size, out)
+    rows, target_rows = _dilated_slices(out_h, height, kh, stride[0], padding[0])
+    columns, target_columns = _dilated_slices(out_w, width, kw, stride[1], padding[1])
+    out[:, :, target_rows, target_columns] = grad_output[:, :, rows, columns]
+    return out
+
+
+def transposed_kernel_matrix(weights: np.ndarray) -> np.ndarray:
+    """Flipped, channel-swapped kernel as a GEMM operand.
+
+    ``weights`` is ``(..., out_channels, in_channels, kh, kw)``; the result
+    is ``(..., in_channels, out_channels * kh * kw)``, matching the rows of
+    the stride-1 :func:`im2col` of a :func:`dilate` buffer.
+    """
+    in_channels = weights.shape[-3]
+    flipped = weights[..., ::-1, ::-1].swapaxes(-4, -3)
+    return flipped.reshape(weights.shape[:-4] + (in_channels, -1))
+
+
 def col2im(
     cols: np.ndarray,
     image_shape: Tuple[int, int, int, int],
@@ -116,9 +248,12 @@ def col2im(
 ) -> np.ndarray:
     """Inverse of :func:`im2col`, accumulating overlapping patches.
 
-    The scatter-add runs over the ``kh * kw`` kernel offsets (not over output
-    pixels): overlapping windows alias the same padded pixels, so the
-    accumulation cannot be expressed as one strided copy.
+    Training does not call it (:meth:`Conv2D.backward` computes the input
+    gradient as a transposed convolution); it stays as the adjoint of
+    :func:`im2col` for tests and tools.  The scatter-add runs over the
+    ``kh * kw`` kernel offsets (not over output pixels): overlapping windows
+    alias the same padded pixels, so the accumulation cannot be expressed as
+    one strided copy.
     """
     batch, channels, height, width = image_shape
     kh, kw = kernel_size
@@ -224,10 +359,14 @@ class Conv2D(Layer):
     """2-D convolution over inputs of shape ``(batch, channels, H, W)``.
 
     Args:
-        cache_patches: reuse the im2col column buffer across forward passes
-            with the same input geometry (the steady state of minibatch
-            training).  Disable for layers fed wildly varying shapes to avoid
-            holding the largest buffer alive.
+        cache_patches: reuse the im2col column buffer and the padding and
+            dilation buffers across passes with the same input geometry (the
+            steady state of minibatch training).  Disable for layers fed
+            wildly varying shapes to avoid holding the largest buffer alive.
+        needs_input_grad: compute the gradient with respect to the input in
+            :meth:`backward`.  ``False`` suits a network's first layer, whose
+            input is data: backward then only accumulates the parameter
+            gradients and returns ``None``.
     """
 
     def __init__(
@@ -240,6 +379,7 @@ class Conv2D(Layer):
         use_bias: bool = True,
         weight_init: str = "he_uniform",
         cache_patches: bool = True,
+        needs_input_grad: bool = True,
         name: str | None = None,
         seed: SeedLike = None,
     ):
@@ -262,6 +402,7 @@ class Conv2D(Layer):
             self.padding = _pair(padding)
         self.use_bias = bool(use_bias)
         self.cache_patches = bool(cache_patches)
+        self.needs_input_grad = bool(needs_input_grad)
 
         kh, kw = self.kernel_size
         w_init = get_initializer(weight_init)
@@ -276,6 +417,8 @@ class Conv2D(Layer):
             self.bias = None
 
         self._cols: np.ndarray | None = None
+        self._padded: np.ndarray | None = None
+        self._dilated: np.ndarray | None = None
         self._input_shape: Tuple[int, int, int, int] | None = None
 
     def output_shape(self, height: int, width: int) -> Tuple[int, int, int]:
@@ -303,8 +446,20 @@ class Conv2D(Layer):
         batch, _, height, width = inputs.shape
         _, out_h, out_w = self.output_shape(height, width)
 
+        padded = None
+        if self.cache_patches:
+            padded = self._padded = padded_buffer(
+                inputs.shape, self.padding, self._padded
+            )
         buffer = self._cols if self.cache_patches else None
-        cols = im2col(inputs, self.kernel_size, self.stride, self.padding, out=buffer)
+        cols = im2col(
+            inputs,
+            self.kernel_size,
+            self.stride,
+            self.padding,
+            out=buffer,
+            padded=padded,
+        )
         self._cols = cols
         self._input_shape = inputs.shape
 
@@ -318,7 +473,7 @@ class Conv2D(Layer):
             output += self.bias.value[None, :, None]
         return output.reshape(batch, self.out_channels, out_h, out_w)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> Optional[np.ndarray]:
         cols = check_forward_called(self._cols, self)
         grad_output = np.asarray(grad_output, dtype=np.float64)
         batch = grad_output.shape[0]
@@ -327,15 +482,30 @@ class Conv2D(Layer):
             batch, self.out_channels, grad_output.shape[2] * grad_output.shape[3]
         )
 
-        kernel_matrix = self.weight.value.reshape(self.out_channels, -1)
         # Per-batch GEMMs reduced over the batch axis; matches the stacked
         # fleet kernels bitwise (see repro.nn.stacked).
         grad_kernel = np.matmul(grad_flat, cols.transpose(0, 2, 1)).sum(axis=0)
         self.weight.grad += grad_kernel.reshape(self.weight.value.shape)
         if self.use_bias:
             self.bias.grad += grad_flat.sum(axis=(0, 2))
+        if not self.needs_input_grad:
+            return None
 
-        grad_cols = np.matmul(kernel_matrix.T, grad_flat)
-        return col2im(
-            grad_cols, self._input_shape, self.kernel_size, self.stride, self.padding
+        # Input gradient as a transposed convolution: one GEMM of the
+        # flipped kernel against the stride-1 patches of the dilated
+        # gradient, already cropped to the unpadded input.
+        dilated = dilate(
+            grad_output,
+            self._input_shape[2:],
+            self.kernel_size,
+            self.stride,
+            self.padding,
+            out=self._dilated,
         )
+        if self.cache_patches:
+            self._dilated = dilated
+        dilated_cols = im2col(dilated, self.kernel_size, (1, 1), (0, 0))
+        grad_inputs = np.matmul(
+            transposed_kernel_matrix(self.weight.value), dilated_cols
+        )
+        return grad_inputs.reshape(self._input_shape)

@@ -9,6 +9,15 @@ because both sides use the same ``np.matmul`` lowering and elementwise
 update order, the stacked path is bitwise-identical member-for-member to
 running each model's own kernels in a Python loop.
 
+The stacked backward mirrors :meth:`Conv2D.backward
+<repro.nn.layers.conv.Conv2D.backward>`: the weight gradient contracts the
+output gradient against the forward pass's patch matrix, and the input
+gradient is a transposed convolution (a zero-dilated gradient, its stride-1
+patches, one GEMM against the flipped kernels).  ``needs_input_grad=False``
+skips the input gradient, as the first layer of a network does.  The
+forward and backward optionally reuse zero-bordered padding and dilation
+buffers kept by the caller.
+
 Each batched kernel keeps its member-loop formulation as a ``*_reference``
 oracle, used by the equivalence tests (and nothing else).
 """
@@ -18,7 +27,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.layers.conv import col2im, conv_output_size, im2col
+from repro.nn.layers.conv import (
+    conv_output_size,
+    dilate,
+    im2col,
+    transposed_kernel_matrix,
+)
 
 
 def _stacked_geometry(
@@ -39,6 +53,7 @@ def stacked_conv2d_forward(
     stride: Tuple[int, int] = (1, 1),
     padding: Tuple[int, int] = (0, 0),
     cols_out: Optional[np.ndarray] = None,
+    padded_out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """All members' convolutions in one broadcasted GEMM.
 
@@ -50,6 +65,10 @@ def stacked_conv2d_forward(
         stride / padding: shared convolution geometry.
         cols_out: optional reusable patch buffer, as returned by a previous
             call with the same geometry (forwarded to :func:`im2col`).
+        padded_out: optional zero-bordered padding buffer for the flattened
+            ``(members * batch, ...)`` inputs, from
+            :func:`~repro.nn.layers.conv.padded_buffer` (forwarded to
+            :func:`im2col` as ``padded``).
 
     Returns:
         ``(output, cols)`` — output ``(members, batch, out_channels, oh, ow)``
@@ -60,7 +79,9 @@ def stacked_conv2d_forward(
     kernel_size = weights.shape[3:]
     out_h, out_w = _stacked_geometry(weights, inputs, stride, padding)
     flat_inputs = inputs.reshape((members * batch,) + inputs.shape[2:])
-    cols = im2col(flat_inputs, kernel_size, stride, padding, out=cols_out)
+    cols = im2col(
+        flat_inputs, kernel_size, stride, padding, out=cols_out, padded=padded_out
+    )
     out_channels = weights.shape[1]
     kernel_matrix = weights.reshape(members, 1, out_channels, -1)
     stacked_cols = cols.reshape(members, batch, cols.shape[1], cols.shape[2])
@@ -77,7 +98,9 @@ def stacked_conv2d_backward(
     input_shape: Tuple[int, ...],
     stride: Tuple[int, int] = (1, 1),
     padding: Tuple[int, int] = (0, 0),
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    needs_input_grad: bool = True,
+    dilated_out: Optional[np.ndarray] = None,
+) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
     """Gradients of :func:`stacked_conv2d_forward` for every member at once.
 
     Args:
@@ -86,6 +109,12 @@ def stacked_conv2d_backward(
         grad_output: ``(members, batch, out_channels, oh, ow)``.
         input_shape: the forward pass's ``inputs.shape``.
         stride / padding: shared convolution geometry.
+        needs_input_grad: compute ``grad_inputs``; when ``False`` it is
+            returned as ``None``.
+        dilated_out: optional dilation buffer for the flattened
+            ``(members * batch, ...)`` gradient, from
+            :func:`~repro.nn.layers.conv.dilated_buffer` (forwarded to
+            :func:`~repro.nn.layers.conv.dilate`).
 
     Returns:
         ``(grad_inputs, grad_weights, grad_biases)`` with shapes matching
@@ -99,16 +128,21 @@ def stacked_conv2d_backward(
         grad_flat, stacked_cols.transpose(0, 1, 3, 2)
     ).sum(axis=1).reshape(weights.shape)
     grad_biases = grad_flat.sum(axis=(1, 3))
-    kernel_matrix = weights.reshape(members, out_channels, -1)
-    grad_cols = np.matmul(kernel_matrix.transpose(0, 2, 1)[:, None], grad_flat)
+    if not needs_input_grad:
+        return None, grad_weights, grad_biases
     kernel_size = weights.shape[3:]
-    flat_shape = (members * batch,) + tuple(input_shape[2:])
-    grad_inputs = col2im(
-        grad_cols.reshape(members * batch, -1, spatial),
-        flat_shape,
+    dilated = dilate(
+        grad_output.reshape((members * batch,) + grad_output.shape[2:]),
+        input_shape[3:],
         kernel_size,
         stride,
         padding,
+        out=dilated_out,
+    )
+    dilated_cols = im2col(dilated, kernel_size, (1, 1), (0, 0))
+    grad_inputs = np.matmul(
+        transposed_kernel_matrix(weights)[:, None],
+        dilated_cols.reshape(members, batch, -1, dilated_cols.shape[2]),
     )
     return grad_inputs.reshape(input_shape), grad_weights, grad_biases
 
@@ -145,8 +179,9 @@ def stacked_conv2d_backward_reference(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Member-loop oracle for :func:`stacked_conv2d_backward`.
 
-    Recomputes each member's patch matrix from ``inputs`` (the batched
-    variant reuses the forward pass's buffer instead).
+    Recomputes each member's patch matrices from ``inputs`` and
+    ``grad_output`` (the batched variant reuses the forward pass's patch
+    buffer instead).
     """
     members, batch, out_channels = grad_output.shape[:3]
     kernel_size = weights.shape[3:]
@@ -157,14 +192,16 @@ def stacked_conv2d_backward_reference(
     for member in range(members):
         cols = im2col(inputs[member], kernel_size, stride, padding)
         grad_flat = grad_output[member].reshape(batch, out_channels, spatial)
-        kernel_matrix = weights[member].reshape(out_channels, -1)
         grad_kernel = np.matmul(grad_flat, cols.transpose(0, 2, 1)).sum(axis=0)
         grad_weights[member] = grad_kernel.reshape(weights.shape[1:])
         grad_biases[member] = grad_flat.sum(axis=(0, 2))
-        grad_cols = np.matmul(kernel_matrix.T, grad_flat)
-        grad_inputs[member] = col2im(
-            grad_cols, inputs.shape[1:], kernel_size, stride, padding
+        dilated = dilate(
+            grad_output[member], inputs.shape[3:], kernel_size, stride, padding
         )
+        dilated_cols = im2col(dilated, kernel_size, (1, 1), (0, 0))
+        grad_inputs[member] = np.matmul(
+            transposed_kernel_matrix(weights[member]), dilated_cols
+        ).reshape(inputs.shape[1:])
     return grad_inputs, grad_weights, grad_biases
 
 

@@ -39,7 +39,9 @@ def build_ue_cnn(config: ModelConfig, seed: SeedLike = None) -> Sequential:
 
     The convolutions run with ``cache_patches=True``: training feeds the CNN a
     fixed ``batch * L`` image geometry every step, so each layer's im2col
-    column buffer is allocated once and reused for the whole run.
+    column buffer is allocated once and reused for the whole run.  The first
+    convolution sees the raw depth images, so it is built with
+    ``needs_input_grad=False`` and backward stops there.
     """
     if not config.use_image:
         raise ValueError("cannot build a UE CNN for an RF-only configuration")
@@ -54,6 +56,7 @@ def build_ue_cnn(config: ModelConfig, seed: SeedLike = None) -> Sequential:
                 config.cnn_kernel_size,
                 padding="same",
                 cache_patches=True,
+                needs_input_grad=index > 0,
                 seed=seeds[index],
                 name=f"conv{index}",
             )
@@ -67,6 +70,7 @@ def build_ue_cnn(config: ModelConfig, seed: SeedLike = None) -> Sequential:
             config.cnn_kernel_size,
             padding="same",
             cache_patches=True,
+            needs_input_grad=bool(config.cnn_channels),
             seed=seeds[-1],
             name="conv_out",
         )

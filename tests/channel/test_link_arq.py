@@ -630,11 +630,35 @@ def test_transmit_across_per_link_payloads_and_infeasible():
         )
 
 
+def test_batch_results_match_indexing():
+    """``results()`` unpacks every entry exactly like ``batch[i]``."""
+    from repro.channel import transmit_across
+
+    links = [
+        WirelessLink(
+            params=PAPER_CHANNEL_PARAMS,
+            direction="uplink",
+            seed=index,
+            max_retransmissions=1,
+        )
+        for index in range(6)
+    ]
+    batch = transmit_across(links, payload_for_success_probability(0.3))
+    results = batch.results()
+    assert results == [batch[index] for index in range(len(batch))]
+    for result in results:
+        assert type(result.success) is bool
+        assert type(result.slots_used) is int
+        assert type(result.elapsed_s) is float
+        assert type(result.first_attempt_success) is bool
+
+
 def test_transmit_across_empty_and_validation():
     from repro.channel import transmit_across
 
     empty = transmit_across([], 1000.0)
     assert len(empty) == 0
+    assert empty.results() == []
     link = WirelessLink(params=PAPER_CHANNEL_PARAMS, direction="uplink", seed=0)
     with pytest.raises(ValueError):
         transmit_across([link], np.array([1000.0, 2000.0]))

@@ -103,6 +103,35 @@ def test_fingerprint_separates_configurations(smoke_scale):
     assert trained_model_path(base).name == f"model-{base}.npz"
 
 
+def test_fingerprint_ignores_backend_and_hashes_trajectory_version(
+    smoke_scale, monkeypatch
+):
+    from repro.dataset import cache
+
+    config = ExperimentConfig.for_scenario(
+        smoke_scale.scenario,
+        model=smoke_scale.base_model_config(),
+        training=smoke_scale.training_config(),
+    )
+
+    def fleet_key(backend):
+        fleet = FleetConfig(num_ues=2, mode="parallel_average", backend=backend)
+        return trained_model_fingerprint(
+            smoke_scale, config, kind="fleet", fleet_config=fleet
+        )
+
+    # The backends are bitwise identical, so they share cache entries.
+    assert fleet_key("loop") == fleet_key("batched") == fleet_key("auto")
+
+    dataset_key = cache.config_fingerprint(smoke_scale.dataset_config())
+    split_key = trained_model_fingerprint(smoke_scale, config)
+    fleet_before = fleet_key("auto")
+    monkeypatch.setattr(cache, "TRAJECTORY_VERSION", cache.TRAJECTORY_VERSION + 1)
+    assert cache.config_fingerprint(smoke_scale.dataset_config()) != dataset_key
+    assert trained_model_fingerprint(smoke_scale, config) != split_key
+    assert fleet_key("auto") != fleet_before
+
+
 def test_model_cache_hit_skips_training(smoke_scale, smoke_dataset, smoke_split,
                                         tmp_path, monkeypatch):
     options = PipelineOptions(model_cache_dir=str(tmp_path / "models"))

@@ -99,9 +99,13 @@ def test_conv_cached_patch_buffer_is_reused_and_correct(gen):
     inputs_a = gen.normal(size=(4, 2, 6, 6))
     inputs_b = gen.normal(size=(4, 2, 6, 6))
     layer.forward(inputs_a)
-    first_buffer = layer._cols
+    first_buffer, first_padded = layer._cols, layer._padded
     vectorized = layer.forward(inputs_b)
-    assert layer._cols is first_buffer  # same geometry: buffer reused
+    assert layer._cols is first_buffer  # same geometry: buffers reused
+    assert layer._padded is first_padded
+    border = first_padded.copy()
+    border[:, :, 1:-1, 1:-1] = 0.0
+    assert not border.any()  # only the interior is ever written
     reference = conv2d_forward_reference(
         inputs_b, layer.weight.value, layer.bias.value, layer.stride, layer.padding
     )
@@ -113,6 +117,67 @@ def test_conv_cached_patch_buffer_is_reused_and_correct(gen):
         smaller, layer.weight.value, layer.bias.value, layer.stride, layer.padding
     )
     assert np.max(np.abs(vectorized_small - reference_small)) <= TOL
+
+
+INPUT_GRAD_CASES = [
+    # (batch, in_ch, out_ch, height, width, kernel, stride, padding)
+    pytest.param(2, 2, 3, 7, 7, 3, 1, 0, id="stride1-valid"),
+    pytest.param(2, 2, 3, 7, 6, 3, 1, 1, id="stride1-same"),
+    pytest.param(2, 1, 2, 9, 8, 3, 2, 1, id="stride2-same"),
+    pytest.param(1, 3, 2, 10, 11, 3, 3, 0, id="stride3-valid"),
+    pytest.param(2, 2, 2, 6, 5, 3, 2, 3, id="stride2-pad-above-k-1"),
+    pytest.param(1, 2, 1, 5, 7, 2, 1, (4, 2), id="even-kernel-pad-above-k-1"),
+    pytest.param(2, 2, 3, 8, 9, (2, 4), (1, 2), (1, 0), id="even-rect-kernel"),
+    pytest.param(1, 1, 2, 6, 13, (3, 5), (3, 2), (2, 1), id="stride3-nonsquare"),
+    pytest.param(0, 2, 3, 6, 6, 3, 2, 1, id="empty-batch"),
+]
+
+
+@pytest.mark.parametrize(
+    "batch,in_ch,out_ch,height,width,kernel,stride,padding", INPUT_GRAD_CASES
+)
+def test_conv_input_grad_matches_reference(
+    gen, batch, in_ch, out_ch, height, width, kernel, stride, padding
+):
+    """The transposed-convolution input gradient against the per-pixel loop."""
+    layer = Conv2D(in_ch, out_ch, kernel, stride=stride, padding=padding, seed=5)
+    inputs = gen.normal(size=(batch, in_ch, height, width))
+    grad_output = gen.normal(size=layer.forward(inputs).shape)
+    grad_inputs = layer.backward(grad_output)
+    ref_inputs, _, _ = conv2d_backward_reference(
+        inputs, layer.weight.value, grad_output, layer.stride, layer.padding
+    )
+    assert grad_inputs.shape == inputs.shape
+    assert np.max(np.abs(grad_inputs - ref_inputs), initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("padding", [0, 1, 4])
+def test_conv_without_input_grad_keeps_parameter_grads_bitwise(gen, padding):
+    full = Conv2D(2, 3, 3, stride=2, padding=padding, seed=9)
+    skipping = Conv2D(
+        2, 3, 3, stride=2, padding=padding, seed=9, needs_input_grad=False
+    )
+    inputs = gen.normal(size=(3, 2, 9, 8))
+    grad_output = gen.normal(size=full.forward(inputs).shape)
+    skipping.forward(inputs)
+    assert full.backward(grad_output) is not None
+    assert skipping.backward(grad_output) is None
+    assert skipping._dilated is None  # no input-gradient scratch either
+    assert np.array_equal(full.weight.grad, skipping.weight.grad)
+    assert np.array_equal(full.bias.grad, skipping.bias.grad)
+
+
+def test_conv_input_grad_does_not_alias_layer_scratch(gen):
+    layer = Conv2D(2, 2, 3, stride=2, padding=1, seed=4)
+    inputs = gen.normal(size=(2, 2, 7, 7))
+    output = layer.forward(inputs)
+    first = layer.backward(gen.normal(size=output.shape))
+    kept = first.copy()
+    second = layer.backward(gen.normal(size=output.shape))
+    assert np.array_equal(first, kept)
+    assert not np.shares_memory(first, second)
+    for scratch in (layer._cols, layer._padded, layer._dilated):
+        assert not np.shares_memory(first, scratch)
 
 
 def test_conv_gradcheck_vectorized_path(gen, gradcheck):

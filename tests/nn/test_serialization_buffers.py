@@ -1,8 +1,9 @@
 """Round-trip serialization of the vectorized Conv2D / recurrent layers.
 
-The PR-1 vectorization added transient work buffers to the hot layers: the
-cached im2col column buffer on :class:`Conv2D` (``cache_patches=True``) and
-the preallocated state/gate caches on the recurrent cells.  These tests pin
+The vectorized layers keep transient work buffers: the cached im2col column
+buffer and the zero-bordered padding and dilation buffers on :class:`Conv2D`
+(``cache_patches=True``) and the preallocated state/gate caches on the
+recurrent cells.  These tests pin
 the contract that saved state contains *only* trainable parameters — never
 the transient caches — and that a freshly constructed layer loaded from disk
 reproduces the original outputs exactly.
@@ -37,10 +38,15 @@ def saved_keys(path):
         return set(archive.files)
 
 
-def test_conv2d_state_excludes_im2col_buffer(tmp_path, conv_inputs):
+CONV_BUFFERS = ("_cols", "_padded", "_dilated")
+
+
+def test_conv2d_state_excludes_im2col_buffer(tmp_path, rng, conv_inputs):
     layer = Conv2D(2, 4, kernel_size=3, padding="same", cache_patches=True, seed=0)
-    layer.forward(conv_inputs)
-    assert layer._cols is not None, "forward must populate the column cache"
+    outputs = layer.forward(conv_inputs)
+    layer.backward(rng.normal(size=outputs.shape))
+    for buffer in CONV_BUFFERS:
+        assert getattr(layer, buffer) is not None, f"{buffer} was not populated"
 
     expected_keys = {"weight", "bias"}
     assert set(layer.state_dict()) == expected_keys
@@ -53,8 +59,16 @@ def test_conv2d_state_excludes_im2col_buffer(tmp_path, conv_inputs):
     assert not parameters_allclose(layer, clone)
     load_parameters(clone, path)
     assert parameters_allclose(layer, clone)
-    assert clone._cols is None, "loading parameters must not create caches"
+    for buffer in CONV_BUFFERS:
+        assert getattr(clone, buffer) is None, "loading must not create caches"
     assert np.allclose(layer.forward(conv_inputs), clone.forward(conv_inputs))
+
+
+def test_conv2d_without_patch_cache_keeps_no_buffers(rng, conv_inputs):
+    layer = Conv2D(2, 4, kernel_size=3, padding="same", cache_patches=False, seed=0)
+    outputs = layer.forward(conv_inputs)
+    layer.backward(rng.normal(size=outputs.shape))
+    assert layer._padded is None and layer._dilated is None
 
 
 def test_conv2d_state_dict_copies_are_independent(conv_inputs):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn.layers.conv import Conv2D
+from repro.nn.layers.conv import Conv2D, dilated_buffer, padded_buffer
 from repro.nn.optim import Adam
 from repro.nn.layers.base import Parameter
 from repro.nn.stacked import (
@@ -122,6 +122,43 @@ def test_stacked_forward_reuses_patch_buffer(gen):
         weights, biases, inputs2, stride, padding
     )
     assert np.array_equal(reused_out, expected)
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_stacked_backward_reuses_buffers_and_skips_input_grad(gen, geometry):
+    """Caller-kept padding/dilation buffers and ``needs_input_grad=False``
+    leave every gradient bitwise unchanged."""
+    weights, biases, inputs, stride, padding = _stack_case(gen, geometry)
+    flat_shape = (inputs.shape[0] * inputs.shape[1],) + inputs.shape[2:]
+    padded = padded_buffer(flat_shape, padding)
+    output, cols = stacked_conv2d_forward(
+        weights, biases, inputs, stride, padding, padded_out=padded
+    )
+    grad_output = gen.standard_normal(output.shape)
+    expected = stacked_conv2d_backward_reference(
+        weights, inputs, grad_output, stride, padding
+    )
+    dilated = dilated_buffer(
+        (flat_shape[0], weights.shape[1]), inputs.shape[3:], weights.shape[3:]
+    )
+    for _ in range(2):  # the second pass reuses the dirtied buffers
+        output_again, _ = stacked_conv2d_forward(
+            weights, biases, inputs, stride, padding, cols_out=cols, padded_out=padded
+        )
+        assert np.array_equal(output_again, output)
+        grads = stacked_conv2d_backward(
+            weights, cols, grad_output, inputs.shape, stride, padding,
+            dilated_out=dilated,
+        )
+        for got, want in zip(grads, expected):
+            assert np.array_equal(got, want)
+    grad_inputs, grad_weights, grad_biases = stacked_conv2d_backward(
+        weights, cols, grad_output, inputs.shape, stride, padding,
+        needs_input_grad=False,
+    )
+    assert grad_inputs is None
+    assert np.array_equal(grad_weights, expected[1])
+    assert np.array_equal(grad_biases, expected[2])
 
 
 # -- masked stacked Adam ------------------------------------------------------------

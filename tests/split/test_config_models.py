@@ -129,6 +129,20 @@ def test_ue_cnn_preserves_spatial_size(small_config):
     assert output.min() >= 0.0 and output.max() <= 1.0  # sigmoid output image
 
 
+@pytest.mark.parametrize("channels", [(3,), (3, 2), ()])
+def test_ue_cnn_skips_only_the_first_input_gradient(small_config, channels):
+    from dataclasses import replace
+
+    from repro.nn.layers.conv import Conv2D
+
+    cnn = build_ue_cnn(replace(small_config, cnn_channels=channels), seed=0)
+    convs = [layer for layer in cnn.layers if isinstance(layer, Conv2D)]
+    assert [conv.needs_input_grad for conv in convs] == [False] + [True] * len(channels)
+    output = cnn.forward(np.random.default_rng(0).random((2, 1, 12, 12)))
+    assert cnn.backward(np.ones_like(output)) is None
+    assert all(np.any(conv.weight.grad != 0) for conv in convs)
+
+
 def test_ue_cnn_requires_image_branch():
     with pytest.raises(ValueError):
         build_ue_cnn(ModelConfig(use_image=False))

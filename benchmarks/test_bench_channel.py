@@ -3,8 +3,7 @@
 Times :meth:`WirelessLink.transmit` (one geometric draw per payload) against
 the retained per-slot retry loop :meth:`WirelessLink.transmit_reference`
 (expected ``1/p`` draws per payload) across decreasing per-slot success
-probabilities, plus the vectorized :meth:`ArqSession.exchange_many` path
-against sequential :meth:`ArqSession.exchange` calls.
+probabilities.
 
 Two bars are asserted:
 
@@ -25,7 +24,7 @@ from typing import Callable, List
 
 import numpy as np
 
-from repro.channel import ArqSession, PAPER_CHANNEL_PARAMS, WirelessLink
+from repro.channel import PAPER_CHANNEL_PARAMS, WirelessLink
 from repro.experiments import ExperimentScale
 
 MIN_TRANSMIT_SPEEDUP = 10.0
@@ -46,7 +45,7 @@ class ChannelRecord:
     """One row of the channel throughput table."""
 
     case: str
-    fast_pps: float  # payloads (or steps) per second, O(1) path
+    fast_pps: float  # payloads per second, O(1) path
     reference_pps: float
 
     @property
@@ -101,27 +100,6 @@ def _run_channel_suite(scale: ExperimentScale) -> List[ChannelRecord]:
             )
         )
 
-    # Vectorized multi-step exchange vs. sequential scalar exchanges.
-    payload = payload_for_success_probability(0.5)
-    batched = ArqSession(params=PAPER_CHANNEL_PARAMS, seed=2)
-    sequential = ArqSession(params=PAPER_CHANNEL_PARAMS, seed=3)
-    records.append(
-        ChannelRecord(
-            "exchange_many p=0.5",
-            _throughput(
-                lambda: batched.exchange_many(payload, payload, fast_count),
-                fast_count,
-                repeats,
-            ),
-            _throughput(
-                lambda: [
-                    sequential.exchange(payload, payload) for _ in range(fast_count)
-                ],
-                fast_count,
-                repeats,
-            ),
-        )
-    )
     return records
 
 
@@ -163,7 +141,9 @@ def test_channel_throughput_and_distribution(benchmark, scale):
         params=PAPER_CHANNEL_PARAMS, direction="uplink", seed=11
     )
     loop_link = WirelessLink(params=PAPER_CHANNEL_PARAMS, direction="uplink", seed=13)
-    geometric = geometric_link.transmit_many(payload, geometric_count).slots_used
+    geometric = np.array(
+        [geometric_link.transmit(payload).slots_used for _ in range(geometric_count)]
+    )
     loop = np.array(
         [loop_link.transmit_reference(payload).slots_used for _ in range(loop_count)]
     )

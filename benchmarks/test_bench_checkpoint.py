@@ -34,29 +34,32 @@ REPEATS = 3
 
 
 def _fit_seconds(scale, split, checkpoint_path) -> float:
-    best = float("inf")
-    for _ in range(REPEATS):
-        trainer = SplitTrainer(
-            ExperimentConfig.for_scenario(
-                scale.scenario,
-                model=scale.base_model_config(),
-                training=scale.training_config(),
-            )
+    trainer = SplitTrainer(
+        ExperimentConfig.for_scenario(
+            scale.scenario,
+            model=scale.base_model_config(),
+            training=scale.training_config(),
         )
-        start = time.perf_counter()
-        trainer.fit(
-            split.train,
-            split.validation,
-            max_epochs=BENCH_EPOCHS,
-            checkpoint_path=checkpoint_path,
-        )
-        best = min(best, time.perf_counter() - start)
-    return best
+    )
+    start = time.perf_counter()
+    trainer.fit(
+        split.train,
+        split.validation,
+        max_epochs=BENCH_EPOCHS,
+        checkpoint_path=checkpoint_path,
+    )
+    return time.perf_counter() - start
 
 
 def test_checkpoint_overhead_below_ten_percent(scale, bench_split, tmp_path, capsys):
-    plain_s = _fit_seconds(scale, bench_split, None)
-    checkpointed_s = _fit_seconds(scale, bench_split, tmp_path / "bench.npz")
+    # Plain and checkpointed fits alternate, so a load burst on a shared host
+    # slows both sides; each side keeps its fastest repeat.
+    plain_s = checkpointed_s = float("inf")
+    for _ in range(REPEATS):
+        plain_s = min(plain_s, _fit_seconds(scale, bench_split, None))
+        checkpointed_s = min(
+            checkpointed_s, _fit_seconds(scale, bench_split, tmp_path / "bench.npz")
+        )
     overhead = (checkpointed_s - plain_s) / plain_s
     per_epoch_ms = 1e3 * (checkpointed_s - plain_s) / BENCH_EPOCHS
 

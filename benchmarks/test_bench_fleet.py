@@ -13,11 +13,13 @@ benchmark scale (``REPRO_BENCH_SCALE``, default fast).  The rotation round is
 reported alongside as the linear baseline.
 
 A second family of benchmarks times the *host* wall clock, not the simulated
-one: the batched backend fuses the N per-member forward/backward passes into
-stacked GEMMs (:mod:`repro.nn.stacked`), batches the ARQ draws and scheduler
-bookkeeping across the fleet, and must beat the per-member Python loop by
-``MIN_BATCHED_SPEEDUP`` from N=512 up (a softer floor applies at N=256)
-while keeping an N=1000 round under ``N1000_ROUND_BUDGET_S`` of wall clock.
+one.  There is one joint step; the backend picks only its member compute.
+On the stacked bank the N per-member forward/backward passes fuse into
+stacked GEMMs (:mod:`repro.nn.stacked`), and the whole joint step must beat
+the same step on the per-member loop by ``MIN_BATCHED_SPEEDUP`` from N=512
+up (a softer floor applies at N=256), while an N=1000 round stays under
+``N1000_ROUND_BUDGET_S`` of wall clock.  The two sides' timing samples
+alternate, so a load burst on a shared host slows both.
 """
 from __future__ import annotations
 
@@ -128,7 +130,7 @@ def _large_fleet_model() -> ModelConfig:
 
     The point of these benchmarks is the member axis, not the per-member
     model, so each UE is shrunk to a single pooled cut value per image and a
-    small simple-RNN BS stage.  At this size the loop backend is dominated by
+    small simple-RNN BS stage.  At this size the member loop is dominated by
     per-member Python dispatch — exactly the overhead the batched kernels
     remove — while both backends stay fast enough for CI.
     """
@@ -167,12 +169,14 @@ def _member_batches(num_ues: int, seed: int = 0):
     return [(images[i], powers[i], targets[i]) for i in range(num_ues)]
 
 
-def _best_time(fn: Callable[[], None], repeats: int) -> float:
-    best = float("inf")
+def _best_times(*fns: Callable[[], None], repeats: int) -> List[float]:
+    """Best wall time of each callable over ``repeats`` alternating rounds."""
+    best = [float("inf")] * len(fns)
     for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
+        for index, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn()
+            best[index] = min(best[index], time.perf_counter() - start)
     return best
 
 
@@ -200,31 +204,34 @@ _BATCHED_INNER_STEPS = 4
 
 
 def test_batched_joint_step_speedup_over_loop_reference(scale):
-    """The fused joint step beats the per-member loop >= 10x at N >= 256."""
+    """The joint step on the stacked bank beats it on the member loop >= 10x."""
     counts, repeats = _joint_step_counts(scale)
     rows: List[JointStepRow] = []
     for num_ues in counts:
         batches = _member_batches(num_ues)
-
+        batch_sizes = [len(targets) for _, _, targets in batches]
         loop_trainer = _large_fleet_trainer(num_ues, "loop")
-        loop_trainer._joint_step(batches)  # warm up caches and pools
-        loop_ms = _best_time(
-            lambda: loop_trainer._joint_step(batches), repeats
-        ) * 1e3
-
+        member_loop = loop_trainer._member_compute(batch_sizes)
         batched_trainer = _large_fleet_trainer(num_ues, "batched")
-        batched_trainer._ensure_bank().gather()
-        batched_trainer._joint_step_batched(batches)
+        bank = batched_trainer._member_compute(batch_sizes)
+        # Warm up caches and pools.
+        loop_trainer._joint_step(batches, member_loop)
+        batched_trainer._joint_step(batches, bank)
 
         def batched_sample() -> None:
             for _ in range(_BATCHED_INNER_STEPS):
-                batched_trainer._joint_step_batched(batches)
+                batched_trainer._joint_step(batches, bank)
 
-        batched_ms = (
-            _best_time(batched_sample, repeats) / _BATCHED_INNER_STEPS * 1e3
+        loop_s, batched_s = _best_times(
+            lambda: loop_trainer._joint_step(batches, member_loop),
+            batched_sample,
+            repeats=repeats,
         )
-
-        rows.append(JointStepRow(num_ues, loop_ms, batched_ms))
+        rows.append(
+            JointStepRow(
+                num_ues, loop_s * 1e3, batched_s / _BATCHED_INNER_STEPS * 1e3
+            )
+        )
 
     print()
     print(f"{'N':>5s} {'loop [ms]':>10s} {'batched [ms]':>13s} {'speedup':>8s}")
@@ -254,14 +261,14 @@ def test_n1000_batched_round_time_bounded(scale):
     batches = _member_batches(num_ues)
 
     def one_round() -> None:
-        trainer._ensure_bank().gather()
+        bank = trainer._member_compute([1] * num_ues)
         for _ in range(N1000_STEPS_PER_ROUND):
-            trainer._joint_step_batched(batches)
-        trainer._bank.scatter()
+            trainer._joint_step(batches, bank)
+        bank.scatter()
         trainer.fleet.average_ue_weights()
 
     one_round()  # warm up
-    round_s = _best_time(one_round, 2)
+    (round_s,) = _best_times(one_round, repeats=2)
     per_step_ms = round_s / N1000_STEPS_PER_ROUND * 1e3
 
     print()

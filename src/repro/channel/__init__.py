@@ -1,10 +1,5 @@
 """Wireless channel of the split-learning (cut-layer) link."""
-from repro.channel.arq import (
-    ArqSession,
-    ArqStatistics,
-    BatchExchangeResult,
-    StepCommunication,
-)
+from repro.channel.arq import ArqSession, ArqStatistics, StepCommunication
 from repro.channel.fading import (
     BlockFadingProcess,
     ExponentialFadingProcess,
@@ -30,7 +25,6 @@ from repro.channel.payload import PayloadModel
 __all__ = [
     "ArqSession",
     "ArqStatistics",
-    "BatchExchangeResult",
     "BatchTransmissionResult",
     "BlockFadingProcess",
     "ExponentialFadingProcess",

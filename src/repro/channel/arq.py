@@ -71,36 +71,13 @@ class StepCommunication:
 
 
 @dataclass
-class BatchExchangeResult:
-    """Vectorized outcome of :meth:`ArqSession.exchange_many`, one entry per step."""
-
-    uplink_slots: np.ndarray
-    downlink_slots: np.ndarray
-    elapsed_s: np.ndarray
-    success: np.ndarray
-    downlink_skipped: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.success)
-
-    @property
-    def total_elapsed_s(self) -> float:
-        return float(self.elapsed_s.sum())
-
-    @property
-    def num_successes(self) -> int:
-        return int(self.success.sum())
-
-
-@dataclass
 class ArqStatistics:
     """Streaming aggregate communication statistics over a training run.
 
     All quantities are O(1) in memory: means and variances of the per-step
-    slot count and latency are maintained with Welford's algorithm (merged
-    batch-wise for vectorized exchanges), so arbitrarily long runs never
-    accumulate a per-step history.  Variances are population variances over
-    the recorded steps.
+    slot count and latency are maintained with Welford's algorithm, so
+    arbitrarily long runs never accumulate a per-step history.  Variances
+    are population variances over the recorded steps.
     """
 
     steps: int = 0
@@ -143,60 +120,6 @@ class ArqStatistics:
         delta = total_elapsed_s - self.latency_mean_s
         self.latency_mean_s += delta / self.steps
         self.latency_m2 += delta * (total_elapsed_s - self.latency_mean_s)
-
-    def record_batch(
-        self,
-        uplink: BatchTransmissionResult,
-        downlink: BatchTransmissionResult,
-        downlink_mask: np.ndarray,
-    ) -> None:
-        """Fold a vectorized exchange (see :meth:`ArqSession.exchange_many`).
-
-        ``downlink`` holds one entry per *attempted* downlink, in step order;
-        ``downlink_mask`` marks which steps attempted one.
-        """
-        count = len(uplink)
-        if count == 0:
-            return
-        step_slots = uplink.slots_used.astype(np.float64)
-        step_elapsed = uplink.elapsed_s.copy()
-        step_slots[downlink_mask] += downlink.slots_used
-        step_elapsed[downlink_mask] += downlink.elapsed_s
-
-        self.uplink_slots += uplink.total_slots
-        self.uplink_first_attempt_successes += int(uplink.first_attempt_success.sum())
-        self.uplink_failures += count - uplink.num_successes
-        self.downlink_slots += downlink.total_slots
-        self.downlink_first_attempt_successes += int(
-            downlink.first_attempt_success.sum()
-        )
-        self.downlink_failures += len(downlink) - downlink.num_successes
-        self.downlink_skipped += count - int(downlink_mask.sum())
-        self.total_elapsed_s += float(step_elapsed.sum())
-
-        self._merge_moments("slots_mean", "slots_m2", step_slots)
-        self._merge_moments("latency_mean_s", "latency_m2", step_elapsed)
-        self.steps += count
-
-    def _merge_moments(self, mean_attr: str, m2_attr: str, values: np.ndarray) -> None:
-        """Chan's parallel variance merge of ``values`` into a running moment pair."""
-        count = len(values)
-        batch_mean = float(values.mean())
-        batch_m2 = float(((values - batch_mean) ** 2).sum())
-        total = self.steps + count
-        delta = batch_mean - getattr(self, mean_attr)
-        setattr(
-            self,
-            mean_attr,
-            getattr(self, mean_attr) + delta * count / total,
-        )
-        setattr(
-            self,
-            m2_attr,
-            getattr(self, m2_attr)
-            + batch_m2
-            + delta * delta * self.steps * count / total,
-        )
 
     # -- derived quantities -----------------------------------------------------------
     @property
@@ -315,33 +238,18 @@ class ArqStatistics:
         }
 
 
-def _per_step_payload_bits(
-    payload_bits: float | np.ndarray, steps: int, name: str
-) -> float | np.ndarray:
-    """Validate a scalar-or-per-step payload-size argument."""
-    if np.ndim(payload_bits) == 0:
-        return payload_bits
-    bits = np.asarray(payload_bits, dtype=np.float64)
-    if bits.ndim != 1:
-        raise ValueError(f"{name} must be a scalar or one-dimensional")
-    if len(bits) != steps:
-        raise ValueError(f"{name} has {len(bits)} entries for steps={steps}")
-    return bits
-
-
 @dataclass
 class ArqSession:
     """Bidirectional ARQ session between UE and BS.
 
     Args:
         params: the wireless channel parameters.
-        max_retransmissions: per-payload retransmission cap (``None`` retries
-            until success, matching the paper).
+        max_retransmissions: per-payload retransmission cap (non-negative;
+            ``None`` retries until success, matching the paper).
         seed: RNG seed shared between the two directions (split internally).
         history_limit: size of the bounded ring buffer of recent
             :class:`StepCommunication` outcomes exposed as :attr:`history`
-            (aggregate statistics are unaffected by this limit; vectorized
-            :meth:`exchange_many` steps bypass the buffer).
+            (aggregate statistics are unaffected by this limit).
     """
 
     params: WirelessChannelParams
@@ -386,26 +294,13 @@ class ArqSession:
         A failed uplink means the BS never computed gradients, so the step
         costs only the uplink slots and ``downlink`` is ``None``.
         """
-        uplink_result = self.transmit_uplink(uplink_payload_bits)
+        uplink_result = self.uplink.transmit(uplink_payload_bits)
         downlink_result = (
-            self.transmit_downlink(downlink_payload_bits)
+            self.downlink.transmit(downlink_payload_bits)
             if uplink_result.success
             else None
         )
         return self.record_exchange(uplink_result, downlink_result)
-
-    def transmit_uplink(self, payload_bits: float) -> TransmissionResult:
-        """Uplink half of an exchange, *without* recording statistics.
-
-        The fleet medium scheduler transmits the two directions of every UE
-        separately (it interleaves many sessions onto one medium between the
-        phases) and folds the outcomes back in via :meth:`record_exchange`.
-        """
-        return self.uplink.transmit(payload_bits)
-
-    def transmit_downlink(self, payload_bits: float) -> TransmissionResult:
-        """Downlink half of an exchange, *without* recording statistics."""
-        return self.downlink.transmit(payload_bits)
 
     def record_exchange(
         self,
@@ -424,55 +319,6 @@ class ArqSession:
         self.statistics.record(step)
         self._recent.append(step)
         return step
-
-    def exchange_many(
-        self,
-        uplink_payload_bits: float | np.ndarray,
-        downlink_payload_bits: float | np.ndarray,
-        steps: int,
-    ) -> BatchExchangeResult:
-        """Vectorized multi-step exchange with the same gating as :meth:`exchange`.
-
-        Either direction's payload size may be a scalar (every step moves the
-        same bits) or a length-``steps`` array of per-step sizes, as produced
-        by data-dependent codecs; a mismatched array length raises
-        ``ValueError``.  Both directions draw their whole batch of fading
-        gains at once; the downlink batch covers only the steps whose uplink
-        was decoded, in step order, so the RNG streams — and therefore the
-        sampled outcomes — are identical to ``steps`` sequential
-        :meth:`exchange` calls.
-        """
-        if steps < 0:
-            raise ValueError("steps must be non-negative")
-        uplink_bits = _per_step_payload_bits(
-            uplink_payload_bits, steps, "uplink_payload_bits"
-        )
-        downlink_bits = _per_step_payload_bits(
-            downlink_payload_bits, steps, "downlink_payload_bits"
-        )
-        uplink = self.uplink.transmit_many(uplink_bits, steps)
-        mask = uplink.success
-        if np.ndim(downlink_bits) != 0:
-            downlink_bits = downlink_bits[mask]
-        downlink = self.downlink.transmit_many(
-            downlink_bits, uplink.num_successes
-        )
-
-        downlink_slots = np.zeros(steps, dtype=np.int64)
-        downlink_slots[mask] = downlink.slots_used
-        elapsed = uplink.elapsed_s.copy()
-        elapsed[mask] += downlink.elapsed_s
-        success = np.zeros(steps, dtype=bool)
-        success[mask] = downlink.success
-
-        self.statistics.record_batch(uplink, downlink, mask)
-        return BatchExchangeResult(
-            uplink_slots=uplink.slots_used,
-            downlink_slots=downlink_slots,
-            elapsed_s=elapsed,
-            success=success,
-            downlink_skipped=~mask,
-        )
 
     def reset_statistics(self) -> None:
         """Clear aggregate statistics and the recent-step ring buffer."""
@@ -506,12 +352,12 @@ def transmit_uplink_across(
 ) -> BatchTransmissionResult:
     """One unrecorded uplink per session, batched across sessions.
 
-    The fleet's batched backend moves every member's uplink payload through
+    The fleet's joint step moves every member's uplink payload through
     :func:`repro.channel.link.transmit_across` in one call — draw-for-draw
-    identical per session to sequential :meth:`ArqSession.transmit_uplink`
-    calls, since every session owns its own fading streams.  Statistics are
-    folded in later via :meth:`ArqSession.record_exchange`, exactly like the
-    scalar fleet path.
+    identical per session to ``session.uplink.transmit``, since every
+    session owns its own fading streams.  The fleet schedules the results
+    on its shared medium and folds them in via
+    :meth:`ArqSession.record_exchange`.
     """
     return transmit_across([session.uplink for session in sessions], payload_bits)
 

@@ -20,9 +20,11 @@ Because the fading is i.i.d. across slots, the retry loop is never simulated
 slot by slot: the number of slots until first decode is ``Geometric(p)`` and
 is sampled in closed form from a single fading draw (see
 :func:`repro.channel.fading.slots_from_fading`), truncated at the
-retransmission cap when one is configured.  The legacy per-slot loop is
-retained as :meth:`WirelessLink.transmit_reference` — the correctness oracle
-for equivalence tests and the baseline for the channel benchmarks.
+retransmission cap when one is configured.  :meth:`WirelessLink.transmit`
+does this for one payload and :func:`transmit_across` for one payload on each
+of many links.  The legacy per-slot loop is retained as
+:meth:`WirelessLink.transmit_reference` — the correctness oracle for
+equivalence tests and the baseline for the channel benchmarks.
 """
 from __future__ import annotations
 
@@ -165,18 +167,6 @@ class BatchTransmissionResult:
             )
         ]
 
-    @property
-    def total_slots(self) -> int:
-        return int(self.slots_used.sum())
-
-    @property
-    def total_elapsed_s(self) -> float:
-        return float(self.elapsed_s.sum())
-
-    @property
-    def num_successes(self) -> int:
-        return int(self.success.sum())
-
     @classmethod
     def empty(cls) -> "BatchTransmissionResult":
         return cls(
@@ -194,9 +184,9 @@ class WirelessLink:
     Args:
         params: the full channel parameter set.
         direction: ``"uplink"`` or ``"downlink"``.
-        max_retransmissions: cap on retransmission attempts per payload;
-            ``None`` retries forever (the paper's behaviour — payloads are
-            retransmitted in the next slots until decoded).
+        max_retransmissions: cap on retransmission attempts per payload
+            (non-negative); ``None`` retries forever (the paper's behaviour —
+            payloads are retransmitted in the next slots until decoded).
         seed: RNG seed for the fading process.
     """
 
@@ -207,6 +197,8 @@ class WirelessLink:
     fading: ExponentialFadingProcess = field(init=False)
 
     def __post_init__(self):
+        if self.max_retransmissions is not None and self.max_retransmissions < 0:
+            raise ValueError("max_retransmissions must be non-negative or None")
         # Validates the direction name.
         self._bandwidth_hz = self.params.direction(self.direction).bandwidth_hz
         (fading_rng,) = spawn_generators(self.seed, 1)
@@ -266,7 +258,7 @@ class WirelessLink:
         # Scalar inverse-transform of one fading draw (the scalar twin of
         # slots_from_fading, kept in pure Python to avoid numpy call overhead
         # on the per-step hot path).  The draw is consumed even when p == 1
-        # so the stream stays aligned with transmit_many.
+        # so the stream stays aligned with transmit_across.
         gain = self.fading.sample_one() / self.fading.mean
         if probability >= 1.0:
             slots = 1
@@ -288,94 +280,6 @@ class WirelessLink:
             slots_used=slots,
             elapsed_s=slots * slot,
             first_attempt_success=slots == 1,
-        )
-
-    def transmit_many(
-        self, payload_bits: float | np.ndarray, count: int
-    ) -> BatchTransmissionResult:
-        """Vectorized :meth:`transmit` of ``count`` payloads.
-
-        ``payload_bits`` is either one scalar size shared by every payload or
-        a length-``count`` array of per-payload sizes (data-dependent codec
-        payloads); a mismatched array length raises ``ValueError``.  Draws
-        the whole batch of fading gains in one call; element-for-element the
-        results (and the fading RNG stream) are identical to ``count``
-        sequential :meth:`transmit` calls — in particular, declared-infeasible
-        payloads consume no fading draw on either path.
-        """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        slot = self.params.slot_duration_s
-        if np.ndim(payload_bits) != 0:
-            return self._transmit_many_varying(payload_bits, count)
-        if count == 0:
-            return BatchTransmissionResult.empty()
-        probability = self.success_probability(payload_bits)
-        if probability < INFEASIBLE_SUCCESS_PROBABILITY:
-            # Declared-infeasible accounting: one slot per payload, no draws.
-            slots = np.ones(count, dtype=np.int64)
-            return BatchTransmissionResult(
-                success=np.zeros(count, dtype=bool),
-                slots_used=slots,
-                elapsed_s=slots * slot,
-                first_attempt_success=np.zeros(count, dtype=bool),
-            )
-
-        gains = self.fading.sample(count)
-        slots = slots_from_fading(gains, probability, self.fading.mean)
-        success = np.ones(count, dtype=bool)
-        if self.max_retransmissions is not None:
-            cap = self.max_retransmissions + 1
-            success = slots <= cap
-            slots = np.minimum(slots, float(cap))
-        # With probability >= the feasibility floor, slot counts stay far
-        # inside the int64 range (< ~1e14 even at the floor).
-        slots = slots.astype(np.int64)
-        return BatchTransmissionResult(
-            success=success,
-            slots_used=slots,
-            elapsed_s=slots * slot,
-            first_attempt_success=success & (slots == 1),
-        )
-
-    def _transmit_many_varying(
-        self, payload_bits: np.ndarray, count: int
-    ) -> BatchTransmissionResult:
-        """Array-payload half of :meth:`transmit_many` (per-payload sizes)."""
-        bits = np.asarray(payload_bits, dtype=np.float64)
-        if bits.ndim != 1:
-            raise ValueError("payload_bits must be a scalar or one-dimensional")
-        if len(bits) != count:
-            raise ValueError(
-                f"payload_bits has {len(bits)} entries for count={count}"
-            )
-        if count == 0:
-            return BatchTransmissionResult.empty()
-        slot = self.params.slot_duration_s
-        probabilities = decoding_success_probabilities(
-            self._mean_snr, bits, self.params.slot_duration_s, self.bandwidth_hz
-        )
-        feasible = probabilities >= INFEASIBLE_SUCCESS_PROBABILITY
-        slots = np.ones(count, dtype=np.float64)
-        success = np.zeros(count, dtype=bool)
-        if feasible.any():
-            # One draw per feasible payload, in payload order — infeasible
-            # entries skip the stream exactly like scalar transmit() does.
-            gains = self.fading.sample(int(feasible.sum()))
-            slots[feasible] = slots_from_fading(
-                gains, probabilities[feasible], self.fading.mean
-            )
-            success[feasible] = True
-        if self.max_retransmissions is not None:
-            cap = self.max_retransmissions + 1
-            success &= slots <= cap
-            slots = np.minimum(slots, float(cap))
-        slots = slots.astype(np.int64)
-        return BatchTransmissionResult(
-            success=success,
-            slots_used=slots,
-            elapsed_s=slots * slot,
-            first_attempt_success=success & (slots == 1),
         )
 
     def transmit_reference(self, payload_bits: float) -> TransmissionResult:
@@ -458,11 +362,11 @@ def transmit_across(
 ) -> BatchTransmissionResult:
     """One :meth:`WirelessLink.transmit` on *each* of many independent links.
 
-    The fleet's batched backend moves every member's payload in one call
-    instead of N scalar ``transmit`` calls.  Each link still consumes exactly
-    the draws scalar ``transmit`` would — one normalized fading draw from its
-    own stream when its payload is feasible, none otherwise — so the results
-    are draw-for-draw identical to calling ``links[i].transmit(bits[i])``
+    The fleet's joint step moves every member's payload in one call instead
+    of N scalar ``transmit`` calls.  Each link still consumes exactly the
+    draws scalar ``transmit`` would — one normalized fading draw from its own
+    stream when its payload is feasible, none otherwise — so the results are
+    draw-for-draw identical to calling ``links[i].transmit(bits[i])``
     sequentially; only the probability/slot arithmetic is vectorized (through
     :func:`decoding_success_probabilities` and :func:`slots_from_fading`,
     both element-identical to their scalar twins).
@@ -501,19 +405,19 @@ def transmit_across(
         gains = np.array([links[i]._transmit_draw() for i in np.flatnonzero(feasible)])
         slots[feasible] = slots_from_fading(gains, probabilities[feasible], 1.0)
         success[feasible] = True
+    # A payload needing more than cap = max_retransmissions + 1 slots fails
+    # after exactly cap slots; an uncapped link retries until decoded.
     caps = np.array(
         [
-            0 if link.max_retransmissions is None else link.max_retransmissions + 1
+            math.inf if link.max_retransmissions is None else link.max_retransmissions + 1
             for link in links
         ],
         dtype=np.float64,
     )
-    capped = caps > 0
-    if capped.any():
-        over = capped & (slots > caps)
-        success &= ~over
-        slots = np.where(capped, np.minimum(slots, caps), slots)
-    slots = slots.astype(np.int64)
+    success &= slots <= caps
+    # With probability >= the feasibility floor, slot counts stay far inside
+    # the int64 range (< ~1e14 even at the floor).
+    slots = np.minimum(slots, caps).astype(np.int64)
     return BatchTransmissionResult(
         success=success,
         slots_used=slots,

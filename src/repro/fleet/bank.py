@@ -1,20 +1,27 @@
-"""Stacked per-UE parameter bank: the fleet's batched compute backend.
+"""The member compute of ``FleetTrainer``'s joint step: loop or stacked.
 
-``FleetTrainer``'s loop backend runs every member's CNN forward/backward and
-Adam update one UE at a time.  :class:`StackedUEBank` fuses those N identical
-architectures into stacked arrays with a leading member axis and drives the
-batched kernels of :mod:`repro.nn.stacked`, turning N Python-level model
-evaluations into a handful of broadcasted GEMMs per joint step.
+The joint step reaches the members' CNN halves through two calls: ``forward``
+on the members' image batches, and ``backward_and_update`` for the cut
+gradients that reached their members.  Two classes implement them:
+
+* :class:`MemberLoop` runs every member's own ``UEClient`` one at a time.  It
+  is the reference, and the only compute for rounds whose shards give the
+  members unequal batch sizes.
+* :class:`StackedUEBank` fuses the N identical architectures into stacked
+  arrays with a leading member axis and drives the batched kernels of
+  :mod:`repro.nn.stacked`, turning N Python-level model evaluations into a
+  handful of broadcasted GEMMs per joint step.
 
 The bank is a *view* over the members' own ``UEClient`` objects, not a third
-copy of the truth: :meth:`gather` snapshots every member's weights and Adam
-state into the stacked arrays at the start of a parallel round, the batched
-joint steps mutate only the stacked arrays, and :meth:`scatter` writes the
-results back into the member objects before weight averaging.  Because the
-batched kernels are bitwise-identical to the member loop (same ``np.matmul``
-lowering, same masked-update operation order), a gather → steps → scatter
-round produces exactly the arrays the loop backend would have — which keeps
-fleet checkpoints backend-agnostic and the N=1 fleet draw-for-draw equal to
+copy of the truth: :meth:`StackedUEBank.gather` snapshots every member's
+weights and Adam state into the stacked arrays at the start of a parallel
+round, the joint steps mutate only the stacked arrays, and
+:meth:`StackedUEBank.scatter` writes the results back into the member
+objects before weight averaging.  Because the batched kernels are
+bitwise-identical to the member loop (same ``np.matmul`` lowering, same
+masked-update operation order), a gather → steps → scatter round produces
+exactly the arrays :class:`MemberLoop` would have — which keeps fleet
+checkpoints backend-agnostic and the N=1 fleet draw-for-draw equal to
 ``SplitTrainer``.
 
 The bank itself is checkpointable (``state_dict``/``load_state_dict``,
@@ -181,7 +188,8 @@ class StackedUEBank:
 
         Args:
             image_sequences: ``(members, batch, L, H, W)`` — each member's
-                own minibatch of image sequences.
+                own minibatch of image sequences, as one array or as a list
+                of equal-shaped per-member arrays.
 
         Returns:
             Cut-layer activations ``(members, batch, L, F)``, bitwise equal
@@ -242,7 +250,7 @@ class StackedUEBank:
                 zero, and their update is masked off anyway).
 
         A convolution built with ``needs_input_grad=False`` (the first one)
-        ends the pass, as it ends ``Sequential.backward`` in the loop backend.
+        ends the pass, as it ends ``Sequential.backward`` in :class:`MemberLoop`.
         """
         members = len(self._clients)
         pool_shape = self._cache["pool_input_shape"]
@@ -286,7 +294,7 @@ class StackedUEBank:
                     dilated_out=dilated,
                 )
                 # `+ 0.0` mirrors the layers' accumulate-from-zero (`grad +=`)
-                # so even signed zeros match the loop backend bitwise.
+                # so even signed zeros match MemberLoop bitwise.
                 self._grads[weight_index] = grad_weights + 0.0
                 self._grads[bias_index] = grad_biases + 0.0
             elif spec[0] == "relu":
@@ -294,6 +302,22 @@ class StackedUEBank:
             else:  # sigmoid
                 output = cache[f"sigmoid/{step}"]
                 x_grad = x_grad * output * (1.0 - output)
+
+    def backward_and_update(
+        self, members: Sequence[int], cut_gradients: np.ndarray
+    ) -> None:
+        """Backpropagate and update the listed members only.
+
+        ``cut_gradients`` is ``(len(members), batch, L, F)``, one slice per
+        listed member; every other member gets a zero gradient and is masked
+        out of the update.
+        """
+        grad_stack = np.zeros((len(self._clients),) + cut_gradients.shape[1:])
+        grad_stack[members] = cut_gradients
+        mask = np.zeros(len(self._clients), dtype=bool)
+        mask[members] = True
+        self.backward(grad_stack)
+        self.apply_updates(mask)
 
     def apply_updates(self, mask: np.ndarray) -> None:
         """Clip + Adam-step the members selected by ``mask``, in place.
@@ -374,4 +398,34 @@ class StackedUEBank:
         self._step_counts = counts.copy()
 
 
-__all__ = ["StackedUEBank"]
+class MemberLoop:
+    """Per-member compute: each member's own ``UEClient``, one at a time.
+
+    Same two joint-step calls as :class:`StackedUEBank`, on lists of
+    per-member arrays, so the members' batch sizes may differ.
+
+    Args:
+        clients: the fleet members' ``UEClient`` objects, in member order.
+    """
+
+    def __init__(self, clients: Sequence[UEClient]):
+        self._clients: List[UEClient] = list(clients)
+
+    def forward(self, image_sequences: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """Every member's ``UEClient.forward`` on its own minibatch."""
+        return [
+            client.forward(images)
+            for client, images in zip(self._clients, image_sequences)
+        ]
+
+    def backward_and_update(
+        self, members: Sequence[int], cut_gradients: Sequence[np.ndarray]
+    ) -> None:
+        """Backpropagate and update the listed members, one gradient each."""
+        for member, gradient in zip(members, cut_gradients):
+            client = self._clients[member]
+            client.backward(gradient)
+            client.apply_update()
+
+
+__all__ = ["MemberLoop", "StackedUEBank"]

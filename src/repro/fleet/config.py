@@ -42,11 +42,15 @@ class FleetConfig:
         seed: fleet-level seed for placement jitter and the extra UE RNG
             streams (default: the training seed).  UE 0's streams always come
             from the training seed alone, untouched by this value.
-        backend: joint-step compute backend for parallel-average mode.
-            ``"batched"`` stacks every member's weights and fuses the N
-            forward/backward passes, ARQ draws and codec calls into batched
-            kernels; ``"loop"`` runs the per-member Python loop.  The two are
-            bitwise-identical (same histories, same RNG streams, same
+        backend: member compute of the parallel-average joint step.  There
+            is one joint step; the backend picks only how it runs the
+            members' CNN forward/backward and Adam updates.  ``"batched"``
+            stacks every member's weights into a
+            :class:`~repro.fleet.bank.StackedUEBank` and fuses the N passes
+            into batched kernels (on rounds whose shards give every member
+            the same batch size; other rounds fall back to the loop);
+            ``"loop"`` runs each member's own ``UEClient`` in turn.  The two
+            are bitwise-identical (same histories, same RNG streams, same
             checkpoints — checkpoints are interchangeable across backends),
             so the default ``"auto"`` picks ``"batched"`` for
             parallel-average runs and ``"loop"`` elsewhere.  Rotation mode

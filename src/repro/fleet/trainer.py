@@ -38,7 +38,7 @@ from repro.channel.arq import (
     transmit_uplink_across,
 )
 from repro.dataset.sequences import SequenceDataset
-from repro.fleet.bank import StackedUEBank
+from repro.fleet.bank import MemberLoop, StackedUEBank
 from repro.fleet.config import PARALLEL_AVERAGE, ROTATION, FleetConfig
 from repro.fleet.fleet import FleetMember, UEFleet, shard_indices
 from repro.fleet.scheduler import MediumScheduler, scheduler_from_name
@@ -422,13 +422,7 @@ class FleetTrainer(NormalizedEvaluationMixin):
         duration = 0.0
         busy = 0.0
         steps = 0
-        # The batched backend needs equal per-member batch sizes to stack
-        # them; an uneven final shard falls back to the (bitwise-identical)
-        # loop backend for the round.
-        use_batched = self._backend == "batched" and len(set(batch_sizes)) == 1
-        if use_batched:
-            self._ensure_bank().gather()
-        step_fn = self._joint_step_batched if use_batched else self._joint_step
+        compute = self._member_compute(batch_sizes)
         for _ in range(steps_per_turn):
             batches = [
                 self._draw_batch(member, shard, batch_size, images, powers, targets)
@@ -436,69 +430,95 @@ class FleetTrainer(NormalizedEvaluationMixin):
                     self.fleet, shards, batch_sizes
                 )
             ]
-            loss, step_lost, step_duration, step_busy = step_fn(batches)
+            loss, step_lost, step_duration, step_busy = self._joint_step(
+                batches, compute
+            )
             duration += step_duration
             busy += step_busy
             lost += step_lost
             steps += self.fleet.num_ues
             if loss is not None:
                 losses.append(loss)
-        if use_batched:
+        if compute is self._bank:
             self._bank.scatter()
         self.fleet.average_ue_weights()
         return losses, lost, duration, busy, steps
 
+    def _member_compute(
+        self, batch_sizes: Sequence[int]
+    ) -> StackedUEBank | MemberLoop:
+        """The members' CNN compute for one parallel-average round.
+
+        The batched backend stacks the members into the :class:`StackedUEBank`
+        (gathered here; :meth:`_parallel_round` scatters it after the round).
+        Stacking needs equal per-member batch sizes, so the loop backend, and
+        any round whose shards give unequal batches, runs each member's own
+        ``UEClient`` through :class:`MemberLoop`.  The two are bitwise
+        identical.
+        """
+        if self._backend == "batched" and len(set(batch_sizes)) == 1:
+            bank = self._ensure_bank()
+            bank.gather()
+            return bank
+        return MemberLoop([member.ue for member in self.fleet.members])
+
     def _joint_step(
-        self, batches
+        self, batches, compute: StackedUEBank | MemberLoop
     ) -> Tuple[Optional[float], int, float, float]:
         """One synchronized step of every member over the shared medium.
 
-        Returns ``(joint loss or None, lost member-steps, simulated duration,
-        medium busy time)``.
+        ``compute`` runs the members' CNN halves (see :meth:`_member_compute`);
+        payload sizing, ARQ draws, scheduling, the shared BS step, codecs and
+        per-member accounting are the same for either.  Returns ``(joint loss
+        or None, lost member-steps, simulated duration, medium busy time)``.
         """
         training = self.config.training
         tau = self.fleet.slot_duration_s
         members = self.fleet.members
+        sessions = [member.arq for member in members]
+        codecs = [member.protocol.codec for member in members]
+        sizes = [len(target_batch) for _, _, target_batch in batches]
 
         # Compute phase: every UE runs its CNN forward in parallel, so the
         # fleet pays the per-step UE compute time once, not N times.
         duration = training.ue_compute_time_s
-        phases = [
-            member.protocol.begin_step(image_batch)
-            for member, (image_batch, _, _) in zip(members, batches)
-        ]
+        features = compute.forward([image_batch for image_batch, _, _ in batches])
+        # The fleet builds every protocol from one config, so one payload
+        # check per distinct batch size covers every member.
+        protocol = members[0].protocol
+        downlink_bounds = {}
+        for index, size in enumerate(sizes):
+            if size not in downlink_bounds:
+                downlink_bounds[size] = protocol.sized_downlink_bits(
+                    features[index], size
+                )
+        features, uplink_bits = encode_decode_stacked(
+            codecs, features, UPLINK_STREAM
+        )
 
         # Uplink phase: every member's own session draws its slot demand; the
-        # scheduler serializes the demands onto the one shared medium.
-        uplinks = [
-            member.arq.transmit_uplink(phase.uplink_payload_bits)
-            for member, phase in zip(members, phases)
-        ]
+        # scheduler serializes the demands onto the one shared medium.  The
+        # recorded results carry the members' medium completion times.
+        uplinks = transmit_uplink_across(sessions, uplink_bits)
         uplink_schedule = self.scheduler.schedule(
-            [result.slots_used for result in uplinks],
-            payload_bits=[phase.uplink_payload_bits for phase in phases],
+            uplinks.slots_used, payload_bits=uplink_bits
         )
-        uplink_completions = uplink_schedule.completion_times_s(tau)
-        uplink_busy = uplink_schedule.busy_time_s(tau)
-        duration += uplink_busy
-        busy = uplink_busy
+        uplink_results = dataclass_replace(
+            uplinks, elapsed_s=uplink_schedule.completion_times_s(tau)
+        ).results()
+        busy = uplink_schedule.busy_time_s(tau)
+        duration += busy
 
         # The BS compute slot is charged once per joint step whether or not
         # any uplink decodes — matching the single-UE protocol, which charges
         # bs_compute_time_s on lost steps too.
         duration += training.bs_compute_time_s
-        decoded = [
-            index for index, result in enumerate(uplinks) if result.success
-        ]
+        decoded = np.flatnonzero(uplinks.success).tolist()
         loss_value: Optional[float] = None
         downlinks = {}
-        downlink_completions = {}
         if decoded:
             # One shared BS step on the concatenated batch of every decoded
             # member: the RNN forward/backward runs once per joint step.
-            features = np.concatenate(
-                [phases[index].features for index in decoded], axis=0
-            )
             rf_batch = (
                 np.concatenate([batches[index][1] for index in decoded], axis=0)
                 if self.config.model.use_rf
@@ -508,168 +528,16 @@ class FleetTrainer(NormalizedEvaluationMixin):
                 [batches[index][2] for index in decoded], axis=0
             )
             loss_value, cut_gradient = self.fleet.bs.compute_loss_and_gradients(
-                features, rf_batch, target_batch
+                _concatenate_members(features, decoded), rf_batch, target_batch
             )
 
             # Downlink phase (gated per member on its own uplink).
-            attempts = [
-                members[index].arq.transmit_downlink(
-                    phases[index].downlink_payload_bits
-                )
-                for index in decoded
-            ]
-            downlink_schedule = self.scheduler.schedule(
-                [result.slots_used for result in attempts],
-                payload_bits=[
-                    phases[index].downlink_payload_bits for index in decoded
-                ],
-            )
-            completions = downlink_schedule.completion_times_s(tau)
-            downlink_busy = downlink_schedule.busy_time_s(tau)
-            duration += downlink_busy
-            busy += downlink_busy
-            downlinks = dict(zip(decoded, attempts))
-            downlink_completions = dict(zip(decoded, completions))
-
-            # Scatter the cut-layer gradients back to the members whose
-            # downlink was decoded; the rest lose their client-side update.
-            # Each delivered slice passes through its member's downlink
-            # codec, exactly as complete_step does for the single-UE case.
-            offset = 0
-            for index in decoded:
-                batch_length = len(batches[index][2])
-                member_slice = cut_gradient[offset : offset + batch_length]
-                offset += batch_length
-                if downlinks[index].success:
-                    members[index].ue.backward(
-                        members[index].protocol.transmit_cut_gradient(member_slice)
-                    )
-                    members[index].ue.apply_update()
-                else:
-                    members[index].ue.zero_grad()
-            # The BS updates only when the round delivered at least one
-            # gradient payload: a joint step whose every downlink failed is
-            # wholly lost, matching the single-UE protocol where a failed
-            # exchange aborts the step before any update.  (With partial
-            # downlink failures the BS gradient still includes the failed
-            # members' batches — their data reached the BS; only their
-            # client-side update is lost.)
-            if any(downlinks[index].success for index in decoded):
-                self.fleet.bs.apply_update()
-            else:
-                self.fleet.bs.zero_grad()
-                loss_value = None
-
-        # Record per-member communication with medium-accurate latency: the
-        # elapsed time of each direction is the member's *completion* time on
-        # the shared medium (own slots plus queueing), while slots_used stays
-        # the member's own demand.
-        lost = 0
-        for index, member in enumerate(members):
-            uplink_result = dataclass_replace(
-                uplinks[index], elapsed_s=float(uplink_completions[index])
-            )
-            downlink_result = None
-            if index in downlinks:
-                downlink_result = dataclass_replace(
-                    downlinks[index],
-                    elapsed_s=float(downlink_completions[index]),
-                )
-            step = member.arq.record_exchange(uplink_result, downlink_result)
-            if not step.success:
-                lost += 1
-                member.protocol.abort_step()
-        return loss_value, lost, duration, busy
-
-    def _joint_step_batched(
-        self, batches
-    ) -> Tuple[Optional[float], int, float, float]:
-        """Batched twin of :meth:`_joint_step` (the loop reference).
-
-        Same phases, same accounting, but the N member models run through the
-        :class:`StackedUEBank` kernels, the N ARQ draws go through
-        ``transmit_*_across`` and the codec calls are stacked — all of which
-        are bitwise/draw-for-draw identical to the loop per member, so the
-        two backends produce the same histories, RNG streams and weights.
-        The caller (:meth:`_parallel_round`) brackets the round with the
-        bank's ``gather``/``scatter``.
-        """
-        training = self.config.training
-        tau = self.fleet.slot_duration_s
-        members = self.fleet.members
-        bank = self._bank
-        assert bank is not None
-
-        # Compute phase: all members' CNN forwards fused into stacked GEMMs.
-        duration = training.ue_compute_time_s
-        image_stack = np.stack([image_batch for image_batch, _, _ in batches])
-        features = bank.forward(image_stack)
-
-        # Payload accounting, mirroring SplitTrainingProtocol.begin_step; the
-        # fleet builds every protocol from one config, so the deterministic
-        # downlink bound is shared.
-        protocol = members[0].protocol
-        assert protocol.payload_model is not None and protocol.codec is not None
-        batch_size = image_stack.shape[1]
-        expected_elements = (
-            protocol.payload_model.values_per_image
-            * protocol.payload_model.sequence_length
-            * batch_size
-        )
-        if features[0].size != expected_elements:
-            raise ValueError(
-                f"cut tensor holds {features[0].size} elements but the payload "
-                f"model sizes {expected_elements}: the protocol's payload "
-                "accounting has diverged from the UE architecture"
-            )
-        codecs = [member.protocol.codec for member in members]
-        features, uplink_bits = encode_decode_stacked(
-            codecs, features, UPLINK_STREAM
-        )
-        downlink_bits = float(protocol.codec.sized_payload_bits(expected_elements))
-
-        # Uplink phase: one batched draw sweep over the members' own sessions.
-        sessions = [member.arq for member in members]
-        uplinks = transmit_uplink_across(sessions, uplink_bits)
-        uplink_schedule = self.scheduler.schedule(
-            uplinks.slots_used, payload_bits=uplink_bits
-        )
-        # The recorded results carry the medium completion times; stamping
-        # them onto the whole batch keeps per-member bookkeeping to one
-        # result object per direction.
-        uplink_results = dataclass_replace(
-            uplinks, elapsed_s=uplink_schedule.completion_times_s(tau)
-        ).results()
-        uplink_busy = uplink_schedule.busy_time_s(tau)
-        duration += uplink_busy
-        busy = uplink_busy
-
-        duration += training.bs_compute_time_s
-        decoded = [int(index) for index in np.flatnonzero(uplinks.success)]
-        loss_value: Optional[float] = None
-        downlinks = {}
-        if decoded:
-            bs_features = features[decoded].reshape(
-                (len(decoded) * batch_size,) + features.shape[2:]
-            )
-            rf_batch = (
-                np.concatenate([batches[index][1] for index in decoded], axis=0)
-                if self.config.model.use_rf
-                else None
-            )
-            target_batch = np.concatenate(
-                [batches[index][2] for index in decoded], axis=0
-            )
-            loss_value, cut_gradient = self.fleet.bs.compute_loss_and_gradients(
-                bs_features, rf_batch, target_batch
-            )
-
+            downlink_bits = [downlink_bounds[sizes[index]] for index in decoded]
             attempts = transmit_downlink_across(
                 [sessions[index] for index in decoded], downlink_bits
             )
             downlink_schedule = self.scheduler.schedule(
-                attempts.slots_used,
-                payload_bits=[downlink_bits] * len(decoded),
+                attempts.slots_used, payload_bits=downlink_bits
             )
             downlink_busy = downlink_schedule.busy_time_s(tau)
             duration += downlink_busy
@@ -684,31 +552,43 @@ class FleetTrainer(NormalizedEvaluationMixin):
                 )
             )
 
-            # Scatter delivered gradients through the member codecs, then one
-            # masked stacked backward/update; non-delivered members' lanes
-            # carry zero gradients and a False update mask.
-            position = {index: k for k, index in enumerate(decoded)}
-            delivered = [index for index in decoded if downlinks[index].success]
-            if delivered:
-                cut_stack = cut_gradient.reshape(
-                    (len(decoded), batch_size) + cut_gradient.shape[1:]
+            # Members whose downlink decoded pass their gradient slice through
+            # their codec and update; the rest lose their client-side update.
+            # The BS updates only when the step delivered at least one
+            # gradient payload: a joint step whose every downlink failed is
+            # wholly lost, matching the single-UE protocol where a failed
+            # exchange aborts the step before any update.  (With partial
+            # downlink failures the BS gradient still includes the failed
+            # members' batches — their data reached the BS; only their
+            # client-side update is lost.)
+            positions = [
+                position
+                for position, index in enumerate(decoded)
+                if downlinks[index].success
+            ]
+            if positions:
+                delivered = [decoded[position] for position in positions]
+                gradients = _split_members(
+                    cut_gradient,
+                    [sizes[index] for index in decoded],
+                    positions,
+                    stacked=isinstance(features, np.ndarray),
                 )
-                decoded_grads, _ = encode_decode_stacked(
-                    [members[index].protocol.codec for index in delivered],
-                    cut_stack[[position[index] for index in delivered]],
+                gradients, _ = encode_decode_stacked(
+                    [codecs[index] for index in delivered],
+                    gradients,
                     DOWNLINK_STREAM,
                 )
-                grad_stack = np.zeros(features.shape)
-                grad_stack[delivered] = decoded_grads
-                mask = np.zeros(len(members), dtype=bool)
-                mask[delivered] = True
-                bank.backward(grad_stack)
-                bank.apply_updates(mask)
+                compute.backward_and_update(delivered, gradients)
                 self.fleet.bs.apply_update()
             else:
                 self.fleet.bs.zero_grad()
                 loss_value = None
 
+        # Record per-member communication with medium-accurate latency: the
+        # elapsed time of each direction is the member's *completion* time on
+        # the shared medium (own slots plus queueing), while slots_used stays
+        # the member's own demand.
         lost = 0
         for index, (session, uplink_result) in enumerate(
             zip(sessions, uplink_results)
@@ -730,3 +610,29 @@ class FleetTrainer(NormalizedEvaluationMixin):
         the eval path shared with the single-UE trainer.
         """
         return self.fleet.members[self.fleet.weight_holder].protocol
+
+
+def _concatenate_members(batches, indices: Sequence[int]) -> np.ndarray:
+    """The member batches ``batches[i]`` for ``i`` in ``indices``, as one batch.
+
+    ``batches`` is one array with a leading member axis (from the bank) or a
+    list of per-member arrays (from :class:`MemberLoop`).
+    """
+    if isinstance(batches, np.ndarray):
+        return batches[indices].reshape((-1,) + batches.shape[2:])
+    return np.concatenate([batches[index] for index in indices], axis=0)
+
+
+def _split_members(
+    rows: np.ndarray, sizes: Sequence[int], positions: Sequence[int], stacked: bool
+):
+    """The inverse of :func:`_concatenate_members`, for some members only.
+
+    ``rows`` holds consecutive member batches of ``sizes`` rows each; returns
+    the batches at ``positions``, stacked on a leading member axis (equal
+    sizes) or as a list.
+    """
+    if stacked:
+        return rows.reshape((len(sizes), sizes[0]) + rows.shape[1:])[positions]
+    parts = np.split(rows, np.cumsum(sizes)[:-1])
+    return [parts[position] for position in positions]

@@ -23,7 +23,7 @@ Three codec families are provided:
   behind are accumulated and compensated into later steps, so the per-step
   bias telescopes away over a run.  The payload is data-dependent (only
   nonzero selected values are shipped, each with an index), which is why the
-  ARQ layer accepts per-step payload arrays.
+  ARQ layer accepts one payload size per link.
 
 Error-feedback residuals are run state: they join the protocol
 ``state_dict`` so checkpointed runs resume bit-identically.
@@ -229,32 +229,37 @@ class TopKCodec(PayloadCodec):
 
 def encode_decode_stacked(
     codecs: "list[PayloadCodec]",
-    values: np.ndarray,
+    values: "np.ndarray | list[np.ndarray]",
     stream: str,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple["np.ndarray | list[np.ndarray]", np.ndarray]:
     """Batched :meth:`PayloadCodec.encode_decode` across fleet members.
 
-    ``values`` carries a leading member axis (one tensor slice per codec);
-    the result is the stacked decoded tensors plus one payload size per
-    member, member-for-member bitwise identical to calling each codec on its
-    own slice.  Homogeneous identity and uniform-quantizer fleets vectorize —
-    the quantizer's per-member range scalars reduce along the flattened
-    member rows, and every other operation is elementwise with member-scalar
-    broadcasts.  Stateful or mixed codec fleets fall back to a per-member
-    loop on the canonical codec objects, so data-dependent payloads,
-    residual error-feedback state and ``argpartition`` tie-ordering advance
-    exactly as on the scalar path.
+    ``values`` holds one tensor slice per codec: either one array with a
+    leading member axis, or a list of per-member arrays whose shapes may
+    differ.  The result is the decoded slices in the same form plus one
+    payload size per member, member-for-member bitwise identical to calling
+    each codec on its own slice.  Stacked homogeneous identity and
+    uniform-quantizer fleets vectorize — the quantizer's per-member range
+    scalars reduce along the flattened member rows, and every other
+    operation is elementwise with member-scalar broadcasts.  Lists and
+    stateful or mixed codec fleets fall back to a per-member loop on the
+    canonical codec objects, so data-dependent payloads, residual
+    error-feedback state and ``argpartition`` tie-ordering advance exactly
+    as on the scalar path.
     """
     members = len(codecs)
     if members == 0 or len(values) != members:
         raise ValueError("need one codec per member tensor slice")
     first = codecs[0]
-    homogeneous = all(type(codec) is type(first) for codec in codecs[1:])
-    if homogeneous and type(first) is IdentityCodec:
+    # Only a stacked tensor of one codec type vectorizes.
+    vectorizable = isinstance(values, np.ndarray) and all(
+        type(codec) is type(first) for codec in codecs[1:]
+    )
+    if vectorizable and type(first) is IdentityCodec:
         if all(codec.bits_per_value == first.bits_per_value for codec in codecs):
             per_member = float(first.sized_payload_bits(values[0].size))
             return values, np.full(members, per_member)
-    if homogeneous and type(first) is UniformQuantizerCodec:
+    if vectorizable and type(first) is UniformQuantizerCodec:
         if all(codec.bits == first.bits for codec in codecs):
             rows = values.reshape(members, -1)
             low = rows.min(axis=1)
@@ -272,10 +277,12 @@ def encode_decode_stacked(
             )
             per_member = float(first.sized_payload_bits(values[0].size))
             return decoded, np.full(members, per_member)
-    decoded = np.empty_like(np.asarray(values, dtype=np.float64))
+    decoded = [None] * members
     bits = np.empty(members)
     for member, codec in enumerate(codecs):
         decoded[member], bits[member] = codec.encode_decode(values[member], stream)
+    if isinstance(values, np.ndarray):
+        return np.stack(decoded), bits
     return decoded, bits
 
 

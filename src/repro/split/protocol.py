@@ -63,11 +63,9 @@ class StepResult:
 class ComputePhase:
     """UE-side forward half of one training step, awaiting communication.
 
-    Produced by :meth:`SplitTrainingProtocol.begin_step`.  The fleet medium
-    scheduler collects one phase per UE, serializes all the uplink/downlink
-    transmissions onto the shared medium, and only then finishes the steps —
-    which is why the compute and communication halves of a step are separately
-    invokable.
+    Produced by :meth:`SplitTrainingProtocol.begin_step` and finished by
+    :meth:`SplitTrainingProtocol.complete_step` once the communication
+    outcome is known.
 
     Attributes:
         features: codec-decoded cut-layer activations ``(batch, L, F)`` — the
@@ -170,9 +168,8 @@ class SplitTrainingProtocol:
         gradient tensor does not exist yet when the exchange is simulated.
 
         No channel RNG is consumed — the communication phase is left to the
-        caller (either :meth:`training_step` via the session's own
-        :meth:`~repro.channel.arq.ArqSession.exchange`, or a fleet medium
-        scheduler that interleaves many sessions).
+        caller (:meth:`training_step` runs it through the session's own
+        :meth:`~repro.channel.arq.ArqSession.exchange`).
         """
         training = self.config.training
         if not self.config.model.use_image:
@@ -182,10 +179,28 @@ class SplitTrainingProtocol:
                 downlink_payload_bits=0.0,
                 compute_elapsed_s=0.0,
             )
-        assert self.ue is not None and self.payload_model is not None
-        assert self.codec is not None
+        assert self.ue is not None and self.codec is not None
         features = self.ue.forward(image_sequences)
-        batch_size = len(image_sequences)
+        downlink_bits = self.sized_downlink_bits(features, len(image_sequences))
+        features, uplink_bits = self.codec.encode_decode(features, UPLINK_STREAM)
+        return ComputePhase(
+            features=features,
+            uplink_payload_bits=uplink_bits,
+            downlink_payload_bits=downlink_bits,
+            compute_elapsed_s=training.ue_compute_time_s,
+        )
+
+    def sized_downlink_bits(self, features: np.ndarray, batch_size: int) -> float:
+        """Downlink payload bound of a minibatch, after checking its cut tensor.
+
+        ``features`` is the UE's raw cut-layer output for ``batch_size``
+        sequences; a size that disagrees with the payload model raises
+        ``ValueError``.  The downlink is sized by the codec's deterministic
+        bound because the gradient tensor does not exist yet when the
+        exchange is simulated.  :meth:`begin_step` and the fleet's joint step
+        both size their payloads here.
+        """
+        assert self.payload_model is not None and self.codec is not None
         expected_elements = (
             self.payload_model.values_per_image
             * self.payload_model.sequence_length
@@ -197,13 +212,7 @@ class SplitTrainingProtocol:
                 f"model sizes {expected_elements}: the protocol's payload "
                 "accounting has diverged from the UE architecture"
             )
-        features, uplink_bits = self.codec.encode_decode(features, UPLINK_STREAM)
-        return ComputePhase(
-            features=features,
-            uplink_payload_bits=uplink_bits,
-            downlink_payload_bits=self.codec.sized_payload_bits(expected_elements),
-            compute_elapsed_s=training.ue_compute_time_s,
-        )
+        return self.codec.sized_payload_bits(expected_elements)
 
     def complete_step(
         self,

@@ -16,6 +16,7 @@ from repro.channel import (
     decoding_success_probability,
     slots_from_fading,
     snr_decoding_threshold,
+    transmit_across,
 )
 
 
@@ -207,7 +208,7 @@ def test_transmit_matches_reference_loop_distribution():
     geometric_link = WirelessLink(params=PAPER_CHANNEL_PARAMS, direction="uplink", seed=11)
     loop_link = WirelessLink(params=PAPER_CHANNEL_PARAMS, direction="uplink", seed=47)
     count = 6000
-    geometric = geometric_link.transmit_many(payload, count).slots_used
+    geometric = transmit_across([geometric_link] * count, payload).slots_used
     loop = np.array(
         [loop_link.transmit_reference(payload).slots_used for _ in range(count)]
     )
@@ -225,34 +226,53 @@ def test_transmit_matches_reference_loop_distribution():
 
 
 def test_transmit_many_matches_sequential_transmits():
-    """transmit_many consumes the fading stream exactly like scalar transmits."""
+    """Many payloads on one link (the link repeated in ``transmit_across``)
+    consume its fading stream exactly like scalar transmits."""
     payload = payload_for_success_probability(0.3)
     batched = WirelessLink(params=PAPER_CHANNEL_PARAMS, direction="uplink", seed=5)
     scalar = WirelessLink(params=PAPER_CHANNEL_PARAMS, direction="uplink", seed=5)
-    batch = batched.transmit_many(payload, 64)
+    batch = transmit_across([batched] * 64, payload)
     results = [scalar.transmit(payload) for _ in range(64)]
     assert [int(s) for s in batch.slots_used] == [r.slots_used for r in results]
     assert [bool(s) for s in batch.success] == [r.success for r in results]
-    assert batch.total_elapsed_s == pytest.approx(sum(r.elapsed_s for r in results))
+    assert batch.elapsed_s.sum() == pytest.approx(sum(r.elapsed_s for r in results))
     # And the streams stay aligned afterwards.
     assert batched.transmit(payload).slots_used == scalar.transmit(payload).slots_used
 
 
 def test_transmit_many_empty_and_validation():
-    link = WirelessLink(params=PAPER_CHANNEL_PARAMS, direction="uplink", seed=0)
-    empty = link.transmit_many(1000.0, 0)
+    """No links give an empty batch; links must share one slot duration."""
+    from dataclasses import replace
+
+    empty = transmit_across([], 1000.0)
     assert len(empty) == 0
-    assert empty.total_slots == 0
-    with pytest.raises(ValueError):
-        link.transmit_many(1000.0, -1)
+    assert empty.slots_used.sum() == 0
+    link = WirelessLink(params=PAPER_CHANNEL_PARAMS, direction="uplink", seed=0)
+    slower = WirelessLink(
+        params=replace(PAPER_CHANNEL_PARAMS, slot_duration_s=2e-3),
+        direction="uplink",
+        seed=1,
+    )
+    with pytest.raises(ValueError, match="slot duration"):
+        transmit_across([link, slower], 1000.0)
+
+
+def test_negative_retransmission_cap_is_rejected():
+    """A cap below zero has no meaning; both the link and the session refuse it."""
+    with pytest.raises(ValueError, match="max_retransmissions"):
+        WirelessLink(
+            params=PAPER_CHANNEL_PARAMS, direction="uplink", max_retransmissions=-1
+        )
+    with pytest.raises(ValueError, match="max_retransmissions"):
+        ArqSession(params=PAPER_CHANNEL_PARAMS, max_retransmissions=-3)
 
 
 def test_batch_result_indexing():
     link = WirelessLink(params=PAPER_CHANNEL_PARAMS, direction="uplink", seed=0)
-    batch = link.transmit_many(1000.0, 3)
+    batch = transmit_across([link] * 3, 1000.0)
     first = batch[0]
     assert first.success and first.slots_used == int(batch.slots_used[0])
-    assert batch.num_successes == 3
+    assert batch.success.all()
 
 
 def test_capped_retransmission_boundary_exactly_n_plus_one():
@@ -274,14 +294,14 @@ def test_capped_retransmission_boundary_exactly_n_plus_one():
         assert result.slots_used == cap + 1
         assert result.elapsed_s == pytest.approx((cap + 1) * 1e-3)
         assert not result.first_attempt_success
-    batch = link.transmit_many(payload, 200)
+    batch = transmit_across([link] * 200, payload)
     assert not batch.success.any()
     assert np.all(batch.slots_used == cap + 1)
     # Successful capped transmissions never exceed the budget either.
     easy = WirelessLink(
         params=PAPER_CHANNEL_PARAMS, direction="uplink", max_retransmissions=cap, seed=1
     )
-    easy_batch = easy.transmit_many(payload_for_success_probability(0.5), 500)
+    easy_batch = transmit_across([easy] * 500, payload_for_success_probability(0.5))
     assert np.all(easy_batch.slots_used <= cap + 1)
     assert np.all(easy_batch.slots_used[easy_batch.success] >= 1)
 
@@ -300,7 +320,7 @@ def test_infeasible_accounting_unified_across_retransmission_configs():
         assert not result.success
         assert result.slots_used == 1
         assert result.elapsed_s == pytest.approx(1e-3)
-        batch = link.transmit_many(huge_payload, 5)
+        batch = transmit_across([link] * 5, huge_payload)
         assert not batch.success.any()
         assert np.all(batch.slots_used == 1)
 
@@ -309,7 +329,7 @@ def test_infeasible_transmissions_consume_no_fading_draws():
     link = WirelessLink(params=PAPER_CHANNEL_PARAMS, direction="uplink", seed=9)
     untouched = WirelessLink(params=PAPER_CHANNEL_PARAMS, direction="uplink", seed=9)
     link.transmit(1e9)
-    link.transmit_many(1e9, 4)
+    transmit_across([link] * 4, 1e9)
     payload = payload_for_success_probability(0.5)
     assert link.transmit(payload).slots_used == untouched.transmit(payload).slots_used
 
@@ -348,48 +368,6 @@ def test_gated_exchange_preserves_downlink_stream():
     after_gate = gated.exchange(good_payload, good_payload)
     reference = fresh.exchange(good_payload, good_payload)
     assert after_gate.downlink.slots_used == reference.downlink.slots_used
-
-
-def test_exchange_many_matches_sequential_exchanges():
-    payload = payload_for_success_probability(0.4)
-    batched = ArqSession(params=PAPER_CHANNEL_PARAMS, max_retransmissions=1, seed=3)
-    sequential = ArqSession(params=PAPER_CHANNEL_PARAMS, max_retransmissions=1, seed=3)
-    result = batched.exchange_many(payload, payload, 60)
-    steps = [sequential.exchange(payload, payload) for _ in range(60)]
-    assert [int(s) for s in result.uplink_slots] == [
-        step.uplink.slots_used for step in steps
-    ]
-    assert [int(s) for s in result.downlink_slots] == [
-        step.downlink.slots_used if step.downlink else 0 for step in steps
-    ]
-    assert [bool(s) for s in result.success] == [step.success for step in steps]
-    assert [bool(s) for s in result.downlink_skipped] == [
-        step.downlink_skipped for step in steps
-    ]
-    assert result.total_elapsed_s == pytest.approx(
-        sum(step.total_elapsed_s for step in steps)
-    )
-    batch_stats, scalar_stats = batched.statistics, sequential.statistics
-    assert batch_stats.steps == scalar_stats.steps
-    assert batch_stats.uplink_slots == scalar_stats.uplink_slots
-    assert batch_stats.downlink_slots == scalar_stats.downlink_slots
-    assert batch_stats.downlink_skipped == scalar_stats.downlink_skipped
-    assert batch_stats.mean_slots_per_step == pytest.approx(
-        scalar_stats.mean_slots_per_step
-    )
-    assert batch_stats.slots_std == pytest.approx(scalar_stats.slots_std)
-    assert batch_stats.mean_step_latency_s == pytest.approx(
-        scalar_stats.mean_step_latency_s
-    )
-
-
-def test_exchange_many_zero_steps():
-    session = ArqSession(params=PAPER_CHANNEL_PARAMS, seed=0)
-    result = session.exchange_many(1000.0, 1000.0, 0)
-    assert len(result) == 0
-    assert session.statistics.steps == 0
-    with pytest.raises(ValueError):
-        session.exchange_many(1000.0, 1000.0, -1)
 
 
 # -- streaming statistics ------------------------------------------------------------
@@ -478,11 +456,11 @@ def test_transmit_many_array_matches_sequential_transmits():
     ] * 4
     batched = WirelessLink(params=PAPER_CHANNEL_PARAMS, direction="uplink", seed=11)
     scalar = WirelessLink(params=PAPER_CHANNEL_PARAMS, direction="uplink", seed=11)
-    batch = batched.transmit_many(np.array(payloads), len(payloads))
+    batch = transmit_across([batched] * len(payloads), np.array(payloads))
     results = [scalar.transmit(bits) for bits in payloads]
     assert [int(s) for s in batch.slots_used] == [r.slots_used for r in results]
     assert [bool(s) for s in batch.success] == [r.success for r in results]
-    assert batch.total_elapsed_s == pytest.approx(sum(r.elapsed_s for r in results))
+    assert batch.elapsed_s.sum() == pytest.approx(sum(r.elapsed_s for r in results))
     # And the streams stay aligned afterwards.
     probe = payloads[0]
     assert batched.transmit(probe).slots_used == scalar.transmit(probe).slots_used
@@ -495,7 +473,7 @@ def test_transmit_many_array_with_infeasible_entries():
     payloads = np.array([feasible, infeasible, feasible, infeasible, feasible])
     batched = WirelessLink(params=PAPER_CHANNEL_PARAMS, direction="uplink", seed=21)
     scalar = WirelessLink(params=PAPER_CHANNEL_PARAMS, direction="uplink", seed=21)
-    batch = batched.transmit_many(payloads, len(payloads))
+    batch = transmit_across([batched] * len(payloads), payloads)
     results = [scalar.transmit(bits) for bits in payloads]
     assert [bool(s) for s in batch.success] == [True, False, True, False, True]
     assert [int(s) for s in batch.slots_used] == [r.slots_used for r in results]
@@ -505,68 +483,13 @@ def test_transmit_many_array_with_infeasible_entries():
 def test_transmit_many_array_length_mismatch():
     link = WirelessLink(params=PAPER_CHANNEL_PARAMS, direction="uplink", seed=0)
     with pytest.raises(ValueError, match="payload_bits"):
-        link.transmit_many(np.array([1000.0, 2000.0]), 3)
+        transmit_across([link] * 3, np.array([1000.0, 2000.0]))
     with pytest.raises(ValueError):
-        link.transmit_many(np.ones((2, 2)) * 1000.0, 4)
-
-
-def test_exchange_many_arrays_match_sequential_exchanges():
-    """Per-step uplink/downlink arrays replay the scalar exchange stream."""
-    uplinks = np.array(
-        [payload_for_success_probability(p) for p in (0.3, 0.8, 0.5, 0.95)] * 5
-    )
-    downlinks = np.array(
-        [
-            payload_for_success_probability(p, "downlink")
-            for p in (0.9, 0.4, 0.7, 0.6)
-        ]
-        * 5
-    )
-    batched = ArqSession(params=PAPER_CHANNEL_PARAMS, max_retransmissions=1, seed=9)
-    sequential = ArqSession(params=PAPER_CHANNEL_PARAMS, max_retransmissions=1, seed=9)
-    result = batched.exchange_many(uplinks, downlinks, len(uplinks))
-    steps = [sequential.exchange(u, d) for u, d in zip(uplinks, downlinks)]
-    assert [int(s) for s in result.uplink_slots] == [
-        step.uplink.slots_used for step in steps
-    ]
-    assert [int(s) for s in result.downlink_slots] == [
-        step.downlink.slots_used if step.downlink else 0 for step in steps
-    ]
-    assert [bool(s) for s in result.success] == [step.success for step in steps]
-    assert result.total_elapsed_s == pytest.approx(
-        sum(step.total_elapsed_s for step in steps)
-    )
-    assert batched.statistics.mean_slots_per_step == pytest.approx(
-        sequential.statistics.mean_slots_per_step
-    )
-
-
-def test_exchange_many_mixed_scalar_and_array():
-    """A scalar downlink pairs with a per-step uplink array (and vice versa)."""
-    uplink = payload_for_success_probability(0.5)
-    downlinks = np.full(8, payload_for_success_probability(0.6, "downlink"))
-    batched = ArqSession(params=PAPER_CHANNEL_PARAMS, seed=4)
-    sequential = ArqSession(params=PAPER_CHANNEL_PARAMS, seed=4)
-    result = batched.exchange_many(uplink, downlinks, 8)
-    steps = [sequential.exchange(uplink, float(downlinks[i])) for i in range(8)]
-    assert [bool(s) for s in result.success] == [step.success for step in steps]
-    assert [int(s) for s in result.downlink_slots] == [
-        step.downlink.slots_used if step.downlink else 0 for step in steps
-    ]
-
-
-def test_exchange_many_array_length_mismatch():
-    session = ArqSession(params=PAPER_CHANNEL_PARAMS, seed=0)
-    with pytest.raises(ValueError, match="uplink_payload_bits"):
-        session.exchange_many(np.array([1000.0]), 1000.0, 2)
-    with pytest.raises(ValueError, match="downlink_payload_bits"):
-        session.exchange_many(1000.0, np.array([1000.0, 2000.0, 3000.0]), 2)
+        transmit_across([link] * 4, np.ones((2, 2)) * 1000.0)
 
 
 def test_transmit_across_matches_sequential_transmits():
     """transmit_across draws each link's fading exactly like its own transmit."""
-    from repro.channel import transmit_across
-
     payload = payload_for_success_probability(0.3)
     caps = [None, 0, 3, None, 1]
     batched = [
@@ -605,8 +528,6 @@ def test_transmit_across_matches_sequential_transmits():
 
 def test_transmit_across_per_link_payloads_and_infeasible():
     """Per-link payload arrays work, and infeasible links consume no draw."""
-    from repro.channel import transmit_across
-
     light = payload_for_success_probability(0.9)
     batched = [
         WirelessLink(params=PAPER_CHANNEL_PARAMS, direction="uplink", seed=index)
@@ -632,8 +553,6 @@ def test_transmit_across_per_link_payloads_and_infeasible():
 
 def test_batch_results_match_indexing():
     """``results()`` unpacks every entry exactly like ``batch[i]``."""
-    from repro.channel import transmit_across
-
     links = [
         WirelessLink(
             params=PAPER_CHANNEL_PARAMS,
@@ -654,8 +573,6 @@ def test_batch_results_match_indexing():
 
 
 def test_transmit_across_empty_and_validation():
-    from repro.channel import transmit_across
-
     empty = transmit_across([], 1000.0)
     assert len(empty) == 0
     assert empty.results() == []
@@ -673,8 +590,8 @@ def test_transmit_uplink_across_matches_session_transmits():
     scalar = [ArqSession(params=PAPER_CHANNEL_PARAMS, seed=index) for index in range(4)]
     up = transmit_uplink_across(batched, payload)
     down = transmit_downlink_across(batched, payload)
-    expected_up = [session.transmit_uplink(payload) for session in scalar]
-    expected_down = [session.transmit_downlink(payload) for session in scalar]
+    expected_up = [session.uplink.transmit(payload) for session in scalar]
+    expected_down = [session.downlink.transmit(payload) for session in scalar]
     assert [int(s) for s in up.slots_used] == [r.slots_used for r in expected_up]
     assert [int(s) for s in down.slots_used] == [r.slots_used for r in expected_down]
     assert [bool(s) for s in up.success] == [r.success for r in expected_up]

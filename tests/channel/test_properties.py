@@ -112,7 +112,7 @@ def test_geometric_slots_are_positive_integers(probability, seed):
 )
 @settings(max_examples=40, deadline=None)
 def test_capped_transmissions_respect_the_budget(cap, seed, payload_bits):
-    from repro.channel import WirelessLink
+    from repro.channel import WirelessLink, transmit_across
 
     link = WirelessLink(
         params=PAPER_CHANNEL_PARAMS,
@@ -120,7 +120,7 @@ def test_capped_transmissions_respect_the_budget(cap, seed, payload_bits):
         max_retransmissions=cap,
         seed=seed,
     )
-    batch = link.transmit_many(payload_bits, 32)
+    batch = transmit_across([link] * 32, payload_bits)
     assert np.all(batch.slots_used >= 1)
     assert np.all(batch.slots_used <= cap + 1)
     from repro.channel import INFEASIBLE_SUCCESS_PROBABILITY

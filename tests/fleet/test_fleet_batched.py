@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.fleet import FleetConfig, FleetTrainer, StackedUEBank
+from repro.fleet import FleetConfig, FleetTrainer, StackedUEBank, shard_indices
 from repro.split import ExperimentConfig, TrainingConfig
 from repro.split.config import ModelConfig
 from repro.split.ue import UEClient
@@ -142,27 +142,77 @@ def test_bank_rejects_heterogeneous_members():
 # -- full-run equivalence -----------------------------------------------------------
 
 
-def test_batched_and_loop_backends_train_identically(config, small_split):
+def _assert_backends_train_identically(config, split, num_ues, backend="batched"):
+    """Fit ``backend`` and the loop reference; return the ``backend`` trainer
+    and history after asserting the two runs match bit for bit."""
+
     def run(backend):
         trainer = FleetTrainer(
             config,
-            FleetConfig(num_ues=3, mode="parallel_average", backend=backend),
+            FleetConfig(num_ues=num_ues, mode="parallel_average", backend=backend),
         )
-        history = trainer.fit(
-            small_split.train, small_split.validation, max_rounds=MAX_ROUNDS
-        )
-        return history, fleet_weights(trainer)
+        history = trainer.fit(split.train, split.validation, max_rounds=MAX_ROUNDS)
+        return trainer, history, fleet_weights(trainer)
 
-    loop_history, loop_weights = run("loop")
-    batched_history, batched_weights = run("batched")
-    assert records_of(batched_history) == records_of(loop_history)
-    assert batched_history.total_elapsed_s == loop_history.total_elapsed_s
-    assert batched_history.medium_busy_s == loop_history.medium_busy_s
-    assert dataclasses.asdict(batched_history.communication) == dataclasses.asdict(
+    def record_table(history):  # NaN-aware: wholly lost rounds have no loss
+        return np.array([dataclasses.astuple(r) for r in history.records], dtype=float)
+
+    _, loop_history, loop_weights = run("loop")
+    trainer, history, weights = run(backend)
+    assert np.array_equal(
+        record_table(history), record_table(loop_history), equal_nan=True
+    )
+    assert history.total_elapsed_s == loop_history.total_elapsed_s
+    assert history.medium_busy_s == loop_history.medium_busy_s
+    assert dataclasses.asdict(history.communication) == dataclasses.asdict(
         loop_history.communication
     )
     for key, value in loop_weights.items():
-        assert np.array_equal(value, batched_weights[key]), key
+        assert np.array_equal(value, weights[key]), key
+    return trainer, history
+
+
+def test_batched_and_loop_backends_train_identically(
+    config, small_split, smoke_scale, smoke_split
+):
+    # Every codec family: stateless, vectorized quantizer, stateful top-k.
+    for codec in ("identity", "uint8", "topk"):
+        codec_config = dataclasses.replace(
+            config, model=dataclasses.replace(config.model, codec=codec)
+        )
+        trainer, _ = _assert_backends_train_identically(codec_config, small_split, 3)
+        assert trainer._bank is not None  # equal shards: the bank ran
+
+    # A lossy link (the N=1 anchor's cap-0 link): failed uplinks, failed
+    # downlinks and wholly lost joint steps.
+    from repro.channel import PAPER_CHANNEL_PARAMS
+    from repro.channel.params import LinkParams
+
+    lossy = ExperimentConfig(
+        model=smoke_scale.base_model_config().with_pooling(1),
+        training=dataclasses.replace(
+            smoke_scale.training_config(), max_retransmissions=0
+        ),
+        channel=dataclasses.replace(
+            PAPER_CHANNEL_PARAMS,
+            distance_m=32.0,
+            downlink=LinkParams(transmit_power_dbm=-10.0, bandwidth_hz=100e6),
+        ),
+    )
+    _, history = _assert_backends_train_identically(lossy, smoke_split, 3)
+    assert sum(record.lost_steps for record in history.records) > 0
+    assert history.communication.uplink_failures > 0
+    assert history.communication.downlink_failures > 0
+
+    # Unequal shards: 190 windows over 12 members give batches of 15 and 16,
+    # which the bank cannot stack, so the auto backend runs the member loop.
+    batch_size = config.training.batch_size
+    shards = shard_indices(len(small_split.train), 12)
+    assert {min(batch_size, len(shard)) for shard in shards} == {15, 16}
+    trainer, _ = _assert_backends_train_identically(
+        config, small_split, 12, backend="auto"
+    )
+    assert trainer._bank is None
 
 
 def test_batched_resume_is_bit_identical(config, small_split, tmp_path):

@@ -282,6 +282,23 @@ def test_stacked_mixed_codecs_fall_back_to_member_loop():
     assert bits[1] == expected_bits
 
 
+def test_stacked_accepts_unequal_member_lists():
+    """A list of unequal per-member tensors runs member-wise and stays a list."""
+    rng = np.random.default_rng(4)
+    values = [rng.standard_normal((16, 3)), rng.standard_normal((15, 3))]
+    for codec_factory in (IdentityCodec, lambda: UniformQuantizerCodec(8)):
+        decoded, bits = encode_decode_stacked(
+            [codec_factory(), codec_factory()], values, UPLINK_STREAM
+        )
+        assert isinstance(decoded, list)
+        for member, value in enumerate(values):
+            expected, expected_bits = codec_factory().encode_decode(
+                value, UPLINK_STREAM
+            )
+            assert np.array_equal(decoded[member], expected)
+            assert bits[member] == expected_bits
+
+
 def test_stacked_validates_member_count():
     with pytest.raises(ValueError):
         encode_decode_stacked([], np.zeros((0, 2)), UPLINK_STREAM)

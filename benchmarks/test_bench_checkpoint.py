@@ -14,7 +14,8 @@ from __future__ import annotations
 import os
 import time
 
-from repro.split import ExperimentConfig, SplitTrainer
+from repro.split import ExperimentConfig
+from repro.split.trainer import SplitTrainer
 
 #: Checkpointing may cost at most this fraction of the epoch time.
 MAX_OVERHEAD_FRACTION = 0.10
@@ -45,7 +46,7 @@ def _fit_seconds(scale, split, checkpoint_path) -> float:
     trainer.fit(
         split.train,
         split.validation,
-        max_epochs=BENCH_EPOCHS,
+        max_rounds=BENCH_EPOCHS,
         checkpoint_path=checkpoint_path,
     )
     return time.perf_counter() - start

@@ -15,12 +15,11 @@ Run with:  python examples/quickstart.py
 from __future__ import annotations
 
 from repro.dataset import build_sequences, generate_small_dataset, temporal_split
-from repro.split import (
+from repro.split import ModelConfig, TrainingConfig
+from repro.split.predictors import (
     ImageOnlyPredictor,
-    ModelConfig,
     MultimodalSplitPredictor,
     RFOnlyPredictor,
-    TrainingConfig,
 )
 
 

@@ -31,7 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.experiments import ExperimentScale, prepare_split
-from repro.split import ExperimentConfig, SplitTrainer
+from repro.split import ExperimentConfig
+from repro.split.trainer import SplitTrainer
 
 
 def make_trainer(scale: ExperimentScale) -> SplitTrainer:
@@ -52,11 +53,11 @@ def main() -> None:
     print("1) reference run (uninterrupted) ...")
     reference_trainer = make_trainer(scale)
     reference = reference_trainer.fit(
-        split.train, split.validation, max_epochs=budget
+        split.train, split.validation, max_rounds=budget
     )
     for record in reference.records:
         print(
-            f"   epoch {record.epoch}: val RMSE {record.validation_rmse_db:.3f} dB"
+            f"   epoch {record.round}: val RMSE {record.validation_rmse_db:.3f} dB"
             f" @ {record.elapsed_s:.2f} s simulated"
         )
 
@@ -67,7 +68,7 @@ def main() -> None:
         make_trainer(scale).fit(
             split.train,
             split.validation,
-            max_epochs=2,  # the "kill": the process dies after epoch 2
+            max_rounds=2,  # the "kill": the process dies after epoch 2
             checkpoint_path=checkpoint,
         )
         print(f"   checkpoint written to {checkpoint.name}")
@@ -77,12 +78,12 @@ def main() -> None:
         resumed = resumed_trainer.fit(
             split.train,
             split.validation,
-            max_epochs=budget,
+            max_rounds=budget,
             resume_from=checkpoint,
         )
         for record in resumed.records[2:]:
             print(
-                f"   epoch {record.epoch}: val RMSE "
+                f"   epoch {record.round}: val RMSE "
                 f"{record.validation_rmse_db:.3f} dB (resumed)"
             )
 

@@ -22,7 +22,7 @@ from repro.dataset.generator import DepthPowerDataset
 from repro.dataset.splits import TrainValidationSplit
 from repro.experiments.common import ExperimentScale, scheme_model_configs
 from repro.experiments.pipeline import ExperimentPipeline, PipelineOptions
-from repro.split.trainer import TrainingHistory
+from repro.fleet.trainer import FleetHistory
 
 
 @dataclass
@@ -30,7 +30,7 @@ class Fig3aResult:
     """Learning curves for every scheme."""
 
     scale: ExperimentScale
-    histories: Dict[str, TrainingHistory] = field(default_factory=dict)
+    histories: Dict[str, FleetHistory] = field(default_factory=dict)
 
     def summary_rows(self) -> List[dict]:
         rows = []

@@ -43,8 +43,8 @@ from repro.experiments.pipeline import (
     options_from_args,
     write_artifact,
 )
+from repro.fleet.trainer import FleetHistory
 from repro.split.codecs import CODEC_NAMES, codec_from_name
-from repro.split.trainer import TrainingHistory
 
 #: Version of the compression-Pareto artifact JSON layout.
 COMPRESSION_ARTIFACT_SCHEMA_VERSION = 1
@@ -59,10 +59,10 @@ class CompressionParetoResult:
 
     scale: ExperimentScale
     codecs: Tuple[str, ...]
-    histories: Dict[str, TrainingHistory] = field(default_factory=dict)
+    histories: Dict[str, FleetHistory] = field(default_factory=dict)
     uplink_payload_bits: Dict[str, float] = field(default_factory=dict)
 
-    def history(self, codec: str) -> TrainingHistory:
+    def history(self, codec: str) -> FleetHistory:
         return self.histories[codec]
 
     def artifact(self) -> dict:
@@ -177,7 +177,7 @@ def run_compression_pareto(
         if topk_fraction is not None and codec == "topk":
             overrides["codec_topk_fraction"] = topk_fraction
         model_config = dataclasses.replace(scale.base_model_config(), **overrides)
-        fit_kwargs = {} if max_epochs is None else {"max_epochs": max_epochs}
+        fit_kwargs = {} if max_epochs is None else {"max_rounds": max_epochs}
         job = pipeline.split_job(codec, model_config, **fit_kwargs)
         result.histories[codec] = pipeline.train(job).history
         result.uplink_payload_bits[codec] = _sized_uplink_bits(

@@ -12,9 +12,9 @@ determines the training trajectory:
 * the full :class:`~repro.experiments.common.ExperimentScale` (validation
   subsampling and eval batching enter the recorded learning curve),
 * the model, training and channel configurations,
-* the trainer kind (single-UE vs fleet) with the fleet configuration minus
-  its execution-only ``backend`` (the backends are bitwise identical), and
-  any extra ``fit`` arguments (e.g. ``max_rounds``),
+* the fleet configuration (one UE in rotation mode for the paper's
+  single-UE runs) minus its execution-only ``backend`` (the backends are
+  bitwise identical), and any extra ``fit`` arguments (e.g. ``max_rounds``),
 * :data:`~repro.dataset.cache.TRAJECTORY_VERSION`, through the dataset
   fingerprint, so a code change that moves trajectories stops serving
   entries trained before it.
@@ -36,6 +36,7 @@ from typing import Any, Mapping, Optional
 
 from repro.dataset.cache import config_fingerprint, default_cache_dir
 from repro.experiments.common import ExperimentScale
+from repro.fleet.config import SINGLE_UE, FleetConfig
 from repro.split.config import ExperimentConfig
 
 
@@ -43,15 +44,12 @@ def trained_model_fingerprint(
     scale: ExperimentScale,
     config: ExperimentConfig,
     *,
-    kind: str = "split",
-    fleet_config=None,
+    fleet_config: FleetConfig = SINGLE_UE,
     extra: Optional[Mapping[str, Any]] = None,
 ) -> str:
     """Stable hash of everything determining a training run's trajectory."""
-    fleet = None
-    if fleet_config is not None:
-        fleet = asdict(fleet_config)
-        del fleet["backend"]
+    fleet = asdict(fleet_config)
+    del fleet["backend"]
     payload = json.dumps(
         {
             "dataset": config_fingerprint(scale.dataset_config()),
@@ -59,7 +57,6 @@ def trained_model_fingerprint(
             "model": asdict(config.model),
             "training": asdict(config.training),
             "channel": asdict(config.channel),
-            "kind": kind,
             "fleet": fleet,
             "extra": dict(extra) if extra else {},
         },

@@ -10,12 +10,12 @@ persistence is implemented once instead of five times:
 
 * **dataset** — generate, or flow through the content-addressed dataset
   cache (:mod:`repro.dataset.cache`);
-* **train** — run one :class:`TrainingJob` (single-UE or fleet) with
-  epoch-granular checkpoints under ``--checkpoint-dir``, resumption via
-  ``--resume``, and content-addressed trained-model caching
+* **train** — run one :class:`TrainingJob` (a fleet; single-UE jobs are the
+  fleet of one) with round-granular checkpoints under ``--checkpoint-dir``,
+  resumption via ``--resume``, and content-addressed trained-model caching
   (:mod:`repro.experiments.model_cache`);
-* **evaluate** — the single normalized-eval path every trainer shares
-  (:class:`repro.split.trainer.NormalizedEvaluationMixin`);
+* **evaluate** — the single normalized-eval path of the training engine
+  (:meth:`repro.fleet.trainer.FleetTrainer.predict_dbm`);
 * **artifact** — atomic JSON artifact writing (:func:`write_artifact`).
 
 One CLI (:mod:`repro.experiments.run`) drives any registered experiment::
@@ -35,7 +35,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Mapping, Optional, Union
+from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.dataset.generator import DepthPowerDataset
 from repro.dataset.splits import TrainValidationSplit
@@ -49,11 +49,10 @@ from repro.experiments.model_cache import (
     trained_model_fingerprint,
     trained_model_path,
 )
-from repro.fleet.config import FleetConfig
+from repro.fleet.config import SINGLE_UE, FleetConfig
 from repro.fleet.trainer import FleetHistory, FleetTrainer
 from repro.nn.serialization import atomic_write_text
 from repro.split.config import ExperimentConfig
-from repro.split.trainer import SplitTrainer, TrainingHistory
 from repro.utils.logging import get_logger
 
 logger = get_logger("experiments.pipeline")
@@ -95,27 +94,17 @@ class TrainingJob:
     Attributes:
         key: stable human-readable identifier (scheme name, ``mode/nN`` cell).
         config: full experiment configuration.
-        kind: ``"split"`` or ``"fleet"``.
-        fleet_config: fleet shape (required when ``kind == "fleet"``).
+        fleet_config: fleet shape (default: the paper's single UE).
         fit_kwargs: extra keyword arguments for ``fit`` (e.g. ``max_rounds``).
     """
 
     key: str
     config: ExperimentConfig
-    kind: str = "split"
-    fleet_config: Optional[FleetConfig] = None
+    fleet_config: FleetConfig = SINGLE_UE
     fit_kwargs: Mapping[str, Any] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.kind not in ("split", "fleet"):
-            raise ValueError(f"unknown job kind {self.kind!r}")
-        if self.kind == "fleet" and self.fleet_config is None:
-            raise ValueError("fleet jobs need a fleet_config")
-
-    def build_trainer(self) -> Union[SplitTrainer, FleetTrainer]:
-        if self.kind == "fleet":
-            return FleetTrainer(self.config, self.fleet_config)
-        return SplitTrainer(self.config)
+    def build_trainer(self) -> FleetTrainer:
+        return FleetTrainer(self.config, self.fleet_config)
 
 
 @dataclass
@@ -123,8 +112,8 @@ class TrainedModel:
     """Outcome of the train stage for one job."""
 
     key: str
-    trainer: Union[SplitTrainer, FleetTrainer]
-    history: Union[TrainingHistory, FleetHistory]
+    trainer: FleetTrainer
+    history: FleetHistory
     fingerprint: str
     cache_hit: bool = False
     resumed: bool = False
@@ -204,7 +193,6 @@ class ExperimentPipeline:
         return TrainingJob(
             key=key,
             config=config,
-            kind="fleet",
             fleet_config=fleet_config,
             fit_kwargs=fit_kwargs,
         )
@@ -213,7 +201,6 @@ class ExperimentPipeline:
         return trained_model_fingerprint(
             self.scale,
             job.config,
-            kind=job.kind,
             fleet_config=job.fleet_config,
             extra=dict(job.fit_kwargs),
         )

@@ -1,12 +1,14 @@
-"""Multi-UE fleet subsystem: shared-medium scheduling and federated split training.
+"""The training engine: fleets, shared-medium scheduling, federated split training.
 
-The paper's protocol is one UE against one BS.  This package scales it to
+The paper's protocol is one UE against one BS.  This package runs it as
 *fleets*: N :class:`~repro.split.ue.UEClient`s with independent, placement-
 jittered channels share one BS and one slotted medium.  A
 :class:`MediumScheduler` serializes the concurrent cut-layer traffic so fleet
-wall-clock time is medium-occupancy-accurate, and :class:`FleetTrainer`
-supports classic rotation split learning plus splitfed-style parallel
-averaging.  A fleet of one reproduces the single-UE trainer draw for draw.
+wall-clock time is medium-occupancy-accurate, and :class:`FleetTrainer`, the
+one training loop of the library, supports classic rotation split learning
+plus splitfed-style parallel averaging.  The paper's single-UE trainer,
+:class:`~repro.split.trainer.SplitTrainer`, is the rotation fleet of one
+(:data:`SINGLE_UE`), the only fleet that also trains the RF-only baseline.
 """
 from repro.fleet.bank import StackedUEBank
 from repro.fleet.config import (
@@ -14,6 +16,7 @@ from repro.fleet.config import (
     FLEET_MODES,
     PARALLEL_AVERAGE,
     ROTATION,
+    SINGLE_UE,
     FleetConfig,
 )
 from repro.fleet.fleet import (
@@ -47,6 +50,7 @@ __all__ = [
     "ROTATION",
     "RoundRobinScheduler",
     "SCHEDULERS",
+    "SINGLE_UE",
     "ScheduleResult",
     "StackedUEBank",
     "UEFleet",

@@ -21,8 +21,8 @@ objects before weight averaging.  Because the batched kernels are
 bitwise-identical to the member loop (same ``np.matmul`` lowering, same
 masked-update operation order), a gather → steps → scatter round produces
 exactly the arrays :class:`MemberLoop` would have — which keeps fleet
-checkpoints backend-agnostic and the N=1 fleet draw-for-draw equal to
-``SplitTrainer``.
+checkpoints backend-agnostic and an N=1 parallel-average fleet draw-for-draw
+equal to the single-UE rotation fleet, ``SplitTrainer``.
 
 The bank itself is checkpointable (``state_dict``/``load_state_dict``,
 registered in :mod:`repro.analysis.contract`), although fleet checkpoints do

@@ -98,3 +98,8 @@ class FleetConfig:
         if self.backend != "auto":
             return self.backend
         return "batched" if self.mode == PARALLEL_AVERAGE else "loop"
+
+
+#: The paper's setup as a fleet: one UE, one BS, one SL link.  The single-UE
+#: trainer and every single-UE experiment job train this configuration.
+SINGLE_UE = FleetConfig(num_ues=1, mode=ROTATION)

@@ -8,10 +8,10 @@ single shared instance injected into every member's protocol.
 
 Seeding is arranged so that **member 0 is byte-for-byte the single-UE
 setup**: its protocol is constructed exactly like ``SplitTrainingProtocol
-(config)`` and its batch RNG exactly like ``SplitTrainer``'s.  Members 1..N-1
-draw their weight-init, channel and batch streams from a salted seed sequence
-that never touches member 0's streams, so growing the fleet never perturbs
-the anchor.
+(config)`` and its batch RNG is seeded by the training seed alone, so a fleet
+of one is the paper's protocol (``SplitTrainer``).  Members 1..N-1 draw their
+weight-init, channel and batch streams from a salted seed sequence that never
+touches member 0's streams, so growing the fleet never perturbs the anchor.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from repro.channel.params import WirelessChannelParams
 from repro.scenarios.placement import fleet_channel_params
 from repro.split.config import ExperimentConfig
 from repro.split.protocol import SplitTrainingProtocol
-from repro.fleet.config import FleetConfig
+from repro.fleet.config import ROTATION, FleetConfig
 from repro.utils.seeding import (
     as_generator,
     capture_generator_state,
@@ -72,7 +72,10 @@ class UEFleet:
     """
 
     def __init__(self, config: ExperimentConfig, fleet_config: FleetConfig):
-        if not config.model.use_image:
+        # The paper's RF-only baseline has no UE side and no cut-layer
+        # traffic; it trains only as the single-UE rotation fleet.
+        single_ue = fleet_config.num_ues == 1 and fleet_config.mode == ROTATION
+        if not config.model.use_image and not single_ue:
             raise ValueError(
                 "a fleet needs cut-layer traffic; the RF-only baseline has "
                 "no UE-side model to train"
@@ -129,13 +132,13 @@ class UEFleet:
                         channel=channels[k],
                     )
                 )
-
-        # Every client starts from the same weights (member 0's init): the
-        # rotation hand-off assumes one logical model, and parallel averaging
-        # assumes a common starting point, exactly like splitfed.
-        initial = base_protocol.ue.get_weights()
-        for member in self.members[1:]:
-            member.ue.set_weights(initial)
+            # Every client starts from the same weights (member 0's init):
+            # the rotation hand-off assumes one logical model, and parallel
+            # averaging assumes a common starting point, exactly like
+            # splitfed.
+            initial = base_protocol.ue.get_weights()
+            for member in self.members[1:]:
+                member.ue.set_weights(initial)
         self._weight_holder = 0
 
     @property
@@ -200,7 +203,7 @@ class UEFleet:
             "weight_holder": self._weight_holder,
             "members": {
                 str(member.index): {
-                    "protocol": member.protocol.state_dict(include_bs=False),
+                    "protocol": member.protocol.state_dict(),
                     "batch_rng": capture_generator_state(member.batch_rng),
                 }
                 for member in self.members

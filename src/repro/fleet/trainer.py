@@ -1,15 +1,14 @@
-"""Federated split training of a UE fleet over one shared medium.
+"""The training engine: split learning of a UE fleet over one shared medium.
 
 ``FleetTrainer`` drives an :class:`~repro.fleet.fleet.UEFleet` through rounds
 of split learning in one of two modes:
 
 * **rotation** — classic split learning.  The members take turns: the logical
   UE model is handed client-to-client (``state_dict`` copy), and the member
-  whose turn it is trains alone for ``steps_per_turn`` SGD steps, exactly
-  like the paper's single-UE protocol.  The medium is uncontended during a
-  turn, so with ``N=1`` the trainer reproduces
-  :class:`~repro.split.trainer.SplitTrainer` *draw for draw* — the
-  correctness anchor of the subsystem.
+  whose turn it is trains alone for ``steps_per_turn`` SGD steps over an
+  uncontended medium.  A fleet of one in this mode *is* the paper's
+  single-UE protocol, and :class:`~repro.split.trainer.SplitTrainer` is
+  exactly that configuration: a round is an epoch.
 
 * **parallel_average** — splitfed-style.  Every member steps each round:
   clients run their CNN forward in parallel, the medium scheduler serializes
@@ -20,15 +19,20 @@ of split learning in one of two modes:
   computation plus the serialized communication, which is where the sublinear
   round-time scaling comes from.
 
-Simulated wall-clock accounting is medium-occupancy-accurate: compute runs in
-parallel across UEs, communication is serialized, and every round records the
-fraction of its duration the medium was busy.
+Every round follows the paper's training protocol: minibatches are sampled
+uniformly at random from each member's training windows, validation RMSE (in
+dB) is computed after the round, and training stops when it reaches the
+target or the round budget is exhausted.  Simulated wall-clock accounting is
+medium-occupancy-accurate: compute runs in parallel across UEs,
+communication is serialized, and every round records the fraction of its
+duration the medium was busy.  The run clock advances step by step, so the
+elapsed time of Fig. 3a's x axis is the running sum of the step times.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, field, replace as dataclass_replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,9 +43,10 @@ from repro.channel.arq import (
 )
 from repro.dataset.sequences import SequenceDataset
 from repro.fleet.bank import MemberLoop, StackedUEBank
-from repro.fleet.config import PARALLEL_AVERAGE, ROTATION, FleetConfig
+from repro.fleet.config import ROTATION, FleetConfig
 from repro.fleet.fleet import FleetMember, UEFleet, shard_indices
 from repro.fleet.scheduler import MediumScheduler, scheduler_from_name
+from repro.nn.metrics import root_mean_squared_error
 from repro.split.codecs import DOWNLINK_STREAM, UPLINK_STREAM, encode_decode_stacked
 from repro.split.checkpoint import (
     FLEET_KIND,
@@ -51,23 +56,22 @@ from repro.split.checkpoint import (
 )
 from repro.split.config import ExperimentConfig
 from repro.split.normalization import PowerNormalizer
-from repro.split.protocol import SplitTrainingProtocol
-from repro.split.trainer import (
-    LearningCurveMixin,
-    NormalizedEvaluationMixin,
-    normalized_training_inputs,
-)
 from repro.utils.logging import get_logger
 
 logger = get_logger("fleet.trainer")
 
+#: What one step of a round reports to :meth:`FleetTrainer.fit`: simulated
+#: duration, medium busy time, loss (``None`` when no update happened), lost
+#: member-steps and attempted member-steps.
+StepOutcome = Tuple[float, float, Optional[float], int, int]
+
 
 @dataclass
 class FleetRoundRecord:
-    """One point of the fleet learning curve.
+    """One point of the learning curve.
 
     Attributes:
-        round: 1-based round index (== epoch for an N=1 rotation fleet).
+        round: 1-based round index (the epoch of an N=1 rotation run).
         elapsed_s: cumulative simulated wall-clock time after the round.
         round_duration_s: simulated duration of this round alone.
         train_loss: mean minibatch loss over the round's updated steps.
@@ -90,12 +94,20 @@ class FleetRoundRecord:
 
 
 @dataclass
-class FleetHistory(LearningCurveMixin):
-    """Full record of one fleet training run.
+class FleetHistory:
+    """Full record of one training run.
 
-    The learning-curve metric helpers (``final_rmse_db``, ``best_rmse_db``,
-    ``elapsed_times_s``, ``validation_rmse_curve_db``, ``time_to_reach_db``)
-    come from the mixin shared with ``TrainingHistory``.
+    Attributes:
+        scheme: human-readable scheme label (e.g. ``"Img+RF, pooling 40x40"``).
+        num_ues / mode / scheduler: the fleet shape that trained.
+        records: per-round learning-curve points.
+        reached_target: whether the RMSE target stopped training early.
+        total_elapsed_s: simulated wall-clock time of the whole run.
+        medium_busy_s: time the shared medium carried slots, whole run.
+        communication: snapshot of the fleet's aggregate ARQ statistics
+            (``None`` for RF-only; streaming mean/std of per-step slots and
+            latency, never a per-step history).
+        per_ue_communication: the same, one snapshot per member.
     """
 
     scheme: str
@@ -108,6 +120,33 @@ class FleetHistory(LearningCurveMixin):
     medium_busy_s: float = 0.0
     communication: Optional[ArqStatistics] = None
     per_ue_communication: List[ArqStatistics] = field(default_factory=list)
+
+    @property
+    def final_rmse_db(self) -> float:
+        if not self.records:
+            return float("nan")
+        return self.records[-1].validation_rmse_db
+
+    @property
+    def best_rmse_db(self) -> float:
+        if not self.records:
+            return float("nan")
+        return min(record.validation_rmse_db for record in self.records)
+
+    @property
+    def elapsed_times_s(self) -> np.ndarray:
+        return np.array([record.elapsed_s for record in self.records])
+
+    @property
+    def validation_rmse_curve_db(self) -> np.ndarray:
+        return np.array([record.validation_rmse_db for record in self.records])
+
+    def time_to_reach_db(self, rmse_db: float) -> float:
+        """Simulated time needed to first reach ``rmse_db`` (inf if never)."""
+        for record in self.records:
+            if record.validation_rmse_db <= rmse_db:
+                return record.elapsed_s
+        return float("inf")
 
     @property
     def medium_occupancy(self) -> float:
@@ -141,12 +180,13 @@ class FleetHistory(LearningCurveMixin):
         )
 
 
-class FleetTrainer(NormalizedEvaluationMixin):
+class FleetTrainer:
     """Trains a fleet of UE clients against one shared BS.
 
     Args:
         config: base experiment configuration (model, training protocol and
-            the nominal SL channel; must include the image branch).
+            the nominal SL channel).  Only an N=1 rotation fleet accepts the
+            RF-only model, which has no UE side.
         fleet_config: fleet size, mode, scheduler and placement jitter.
     """
 
@@ -170,19 +210,26 @@ class FleetTrainer(NormalizedEvaluationMixin):
         return self._bank
 
     # -- data preparation -------------------------------------------------------------
-    def _prepare_inputs(self, sequences: SequenceDataset):
-        """Normalize powers and targets exactly like ``SplitTrainer``."""
+    def _model_inputs(self, sequences: SequenceDataset):
+        """Model inputs of ``sequences``: images stay raw (already in [0, 1])
+        and are ``None`` without an image branch; powers are normalized, and
+        ``None`` without an RF branch."""
         assert self.normalizer is not None
-        return normalized_training_inputs(
-            self.config.model, self.normalizer, sequences
+        model = self.config.model
+        images = sequences.image_sequences if model.use_image else None
+        powers = (
+            self.normalizer.normalize(sequences.power_sequences)
+            if model.use_rf
+            else None
         )
+        return images, powers
 
     def _draw_batch(
         self,
         member: FleetMember,
         shard: np.ndarray,
         batch_size: int,
-        images: np.ndarray,
+        images: Optional[np.ndarray],
         powers: Optional[np.ndarray],
         targets: np.ndarray,
     ):
@@ -190,7 +237,7 @@ class FleetTrainer(NormalizedEvaluationMixin):
         local = member.batch_rng.choice(len(shard), size=batch_size, replace=False)
         indices = shard[local]
         return (
-            images[indices],
+            images[indices] if images is not None else None,
             powers[indices] if powers is not None else None,
             targets[indices],
         )
@@ -199,15 +246,15 @@ class FleetTrainer(NormalizedEvaluationMixin):
     def state_dict(self) -> dict:
         """Complete restorable trainer state (see :mod:`repro.split.checkpoint`)."""
         state = {"fleet": self.fleet.state_dict()}
-        normalizer = self._normalizer_state()
-        if normalizer is not None:
-            state["normalizer"] = normalizer
+        if self.normalizer is not None:
+            state["normalizer"] = asdict(self.normalizer)
         return state
 
     def load_state_dict(self, state: dict) -> None:
         """Restore trainer state captured by :meth:`state_dict`."""
         self.fleet.load_state_dict(state["fleet"])
-        self._restore_normalizer(state)
+        if "normalizer" in state:
+            self.normalizer = PowerNormalizer(**state["normalizer"])
 
     def _capture_checkpoint(
         self, history: FleetHistory, round_index: int, elapsed_s: float, busy_s: float
@@ -228,7 +275,11 @@ class FleetTrainer(NormalizedEvaluationMixin):
         )
 
     def final_checkpoint(self, history: FleetHistory) -> Checkpoint:
-        """Checkpoint of a finished ``fit`` (the trained-model cache entry)."""
+        """Checkpoint of a finished ``fit`` (the trained-model cache entry).
+
+        Resuming from it returns ``history`` immediately, which is how the
+        experiment pipeline serves trained-model cache hits.
+        """
         progress = history.records[-1].round if history.records else 0
         return self._capture_checkpoint(
             history, progress, history.total_elapsed_s, history.medium_busy_s
@@ -263,10 +314,21 @@ class FleetTrainer(NormalizedEvaluationMixin):
     ) -> FleetHistory:
         """Train until the validation RMSE target or the round budget is hit.
 
-        ``checkpoint_path`` / ``checkpoint_every`` / ``resume_from`` follow
-        :meth:`repro.split.trainer.SplitTrainer.fit`, at round granularity: a
-        resumed fleet run (either mode) reproduces the uninterrupted run's
-        history and final weights bit for bit, given the same data.
+        Args:
+            train / validation: sequence datasets (when resuming, pass the
+                *same* data the checkpointed run used).
+            max_rounds: round budget (default: the fleet config's
+                ``max_rounds``, else the training config's ``max_epochs``).
+            checkpoint_path: when set, a round-granular :class:`Checkpoint`
+                is written (atomically) to this path every
+                ``checkpoint_every`` rounds and at the end of the run.
+            checkpoint_every: checkpoint cadence in rounds.
+            resume_from: a :class:`Checkpoint` (or path to one) produced by a
+                previous ``fit`` with the same configuration and data.  The
+                continued run draws the same RNG streams the uninterrupted
+                run would have drawn, so the resulting history and final
+                weights are bit-identical to never having stopped.  A
+                checkpoint of a finished run returns its history immediately.
         """
         training = self.config.training
         fleet_config = self.fleet_config
@@ -294,6 +356,10 @@ class FleetTrainer(NormalizedEvaluationMixin):
             self.normalizer = PowerNormalizer.fit(
                 train.power_sequences, train.targets
             )
+            # Each fresh fit accounts its own communication: stale counts
+            # from a previous run on the same trainer must not leak into this
+            # one.  (A resumed fit keeps the restored counts: they belong to
+            # this run.)
             self.fleet.reset_statistics()
             history = FleetHistory(
                 scheme=self.config.model.describe(),
@@ -305,24 +371,36 @@ class FleetTrainer(NormalizedEvaluationMixin):
             busy_total_s = 0.0
             start_round = 0
 
-        images, powers, targets = self._prepare_inputs(train)
+        images, powers = self._model_inputs(train)
+        targets = self.normalizer.normalize(train.targets)
         shards = shard_indices(len(train), self.fleet.num_ues)
         batch_sizes = [
             min(training.batch_size, len(shard)) for shard in shards
         ]
+        round_steps = (
+            self._rotation_round
+            if fleet_config.mode == ROTATION
+            else self._parallel_round
+        )
 
         for round_index in range(start_round + 1, max_rounds + 1):
             if history.reached_target:
                 break
-            if fleet_config.mode == ROTATION:
-                losses, lost, duration, busy, steps = self._rotation_round(
-                    shards, batch_sizes, steps_per_turn, images, powers, targets
-                )
-            else:
-                losses, lost, duration, busy, steps = self._parallel_round(
-                    shards, batch_sizes, steps_per_turn, images, powers, targets
-                )
-            elapsed_s += duration
+            losses: List[float] = []
+            duration = busy = 0.0
+            lost = steps = 0
+            for step_s, step_busy_s, loss, step_lost, member_steps in round_steps(
+                shards, batch_sizes, steps_per_turn, images, powers, targets
+            ):
+                # The run clock advances step by step; the round's own
+                # duration is summed beside it.
+                elapsed_s += step_s
+                duration += step_s
+                busy += step_busy_s
+                lost += step_lost
+                steps += member_steps
+                if loss is not None:
+                    losses.append(loss)
             busy_total_s += busy
 
             validation_rmse = self.evaluate(validation)
@@ -339,8 +417,9 @@ class FleetTrainer(NormalizedEvaluationMixin):
             )
             history.records.append(record)
             logger.debug(
-                "fleet N=%d %s round %d: elapsed %.2fs, occupancy %.3f, "
+                "%s, N=%d %s round %d: elapsed %.2fs, occupancy %.3f, "
                 "val RMSE %.2f dB",
+                history.scheme,
                 self.fleet.num_ues,
                 fleet_config.mode,
                 round_index,
@@ -363,6 +442,8 @@ class FleetTrainer(NormalizedEvaluationMixin):
 
         history.total_elapsed_s = elapsed_s
         history.medium_busy_s = busy_total_s
+        # Snapshots, not the live objects: later steps on this trainer (or a
+        # second fit) must not mutate the returned history.
         history.per_ue_communication = [
             member.arq.statistics.snapshot()
             for member in self.fleet
@@ -377,34 +458,27 @@ class FleetTrainer(NormalizedEvaluationMixin):
         shards: Sequence[np.ndarray],
         batch_sizes: Sequence[int],
         steps_per_turn: int,
-        images: np.ndarray,
+        images: Optional[np.ndarray],
         powers: Optional[np.ndarray],
         targets: np.ndarray,
-    ) -> Tuple[List[float], int, float, float, int]:
+    ) -> Iterator[StepOutcome]:
         """One rotation round: each member trains alone during its turn."""
-        losses: List[float] = []
-        lost = 0
-        duration = 0.0
-        busy = 0.0
-        steps = 0
         for member, shard, batch_size in zip(self.fleet, shards, batch_sizes):
             self.fleet.hand_off_to(member.index)
             for _ in range(steps_per_turn):
-                image_batch, power_batch, target_batch = self._draw_batch(
-                    member, shard, batch_size, images, powers, targets
-                )
                 result = member.protocol.training_step(
-                    image_batch, power_batch, target_batch
+                    *self._draw_batch(
+                        member, shard, batch_size, images, powers, targets
+                    )
                 )
-                duration += result.elapsed_s
-                if result.communication is not None:
-                    busy += result.communication.total_elapsed_s
-                if result.updated:
-                    losses.append(result.loss)
-                else:
-                    lost += 1
-                steps += 1
-        return losses, lost, duration, busy, steps
+                communication = result.communication
+                yield (
+                    result.elapsed_s,
+                    communication.total_elapsed_s if communication is not None else 0.0,
+                    result.loss if result.updated else None,
+                    0 if result.updated else 1,
+                    1,
+                )
 
     # -- parallel-average mode --------------------------------------------------------
     def _parallel_round(
@@ -412,16 +486,11 @@ class FleetTrainer(NormalizedEvaluationMixin):
         shards: Sequence[np.ndarray],
         batch_sizes: Sequence[int],
         steps_per_turn: int,
-        images: np.ndarray,
+        images: Optional[np.ndarray],
         powers: Optional[np.ndarray],
         targets: np.ndarray,
-    ) -> Tuple[List[float], int, float, float, int]:
+    ) -> Iterator[StepOutcome]:
         """One parallel-average round: joint steps, then weight averaging."""
-        losses: List[float] = []
-        lost = 0
-        duration = 0.0
-        busy = 0.0
-        steps = 0
         compute = self._member_compute(batch_sizes)
         for _ in range(steps_per_turn):
             batches = [
@@ -430,19 +499,11 @@ class FleetTrainer(NormalizedEvaluationMixin):
                     self.fleet, shards, batch_sizes
                 )
             ]
-            loss, step_lost, step_duration, step_busy = self._joint_step(
-                batches, compute
-            )
-            duration += step_duration
-            busy += step_busy
-            lost += step_lost
-            steps += self.fleet.num_ues
-            if loss is not None:
-                losses.append(loss)
+            loss, lost, duration, busy = self._joint_step(batches, compute)
+            yield duration, busy, loss, lost, self.fleet.num_ues
         if compute is self._bank:
             self._bank.scatter()
         self.fleet.average_ue_weights()
-        return losses, lost, duration, busy, steps
 
     def _member_compute(
         self, batch_sizes: Sequence[int]
@@ -600,16 +661,26 @@ class FleetTrainer(NormalizedEvaluationMixin):
         return loss_value, lost, duration, busy
 
     # -- evaluation -------------------------------------------------------------------
-    def _evaluation_protocol(self) -> SplitTrainingProtocol:
-        """Protocol of the member holding the freshest logical model.
+    def predict_dbm(self, sequences: SequenceDataset) -> np.ndarray:
+        """Predict received power in dBm for every window of ``sequences``.
 
-        Rotation mode evaluates the member holding the freshest weights;
-        parallel-average mode evaluates member 0 (all members are identical
-        right after the per-round averaging).  ``predict_dbm``/``evaluate``
-        come from :class:`~repro.split.trainer.NormalizedEvaluationMixin` —
-        the eval path shared with the single-UE trainer.
+        The one evaluation path of every run and experiment: the protocol of
+        the member holding the freshest logical model predicts (in
+        parallel-average mode every member holds it right after the
+        averaging), and its normalized output is mapped back to dBm.
         """
-        return self.fleet.members[self.fleet.weight_holder].protocol
+        if self.normalizer is None:
+            raise RuntimeError("the trainer has not been fitted yet")
+        images, powers = self._model_inputs(sequences)
+        protocol = self.fleet.members[self.fleet.weight_holder].protocol
+        normalized = protocol.predict(
+            images, powers, batch_size=self.config.training.eval_batch_size
+        )
+        return self.normalizer.denormalize(normalized)
+
+    def evaluate(self, sequences: SequenceDataset) -> float:
+        """Validation RMSE in dB (predictions and targets in dBm)."""
+        return root_mean_squared_error(self.predict_dbm(sequences), sequences.targets)
 
 
 def _concatenate_members(batches, indices: Sequence[int]) -> np.ndarray:

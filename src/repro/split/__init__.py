@@ -1,4 +1,10 @@
-"""Core package: the multimodal split-learning framework of the paper."""
+"""Core package: the multimodal split-learning framework of the paper.
+
+The trainer and the predictors are not re-exported here: they run on the
+fleet engine (:mod:`repro.fleet`), whose modules import this package's
+submodules.  Import them from :mod:`repro.split.trainer` and
+:mod:`repro.split.predictors`.
+"""
 from repro.split.bs import BSServer
 from repro.split.checkpoint import CHECKPOINT_VERSION, Checkpoint
 from repro.split.codecs import (
@@ -20,25 +26,11 @@ from repro.split.config import (
 )
 from repro.split.models import build_bs_rnn, build_pooling_compressor, build_ue_cnn
 from repro.split.normalization import PowerNormalizer
-from repro.split.predictors import (
-    BasePredictor,
-    ImageOnlyPredictor,
-    MultimodalSplitPredictor,
-    RFOnlyPredictor,
-    predictor_for_scheme,
-)
 from repro.split.protocol import SplitTrainingProtocol, StepResult
-from repro.split.trainer import (
-    EpochRecord,
-    NormalizedEvaluationMixin,
-    SplitTrainer,
-    TrainingHistory,
-)
 from repro.split.ue import UEClient
 
 __all__ = [
     "BSServer",
-    "BasePredictor",
     "CHECKPOINT_VERSION",
     "CODEC_NAMES",
     "Checkpoint",
@@ -46,27 +38,19 @@ __all__ = [
     "PayloadCodec",
     "TopKCodec",
     "UniformQuantizerCodec",
-    "EpochRecord",
-    "NormalizedEvaluationMixin",
     "ExperimentConfig",
-    "ImageOnlyPredictor",
     "ModelConfig",
-    "MultimodalSplitPredictor",
     "PAPER_MAX_EPOCHS",
     "PAPER_TARGET_RMSE_DB",
     "PAPER_TOTAL_SGD_STEPS",
     "PowerNormalizer",
-    "RFOnlyPredictor",
-    "SplitTrainer",
     "SplitTrainingProtocol",
     "StepResult",
     "TrainingConfig",
-    "TrainingHistory",
     "UEClient",
     "build_bs_rnn",
     "build_pooling_compressor",
     "build_ue_cnn",
     "codec_from_name",
     "paper_model_configs",
-    "predictor_for_scheme",
 ]

@@ -1,4 +1,4 @@
-"""Epoch-granular run-state checkpoints for the split and fleet trainers.
+"""Round-granular run-state checkpoints of the training engine.
 
 A :class:`Checkpoint` captures everything a training loop needs to continue a
 run *bit-identically* after a process death:
@@ -9,7 +9,7 @@ run *bit-identically* after a process death:
   fading streams of the ARQ link(s);
 * the aggregate ARQ statistics accumulated so far;
 * the fitted :class:`~repro.split.normalization.PowerNormalizer`;
-* the learning-curve history recorded up to the checkpointed epoch/round.
+* the learning-curve history recorded up to the checkpointed round.
 
 Deliberately **not** captured: the bounded ring buffer of recent ARQ
 exchanges (a debugging aid), cached im2col / recurrent scratch buffers
@@ -30,8 +30,10 @@ from repro.nn.serialization import load_state_tree, save_state_tree
 #: Version of the checkpoint archive layout.
 CHECKPOINT_VERSION = 1
 
-#: Checkpoint kinds (which trainer wrote it).
-SPLIT_KIND = "split"
+#: Checkpoint kind of the one training engine,
+#: :class:`~repro.fleet.trainer.FleetTrainer` (the single-UE trainer is its
+#: fleet of one).  Any other kind, such as the ``"split"`` checkpoints of
+#: older releases, is refused on resume.
 FLEET_KIND = "fleet"
 
 
@@ -40,8 +42,8 @@ class Checkpoint:
     """One restorable snapshot of a training run.
 
     Attributes:
-        kind: producing trainer (:data:`SPLIT_KIND` or :data:`FLEET_KIND`).
-        progress: completed epochs (split) or rounds (fleet).
+        kind: producing trainer (:data:`FLEET_KIND`).
+        progress: completed rounds (epochs, for a single UE).
         elapsed_s: simulated wall-clock time accumulated so far.
         history: JSON-able serialized learning-curve history so far.
         state: nested trainer state tree (weights, optimizers, RNG streams,

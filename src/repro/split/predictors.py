@@ -10,7 +10,8 @@ paper:
 
 Example:
     >>> from repro.dataset import generate_small_dataset, build_sequences, temporal_split
-    >>> from repro.split import MultimodalSplitPredictor, ModelConfig, TrainingConfig
+    >>> from repro.split import ModelConfig, TrainingConfig
+    >>> from repro.split.predictors import MultimodalSplitPredictor
     >>> dataset = generate_small_dataset(num_samples=300, image_size=16)
     >>> split = temporal_split(build_sequences(dataset))
     >>> predictor = MultimodalSplitPredictor(
@@ -30,8 +31,9 @@ import numpy as np
 
 from repro.channel.params import PAPER_CHANNEL_PARAMS, WirelessChannelParams
 from repro.dataset.sequences import SequenceDataset
+from repro.fleet.trainer import FleetHistory
 from repro.split.config import ExperimentConfig, ModelConfig, TrainingConfig
-from repro.split.trainer import SplitTrainer, TrainingHistory
+from repro.split.trainer import SplitTrainer
 
 
 class BasePredictor:
@@ -49,7 +51,7 @@ class BasePredictor:
             channel=channel_params,
         )
         self.trainer: Optional[SplitTrainer] = None
-        self.history: Optional[TrainingHistory] = None
+        self.history: Optional[FleetHistory] = None
 
     @property
     def scheme(self) -> str:
@@ -60,11 +62,11 @@ class BasePredictor:
         self,
         train: SequenceDataset,
         validation: SequenceDataset,
-        max_epochs: Optional[int] = None,
-    ) -> TrainingHistory:
+        max_rounds: Optional[int] = None,
+    ) -> FleetHistory:
         """Train the predictor and return the learning-curve history."""
         self.trainer = SplitTrainer(self.config)
-        self.history = self.trainer.fit(train, validation, max_epochs=max_epochs)
+        self.history = self.trainer.fit(train, validation, max_rounds=max_rounds)
         return self.history
 
     def predict(self, sequences: SequenceDataset) -> np.ndarray:

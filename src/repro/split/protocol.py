@@ -326,20 +326,17 @@ class SplitTrainingProtocol:
         return predictions
 
     # -- (de)serialization -------------------------------------------------------------
-    def state_dict(self, include_bs: bool = True) -> dict:
-        """Complete restorable protocol state.
+    def state_dict(self) -> dict:
+        """Restorable state of this protocol's private half.
 
-        Covers the UE half (weights + optimizer), the BS half (unless
-        ``include_bs=False`` — the fleet stores its shared BS once, outside
-        the per-member protocols), the ARQ session (fading RNG streams and
-        aggregate statistics) and any payload-codec state (the top-k
-        error-feedback residuals).
+        Covers the UE half (weights + optimizer), the ARQ session (fading RNG
+        streams and aggregate statistics) and any payload-codec state (the
+        top-k error-feedback residuals).  The BS is not included: the fleet
+        shares one BS across its members' protocols and stores it once.
         """
         state: dict = {}
         if self.ue is not None:
             state["ue"] = self.ue.state_dict()
-        if include_bs:
-            state["bs"] = self.bs.state_dict()
         if self.arq is not None:
             state["arq"] = self.arq.state_dict()
         if self.codec is not None:
@@ -352,8 +349,6 @@ class SplitTrainingProtocol:
         """Restore protocol state captured by :meth:`state_dict`."""
         if self.ue is not None:
             self.ue.load_state_dict(state["ue"])
-        if "bs" in state:
-            self.bs.load_state_dict(state["bs"])
         if self.arq is not None:
             self.arq.load_state_dict(state["arq"])
         if self.codec is not None:

@@ -1,205 +1,22 @@
-"""Training loop with simulated wall-clock accounting and early stopping.
+"""The paper's single-UE split trainer: a rotation fleet of one.
 
-``SplitTrainer`` reproduces the paper's training protocol: minibatches are
-sampled uniformly at random from the training windows, the Adam optimizer uses
-the paper's hyper-parameters, validation RMSE (in dB) is computed after every
-epoch, and training stops when the RMSE reaches the 2.7 dB target or the epoch
-budget is exhausted.  Every epoch record carries the simulated elapsed
-training time (computation + cut-layer communication), which is the x axis of
-the paper's learning curves (Fig. 3a).
+``SplitTrainer`` reproduces the paper's training protocol (one UE, one BS,
+one SL link) on the one training engine,
+:class:`~repro.fleet.trainer.FleetTrainer`: a single UE in rotation mode
+trains alone every round, so a round is an epoch of ``steps_per_epoch``
+minibatches.  Every record carries the simulated elapsed training time
+(computation + cut-layer communication), the x axis of the paper's learning
+curves (Fig. 3a).
 """
 from __future__ import annotations
 
-import os
-from dataclasses import asdict, dataclass, field
-from typing import List, Optional
-
-import numpy as np
-
-from repro.channel.arq import ArqStatistics
-from repro.dataset.sequences import SequenceDataset
-from repro.nn.metrics import root_mean_squared_error
-from repro.split.checkpoint import SPLIT_KIND, Checkpoint, CheckpointLike, resolve_checkpoint
+from repro.fleet.config import SINGLE_UE
+from repro.fleet.trainer import FleetTrainer
 from repro.split.config import ExperimentConfig
-from repro.split.normalization import PowerNormalizer
 from repro.split.protocol import SplitTrainingProtocol
-from repro.utils.logging import get_logger
-from repro.utils.seeding import (
-    as_generator,
-    capture_generator_state,
-    restore_generator_state,
-)
-
-logger = get_logger("split.trainer")
 
 
-def normalized_training_inputs(
-    model, normalizer: PowerNormalizer, sequences: SequenceDataset
-):
-    """Model inputs/targets normalized for training or evaluation.
-
-    Shared by :class:`SplitTrainer` and the fleet trainer so the two can
-    never drift: images stay raw (already in [0, 1]) and are ``None`` without
-    an image branch, powers are normalized when the RF branch is enabled,
-    targets are always normalized.
-    """
-    images = sequences.image_sequences if model.use_image else None
-    powers = (
-        normalizer.normalize(sequences.power_sequences) if model.use_rf else None
-    )
-    targets = normalizer.normalize(sequences.targets)
-    return images, powers, targets
-
-
-def predict_sequences_dbm(
-    protocol: SplitTrainingProtocol,
-    normalizer: PowerNormalizer,
-    sequences: SequenceDataset,
-    batch_size: int,
-) -> np.ndarray:
-    """Denormalized (dBm) predictions of ``protocol`` over ``sequences``.
-
-    The evaluation path shared by the single-UE and fleet trainers.
-    """
-    images, powers, _ = normalized_training_inputs(
-        protocol.config.model, normalizer, sequences
-    )
-    normalized = protocol.predict(images, powers, batch_size=batch_size)
-    return normalizer.denormalize(normalized)
-
-
-@dataclass
-class EpochRecord:
-    """One point of the learning curve."""
-
-    epoch: int
-    elapsed_s: float
-    train_loss: float
-    validation_rmse_db: float
-    steps: int
-    lost_steps: int
-
-
-class LearningCurveMixin:
-    """Metric helpers shared by every history with learning-curve records.
-
-    Works on any ``records`` list whose entries carry ``elapsed_s`` and
-    ``validation_rmse_db`` (per-epoch records here, per-round records in the
-    fleet trainer), so single-UE and fleet metrics can never drift apart.
-    """
-
-    records: list
-
-    @property
-    def final_rmse_db(self) -> float:
-        if not self.records:
-            return float("nan")
-        return self.records[-1].validation_rmse_db
-
-    @property
-    def best_rmse_db(self) -> float:
-        if not self.records:
-            return float("nan")
-        return min(record.validation_rmse_db for record in self.records)
-
-    @property
-    def elapsed_times_s(self) -> np.ndarray:
-        return np.array([record.elapsed_s for record in self.records])
-
-    @property
-    def validation_rmse_curve_db(self) -> np.ndarray:
-        return np.array([record.validation_rmse_db for record in self.records])
-
-    def time_to_reach_db(self, rmse_db: float) -> float:
-        """Simulated time needed to first reach ``rmse_db`` (inf if never)."""
-        for record in self.records:
-            if record.validation_rmse_db <= rmse_db:
-                return record.elapsed_s
-        return float("inf")
-
-
-@dataclass
-class TrainingHistory(LearningCurveMixin):
-    """Full record of one training run.
-
-    Attributes:
-        scheme: human-readable scheme label (e.g. ``"Img+RF, pooling 40x40"``).
-        records: per-epoch learning-curve points.
-        reached_target: whether the RMSE target stopped training early.
-        total_elapsed_s: simulated wall-clock time of the whole run.
-        communication: snapshot of the aggregate ARQ statistics for this run
-            (``None`` for RF-only; streaming mean/std of per-step slots and
-            latency, never a per-step history).
-    """
-
-    scheme: str
-    records: List[EpochRecord] = field(default_factory=list)
-    reached_target: bool = False
-    total_elapsed_s: float = 0.0
-    communication: Optional[ArqStatistics] = None
-
-    def state_dict(self) -> dict:
-        """JSON-able history-so-far (for checkpoints; excludes the end-of-run
-        ``total_elapsed_s``/``communication``, which ``fit`` re-derives)."""
-        return {
-            "scheme": self.scheme,
-            "records": [asdict(record) for record in self.records],
-            "reached_target": self.reached_target,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "TrainingHistory":
-        """Rebuild a history captured by :meth:`state_dict`."""
-        return cls(
-            scheme=str(state["scheme"]),
-            records=[EpochRecord(**record) for record in state["records"]],
-            reached_target=bool(state["reached_target"]),
-        )
-
-
-class NormalizedEvaluationMixin:
-    """The single normalized-eval code path shared by every trainer.
-
-    Both trainers (and, through them, every experiment runner) evaluate by
-    denormalizing protocol predictions back to dBm and scoring RMSE against
-    the raw targets.  Subclasses provide ``normalizer``, ``config`` and the
-    protocol holding the freshest weights via :meth:`_evaluation_protocol`.
-    """
-
-    normalizer: Optional[PowerNormalizer]
-    config: ExperimentConfig
-
-    def _evaluation_protocol(self) -> SplitTrainingProtocol:
-        raise NotImplementedError
-
-    def predict_dbm(self, sequences: SequenceDataset) -> np.ndarray:
-        """Predict received power in dBm for every window of ``sequences``."""
-        if self.normalizer is None:
-            raise RuntimeError("the trainer has not been fitted yet")
-        return predict_sequences_dbm(
-            self._evaluation_protocol(),
-            self.normalizer,
-            sequences,
-            self.config.training.eval_batch_size,
-        )
-
-    def evaluate(self, sequences: SequenceDataset) -> float:
-        """Validation RMSE in dB (predictions and targets in dBm)."""
-        predictions = self.predict_dbm(sequences)
-        return root_mean_squared_error(predictions, sequences.targets)
-
-    # -- normalizer (de)serialization, shared by both trainers' checkpoints --------
-    def _normalizer_state(self) -> Optional[dict]:
-        """JSON-able normalizer state (``None`` before the first fit)."""
-        return None if self.normalizer is None else asdict(self.normalizer)
-
-    def _restore_normalizer(self, state: dict) -> None:
-        """Restore the normalizer from a trainer state tree, when present."""
-        if "normalizer" in state:
-            self.normalizer = PowerNormalizer(**state["normalizer"])
-
-
-class SplitTrainer(NormalizedEvaluationMixin):
+class SplitTrainer(FleetTrainer):
     """Trains a split model on sequence datasets with simulated wall-clock time.
 
     Args:
@@ -207,193 +24,9 @@ class SplitTrainer(NormalizedEvaluationMixin):
     """
 
     def __init__(self, config: ExperimentConfig):
-        self.config = config
-        self.protocol = SplitTrainingProtocol(config)
-        self.normalizer: Optional[PowerNormalizer] = None
-        self._rng = as_generator(config.training.seed)
+        super().__init__(config, SINGLE_UE)
 
-    # -- data preparation -------------------------------------------------------------
-    def _prepare_inputs(self, sequences: SequenceDataset):
-        """Normalize powers and targets; images are already in [0, 1]."""
-        assert self.normalizer is not None
-        return normalized_training_inputs(
-            self.config.model, self.normalizer, sequences
-        )
-
-    # -- run state ----------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Complete restorable trainer state (see :mod:`repro.split.checkpoint`)."""
-        state = {
-            "protocol": self.protocol.state_dict(),
-            "batch_rng": capture_generator_state(self._rng),
-        }
-        normalizer = self._normalizer_state()
-        if normalizer is not None:
-            state["normalizer"] = normalizer
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore trainer state captured by :meth:`state_dict`."""
-        self.protocol.load_state_dict(state["protocol"])
-        restore_generator_state(self._rng, state["batch_rng"])
-        self._restore_normalizer(state)
-
-    def _capture_checkpoint(
-        self, history: TrainingHistory, epoch: int, elapsed_s: float
-    ) -> Checkpoint:
-        return Checkpoint(
-            kind=SPLIT_KIND,
-            progress=epoch,
-            elapsed_s=elapsed_s,
-            history=history.state_dict(),
-            state=self.state_dict(),
-            meta={"scheme": history.scheme},
-        )
-
-    def final_checkpoint(self, history: TrainingHistory) -> Checkpoint:
-        """Checkpoint of a finished ``fit`` (the trained-model cache entry).
-
-        Resuming from it returns ``history`` immediately — which is how the
-        experiment pipeline serves trained-model cache hits.
-        """
-        progress = history.records[-1].epoch if history.records else 0
-        return self._capture_checkpoint(history, progress, history.total_elapsed_s)
-
-    def _restore_checkpoint(self, checkpoint: Checkpoint) -> TrainingHistory:
-        expected = self.config.model.describe()
-        stored = checkpoint.meta.get("scheme")
-        if stored != expected:
-            raise ValueError(
-                f"checkpoint was written for scheme {stored!r}, this trainer "
-                f"runs {expected!r}"
-            )
-        self.load_state_dict(checkpoint.state)
-        return TrainingHistory.from_state(checkpoint.history)
-
-    # -- training -----------------------------------------------------------------------
-    def fit(
-        self,
-        train: SequenceDataset,
-        validation: SequenceDataset,
-        max_epochs: Optional[int] = None,
-        *,
-        checkpoint_path: str | os.PathLike | None = None,
-        checkpoint_every: int = 1,
-        resume_from: Optional[CheckpointLike] = None,
-    ) -> TrainingHistory:
-        """Train until the validation RMSE target or the epoch budget is hit.
-
-        Args:
-            train / validation: sequence datasets (when resuming, pass the
-                *same* data the checkpointed run used).
-            max_epochs: epoch budget (default: the training config's).
-            checkpoint_path: when set, an epoch-granular :class:`Checkpoint`
-                is written (atomically) to this path every
-                ``checkpoint_every`` epochs and at the end of the run.
-            checkpoint_every: checkpoint cadence in epochs.
-            resume_from: a :class:`Checkpoint` (or path to one) produced by a
-                previous ``fit`` with the same configuration and data.  The
-                continued run draws the same RNG streams the uninterrupted
-                run would have drawn, so the resulting history and final
-                weights are bit-identical to never having stopped.  A
-                checkpoint of a finished run returns its history immediately.
-        """
-        training = self.config.training
-        model = self.config.model
-        max_epochs = training.max_epochs if max_epochs is None else max_epochs
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be at least 1")
-
-        if resume_from is not None:
-            checkpoint = resolve_checkpoint(resume_from, SPLIT_KIND)
-            history = self._restore_checkpoint(checkpoint)
-            elapsed_s = checkpoint.elapsed_s
-            start_epoch = checkpoint.progress
-        else:
-            self.normalizer = PowerNormalizer.fit(
-                train.power_sequences, train.targets
-            )
-            if self.protocol.arq is not None:
-                # Each fresh fit() accounts its own communication: stale
-                # counts from a previous run on the same trainer must not
-                # leak into this one.  (A resumed fit keeps the restored
-                # counts — they belong to this run.)
-                self.protocol.arq.reset_statistics()
-            history = TrainingHistory(scheme=model.describe())
-            elapsed_s = 0.0
-            start_epoch = 0
-
-        train_images, train_powers, train_targets = self._prepare_inputs(train)
-        batch_size = min(training.batch_size, len(train))
-
-        for epoch in range(start_epoch + 1, max_epochs + 1):
-            if history.reached_target:
-                break
-            epoch_losses: List[float] = []
-            lost_steps = 0
-            for _ in range(training.steps_per_epoch):
-                batch_indices = self._rng.choice(
-                    len(train), size=batch_size, replace=False
-                )
-                image_batch = (
-                    train_images[batch_indices] if train_images is not None else None
-                )
-                power_batch = (
-                    train_powers[batch_indices] if train_powers is not None else None
-                )
-                target_batch = train_targets[batch_indices]
-                result = self.protocol.training_step(
-                    image_batch, power_batch, target_batch
-                )
-                elapsed_s += result.elapsed_s
-                if result.updated:
-                    epoch_losses.append(result.loss)
-                else:
-                    lost_steps += 1
-
-            validation_rmse = self.evaluate(validation)
-            record = EpochRecord(
-                epoch=epoch,
-                elapsed_s=elapsed_s,
-                train_loss=float(np.mean(epoch_losses)) if epoch_losses else float("nan"),
-                validation_rmse_db=validation_rmse,
-                steps=training.steps_per_epoch,
-                lost_steps=lost_steps,
-            )
-            history.records.append(record)
-            logger.debug(
-                "%s epoch %d: elapsed %.2fs, val RMSE %.2f dB",
-                history.scheme,
-                epoch,
-                elapsed_s,
-                validation_rmse,
-            )
-            if validation_rmse <= training.target_rmse_db:
-                history.reached_target = True
-            if checkpoint_path is not None and (
-                history.reached_target
-                or epoch == max_epochs
-                or epoch % checkpoint_every == 0
-            ):
-                self._capture_checkpoint(history, epoch, elapsed_s).save(
-                    checkpoint_path
-                )
-            if history.reached_target:
-                break
-
-        history.total_elapsed_s = elapsed_s
-        if self.protocol.arq is not None:
-            # Snapshot, not the live object: later steps on this session (or a
-            # second fit) must not mutate the returned history.
-            history.communication = self.protocol.arq.statistics.snapshot()
-        return history
-
-    # -- evaluation -----------------------------------------------------------------------
-    def _evaluation_protocol(self) -> SplitTrainingProtocol:
-        """Evaluation entry point of the single-UE trainer: its one protocol.
-
-        ``predict_dbm``/``evaluate`` come from
-        :class:`NormalizedEvaluationMixin` — the eval path shared with the
-        fleet trainer and the experiment pipeline.
-        """
-        return self.protocol
+    @property
+    def protocol(self) -> SplitTrainingProtocol:
+        """The one UE's protocol (its ``bs`` is the trainer's BS)."""
+        return self.fleet.members[0].protocol

@@ -16,7 +16,7 @@ from repro.experiments.pipeline import (
     TrainingJob,
     experiment_specs,
 )
-from repro.fleet import FleetConfig
+from repro.fleet import FleetConfig, FleetTrainer
 from repro.split import ExperimentConfig
 
 
@@ -78,9 +78,12 @@ def test_training_job_validation(smoke_scale):
         model=smoke_scale.base_model_config(),
         training=smoke_scale.training_config(),
     )
-    with pytest.raises(ValueError, match="kind"):
-        TrainingJob(key="x", config=config, kind="quantum")
-    with pytest.raises(ValueError, match="fleet_config"):
+    # Every job trains on the fleet engine; a single-UE job is the rotation
+    # fleet of one, and the retired trainer-kind switch is refused.
+    job = TrainingJob(key="x", config=config)
+    assert job.fleet_config == FleetConfig(num_ues=1, mode="rotation")
+    assert isinstance(job.build_trainer(), FleetTrainer)
+    with pytest.raises(TypeError, match="kind"):
         TrainingJob(key="x", config=config, kind="fleet")
 
 
@@ -96,7 +99,10 @@ def test_fingerprint_separates_configurations(smoke_scale):
     base = trained_model_fingerprint(smoke_scale, config)
     assert base == trained_model_fingerprint(smoke_scale, config)
     assert base != trained_model_fingerprint(smoke_scale.with_seed(1), config)
-    assert base != trained_model_fingerprint(smoke_scale, config, kind="fleet",
+    assert base == trained_model_fingerprint(
+        smoke_scale, config, fleet_config=FleetConfig(num_ues=1, mode="rotation")
+    )
+    assert base != trained_model_fingerprint(smoke_scale, config,
                                              fleet_config=FleetConfig(num_ues=2))
     assert base != trained_model_fingerprint(smoke_scale, config,
                                              extra={"max_rounds": 1})
@@ -116,9 +122,7 @@ def test_fingerprint_ignores_backend_and_hashes_trajectory_version(
 
     def fleet_key(backend):
         fleet = FleetConfig(num_ues=2, mode="parallel_average", backend=backend)
-        return trained_model_fingerprint(
-            smoke_scale, config, kind="fleet", fleet_config=fleet
-        )
+        return trained_model_fingerprint(smoke_scale, config, fleet_config=fleet)
 
     # The backends are bitwise identical, so they share cache entries.
     assert fleet_key("loop") == fleet_key("batched") == fleet_key("auto")
@@ -188,7 +192,7 @@ def test_checkpoint_resume_roundtrip_through_pipeline(
     trainer.fit(
         smoke_split.train,
         smoke_split.validation,
-        max_epochs=1,
+        max_rounds=1,
         checkpoint_path=partial.checkpoint_path(job, partial.job_fingerprint(job)),
     )
     resumed_pipeline = ExperimentPipeline(

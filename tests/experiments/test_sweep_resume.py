@@ -194,9 +194,9 @@ def test_checkpointed_sweep_cell_resumes_training(sweep_cache_dir, tmp_path):
 
     # Kill the cell mid-experiment: let two schemes finish, then die.  Their
     # training checkpoints survive under the cell's checkpoint directory.
-    from repro.split.trainer import SplitTrainer
+    from repro.fleet.trainer import FleetTrainer
 
-    original_fit = SplitTrainer.fit
+    original_fit = FleetTrainer.fit
     fits = []
 
     def dying_fit(self, *args, **kwargs):
@@ -205,12 +205,12 @@ def test_checkpointed_sweep_cell_resumes_training(sweep_cache_dir, tmp_path):
         fits.append(1)
         return original_fit(self, *args, **kwargs)
 
-    SplitTrainer.fit = dying_fit
+    FleetTrainer.fit = dying_fit
     try:
         with pytest.raises(RuntimeError):
             run_sweep(config)
     finally:
-        SplitTrainer.fit = original_fit
+        FleetTrainer.fit = original_fit
     assert list(checkpoints.rglob("*.npz")), "per-job checkpoints must exist"
 
     import dataclasses

@@ -105,7 +105,7 @@ def test_n1_rotation_cell_equals_single_ue_golden(
         training=smoke_scale.training_config(),
     )
     golden = SplitTrainer(config).fit(
-        smoke_split.train, smoke_split.validation, max_epochs=2
+        smoke_split.train, smoke_split.validation, max_rounds=2
     )
     cell = scaling_result.artifact()["cells"]["rotation"]["1"]
     assert cell["rmse_curve_db"] == golden.validation_rmse_curve_db.tolist()

@@ -153,13 +153,15 @@ def test_checkpoint_rejects_mismatched_fleet_shape(config, small_split, tmp_path
 
 
 def test_split_checkpoint_rejected_by_fleet(config, small_split, tmp_path):
-    from repro.split import SplitTrainer
+    """The single-UE trainer is a fleet of one; its checkpoint must not resume a
+    larger fleet."""
+    from repro.split.trainer import SplitTrainer
 
     path = tmp_path / "split.npz"
     SplitTrainer(config).fit(
-        small_split.train, small_split.validation, max_epochs=1, checkpoint_path=path
+        small_split.train, small_split.validation, max_rounds=1, checkpoint_path=path
     )
-    with pytest.raises(ValueError, match="fleet"):
+    with pytest.raises(ValueError, match="num_ues is 1, this trainer runs 2"):
         FleetTrainer(config, FleetConfig(num_ues=2, mode="rotation")).fit(
             small_split.train, small_split.validation, resume_from=path
         )

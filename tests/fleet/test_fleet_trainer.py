@@ -1,16 +1,23 @@
 """Tests for ``UEFleet`` / ``FleetTrainer``.
 
-The anchor of the subsystem: a fleet of one in rotation mode must reproduce
-the single-UE ``SplitTrainer`` *draw for draw* — identical elapsed times,
-losses, RMSE trajectory and communication statistics.
+The anchor of the engine: ``SplitTrainer``, the rotation fleet of one, must
+reproduce the paper's single-UE loop *draw for draw* — identical elapsed
+times, losses, RMSE trajectory and communication statistics.  The loop is
+restated below as a test-side oracle that drives the protocol directly.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.channel import PAPER_CHANNEL_PARAMS
+from repro.channel.params import LinkParams
 from repro.fleet import FleetConfig, FleetTrainer, UEFleet, shard_indices
+from repro.nn.metrics import root_mean_squared_error
 from repro.scenarios import fleet_channel_params, fleet_placements
-from repro.split import ExperimentConfig
+from repro.split import ExperimentConfig, PowerNormalizer, SplitTrainingProtocol
 from repro.split.trainer import SplitTrainer
+from repro.utils.seeding import as_generator
 
 
 @pytest.fixture(scope="module")
@@ -22,42 +29,109 @@ def smoke_config(smoke_scale):
     )
 
 
+def lossy_config(smoke_scale, **training):
+    """Unpooled payloads over a 32 m link with no retransmissions.
+
+    The uplink per-slot success probability drops to ~0.5 for the smoke
+    payload and the weakened downlink to ~0.4, so both directions fail
+    regularly: the gated-downlink path and wholly lost steps are exercised.
+    """
+    return ExperimentConfig(
+        model=smoke_scale.base_model_config().with_pooling(1),
+        training=dataclasses.replace(
+            smoke_scale.training_config(), max_retransmissions=0, **training
+        ),
+        channel=dataclasses.replace(
+            PAPER_CHANNEL_PARAMS,
+            distance_m=32.0,
+            downlink=LinkParams(transmit_power_dbm=-10.0, bandwidth_hz=100e6),
+        ),
+    )
+
+
 # -- the N=1 correctness anchor -----------------------------------------------------
 
 
-def test_single_ue_rotation_reproduces_split_trainer(smoke_config, smoke_split):
-    single = SplitTrainer(smoke_config).fit(
-        smoke_split.train, smoke_split.validation
-    )
-    fleet = FleetTrainer(
-        smoke_config, FleetConfig(num_ues=1, mode="rotation")
-    ).fit(smoke_split.train, smoke_split.validation)
+def single_ue_loop(config, train, validation):
+    """The paper's single-UE loop, restated: one protocol, one batch stream
+    seeded by the training seed, the simulated clock advanced per step."""
+    training, model = config.training, config.model
+    protocol = SplitTrainingProtocol(config)
+    rng = as_generator(training.seed)
+    normalizer = PowerNormalizer.fit(train.power_sequences, train.targets)
 
-    assert len(fleet.records) == len(single.records)
-    for single_record, fleet_record in zip(single.records, fleet.records):
-        assert fleet_record.round == single_record.epoch
-        assert fleet_record.elapsed_s == single_record.elapsed_s
-        assert fleet_record.validation_rmse_db == single_record.validation_rmse_db
-        assert fleet_record.steps == single_record.steps
-        assert fleet_record.lost_steps == single_record.lost_steps
-        if np.isnan(single_record.train_loss):
-            assert np.isnan(fleet_record.train_loss)
-        else:
-            assert fleet_record.train_loss == single_record.train_loss
-    assert fleet.total_elapsed_s == single.total_elapsed_s
-    assert fleet.reached_target == single.reached_target
+    def inputs(sequences):
+        images = sequences.image_sequences if model.use_image else None
+        powers = normalizer.normalize(sequences.power_sequences) if model.use_rf else None
+        return images, powers
 
-    # Communication statistics must match field for field.
-    assert fleet.communication is not None and single.communication is not None
-    assert fleet.communication.steps == single.communication.steps
-    assert fleet.communication.uplink_slots == single.communication.uplink_slots
-    assert (
-        fleet.communication.downlink_slots == single.communication.downlink_slots
+    images, powers = inputs(train)
+    targets = normalizer.normalize(train.targets)
+    batch_size = min(training.batch_size, len(train))
+    records, elapsed_s = [], 0.0
+    for epoch in range(1, training.max_epochs + 1):
+        losses, lost = [], 0
+        for _ in range(training.steps_per_epoch):
+            batch = rng.choice(len(train), size=batch_size, replace=False)
+            result = protocol.training_step(
+                None if images is None else images[batch],
+                None if powers is None else powers[batch],
+                targets[batch],
+            )
+            elapsed_s += result.elapsed_s
+            if result.updated:
+                losses.append(result.loss)
+            else:
+                lost += 1
+        predictions = normalizer.denormalize(protocol.predict(*inputs(validation)))
+        rmse = root_mean_squared_error(predictions, validation.targets)
+        loss = float(np.mean(losses)) if losses else float("nan")
+        records.append((epoch, elapsed_s, loss, rmse, training.steps_per_epoch, lost))
+        if rmse <= training.target_rmse_db:
+            break
+    return records, elapsed_s, protocol.arq.statistics if protocol.arq else None
+
+
+@pytest.mark.parametrize("scheme", ["img+rf", "rf-only", "lossy"])
+def test_split_trainer_matches_single_ue_loop_oracle(smoke_scale, smoke_split, scheme):
+    # Six epochs of five steps: enough that summing each epoch's steps
+    # before adding them to the clock rounds differently from adding step by
+    # step.
+    training = dict(max_epochs=6, steps_per_epoch=5)
+    if scheme == "lossy":
+        config = lossy_config(smoke_scale, **training)
+    else:
+        model = smoke_scale.base_model_config()
+        if scheme == "rf-only":
+            model = dataclasses.replace(model, use_image=False)
+        config = ExperimentConfig.for_scenario(
+            smoke_scale.scenario,
+            model=model,
+            training=dataclasses.replace(smoke_scale.training_config(), **training),
+        )
+    records, elapsed_s, communication = single_ue_loop(
+        config, smoke_split.train, smoke_split.validation
     )
-    assert fleet.communication.slots_mean == single.communication.slots_mean
-    assert (
-        fleet.communication.latency_mean_s == single.communication.latency_mean_s
-    )
+    history = SplitTrainer(config).fit(smoke_split.train, smoke_split.validation)
+
+    def exact(rows):  # float.hex: bitwise, and NaN losses compare equal
+        return [tuple(float(v).hex() for v in row) for row in rows]
+
+    assert exact(
+        (r.round, r.elapsed_s, r.train_loss, r.validation_rmse_db, r.steps, r.lost_steps)
+        for r in history.records
+    ) == exact(records)
+    assert history.total_elapsed_s == elapsed_s
+    if scheme == "rf-only":
+        assert communication is None and history.communication is None
+    else:
+        assert dataclasses.asdict(history.communication) == dataclasses.asdict(
+            communication
+        )
+    if scheme == "lossy":  # the link really loses steps, both directions
+        assert sum(r.lost_steps for r in history.records) > 0
+        assert communication.uplink_failures > 0
+        assert communication.downlink_failures > 0
 
 
 def test_single_ue_parallel_average_matches_single_trainer_rmse(
@@ -86,26 +160,9 @@ def test_single_ue_parallel_average_matches_trainer_on_lossy_link(
     single-UE trainer and an N=1 parallel-average fleet (the BS compute slot
     is charged on lost steps too).
     """
-    from dataclasses import replace
-
-    from repro.channel import PAPER_CHANNEL_PARAMS
-    from repro.channel.params import LinkParams
-
-    # A 32 m link drops the uplink per-slot success probability to ~0.5 for
-    # the unpooled smoke payload, and the weakened downlink to ~0.4; with a
-    # zero-retransmission cap both directions fail regularly, exercising the
-    # gated-downlink path and the wholly-lost joint step (BS must not update).
-    config = ExperimentConfig(
-        model=smoke_scale.base_model_config().with_pooling(1),
-        training=replace(smoke_scale.training_config(), max_retransmissions=0),
-        channel=replace(
-            PAPER_CHANNEL_PARAMS,
-            distance_m=32.0,
-            downlink=LinkParams(transmit_power_dbm=-10.0, bandwidth_hz=100e6),
-        ),
-    )
+    config = lossy_config(smoke_scale)
     single = SplitTrainer(config).fit(
-        smoke_split.train, smoke_split.validation, max_epochs=4
+        smoke_split.train, smoke_split.validation, max_rounds=4
     )
     fleet = FleetTrainer(
         config, FleetConfig(num_ues=1, mode="parallel_average")
@@ -149,13 +206,29 @@ def test_same_seed_same_trajectory(smoke_config, smoke_split, mode):
 
 
 def test_fleet_requires_image_branch(smoke_config):
-    from dataclasses import replace
-
-    rf_only = replace(
-        smoke_config, model=replace(smoke_config.model, use_image=False)
+    rf_only = dataclasses.replace(
+        smoke_config, model=dataclasses.replace(smoke_config.model, use_image=False)
     )
     with pytest.raises(ValueError, match="RF-only"):
         UEFleet(rf_only, FleetConfig(num_ues=2))
+
+
+def test_rf_only_trains_only_as_the_single_ue_rotation_fleet(smoke_config, smoke_split):
+    rf_only = dataclasses.replace(
+        smoke_config, model=dataclasses.replace(smoke_config.model, use_image=False)
+    )
+    history = FleetTrainer(rf_only, FleetConfig(num_ues=1, mode="rotation")).fit(
+        smoke_split.train, smoke_split.validation
+    )
+    assert history.records and history.communication is None
+    assert history.per_ue_communication == []
+    assert all(r.medium_busy_s == 0.0 and r.lost_steps == 0 for r in history.records)
+    for shape in (
+        FleetConfig(num_ues=2, mode="rotation"),
+        FleetConfig(num_ues=1, mode="parallel_average"),
+    ):
+        with pytest.raises(ValueError, match="RF-only baseline has no UE-side model"):
+            FleetTrainer(rf_only, shape)
 
 
 def test_fleet_member_zero_keeps_nominal_channel(smoke_config):

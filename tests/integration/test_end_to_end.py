@@ -3,14 +3,9 @@ import numpy as np
 import pytest
 
 from repro.dataset import build_sequences, temporal_split
-from repro.split import (
-    ExperimentConfig,
-    ModelConfig,
-    MultimodalSplitPredictor,
-    RFOnlyPredictor,
-    SplitTrainer,
-    TrainingConfig,
-)
+from repro.split import ExperimentConfig, ModelConfig, TrainingConfig
+from repro.split.predictors import MultimodalSplitPredictor, RFOnlyPredictor
+from repro.split.trainer import SplitTrainer
 
 
 def test_full_pipeline_improves_over_untrained(small_split, tiny_model_config):

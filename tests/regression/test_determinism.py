@@ -9,7 +9,8 @@ import pytest
 
 from repro.dataset.generator import MmWaveDepthDatasetGenerator
 from repro.experiments import ExperimentScale, generate_dataset, prepare_split
-from repro.split import ExperimentConfig, SplitTrainer
+from repro.split import ExperimentConfig
+from repro.split.trainer import SplitTrainer
 from repro.utils.seeding import as_generator, spawn_generators
 
 

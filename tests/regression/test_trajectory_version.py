@@ -35,7 +35,8 @@ import numpy as np
 import pytest
 
 from repro.dataset.cache import TRAJECTORY_VERSION
-from repro.split import ExperimentConfig, SplitTrainer
+from repro.split import ExperimentConfig
+from repro.split.trainer import SplitTrainer
 
 PINNED_VERSION = 1
 PINNED_DIGEST = "2e228335b854fb399847002581c7b32afd6c4bbdda9184515fa8e5e37ec163b9"

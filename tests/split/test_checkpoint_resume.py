@@ -4,7 +4,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.split import Checkpoint, ExperimentConfig, ModelConfig, SplitTrainer, TrainingConfig
+from repro.fleet import FleetConfig, FleetTrainer
+from repro.split import Checkpoint, ExperimentConfig, TrainingConfig
+from repro.split.trainer import SplitTrainer
 
 MAX_EPOCHS = 4
 
@@ -42,7 +44,7 @@ def test_resume_at_every_epoch_is_bit_identical(config, small_split, tmp_path):
         SplitTrainer(config).fit(
             small_split.train,
             small_split.validation,
-            max_epochs=stop_after,
+            max_rounds=stop_after,
             checkpoint_path=path,
         )
         resumed_trainer = SplitTrainer(config)
@@ -62,7 +64,7 @@ def test_resume_at_every_epoch_is_bit_identical(config, small_split, tmp_path):
 def test_resume_accepts_checkpoint_instance(config, small_split, tmp_path):
     path = tmp_path / "ckpt.npz"
     SplitTrainer(config).fit(
-        small_split.train, small_split.validation, max_epochs=2, checkpoint_path=path
+        small_split.train, small_split.validation, max_rounds=2, checkpoint_path=path
     )
     checkpoint = Checkpoint.load(path)
     resumed = SplitTrainer(config).fit(
@@ -79,7 +81,8 @@ def test_completed_checkpoint_returns_history_without_training(
         small_split.train, small_split.validation, checkpoint_path=path
     )
     trainer = SplitTrainer(config)
-    batch_rng_before = trainer._rng.bit_generator.state
+    batch_rng = trainer.fleet.members[0].batch_rng
+    batch_rng_before = batch_rng.bit_generator.state
 
     again = trainer.fit(
         small_split.train, small_split.validation, resume_from=path
@@ -87,7 +90,7 @@ def test_completed_checkpoint_returns_history_without_training(
     assert records_of(again) == records_of(full)
     # The restored batch stream advanced past the whole run, proving the
     # trainer took the restore path rather than redrawing from scratch.
-    assert trainer._rng.bit_generator.state != batch_rng_before
+    assert batch_rng.bit_generator.state != batch_rng_before
     # The restored trainer evaluates (weights + normalizer are in place).
     assert np.isfinite(trainer.evaluate(small_split.validation))
 
@@ -112,7 +115,7 @@ def test_resume_with_topk_codec_is_bit_identical(config, small_split, tmp_path):
         SplitTrainer(topk).fit(
             small_split.train,
             small_split.validation,
-            max_epochs=stop_after,
+            max_rounds=stop_after,
             checkpoint_path=path,
         )
         resumed_trainer = SplitTrainer(topk)
@@ -135,7 +138,7 @@ def test_resume_with_topk_codec_is_bit_identical(config, small_split, tmp_path):
 def test_checkpoint_rejects_mismatched_codec(config, small_split, tmp_path):
     path = tmp_path / "identity.npz"
     SplitTrainer(config).fit(
-        small_split.train, small_split.validation, max_epochs=1, checkpoint_path=path
+        small_split.train, small_split.validation, max_rounds=1, checkpoint_path=path
     )
     topk = dataclasses.replace(
         config, model=dataclasses.replace(config.model, codec="topk")
@@ -152,7 +155,7 @@ def test_rf_only_trainer_checkpoints_without_arq(config, small_split, tmp_path):
     )
     path = tmp_path / "rf.npz"
     SplitTrainer(rf_only).fit(
-        small_split.train, small_split.validation, max_epochs=2, checkpoint_path=path
+        small_split.train, small_split.validation, max_rounds=2, checkpoint_path=path
     )
     reference = SplitTrainer(rf_only).fit(small_split.train, small_split.validation)
     resumed = SplitTrainer(rf_only).fit(
@@ -165,7 +168,7 @@ def test_rf_only_trainer_checkpoints_without_arq(config, small_split, tmp_path):
 def test_checkpoint_rejects_mismatched_scheme(config, small_split, tmp_path):
     path = tmp_path / "ckpt.npz"
     SplitTrainer(config).fit(
-        small_split.train, small_split.validation, max_epochs=1, checkpoint_path=path
+        small_split.train, small_split.validation, max_rounds=1, checkpoint_path=path
     )
     other = dataclasses.replace(
         config, model=dataclasses.replace(config.model, use_rf=False)
@@ -177,16 +180,23 @@ def test_checkpoint_rejects_mismatched_scheme(config, small_split, tmp_path):
 
 
 def test_checkpoint_rejects_wrong_kind(config, small_split, tmp_path):
+    """A checkpoint of another kind, such as a ``"split"`` one from before the
+    single-UE trainer became a fleet of one, fails loudly on its kind rather
+    than on a missing state key."""
     path = tmp_path / "ckpt.npz"
     SplitTrainer(config).fit(
-        small_split.train, small_split.validation, max_epochs=1, checkpoint_path=path
+        small_split.train, small_split.validation, max_rounds=1, checkpoint_path=path
     )
-    checkpoint = Checkpoint.load(path)
-    forged = dataclasses.replace(checkpoint, kind="fleet")
-    with pytest.raises(ValueError, match="kind|resume"):
-        SplitTrainer(config).fit(
-            small_split.train, small_split.validation, resume_from=forged
-        )
+    forged = tmp_path / "split.npz"
+    dataclasses.replace(Checkpoint.load(path), kind="split").save(forged)
+    for trainer in (
+        SplitTrainer(config),
+        FleetTrainer(config, FleetConfig(num_ues=2, mode="rotation")),
+    ):
+        with pytest.raises(
+            ValueError, match="cannot resume a 'fleet' trainer from a 'split' checkpoint"
+        ):
+            trainer.fit(small_split.train, small_split.validation, resume_from=forged)
 
 
 def test_checkpoint_every_controls_cadence(config, small_split, tmp_path):
@@ -194,7 +204,7 @@ def test_checkpoint_every_controls_cadence(config, small_split, tmp_path):
     SplitTrainer(config).fit(
         small_split.train,
         small_split.validation,
-        max_epochs=3,
+        max_rounds=3,
         checkpoint_path=path,
         checkpoint_every=2,
     )

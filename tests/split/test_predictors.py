@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.split import (
+from repro.split.predictors import (
     ImageOnlyPredictor,
     MultimodalSplitPredictor,
     RFOnlyPredictor,

@@ -9,10 +9,10 @@ from repro.split import (
     ExperimentConfig,
     ModelConfig,
     PowerNormalizer,
-    SplitTrainer,
     SplitTrainingProtocol,
     TrainingConfig,
 )
+from repro.split.trainer import SplitTrainer
 
 
 @pytest.fixture()
@@ -199,7 +199,7 @@ def test_trainer_fit_records_learning_curve(tiny_experiment_config, small_split)
     trainer = SplitTrainer(tiny_experiment_config)
     history = trainer.fit(small_split.train, small_split.validation)
     assert len(history.records) >= 1
-    assert history.records[0].epoch == 1
+    assert history.records[0].round == 1
     assert history.total_elapsed_s > 0.0
     assert np.all(np.diff(history.elapsed_times_s) > 0)
     assert np.isfinite(history.final_rmse_db)
@@ -263,7 +263,7 @@ def test_trainer_early_stop_on_loose_target(tiny_model_config, small_split):
 
 def test_trainer_respects_max_epochs_override(tiny_experiment_config, small_split):
     trainer = SplitTrainer(tiny_experiment_config)
-    history = trainer.fit(small_split.train, small_split.validation, max_epochs=1)
+    history = trainer.fit(small_split.train, small_split.validation, max_rounds=1)
     assert len(history.records) == 1
 
 
@@ -274,13 +274,13 @@ def test_trainer_evaluate_before_fit_raises(tiny_experiment_config, small_split)
 
 
 def test_history_time_to_reach():
-    from repro.split.trainer import EpochRecord, TrainingHistory
+    from repro.fleet import FleetHistory, FleetRoundRecord
 
-    history = TrainingHistory(scheme="test")
+    history = FleetHistory(scheme="test", num_ues=1, mode="rotation", scheduler="round_robin")
     history.records = [
-        EpochRecord(1, 1.0, 0.5, 6.0, 2, 0),
-        EpochRecord(2, 2.0, 0.4, 4.0, 2, 0),
-        EpochRecord(3, 3.5, 0.3, 3.0, 2, 0),
+        FleetRoundRecord(1, 1.0, 1.0, 0.5, 6.0, 2, 0, 0.5, 0.5),
+        FleetRoundRecord(2, 2.0, 1.0, 0.4, 4.0, 2, 0, 0.5, 0.5),
+        FleetRoundRecord(3, 3.5, 1.5, 0.3, 3.0, 2, 0, 0.5, 1 / 3),
     ]
     assert history.time_to_reach_db(4.5) == pytest.approx(2.0)
     assert history.time_to_reach_db(2.0) == float("inf")

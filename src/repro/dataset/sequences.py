@@ -90,6 +90,17 @@ class SequenceDataset:
         )
 
     @property
+    def frame_indices(self) -> np.ndarray:
+        """``(M, L)`` source-dataset frame behind every window element.
+
+        Window ``m`` ends at frame ``k = last_indices[m]`` and covers frames
+        ``k - L + 1, ..., k``, so ``image_sequences[m, l]`` is frame
+        ``frame_indices[m, l]``.  Consecutive windows share ``L - 1`` frames;
+        inference runs the UE CNN once per distinct frame by these ids.
+        """
+        return self.last_indices[:, None] + np.arange(1 - self.sequence_length, 1)
+
+    @property
     def target_times_s(self) -> np.ndarray:
         """Absolute times of the prediction targets."""
         return (self.last_indices + self.horizon_frames) * self.frame_interval_s

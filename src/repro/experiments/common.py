@@ -41,8 +41,8 @@ class ExperimentScale:
         validation_windows: cap on the number of validation windows used for
             the per-epoch RMSE (None = all); keeps numpy inference cheap.
         eval_batch_size: inference minibatch size; bounds the cached im2col /
-            recurrent state buffers during evaluation without affecting
-            predictions.
+            recurrent state buffers during evaluation.  Predictions move
+            slightly with it (see ``TrainingConfig.eval_batch_size``).
         cnn_channels: hidden channels of the UE CNN.
         rnn_hidden_size: hidden units of the BS RNN.
         mean_interarrival_s: mean spacing of pedestrian crossings; smaller

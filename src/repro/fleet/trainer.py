@@ -667,14 +667,18 @@ class FleetTrainer:
         The one evaluation path of every run and experiment: the protocol of
         the member holding the freshest logical model predicts (in
         parallel-average mode every member holds it right after the
-        averaging), and its normalized output is mapped back to dBm.
+        averaging), and its normalized output is mapped back to dBm.  The
+        windows' frame indices let the UE CNN run once per distinct frame.
         """
         if self.normalizer is None:
             raise RuntimeError("the trainer has not been fitted yet")
         images, powers = self._model_inputs(sequences)
         protocol = self.fleet.members[self.fleet.weight_holder].protocol
         normalized = protocol.predict(
-            images, powers, batch_size=self.config.training.eval_batch_size
+            images,
+            powers,
+            batch_size=self.config.training.eval_batch_size,
+            frame_ids=sequences.frame_indices,
         )
         return self.normalizer.denormalize(normalized)
 

@@ -20,6 +20,7 @@ are built on top of these.
 """
 from __future__ import annotations
 
+import io
 import json
 import os
 from typing import Any, Dict, Mapping, Optional
@@ -53,33 +54,24 @@ def atomic_savez(
     """Write an ``.npz`` archive atomically (tmp file + ``os.replace``).
 
     This is the one sanctioned ``np.savez`` call site in the library (the
-    analysis suite's ``SER001`` rule flags every other one): parent
-    directories are created, the archive lands under a pid-suffixed
-    temporary name, and the final rename is atomic — a killed process leaves
-    either the old file or the new one, never a truncated archive.
+    analysis suite's ``SER001`` rule flags every other one).  numpy builds
+    the archive in memory, where the zip writer's per-member header
+    rewrites are buffer seeks rather than file syscalls; the bytes then go
+    through the shared tmp-+-rename write: parent directories are created,
+    the archive lands under a pid-suffixed temporary name, and the final
+    rename is atomic — a killed process leaves either the old file or the
+    new one, never a truncated archive.
 
     Returns the final (``.npz``-suffixed) path.
     """
-    path = _npz_path(path)
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    temporary = os.path.join(
-        directory, f".{os.path.basename(path)}.tmp-{os.getpid()}.npz"
-    )
     writer = np.savez_compressed if compressed else np.savez
-    try:
-        writer(temporary, **arrays)
-        os.replace(temporary, path)
-    except BaseException:
-        if os.path.exists(temporary):
-            os.remove(temporary)
-        raise
-    return path
+    buffer = io.BytesIO()
+    writer(buffer, **arrays)
+    return _atomic_write_data(_npz_path(path), buffer.getbuffer(), "wb")
 
 
 def _atomic_write_data(path: str | os.PathLike, data, mode: str) -> str:
-    """Shared tmp-+-rename write used by the text/bytes helpers."""
+    """Shared tmp-+-rename write of :func:`atomic_savez` and the text/bytes helpers."""
     path = os.fspath(path)
     directory = os.path.dirname(path)
     if directory:
@@ -162,49 +154,72 @@ def flatten_state_tree(tree: Mapping[str, Any]) -> Dict[str, np.ndarray]:
 
     Dict nesting becomes ``//``-separated keys; array leaves are stored as
     is; every other leaf (scalars, strings, lists, dicts of plain data such
-    as RNG states) is JSON-encoded under a ``:json``-suffixed key.
+    as RNG states) is JSON-encoded under a ``:json``-suffixed key.  A mapping
+    with no ndarray anywhere inside is one JSON leaf: RNG states and history
+    records are small plain-data dicts, and a single JSON entry preserves
+    their exact structure (including big ints beyond float64) through the
+    archive round trip.  Arrays must sit directly under mapping keys; one
+    inside a list or tuple raises ``TypeError`` naming its leaf's key path.
     """
-    flat: Dict[str, np.ndarray] = {}
+    if not tree:
+        return {_JSON_SUFFIX: np.array(json.dumps({}))}
+    entries: list = []
+    _flatten_into(tree, "", entries)
+    return {
+        key: value if isinstance(value, np.ndarray) else _json_leaf(key, value)
+        for key, value in entries
+    }
 
-    def visit(node: Mapping[str, Any], prefix: str) -> None:
-        if not node:
-            flat[prefix.rstrip("/") + _JSON_SUFFIX] = np.array(json.dumps({}))
-            return
-        for key, value in node.items():
-            if not isinstance(key, str) or not key:
-                raise TypeError(f"state-tree keys must be non-empty str, got {key!r}")
-            if _SEPARATOR in key or key.endswith(_JSON_SUFFIX):
-                raise ValueError(f"reserved characters in state-tree key {key!r}")
-            full = f"{prefix}{key}"
-            if isinstance(value, Mapping) and not _is_json_leaf(value):
-                visit(value, full + _SEPARATOR)
-            elif isinstance(value, np.ndarray):
-                flat[full] = value
+
+def _flatten_into(node: Mapping[str, Any], prefix: str, entries: list) -> bool:
+    """Append ``node``'s flat ``(key, leaf)`` entries; True if any is an array.
+
+    One walk: a child mapping is flattened in place and, if it turns out to
+    hold no array, its entries are dropped again for one JSON leaf.  Keys
+    are checked in the top-level mapping and in mappings that hold arrays;
+    a nested plain-data mapping is JSON's to encode.
+    """
+    holds_array = False
+    bad_key: Optional[Exception] = None
+    for key, value in node.items():
+        if bad_key is None and (not isinstance(key, str) or not key):
+            bad_key = TypeError(f"state-tree keys must be non-empty str, got {key!r}")
+        elif bad_key is None and (_SEPARATOR in key or key.endswith(_JSON_SUFFIX)):
+            bad_key = ValueError(f"reserved characters in state-tree key {key!r}")
+        full = f"{prefix}{key}"
+        if isinstance(value, np.ndarray):
+            entries.append((full, value))
+            holds_array = True
+        elif isinstance(value, Mapping) and value:
+            mark = len(entries)
+            if _flatten_into(value, full + _SEPARATOR, entries):
+                holds_array = True
             else:
-                flat[full + _JSON_SUFFIX] = np.array(json.dumps(value))
+                del entries[mark:]
+                entries.append((full + _JSON_SUFFIX, value))
+        else:
+            entries.append((full + _JSON_SUFFIX, value))
+    if bad_key is not None and (holds_array or not prefix):
+        raise bad_key
+    return holds_array
 
-    visit(tree, "")
-    return flat
 
+def _json_leaf(key: str, value: Any) -> np.ndarray:
+    """``value`` JSON-encoded as a 0-d string array, or a ``TypeError``."""
+    path = key[: -len(_JSON_SUFFIX)]
 
-def _is_json_leaf(value: Mapping) -> bool:
-    """Mappings with no ndarray anywhere inside are stored as one JSON leaf.
+    def reject(item: Any) -> Any:
+        if isinstance(item, np.ndarray):
+            raise TypeError(
+                f"state-tree leaf {path!r} holds an ndarray inside a list or "
+                "tuple; arrays must sit directly under mapping keys"
+            )
+        raise TypeError(
+            f"state-tree leaf {path!r} holds a {type(item).__name__}, which "
+            "is not JSON serializable"
+        )
 
-    RNG states and history records are small plain-data dicts; keeping them
-    as single JSON entries preserves their exact structure (including big
-    ints beyond float64) through the archive round trip.
-    """
-
-    def contains_array(node) -> bool:
-        if isinstance(node, np.ndarray):
-            return True
-        if isinstance(node, Mapping):
-            return any(contains_array(item) for item in node.values())
-        if isinstance(node, (list, tuple)):
-            return any(contains_array(item) for item in node)
-        return False
-
-    return not contains_array(value)
+    return np.array(json.dumps(value, default=reject))
 
 
 def unflatten_state_tree(flat: Mapping[str, np.ndarray]) -> Dict[str, Any]:

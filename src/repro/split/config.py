@@ -157,9 +157,15 @@ class TrainingConfig:
         max_retransmissions: per-payload retransmission cap (``None`` = retry
             until decoded, the paper's behaviour).
         eval_batch_size: inference minibatch size used for validation and
-            prediction.  Purely a throughput/memory knob: it bounds the size
-            of the cached im2col buffers and recurrent state buffers during
-            evaluation and never changes predictions.
+            prediction.  It bounds the UE CNN batches at ``eval_batch_size *
+            L`` distinct frames (and so the cached im2col buffers) and sets
+            the windows per codec preview and BS forward pass.  The UE
+            features do not depend on it, but the chunked preview and BS
+            GEMMs do, so changing it moves predictions: at the ulp level with
+            the identity codec, and further with the lossy codecs, whose
+            quantization range and top-k selection are per chunk (fast scale
+            after 5 epochs, normalized units: up to 1e-3 for uint8, 3e-3 for
+            int4, 0.16 for top-k).
         seed: RNG seed controlling weight init, batch sampling and fading.
     """
 

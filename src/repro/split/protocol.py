@@ -284,15 +284,30 @@ class SplitTrainingProtocol:
         image_sequences: Optional[np.ndarray],
         rf_sequences: Optional[np.ndarray],
         batch_size: Optional[int] = None,
+        frame_ids: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Predict normalized received power for a set of sequences.
 
-        Inference is performed in evaluation mode and in minibatches to bound
-        memory use (``batch_size`` also caps the cached im2col buffer the CNN
-        reuses across minibatches); no communication time is simulated
-        (prediction payloads are single feature vectors, negligible next to
-        training payloads).  ``batch_size`` defaults to
-        ``TrainingConfig.eval_batch_size``.
+        Inference is performed in evaluation mode; no communication time is
+        simulated (prediction payloads are single feature vectors, negligible
+        next to training payloads).
+
+        Sliding windows share frames, so the UE CNN runs once per distinct
+        frame: ``frame_ids`` is an ``(M, L)`` integer array naming the frame
+        behind every window element (e.g.
+        :attr:`~repro.dataset.sequences.SequenceDataset.frame_indices`), and
+        elements with equal ids must hold equal images.  ``None`` treats every
+        element as a distinct frame.  A frame's features do not depend on
+        which other frames share its CNN batch, so the ids never change a
+        prediction, only the work.
+
+        ``batch_size`` (default ``TrainingConfig.eval_batch_size``) bounds
+        the CNN batches at ``batch_size * L`` distinct frames, which caps the
+        cached im2col buffers, and sets the windows per codec preview and BS
+        forward pass.  The preview and the BS GEMMs see the whole chunk, so a
+        different ``batch_size`` moves predictions: at the ulp level with the
+        identity codec, and by up to a quantization step with the lossy
+        codecs (see ``TrainingConfig.eval_batch_size``).
         """
         if batch_size is None:
             batch_size = self.config.training.eval_batch_size
@@ -307,23 +322,62 @@ class SplitTrainingProtocol:
 
         was_training = self._training_mode
         self.eval()
+        features = None
+        if model.use_image and count:
+            features = self._frame_features(image_sequences, frame_ids, batch_size)
         predictions = np.empty(count)
         for start in range(0, count, batch_size):
             stop = min(start + batch_size, count)
-            features = None
-            if model.use_image:
-                assert self.ue is not None and self.codec is not None
+            batch_features = None
+            if features is not None:
+                assert self.codec is not None
                 # The BS predicts from codec-decoded activations, matching
                 # what it was trained on; preview() is stateless, so
                 # inference never advances codec (error-feedback) state.
-                features = self.codec.preview(
-                    self.ue.forward(image_sequences[start:stop])
-                )
+                batch_features = self.codec.preview(features[start:stop])
             rf_batch = rf_sequences[start:stop] if model.use_rf else None
-            predictions[start:stop] = self.bs.predict(features, rf_batch)
+            predictions[start:stop] = self.bs.predict(batch_features, rf_batch)
         if was_training:
             self.train()
         return predictions
+
+    def _frame_features(
+        self,
+        image_sequences: np.ndarray,
+        frame_ids: Optional[np.ndarray],
+        batch_size: int,
+    ) -> np.ndarray:
+        """UE cut-layer features ``(M, L, F)``, computed once per distinct frame.
+
+        The distinct frames run through :meth:`UEClient.forward` as
+        length-1 sequences, ``batch_size * L`` at a time, and their features
+        are gathered back into the windows.
+        """
+        assert self.ue is not None
+        image_sequences = np.asarray(image_sequences)
+        count, length = image_sequences.shape[:2]
+        if frame_ids is None:
+            frame_ids = np.arange(count * length).reshape(count, length)
+        frame_ids = np.asarray(frame_ids)
+        if frame_ids.shape != (count, length):
+            raise ValueError(
+                f"frame_ids of shape {frame_ids.shape} do not match the "
+                f"{(count, length)} window elements"
+            )
+        _, first, inverse = np.unique(
+            frame_ids.ravel(), return_index=True, return_inverse=True
+        )
+        frames = image_sequences.reshape(
+            (count * length, 1) + image_sequences.shape[2:]
+        )
+        chunk = batch_size * length
+        distinct = np.concatenate(
+            [
+                self.ue.forward(frames[first[start : start + chunk]])[:, 0]
+                for start in range(0, len(first), chunk)
+            ]
+        )
+        return distinct[inverse].reshape(count, length, -1)
 
     # -- (de)serialization -------------------------------------------------------------
     def state_dict(self) -> dict:

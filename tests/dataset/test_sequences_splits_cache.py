@@ -87,6 +87,34 @@ def test_sequence_subset(small_sequences):
     assert np.allclose(subset.targets, small_sequences.targets[[0, 5, 9]])
 
 
+def _assert_frames_match(sequences, dataset):
+    """Every window element is the source frame its frame index names."""
+    frames = sequences.frame_indices
+    assert frames.shape == (len(sequences), sequences.sequence_length)
+    assert np.array_equal(frames[:, -1], sequences.last_indices)
+    assert np.array_equal(sequences.image_sequences, dataset.images[frames])
+
+
+def test_frame_indices_name_each_window_element(small_dataset, small_sequences):
+    _assert_frames_match(small_sequences, small_dataset)
+    assert np.all(np.diff(small_sequences.frame_indices, axis=1) == 1)
+    _assert_frames_match(small_sequences.subset([0, 5, 6, 9, 40]), small_dataset)
+
+
+def test_frame_indices_survive_the_subsampled_validation_split(
+    smoke_scale, smoke_dataset, smoke_split
+):
+    full = temporal_split(build_sequences(smoke_dataset))
+    # The split under test was cut down to the scale's validation windows.
+    assert len(smoke_split.validation) == smoke_scale.validation_windows
+    assert len(full.validation) > len(smoke_split.validation)
+    _assert_frames_match(smoke_split.validation, smoke_dataset)
+    _assert_frames_match(smoke_split.train, smoke_dataset)
+    # Neighbouring windows still share frames, which is what inference reuses.
+    frames = smoke_split.validation.frame_indices
+    assert len(np.unique(frames)) < frames.size
+
+
 def test_temporal_split_order_and_sizes(small_sequences):
     split = temporal_split(small_sequences, train_fraction=0.8)
     assert len(split.train) + len(split.validation) == len(small_sequences)

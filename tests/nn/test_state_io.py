@@ -54,6 +54,27 @@ def test_flatten_rejects_reserved_keys():
         flatten_state_tree({1: np.zeros(1)})
 
 
+def test_flatten_names_the_key_path_of_an_array_inside_a_list():
+    with pytest.raises(TypeError, match=r"'run//records'.*ndarray inside a list"):
+        flatten_state_tree(
+            {"run": {"weights": np.ones(2), "records": [1, np.zeros(3)]}}
+        )
+    with pytest.raises(TypeError, match=r"'pairs'.*ndarray inside a list"):
+        flatten_state_tree({"pairs": (np.zeros(1), np.ones(1))})
+    with pytest.raises(TypeError, match=r"'meta'.*int64, which is not JSON"):
+        flatten_state_tree({"meta": {"count": np.int64(3)}})
+
+
+def test_flatten_checks_keys_of_array_holding_mappings_only():
+    # A plain-data mapping is one JSON leaf, so JSON's own key rules apply.
+    flat = flatten_state_tree({"meta": {1: "one"}, "x": np.zeros(1)})
+    assert unflatten_state_tree(flat)["meta"] == {"1": "one"}
+    with pytest.raises(ValueError, match="reserved"):
+        flatten_state_tree({"outer": {"a//b": np.zeros(1)}})
+    with pytest.raises(TypeError, match="non-empty str"):
+        flatten_state_tree({"": 1})
+
+
 def test_unflatten_inverts_flatten():
     tree = {"a": {"b": {"c": np.ones(2)}, "n": 4}, "top": "x"}
     assert set(unflatten_state_tree(flatten_state_tree(tree))) == {"a", "top"}

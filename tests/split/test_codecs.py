@@ -68,6 +68,14 @@ def test_quantizer_error_bounded_by_half_step(values, bits):
     assert decoded.shape == values.shape
 
 
+@pytest.mark.parametrize("bits", [2, 4, 8])
+def test_quantizer_passes_an_underflowing_subnormal_range_through(bits):
+    # (high - low) / levels underflows to 0 here: no NaN, and no error.
+    values = np.array([0.0, 5e-324, 0.0])
+    decoded, _ = UniformQuantizerCodec(bits).encode_decode(values, UPLINK_STREAM)
+    np.testing.assert_array_equal(decoded, values)
+
+
 @given(TENSORS)
 @settings(max_examples=40, deadline=None)
 def test_quantizer_preview_matches_encode_decode(values):

@@ -5,6 +5,7 @@ from repro.dataset.cache import (
     dataset_cache_path,
     default_cache_dir,
     get_or_generate,
+    load_cached_dataset,
     load_dataset,
     save_dataset,
 )
@@ -51,6 +52,7 @@ __all__ = [
     "generate_small_dataset",
     "get_or_generate",
     "horizon_in_frames",
+    "load_cached_dataset",
     "load_dataset",
     "paper_split",
     "save_dataset",

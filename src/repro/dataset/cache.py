@@ -9,6 +9,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -109,9 +111,35 @@ def default_cache_dir() -> Path:
 def dataset_cache_path(
     config: DatasetConfig, cache_dir: str | os.PathLike | None = None
 ) -> Path:
-    """Cache-archive path for ``config`` (exists() == the dataset is cached)."""
+    """Cache-archive path for ``config``.
+
+    The file may exist yet hold an unreadable entry; :func:`load_cached_dataset`
+    decides whether an entry is a hit.
+    """
     cache_root = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     return cache_root / f"dataset-{config_fingerprint(config)}.npz"
+
+
+def load_cached_dataset(
+    config: DatasetConfig, cache_dir: str | os.PathLike | None = None
+) -> DepthPowerDataset | None:
+    """The cached dataset for ``config``, or ``None`` on a miss.
+
+    An entry that cannot be read back whole counts as a miss: a truncated
+    or corrupted archive, a missing array, or images whose shape is not the
+    config's ``(num_samples, image_height, image_width)``.
+    """
+    cache_path = dataset_cache_path(config, cache_dir)
+    if not cache_path.exists():
+        return None
+    try:
+        dataset = load_dataset(cache_path)
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error):
+        return None
+    expected = (config.num_samples, config.image_height, config.image_width)
+    if dataset.images.shape != expected:
+        return None
+    return dataset
 
 
 def get_or_generate(
@@ -119,10 +147,15 @@ def get_or_generate(
     cache_dir: str | os.PathLike | None = None,
     force_regenerate: bool = False,
 ) -> DepthPowerDataset:
-    """Return a cached dataset for ``config``, generating and caching if needed."""
-    cache_path = dataset_cache_path(config, cache_dir)
-    if cache_path.exists() and not force_regenerate:
-        return load_dataset(cache_path)
+    """Return a cached dataset for ``config``, generating and caching if needed.
+
+    A miss, including an unreadable entry (see :func:`load_cached_dataset`),
+    regenerates the dataset and atomically replaces the entry.
+    """
+    if not force_regenerate:
+        cached = load_cached_dataset(config, cache_dir)
+        if cached is not None:
+            return cached
     dataset = MmWaveDepthDatasetGenerator(config).generate()
-    save_dataset(dataset, cache_path)
+    save_dataset(dataset, dataset_cache_path(config, cache_dir))
     return dataset

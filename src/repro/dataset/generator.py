@@ -184,10 +184,9 @@ class MmWaveDepthDatasetGenerator:
         """Run the simulation and return the aligned dataset."""
         config = self.config
         scene = self.build_scene()
-        frames = list(scene.frames(config.num_samples))
-        images = np.stack([frame.depth_image for frame in frames])
+        frames = scene.simulate(config.num_samples)
         powers = self.power_model.power_trace_dbm(scene, frames)
-        blocked = np.array([frame.line_of_sight_blocked for frame in frames])
+        blocked = frames.line_of_sight_blocked
         metadata = {
             "num_samples": float(config.num_samples),
             "link_distance_m": config.link_distance_m,
@@ -198,7 +197,7 @@ class MmWaveDepthDatasetGenerator:
             "scenario_hash": self.scenario.fingerprint,
         }
         return DepthPowerDataset(
-            images=images,
+            images=frames.depth_images,
             powers_dbm=powers,
             line_of_sight_blocked=blocked,
             frame_interval_s=config.frame_interval_s,

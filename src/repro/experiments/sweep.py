@@ -44,7 +44,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.dataset.cache import config_fingerprint, dataset_cache_path, get_or_generate
+from repro.dataset.cache import config_fingerprint, get_or_generate, load_cached_dataset
 from repro.experiments.common import ExperimentScale, scale_from_name
 from repro.experiments.pipeline import (
     PipelineOptions,
@@ -270,14 +270,15 @@ def _execute_cell(spec: _CellSpec) -> Dict[str, object]:
         .with_seed(spec.seed)
     )
     config = scale.dataset_config()
-    cache_hit = (
-        not spec.force_regenerate
-        and dataset_cache_path(config, spec.cache_dir).exists()
-    )
     dataset_start = time.perf_counter()
-    dataset = get_or_generate(
-        config, cache_dir=spec.cache_dir, force_regenerate=spec.force_regenerate
+    dataset = (
+        None
+        if spec.force_regenerate
+        else load_cached_dataset(config, cache_dir=spec.cache_dir)
     )
+    cache_hit = dataset is not None
+    if dataset is None:
+        dataset = get_or_generate(config, cache_dir=spec.cache_dir, force_regenerate=True)
     dataset_seconds = time.perf_counter() - dataset_start
     experiment_start = time.perf_counter()
     metrics = _call_metric_fn(

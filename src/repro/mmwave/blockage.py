@@ -18,12 +18,13 @@ Two models are provided:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from repro.scene.environment import BlockerGeometry
+from repro.scene.environment import BlockerArrays, BlockerGeometry
 from repro.utils.units import frequency_to_wavelength
 
 
@@ -71,15 +72,85 @@ def fresnel_parameter(
     return clearance * np.sqrt(2.0 * (d1 + d2) / (wavelength * d1 * d2))
 
 
+_POW = np.frompyfunc(math.pow, 2, 1)
+
+
+def _libm_pow10(exponents: np.ndarray) -> np.ndarray:
+    """``10.0 ** x`` for each element, through the C library's ``pow``.
+
+    The scalar ``10.0 ** x`` of a per-body computation calls libm ``pow``;
+    numpy's array power is a SIMD routine that differs from it in the last
+    bit on a few percent of inputs, so the batched path calls ``math.pow``
+    element by element to stay bitwise equal.
+    """
+    return _POW(10.0, exponents).astype(np.float64)
+
+
 class BlockageModel:
-    """Interface: map per-blocker geometry to a total attenuation in dB."""
+    """Interface: map per-blocker geometry to a total attenuation in dB.
+
+    :meth:`frame_attenuations_db` is what the power model calls, once for a
+    whole run of frames.  A subclass implements it with array operations,
+    or implements :meth:`attenuation_db` for one frame and inherits a
+    default that calls it once per frame.
+    """
 
     def attenuation_db(self, blockers: Sequence[BlockerGeometry]) -> float:
         raise NotImplementedError
 
+    def frame_attenuations_db(self, blockers: BlockerArrays) -> np.ndarray:
+        """Total attenuation of each frame of a run, shape ``(num_frames,)``."""
+        return np.array(
+            [
+                self.attenuation_db(blockers.frame_blockers(offset))
+                for offset in range(blockers.num_frames)
+            ],
+            dtype=np.float64,
+        )
+
+
+class IndependentBodiesBlockageModel(BlockageModel):
+    """Bodies attenuate independently: a frame's loss is the dB sum over its
+    bodies, capped at ``1.5 * max_attenuation_db``.
+
+    Subclasses implement :meth:`body_attenuations_db` over all rows of a run.
+    Each frame's total is the builtin ``sum`` of its one-body values in
+    pedestrian order, the same call a one-frame computation makes, so it is
+    bitwise equal on every interpreter: from Python 3.12 on ``sum`` of floats
+    is compensated (Neumaier), which no fixed sequence of array additions
+    reproduces.
+    """
+
+    max_attenuation_db: float
+
+    def body_attenuations_db(self, blockers: BlockerArrays) -> np.ndarray:
+        """Attenuation of each (frame, body) row, shape ``(P,)``."""
+        raise NotImplementedError
+
+    def single_body_attenuation_db(self, blocker: BlockerGeometry) -> float:
+        """Attenuation contributed by one body."""
+        rows = BlockerArrays.from_lists([[blocker]])
+        return float(self.body_attenuations_db(rows)[0])
+
+    def frame_attenuations_db(self, blockers: BlockerArrays) -> np.ndarray:
+        bodies = self.body_attenuations_db(blockers).tolist()
+        bounds = np.searchsorted(blockers.frame, np.arange(blockers.num_frames + 1)).tolist()
+        totals = np.array(
+            [sum(bodies[low:high]) for low, high in zip(bounds[:-1], bounds[1:])],
+            dtype=np.float64,
+        )
+        # Multiple simultaneous blockers rarely exceed ~30 dB in measurements.
+        cap = 1.5 * self.max_attenuation_db
+        return np.where(cap < totals, cap, totals)
+
+    def attenuation_db(self, blockers: Sequence[BlockerGeometry]) -> float:
+        """Total attenuation of one frame's bodies (independent screens, dB sum, capped)."""
+        rows = BlockerArrays.from_lists([list(blockers)])
+        return float(self.frame_attenuations_db(rows)[0])
+
 
 @dataclass
-class KnifeEdgeBlockageModel(BlockageModel):
+class KnifeEdgeBlockageModel(IndependentBodiesBlockageModel):
     """Double knife-edge diffraction blockage by a human body.
 
     The body is an absorbing vertical strip of width ``body_width_m`` centred
@@ -104,45 +175,38 @@ class KnifeEdgeBlockageModel(BlockageModel):
         if self.max_attenuation_db <= 0:
             raise ValueError("max_attenuation_db must be positive")
 
-    def single_body_attenuation_db(self, blocker: BlockerGeometry) -> float:
-        """Attenuation contributed by one body."""
-        d1 = max(blocker.distance_from_tx_m, 1e-3)
-        d2 = max(blocker.distance_from_rx_m, 1e-3)
-        half_width = blocker.body_width_m / 2.0
+    def body_attenuations_db(self, blockers: BlockerArrays) -> np.ndarray:
+        # ``max(x, 1e-3)`` on Python floats.
+        d1 = np.where(1e-3 > blockers.distance_from_tx_m, 1e-3, blockers.distance_from_tx_m)
+        d2 = np.where(1e-3 > blockers.distance_from_rx_m, 1e-3, blockers.distance_from_rx_m)
+        clearance = blockers.clearance_m
+        half_width = blockers.body_width_m / 2.0
         # Signed clearances of the two body edges relative to the direct path.
         # When the body centre is on the path (clearance 0) both edges protrude
         # by half the body width.
-        near_edge = half_width - blocker.clearance_m
-        far_edge = half_width + blocker.clearance_m
-        v_near = fresnel_parameter(near_edge, d1, d2, self.frequency_hz)
-        v_far = fresnel_parameter(far_edge, d1, d2, self.frequency_hz)
+        v_near = fresnel_parameter(half_width - clearance, d1, d2, self.frequency_hz)
+        v_far = fresnel_parameter(half_width + clearance, d1, d2, self.frequency_hz)
 
-        if blocker.clearance_m > half_width:
-            # Body entirely outside the direct path: only the nearest edge
-            # matters and the clearance is negative (no obstruction).
-            loss = knife_edge_loss_db(v_near)
-        else:
-            # Shadow-zone combination of both edges: power sums of the two
-            # knife-edge contributions (field-amplitude addition).
-            amplitude_near = 10.0 ** (-knife_edge_loss_db(v_near) / 20.0)
-            amplitude_far = 10.0 ** (-knife_edge_loss_db(v_far) / 20.0)
-            # In the deep shadow the diffracted fields from both edges add;
-            # convert the combined amplitude back to a loss.
-            combined = max(amplitude_near + amplitude_far, 1e-12)
-            loss = -20.0 * np.log10(min(combined, 1.0))
-        return float(min(max(loss, 0.0), self.max_attenuation_db))
-
-    def attenuation_db(self, blockers: Sequence[BlockerGeometry]) -> float:
-        """Total attenuation of all bodies (independent screens, dB sum, capped)."""
-        if not blockers:
-            return 0.0
-        total = sum(self.single_body_attenuation_db(b) for b in blockers)
-        # Multiple simultaneous blockers rarely exceed ~30 dB in measurements.
-        return float(min(total, 1.5 * self.max_attenuation_db))
+        # Body entirely outside the direct path: only the nearest edge
+        # matters and the clearance is negative (no obstruction).
+        loss = knife_edge_loss_db(v_near)
+        # Shadow-zone combination of both edges: power sums of the two
+        # knife-edge contributions (field-amplitude addition).
+        shadow = ~(clearance > half_width)
+        amplitude_near = _libm_pow10(-knife_edge_loss_db(v_near[shadow]) / 20.0)
+        amplitude_far = _libm_pow10(-knife_edge_loss_db(v_far[shadow]) / 20.0)
+        # In the deep shadow the diffracted fields from both edges add;
+        # convert the combined amplitude back to a loss.
+        combined = amplitude_near + amplitude_far
+        combined = np.where(1e-12 > combined, 1e-12, combined)
+        loss[shadow] = -20.0 * np.log10(np.where(1.0 < combined, 1.0, combined))
+        # ``min(max(loss, 0), cap)`` on Python floats, signed zero included.
+        loss = np.where(0.0 > loss, 0.0, loss)
+        return np.where(self.max_attenuation_db < loss, self.max_attenuation_db, loss)
 
 
 @dataclass
-class PiecewiseLinearBlockageModel(BlockageModel):
+class PiecewiseLinearBlockageModel(IndependentBodiesBlockageModel):
     """Simple ramp/hold blockage profile.
 
     Attenuation is ``max_attenuation_db`` when the body centre is within
@@ -161,19 +225,13 @@ class PiecewiseLinearBlockageModel(BlockageModel):
         if not 0.0 <= self.inner_clearance_m < self.outer_clearance_m:
             raise ValueError("require 0 <= inner_clearance_m < outer_clearance_m")
 
-    def single_body_attenuation_db(self, blocker: BlockerGeometry) -> float:
-        clearance = blocker.clearance_m
-        if clearance <= self.inner_clearance_m:
-            return self.max_attenuation_db
-        if clearance >= self.outer_clearance_m:
-            return 0.0
+    def body_attenuations_db(self, blockers: BlockerArrays) -> np.ndarray:
+        clearance = blockers.clearance_m
         fraction = (self.outer_clearance_m - clearance) / (
             self.outer_clearance_m - self.inner_clearance_m
         )
-        return float(self.max_attenuation_db * fraction)
-
-    def attenuation_db(self, blockers: Sequence[BlockerGeometry]) -> float:
-        if not blockers:
-            return 0.0
-        total = sum(self.single_body_attenuation_db(b) for b in blockers)
-        return float(min(total, 1.5 * self.max_attenuation_db))
+        attenuation = self.max_attenuation_db * fraction
+        attenuation = np.where(clearance >= self.outer_clearance_m, 0.0, attenuation)
+        return np.where(
+            clearance <= self.inner_clearance_m, self.max_attenuation_db, attenuation
+        )

@@ -19,7 +19,13 @@ import numpy as np
 from repro.mmwave.blockage import BlockageModel, KnifeEdgeBlockageModel
 from repro.mmwave.fading import MeasurementNoise, NakagamiFadingProcess
 from repro.mmwave.propagation import LinkBudget
-from repro.scene.environment import BlockerGeometry, CorridorScene, SceneFrame
+from repro.scene.environment import (
+    BlockerArrays,
+    BlockerGeometry,
+    CorridorScene,
+    FrameBatch,
+    SceneFrame,
+)
 from repro.utils.seeding import SeedLike, spawn_generators
 
 
@@ -53,26 +59,35 @@ class ReceivedPowerModel:
             **kwargs,
         )
 
+    def mean_powers_dbm(self, distance_m: float, blockers: BlockerArrays) -> np.ndarray:
+        """Deterministic received power (no fading / noise) of each frame of a run."""
+        line_of_sight = float(self.link_budget.line_of_sight_power_dbm(distance_m))
+        power = line_of_sight - self.blockage_model.frame_attenuations_db(blockers)
+        # ``max(power, floor)`` on Python floats.
+        return np.where(self.floor_dbm > power, self.floor_dbm, power)
+
     def mean_power_dbm(
         self, distance_m: float, blockers: Sequence[BlockerGeometry] = ()
     ) -> float:
         """Deterministic received power (no fading / noise) in dBm."""
-        line_of_sight = float(self.link_budget.line_of_sight_power_dbm(distance_m))
-        attenuation = self.blockage_model.attenuation_db(list(blockers))
-        return max(line_of_sight - attenuation, self.floor_dbm)
+        rows = BlockerArrays.from_lists([list(blockers)])
+        return float(self.mean_powers_dbm(distance_m, rows)[0])
 
     def power_trace_dbm(
         self, scene: CorridorScene, frames: Sequence[SceneFrame]
     ) -> np.ndarray:
-        """Received power for a sequence of scene frames (dBm per frame)."""
+        """Received power for a sequence of scene frames (dBm per frame).
+
+        A :class:`~repro.scene.environment.FrameBatch` passes its blocker
+        arrays straight through; any other sequence of frames is gathered
+        into them first.
+        """
+        if isinstance(frames, FrameBatch):
+            blockers = frames.blockers
+        else:
+            blockers = BlockerArrays.from_lists([frame.blockers for frame in frames])
         count = len(frames)
-        mean_power = np.array(
-            [
-                self.mean_power_dbm(scene.link_distance_m, frame.blockers)
-                for frame in frames
-            ]
-        )
-        total = mean_power
+        total = self.mean_powers_dbm(scene.link_distance_m, blockers)
         if self.fading is not None:
             total = total + self.fading.sample_gains_db(count)
         if self.noise is not None:

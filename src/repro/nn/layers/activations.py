@@ -109,13 +109,21 @@ class Softplus(Layer):
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable sigmoid that avoids overflow for large |x|."""
-    out = np.empty_like(x, dtype=np.float64)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    exp_x = np.exp(x[~positive])
-    out[~positive] = exp_x / (1.0 + exp_x)
-    return out
+    """Numerically stable sigmoid that avoids overflow for large |x|.
+
+    Branch-free: ``e = exp(-|x|)`` never overflows, and the sigmoid is
+    ``1 / (1 + e)`` for ``x >= 0`` and ``e / (1 + e)`` below.  Each element
+    gets exactly the operations of the masked two-branch form, so the result
+    is bitwise the same without the boolean gathers and scatters.  The
+    divisions run in place, which keeps the peak at about two input-sized
+    arrays (the stacked UE bank calls this on every member at once).
+    """
+    e = np.exp(-np.abs(x))
+    out = np.add(e, 1.0)
+    np.divide(e, out, out=e)
+    np.divide(1.0, out, out=out)
+    np.copyto(out, e, where=x < 0)
+    return np.asarray(out, dtype=np.float64)
 
 
 _ACTIVATIONS = {

@@ -8,8 +8,8 @@ walking speed, with randomized spawn times, speeds and crossing positions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -32,9 +32,15 @@ class PedestrianState:
 class Pedestrian:
     """Base class for pedestrian trajectory models.
 
-    A pedestrian exposes :meth:`state_at` returning its position/velocity at an
-    absolute time, and :meth:`body_at` returning the axis-aligned box occupied
-    by its body (or ``None`` when the pedestrian is not in the scene).
+    A pedestrian exposes :meth:`states_at`, its activity and floor position
+    at an array of absolute times, and :meth:`bodies_at`, the axis-aligned
+    boxes its body occupies at the times it is in the scene.  The scene
+    evaluates every frame of a run in one call.  :meth:`state_at` and
+    :meth:`body_at` are their one-time views.
+
+    A subclass implements either :meth:`state_at` (the default
+    :meth:`states_at` then evaluates it once per time) or :meth:`states_at`
+    with array operations, as the built-in models do.
     """
 
     def __init__(self, body_size=DEFAULT_BODY_SIZE):
@@ -45,14 +51,34 @@ class Pedestrian:
     def state_at(self, time_s: float) -> PedestrianState:
         raise NotImplementedError
 
+    def states_at(self, times_s) -> Tuple[np.ndarray, np.ndarray]:
+        """Activity ``(n,)`` and floor position ``(n, 3)`` at each time."""
+        states = [self.state_at(float(t)) for t in np.asarray(times_s, dtype=np.float64)]
+        active = np.array([state.active for state in states], dtype=bool)
+        positions = np.array([state.position for state in states], dtype=np.float64)
+        return active, positions.reshape(-1, 3)
+
+    def bodies_at(self, times_s) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Body boxes at the times the pedestrian is active.
+
+        Returns:
+            ``(indices, minimum, maximum)``: the positions in ``times_s`` at
+            which the pedestrian is active, and the ``(k, 3)`` corners of its
+            body box at each of them.
+        """
+        active, positions = self.states_at(times_s)
+        indices = np.flatnonzero(active)
+        # The position marks the point on the floor under the body center.
+        center = positions[indices] + np.array([0.0, 0.0, self.body_size[2] / 2.0])
+        half = self.body_size / 2.0
+        return indices, center - half, center + half
+
     def body_at(self, time_s: float) -> Optional[AxisAlignedBox]:
         """Axis-aligned box of the body at ``time_s`` or ``None`` if inactive."""
-        state = self.state_at(time_s)
-        if not state.active:
+        indices, minimum, maximum = self.bodies_at([time_s])
+        if not len(indices):
             return None
-        # The position marks the point on the floor under the body center.
-        center = state.position + np.array([0.0, 0.0, self.body_size[2] / 2.0])
-        return AxisAlignedBox.from_center(center, self.body_size)
+        return AxisAlignedBox(minimum[0], maximum[0])
 
 
 class CrossingPedestrian(Pedestrian):
@@ -104,16 +130,24 @@ class CrossingPedestrian(Pedestrian):
         fraction = abs(0.0 - self.start_y) / abs(self.end_y - self.start_y)
         return self.start_time_s + fraction * self.duration_s
 
+    def states_at(self, times_s) -> Tuple[np.ndarray, np.ndarray]:
+        times = np.asarray(times_s, dtype=np.float64)
+        active = (times >= self.start_time_s) & (times <= self.end_time_s)
+        direction = np.sign(self.end_y - self.start_y)
+        y = self.start_y + direction * self.speed_mps * (times - self.start_time_s)
+        positions = np.zeros((len(times), 3))
+        positions[:, 0] = self.crossing_x
+        # Outside its walk the pedestrian waits at the start point.
+        positions[:, 1] = np.where(active, y, self.start_y)
+        return active, positions
+
     def state_at(self, time_s: float) -> PedestrianState:
+        active, positions = self.states_at([time_s])
+        if not active[0]:
+            return PedestrianState(positions[0], np.zeros(3), active=False)
         direction = np.sign(self.end_y - self.start_y)
         velocity = np.array([0.0, direction * self.speed_mps, 0.0])
-        if time_s < self.start_time_s or time_s > self.end_time_s:
-            position = np.array([self.crossing_x, self.start_y, 0.0])
-            return PedestrianState(position, np.zeros(3), active=False)
-        elapsed = time_s - self.start_time_s
-        y = self.start_y + direction * self.speed_mps * elapsed
-        position = np.array([self.crossing_x, y, 0.0])
-        return PedestrianState(position, velocity, active=True)
+        return PedestrianState(positions[0], velocity, active=True)
 
 
 class LoiteringPedestrian(Pedestrian):
@@ -145,13 +179,19 @@ class LoiteringPedestrian(Pedestrian):
         self.sway_amplitude_m = float(sway_amplitude_m)
         self.sway_period_s = float(sway_period_s)
 
-    def state_at(self, time_s: float) -> PedestrianState:
-        active = self.start_time_s <= time_s <= self.end_time_s
+    def states_at(self, times_s) -> Tuple[np.ndarray, np.ndarray]:
+        times = np.asarray(times_s, dtype=np.float64)
+        active = (times >= self.start_time_s) & (times <= self.end_time_s)
         sway = self.sway_amplitude_m * np.sin(
-            2.0 * np.pi * (time_s - self.start_time_s) / self.sway_period_s
+            2.0 * np.pi * (times - self.start_time_s) / self.sway_period_s
         )
-        position = self.base_position + np.array([0.0, sway, 0.0])
-        return PedestrianState(position, np.zeros(3), active=active)
+        offsets = np.zeros((len(times), 3))
+        offsets[:, 1] = sway
+        return active, self.base_position + offsets
+
+    def state_at(self, time_s: float) -> PedestrianState:
+        active, positions = self.states_at([time_s])
+        return PedestrianState(positions[0], np.zeros(3), active=bool(active[0]))
 
 
 @dataclass

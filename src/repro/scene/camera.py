@@ -5,6 +5,13 @@ a Kinect co-located with the mmWave transmitter.  ``DepthCamera`` reproduces
 the relevant behaviour: it renders a depth image (metres per pixel, clipped to
 the sensor range) of the axis-aligned boxes present in the scene by casting
 one ray per pixel.
+
+:meth:`DepthCamera.render_frames` renders a whole run of frames in one pass:
+static boxes are ray-cast once, one slab test covers every (frame, box) pair
+in bounded chunks, and each frame's boxes are combined in their given order,
+so every frame is bitwise the image a one-frame render would give.
+:meth:`DepthCamera.render` and :meth:`DepthCamera.render_normalized` are its
+one-frame views.
 """
 from __future__ import annotations
 
@@ -13,7 +20,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.scene.geometry import AxisAlignedBox, Pose, ray_box_intersection
+from repro.scene.geometry import (
+    AxisAlignedBox,
+    Pose,
+    ray_box_distances,
+    reduce_by_frame,
+)
+
+#: Largest number of (box, ray) pairs one slab-test chunk of
+#: :meth:`DepthCamera.render_frames` covers.  Its ``(boxes, rays)``
+#: temporaries then stay near 256 kB each and the chunk works in cache;
+#: 16k-64k pairs ran equally fast on a 2-vCPU x86 VM, larger chunks slower.
+CHUNK_HITS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -104,25 +122,84 @@ class DepthCamera:
         directions = directions.reshape(-1, 3)
         return directions / np.linalg.norm(directions, axis=1, keepdims=True)
 
+    def render_frames(
+        self,
+        count: int,
+        frame_ids,
+        minimum,
+        maximum,
+        static_boxes: Sequence[AxisAlignedBox] = (),
+    ) -> np.ndarray:
+        """Render ``count`` depth frames in one batched pass.
+
+        Box ``k`` (corners ``minimum[k]`` and ``maximum[k]``) is drawn in
+        frame ``frame_ids[k]``; ``frame_ids`` must be nondecreasing, and
+        within a frame the boxes keep their row order.  ``static_boxes`` are
+        drawn in every frame, before the frame's own boxes; they are
+        ray-cast once for the whole run.  Each pixel is the nearest hit,
+        combined box by box in that order, so a frame is bitwise the image a
+        one-frame render of the same boxes gives.
+
+        The slab test runs over chunks of at most :data:`CHUNK_HITS`
+        (box, ray) pairs, and each finished chunk is written straight into
+        the output array.
+
+        Returns:
+            Array of shape ``(count, height, width)``: per-pixel depth in
+            metres, clipped to the sensor range; pixels with
+            no hit carry the background depth.
+        """
+        intr = self.intrinsics
+        rays = self._directions.shape[0]
+        frame_ids = np.asarray(frame_ids, dtype=np.int64)
+        minimum = np.asarray(minimum, dtype=np.float64).reshape(-1, 3)
+        maximum = np.asarray(maximum, dtype=np.float64).reshape(-1, 3)
+        out = np.empty((count, intr.height, intr.width))
+        pixels = out.reshape(count, rays)
+
+        base = np.full(rays, np.inf)
+        if static_boxes:
+            base = ray_box_distances(
+                self.pose.position,
+                self._directions,
+                [box.minimum for box in static_boxes],
+                [box.maximum for box in static_boxes],
+            ).min(axis=0)
+
+        # First box row of every frame, and the largest chunk of frames and
+        # boxes whose temporaries stay within the budget.
+        starts = np.searchsorted(frame_ids, np.arange(count + 1))
+        chunk = max(1, CHUNK_HITS // rays)
+        first = 0
+        while first < count:
+            by_boxes = int(np.searchsorted(starts, starts[first] + chunk, side="right")) - 1
+            stop = max(first + 1, min(count, first + chunk, by_boxes))
+            low, high = starts[first], starts[stop]
+            depths = np.repeat(base[None, :], stop - first, axis=0)
+            hits = ray_box_distances(
+                self.pose.position, self._directions, minimum[low:high], maximum[low:high]
+            )
+            reduce_by_frame(np.minimum, depths, frame_ids[low:high] - first, hits)
+            depths = np.where(np.isinf(depths), self.background_depth_m, depths)
+            pixels[first:stop] = np.clip(depths, intr.min_range_m, intr.max_range_m)
+            first = stop
+        return out
+
     def render(self, boxes: Iterable[AxisAlignedBox]) -> np.ndarray:
-        """Render a depth image of ``boxes``.
+        """Render a depth image of ``boxes`` (one-frame view of :meth:`render_frames`).
 
         Returns:
             Array of shape ``(height, width)`` with per-pixel depth in metres,
             clipped to the sensor range; pixels with no hit carry the
-            background depth.
+            background depth.  ``None`` entries are skipped.
         """
-        intr = self.intrinsics
-        depths = np.full(self._directions.shape[0], np.inf)
-        origins = np.broadcast_to(self.pose.position, self._directions.shape)
-        for box in boxes:
-            if box is None:
-                continue
-            hit = ray_box_intersection(origins, self._directions, box)
-            depths = np.minimum(depths, hit)
-        depths = np.where(np.isinf(depths), self.background_depth_m, depths)
-        depths = np.clip(depths, intr.min_range_m, intr.max_range_m)
-        return depths.reshape(intr.height, intr.width)
+        boxes = [box for box in boxes if box is not None]
+        return self.render_frames(
+            1,
+            np.zeros(len(boxes), dtype=np.int64),
+            [box.minimum for box in boxes],
+            [box.maximum for box in boxes],
+        )[0]
 
     def render_normalized(self, boxes: Iterable[AxisAlignedBox]) -> np.ndarray:
         """Render a depth image scaled to ``[0, 1]``.

@@ -3,15 +3,26 @@ pedestrian traffic.
 
 ``CorridorScene`` is the substrate that replaces the physical measurement
 environment of the paper: a transmitter (UE) and receiver (BS) separated by a
-few metres, with people repeatedly crossing the line of sight.  The scene can
-be stepped at the depth-camera frame rate to produce an aligned stream of
-depth frames and link-blockage geometry from which the mmWave power model
-derives received power samples.
+few metres, with people repeatedly crossing the line of sight.
+
+:meth:`CorridorScene.simulate` steps the scene through a run of frames at the
+depth-camera frame rate in one batched pass and returns a :class:`FrameBatch`:
+the depth images plus :class:`BlockerArrays`, the link geometry of every
+(frame, active body) pair, from which the mmWave power model derives received
+power samples.  The pass evaluates every pedestrian at every frame time with
+array operations, ray-casts the static walls once, runs one slab test over
+all (frame, body) pairs in bounded chunks and computes the blocker geometry
+for all pairs at once.  Per-frame reductions (nearest hit, attenuation sums)
+combine each frame's bodies in pedestrian order, so the batch is bitwise what
+a frame-by-frame, body-by-body loop produces.  ``frame_at``, ``frames``,
+``active_bodies``, ``blocker_geometry`` and ``line_of_sight_blocked`` are
+views of the same kernels.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence
+from collections.abc import Sequence as SequenceABC
+from dataclasses import dataclass, field, fields
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,9 +30,8 @@ from repro.scene.actors import Pedestrian
 from repro.scene.camera import DepthCamera, DepthCameraIntrinsics, default_ue_camera
 from repro.scene.geometry import (
     AxisAlignedBox,
-    point_segment_distance,
-    project_point_onto_segment,
-    segment_intersects_box,
+    project_points_onto_segment,
+    segment_box_hits,
 )
 
 #: Default Kinect-like frame interval used in the paper (gamma = 33 ms).
@@ -61,6 +71,99 @@ class SceneFrame:
     def line_of_sight_blocked(self) -> bool:
         """True when at least one pedestrian box cuts the LoS segment."""
         return any(blocker.blocking for blocker in self.blockers)
+
+
+@dataclass
+class BlockerArrays:
+    """Link geometry of every active body over a run of frames.
+
+    One row per (frame, body) pair, ordered by frame and, within a frame, by
+    pedestrian order: the order in which per-frame sums accumulate.  Each
+    field is the array of the matching :class:`BlockerGeometry` attribute.
+
+    Attributes:
+        num_frames: number of frames in the run (frames may have no rows).
+        frame: ``(P,)`` nondecreasing offset of each row's frame in the run.
+    """
+
+    num_frames: int
+    frame: np.ndarray
+    blocking: np.ndarray
+    clearance_m: np.ndarray
+    distance_from_tx_m: np.ndarray
+    distance_from_rx_m: np.ndarray
+    body_width_m: np.ndarray
+
+    @classmethod
+    def from_lists(cls, per_frame: Sequence[Sequence[BlockerGeometry]]) -> "BlockerArrays":
+        """Rows of a run given as one :class:`BlockerGeometry` list per frame."""
+        rows = [(offset, b) for offset, frame in enumerate(per_frame) for b in frame]
+        columns = {
+            name: np.array(
+                [getattr(b, name) for _, b in rows],
+                dtype=bool if name == "blocking" else np.float64,
+            )
+            for name in (f.name for f in fields(BlockerGeometry))
+        }
+        frame_ids = np.array([offset for offset, _ in rows], dtype=np.int64)
+        return cls(num_frames=len(per_frame), frame=frame_ids, **columns)
+
+    def frame_blockers(self, offset: int) -> List[BlockerGeometry]:
+        """The :class:`BlockerGeometry` list of the frame at ``offset``."""
+        low, high = np.searchsorted(self.frame, [offset, offset + 1])
+        return [
+            BlockerGeometry(
+                blocking=bool(self.blocking[row]),
+                clearance_m=float(self.clearance_m[row]),
+                distance_from_tx_m=float(self.distance_from_tx_m[row]),
+                distance_from_rx_m=float(self.distance_from_rx_m[row]),
+                body_width_m=float(self.body_width_m[row]),
+            )
+            for row in range(low, high)
+        ]
+
+    @property
+    def line_of_sight_blocked(self) -> np.ndarray:
+        """``(num_frames,)`` flags: some body of the frame cuts the LoS."""
+        hits = np.bincount(self.frame[self.blocking], minlength=self.num_frames)
+        return hits > 0
+
+
+@dataclass
+class FrameBatch(SequenceABC):
+    """A run of consecutive simulated frames, stored as arrays.
+
+    It is a sequence of :class:`SceneFrame` views (``batch[i]``), so it can
+    be passed wherever a list of frames is expected.
+
+    Attributes:
+        start_index: index of the first frame.
+        times_s: ``(F,)`` frame times.
+        depth_images: ``(F, H, W)`` normalized depth images.
+        blockers: link geometry of every (frame, active body) pair.
+    """
+
+    start_index: int
+    times_s: np.ndarray
+    depth_images: np.ndarray
+    blockers: BlockerArrays
+
+    def __len__(self) -> int:
+        return len(self.times_s)
+
+    def __getitem__(self, offset: int) -> SceneFrame:
+        offset = range(len(self))[offset]
+        return SceneFrame(
+            index=self.start_index + offset,
+            time_s=float(self.times_s[offset]),
+            depth_image=self.depth_images[offset],
+            blockers=self.blockers.frame_blockers(offset),
+        )
+
+    @property
+    def line_of_sight_blocked(self) -> np.ndarray:
+        """``(F,)`` flags: some body of the frame cuts the LoS."""
+        return self.blockers.line_of_sight_blocked
 
 
 class CorridorScene:
@@ -138,59 +241,96 @@ class CorridorScene:
         self.pedestrians.append(pedestrian)
 
     # -- geometry ----------------------------------------------------------------
-    def active_bodies(self, time_s: float) -> List[AxisAlignedBox]:
-        """Body boxes of all pedestrians active at ``time_s``."""
-        bodies = []
-        for pedestrian in self.pedestrians:
-            body = pedestrian.body_at(time_s)
-            if body is not None:
-                bodies.append(body)
-        return bodies
+    def _bodies(self, times_s: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Body boxes of all active pedestrians at each time.
 
-    def blocker_geometry(self, body: AxisAlignedBox) -> BlockerGeometry:
-        """Compute link-relative geometry for one body box."""
-        blocking = segment_intersects_box(self.ue_position, self.bs_position, body)
-        center = body.center
-        clearance = point_segment_distance(center, self.ue_position, self.bs_position)
-        fraction, _ = project_point_onto_segment(
+        Returns ``(frame_ids, minimum, maximum)`` with one row per (time,
+        active body), ordered by time and then by pedestrian order.
+        """
+        parts = [pedestrian.bodies_at(times_s) for pedestrian in self.pedestrians]
+        if not parts:
+            return np.zeros(0, dtype=np.int64), np.zeros((0, 3)), np.zeros((0, 3))
+        frame_ids, minimum, maximum = (np.concatenate(column) for column in zip(*parts))
+        order = np.argsort(frame_ids, kind="stable")
+        return frame_ids[order].astype(np.int64), minimum[order], maximum[order]
+
+    def _blocker_arrays(
+        self, num_frames: int, frame_ids: np.ndarray, minimum: np.ndarray, maximum: np.ndarray
+    ) -> BlockerArrays:
+        """Link-relative geometry of body boxes, all rows at once."""
+        center = (minimum + maximum) / 2.0
+        fraction, clearance = project_points_onto_segment(
             center, self.ue_position, self.bs_position
         )
         distance_from_tx = fraction * self.link_distance_m
-        body_width = float(body.size[1])
-        return BlockerGeometry(
-            blocking=blocking,
+        return BlockerArrays(
+            num_frames=num_frames,
+            frame=frame_ids,
+            blocking=segment_box_hits(self.ue_position, self.bs_position, minimum, maximum),
             clearance_m=clearance,
             distance_from_tx_m=distance_from_tx,
             distance_from_rx_m=self.link_distance_m - distance_from_tx,
-            body_width_m=body_width,
+            body_width_m=maximum[:, 1] - minimum[:, 1],
         )
+
+    def active_bodies(self, time_s: float) -> List[AxisAlignedBox]:
+        """Body boxes of all pedestrians active at ``time_s``."""
+        _, minimum, maximum = self._bodies(np.array([time_s], dtype=np.float64))
+        return [AxisAlignedBox(low, high) for low, high in zip(minimum, maximum)]
+
+    def blocker_geometry(self, body: AxisAlignedBox) -> BlockerGeometry:
+        """Compute link-relative geometry for one body box."""
+        arrays = self._blocker_arrays(
+            1, np.zeros(1, dtype=np.int64), body.minimum[None, :], body.maximum[None, :]
+        )
+        return arrays.frame_blockers(0)[0]
 
     def line_of_sight_blocked(self, time_s: float) -> bool:
         """Whether any pedestrian blocks the LoS at ``time_s``."""
-        return any(
-            segment_intersects_box(self.ue_position, self.bs_position, body)
-            for body in self.active_bodies(time_s)
+        _, minimum, maximum = self._bodies(np.array([time_s], dtype=np.float64))
+        return bool(
+            segment_box_hits(self.ue_position, self.bs_position, minimum, maximum).any()
         )
 
     # -- frame generation ----------------------------------------------------------
-    def frame_at(self, index: int) -> SceneFrame:
-        """Render the scene at frame ``index`` (time = index * frame interval)."""
-        if index < 0:
-            raise ValueError("frame index must be non-negative")
-        time_s = index * self.frame_interval_s
-        bodies = self.active_bodies(time_s)
-        depth = self.camera.render_normalized(self.static_boxes + bodies)
-        blockers = [self.blocker_geometry(body) for body in bodies]
-        return SceneFrame(
-            index=index, time_s=time_s, depth_image=depth, blockers=blockers
-        )
+    def simulate(self, count: int, start_index: int = 0) -> FrameBatch:
+        """Simulate ``count`` consecutive frames from ``start_index`` in one pass.
 
-    def frames(self, count: int, start_index: int = 0) -> Iterator[SceneFrame]:
-        """Yield ``count`` consecutive frames starting at ``start_index``."""
+        Frame ``i`` is at time ``i * frame_interval_s``.  Every pedestrian is
+        evaluated at all frame times at once, the walls are ray-cast once, and
+        the depth images are written straight into the batch's array.
+        """
         if count < 0:
             raise ValueError("count must be non-negative")
-        for offset in range(count):
-            yield self.frame_at(start_index + offset)
+        if start_index < 0:
+            raise ValueError("frame index must be non-negative")
+        times = np.arange(start_index, start_index + count) * self.frame_interval_s
+        frame_ids, minimum, maximum = self._bodies(times)
+        images = self.camera.render_frames(
+            count, frame_ids, minimum, maximum, static_boxes=self.static_boxes
+        )
+        # Scale to [0, 1] in place, element by element as render_normalized does.
+        intr = self.camera.intrinsics
+        np.subtract(images, intr.min_range_m, out=images)
+        np.divide(images, intr.max_range_m - intr.min_range_m, out=images)
+        return FrameBatch(
+            start_index=start_index,
+            times_s=times,
+            depth_images=images,
+            blockers=self._blocker_arrays(count, frame_ids, minimum, maximum),
+        )
+
+    def frame_at(self, index: int) -> SceneFrame:
+        """Render the scene at frame ``index`` (time = index * frame interval)."""
+        return self.simulate(1, index)[0]
+
+    def frames(self, count: int, start_index: int = 0) -> Iterator[SceneFrame]:
+        """Yield ``count`` consecutive frames starting at ``start_index``.
+
+        The whole run is simulated as one :meth:`simulate` batch when
+        iteration starts; the frames are views into it.
+        """
+        yield from self.simulate(count, start_index)
 
     @property
     def frame_rate_hz(self) -> float:

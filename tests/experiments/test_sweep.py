@@ -193,6 +193,15 @@ def test_second_sweep_hits_dataset_cache(tmp_path, monkeypatch):
         == cell["metrics"]
     )
 
+    # A truncated entry is a miss: the cell regenerates and says so.
+    (entry,) = cache_dir.glob("dataset-*.npz")
+    entry.write_bytes(entry.read_bytes()[:100])
+    third = run_sweep(config)
+    assert len(calls) == 2
+    cell = third["scenarios"]["paper_baseline"]["cells"][0]
+    assert cell["dataset_cache_hit"] is False
+    assert first["scenarios"]["paper_baseline"]["cells"][0]["metrics"] == cell["metrics"]
+
 
 def test_cache_is_scenario_and_seed_addressed(sweep_cache_dir):
     artifact = run_sweep(smoke_sweep_config(sweep_cache_dir))

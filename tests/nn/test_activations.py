@@ -54,6 +54,27 @@ def test_stable_sigmoid_no_overflow():
     assert values[1] == pytest.approx(1.0, abs=1e-12)
 
 
+def masked_sigmoid(x):
+    """The two-branch masked sigmoid the branch-free form must equal."""
+    out = np.empty_like(x, dtype=np.float64)
+    positive = x >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
+    exp_x = np.exp(x[~positive])
+    out[~positive] = exp_x / (1.0 + exp_x)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(32, 16), (128, 16), (128, 1, 20, 20)])
+def test_stable_sigmoid_bitwise_equals_masked_form(gen, shape):
+    inputs = gen.normal(scale=6.0, size=shape)
+    flat = inputs.reshape(-1)
+    flat[:6] = [0.0, -0.0, 800.0, -800.0, 36.0, -36.0]
+    expected = masked_sigmoid(inputs)
+    actual = stable_sigmoid(inputs)
+    assert actual.dtype == np.float64 and actual.shape == shape
+    np.testing.assert_array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
 def test_tanh_matches_numpy(gen):
     layer = Tanh()
     inputs = gen.normal(size=(4, 5))

@@ -17,13 +17,17 @@ determines the training trajectory:
   bitwise identical), and any extra ``fit`` arguments (e.g. ``max_rounds``),
 * :data:`~repro.dataset.cache.TRAJECTORY_VERSION`, through the dataset
   fingerprint, so a code change that moves trajectories stops serving
-  entries trained before it.
+  entries trained before it,
+* :data:`~repro.split.checkpoint.CHECKPOINT_VERSION`, so a change of the
+  archive layout turns old entries into misses instead of load errors.
 
 Loading a cache entry is exactly resuming a finished run: ``fit`` restores
 the checkpoint, observes the run is complete and returns the stored history
 without training — so a cache hit and a fresh run are indistinguishable to
 callers.  Writes are atomic (checkpoints use tmp-file + ``os.replace``), so
-concurrent sweep workers never observe a torn entry.
+concurrent sweep workers never observe a torn entry; an entry that cannot be
+read back whole (a truncated or corrupted file) counts as a miss, and the
+retrained model atomically overwrites it.
 """
 from __future__ import annotations
 
@@ -37,6 +41,7 @@ from typing import Any, Mapping, Optional
 from repro.dataset.cache import config_fingerprint, default_cache_dir
 from repro.experiments.common import ExperimentScale
 from repro.fleet.config import SINGLE_UE, FleetConfig
+from repro.split import checkpoint
 from repro.split.config import ExperimentConfig
 
 
@@ -59,6 +64,7 @@ def trained_model_fingerprint(
             "channel": asdict(config.channel),
             "fleet": fleet,
             "extra": dict(extra) if extra else {},
+            "checkpoint_version": checkpoint.CHECKPOINT_VERSION,
         },
         sort_keys=True,
         default=str,

@@ -52,6 +52,7 @@ from repro.experiments.model_cache import (
 from repro.fleet.config import SINGLE_UE, FleetConfig
 from repro.fleet.trainer import FleetHistory, FleetTrainer
 from repro.nn.serialization import atomic_write_text
+from repro.split.checkpoint import Checkpoint
 from repro.split.config import ExperimentConfig
 from repro.utils.logging import get_logger
 
@@ -224,7 +225,9 @@ class ExperimentPipeline:
         checkpoint) is restored instantly; otherwise, with ``resume`` set, an
         existing job checkpoint continues bit-identically; otherwise the job
         trains from scratch.  Fresh results are stored back into the model
-        cache when one is configured.
+        cache when one is configured.  A cache entry that cannot be loaded
+        (truncated, corrupted, an old layout) is a miss: the job retrains
+        and the fresh entry atomically replaces it.
         """
         fingerprint = self.job_fingerprint(job)
         trainer = job.build_trainer()
@@ -238,11 +241,21 @@ class ExperimentPipeline:
         resume_from = None
         cache_hit = False
         if cache_path is not None and cache_path.exists():
-            resume_from = cache_path
-            cache_hit = True
-            logger.info("job %s: trained-model cache hit (%s)", job.key, fingerprint)
-        elif (
-            self.options.resume
+            try:
+                resume_from = Checkpoint.load(cache_path)
+                cache_hit = True
+                logger.info(
+                    "job %s: trained-model cache hit (%s)", job.key, fingerprint
+                )
+            except ValueError as exc:
+                logger.warning(
+                    "job %s: unreadable model-cache entry, retraining (%s)",
+                    job.key,
+                    exc,
+                )
+        if (
+            not cache_hit
+            and self.options.resume
             and checkpoint_path is not None
             and checkpoint_path.exists()
         ):

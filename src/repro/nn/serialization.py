@@ -14,16 +14,34 @@ the dataset cache), so a process killed mid-write never leaves a corrupt file
 behind — at worst the previous archive survives intact.
 
 Arbitrary nested state trees (dicts of arrays, scalars, strings, lists —
-anything JSON-serializable at the leaves) are flattened into ``.npz`` archives
-by :func:`save_state_tree` / :func:`load_state_tree`; the trainer checkpoints
-are built on top of these.
+anything JSON-serializable at the leaves) are stored by
+:func:`save_state_tree` / :func:`load_state_tree`; the trainer checkpoints
+are built on top of these.  A state-tree archive is a *packed* ``.npz``:
+
+* one ``manifest`` member, the UTF-8 JSON object
+  ``{"arrays": [[key, dtype.str, shape, offset], ...], "plain": {key: value}}``
+  — one entry per array leaf (``offset`` counts elements into its blob) and
+  the plain-data (JSON) leaves inline, both under the flat keys of
+  :func:`flatten_state_tree`;
+* one 1-D blob member per distinct dtype, named by its ``dtype.str``: the
+  C-order concatenation of every array leaf of that dtype.
+
+The member count is therefore ``1 + number of dtypes`` however many leaves
+the tree has, so an N-member fleet checkpoint has as many members as a
+single-UE one.  Each member costs two zip headers, an ``.npy`` header and a
+CRC pass — more bytes and time than a small leaf's data — which is why
+leaves share members instead of getting one each.
 """
 from __future__ import annotations
 
 import io
 import json
+import math
 import os
-from typing import Any, Dict, Mapping, Optional
+import zipfile
+import zlib
+from collections.abc import Mapping
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -161,14 +179,22 @@ def flatten_state_tree(tree: Mapping[str, Any]) -> Dict[str, np.ndarray]:
     archive round trip.  Arrays must sit directly under mapping keys; one
     inside a list or tuple raises ``TypeError`` naming its leaf's key path.
     """
+    return {
+        key: value if isinstance(value, np.ndarray) else np.array(value)
+        for key, value in _flat_leaves(tree)
+    }
+
+
+def _flat_leaves(tree: Mapping[str, Any]) -> List[Tuple[str, Any]]:
+    """:func:`flatten_state_tree`'s ``(key, leaf)`` pairs, JSON leaves as text."""
     if not tree:
-        return {_JSON_SUFFIX: np.array(json.dumps({}))}
+        return [(_JSON_SUFFIX, json.dumps({}))]
     entries: list = []
     _flatten_into(tree, "", entries)
-    return {
-        key: value if isinstance(value, np.ndarray) else _json_leaf(key, value)
+    return [
+        (key, value if isinstance(value, np.ndarray) else _json_text(key, value))
         for key, value in entries
-    }
+    ]
 
 
 def _flatten_into(node: Mapping[str, Any], prefix: str, entries: list) -> bool:
@@ -204,8 +230,8 @@ def _flatten_into(node: Mapping[str, Any], prefix: str, entries: list) -> bool:
     return holds_array
 
 
-def _json_leaf(key: str, value: Any) -> np.ndarray:
-    """``value`` JSON-encoded as a 0-d string array, or a ``TypeError``."""
+def _json_text(key: str, value: Any) -> str:
+    """``value`` JSON-encoded, or a ``TypeError`` naming the leaf's key path."""
     path = key[: -len(_JSON_SUFFIX)]
 
     def reject(item: Any) -> Any:
@@ -219,17 +245,28 @@ def _json_leaf(key: str, value: Any) -> np.ndarray:
             "is not JSON serializable"
         )
 
-    return np.array(json.dumps(value, default=reject))
+    return json.dumps(value, default=reject)
 
 
 def unflatten_state_tree(flat: Mapping[str, np.ndarray]) -> Dict[str, Any]:
     """Rebuild the nested tree written by :func:`flatten_state_tree`."""
+    return _nest(
+        {
+            key: json.loads(str(np.asarray(value)[()]))
+            if key.endswith(_JSON_SUFFIX)
+            else value
+            for key, value in flat.items()
+        }
+    )
+
+
+def _nest(leaves: Mapping[str, Any]) -> Dict[str, Any]:
+    """The nested tree of flat ``leaves`` whose JSON leaves are already decoded."""
     tree: Dict[str, Any] = {}
-    for key in sorted(flat):
-        value: Any = flat[key]
+    for key in sorted(leaves):
+        value = leaves[key]
         if key.endswith(_JSON_SUFFIX):
             key = key[: -len(_JSON_SUFFIX)]
-            value = json.loads(str(np.asarray(value)[()]))
         parts = key.split(_SEPARATOR) if key else [""]
         node = tree
         for part in parts[:-1]:
@@ -241,21 +278,104 @@ def unflatten_state_tree(flat: Mapping[str, np.ndarray]) -> Dict[str, Any]:
     return tree
 
 
+#: Archive member holding a packed state tree's JSON manifest.
+_MANIFEST = "manifest"
+
+#: What a damaged archive can raise while it is read back.
+_UNREADABLE = (
+    OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile, zlib.error
+)
+
+
 def save_state_tree(path: str | os.PathLike, tree: Mapping[str, Any]) -> str:
-    """Atomically persist a nested state tree as an ``.npz`` archive."""
-    return atomic_savez(path, flatten_state_tree(tree))
+    """Atomically persist a nested state tree as a packed ``.npz`` archive.
+
+    The archive holds the manifest plus one blob per dtype (see the module
+    docstring).  An array leaf whose dtype a blob cannot carry (object or
+    structured dtypes) raises ``TypeError`` naming its key path.
+    """
+    blobs: Dict[np.dtype, List[np.ndarray]] = {}
+    sizes: Dict[np.dtype, int] = {}
+    arrays: list = []
+    plain: list = []
+    for key, value in _flat_leaves(tree):
+        if not isinstance(value, np.ndarray):
+            plain.append(f"{json.dumps(key)}: {value}")
+            continue
+        dtype = value.dtype
+        if dtype not in blobs:
+            if dtype.hasobject or np.dtype(dtype.str) != dtype:
+                raise TypeError(
+                    f"state-tree leaf {key!r} has dtype {dtype}, which a "
+                    "packed archive cannot store"
+                )
+            blobs[dtype] = []
+            sizes[dtype] = 0
+        arrays.append([key, dtype.str, list(value.shape), sizes[dtype]])
+        blobs[dtype].append(value.reshape(-1))
+        sizes[dtype] += value.size
+    manifest = (
+        '{"arrays": ' + json.dumps(arrays, separators=(",", ":"))
+        + ', "plain": {' + ", ".join(plain) + "}}"
+    )
+    members = {_MANIFEST: np.frombuffer(manifest.encode("utf-8"), dtype=np.uint8)}
+    for dtype, parts in blobs.items():
+        members[dtype.str] = np.concatenate(parts)
+    return atomic_savez(path, members)
 
 
 def load_state_tree(path: str | os.PathLike) -> Dict[str, Any]:
-    """Load a nested state tree written by :func:`save_state_tree`."""
+    """Load a nested state tree written by :func:`save_state_tree`.
+
+    Every array leaf comes back with its dtype, shape and bytes, as a
+    writeable C-contiguous view of its blob that overlaps no other leaf.
+
+    Raises:
+        FileNotFoundError: when no archive exists at ``path``.
+        ValueError: naming ``path`` when the archive cannot be read back
+            whole — truncated, failing a zip CRC, missing its manifest or a
+            blob, a manifest entry outside its blob or of an unknown dtype,
+            or a per-leaf archive written before checkpoint version 2.
+    """
     path = os.fspath(path)
     if not os.path.exists(path) and os.path.exists(path + ".npz"):
         path = path + ".npz"
     if not os.path.exists(path):
         raise FileNotFoundError(path)
-    with np.load(path, allow_pickle=False) as archive:
-        flat = {key: archive[key] for key in archive.files}
-    return unflatten_state_tree(flat)
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            leaves = _unpack(archive)
+    except _UNREADABLE as exc:
+        raise ValueError(f"unreadable state-tree archive {path!r}: {exc}") from exc
+    return _nest(leaves)
+
+
+def _unpack(archive: np.lib.npyio.NpzFile) -> Dict[str, Any]:
+    """The flat leaves of a packed archive: decoded JSON and blob views."""
+    if _MANIFEST not in archive.files:
+        raise ValueError(
+            "no manifest member (archives of checkpoint version 1 stored one "
+            "member per leaf and are no longer readable)"
+        )
+    manifest = json.loads(archive[_MANIFEST].tobytes().decode("utf-8"))
+    leaves: Dict[str, Any] = dict(manifest["plain"])
+    blobs: Dict[str, np.ndarray] = {}
+    for key, dtype, shape, offset in manifest["arrays"]:
+        blob = blobs.get(dtype)
+        if blob is None:
+            if dtype not in archive.files:
+                raise ValueError(f"leaf {key!r}: no blob of dtype {dtype!r}")
+            blob = blobs[dtype] = archive[dtype]
+            if blob.ndim != 1 or blob.dtype.str != dtype:
+                raise ValueError(f"blob {dtype!r} holds {blob.dtype} {blob.shape}")
+        size = math.prod(shape)
+        if offset < 0 or min(shape, default=0) < 0 or offset + size > blob.size:
+            raise ValueError(
+                f"leaf {key!r} (shape {shape} at offset {offset}) runs past "
+                f"its {dtype!r} blob of {blob.size} elements"
+            )
+        leaves[key] = blob[offset : offset + size].reshape(shape)
+    return leaves
 
 
 # -- unified training state -----------------------------------------------------------

@@ -18,6 +18,15 @@ exchanges (a debugging aid), cached im2col / recurrent scratch buffers
 
 Checkpoints are written atomically (temporary file + ``os.replace``), so an
 interrupt during the write leaves the previous checkpoint intact.
+
+On disk a checkpoint is a packed state-tree archive
+(:func:`~repro.nn.serialization.save_state_tree`): a JSON manifest member
+plus one blob member per dtype, so an N-member fleet checkpoint has as many
+zip members as a single-UE one.  Version 2 is that layout; version 1 stored
+one member per leaf and is refused with a ``ValueError``, as is any archive
+that cannot be read back whole.  The version enters the trained-model cache
+key (:func:`~repro.experiments.model_cache.trained_model_fingerprint`), so a
+layout change turns old cache entries into misses.
 """
 from __future__ import annotations
 
@@ -27,8 +36,8 @@ from typing import Union
 
 from repro.nn.serialization import load_state_tree, save_state_tree
 
-#: Version of the checkpoint archive layout.
-CHECKPOINT_VERSION = 1
+#: Version of the checkpoint archive layout (2: packed manifest + dtype blobs).
+CHECKPOINT_VERSION = 2
 
 #: Checkpoint kind of the one training engine,
 #: :class:`~repro.fleet.trainer.FleetTrainer` (the single-UE trainer is its
@@ -83,7 +92,9 @@ class Checkpoint:
 
         Raises:
             FileNotFoundError: when no archive exists at ``path``.
-            ValueError: on a version or layout mismatch.
+            ValueError: on a version or layout mismatch, or an archive that
+                cannot be read back whole (truncated, corrupted, or an old
+                per-leaf layout).
         """
         tree = load_state_tree(path)
         try:

@@ -12,14 +12,10 @@ measured on the simulated, medium-occupancy-accurate clock at the selected
 benchmark scale (``REPRO_BENCH_SCALE``, default fast).  The rotation round is
 reported alongside as the linear baseline.
 
-A second family of benchmarks times the *host* wall clock, not the simulated
-one.  There is one joint step; the backend picks only its member compute.
-On the stacked bank the N per-member forward/backward passes fuse into
-stacked GEMMs (:mod:`repro.nn.stacked`), and the whole joint step must beat
-the same step on the per-member loop by ``MIN_BATCHED_SPEEDUP`` from N=512
-up (a softer floor applies at N=256), while an N=1000 round stays under
-``N1000_ROUND_BUDGET_S`` of wall clock.  The two sides' timing samples
-alternate, so a load burst on a shared host slows both.
+A second benchmark times the *host* wall clock, not the simulated one.  The
+stacked UE bank fuses the N per-member forward/backward passes into stacked
+GEMMs (:mod:`repro.nn.stacked`), so a full N=1000 round must stay under
+``N1000_ROUND_BUDGET_S`` of wall clock.
 """
 from __future__ import annotations
 
@@ -29,7 +25,6 @@ from typing import Callable, List
 
 import numpy as np
 
-from repro.experiments import ExperimentScale
 from repro.fleet import FleetConfig, FleetTrainer
 from repro.split import ExperimentConfig, TrainingConfig
 from repro.split.config import ModelConfig
@@ -37,20 +32,6 @@ from repro.split.config import ModelConfig
 #: Doubling the fleet must beat doubling the round time by at least this
 #: margin (T(2N) <= SUBLINEAR_MARGIN * 2 * T(N)).
 SUBLINEAR_MARGIN = 0.95
-
-#: The batched joint step must beat the loop reference by at least this
-#: factor at every measured fleet size >= 512 (measured 10-12x on the
-#: benchmark geometry; the bar leaves margin for slower CI hosts).
-MIN_BATCHED_SPEEDUP = 10.0
-
-#: The 10x bar applies from N=512 up; below that the per-step costs shared
-#: by both backends (one scheduler pass, one BS step) amortize over fewer
-#: members, so the N=256 row is held to this softer floor instead
-#: (measured 10-11x).
-MIN_BATCHED_SPEEDUP_SMALL_N = 8.0
-
-#: Fleet size from which the full MIN_BATCHED_SPEEDUP bar applies.
-FULL_SPEEDUP_BAR_UES = 512
 
 #: Host wall-clock budget for one full batched round (gather, joint steps,
 #: scatter) at N=1000.  Measured ~0.15 s; a regression to per-member-loop
@@ -122,7 +103,7 @@ def test_parallel_average_round_time_sublinear_in_fleet_size(scale, bench_split)
         assert parallel[num_ues] < rotation[num_ues]
 
 
-# -- batched backend: host wall clock at large N -------------------------------------
+# -- the stacked bank: host wall clock at large N ------------------------------------
 
 
 def _large_fleet_model() -> ModelConfig:
@@ -130,9 +111,9 @@ def _large_fleet_model() -> ModelConfig:
 
     The point of these benchmarks is the member axis, not the per-member
     model, so each UE is shrunk to a single pooled cut value per image and a
-    small simple-RNN BS stage.  At this size the member loop is dominated by
-    per-member Python dispatch — exactly the overhead the batched kernels
-    remove — while both backends stay fast enough for CI.
+    small simple-RNN BS stage.  At this size a per-member loop would be
+    dominated by Python dispatch, exactly the overhead the batched kernels
+    remove.
     """
     return ModelConfig(
         image_height=4,
@@ -147,14 +128,11 @@ def _large_fleet_model() -> ModelConfig:
     )
 
 
-def _large_fleet_trainer(num_ues: int, backend: str) -> FleetTrainer:
+def _large_fleet_trainer(num_ues: int) -> FleetTrainer:
     config = ExperimentConfig(
         model=_large_fleet_model(), training=TrainingConfig(seed=3)
     )
-    return FleetTrainer(
-        config,
-        FleetConfig(num_ues=num_ues, mode="parallel_average", backend=backend),
-    )
+    return FleetTrainer(config, FleetConfig(num_ues=num_ues, mode="parallel_average"))
 
 
 def _member_batches(num_ues: int, seed: int = 0):
@@ -180,88 +158,15 @@ def _best_times(*fns: Callable[[], None], repeats: int) -> List[float]:
     return best
 
 
-@dataclass
-class JointStepRow:
-    num_ues: int
-    loop_ms: float
-    batched_ms: float
-
-    @property
-    def speedup(self) -> float:
-        return self.loop_ms / self.batched_ms
-
-
-def _joint_step_counts(scale: ExperimentScale) -> tuple:
-    """(fleet sizes, timing repeats) for the scale."""
-    if scale.num_samples <= ExperimentScale.smoke().num_samples:
-        return (256, 512, 1000), 3
-    return (256, 512, 1000), 5
-
-
-#: Batched joint steps are a few milliseconds each, so one call per timing
-#: sample is jitter-dominated; each sample times this many calls instead.
-_BATCHED_INNER_STEPS = 4
-
-
-def test_batched_joint_step_speedup_over_loop_reference(scale):
-    """The joint step on the stacked bank beats it on the member loop >= 10x."""
-    counts, repeats = _joint_step_counts(scale)
-    rows: List[JointStepRow] = []
-    for num_ues in counts:
-        batches = _member_batches(num_ues)
-        batch_sizes = [len(targets) for _, _, targets in batches]
-        loop_trainer = _large_fleet_trainer(num_ues, "loop")
-        member_loop = loop_trainer._member_compute(batch_sizes)
-        batched_trainer = _large_fleet_trainer(num_ues, "batched")
-        bank = batched_trainer._member_compute(batch_sizes)
-        # Warm up caches and pools.
-        loop_trainer._joint_step(batches, member_loop)
-        batched_trainer._joint_step(batches, bank)
-
-        def batched_sample() -> None:
-            for _ in range(_BATCHED_INNER_STEPS):
-                batched_trainer._joint_step(batches, bank)
-
-        loop_s, batched_s = _best_times(
-            lambda: loop_trainer._joint_step(batches, member_loop),
-            batched_sample,
-            repeats=repeats,
-        )
-        rows.append(
-            JointStepRow(
-                num_ues, loop_s * 1e3, batched_s / _BATCHED_INNER_STEPS * 1e3
-            )
-        )
-
-    print()
-    print(f"{'N':>5s} {'loop [ms]':>10s} {'batched [ms]':>13s} {'speedup':>8s}")
-    for row in rows:
-        print(
-            f"{row.num_ues:>5d} {row.loop_ms:>10.1f} "
-            f"{row.batched_ms:>13.1f} {row.speedup:>7.1f}x"
-        )
-
-    for row in rows:
-        bar = (
-            MIN_BATCHED_SPEEDUP
-            if row.num_ues >= FULL_SPEEDUP_BAR_UES
-            else MIN_BATCHED_SPEEDUP_SMALL_N
-        )
-        assert row.speedup >= bar, (
-            f"batched joint step at N={row.num_ues} is only "
-            f"{row.speedup:.1f}x faster than the loop reference "
-            f"(required {bar:.0f}x)"
-        )
-
-
 def test_n1000_batched_round_time_bounded(scale):
     """A full N=1000 batched round stays under the wall-clock budget."""
     num_ues = 1000
-    trainer = _large_fleet_trainer(num_ues, "batched")
+    trainer = _large_fleet_trainer(num_ues)
     batches = _member_batches(num_ues)
 
     def one_round() -> None:
-        bank = trainer._member_compute([1] * num_ues)
+        bank = trainer._ensure_bank()
+        bank.gather()
         for _ in range(N1000_STEPS_PER_ROUND):
             trainer._joint_step(batches, bank)
         bank.scatter()

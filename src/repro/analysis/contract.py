@@ -252,14 +252,10 @@ def default_specs() -> List[ContractSpec]:
 
         return TopKCodec()
 
-    def stacked_ue_bank():
-        import numpy as np
+    def small_split_model(**overrides):
+        from repro.split.config import ModelConfig
 
-        from repro.fleet.bank import StackedUEBank
-        from repro.split.config import ModelConfig, TrainingConfig
-        from repro.split.ue import UEClient
-
-        model = ModelConfig(
+        return ModelConfig(
             image_height=8,
             image_width=8,
             pooling_height=4,
@@ -268,8 +264,17 @@ def default_specs() -> List[ContractSpec]:
             rnn_hidden_size=8,
             head_hidden_size=4,
             sequence_length=2,
+            **overrides,
         )
-        training = TrainingConfig()
+
+    def stacked_ue_bank():
+        import numpy as np
+
+        from repro.fleet.bank import StackedUEBank
+        from repro.split.config import TrainingConfig
+        from repro.split.ue import UEClient
+
+        model, training = small_split_model(), TrainingConfig()
         bank = StackedUEBank(
             [UEClient(model, training, seed=member) for member in range(2)]
         )
@@ -279,6 +284,20 @@ def default_specs() -> List[ContractSpec]:
         bank.backward(np.zeros_like(features))
         bank.apply_updates(np.array([True, False]))
         return bank
+
+    def split_training_protocol():
+        import numpy as np
+
+        from repro.split.config import ExperimentConfig
+        from repro.split.protocol import SplitTrainingProtocol
+
+        model = small_split_model(codec="topk")
+        protocol = SplitTrainingProtocol(ExperimentConfig(model=model), seed=0)
+        # One step builds the bank and the codec's error-feedback residuals.
+        protocol.training_step(
+            np.zeros((2, 2, 8, 8)), np.zeros((2, 2)), np.zeros(2)
+        )
+        return protocol
 
     shared_optimizer_waivers = {
         "parameters": "references to externally owned Parameter objects; "
@@ -336,7 +355,18 @@ def default_specs() -> List[ContractSpec]:
                 "objects, the scatter() targets",
                 "_grads": "per-step gradient scratch, zeroed by every "
                 "apply_updates call",
-                "_cache": "forward-pass buffers, transient compute state",
+                "_passes": "per-batch-size member groups and their "
+                "forward-pass buffers, transient compute state",
+            },
+        ),
+        ContractSpec(
+            name="SplitTrainingProtocol",
+            factory=split_training_protocol,
+            waived={
+                "bs": "the shared BS; the fleet stores it once, beside its "
+                "members' protocols",
+                "_bank": "one-member StackedUEBank derived from the UE: "
+                "every step gathers from the client, which is captured",
             },
         ),
     ]

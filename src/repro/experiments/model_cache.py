@@ -13,8 +13,7 @@ determines the training trajectory:
   subsampling and eval batching enter the recorded learning curve),
 * the model, training and channel configurations,
 * the fleet configuration (one UE in rotation mode for the paper's
-  single-UE runs) minus its execution-only ``backend`` (the backends are
-  bitwise identical), and any extra ``fit`` arguments (e.g. ``max_rounds``),
+  single-UE runs) and any extra ``fit`` arguments (e.g. ``max_rounds``),
 * :data:`~repro.dataset.cache.TRAJECTORY_VERSION`, through the dataset
   fingerprint, so a code change that moves trajectories stops serving
   entries trained before it,
@@ -53,8 +52,6 @@ def trained_model_fingerprint(
     extra: Optional[Mapping[str, Any]] = None,
 ) -> str:
     """Stable hash of everything determining a training run's trajectory."""
-    fleet = asdict(fleet_config)
-    del fleet["backend"]
     payload = json.dumps(
         {
             "dataset": config_fingerprint(scale.dataset_config()),
@@ -62,7 +59,7 @@ def trained_model_fingerprint(
             "model": asdict(config.model),
             "training": asdict(config.training),
             "channel": asdict(config.channel),
-            "fleet": fleet,
+            "fleet": asdict(fleet_config),
             "extra": dict(extra) if extra else {},
             "checkpoint_version": checkpoint.CHECKPOINT_VERSION,
         },

@@ -12,7 +12,6 @@ plus splitfed-style parallel averaging.  The paper's single-UE trainer,
 """
 from repro.fleet.bank import StackedUEBank
 from repro.fleet.config import (
-    FLEET_BACKENDS,
     FLEET_MODES,
     PARALLEL_AVERAGE,
     ROTATION,
@@ -36,7 +35,6 @@ from repro.fleet.scheduler import (
 from repro.fleet.trainer import FleetHistory, FleetRoundRecord, FleetTrainer
 
 __all__ = [
-    "FLEET_BACKENDS",
     "FLEET_MODES",
     "FLEET_STREAM_SALT",
     "FleetConfig",

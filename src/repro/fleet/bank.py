@@ -1,33 +1,27 @@
-"""The member compute of ``FleetTrainer``'s joint step: loop or stacked.
+"""The one engine that trains UE CNNs: stacked weights over identical UEs.
 
-The joint step reaches the members' CNN halves through two calls: ``forward``
-on the members' image batches, and ``backward_and_update`` for the cut
-gradients that reached their members.  Two classes implement them:
+:class:`StackedUEBank` fuses N identical UE architectures into stacked arrays
+with a leading member axis and drives the batched kernels of
+:mod:`repro.nn.stacked`, turning N Python-level model evaluations into a
+handful of broadcasted GEMMs.  It trains every UE in both fleet modes: a
+parallel-average fleet runs through one bank, and each rotation protocol
+trains its UE through a bank of one.  ``UEClient.backward`` /
+``apply_update`` survive only as the per-member reference of the tests.
 
-* :class:`MemberLoop` runs every member's own ``UEClient`` one at a time.  It
-  is the reference, and the only compute for rounds whose shards give the
-  members unequal batch sizes.
-* :class:`StackedUEBank` fuses the N identical architectures into stacked
-  arrays with a leading member axis and drives the batched kernels of
-  :mod:`repro.nn.stacked`, turning N Python-level model evaluations into a
-  handful of broadcasted GEMMs per joint step.
+The bank is a *view* over the members' ``UEClient`` objects, not a second
+copy of the truth: :meth:`StackedUEBank.gather` snapshots the members'
+weights and Adam state, the training steps mutate only the stacked arrays,
+and :meth:`StackedUEBank.scatter` writes them back (after a parallel round,
+before weight averaging; after every rotation step).  The batched kernels
+are bitwise-identical to the per-member layers (same ``np.matmul`` lowering,
+same masked-update operation order), so checkpoints, hand-offs, averages and
+inference read exactly the arrays the per-member reference would produce.
+Members with different batch sizes (uneven strided shards) run one stacked
+pass per distinct size and exchange per-member lists instead of one array.
 
-The bank is a *view* over the members' own ``UEClient`` objects, not a third
-copy of the truth: :meth:`StackedUEBank.gather` snapshots every member's
-weights and Adam state into the stacked arrays at the start of a parallel
-round, the joint steps mutate only the stacked arrays, and
-:meth:`StackedUEBank.scatter` writes the results back into the member
-objects before weight averaging.  Because the batched kernels are
-bitwise-identical to the member loop (same ``np.matmul`` lowering, same
-masked-update operation order), a gather → steps → scatter round produces
-exactly the arrays :class:`MemberLoop` would have — which keeps fleet
-checkpoints backend-agnostic and an N=1 parallel-average fleet draw-for-draw
-equal to the single-UE rotation fleet, ``SplitTrainer``.
-
-The bank itself is checkpointable (``state_dict``/``load_state_dict``,
-registered in :mod:`repro.analysis.contract`), although fleet checkpoints do
-not embed it: its state is derived, and the canonical copy always lives in
-the members between rounds.
+The bank is checkpointable (``state_dict``/``load_state_dict``, registered
+in :mod:`repro.analysis.contract`), but checkpoints never embed it: the
+canonical copy lives in the members between steps and rounds.
 """
 from __future__ import annotations
 
@@ -46,6 +40,7 @@ from repro.nn.stacked import (
     stacked_clip_scales,
     stacked_conv2d_backward,
     stacked_conv2d_forward,
+    stacked_gradient_norms,
 )
 from repro.split.ue import UEClient
 
@@ -142,7 +137,8 @@ class StackedUEBank:
         self._second_moment: List[np.ndarray] = []
         self._step_counts = np.zeros(len(self._clients), dtype=np.int64)
         self._grads: List[np.ndarray] = []
-        self._cache: Dict[str, object] = {}
+        self._pass_sizes: Tuple[int, ...] = ()
+        self._passes: List[Tuple[object, Dict]] = []
         self.gather()
 
     @property
@@ -183,28 +179,69 @@ class StackedUEBank:
             client.optimizer.step_count = int(self._step_counts[member])
 
     # -- batched compute -------------------------------------------------------
-    def forward(self, image_sequences: np.ndarray) -> np.ndarray:
-        """All members' CNN + compressor passes in one batched sweep.
+    def _member_passes(self, sizes: Sequence[int]) -> List[Tuple[object, Dict]]:
+        """``(member selector, buffer cache)`` of each stacked pass.
+
+        One pass per distinct batch size: a ``slice`` over every member when
+        all sizes agree, otherwise an index array per size.  The plan and its
+        buffers persist while the sizes stay the same.
+        """
+        sizes = tuple(int(size) for size in sizes)
+        if sizes != self._pass_sizes:
+            distinct = sorted(set(sizes))
+            if len(distinct) == 1:
+                self._passes = [(slice(None), {})]
+            else:
+                by_size = np.array(sizes)
+                self._passes = [
+                    (np.flatnonzero(by_size == size), {}) for size in distinct
+                ]
+            self._pass_sizes = sizes
+        return self._passes
+
+    def forward(self, image_sequences):
+        """All members' CNN + compressor passes in batched sweeps.
 
         Args:
-            image_sequences: ``(members, batch, L, H, W)`` — each member's
-                own minibatch of image sequences, as one array or as a list
-                of equal-shaped per-member arrays.
+            image_sequences: each member's own minibatch ``(batch, L, H, W)``,
+                as one ``(members, batch, L, H, W)`` array or as a list of
+                per-member arrays whose batch sizes may differ.
 
         Returns:
-            Cut-layer activations ``(members, batch, L, F)``, bitwise equal
-            to stacking each member's ``UEClient.forward`` output.
+            Cut-layer activations, bitwise equal to each member's
+            ``UEClient.forward`` output: one ``(members, batch, L, F)``
+            array when every batch size agrees, else a per-member list.
         """
-        images = np.asarray(image_sequences, dtype=np.float64)
-        if images.ndim != 5 or images.shape[0] != len(self._clients):
+        members = len(self._clients)
+        if len(image_sequences) != members:
             raise ValueError(
-                f"expected (members={len(self._clients)}, batch, L, H, W) "
-                f"image sequences, got {images.shape}"
+                f"expected image sequences for {members} members, got "
+                f"{len(image_sequences)}"
+            )
+        passes = self._member_passes([len(images) for images in image_sequences])
+        pooled = [
+            self._forward_pass(selector, _take(image_sequences, selector), cache)
+            for selector, cache in passes
+        ]
+        if len(passes) == 1:
+            return pooled[0]
+        features: list = [None] * members
+        for (selector, _), group in zip(passes, pooled):
+            for position, member in enumerate(selector):
+                features[member] = group[position]
+        return features
+
+    def _forward_pass(self, selector, image_sequences, cache: Dict) -> np.ndarray:
+        """One stacked pass over the members ``selector`` picks."""
+        images = np.asarray(image_sequences, dtype=np.float64)
+        if images.ndim != 5:
+            raise ValueError(
+                f"expected (members, batch, L, H, W) image sequences, got "
+                f"{images.shape}"
             )
         members, batch, length, height, width = images.shape
         flat_batch = batch * length
         x = images.reshape(members, flat_batch, 1, height, width)
-        cache: Dict[str, object] = self._cache
         for step, spec in enumerate(self._plan):
             if spec[0] == "conv":
                 _, weight_index, bias_index, stride, padding, _ = spec
@@ -215,8 +252,8 @@ class StackedUEBank:
                     cache.get(f"padded/{step}"),
                 )
                 output, cols = stacked_conv2d_forward(
-                    self._values[weight_index],
-                    self._values[bias_index],
+                    self._values[weight_index][selector],
+                    self._values[bias_index][selector],
                     x,
                     stride,
                     padding,
@@ -241,20 +278,25 @@ class StackedUEBank:
         ).mean(axis=(3, 5))
         return pooled.reshape(members, batch, length, -1)
 
-    def backward(self, cut_gradients: np.ndarray) -> None:
+    def backward(self, cut_gradients) -> None:
         """Backpropagate all members' cut-layer gradients into ``_grads``.
 
         Args:
-            cut_gradients: ``(members, batch, L, F)`` — zeros for members
-                whose downlink failed (their parameter gradients come out
-                zero, and their update is masked off anyway).
+            cut_gradients: one gradient per member, in the form
+                :meth:`forward` returned (zeros for members whose downlink
+                failed: their parameter gradients come out zero, and their
+                update is masked off anyway).
 
         A convolution built with ``needs_input_grad=False`` (the first one)
-        ends the pass, as it ends ``Sequential.backward`` in :class:`MemberLoop`.
+        ends the pass, as it ends ``Sequential.backward``.
         """
-        members = len(self._clients)
-        pool_shape = self._cache["pool_input_shape"]
-        _, flat_batch, channels, map_h, map_w = pool_shape
+        for selector, cache in self._passes:
+            self._backward_pass(selector, _take(cut_gradients, selector), cache)
+
+    def _backward_pass(self, selector, cut_gradients, cache: Dict) -> None:
+        """The backward of one :meth:`_forward_pass`."""
+        pool_shape = cache["pool_input_shape"]
+        members, flat_batch, channels, map_h, map_w = pool_shape
         ph, pw = self._pool_size
         scale = 1.0 / (ph * pw)
         grad_pooled = np.asarray(cut_gradients, dtype=np.float64).reshape(
@@ -265,13 +307,12 @@ class StackedUEBank:
             members * flat_batch, channels, map_h // ph, ph, map_w // pw, pw
         )[...] = grad_pooled[:, :, :, None, :, None] * scale
         x_grad = grad.reshape(pool_shape)
-        cache = self._cache
         for step in reversed(range(len(self._plan))):
             spec = self._plan[step]
             if spec[0] == "conv":
                 _, weight_index, bias_index, stride, padding, needs_input_grad = spec
                 input_shape = cache[f"conv_input_shape/{step}"]
-                weights = self._values[weight_index]
+                weights = self._values[weight_index][selector]
                 grad_output = x_grad.reshape(
                     (members, flat_batch, weights.shape[1]) + x_grad.shape[-2:]
                 )
@@ -294,29 +335,29 @@ class StackedUEBank:
                     dilated_out=dilated,
                 )
                 # `+ 0.0` mirrors the layers' accumulate-from-zero (`grad +=`)
-                # so even signed zeros match MemberLoop bitwise.
-                self._grads[weight_index] = grad_weights + 0.0
-                self._grads[bias_index] = grad_biases + 0.0
+                # so even signed zeros match the per-member layers bitwise.
+                self._grads[weight_index][selector] = grad_weights + 0.0
+                self._grads[bias_index][selector] = grad_biases + 0.0
             elif spec[0] == "relu":
                 x_grad = x_grad * cache[f"mask/{step}"]
             else:  # sigmoid
                 output = cache[f"sigmoid/{step}"]
                 x_grad = x_grad * output * (1.0 - output)
 
-    def backward_and_update(
-        self, members: Sequence[int], cut_gradients: np.ndarray
-    ) -> None:
+    def backward_and_update(self, members: Sequence[int], cut_gradients) -> None:
         """Backpropagate and update the listed members only.
 
-        ``cut_gradients`` is ``(len(members), batch, L, F)``, one slice per
-        listed member; every other member gets a zero gradient and is masked
-        out of the update.
+        ``cut_gradients`` holds one gradient per listed member, stacked or as
+        a list (the form :meth:`forward` returned); every other member gets
+        a zero gradient and is masked out of the update.
         """
-        grad_stack = np.zeros((len(self._clients),) + cut_gradients.shape[1:])
-        grad_stack[members] = cut_gradients
+        tail = np.shape(cut_gradients[0])[1:]
+        full = [np.zeros((size,) + tail) for size in self._pass_sizes]
+        for member, gradient in zip(members, cut_gradients):
+            full[member] = gradient
         mask = np.zeros(len(self._clients), dtype=bool)
-        mask[members] = True
-        self.backward(grad_stack)
+        mask[list(members)] = True
+        self.backward(full)
         self.apply_updates(mask)
 
     def apply_updates(self, mask: np.ndarray) -> None:
@@ -325,10 +366,19 @@ class StackedUEBank:
         Mirrors ``UEClient.apply_update`` per selected member: optional
         global-norm clipping, one optimizer step, gradients cleared.
         Masked-out members keep weights, moments and step counts untouched.
+        A non-finite gradient norm raises ``FloatingPointError`` naming the
+        members, before any state changes.
         """
         mask = np.asarray(mask, dtype=bool)
+        norms = stacked_gradient_norms(self._grads)
+        diverged = np.flatnonzero(~np.isfinite(norms))
+        if diverged.size:
+            raise FloatingPointError(
+                f"non-finite UE gradient norm at bank member(s) "
+                f"{diverged.tolist()} of {len(norms)}"
+            )
         if self._gradient_clip > 0:
-            scales = stacked_clip_scales(self._grads, self._gradient_clip)
+            scales = stacked_clip_scales(norms, self._gradient_clip)
             for grad in self._grads:
                 grad *= scales.reshape((len(scales),) + (1,) * (grad.ndim - 1))
         self._step_counts = self._step_counts + mask.astype(np.int64)
@@ -398,34 +448,11 @@ class StackedUEBank:
         self._step_counts = counts.copy()
 
 
-class MemberLoop:
-    """Per-member compute: each member's own ``UEClient``, one at a time.
-
-    Same two joint-step calls as :class:`StackedUEBank`, on lists of
-    per-member arrays, so the members' batch sizes may differ.
-
-    Args:
-        clients: the fleet members' ``UEClient`` objects, in member order.
-    """
-
-    def __init__(self, clients: Sequence[UEClient]):
-        self._clients: List[UEClient] = list(clients)
-
-    def forward(self, image_sequences: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """Every member's ``UEClient.forward`` on its own minibatch."""
-        return [
-            client.forward(images)
-            for client, images in zip(self._clients, image_sequences)
-        ]
-
-    def backward_and_update(
-        self, members: Sequence[int], cut_gradients: Sequence[np.ndarray]
-    ) -> None:
-        """Backpropagate and update the listed members, one gradient each."""
-        for member, gradient in zip(members, cut_gradients):
-            client = self._clients[member]
-            client.backward(gradient)
-            client.apply_update()
+def _take(values, selector):
+    """The members of ``values`` (an array or a list) ``selector`` picks."""
+    if isinstance(selector, slice):
+        return values[selector]
+    return [values[member] for member in selector]
 
 
-__all__ = ["MemberLoop", "StackedUEBank"]
+__all__ = ["StackedUEBank"]

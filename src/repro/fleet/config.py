@@ -12,13 +12,14 @@ ROTATION = "rotation"
 PARALLEL_AVERAGE = "parallel_average"
 FLEET_MODES = (ROTATION, PARALLEL_AVERAGE)
 
-#: Joint-step compute backends for parallel-average mode.
-FLEET_BACKENDS = ("auto", "loop", "batched")
-
 
 @dataclass(frozen=True)
 class FleetConfig:
     """How many UEs train together, and how.
+
+    Every member's CNN trains in a
+    :class:`~repro.fleet.bank.StackedUEBank` in both modes, so there is no
+    compute knob: the fields below shape only the trajectory.
 
     Attributes:
         num_ues: fleet size ``N``.
@@ -42,19 +43,6 @@ class FleetConfig:
         seed: fleet-level seed for placement jitter and the extra UE RNG
             streams (default: the training seed).  UE 0's streams always come
             from the training seed alone, untouched by this value.
-        backend: member compute of the parallel-average joint step.  There
-            is one joint step; the backend picks only how it runs the
-            members' CNN forward/backward and Adam updates.  ``"batched"``
-            stacks every member's weights into a
-            :class:`~repro.fleet.bank.StackedUEBank` and fuses the N passes
-            into batched kernels (on rounds whose shards give every member
-            the same batch size; other rounds fall back to the loop);
-            ``"loop"`` runs each member's own ``UEClient`` in turn.  The two
-            are bitwise-identical (same histories, same RNG streams, same
-            checkpoints — checkpoints are interchangeable across backends),
-            so the default ``"auto"`` picks ``"batched"`` for
-            parallel-average runs and ``"loop"`` elsewhere.  Rotation mode
-            has no joint step and rejects an explicit ``"batched"``.
     """
 
     num_ues: int = 2
@@ -64,7 +52,6 @@ class FleetConfig:
     steps_per_turn: Optional[int] = None
     max_rounds: Optional[int] = None
     seed: Optional[int] = None
-    backend: str = "auto"
 
     def __post_init__(self):
         if self.num_ues < 1:
@@ -84,20 +71,14 @@ class FleetConfig:
             raise ValueError("steps_per_turn must be positive")
         if self.max_rounds is not None and self.max_rounds <= 0:
             raise ValueError("max_rounds must be positive")
-        if self.backend not in FLEET_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {FLEET_BACKENDS}, got {self.backend!r}"
-            )
-        if self.backend == "batched" and self.mode == ROTATION:
-            raise ValueError(
-                "the batched backend applies to parallel_average mode only"
-            )
 
     def resolved_backend(self) -> str:
-        """The concrete backend: ``auto`` means batched for parallel-average."""
-        if self.backend != "auto":
-            return self.backend
-        return "batched" if self.mode == PARALLEL_AVERAGE else "loop"
+        """Always ``"batched"``: every UE trains in a stacked bank.
+
+        Kept only for the benchmark harness (``benchmarks/harness``), its
+        one caller, which checks it before timing the fleet workload.
+        """
+        return "batched"
 
 
 #: The paper's setup as a fleet: one UE, one BS, one SL link.  The single-UE

@@ -42,7 +42,7 @@ from repro.channel.arq import (
     transmit_uplink_across,
 )
 from repro.dataset.sequences import SequenceDataset
-from repro.fleet.bank import MemberLoop, StackedUEBank
+from repro.fleet.bank import StackedUEBank
 from repro.fleet.config import ROTATION, FleetConfig
 from repro.fleet.fleet import FleetMember, UEFleet, shard_indices
 from repro.fleet.scheduler import MediumScheduler, scheduler_from_name
@@ -198,11 +198,10 @@ class FleetTrainer:
             fleet_config.scheduler
         )
         self.normalizer: Optional[PowerNormalizer] = None
-        self._backend = fleet_config.resolved_backend()
         self._bank: Optional[StackedUEBank] = None
 
     def _ensure_bank(self) -> StackedUEBank:
-        """The lazily built stacked-parameter bank of the batched backend."""
+        """The lazily built bank that trains every member in parallel rounds."""
         if self._bank is None:
             self._bank = StackedUEBank(
                 [member.ue for member in self.fleet.members]
@@ -329,6 +328,11 @@ class FleetTrainer:
                 run would have drawn, so the resulting history and final
                 weights are bit-identical to never having stopped.  A
                 checkpoint of a finished run returns its history immediately.
+
+        Raises:
+            FloatingPointError: a step produced a non-finite BS loss or UE
+                gradient (the message names the round and the members).  The
+                checkpoint at ``checkpoint_path`` keeps the last finished round.
         """
         training = self.config.training
         fleet_config = self.fleet_config
@@ -389,18 +393,21 @@ class FleetTrainer:
             losses: List[float] = []
             duration = busy = 0.0
             lost = steps = 0
-            for step_s, step_busy_s, loss, step_lost, member_steps in round_steps(
-                shards, batch_sizes, steps_per_turn, images, powers, targets
-            ):
-                # The run clock advances step by step; the round's own
-                # duration is summed beside it.
-                elapsed_s += step_s
-                duration += step_s
-                busy += step_busy_s
-                lost += step_lost
-                steps += member_steps
-                if loss is not None:
-                    losses.append(loss)
+            try:
+                for step_s, step_busy_s, loss, step_lost, member_steps in round_steps(
+                    shards, batch_sizes, steps_per_turn, images, powers, targets
+                ):
+                    # The run clock advances step by step; the round's own
+                    # duration is summed beside it.
+                    elapsed_s += step_s
+                    duration += step_s
+                    busy += step_busy_s
+                    lost += step_lost
+                    steps += member_steps
+                    if loss is not None:
+                        losses.append(loss)
+            except FloatingPointError as error:
+                raise FloatingPointError(f"round {round_index}: {error}") from error
             busy_total_s += busy
 
             validation_rmse = self.evaluate(validation)
@@ -490,8 +497,13 @@ class FleetTrainer:
         powers: Optional[np.ndarray],
         targets: np.ndarray,
     ) -> Iterator[StepOutcome]:
-        """One parallel-average round: joint steps, then weight averaging."""
-        compute = self._member_compute(batch_sizes)
+        """One parallel-average round: joint steps, then weight averaging.
+
+        The fleet's bank gathers the members here and scatters back before
+        the averaging, so the members hold the canonical state between rounds.
+        """
+        bank = self._ensure_bank()
+        bank.gather()
         for _ in range(steps_per_turn):
             batches = [
                 self._draw_batch(member, shard, batch_size, images, powers, targets)
@@ -499,38 +511,18 @@ class FleetTrainer:
                     self.fleet, shards, batch_sizes
                 )
             ]
-            loss, lost, duration, busy = self._joint_step(batches, compute)
+            loss, lost, duration, busy = self._joint_step(batches, bank)
             yield duration, busy, loss, lost, self.fleet.num_ues
-        if compute is self._bank:
-            self._bank.scatter()
+        bank.scatter()
         self.fleet.average_ue_weights()
 
-    def _member_compute(
-        self, batch_sizes: Sequence[int]
-    ) -> StackedUEBank | MemberLoop:
-        """The members' CNN compute for one parallel-average round.
-
-        The batched backend stacks the members into the :class:`StackedUEBank`
-        (gathered here; :meth:`_parallel_round` scatters it after the round).
-        Stacking needs equal per-member batch sizes, so the loop backend, and
-        any round whose shards give unequal batches, runs each member's own
-        ``UEClient`` through :class:`MemberLoop`.  The two are bitwise
-        identical.
-        """
-        if self._backend == "batched" and len(set(batch_sizes)) == 1:
-            bank = self._ensure_bank()
-            bank.gather()
-            return bank
-        return MemberLoop([member.ue for member in self.fleet.members])
-
     def _joint_step(
-        self, batches, compute: StackedUEBank | MemberLoop
+        self, batches, bank: StackedUEBank
     ) -> Tuple[Optional[float], int, float, float]:
         """One synchronized step of every member over the shared medium.
 
-        ``compute`` runs the members' CNN halves (see :meth:`_member_compute`);
-        payload sizing, ARQ draws, scheduling, the shared BS step, codecs and
-        per-member accounting are the same for either.  Returns ``(joint loss
+        ``bank`` runs the members' CNN halves: one stacked array when every
+        batch size agrees, per-member lists otherwise.  Returns ``(joint loss
         or None, lost member-steps, simulated duration, medium busy time)``.
         """
         training = self.config.training
@@ -543,7 +535,7 @@ class FleetTrainer:
         # Compute phase: every UE runs its CNN forward in parallel, so the
         # fleet pays the per-step UE compute time once, not N times.
         duration = training.ue_compute_time_s
-        features = compute.forward([image_batch for image_batch, _, _ in batches])
+        features = bank.forward([image_batch for image_batch, _, _ in batches])
         # The fleet builds every protocol from one config, so one payload
         # check per distinct batch size covers every member.
         protocol = members[0].protocol
@@ -640,7 +632,7 @@ class FleetTrainer:
                     gradients,
                     DOWNLINK_STREAM,
                 )
-                compute.backward_and_update(delivered, gradients)
+                bank.backward_and_update(delivered, gradients)
                 self.fleet.bs.apply_update()
             else:
                 self.fleet.bs.zero_grad()
@@ -657,7 +649,6 @@ class FleetTrainer:
             step = session.record_exchange(uplink_result, downlinks.get(index))
             if not step.success:
                 lost += 1
-                members[index].protocol.abort_step()
         return loss_value, lost, duration, busy
 
     # -- evaluation -------------------------------------------------------------------
@@ -690,8 +681,8 @@ class FleetTrainer:
 def _concatenate_members(batches, indices: Sequence[int]) -> np.ndarray:
     """The member batches ``batches[i]`` for ``i`` in ``indices``, as one batch.
 
-    ``batches`` is one array with a leading member axis (from the bank) or a
-    list of per-member arrays (from :class:`MemberLoop`).
+    ``batches`` is one array with a leading member axis or, when the
+    members' batch sizes differ, a list of per-member arrays.
     """
     if isinstance(batches, np.ndarray):
         return batches[indices].reshape((-1,) + batches.shape[2:])

@@ -23,8 +23,8 @@ the inverse of :func:`im2col` for tests and tools.  A layer built with
 ``needs_input_grad=False`` (the first layer of a network, whose input is
 data) skips the input gradient entirely.  The same matmul formulations
 generalize to a leading fleet-member axis bitwise-identically — see
-:mod:`repro.nn.stacked` for the stacked-weight variants used by the batched
-fleet backend.
+:mod:`repro.nn.stacked` for the stacked-weight variants with which the
+stacked UE bank trains every UE.
 
 Naive per-output-pixel loop implementations are retained as
 ``conv2d_forward_reference`` / ``conv2d_backward_reference``.  They are the

@@ -1,9 +1,8 @@
 """Stacked-weight kernel variants for fleets of identical models.
 
-In ``parallel_average`` fleet mode every UE runs the *same* CNN architecture
-with its own weights, so N independent forward/backward passes can be fused
-into batched GEMMs by stacking the per-member weights along one extra leading
-axis.  The functions here are the member-axis generalizations of the single
+Every UE of a fleet runs the *same* CNN architecture with its own weights,
+so N independent forward/backward passes can be fused into batched GEMMs by
+stacking the per-member weights along one extra leading axis.  The functions here are the member-axis generalizations of the single
 model kernels in :mod:`repro.nn.layers.conv` and :class:`repro.nn.optim.Adam`;
 because both sides use the same ``np.matmul`` lowering and elementwise
 update order, the stacked path is bitwise-identical member-for-member to
@@ -267,25 +266,31 @@ def stacked_adam_update(
     value[...] = np.where(lanes, stepped, value)
 
 
-def stacked_clip_scales(
-    grads: List[np.ndarray], max_norm: float
-) -> np.ndarray:
-    """Per-member gradient clip factors matching ``Optimizer.clip_gradients``.
+def stacked_gradient_norms(grads: List[np.ndarray]) -> np.ndarray:
+    """Per-member global L2 gradient norms, as ``Optimizer.clip_gradients``.
 
     ``grads`` is one stacked array per parameter (leading member axis).  The
     squared norms accumulate in the same left-to-right order as the Python
-    ``sum`` in :meth:`Optimizer.clip_gradients`, so the scales are bitwise
-    equal to each member clipping its own gradients; members at or below
-    ``max_norm`` get a factor of exactly 1.0 (and ``x * 1.0`` is the identity
-    bitwise, so applying the scales unconditionally is safe).
+    ``sum`` in :meth:`Optimizer.clip_gradients`, so each member's norm is
+    bitwise equal to the one its own optimizer computes.
     """
-    if max_norm <= 0:
-        raise ValueError("max_norm must be strictly positive")
     members = len(grads[0])
     squares = np.zeros(members)
     for grad in grads:
         squares = squares + (grad**2).reshape(members, -1).sum(axis=1)
-    totals = np.sqrt(squares)
-    clipped = totals > max_norm
-    safe_totals = np.where(clipped, totals, 1.0)
-    return np.where(clipped, max_norm / safe_totals, 1.0)
+    return np.sqrt(squares)
+
+
+def stacked_clip_scales(norms: np.ndarray, max_norm: float) -> np.ndarray:
+    """Per-member gradient clip factors matching ``Optimizer.clip_gradients``.
+
+    ``norms`` comes from :func:`stacked_gradient_norms`.  The scales are
+    bitwise equal to each member clipping its own gradients; members at or
+    below ``max_norm`` get a factor of exactly 1.0 (and ``x * 1.0`` is the
+    identity bitwise, so applying the scales unconditionally is safe).
+    """
+    if max_norm <= 0:
+        raise ValueError("max_norm must be strictly positive")
+    clipped = norms > max_norm
+    safe_norms = np.where(clipped, norms, 1.0)
+    return np.where(clipped, max_norm / safe_norms, 1.0)

@@ -116,11 +116,17 @@ class BSServer:
             ``(loss value, cut-layer gradient)`` where the cut-layer gradient
             has shape ``(batch, L, F)`` and is ``None`` for the RF-only
             baseline (no image branch to update).
+
+        Raises:
+            FloatingPointError: the loss is not finite (a diverged model or
+                a non-finite input); nothing is backpropagated.
         """
         targets = np.asarray(targets, dtype=np.float64).reshape(-1, 1)
         inputs = self.assemble_input(image_features, rf_powers)
         outputs = self.rnn.forward(inputs)
         loss_value = self.loss.forward(outputs, targets)
+        if not np.isfinite(loss_value):
+            raise FloatingPointError(f"non-finite BS loss {loss_value!r}")
         grad_outputs = self.loss.backward()
         grad_inputs = self.rnn.backward(grad_outputs)
 

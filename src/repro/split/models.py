@@ -37,10 +37,11 @@ def build_ue_cnn(config: ModelConfig, seed: SeedLike = None) -> Sequential:
     that the subsequent pooling stage controls the transmitted resolution
     exactly as in the paper.
 
-    The convolutions run with ``cache_patches=True``: training feeds the CNN a
-    fixed ``batch * L`` image geometry every step, so each layer's im2col
-    column buffer is allocated once and reused for the whole run.  The first
-    convolution sees the raw depth images, so it is built with
+    The convolutions run with ``cache_patches=True``: inference feeds the CNN
+    equal chunks of distinct frames, so each layer's im2col column buffer is
+    reused from chunk to chunk (training runs the weights in a
+    :class:`~repro.fleet.bank.StackedUEBank`, which keeps its own buffers).
+    The first convolution sees the raw depth images, so it is built with
     ``needs_input_grad=False`` and backward stops there.
     """
     if not config.use_image:

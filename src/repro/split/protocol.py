@@ -11,6 +11,10 @@ paper:
 4. the BS transmits the cut-layer gradient back on the downlink;
 5. the UE backpropagates through the CNN; both sides apply their Adam update.
 
+The UE half of steps 1 and 5 runs in a one-member
+:class:`~repro.fleet.bank.StackedUEBank`, the engine that trains every UE: it
+gathers the ``UEClient`` at the start of a step and scatters back at its end.
+
 The simulated elapsed time of the step is the sum of both sides' computation
 time and the transmission time of both payloads, which is what produces the
 "elapsed time in training" axis of Fig. 3a.  The RF-only baseline involves no
@@ -110,6 +114,7 @@ class SplitTrainingProtocol:
         if model.use_image:
             self.ue = UEClient(model, config.training, seed=ue_rng)
         self.bs = bs if bs is not None else BSServer(model, config.training, seed=bs_rng)
+        self._bank = None
         self._training_mode = True
 
         self.payload_model: Optional[PayloadModel] = None
@@ -180,7 +185,10 @@ class SplitTrainingProtocol:
                 compute_elapsed_s=0.0,
             )
         assert self.ue is not None and self.codec is not None
-        features = self.ue.forward(image_sequences)
+        images = self.ue.check_image_sequences(image_sequences)
+        bank = self._ue_bank()
+        bank.gather()
+        features = bank.forward(images[None])[0]
         downlink_bits = self.sized_downlink_bits(features, len(image_sequences))
         features, uplink_bits = self.codec.encode_decode(features, UPLINK_STREAM)
         return ComputePhase(
@@ -189,6 +197,17 @@ class SplitTrainingProtocol:
             downlink_payload_bits=downlink_bits,
             compute_elapsed_s=training.ue_compute_time_s,
         )
+
+    def _ue_bank(self):
+        """The UE's one-member bank, built on first use after :meth:`eval`;
+        derived state, as every step gathers from ``self.ue``, so it is never
+        checkpointed."""
+        if self._bank is None:
+            # Imported here: repro.fleet builds on this module.
+            from repro.fleet.bank import StackedUEBank
+
+            self._bank = StackedUEBank([self.ue])
+        return self._bank
 
     def sized_downlink_bits(self, features: np.ndarray, batch_size: int) -> float:
         """Downlink payload bound of a minibatch, after checking its cut tensor.
@@ -223,19 +242,16 @@ class SplitTrainingProtocol:
     ) -> StepResult:
         """BS half of a training step, given the communication outcome.
 
-        A failed exchange aborts the step (see :meth:`abort_step`); otherwise
-        the BS computes loss and cut-layer gradients, the UE backpropagates
-        and both sides apply their optimizer update.
+        A failed exchange loses the step: no gradient exists yet on either
+        side, so nothing is updated.  Otherwise the BS computes loss and
+        cut-layer gradients, the UE backpropagates and both sides apply their
+        optimizer update.
         """
         model = self.config.model
         elapsed = phase.compute_elapsed_s + self.config.training.bs_compute_time_s
         if communication is not None:
             elapsed += communication.total_elapsed_s
             if not communication.success:
-                # The activations (or gradients) never got through: the step is
-                # lost.  Clear any partial gradients so they do not leak into
-                # the next update.
-                self.abort_step()
                 return StepResult(
                     loss=float("nan"),
                     elapsed_s=elapsed,
@@ -247,9 +263,11 @@ class SplitTrainingProtocol:
             phase.features, rf_sequences if model.use_rf else None, targets
         )
         if model.use_image and cut_gradient is not None:
-            assert self.ue is not None
-            self.ue.backward(self.transmit_cut_gradient(cut_gradient))
-            self.ue.apply_update()
+            bank = self._ue_bank()
+            bank.backward_and_update(
+                [0], self.transmit_cut_gradient(cut_gradient)[None]
+            )
+            bank.scatter()
         self.bs.apply_update()
         return StepResult(
             loss=loss_value,
@@ -271,12 +289,6 @@ class SplitTrainingProtocol:
             return cut_gradient
         decoded, _ = self.codec.encode_decode(cut_gradient, DOWNLINK_STREAM)
         return decoded
-
-    def abort_step(self) -> None:
-        """Discard a step after a lost exchange: clear both halves' gradients."""
-        if self.ue is not None:
-            self.ue.zero_grad()
-        self.bs.zero_grad()
 
     # -- inference ----------------------------------------------------------------------
     def predict(
@@ -422,6 +434,10 @@ class SplitTrainingProtocol:
         return self
 
     def eval(self) -> "SplitTrainingProtocol":
+        # The bank is training-only derived state: drop it and its buffers
+        # (the next training step rebuilds it), so inference buffers do not
+        # stack on top of them.
+        self._bank = None
         if self.ue is not None:
             self.ue.eval()
         self.bs.eval()

@@ -1,9 +1,9 @@
 """UE-side client of the split-learning system.
 
-The UE owns the convolutional layers and the pooling compressor.  During
-training it performs the image-branch forward pass, hands the (compressed)
-cut-layer activations to the protocol for uplink transmission, and later
-applies the cut-layer gradients received on the downlink.
+The UE owns the convolutional layers, the pooling compressor and their Adam
+state.  Training steps run in a :class:`~repro.fleet.bank.StackedUEBank`
+that gathers from and scatters back into the client, which therefore holds
+the canonical state between steps; inference runs :meth:`UEClient.forward`.
 """
 from __future__ import annotations
 
@@ -65,13 +65,24 @@ class UEClient:
             Cut-layer activations of shape ``(batch, L, F)`` where ``F`` is the
             pooled feature size (1 for the one-pixel configuration).
         """
+        images = self.check_image_sequences(image_sequences)
+        batch, length, height, width = images.shape
+        self._batch_shape = (batch, length)
+        flat = images.reshape(batch * length, 1, height, width)
+        output_image = self.cnn.forward(flat)
+        features = self.compressor.forward(output_image)
+        return features.reshape(batch, length, -1)
+
+    def check_image_sequences(self, image_sequences: np.ndarray) -> np.ndarray:
+        """``image_sequences`` as float64; ``ValueError`` unless it is a 4-D
+        ``(batch, L, H, W)`` array of the configured image size."""
         images = np.asarray(image_sequences, dtype=np.float64)
         if images.ndim != 4:
             raise ValueError(
                 f"expected image sequences of shape (batch, L, H, W), got "
                 f"{images.shape}"
             )
-        batch, length, height, width = images.shape
+        height, width = images.shape[2:]
         if (height, width) != (
             self.model_config.image_height,
             self.model_config.image_width,
@@ -80,11 +91,7 @@ class UEClient:
                 f"image size {(height, width)} does not match the configuration "
                 f"{(self.model_config.image_height, self.model_config.image_width)}"
             )
-        self._batch_shape = (batch, length)
-        flat = images.reshape(batch * length, 1, height, width)
-        output_image = self.cnn.forward(flat)
-        features = self.compressor.forward(output_image)
-        return features.reshape(batch, length, -1)
+        return images
 
     def output_images(self, images: np.ndarray) -> np.ndarray:
         """CNN output images (before pooling) for visualization (Fig. 2).
@@ -113,9 +120,13 @@ class UEClient:
         pooled = self.compressor.layers[0].forward(output)
         return pooled[:, 0, :, :]
 
-    # -- backward ------------------------------------------------------------------
+    # -- backward (per-member reference) -------------------------------------------
     def backward(self, cut_layer_gradient: np.ndarray) -> None:
-        """Backpropagate the cut-layer gradient received from the BS."""
+        """Backpropagate the cut-layer gradient received from the BS.
+
+        With :meth:`apply_update`, the per-member reference that the tests
+        check the training engine, the stacked bank, against bitwise.
+        """
         if self._batch_shape is None:
             raise RuntimeError("backward() called before forward()")
         batch, length = self._batch_shape

@@ -16,7 +16,7 @@ from repro.experiments.pipeline import (
     TrainingJob,
     experiment_specs,
 )
-from repro.fleet import FleetConfig, FleetTrainer
+from repro.fleet import SINGLE_UE, FleetConfig, FleetTrainer
 from repro.split import ExperimentConfig
 
 
@@ -109,9 +109,32 @@ def test_fingerprint_separates_configurations(smoke_scale):
     assert trained_model_path(base).name == f"model-{base}.npz"
 
 
-def test_fingerprint_ignores_backend_and_hashes_trajectory_version(
-    smoke_scale, monkeypatch
-):
+#: Smoke-scale fingerprints pinned when ``FleetConfig`` still carried an
+#: execution-only ``backend`` field that the fingerprint dropped: removing the
+#: field must leave every key, so entries trained before still hit.
+PINNED_SMOKE_FINGERPRINTS = {
+    "single_ue": "abaa730b7671b336",
+    "parallel_n2": "f0a123b5aed5cc95",
+}
+
+
+def test_fingerprints_are_pinned(smoke_scale):
+    config = ExperimentConfig.for_scenario(
+        smoke_scale.scenario,
+        model=smoke_scale.base_model_config(),
+        training=smoke_scale.training_config(),
+    )
+    assert trained_model_fingerprint(
+        smoke_scale, config, fleet_config=SINGLE_UE
+    ) == PINNED_SMOKE_FINGERPRINTS["single_ue"]
+    assert trained_model_fingerprint(
+        smoke_scale,
+        config,
+        fleet_config=FleetConfig(num_ues=2, mode="parallel_average"),
+    ) == PINNED_SMOKE_FINGERPRINTS["parallel_n2"]
+
+
+def test_fingerprint_hashes_trajectory_version(smoke_scale, monkeypatch):
     from repro.dataset import cache
 
     config = ExperimentConfig.for_scenario(
@@ -120,20 +143,17 @@ def test_fingerprint_ignores_backend_and_hashes_trajectory_version(
         training=smoke_scale.training_config(),
     )
 
-    def fleet_key(backend):
-        fleet = FleetConfig(num_ues=2, mode="parallel_average", backend=backend)
+    def fleet_key():
+        fleet = FleetConfig(num_ues=2, mode="parallel_average")
         return trained_model_fingerprint(smoke_scale, config, fleet_config=fleet)
-
-    # The backends are bitwise identical, so they share cache entries.
-    assert fleet_key("loop") == fleet_key("batched") == fleet_key("auto")
 
     dataset_key = cache.config_fingerprint(smoke_scale.dataset_config())
     split_key = trained_model_fingerprint(smoke_scale, config)
-    fleet_before = fleet_key("auto")
+    fleet_before = fleet_key()
     monkeypatch.setattr(cache, "TRAJECTORY_VERSION", cache.TRAJECTORY_VERSION + 1)
     assert cache.config_fingerprint(smoke_scale.dataset_config()) != dataset_key
     assert trained_model_fingerprint(smoke_scale, config) != split_key
-    assert fleet_key("auto") != fleet_before
+    assert fleet_key() != fleet_before
 
 
 def test_model_cache_hit_skips_training(smoke_scale, smoke_dataset, smoke_split,

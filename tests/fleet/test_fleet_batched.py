@@ -1,22 +1,28 @@
-"""The batched fleet backend vs. the per-member loop, plus the UE bank.
+"""The stacked UE bank, the one UE training engine, against its oracles.
 
-``FleetConfig.backend`` selects between the Python member loop and the
-stacked (member-axis) kernels; the two are bitwise-identical, which these
-tests pin at three levels: the raw :class:`StackedUEBank` against deep-copied
-``UEClient`` loops, full ``FleetTrainer.fit`` histories and weights across
-backends, and checkpoint interrupt/resume under the batched backend.
+:class:`StackedUEBank` trains every UE CNN.  It must be bitwise-identical to
+the per-member reference, which these tests pin at three levels: the raw
+bank against deep-copied ``UEClient`` objects stepping through ``backward``
+/ ``apply_update`` (hand-picked and property-based), full
+``FleetTrainer.fit`` histories and state trees against the same fit with the
+:class:`~tests.fleet.member_loop_oracle.MemberLoop` oracle installed as the
+trainer's bank, and checkpoints that interchange between the two.
 """
 import copy
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fleet import FleetConfig, FleetTrainer, StackedUEBank, shard_indices
+from repro.nn.serialization import flatten_state_tree
 from repro.split import ExperimentConfig, TrainingConfig
 from repro.split.config import ModelConfig
 from repro.split.ue import UEClient
 
+from tests.fleet.member_loop_oracle import MemberLoop
 from tests.fleet.test_fleet_checkpoint import fleet_weights, records_of
 
 MAX_ROUNDS = 3
@@ -32,27 +38,10 @@ def config(tiny_model_config):
     )
 
 
-# -- backend selection --------------------------------------------------------------
-
-
-def test_backend_validation():
-    with pytest.raises(ValueError, match="backend"):
-        FleetConfig(backend="simd")
-    with pytest.raises(ValueError, match="parallel_average"):
-        FleetConfig(mode="rotation", backend="batched")
-    # Rotation under auto stays on the loop; parallel averaging vectorizes.
-    assert FleetConfig(mode="rotation").resolved_backend() == "loop"
-    assert FleetConfig(mode="parallel_average").resolved_backend() == "batched"
-    assert (
-        FleetConfig(mode="parallel_average", backend="loop").resolved_backend()
-        == "loop"
-    )
-
-
 # -- the stacked bank vs. per-member clients ----------------------------------------
 
 
-def _bank_clients(members=4):
+def _bank_clients(members=4, gradient_clip_norm=1.0):
     model = ModelConfig(
         image_height=12,
         image_width=12,
@@ -63,8 +52,22 @@ def _bank_clients(members=4):
         head_hidden_size=4,
         sequence_length=2,
     )
-    training = TrainingConfig(gradient_clip_norm=1.0)
+    training = TrainingConfig(gradient_clip_norm=gradient_clip_norm)
     return [UEClient(model, training, seed=member) for member in range(members)]
+
+
+def _assert_clients_equal(clients, reference_clients):
+    """Weights, Adam moments and step counts, bit for bit."""
+    for client, reference in zip(clients, reference_clients):
+        weights = client.get_weights()
+        for key, value in reference.get_weights().items():
+            assert np.array_equal(weights[key], value), key
+        assert client.optimizer.step_count == reference.optimizer.step_count
+        slots = client.optimizer._slots()
+        reference_slots = reference.optimizer._slots()
+        for slot in ("first_moment", "second_moment"):
+            for array, expected in zip(slots[slot], reference_slots[slot]):
+                assert np.array_equal(array, expected)
 
 
 def test_bank_round_trip_matches_client_loop():
@@ -94,19 +97,64 @@ def test_bank_round_trip_matches_client_loop():
             else:
                 client.zero_grad()
     bank.scatter()
+    _assert_clients_equal(clients, loop_clients)
 
-    for stacked_client, loop_client in zip(clients, loop_clients):
-        for key, value in loop_client.get_weights().items():
-            assert np.array_equal(stacked_client.get_weights()[key], value)
-        assert (
-            stacked_client.optimizer.step_count
-            == loop_client.optimizer.step_count
-        )
-        stacked_slots = stacked_client.optimizer._slots()
-        loop_slots = loop_client.optimizer._slots()
-        for slot in ("first_moment", "second_moment"):
-            for stacked_arr, loop_arr in zip(stacked_slots[slot], loop_slots[slot]):
-                assert np.array_equal(stacked_arr, loop_arr)
+
+@settings(max_examples=30, deadline=None)
+@given(
+    members=st.integers(1, 5),
+    base_size=st.integers(1, 3),
+    two_sizes=st.booleans(),
+    clip=st.sampled_from([0.0, 0.05, 5.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bank_matches_client_reference_property(
+    members, base_size, two_sizes, clip, seed
+):
+    """Random fleets: the bank equals per-member clients over 3 steps.
+
+    Batch sizes are equal or take two values (the strided-shard case, one
+    stacked pass per size); clipping is off, binding or slack; each step
+    delivers a random subset of the members.
+    """
+    rng = np.random.default_rng(seed)
+    clients = _bank_clients(members, gradient_clip_norm=clip)
+    reference_clients = copy.deepcopy(clients)
+    bank = StackedUEBank(clients)
+    sizes = [
+        base_size + (int(rng.integers(2)) if two_sizes else 0)
+        for _ in range(members)
+    ]
+    for _ in range(3):
+        images = [rng.random((size, 2, 12, 12)) for size in sizes]
+        features = bank.forward(images)
+        assert isinstance(features, np.ndarray) == (len(set(sizes)) == 1)
+        for member, client in enumerate(reference_clients):
+            assert np.array_equal(features[member], client.forward(images[member]))
+        delivered = np.flatnonzero(rng.random(members) < 0.6).tolist()
+        if not delivered:
+            continue
+        gradients = [rng.standard_normal(features[m].shape) for m in delivered]
+        bank.backward_and_update(delivered, gradients)
+        for member, gradient in zip(delivered, gradients):
+            reference_clients[member].backward(gradient)
+            reference_clients[member].apply_update()
+    bank.scatter()
+    _assert_clients_equal(clients, reference_clients)
+
+
+def test_bank_rejects_non_finite_gradients_before_any_update():
+    rng = np.random.default_rng(5)
+    clients = _bank_clients(members=3)
+    before = copy.deepcopy(clients)
+    bank = StackedUEBank(clients)
+    features = bank.forward(rng.random((3, 2, 2, 12, 12)))
+    gradients = rng.standard_normal(features.shape)
+    gradients[2, 0, 0, 0] = np.nan
+    with pytest.raises(FloatingPointError, match=r"member\(s\) \[2\] of 3"):
+        bank.backward_and_update([0, 1, 2], gradients)
+    bank.scatter()
+    _assert_clients_equal(clients, before)
 
 
 def test_bank_state_dict_round_trip():
@@ -142,37 +190,48 @@ def test_bank_rejects_heterogeneous_members():
 # -- full-run equivalence -----------------------------------------------------------
 
 
-def _assert_backends_train_identically(config, split, num_ues, backend="batched"):
-    """Fit ``backend`` and the loop reference; return the ``backend`` trainer
-    and history after asserting the two runs match bit for bit."""
+def _oracle_trainer(config, fleet_config):
+    """A trainer whose members step through the per-member oracle."""
+    trainer = FleetTrainer(config, fleet_config)
+    trainer._bank = MemberLoop([member.ue for member in trainer.fleet.members])
+    return trainer
 
-    def run(backend):
-        trainer = FleetTrainer(
-            config,
-            FleetConfig(num_ues=num_ues, mode="parallel_average", backend=backend),
-        )
-        history = trainer.fit(split.train, split.validation, max_rounds=MAX_ROUNDS)
-        return trainer, history, fleet_weights(trainer)
+
+def _assert_same_run(trainer, history, reference_trainer, reference):
+    """Histories and whole state trees equal, leaf for leaf."""
 
     def record_table(history):  # NaN-aware: wholly lost rounds have no loss
         return np.array([dataclasses.astuple(r) for r in history.records], dtype=float)
 
-    _, loop_history, loop_weights = run("loop")
-    trainer, history, weights = run(backend)
     assert np.array_equal(
-        record_table(history), record_table(loop_history), equal_nan=True
+        record_table(history), record_table(reference), equal_nan=True
     )
-    assert history.total_elapsed_s == loop_history.total_elapsed_s
-    assert history.medium_busy_s == loop_history.medium_busy_s
+    assert history.total_elapsed_s == reference.total_elapsed_s
+    assert history.medium_busy_s == reference.medium_busy_s
     assert dataclasses.asdict(history.communication) == dataclasses.asdict(
-        loop_history.communication
+        reference.communication
     )
-    for key, value in loop_weights.items():
-        assert np.array_equal(value, weights[key]), key
+    state = flatten_state_tree(trainer.state_dict())
+    expected = flatten_state_tree(reference_trainer.state_dict())
+    assert state.keys() == expected.keys()
+    for key, value in expected.items():
+        assert np.array_equal(state[key], value), key
+
+
+def _assert_bank_matches_oracle(config, split, num_ues):
+    """Fit on the bank and on the oracle; return the bank's trainer and
+    history after asserting the two runs match bit for bit."""
+    fleet_config = FleetConfig(num_ues=num_ues, mode="parallel_average")
+    oracle = _oracle_trainer(config, fleet_config)
+    oracle_history = oracle.fit(split.train, split.validation, max_rounds=MAX_ROUNDS)
+    trainer = FleetTrainer(config, fleet_config)
+    history = trainer.fit(split.train, split.validation, max_rounds=MAX_ROUNDS)
+    assert isinstance(trainer._bank, StackedUEBank)
+    _assert_same_run(trainer, history, oracle, oracle_history)
     return trainer, history
 
 
-def test_batched_and_loop_backends_train_identically(
+def test_bank_and_member_loop_oracle_train_identically(
     config, small_split, smoke_scale, smoke_split
 ):
     # Every codec family: stateless, vectorized quantizer, stateful top-k.
@@ -180,8 +239,8 @@ def test_batched_and_loop_backends_train_identically(
         codec_config = dataclasses.replace(
             config, model=dataclasses.replace(config.model, codec=codec)
         )
-        trainer, _ = _assert_backends_train_identically(codec_config, small_split, 3)
-        assert trainer._bank is not None  # equal shards: the bank ran
+        trainer, _ = _assert_bank_matches_oracle(codec_config, small_split, 3)
+        assert len(trainer._bank._passes) == 1  # equal shards: one stacked pass
 
     # A lossy link (the N=1 anchor's cap-0 link): failed uplinks, failed
     # downlinks and wholly lost joint steps.
@@ -199,27 +258,28 @@ def test_batched_and_loop_backends_train_identically(
             downlink=LinkParams(transmit_power_dbm=-10.0, bandwidth_hz=100e6),
         ),
     )
-    _, history = _assert_backends_train_identically(lossy, smoke_split, 3)
+    _, history = _assert_bank_matches_oracle(lossy, smoke_split, 3)
     assert sum(record.lost_steps for record in history.records) > 0
     assert history.communication.uplink_failures > 0
     assert history.communication.downlink_failures > 0
 
-    # Unequal shards: 190 windows over 12 members give batches of 15 and 16,
-    # which the bank cannot stack, so the auto backend runs the member loop.
+
+def test_uneven_shards_run_one_stacked_pass_per_batch_size(config, small_split):
+    """190 windows over 12 members give batches of 15 and 16: two passes."""
     batch_size = config.training.batch_size
     shards = shard_indices(len(small_split.train), 12)
-    assert {min(batch_size, len(shard)) for shard in shards} == {15, 16}
-    trainer, _ = _assert_backends_train_identically(
-        config, small_split, 12, backend="auto"
-    )
-    assert trainer._bank is None
+    sizes = [min(batch_size, len(shard)) for shard in shards]
+    assert set(sizes) == {15, 16}
+    trainer, _ = _assert_bank_matches_oracle(config, small_split, 12)
+    passes = trainer._bank._passes
+    assert len(passes) == 2
+    for selector, _ in passes:
+        assert len({sizes[member] for member in selector}) == 1
 
 
 def test_batched_resume_is_bit_identical(config, small_split, tmp_path):
-    """Interrupt an N=8 batched run mid-way; the resume must lose nothing."""
-    fleet_config = FleetConfig(
-        num_ues=8, mode="parallel_average", backend="batched"
-    )
+    """Interrupt an N=8 run mid-way; the resume must lose nothing."""
+    fleet_config = FleetConfig(num_ues=8, mode="parallel_average")
     reference_trainer = FleetTrainer(config, fleet_config)
     reference = reference_trainer.fit(
         small_split.train, small_split.validation, max_rounds=MAX_ROUNDS
@@ -247,33 +307,31 @@ def test_batched_resume_is_bit_identical(config, small_split, tmp_path):
         assert np.array_equal(value, restored[key]), key
 
 
-def test_checkpoints_interchange_across_backends(config, small_split, tmp_path):
-    """A checkpoint written under one backend resumes under the other."""
-    loop_config = FleetConfig(num_ues=2, mode="parallel_average", backend="loop")
-    batched_config = FleetConfig(
-        num_ues=2, mode="parallel_average", backend="batched"
-    )
-    reference_trainer = FleetTrainer(config, loop_config)
+@pytest.mark.parametrize("writer", ["oracle", "bank"])
+def test_checkpoints_interchange_between_bank_and_oracle(
+    writer, config, small_split, tmp_path
+):
+    """A checkpoint written on one side resumes on the other, bit for bit."""
+    fleet_config = FleetConfig(num_ues=3, mode="parallel_average")
+    build = {"oracle": _oracle_trainer, "bank": FleetTrainer}
+    reader = "bank" if writer == "oracle" else "oracle"
+    reference_trainer = FleetTrainer(config, fleet_config)
     reference = reference_trainer.fit(
         small_split.train, small_split.validation, max_rounds=MAX_ROUNDS
     )
 
-    path = tmp_path / "loop-written.npz"
-    FleetTrainer(config, loop_config).fit(
+    path = tmp_path / f"{writer}-written.npz"
+    build[writer](config, fleet_config).fit(
         small_split.train,
         small_split.validation,
         max_rounds=1,
         checkpoint_path=path,
     )
-    resumed_trainer = FleetTrainer(config, batched_config)
+    resumed_trainer = build[reader](config, fleet_config)
     resumed = resumed_trainer.fit(
         small_split.train,
         small_split.validation,
         max_rounds=MAX_ROUNDS,
         resume_from=path,
     )
-    assert records_of(resumed) == records_of(reference)
-    reference_weights = fleet_weights(reference_trainer)
-    restored = fleet_weights(resumed_trainer)
-    for key, value in reference_weights.items():
-        assert np.array_equal(value, restored[key]), key
+    _assert_same_run(resumed_trainer, resumed, reference_trainer, reference)

@@ -1,0 +1,138 @@
+"""Every UE trains through the stacked bank, and a diverged step fails loudly.
+
+``UEClient.backward`` / ``apply_update`` are the per-member reference the
+bank is tested against; no training path may call them.  And because the
+bank's ``apply_updates`` and ``BSServer.compute_loss_and_gradients`` are the
+only places a UE update or a BS loss happens, their finiteness checks cover
+both fleet modes: a NaN smuggled in through a codec stops the fit, and the
+round checkpoint keeps the last finished round.
+"""
+import dataclasses
+
+import numpy as np
+import pytest
+
+from repro.channel import PAPER_CHANNEL_PARAMS
+from repro.channel.params import LinkParams
+from repro.fleet import FleetConfig, FleetTrainer
+from repro.nn.serialization import flatten_state_tree
+from repro.split import ExperimentConfig
+from repro.split.checkpoint import Checkpoint
+from repro.split.codecs import DOWNLINK_STREAM, UPLINK_STREAM, TopKCodec
+from repro.split.ue import UEClient
+
+ROUNDS = 2
+
+
+def _lossy_config(smoke_scale):
+    """The N=1 anchor's cap-0 link: lost uplinks and lost downlinks."""
+    return ExperimentConfig(
+        model=smoke_scale.base_model_config().with_pooling(1),
+        training=dataclasses.replace(
+            smoke_scale.training_config(), max_retransmissions=0
+        ),
+        channel=dataclasses.replace(
+            PAPER_CHANNEL_PARAMS,
+            distance_m=32.0,
+            downlink=LinkParams(transmit_power_dbm=-10.0, bandwidth_hz=100e6),
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        ("rotation", 1, "img+rf"),
+        ("rotation", 1, "lossy"),
+        ("rotation", 3, "img+rf"),
+        ("parallel_average", 3, "img+rf"),
+        ("parallel_average", 12, "img+rf"),
+    ],
+    ids=lambda case: "-".join(map(str, case)),
+)
+def test_training_never_calls_the_per_member_reference(
+    case, tiny_experiment_config, small_split, smoke_scale, smoke_split, monkeypatch
+):
+    mode, num_ues, variant = case
+    config, split = tiny_experiment_config, small_split
+    if variant == "lossy":
+        config, split = _lossy_config(smoke_scale), smoke_split
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("training called the per-member UEClient reference")
+
+    monkeypatch.setattr(UEClient, "backward", refuse)
+    monkeypatch.setattr(UEClient, "apply_update", refuse)
+    trainer = FleetTrainer(config, FleetConfig(num_ues=num_ues, mode=mode))
+    initial = trainer.fleet.members[0].ue.get_weights()
+    history = trainer.fit(split.train, split.validation, max_rounds=ROUNDS)
+
+    steps = sum(record.steps for record in history.records)
+    assert sum(record.lost_steps for record in history.records) < steps
+    if variant == "lossy":
+        assert sum(record.lost_steps for record in history.records) > 0
+    trained = trainer.fleet.members[0].ue.get_weights()
+    assert any(not np.array_equal(trained[key], initial[key]) for key in initial)
+
+
+def _poison_codec_after_first_round(monkeypatch, trainer, stream):
+    """From round 2 on, the top-k codec decodes ``stream`` payloads to NaN."""
+    armed = []
+    original_evaluate = trainer.evaluate
+    original_encode_decode = TopKCodec.encode_decode
+
+    def evaluate(sequences):
+        result = original_evaluate(sequences)
+        armed.append(True)
+        return result
+
+    def encode_decode(self, values, name):
+        decoded, bits = original_encode_decode(self, values, name)
+        if armed and name == stream:
+            decoded = np.full_like(decoded, np.nan)
+        return decoded, bits
+
+    monkeypatch.setattr(trainer, "evaluate", evaluate)
+    monkeypatch.setattr(TopKCodec, "encode_decode", encode_decode)
+
+
+@pytest.mark.parametrize(
+    "stream, message",
+    [
+        (DOWNLINK_STREAM, r"non-finite UE gradient norm at bank member\(s\)"),
+        (UPLINK_STREAM, r"non-finite BS loss"),
+    ],
+)
+@pytest.mark.parametrize(
+    "mode, num_ues", [("rotation", 1), ("parallel_average", 3)]
+)
+def test_non_finite_step_raises_and_keeps_the_last_finite_checkpoint(
+    mode, num_ues, stream, message, tiny_experiment_config, small_split,
+    tmp_path, monkeypatch,
+):
+    config = dataclasses.replace(
+        tiny_experiment_config,
+        model=dataclasses.replace(tiny_experiment_config.model, codec="topk"),
+    )
+    fleet_config = FleetConfig(num_ues=num_ues, mode=mode)
+    reference = FleetTrainer(config, fleet_config)
+    reference.fit(small_split.train, small_split.validation, max_rounds=1)
+
+    trainer = FleetTrainer(config, fleet_config)
+    _poison_codec_after_first_round(monkeypatch, trainer, stream)
+    path = tmp_path / "run.npz"
+    with pytest.raises(FloatingPointError, match=rf"^round 2\b.*{message}"):
+        trainer.fit(
+            small_split.train,
+            small_split.validation,
+            max_rounds=ROUNDS + 1,
+            checkpoint_path=path,
+        )
+
+    checkpoint = Checkpoint.load(path)
+    assert checkpoint.progress == 1
+    stored = flatten_state_tree(checkpoint.state)
+    expected = flatten_state_tree(reference.state_dict())
+    assert stored.keys() == expected.keys()
+    for key, value in expected.items():
+        assert np.array_equal(stored[key], value), key

@@ -1,6 +1,6 @@
 """Stacked (member-axis) kernels vs. their loop references and real layers.
 
-The fleet's batched backend fuses N identical-architecture models into one
+The stacked UE bank fuses N identical-architecture models into one
 set of broadcasted GEMMs (:mod:`repro.nn.stacked`).  The acceptance bar is
 1e-6 agreement; because the single-model kernels in
 :mod:`repro.nn.layers.conv` use the same ``np.matmul`` lowering, the stacked
@@ -23,6 +23,7 @@ from repro.nn.stacked import (
     stacked_conv2d_backward_reference,
     stacked_conv2d_forward,
     stacked_conv2d_forward_reference,
+    stacked_gradient_norms,
 )
 
 GEOMETRIES = [
@@ -246,7 +247,8 @@ def test_stacked_clip_scales_match_per_member_clipping(gen):
         for shape in shapes
     ]
     max_norm = 5.0
-    scales = stacked_clip_scales(grads, max_norm)
+    norms = stacked_gradient_norms(grads)
+    scales = stacked_clip_scales(norms, max_norm)
 
     clipped_any = False
     for member in range(members):
@@ -256,7 +258,7 @@ def test_stacked_clip_scales_match_per_member_clipping(gen):
         ]
         for index, param in enumerate(params):
             param.grad[...] = grads[index][member]
-        Adam(params, 0.01).clip_gradients(max_norm)
+        assert Adam(params, 0.01).clip_gradients(max_norm) == norms[member]
         for index, param in enumerate(params):
             assert np.array_equal(
                 grads[index][member] * scales[member], param.grad
@@ -269,4 +271,4 @@ def test_stacked_clip_scales_match_per_member_clipping(gen):
 
 def test_stacked_clip_scales_rejects_bad_norm():
     with pytest.raises(ValueError):
-        stacked_clip_scales([np.ones((2, 3))], 0.0)
+        stacked_clip_scales(np.ones(2), 0.0)

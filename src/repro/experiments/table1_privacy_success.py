@@ -29,6 +29,7 @@ from repro.channel.payload import PayloadModel
 from repro.dataset.generator import DepthPowerDataset
 from repro.experiments.common import ExperimentScale
 from repro.experiments.pipeline import ExperimentPipeline, PipelineOptions
+from repro.nn.layers import AveragePool2D
 from repro.privacy.leakage import PrivacyLeakageEvaluator, correlation_leakage
 from repro.split.ue import UEClient
 from repro.utils.seeding import as_generator
@@ -146,6 +147,10 @@ def run_table1(
     is a property of the channel and payload model, independent of the
     synthetic dataset); the privacy leakage is computed on images generated at
     ``scale`` and pooled by each candidate region that divides the image size.
+    One cell runs the untrained UE CNN once (its weights do not depend on the
+    pooling region) and average-pools that output per region, and one
+    :meth:`~repro.privacy.PrivacyLeakageEvaluator.evaluate_all` call scores
+    every pooling against a single raw-image embedding.
     The channel defaults to the scale's scenario channel (the paper's
     parameters for ``paper_baseline``).
     """
@@ -173,14 +178,21 @@ def run_table1(
     candidate_indices = np.sort(candidate_indices)
     raw_images = dataset.images[candidate_indices]
 
-    evaluator = PrivacyLeakageEvaluator(seed=scale.seed)
+    # The UE CNN does not depend on the pooling region, so one pass serves
+    # every pooling, and the leakage evaluator embeds the raw side once.
+    output = UEClient(scale.base_model_config(), seed=scale.seed).output_images(
+        raw_images
+    )
+    transmitted = [
+        AveragePool2D((pooling, pooling)).forward(output[:, None])[:, 0]
+        for pooling in poolings
+    ]
+    leakages = PrivacyLeakageEvaluator(seed=scale.seed).evaluate_all(
+        raw_images, transmitted
+    )
     result = Table1Result(batch_size=batch_size)
-    model_config = scale.base_model_config()
-    for pooling in poolings:
-        client = UEClient(model_config.with_pooling(pooling), seed=scale.seed)
-        transmitted = client.compressed_images(raw_images)
-        leakage = evaluator.evaluate(raw_images, transmitted)
-        correlation = correlation_leakage(raw_images, transmitted)
+    for pooling, maps, leakage in zip(poolings, transmitted, leakages):
+        correlation = correlation_leakage(raw_images, maps)
         payload = PayloadModel(
             image_height=scale.image_size,
             image_width=scale.image_size,

@@ -330,9 +330,10 @@ class FleetTrainer:
                 checkpoint of a finished run returns its history immediately.
 
         Raises:
-            FloatingPointError: a step produced a non-finite BS loss or UE
-                gradient (the message names the round and the members).  The
-                checkpoint at ``checkpoint_path`` keeps the last finished round.
+            FloatingPointError: a step produced a non-finite BS loss, BS
+                gradient or UE gradient (the message names the round, and the
+                members for a UE gradient).  The checkpoint at
+                ``checkpoint_path`` keeps the last finished round.
         """
         training = self.config.training
         fleet_config = self.fleet_config

@@ -102,6 +102,12 @@ class Optimizer:
                 buffer[...] = value
         self.step_count = int(np.asarray(state["step_count"]))
 
+    def gradient_norm(self) -> float:
+        """Global L2 norm of all managed gradients."""
+        return float(
+            np.sqrt(sum(float(np.sum(p.grad**2)) for p in self.parameters))
+        )
+
     def clip_gradients(self, max_norm: float) -> float:
         """Scale all gradients so their global L2 norm is at most ``max_norm``.
 
@@ -109,9 +115,7 @@ class Optimizer:
         """
         if max_norm <= 0:
             raise ValueError("max_norm must be strictly positive")
-        total = float(
-            np.sqrt(sum(float(np.sum(p.grad**2)) for p in self.parameters))
-        )
+        total = self.gradient_norm()
         if total > max_norm and total > 0:
             scale = max_norm / total
             for param in self.parameters:

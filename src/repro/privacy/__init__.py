@@ -1,6 +1,5 @@
 """Privacy-leakage metrics based on multidimensional scaling."""
 from repro.privacy.leakage import (
-    EvaluatorWithCnn,
     LeakageResult,
     PrivacyLeakageEvaluator,
     correlation_leakage,
@@ -16,7 +15,6 @@ from repro.privacy.mds import (
 )
 
 __all__ = [
-    "EvaluatorWithCnn",
     "LeakageResult",
     "PrivacyLeakageEvaluator",
     "SmacofMDS",

@@ -14,7 +14,9 @@ Concretely, :class:`PrivacyLeakageEvaluator` proceeds as follows:
    (this is the best reconstruction available to an eavesdropper who knows
    the pooling geometry).
 2. Embed the raw images and the reconstructions separately with classical MDS
-   into a low-dimensional perceptual space.
+   into a low-dimensional perceptual space.  The raw side is embedded once
+   per :meth:`PrivacyLeakageEvaluator.evaluate_all` call and shared by every
+   transmitted map of that call (Table 1 scores all its poolings in one call).
 3. For every sample, correlate its vector of embedding distances to all other
    samples between the two spaces: the per-sample similarity measures how
    faithfully the transmitted representation preserves the sample's relations
@@ -23,11 +25,16 @@ Concretely, :class:`PrivacyLeakageEvaluator` proceeds as follows:
 4. Report the mean similarity as the privacy leakage: 1 means the transmitted
    representation preserves the raw images' structure perfectly (maximal
    leakage), 0 means no recoverable structure.
+
+The per-sample correlations here and in :func:`correlation_leakage` are
+computed row-wise over whole arrays, bit for bit equal to correlating one
+sample's 1-D vectors at a time (row means sum pairwise like a 1-D mean, and
+row products reduce through the same ``ddot``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,15 +66,37 @@ def upsample_feature_maps(feature_maps: np.ndarray, target_shape) -> np.ndarray:
     )
 
 
-def _safe_correlation(a: np.ndarray, b: np.ndarray) -> float:
-    """Pearson correlation that returns 0 when either input is constant."""
-    a = a - a.mean()
-    b = b - b.mean()
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:  # repro: noqa[HYG001] -- exact zero-norm guard
-        return 0.0
-    return float(a @ b / (norm_a * norm_b))
+def _centered_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each row minus its mean, and the centered rows' L2 norms.
+
+    ``mean(axis=1)`` sums each contiguous row pairwise like a 1-D mean, and
+    the stacked ``matmul`` lowers every row product to the same ``ddot`` as
+    ``np.linalg.norm`` of one row, so both match the per-row form bit for bit.
+    """
+    centered = rows - rows.mean(axis=1, keepdims=True)
+    return centered, np.sqrt(_row_dots(centered, centered))
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of ``a`` with the same row of ``b``."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _row_correlations(
+    a: Tuple[np.ndarray, np.ndarray], b: Tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """Pearson correlation of each row pair of two :func:`_centered_rows`.
+
+    A row whose norm is exactly zero (a constant row) correlates 0.
+    """
+    (a_centered, a_norms), (b_centered, b_norms) = a, b
+    products = a_norms * b_norms
+    zero = (
+        (a_norms == 0.0)  # repro: noqa[HYG001] -- exact zero-norm guard
+        | (b_norms == 0.0)  # repro: noqa[HYG001] -- exact zero-norm guard
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(zero, 0.0, _row_dots(a_centered, b_centered) / products)
 
 
 def _standardize_set(flat: np.ndarray) -> np.ndarray:
@@ -116,6 +145,15 @@ class PrivacyLeakageEvaluator:
         rng = as_generator(self.seed)
         return np.sort(rng.choice(count, size=self.max_samples, replace=False))
 
+    def _embedding_distances(self, flat: np.ndarray) -> np.ndarray:
+        """Inter-sample distances in the classical-MDS embedding of one modality."""
+        count = len(flat)
+        embedding, _ = classical_mds(
+            pairwise_distances(_standardize_set(flat)),
+            min(self.n_components, count - 1),
+        )
+        return pairwise_distances(embedding)
+
     def evaluate(
         self,
         raw_images: np.ndarray,
@@ -128,25 +166,43 @@ class PrivacyLeakageEvaluator:
             transmitted_maps: array of shape ``(N, h, w)`` with ``H % h == 0``
                 and ``W % w == 0`` (the pooled CNN output images).
         """
+        return self.evaluate_all(raw_images, [transmitted_maps])[0]
+
+    def evaluate_all(
+        self,
+        raw_images: np.ndarray,
+        transmitted_list: Sequence[np.ndarray],
+    ) -> List[LeakageResult]:
+        """The leakage of each entry of ``transmitted_list`` w.r.t. ``raw_images``.
+
+        The raw side is subsampled, standardized and embedded once and every
+        transmitted map is scored against it.  The ``max_samples`` subsample
+        is drawn once per call, so every map of one call is scored on the same
+        samples.  With an int ``seed`` (or at most ``max_samples`` images)
+        every call draws the same subset, and ``evaluate_all(raw, ts)[i]``
+        equals ``evaluate(raw, ts[i])`` bit for bit; a
+        :class:`numpy.random.Generator` seed advances once per call, so
+        separate ``evaluate`` calls each score on a new subset.
+
+        Args:
+            raw_images: array of shape ``(N, H, W)``.
+            transmitted_list: arrays of shape ``(N, h, w)`` with ``H % h == 0``
+                and ``W % w == 0`` (the pooled CNN output images, one per
+                pooling).
+        """
         raw_images = np.asarray(raw_images, dtype=np.float64)
-        transmitted_maps = np.asarray(transmitted_maps, dtype=np.float64)
-        if raw_images.ndim != 3 or transmitted_maps.ndim != 3:
+        transmitted_list = [
+            np.asarray(maps, dtype=np.float64) for maps in transmitted_list
+        ]
+        if raw_images.ndim != 3 or any(maps.ndim != 3 for maps in transmitted_list):
             raise ValueError("raw_images and transmitted_maps must be 3-D arrays")
-        if len(raw_images) != len(transmitted_maps):
+        if any(len(maps) != len(raw_images) for maps in transmitted_list):
             raise ValueError("raw_images and transmitted_maps must be aligned")
         if len(raw_images) < 2:
             raise ValueError("at least two samples are required")
 
         indices = self._subsample(len(raw_images))
-        raw = raw_images[indices]
-        reconstructions = upsample_feature_maps(
-            transmitted_maps[indices], raw_images.shape[1:]
-        )
-
-        count = len(raw)
-        raw_flat = _standardize_set(raw.reshape(count, -1))
-        rec_flat = _standardize_set(reconstructions.reshape(count, -1))
-
+        count = len(indices)
         # Embed each modality with classical MDS, then compare the *relational*
         # structure of the two configurations: how well do the inter-sample
         # distances among the transmitted representations mirror the
@@ -154,29 +210,34 @@ class PrivacyLeakageEvaluator:
         # like to recover?  The identity representation scores 1, a constant
         # (fully compressed) representation scores ~0, and the value is
         # invariant to the scale/offset differences between the depth images
-        # and the CNN-output images.
-        raw_embedding, _ = classical_mds(
-            pairwise_distances(raw_flat), min(self.n_components, count - 1)
-        )
-        rec_embedding, _ = classical_mds(
-            pairwise_distances(rec_flat), min(self.n_components, count - 1)
-        )
-        raw_distances = pairwise_distances(raw_embedding)
-        rec_distances = pairwise_distances(rec_embedding)
-
-        similarity = np.zeros(count)
+        # and the CNN-output images.  Each sample's row holds its distances
+        # to the other samples.
         off_diagonal = ~np.eye(count, dtype=bool)
-        for index in range(count):
-            raw_row = raw_distances[index][off_diagonal[index]]
-            rec_row = rec_distances[index][off_diagonal[index]]
-            similarity[index] = _safe_correlation(raw_row, rec_row)
-        similarity = np.clip(similarity, 0.0, 1.0)
-        return LeakageResult(
-            leakage=float(similarity.mean()),
-            per_sample_similarity=similarity,
-            mds_dimensions=self.n_components,
-            num_samples=count,
+
+        def rows(distances: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            return _centered_rows(distances[off_diagonal].reshape(count, count - 1))
+
+        raw_rows = rows(
+            self._embedding_distances(raw_images[indices].reshape(count, -1))
         )
+        results = []
+        for maps in transmitted_list:
+            reconstructions = upsample_feature_maps(
+                maps[indices], raw_images.shape[1:]
+            )
+            rec_rows = rows(
+                self._embedding_distances(reconstructions.reshape(count, -1))
+            )
+            similarity = np.clip(_row_correlations(raw_rows, rec_rows), 0.0, 1.0)
+            results.append(
+                LeakageResult(
+                    leakage=float(similarity.mean()),
+                    per_sample_similarity=similarity,
+                    mds_dimensions=self.n_components,
+                    num_samples=count,
+                )
+            )
+        return results
 
 
 def correlation_leakage(
@@ -192,33 +253,15 @@ def correlation_leakage(
     transmitted_maps = np.asarray(transmitted_maps, dtype=np.float64)
     if len(raw_images) != len(transmitted_maps):
         raise ValueError("raw_images and transmitted_maps must be aligned")
+    count = len(raw_images)
+    if count == 0:
+        return 0.0
     reconstructions = upsample_feature_maps(transmitted_maps, raw_images.shape[1:])
-    correlations = []
-    for raw, reconstruction in zip(raw_images, reconstructions):
-        raw_flat = raw.ravel() - raw.mean()
-        rec_flat = reconstruction.ravel() - reconstruction.mean()
-        raw_norm = np.linalg.norm(raw_flat)
-        rec_norm = np.linalg.norm(rec_flat)
-        if (
-            raw_norm == 0.0  # repro: noqa[HYG001] -- exact zero-norm guard
-            or rec_norm == 0.0  # repro: noqa[HYG001] -- exact zero-norm guard
-        ):
-            correlations.append(0.0)
-            continue
-        correlations.append(float(abs(raw_flat @ rec_flat) / (raw_norm * rec_norm)))
-    return float(np.mean(correlations)) if correlations else 0.0
-
-
-@dataclass
-class EvaluatorWithCnn:
-    """Convenience wrapper: run images through a UE client, then evaluate leakage."""
-
-    evaluator: PrivacyLeakageEvaluator
-
-    def evaluate_with_client(self, ue_client, raw_images: np.ndarray) -> LeakageResult:
-        """Leakage of the representations a given UE client would transmit."""
-        transmitted = ue_client.compressed_images(raw_images)
-        return self.evaluator.evaluate(raw_images, transmitted)
+    correlations = _row_correlations(
+        _centered_rows(raw_images.reshape(count, -1)),
+        _centered_rows(reconstructions.reshape(count, -1)),
+    )
+    return float(np.abs(correlations).mean())
 
 
 def leakage_for_pooling(

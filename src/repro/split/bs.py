@@ -136,11 +136,20 @@ class BSServer:
         return loss_value, cut_gradient
 
     def apply_update(self) -> None:
-        """Apply one optimizer step and clear gradients."""
+        """Apply one optimizer step and clear gradients.
+
+        Raises:
+            FloatingPointError: the global gradient norm (before clipping) is
+                not finite; neither the weights nor the optimizer state move.
+        """
         if self.optimizer is None:
             raise RuntimeError("this BSServer was created without an optimizer")
         if self._gradient_clip > 0:
-            self.optimizer.clip_gradients(self._gradient_clip)
+            norm = self.optimizer.clip_gradients(self._gradient_clip)
+        else:
+            norm = self.optimizer.gradient_norm()
+        if not np.isfinite(norm):
+            raise FloatingPointError(f"non-finite BS gradient norm {norm!r}")
         self.optimizer.step()
         self.optimizer.zero_grad()
 

@@ -2,10 +2,11 @@
 
 ``UEClient.backward`` / ``apply_update`` are the per-member reference the
 bank is tested against; no training path may call them.  And because the
-bank's ``apply_updates`` and ``BSServer.compute_loss_and_gradients`` are the
-only places a UE update or a BS loss happens, their finiteness checks cover
-both fleet modes: a NaN smuggled in through a codec stops the fit, and the
-round checkpoint keeps the last finished round.
+bank's ``apply_updates``, ``BSServer.compute_loss_and_gradients`` and
+``BSServer.apply_update`` are the only places a UE update, a BS loss or a BS
+update happens, their finiteness checks cover both fleet modes: a NaN
+smuggled in through a codec or a BS gradient stops the fit, and the round
+checkpoint keeps the last finished round.
 """
 import dataclasses
 
@@ -17,6 +18,7 @@ from repro.channel.params import LinkParams
 from repro.fleet import FleetConfig, FleetTrainer
 from repro.nn.serialization import flatten_state_tree
 from repro.split import ExperimentConfig
+from repro.split.bs import BSServer
 from repro.split.checkpoint import Checkpoint
 from repro.split.codecs import DOWNLINK_STREAM, UPLINK_STREAM, TopKCodec
 from repro.split.ue import UEClient
@@ -75,16 +77,34 @@ def test_training_never_calls_the_per_member_reference(
     assert any(not np.array_equal(trained[key], initial[key]) for key in initial)
 
 
-def _poison_codec_after_first_round(monkeypatch, trainer, stream):
-    """From round 2 on, the top-k codec decodes ``stream`` payloads to NaN."""
+def _arm_after_first_round(monkeypatch, trainer):
+    """A list that turns truthy once round 1's evaluation has run."""
     armed = []
     original_evaluate = trainer.evaluate
-    original_encode_decode = TopKCodec.encode_decode
 
     def evaluate(sequences):
         result = original_evaluate(sequences)
         armed.append(True)
         return result
+
+    monkeypatch.setattr(trainer, "evaluate", evaluate)
+    return armed
+
+
+def _assert_checkpoint_holds_round_1_of(path, reference):
+    checkpoint = Checkpoint.load(path)
+    assert checkpoint.progress == 1
+    stored = flatten_state_tree(checkpoint.state)
+    expected = flatten_state_tree(reference.state_dict())
+    assert stored.keys() == expected.keys()
+    for key, value in expected.items():
+        assert np.array_equal(stored[key], value), key
+
+
+def _poison_codec_after_first_round(monkeypatch, trainer, stream):
+    """From round 2 on, the top-k codec decodes ``stream`` payloads to NaN."""
+    armed = _arm_after_first_round(monkeypatch, trainer)
+    original_encode_decode = TopKCodec.encode_decode
 
     def encode_decode(self, values, name):
         decoded, bits = original_encode_decode(self, values, name)
@@ -92,7 +112,6 @@ def _poison_codec_after_first_round(monkeypatch, trainer, stream):
             decoded = np.full_like(decoded, np.nan)
         return decoded, bits
 
-    monkeypatch.setattr(trainer, "evaluate", evaluate)
     monkeypatch.setattr(TopKCodec, "encode_decode", encode_decode)
 
 
@@ -129,10 +148,51 @@ def test_non_finite_step_raises_and_keeps_the_last_finite_checkpoint(
             checkpoint_path=path,
         )
 
-    checkpoint = Checkpoint.load(path)
-    assert checkpoint.progress == 1
-    stored = flatten_state_tree(checkpoint.state)
-    expected = flatten_state_tree(reference.state_dict())
-    assert stored.keys() == expected.keys()
-    for key, value in expected.items():
-        assert np.array_equal(stored[key], value), key
+    _assert_checkpoint_holds_round_1_of(path, reference)
+
+
+@pytest.mark.parametrize(
+    "mode, num_ues", [("rotation", 1), ("parallel_average", 3)]
+)
+def test_non_finite_bs_gradient_under_a_finite_loss_raises(
+    mode, num_ues, tiny_experiment_config, small_split, tmp_path, monkeypatch
+):
+    """A NaN in one BS weight gradient, behind a finite loss, stops the fit
+    before the BS update of that step, and the checkpoint keeps round 1."""
+    fleet_config = FleetConfig(num_ues=num_ues, mode=mode)
+    reference = FleetTrainer(tiny_experiment_config, fleet_config)
+    reference.fit(small_split.train, small_split.validation, max_rounds=1)
+
+    trainer = FleetTrainer(tiny_experiment_config, fleet_config)
+    armed = _arm_after_first_round(monkeypatch, trainer)
+    losses, snapshots = [], []
+    original_gradients = BSServer.compute_loss_and_gradients
+
+    def compute_loss_and_gradients(self, *args):
+        loss, cut_gradient = original_gradients(self, *args)
+        if armed:
+            losses.append(loss)
+            snapshots.append(flatten_state_tree(self.state_dict()))
+            list(self.rnn.parameters())[-1].grad.flat[0] = np.nan
+        return loss, cut_gradient
+
+    monkeypatch.setattr(
+        BSServer, "compute_loss_and_gradients", compute_loss_and_gradients
+    )
+    path = tmp_path / "run.npz"
+    with pytest.raises(
+        FloatingPointError, match=r"^round 2\b.*non-finite BS gradient norm"
+    ):
+        trainer.fit(
+            small_split.train,
+            small_split.validation,
+            max_rounds=ROUNDS + 1,
+            checkpoint_path=path,
+        )
+
+    assert len(losses) == 1 and np.isfinite(losses[0])
+    after = flatten_state_tree(trainer.fleet.bs.state_dict())
+    assert after.keys() == snapshots[0].keys()
+    for key, value in snapshots[0].items():
+        assert np.array_equal(after[key], value), key
+    _assert_checkpoint_holds_round_1_of(path, reference)

@@ -138,3 +138,51 @@ def test_leakage_with_ue_client(small_dataset):
     for value in (fine.leakage, coarse.leakage):
         assert 0.0 <= value <= identity + 1e-9
     assert identity > 0.9
+
+
+def _assert_same_result(result, expected):
+    assert result.leakage == expected.leakage
+    assert np.array_equal(result.per_sample_similarity, expected.per_sample_similarity)
+    assert (result.num_samples, result.mds_dimensions) == (
+        expected.num_samples,
+        expected.mds_dimensions,
+    )
+
+
+@pytest.mark.parametrize("max_samples", [200, 17])
+def test_evaluate_all_equals_evaluate_per_map_with_an_int_seed(gen, max_samples):
+    images = gen.random((40, 8, 8))
+    transmitted = [images, pool(images, 2), pool(images, 8), gen.random((40, 4, 4))]
+    evaluator = PrivacyLeakageEvaluator(max_samples=max_samples, seed=3)
+    results = evaluator.evaluate_all(images, transmitted)
+    assert len(results) == len(transmitted)
+    for result, maps in zip(results, transmitted):
+        assert result.num_samples == min(max_samples, 40)
+        _assert_same_result(result, evaluator.evaluate(images, maps))
+
+
+def test_evaluate_all_draws_one_subsample_per_call_from_a_generator(gen):
+    images = gen.random((40, 6, 6))
+    maps = pool(images, 3)
+    rng = np.random.default_rng(4)
+    evaluator = PrivacyLeakageEvaluator(max_samples=10, seed=rng)
+    first, second = evaluator.evaluate_all(images, [maps, maps])
+    # Both maps were scored on the one subset the call drew ...
+    _assert_same_result(first, second)
+    reference = np.random.default_rng(4)
+    reference.choice(40, size=10, replace=False)
+    assert rng.bit_generator.state == reference.bit_generator.state
+    # ... and the next call draws its own.
+    evaluator.evaluate(images, maps)
+    reference.choice(40, size=10, replace=False)
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_evaluate_all_validates_every_map(gen):
+    evaluator = PrivacyLeakageEvaluator(seed=0)
+    images = gen.random((5, 4, 4))
+    with pytest.raises(ValueError):
+        evaluator.evaluate_all(images, [images, gen.random((4, 4, 4))])
+    with pytest.raises(ValueError):
+        evaluator.evaluate_all(images, [images, gen.random((5, 16))])
+    assert evaluator.evaluate_all(images, []) == []

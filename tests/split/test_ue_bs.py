@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.nn.serialization import flatten_state_tree
 from repro.split import BSServer, ModelConfig, TrainingConfig, UEClient
 
 
@@ -174,3 +175,30 @@ def test_bs_without_optimizer_cannot_update(config, gen):
     bs = BSServer(config, training_config=None, seed=0)
     with pytest.raises(RuntimeError):
         bs.apply_update()
+
+
+@pytest.mark.parametrize("clip", [5.0, 0.0], ids=["clipped", "unclipped"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_bs_non_finite_gradient_raises_before_the_step(config, gen, clip, bad):
+    training = TrainingConfig(batch_size=4, max_epochs=1, gradient_clip_norm=clip)
+    bs = BSServer(config, training, seed=0)
+    # One finite step first, so the Adam moments are not all zero.
+    bs.compute_loss_and_gradients(
+        gen.random((4, 4, 1)), gen.random((4, 4)), gen.random(4)
+    )
+    bs.apply_update()
+    loss, _ = bs.compute_loss_and_gradients(
+        gen.random((4, 4, 1)), gen.random((4, 4)), gen.random(4)
+    )
+    assert np.isfinite(loss)
+    before = flatten_state_tree(bs.state_dict())
+    list(bs.rnn.parameters())[-1].grad.flat[0] = bad
+    # Clipping by an infinite norm scales the gradients by 0 (inf * 0 = nan).
+    with np.errstate(invalid="ignore"), pytest.raises(
+        FloatingPointError, match="non-finite BS gradient norm"
+    ):
+        bs.apply_update()
+    after = flatten_state_tree(bs.state_dict())
+    assert after.keys() == before.keys()
+    for key, value in before.items():
+        assert np.array_equal(after[key], value), key

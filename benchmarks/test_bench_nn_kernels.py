@@ -35,11 +35,8 @@ from repro.nn.layers.conv import (
 )
 from repro.nn.layers.pooling import (
     AveragePool2D,
-    MaxPool2D,
     avgpool2d_backward_reference,
     avgpool2d_forward_reference,
-    maxpool2d_backward_reference,
-    maxpool2d_forward_reference,
 )
 from repro.nn.layers.recurrent import (
     GRU,
@@ -184,36 +181,33 @@ def _run_kernel_suite(scale: ExperimentScale) -> List[KernelRecord]:
     # -- pooling: the paper's 4x4 compression knob -----------------------------
     feature_maps = gen.normal(size=(vec_batch, 1, IMAGE_SIZE, IMAGE_SIZE))
     maps_small = feature_maps[:ref_batch]
-    for layer, fwd_ref, name in (
-        (AveragePool2D(POOL), avgpool2d_forward_reference, "avgpool"),
-        (MaxPool2D(POOL), maxpool2d_forward_reference, "maxpool"),
-    ):
-        pooled = layer.forward(feature_maps)
-        pool_grad = gen.normal(size=pooled.shape)
-        records.append(
-            KernelRecord(
-                f"{name} {POOL}x{POOL} forward",
-                _throughput(lambda: layer.forward(feature_maps), vec_batch, repeats),
-                _throughput(
-                    lambda: fwd_ref(maps_small, layer.pool_size), ref_batch, repeats
+    pool = AveragePool2D(POOL)
+    pooled = pool.forward(feature_maps)
+    pool_grad = gen.normal(size=pooled.shape)
+    records.append(
+        KernelRecord(
+            f"avgpool {POOL}x{POOL} forward",
+            _throughput(lambda: pool.forward(feature_maps), vec_batch, repeats),
+            _throughput(
+                lambda: avgpool2d_forward_reference(maps_small, pool.pool_size),
+                ref_batch,
+                repeats,
+            ),
+        )
+    )
+    records.append(
+        KernelRecord(
+            f"avgpool {POOL}x{POOL} backward",
+            _throughput(lambda: pool.backward(pool_grad), vec_batch, repeats),
+            _throughput(
+                lambda: avgpool2d_backward_reference(
+                    pool_grad[:ref_batch], maps_small.shape, pool.pool_size
                 ),
-            )
+                ref_batch,
+                repeats,
+            ),
         )
-        if name == "avgpool":
-            bwd_ref = lambda: avgpool2d_backward_reference(  # noqa: E731
-                pool_grad[:ref_batch], maps_small.shape, layer.pool_size
-            )
-        else:
-            bwd_ref = lambda: maxpool2d_backward_reference(  # noqa: E731
-                maps_small, pool_grad[:ref_batch], layer.pool_size
-            )
-        records.append(
-            KernelRecord(
-                f"{name} {POOL}x{POOL} backward",
-                _throughput(lambda: layer.backward(pool_grad), vec_batch, repeats),
-                _throughput(bwd_ref, ref_batch, repeats),
-            )
-        )
+    )
 
     # -- recurrent: the paper's BS cell over length-4 sequences ----------------
     sequences = gen.normal(size=(vec_batch, SEQUENCE_LENGTH, RNN_INPUT))

@@ -231,16 +231,11 @@ def default_specs() -> List[ContractSpec]:
         layer.backward(np.zeros_like(outputs))
         return layer
 
-    def optimizer(kind):
-        def build():
-            from repro.nn import optim
-            from repro.nn.layers.dense import Dense
+    def adam_optimizer():
+        from repro.nn.layers.dense import Dense
+        from repro.nn.optim import Adam
 
-            layer = Dense(4, 3, seed=0)
-            cls = getattr(optim, kind)
-            return cls(layer.parameters(), 0.01)
-
-        return build
+        return Adam(Dense(4, 3, seed=0).parameters(), 0.01)
 
     def quantizer_codec():
         from repro.split.codecs import UniformQuantizerCodec
@@ -299,10 +294,6 @@ def default_specs() -> List[ContractSpec]:
         )
         return protocol
 
-    shared_optimizer_waivers = {
-        "parameters": "references to externally owned Parameter objects; "
-        "their values ride in the model's own state_dict",
-    }
     layer_waivers = {
         "rng": "init-time entropy only: consumed during weight construction, "
         "never drawn from after __init__",
@@ -324,24 +315,12 @@ def default_specs() -> List[ContractSpec]:
         ContractSpec(name="ArqStatistics", factory=arq_statistics),
         ContractSpec(name="Dense", factory=dense_layer, waived=dict(layer_waivers)),
         ContractSpec(
-            name="SGD",
-            factory=optimizer("SGD"),
-            waived=dict(shared_optimizer_waivers),
-        ),
-        ContractSpec(
-            name="MomentumSGD",
-            factory=optimizer("MomentumSGD"),
-            waived=dict(shared_optimizer_waivers),
-        ),
-        ContractSpec(
-            name="RMSProp",
-            factory=optimizer("RMSProp"),
-            waived=dict(shared_optimizer_waivers),
-        ),
-        ContractSpec(
             name="Adam",
-            factory=optimizer("Adam"),
-            waived=dict(shared_optimizer_waivers),
+            factory=adam_optimizer,
+            waived={
+                "parameters": "references to externally owned Parameter "
+                "objects; their values ride in the model's own state_dict",
+            },
         ),
         ContractSpec(name="UniformQuantizerCodec", factory=quantizer_codec),
         ContractSpec(name="TopKCodec", factory=topk_codec),

@@ -74,12 +74,6 @@ def all_rules() -> List[Rule]:
     return [_RULES[code] for code in sorted(_RULES)]
 
 
-def get_rule(code: str) -> Rule:
-    """Look up one rule by code (``KeyError`` if unknown)."""
-    _load_rule_modules()
-    return _RULES[code]
-
-
 def known_codes() -> List[str]:
     """All valid codes: registered rules plus the engine's reserved codes."""
     _load_rule_modules()

@@ -4,8 +4,8 @@ Every artifact, parameter file and cache entry in the repo is written
 atomically (temporary file + ``os.replace``) so a killed worker never leaves
 a truncated archive for a concurrent reader — the sweep executor and the
 checkpoint machinery both lean on that guarantee.  The atomic primitives live
-in :mod:`repro.nn.serialization` (``atomic_savez`` / ``atomic_write_text`` /
-``atomic_write_bytes``); these rules flag direct writes that bypass them.
+in :mod:`repro.nn.serialization` (``atomic_savez`` / ``atomic_write_text``);
+these rules flag direct writes that bypass them.
 
 Exempt: ``repro/nn/serialization.py`` itself — the one module allowed to
 touch the raw filesystem write APIs.

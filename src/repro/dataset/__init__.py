@@ -15,7 +15,6 @@ from repro.dataset.generator import (
     DatasetConfig,
     DepthPowerDataset,
     MmWaveDepthDatasetGenerator,
-    generate_paper_scale_dataset,
     generate_small_dataset,
 )
 from repro.dataset.sequences import (
@@ -48,7 +47,6 @@ __all__ = [
     "config_fingerprint",
     "dataset_cache_path",
     "default_cache_dir",
-    "generate_paper_scale_dataset",
     "generate_small_dataset",
     "get_or_generate",
     "horizon_in_frames",

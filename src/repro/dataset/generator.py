@@ -205,11 +205,6 @@ class MmWaveDepthDatasetGenerator:
         )
 
 
-def generate_paper_scale_dataset(seed: int = 0) -> DepthPowerDataset:
-    """Generate the full 13,228-sample replica with default parameters."""
-    return MmWaveDepthDatasetGenerator(DatasetConfig(seed=seed)).generate()
-
-
 def generate_small_dataset(
     num_samples: int = 600,
     image_size: int = 16,

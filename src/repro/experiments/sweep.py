@@ -216,10 +216,6 @@ class SweepConfig:
         if self.resume and self.output_path is None:
             raise ValueError("resume requires an output_path to read back")
 
-    @property
-    def num_cells(self) -> int:
-        return len(self.scenarios) * len(self.seeds)
-
 
 @dataclass(frozen=True)
 class _CellSpec:

@@ -141,10 +141,6 @@ class StackedUEBank:
         self._passes: List[Tuple[object, Dict]] = []
         self.gather()
 
-    @property
-    def num_members(self) -> int:
-        return len(self._clients)
-
     # -- member synchronization ------------------------------------------------
     def gather(self) -> None:
         """Snapshot every member's weights and Adam state into the stack."""

@@ -331,8 +331,9 @@ class FleetTrainer:
 
         Raises:
             FloatingPointError: a step produced a non-finite BS loss, BS
-                gradient or UE gradient (the message names the round, and the
-                members for a UE gradient).  The checkpoint at
+                gradient or UE gradient (the message names the round and the
+                step within it, and the members for a UE gradient); neither
+                half of that step was updated.  The checkpoint at
                 ``checkpoint_path`` keeps the last finished round.
         """
         training = self.config.training
@@ -394,6 +395,7 @@ class FleetTrainer:
             losses: List[float] = []
             duration = busy = 0.0
             lost = steps = 0
+            step_index = 1  # the step in progress, named by a non-finite error
             try:
                 for step_s, step_busy_s, loss, step_lost, member_steps in round_steps(
                     shards, batch_sizes, steps_per_turn, images, powers, targets
@@ -407,8 +409,11 @@ class FleetTrainer:
                     steps += member_steps
                     if loss is not None:
                         losses.append(loss)
+                    step_index += 1
             except FloatingPointError as error:
-                raise FloatingPointError(f"round {round_index}: {error}") from error
+                raise FloatingPointError(
+                    f"round {round_index}, step {step_index}: {error}"
+                ) from error
             busy_total_s += busy
 
             validation_rmse = self.evaluate(validation)
@@ -621,6 +626,7 @@ class FleetTrainer:
                 if downlinks[index].success
             ]
             if positions:
+                self.fleet.bs.check_gradients()
                 delivered = [decoded[position] for position in positions]
                 gradients = _split_members(
                     cut_gradient,

@@ -2,59 +2,33 @@
 
 This package replaces the PyTorch/Keras dependency of the original paper with
 explicit forward/backward layers, which keeps the split-learning cut layer —
-the object the paper studies — visible in code.
+the object the paper studies — visible in code.  It holds what the paper's
+model needs: convolutions, ReLU/sigmoid and average pooling on the UE side,
+recurrent layers and a dense head on the BS side, an MSE loss, Adam, and the
+atomic state-tree archives that checkpoints are written with.
 """
 from repro.nn import initializers, metrics
-from repro.nn.data import ArrayDataset, DataLoader, train_validation_split
 from repro.nn.layers import (
     AveragePool2D,
-    BatchNorm1D,
     Conv2D,
     Dense,
-    Dropout,
     Flatten,
     GRU,
-    GlobalAveragePool2D,
-    Identity,
     LSTM,
     Layer,
-    LayerNorm,
-    LeakyReLU,
-    MaxPool2D,
     Parameter,
     ReLU,
-    Reshape,
     Sequential,
     Sigmoid,
     SimpleRNN,
-    Softplus,
-    Tanh,
-    get_activation,
 )
-from repro.nn.losses import (
-    HuberLoss,
-    Loss,
-    MeanAbsoluteError,
-    MeanSquaredError,
-    get_loss,
-)
-from repro.nn.metrics import (
-    mean_absolute_error,
-    mean_squared_error,
-    r2_score,
-    root_mean_squared_error,
-)
-from repro.nn.optim import SGD, Adam, MomentumSGD, Optimizer, RMSProp, get_optimizer
+from repro.nn.losses import Loss, MeanSquaredError
+from repro.nn.metrics import mean_squared_error, root_mean_squared_error
+from repro.nn.optim import Adam, Optimizer
 from repro.nn.serialization import (
     atomic_savez,
-    atomic_write_bytes,
     atomic_write_text,
-    load_parameters,
-    load_state,
     load_state_tree,
-    parameters_allclose,
-    save_parameters,
-    save_state,
     save_state_tree,
 )
 from repro.nn.stacked import (
@@ -67,61 +41,32 @@ from repro.nn.stacked import (
 
 __all__ = [
     "Adam",
-    "ArrayDataset",
     "AveragePool2D",
-    "BatchNorm1D",
     "Conv2D",
-    "DataLoader",
     "Dense",
-    "Dropout",
     "Flatten",
     "GRU",
-    "GlobalAveragePool2D",
-    "HuberLoss",
-    "Identity",
     "LSTM",
     "Layer",
-    "LayerNorm",
-    "LeakyReLU",
     "Loss",
-    "MaxPool2D",
-    "MeanAbsoluteError",
     "MeanSquaredError",
-    "MomentumSGD",
     "Optimizer",
     "Parameter",
-    "RMSProp",
     "ReLU",
-    "Reshape",
-    "SGD",
     "Sequential",
     "Sigmoid",
     "SimpleRNN",
-    "Softplus",
-    "Tanh",
     "atomic_savez",
-    "atomic_write_bytes",
     "atomic_write_text",
-    "get_activation",
-    "get_loss",
-    "get_optimizer",
     "initializers",
-    "load_parameters",
-    "load_state",
     "load_state_tree",
-    "mean_absolute_error",
     "mean_squared_error",
     "metrics",
-    "parameters_allclose",
-    "r2_score",
     "root_mean_squared_error",
-    "save_parameters",
-    "save_state",
     "save_state_tree",
     "stacked_adam_update",
     "stacked_clip_scales",
     "stacked_conv2d_backward",
     "stacked_conv2d_forward",
     "stacked_gradient_norms",
-    "train_validation_split",
 ]

@@ -19,22 +19,6 @@ def zeros(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
     return np.zeros(shape, dtype=np.float64)
 
 
-def ones(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-    """All-one initializer, used for normalization scales."""
-    del rng
-    return np.ones(shape, dtype=np.float64)
-
-
-def normal(shape: Sequence[int], rng: np.random.Generator, std: float = 0.05) -> np.ndarray:
-    """Gaussian initializer with standard deviation ``std``."""
-    return rng.normal(0.0, std, size=shape).astype(np.float64)
-
-
-def uniform(shape: Sequence[int], rng: np.random.Generator, limit: float = 0.05) -> np.ndarray:
-    """Uniform initializer on ``[-limit, limit]``."""
-    return rng.uniform(-limit, limit, size=shape).astype(np.float64)
-
-
 def _fan_in_fan_out(shape: Sequence[int]) -> tuple[int, int]:
     """Compute fan-in and fan-out for dense and convolutional kernels.
 
@@ -59,25 +43,11 @@ def xavier_uniform(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray
     return rng.uniform(-limit, limit, size=shape).astype(np.float64)
 
 
-def xavier_normal(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-    """Glorot/Xavier normal initializer."""
-    fan_in, fan_out = _fan_in_fan_out(shape)
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape).astype(np.float64)
-
-
 def he_uniform(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
     """He (Kaiming) uniform initializer, suited for ReLU networks."""
     fan_in, _ = _fan_in_fan_out(shape)
     limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=shape).astype(np.float64)
-
-
-def he_normal(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-    """He (Kaiming) normal initializer, suited for ReLU networks."""
-    fan_in, _ = _fan_in_fan_out(shape)
-    std = np.sqrt(2.0 / fan_in)
-    return rng.normal(0.0, std, size=shape).astype(np.float64)
 
 
 def orthogonal(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
@@ -99,15 +69,9 @@ def orthogonal(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
 
 _REGISTRY: dict[str, Initializer] = {
     "zeros": zeros,
-    "ones": ones,
-    "normal": normal,
-    "uniform": uniform,
     "xavier_uniform": xavier_uniform,
-    "xavier_normal": xavier_normal,
     "glorot_uniform": xavier_uniform,
-    "glorot_normal": xavier_normal,
     "he_uniform": he_uniform,
-    "he_normal": he_normal,
     "orthogonal": orthogonal,
 }
 
@@ -125,8 +89,3 @@ def get_initializer(name_or_fn: str | Initializer) -> Initializer:
     except KeyError as exc:
         known = ", ".join(sorted(_REGISTRY))
         raise KeyError(f"unknown initializer {name_or_fn!r}; known: {known}") from exc
-
-
-def available_initializers() -> tuple[str, ...]:
-    """Names of all registered initializers."""
-    return tuple(sorted(_REGISTRY))

@@ -1,13 +1,5 @@
 """Neural-network layers."""
-from repro.nn.layers.activations import (
-    Identity,
-    LeakyReLU,
-    ReLU,
-    Sigmoid,
-    Softplus,
-    Tanh,
-    get_activation,
-)
+from repro.nn.layers.activations import ReLU, Sigmoid
 from repro.nn.layers.base import Layer, Parameter
 from repro.nn.layers.conv import (
     Conv2D,
@@ -18,16 +10,10 @@ from repro.nn.layers.conv import (
     im2col,
 )
 from repro.nn.layers.dense import Dense
-from repro.nn.layers.dropout import Dropout
-from repro.nn.layers.normalization import BatchNorm1D, LayerNorm
 from repro.nn.layers.pooling import (
     AveragePool2D,
-    GlobalAveragePool2D,
-    MaxPool2D,
     avgpool2d_backward_reference,
     avgpool2d_forward_reference,
-    maxpool2d_backward_reference,
-    maxpool2d_forward_reference,
 )
 from repro.nn.layers.recurrent import (
     GRU,
@@ -40,46 +26,33 @@ from repro.nn.layers.recurrent import (
     simple_rnn_forward_reference,
     simple_rnn_gradients_reference,
 )
-from repro.nn.layers.reshape import Flatten, Reshape
+from repro.nn.layers.reshape import Flatten
 from repro.nn.layers.sequential import Sequential
 
 __all__ = [
     "AveragePool2D",
-    "BatchNorm1D",
     "Conv2D",
     "Dense",
-    "Dropout",
     "Flatten",
     "GRU",
-    "GlobalAveragePool2D",
-    "Identity",
     "LSTM",
     "Layer",
-    "LayerNorm",
-    "LeakyReLU",
-    "MaxPool2D",
     "Parameter",
     "ReLU",
-    "Reshape",
     "Sequential",
     "Sigmoid",
     "SimpleRNN",
-    "Softplus",
-    "Tanh",
     "avgpool2d_backward_reference",
     "avgpool2d_forward_reference",
     "col2im",
     "conv2d_backward_reference",
     "conv2d_forward_reference",
     "conv_output_size",
-    "get_activation",
     "gru_forward_reference",
     "gru_gradients_reference",
     "im2col",
     "lstm_forward_reference",
     "lstm_gradients_reference",
-    "maxpool2d_backward_reference",
-    "maxpool2d_forward_reference",
     "simple_rnn_forward_reference",
     "simple_rnn_gradients_reference",
 ]

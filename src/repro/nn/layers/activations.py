@@ -6,18 +6,6 @@ import numpy as np
 from repro.nn.layers.base import Layer, check_forward_called
 
 
-class Identity(Layer):
-    """Pass-through activation (useful as a configurable default)."""
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        inputs = np.asarray(inputs, dtype=np.float64)
-        self._shape = inputs.shape
-        return inputs
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return np.asarray(grad_output, dtype=np.float64)
-
-
 class ReLU(Layer):
     """Rectified linear unit ``max(0, x)``."""
 
@@ -33,27 +21,6 @@ class ReLU(Layer):
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         mask = check_forward_called(self._mask, self)
         return np.asarray(grad_output, dtype=np.float64) * mask
-
-
-class LeakyReLU(Layer):
-    """Leaky ReLU with configurable negative slope."""
-
-    def __init__(self, negative_slope: float = 0.01, name: str | None = None):
-        super().__init__(name=name)
-        if negative_slope < 0:
-            raise ValueError("negative_slope must be non-negative")
-        self.negative_slope = float(negative_slope)
-        self._mask: np.ndarray | None = None
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        inputs = np.asarray(inputs, dtype=np.float64)
-        self._mask = inputs > 0
-        return np.where(self._mask, inputs, self.negative_slope * inputs)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        mask = check_forward_called(self._mask, self)
-        grad_output = np.asarray(grad_output, dtype=np.float64)
-        return np.where(mask, grad_output, self.negative_slope * grad_output)
 
 
 class Sigmoid(Layer):
@@ -73,41 +40,6 @@ class Sigmoid(Layer):
         return grad_output * output * (1.0 - output)
 
 
-class Tanh(Layer):
-    """Hyperbolic tangent activation."""
-
-    def __init__(self, name: str | None = None):
-        super().__init__(name=name)
-        self._output: np.ndarray | None = None
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._output = np.tanh(np.asarray(inputs, dtype=np.float64))
-        return self._output
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        output = check_forward_called(self._output, self)
-        grad_output = np.asarray(grad_output, dtype=np.float64)
-        return grad_output * (1.0 - output * output)
-
-
-class Softplus(Layer):
-    """Smooth ReLU approximation ``log(1 + exp(x))``."""
-
-    def __init__(self, name: str | None = None):
-        super().__init__(name=name)
-        self._inputs: np.ndarray | None = None
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        inputs = np.asarray(inputs, dtype=np.float64)
-        self._inputs = inputs
-        return np.logaddexp(0.0, inputs)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        inputs = check_forward_called(self._inputs, self)
-        grad_output = np.asarray(grad_output, dtype=np.float64)
-        return grad_output * stable_sigmoid(inputs)
-
-
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable sigmoid that avoids overflow for large |x|.
 
@@ -124,23 +56,3 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     np.divide(1.0, out, out=out)
     np.copyto(out, e, where=x < 0)
     return np.asarray(out, dtype=np.float64)
-
-
-_ACTIVATIONS = {
-    "identity": Identity,
-    "linear": Identity,
-    "relu": ReLU,
-    "leaky_relu": LeakyReLU,
-    "sigmoid": Sigmoid,
-    "tanh": Tanh,
-    "softplus": Softplus,
-}
-
-
-def get_activation(name: str) -> Layer:
-    """Instantiate an activation layer from its registry name."""
-    try:
-        return _ACTIVATIONS[name.lower()]()
-    except KeyError as exc:
-        known = ", ".join(sorted(_ACTIVATIONS))
-        raise KeyError(f"unknown activation {name!r}; known: {known}") from exc

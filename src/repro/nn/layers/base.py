@@ -48,7 +48,6 @@ class Layer:
     def __init__(self, name: str | None = None, seed: SeedLike = None):
         self.name = name or self.__class__.__name__
         self.rng = as_generator(seed)
-        self.training = True
         self._params: Dict[str, Parameter] = {}
 
     # -- parameter management -------------------------------------------------
@@ -72,21 +71,6 @@ class Layer:
         """Reset gradients on all parameters of this layer."""
         for param in self.parameters():
             param.zero_grad()
-
-    def num_parameters(self) -> int:
-        """Total number of scalar trainable parameters."""
-        return int(sum(p.value.size for p in self.parameters()))
-
-    # -- train / eval mode -----------------------------------------------------
-    def train(self) -> "Layer":
-        """Switch to training mode (affects dropout, batch-norm, ...)."""
-        self.training = True
-        return self
-
-    def eval(self) -> "Layer":
-        """Switch to inference mode."""
-        self.training = False
-        return self
 
     # -- computation -----------------------------------------------------------
     def forward(self, inputs: np.ndarray) -> np.ndarray:

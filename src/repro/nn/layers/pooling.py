@@ -1,15 +1,12 @@
-"""Pooling layers.
+"""Average pooling.
 
 Average pooling is the compression knob of the paper: the UE pools the CNN
 output with a ``wH x wW`` window before transmitting it to the BS, trading
 feature-map resolution for uplink payload size and privacy.
 
-Both pooling layers are pure reshape-trick kernels: the ``(batch, channels,
-H, W)`` input is viewed as ``(batch, channels, out_h, ph, out_w, pw)`` windows
-and reduced along the window axes in one pass.  Max pooling caches the flat
-argmax index of each window during ``forward`` and routes the whole gradient
-to that element in ``backward`` (first maximum wins on ties, matching the
-common framework convention).
+The layer is a pure reshape-trick kernel: the ``(batch, channels, H, W)``
+input is viewed as ``(batch, channels, out_h, ph, out_w, pw)`` windows and
+reduced along the window axes in one pass.
 
 Naive per-window loop implementations are retained as ``*_reference``
 functions — the correctness oracle for the vectorized kernels and the
@@ -79,51 +76,6 @@ def avgpool2d_backward_reference(
     return grad
 
 
-def maxpool2d_forward_reference(
-    inputs: np.ndarray, pool_size: Tuple[int, int]
-) -> np.ndarray:
-    """Naive per-window max pooling (correctness oracle, never hot path)."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    batch, channels, height, width = inputs.shape
-    ph, pw = pool_size
-    out_h, out_w = _check_divisible("maxpool2d_forward_reference", height, width, pool_size)
-    output = np.zeros((batch, channels, out_h, out_w), dtype=np.float64)
-    for b in range(batch):
-        for c in range(channels):
-            for i in range(out_h):
-                for j in range(out_w):
-                    window = inputs[
-                        b, c, i * ph : (i + 1) * ph, j * pw : (j + 1) * pw
-                    ]
-                    output[b, c, i, j] = window.max()
-    return output
-
-
-def maxpool2d_backward_reference(
-    inputs: np.ndarray,
-    grad_output: np.ndarray,
-    pool_size: Tuple[int, int],
-) -> np.ndarray:
-    """Naive max-pooling backward (first maximum wins ties, like the kernel)."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    grad_output = np.asarray(grad_output, dtype=np.float64)
-    ph, pw = pool_size
-    grad = np.zeros_like(inputs)
-    batch, channels, _, _ = inputs.shape
-    out_h, out_w = grad_output.shape[2], grad_output.shape[3]
-    for b in range(batch):
-        for c in range(channels):
-            for i in range(out_h):
-                for j in range(out_w):
-                    window = inputs[
-                        b, c, i * ph : (i + 1) * ph, j * pw : (j + 1) * pw
-                    ]
-                    flat_index = int(np.argmax(window))
-                    di, dj = divmod(flat_index, pw)
-                    grad[b, c, i * ph + di, j * pw + dj] += grad_output[b, c, i, j]
-    return grad
-
-
 class AveragePool2D(Layer):
     """Non-overlapping average pooling over ``(batch, channels, H, W)`` inputs.
 
@@ -165,83 +117,3 @@ class AveragePool2D(Layer):
             grad_output[:, :, :, None, :, None] * scale
         )
         return grad
-
-
-class MaxPool2D(Layer):
-    """Non-overlapping max pooling over ``(batch, channels, H, W)`` inputs.
-
-    The backward pass routes each window's gradient to the cached argmax
-    element (first maximum wins on ties).
-    """
-
-    def __init__(self, pool_size: int | Tuple[int, int], name: str | None = None):
-        super().__init__(name=name)
-        self.pool_size = _pair(pool_size)
-        if any(p <= 0 for p in self.pool_size):
-            raise ValueError("pool_size entries must be positive")
-        self._argmax: np.ndarray | None = None
-        self._input_shape: Tuple[int, ...] | None = None
-
-    def output_shape(self, height: int, width: int) -> Tuple[int, int]:
-        """Spatial output shape for an input of ``height x width``."""
-        return _check_divisible(self.name, height, width, self.pool_size)
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        inputs = np.asarray(inputs, dtype=np.float64)
-        if inputs.ndim != 4:
-            raise ValueError(f"{self.name}: expected 4-D input, got {inputs.shape}")
-        batch, channels, height, width = inputs.shape
-        out_h, out_w = self.output_shape(height, width)
-        ph, pw = self.pool_size
-        self._input_shape = inputs.shape
-        # (batch, channels, out_h, out_w, ph * pw) window-major layout so a
-        # single argmax over the last axis yields the routing index.
-        windows = np.ascontiguousarray(
-            inputs.reshape(batch, channels, out_h, ph, out_w, pw).transpose(
-                0, 1, 2, 4, 3, 5
-            )
-        ).reshape(batch, channels, out_h, out_w, ph * pw)
-        self._argmax = windows.argmax(axis=-1)
-        return np.take_along_axis(windows, self._argmax[..., None], axis=-1)[..., 0]
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        argmax = check_forward_called(self._argmax, self)
-        grad_output = np.asarray(grad_output, dtype=np.float64)
-        batch, channels, height, width = self._input_shape
-        ph, pw = self.pool_size
-        out_h, out_w = height // ph, width // pw
-        grad_windows = np.zeros(
-            (batch, channels, out_h, out_w, ph * pw), dtype=np.float64
-        )
-        np.put_along_axis(
-            grad_windows, argmax[..., None], grad_output[..., None], axis=-1
-        )
-        return np.ascontiguousarray(
-            grad_windows.reshape(batch, channels, out_h, out_w, ph, pw).transpose(
-                0, 1, 2, 4, 3, 5
-            )
-        ).reshape(self._input_shape)
-
-
-class GlobalAveragePool2D(Layer):
-    """Average over the full spatial extent, returning ``(batch, channels)``."""
-
-    def __init__(self, name: str | None = None):
-        super().__init__(name=name)
-        self._input_shape: Tuple[int, ...] | None = None
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        inputs = np.asarray(inputs, dtype=np.float64)
-        if inputs.ndim != 4:
-            raise ValueError(f"{self.name}: expected 4-D input, got {inputs.shape}")
-        self._input_shape = inputs.shape
-        return inputs.mean(axis=(2, 3))
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        input_shape = check_forward_called(self._input_shape, self)
-        grad_output = np.asarray(grad_output, dtype=np.float64)
-        batch, channels, height, width = input_shape
-        scale = 1.0 / (height * width)
-        return np.broadcast_to(
-            grad_output[:, :, None, None] * scale, input_shape
-        ).copy()

@@ -1,4 +1,4 @@
-"""Shape-manipulation layers: Flatten and Reshape."""
+"""Shape-manipulation layer: Flatten."""
 from __future__ import annotations
 
 from typing import Tuple
@@ -21,33 +21,6 @@ class Flatten(Layer):
             raise ValueError(f"{self.name}: expected at least 2-D input")
         self._input_shape = inputs.shape
         return inputs.reshape(inputs.shape[0], -1)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        input_shape = check_forward_called(self._input_shape, self)
-        return np.asarray(grad_output, dtype=np.float64).reshape(input_shape)
-
-
-class Reshape(Layer):
-    """Reshape the non-batch axes to ``target_shape``."""
-
-    def __init__(self, target_shape: Tuple[int, ...], name: str | None = None):
-        super().__init__(name=name)
-        self.target_shape = tuple(int(s) for s in target_shape)
-        if any(s <= 0 for s in self.target_shape):
-            raise ValueError("target_shape entries must be positive")
-        self._input_shape: Tuple[int, ...] | None = None
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        inputs = np.asarray(inputs, dtype=np.float64)
-        expected = int(np.prod(self.target_shape))
-        per_sample = int(np.prod(inputs.shape[1:]))
-        if per_sample != expected:
-            raise ValueError(
-                f"{self.name}: cannot reshape {inputs.shape[1:]} "
-                f"({per_sample} elements) into {self.target_shape} ({expected})"
-            )
-        self._input_shape = inputs.shape
-        return inputs.reshape((inputs.shape[0],) + self.target_shape)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         input_shape = check_forward_called(self._input_shape, self)

@@ -12,9 +12,9 @@ class Sequential(Layer):
     """A linear stack of layers.
 
     The container forwards the input through each layer in order and
-    backpropagates in reverse order.  It also aggregates parameters, train/eval
-    mode switching and state dictionaries, so a full model half (the UE CNN or
-    the BS RNN stack of the paper) can be treated as a single object.
+    backpropagates in reverse order.  It also aggregates parameters and state
+    dictionaries, so a full model half (the UE CNN or the BS RNN stack of the
+    paper) can be treated as a single object.
     """
 
     def __init__(self, layers: Iterable[Layer] | None = None, name: str | None = None):
@@ -66,21 +66,6 @@ class Sequential(Layer):
         for layer in self.layers:
             layer.zero_grad()
 
-    def train(self) -> "Sequential":
-        self.training = True
-        for layer in self.layers:
-            layer.train()
-        return self
-
-    def eval(self) -> "Sequential":
-        self.training = False
-        for layer in self.layers:
-            layer.eval()
-        return self
-
-    def num_parameters(self) -> int:
-        return int(sum(p.value.size for p in self.parameters()))
-
     # -- (de)serialization -------------------------------------------------------
     def state_dict(self) -> Dict[str, np.ndarray]:
         state: Dict[str, np.ndarray] = {}
@@ -98,13 +83,3 @@ class Sequential(Layer):
                 if key.startswith(prefix)
             }
             layer.load_state_dict(layer_state)
-
-    def summary(self) -> str:
-        """Human-readable model description listing layers and parameter counts."""
-        lines = [f"Sequential {self.name!r} ({self.num_parameters()} parameters)"]
-        for index, layer in enumerate(self.layers):
-            lines.append(
-                f"  [{index}] {layer.__class__.__name__:<18s} "
-                f"params={layer.num_parameters()}"
-            )
-        return "\n".join(lines)

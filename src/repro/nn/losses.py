@@ -52,63 +52,3 @@ class MeanSquaredError(Loss):
             raise RuntimeError("backward() called before forward()")
         difference = self._cache
         return 2.0 * difference / difference.size
-
-
-class MeanAbsoluteError(Loss):
-    """Mean absolute error."""
-
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        predictions, targets = self._validate(predictions, targets)
-        difference = predictions - targets
-        self._cache = difference
-        return float(np.mean(np.abs(difference)))
-
-    def backward(self) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward() called before forward()")
-        difference = self._cache
-        return np.sign(difference) / difference.size
-
-
-class HuberLoss(Loss):
-    """Huber loss: quadratic near zero, linear beyond ``delta``."""
-
-    def __init__(self, delta: float = 1.0):
-        super().__init__()
-        if delta <= 0:
-            raise ValueError("delta must be strictly positive")
-        self.delta = float(delta)
-
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        predictions, targets = self._validate(predictions, targets)
-        difference = predictions - targets
-        self._cache = difference
-        abs_difference = np.abs(difference)
-        quadratic = np.minimum(abs_difference, self.delta)
-        linear = abs_difference - quadratic
-        return float(np.mean(0.5 * quadratic**2 + self.delta * linear))
-
-    def backward(self) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward() called before forward()")
-        difference = self._cache
-        clipped = np.clip(difference, -self.delta, self.delta)
-        return clipped / difference.size
-
-
-_LOSSES = {
-    "mse": MeanSquaredError,
-    "mean_squared_error": MeanSquaredError,
-    "mae": MeanAbsoluteError,
-    "mean_absolute_error": MeanAbsoluteError,
-    "huber": HuberLoss,
-}
-
-
-def get_loss(name: str, **kwargs) -> Loss:
-    """Instantiate a loss from its registry name."""
-    try:
-        return _LOSSES[name.lower()](**kwargs)
-    except KeyError as exc:
-        known = ", ".join(sorted(_LOSSES))
-        raise KeyError(f"unknown loss {name!r}; known: {known}") from exc

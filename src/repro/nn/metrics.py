@@ -30,29 +30,3 @@ def mean_squared_error(predictions, targets) -> float:
 def root_mean_squared_error(predictions, targets) -> float:
     """Root mean squared error (the paper's validation metric, in dB)."""
     return float(np.sqrt(mean_squared_error(predictions, targets)))
-
-
-def mean_absolute_error(predictions, targets) -> float:
-    """Mean absolute error."""
-    predictions, targets = _validate(predictions, targets)
-    return float(np.mean(np.abs(predictions - targets)))
-
-
-def r2_score(predictions, targets) -> float:
-    """Coefficient of determination R^2.
-
-    Returns 0.0 when the targets are constant (undefined variance), matching
-    the convention of treating a constant predictor as the baseline.
-    """
-    predictions, targets = _validate(predictions, targets)
-    total = np.sum((targets - targets.mean()) ** 2)
-    if total == 0.0:  # repro: noqa[HYG001] -- exact zero-variance guard
-        return 0.0
-    residual = np.sum((targets - predictions) ** 2)
-    return float(1.0 - residual / total)
-
-
-def max_absolute_error(predictions, targets) -> float:
-    """Worst-case absolute error, useful for tail analysis."""
-    predictions, targets = _validate(predictions, targets)
-    return float(np.max(np.abs(predictions - targets)))

@@ -1,7 +1,7 @@
 """First-order optimizers.
 
-The paper trains with Adam (learning rate 0.001, beta1=0.9, beta2=0.999); SGD,
-momentum SGD and RMSProp are provided for ablations and tests.
+The paper trains with Adam (learning rate 0.001, beta1=0.9, beta2=0.999), the
+one concrete :class:`Optimizer` here.
 """
 from __future__ import annotations
 
@@ -50,7 +50,7 @@ class Optimizer:
 
         Every entry is an :class:`numpy.ndarray` (scalars as 0-d arrays), so
         the state embeds directly into ``.npz`` archives and the nested state
-        trees written by :func:`repro.nn.serialization.save_state`.
+        trees written by :func:`repro.nn.serialization.save_state_tree`.
         """
         state: Dict[str, np.ndarray] = {
             "step_count": np.asarray(self.step_count, dtype=np.int64)
@@ -123,72 +123,6 @@ class Optimizer:
         return total
 
 
-class SGD(Optimizer):
-    """Plain stochastic gradient descent."""
-
-    def _update(self) -> None:
-        for param in self.parameters:
-            param.value -= self.learning_rate * param.grad
-
-
-class MomentumSGD(Optimizer):
-    """SGD with classical (heavy-ball) momentum."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        learning_rate: float = 0.01,
-        momentum: float = 0.9,
-    ):
-        super().__init__(parameters, learning_rate)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = float(momentum)
-        self._velocity = [np.zeros_like(p.value) for p in self.parameters]
-
-    _hyperparameter_names = Optimizer._hyperparameter_names + ("momentum",)
-
-    def _slots(self) -> Dict[str, List[np.ndarray]]:
-        return {"velocity": self._velocity}
-
-    def _update(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
-            velocity *= self.momentum
-            velocity -= self.learning_rate * param.grad
-            param.value += velocity
-
-
-class RMSProp(Optimizer):
-    """RMSProp with exponentially decaying second-moment estimate."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        learning_rate: float = 0.001,
-        decay: float = 0.9,
-        epsilon: float = 1e-8,
-    ):
-        super().__init__(parameters, learning_rate)
-        if not 0.0 <= decay < 1.0:
-            raise ValueError("decay must be in [0, 1)")
-        self.decay = float(decay)
-        self.epsilon = float(epsilon)
-        self._second_moment = [np.zeros_like(p.value) for p in self.parameters]
-
-    _hyperparameter_names = Optimizer._hyperparameter_names + ("decay", "epsilon")
-
-    def _slots(self) -> Dict[str, List[np.ndarray]]:
-        return {"second_moment": self._second_moment}
-
-    def _update(self) -> None:
-        for param, moment in zip(self.parameters, self._second_moment):
-            moment *= self.decay
-            moment += (1.0 - self.decay) * param.grad**2
-            param.value -= (
-                self.learning_rate * param.grad / (np.sqrt(moment) + self.epsilon)
-            )
-
-
 class Adam(Optimizer):
     """Adam optimizer (Kingma & Ba, 2015) with bias correction.
 
@@ -237,21 +171,3 @@ class Adam(Optimizer):
             m_hat = m / bias_correction1
             v_hat = v / bias_correction2
             param.value -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
-
-
-_OPTIMIZERS = {
-    "sgd": SGD,
-    "momentum": MomentumSGD,
-    "rmsprop": RMSProp,
-    "adam": Adam,
-}
-
-
-def get_optimizer(name: str, parameters: Iterable[Parameter], **kwargs) -> Optimizer:
-    """Instantiate an optimizer from its registry name."""
-    try:
-        cls = _OPTIMIZERS[name.lower()]
-    except KeyError as exc:
-        known = ", ".join(sorted(_OPTIMIZERS))
-        raise KeyError(f"unknown optimizer {name!r}; known: {known}") from exc
-    return cls(parameters, **kwargs)

@@ -1,17 +1,9 @@
-"""Parameter and run-state (de)serialization for the numpy model substrate.
+"""Atomic file writes and run-state (de)serialization.
 
-Two levels of persistence live here:
-
-* :func:`save_parameters` / :func:`load_parameters` — just the trainable
-  parameters of one layer stack, the classic weights file.
-* :func:`save_state` / :func:`load_state` — a complete restorable training
-  state: model parameters, optimizer state (slot buffers, step count,
-  hyper-parameters) and RNG stream position (via
-  :func:`repro.utils.seeding.capture_generator_state`), in one archive.
-
-Both write atomically (temporary file + ``os.replace``, the same discipline as
-the dataset cache), so a process killed mid-write never leaves a corrupt file
-behind — at worst the previous archive survives intact.
+Every library write goes through the atomic helpers here (temporary file +
+``os.replace``, the same discipline as the dataset cache), so a process
+killed mid-write never leaves a corrupt file behind — at worst the previous
+archive survives intact.
 
 Arbitrary nested state trees (dicts of arrays, scalars, strings, lists —
 anything JSON-serializable at the leaves) are stored by
@@ -44,10 +36,6 @@ from collections.abc import Mapping
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
-
-from repro.nn.layers.base import Layer
-from repro.nn.optim import Optimizer
-from repro.utils.seeding import capture_generator_state, restore_generator_state
 
 #: Key suffix marking a JSON-encoded (non-array) leaf in a flattened tree.
 _JSON_SUFFIX = ":json"
@@ -89,7 +77,8 @@ def atomic_savez(
 
 
 def _atomic_write_data(path: str | os.PathLike, data, mode: str) -> str:
-    """Shared tmp-+-rename write of :func:`atomic_savez` and the text/bytes helpers."""
+    """Shared tmp-+-rename write of :func:`atomic_savez` and
+    :func:`atomic_write_text`."""
     path = os.fspath(path)
     directory = os.path.dirname(path)
     if directory:
@@ -117,51 +106,6 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> str:
     workers, resume scans) never observe a partial document.
     """
     return _atomic_write_data(path, text, "w")
-
-
-def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> str:
-    """Atomically write raw ``data`` (binary sibling of ``atomic_write_text``)."""
-    return _atomic_write_data(path, data, "wb")
-
-
-def save_parameters(layer: Layer, path: str | os.PathLike) -> None:
-    """Persist a layer's (or container's) parameters to a ``.npz`` file.
-
-    The write is atomic: a kill mid-write leaves either the old file or the
-    new one, never a truncated archive.
-    """
-    state = layer.state_dict()
-    if not state:
-        raise ValueError(f"layer {layer.name!r} has no parameters to save")
-    atomic_savez(path, state)
-
-
-def load_parameters(layer: Layer, path: str | os.PathLike) -> None:
-    """Load parameters previously stored with :func:`save_parameters`.
-
-    Raises:
-        FileNotFoundError: if ``path`` does not exist.
-        KeyError / ValueError: if the stored state does not match the layer.
-    """
-    path = os.fspath(path)
-    if not os.path.exists(path) and not os.path.exists(path + ".npz"):
-        raise FileNotFoundError(path)
-    if not os.path.exists(path):
-        path = path + ".npz"
-    with np.load(path) as archive:
-        state: Dict[str, np.ndarray] = {key: archive[key] for key in archive.files}
-    layer.load_state_dict(state)
-
-
-def parameters_allclose(layer_a: Layer, layer_b: Layer, atol: float = 1e-12) -> bool:
-    """Return True when two layers hold numerically identical parameters."""
-    state_a = layer_a.state_dict()
-    state_b = layer_b.state_dict()
-    if state_a.keys() != state_b.keys():
-        return False
-    return all(
-        np.allclose(state_a[key], state_b[key], atol=atol) for key in state_a
-    )
 
 
 # -- nested state trees ---------------------------------------------------------------
@@ -246,18 +190,6 @@ def _json_text(key: str, value: Any) -> str:
         )
 
     return json.dumps(value, default=reject)
-
-
-def unflatten_state_tree(flat: Mapping[str, np.ndarray]) -> Dict[str, Any]:
-    """Rebuild the nested tree written by :func:`flatten_state_tree`."""
-    return _nest(
-        {
-            key: json.loads(str(np.asarray(value)[()]))
-            if key.endswith(_JSON_SUFFIX)
-            else value
-            for key, value in flat.items()
-        }
-    )
 
 
 def _nest(leaves: Mapping[str, Any]) -> Dict[str, Any]:
@@ -376,63 +308,3 @@ def _unpack(archive: np.lib.npyio.NpzFile) -> Dict[str, Any]:
             )
         leaves[key] = blob[offset : offset + size].reshape(shape)
     return leaves
-
-
-# -- unified training state -----------------------------------------------------------
-
-
-def save_state(
-    path: str | os.PathLike,
-    *,
-    model: Optional[Layer] = None,
-    optimizer: Optional[Optimizer] = None,
-    rng: Optional[np.random.Generator] = None,
-    extra: Optional[Mapping[str, Any]] = None,
-) -> str:
-    """Persist a complete training state in one atomic archive.
-
-    Any subset of {model, optimizer, rng} can be provided; ``extra`` is an
-    arbitrary nested state tree stored alongside (e.g. epoch counters).
-    Restore with :func:`load_state` passing the same kinds of objects.
-    """
-    if model is None and optimizer is None and rng is None and extra is None:
-        raise ValueError("nothing to save: pass model, optimizer, rng or extra")
-    tree: Dict[str, Any] = {}
-    if model is not None:
-        tree["model"] = model.state_dict()
-    if optimizer is not None:
-        tree["optimizer"] = optimizer.state_dict()
-    if rng is not None:
-        tree["rng"] = capture_generator_state(rng)
-    if extra is not None:
-        tree["extra"] = dict(extra)
-    return save_state_tree(path, tree)
-
-
-def load_state(
-    path: str | os.PathLike,
-    *,
-    model: Optional[Layer] = None,
-    optimizer: Optional[Optimizer] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> Dict[str, Any]:
-    """Restore a training state saved with :func:`save_state`.
-
-    Each provided object is restored in place from its archive section (a
-    missing section raises ``KeyError``).  Returns the full state tree, so
-    callers can read ``tree.get("extra", {})`` for their own bookkeeping.
-    """
-    tree = load_state_tree(path)
-    if model is not None:
-        if "model" not in tree:
-            raise KeyError(f"{path!s} holds no model state")
-        model.load_state_dict(tree["model"])
-    if optimizer is not None:
-        if "optimizer" not in tree:
-            raise KeyError(f"{path!s} holds no optimizer state")
-        optimizer.load_state_dict(tree["optimizer"])
-    if rng is not None:
-        if "rng" not in tree:
-            raise KeyError(f"{path!s} holds no RNG state")
-        restore_generator_state(rng, tree["rng"])
-    return tree

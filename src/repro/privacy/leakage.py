@@ -34,7 +34,7 @@ row products reduce through the same ``ddot``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -262,27 +262,3 @@ def correlation_leakage(
         _centered_rows(reconstructions.reshape(count, -1)),
     )
     return float(np.abs(correlations).mean())
-
-
-def leakage_for_pooling(
-    raw_images: np.ndarray,
-    cnn_output_images: np.ndarray,
-    pooling: int,
-    evaluator: Optional[PrivacyLeakageEvaluator] = None,
-) -> LeakageResult:
-    """Leakage when ``cnn_output_images`` are average-pooled by ``pooling``.
-
-    This helper lets Table 1 sweep pooling sizes without rebuilding the CNN:
-    the full-resolution CNN output images are pooled here.
-    """
-    cnn_output_images = np.asarray(cnn_output_images, dtype=np.float64)
-    if cnn_output_images.ndim != 3:
-        raise ValueError("cnn_output_images must have shape (N, H, W)")
-    count, height, width = cnn_output_images.shape
-    if height % pooling != 0 or width % pooling != 0:
-        raise ValueError("image size must be divisible by the pooling region")
-    pooled = cnn_output_images.reshape(
-        count, height // pooling, pooling, width // pooling, pooling
-    ).mean(axis=(2, 4))
-    evaluator = evaluator or PrivacyLeakageEvaluator()
-    return evaluator.evaluate(raw_images, pooled)

@@ -3,22 +3,14 @@
 The paper quantifies privacy leakage "with the inverse of the similarity
 between each raw image sample and its feature map at the CNN output layer
 measured by multidimensional scaling algorithm" (citing Hout et al., 2016).
-This module implements the two standard MDS flavours needed for that metric:
-
-* :func:`classical_mds` — Torgerson's classical scaling via eigendecomposition
-  of the double-centred squared-distance matrix;
-* :class:`SmacofMDS` — metric MDS by SMACOF stress majorization, matching the
-  iterative algorithm popularized in the psychometrics literature the paper
-  cites.
+This module implements :func:`classical_mds`, Torgerson's classical scaling
+via eigendecomposition of the double-centred squared-distance matrix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
-
-from repro.utils.seeding import SeedLike, as_generator
 
 
 def pairwise_distances(points: np.ndarray) -> np.ndarray:
@@ -73,79 +65,3 @@ def classical_mds(
     top_vectors = eigenvectors[:, order]
     scales = np.sqrt(np.maximum(top_values, 0.0))
     return top_vectors * scales[None, :], top_values
-
-
-def stress(distances: np.ndarray, embedding: np.ndarray) -> float:
-    """Normalized Kruskal stress-1 of an embedding against target distances."""
-    distances = np.asarray(distances, dtype=np.float64)
-    embedded = pairwise_distances(embedding)
-    numerator = np.sum((distances - embedded) ** 2)
-    denominator = np.sum(distances**2)
-    if denominator == 0.0:  # repro: noqa[HYG001] -- exact zero-distance guard
-        return 0.0
-    return float(np.sqrt(numerator / denominator))
-
-
-@dataclass
-class SmacofMDS:
-    """Metric MDS via SMACOF (Scaling by MAjorizing a COmplicated Function).
-
-    Attributes:
-        n_components: embedding dimensionality.
-        max_iterations: iteration cap.
-        tolerance: relative stress-improvement threshold for convergence.
-        seed: RNG seed for the random initialization (ignored when an initial
-            configuration is supplied to :meth:`fit`).
-    """
-
-    n_components: int = 2
-    max_iterations: int = 300
-    tolerance: float = 1e-6
-    seed: SeedLike = None
-
-    def __post_init__(self):
-        if self.n_components < 1:
-            raise ValueError("n_components must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-
-    def fit(
-        self, distances: np.ndarray, initial: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, float]:
-        """Embed ``distances`` and return ``(embedding, final stress)``."""
-        distances = np.asarray(distances, dtype=np.float64)
-        count = distances.shape[0]
-        if distances.shape != (count, count):
-            raise ValueError("distances must be a square matrix")
-        if not np.allclose(distances, distances.T, atol=1e-9):
-            raise ValueError("distances must be symmetric")
-
-        if initial is not None:
-            embedding = np.array(initial, dtype=np.float64)
-            if embedding.shape != (count, self.n_components):
-                raise ValueError("initial configuration has the wrong shape")
-        else:
-            # Classical MDS provides a good, deterministic starting point; fall
-            # back to random coordinates for degenerate inputs.
-            embedding, eigenvalues = classical_mds(distances, self.n_components)
-            if np.all(eigenvalues <= 0):
-                rng = as_generator(self.seed)
-                embedding = rng.normal(size=(count, self.n_components))
-
-        previous_stress = stress(distances, embedding)
-        for _ in range(self.max_iterations):
-            embedded = pairwise_distances(embedding)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(embedded > 0, distances / embedded, 0.0)
-            b_matrix = -ratio
-            np.fill_diagonal(b_matrix, 0.0)
-            np.fill_diagonal(b_matrix, -b_matrix.sum(axis=1))
-            embedding = (b_matrix @ embedding) / count
-            current_stress = stress(distances, embedding)
-            if abs(previous_stress - current_stress) < self.tolerance:
-                previous_stress = current_stress
-                break
-            previous_stress = current_stress
-        return embedding, previous_stress

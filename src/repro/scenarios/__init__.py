@@ -23,7 +23,6 @@ from repro.scenarios.registry import (
     all_scenarios,
     get_scenario,
     register,
-    resolve_scenarios,
     scenario_names,
     unregister,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "fleet_placements",
     "get_scenario",
     "register",
-    "resolve_scenarios",
     "scenario_fingerprint",
     "scenario_names",
     "unregister",

@@ -7,7 +7,7 @@ common case — names travel through configs, CLIs and cache keys) or a
 """
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict
 
 from repro.scenarios.base import Scenario
 
@@ -64,8 +64,3 @@ def scenario_names() -> tuple:
 def all_scenarios() -> Dict[str, Scenario]:
     """Snapshot of the registry (name -> scenario)."""
     return dict(_REGISTRY)
-
-
-def resolve_scenarios(names: Iterable["Scenario | str"]) -> tuple:
-    """Normalize an iterable of names/instances, failing fast on unknowns."""
-    return tuple(get_scenario(name) for name in names)

@@ -7,7 +7,6 @@ gradient back to the UE.
 """
 from __future__ import annotations
 
-import os
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -15,7 +14,6 @@ import numpy as np
 from repro.nn.layers import Sequential
 from repro.nn.losses import MeanSquaredError
 from repro.nn.optim import Adam
-from repro.nn.serialization import load_parameters, save_parameters
 from repro.split.config import ModelConfig, TrainingConfig
 from repro.split.models import build_bs_rnn
 from repro.utils.seeding import SeedLike
@@ -135,23 +133,35 @@ class BSServer:
         cut_gradient = grad_inputs[:, :, : self._image_feature_size]
         return loss_value, cut_gradient
 
-    def apply_update(self) -> None:
-        """Apply one optimizer step and clear gradients.
+    def check_gradients(self) -> None:
+        """Clip the accumulated gradients and check their global norm.
+
+        The first half of a BS update: a joint step runs it before either
+        half's optimizer moves, then :meth:`apply_update` takes the step.
 
         Raises:
             FloatingPointError: the global gradient norm (before clipping) is
                 not finite; neither the weights nor the optimizer state move.
         """
-        if self.optimizer is None:
-            raise RuntimeError("this BSServer was created without an optimizer")
+        optimizer = self._require_optimizer()
         if self._gradient_clip > 0:
-            norm = self.optimizer.clip_gradients(self._gradient_clip)
+            norm = optimizer.clip_gradients(self._gradient_clip)
         else:
-            norm = self.optimizer.gradient_norm()
+            norm = optimizer.gradient_norm()
         if not np.isfinite(norm):
             raise FloatingPointError(f"non-finite BS gradient norm {norm!r}")
-        self.optimizer.step()
-        self.optimizer.zero_grad()
+
+    def apply_update(self) -> None:
+        """Apply one optimizer step to gradients that passed
+        :meth:`check_gradients`, and clear them."""
+        optimizer = self._require_optimizer()
+        optimizer.step()
+        optimizer.zero_grad()
+
+    def _require_optimizer(self):
+        if self.optimizer is None:
+            raise RuntimeError("this BSServer was created without an optimizer")
+        return self.optimizer
 
     def zero_grad(self) -> None:
         self.rnn.zero_grad()
@@ -168,14 +178,6 @@ class BSServer:
         """
         self.rnn.load_state_dict(state)
 
-    def save_weights(self, path: str | os.PathLike) -> None:
-        """Persist the RNN parameters to a ``.npz`` file."""
-        save_parameters(self.rnn, path)
-
-    def load_weights(self, path: str | os.PathLike) -> None:
-        """Restore RNN parameters saved with :meth:`save_weights`."""
-        load_parameters(self.rnn, path)
-
     def state_dict(self) -> Dict[str, Dict[str, np.ndarray]]:
         """Complete restorable server state: RNN weights and optimizer state."""
         state: Dict[str, Dict[str, np.ndarray]] = {"model": self.rnn.state_dict()}
@@ -188,14 +190,3 @@ class BSServer:
         self.rnn.load_state_dict(state["model"])
         if self.optimizer is not None:
             self.optimizer.load_state_dict(state["optimizer"])
-
-    def train(self) -> "BSServer":
-        self.rnn.train()
-        return self
-
-    def eval(self) -> "BSServer":
-        self.rnn.eval()
-        return self
-
-    def num_parameters(self) -> int:
-        return self.rnn.num_parameters()

@@ -29,7 +29,6 @@ from typing import Optional
 import numpy as np
 
 from repro.channel.arq import ArqSession, StepCommunication
-from repro.channel.params import WirelessChannelParams
 from repro.channel.payload import PayloadModel
 from repro.split.bs import BSServer
 from repro.split.codecs import (
@@ -132,10 +131,6 @@ class SplitTrainingProtocol:
                 max_retransmissions=config.training.max_retransmissions,
                 seed=channel_rng,
             )
-
-    @property
-    def channel_params(self) -> WirelessChannelParams:
-        return self.config.channel
 
     # -- training ---------------------------------------------------------------------
     def training_step(
@@ -245,7 +240,8 @@ class SplitTrainingProtocol:
         A failed exchange loses the step: no gradient exists yet on either
         side, so nothing is updated.  Otherwise the BS computes loss and
         cut-layer gradients, the UE backpropagates and both sides apply their
-        optimizer update.
+        optimizer update.  Both halves' gradient norms are checked before
+        either update, so a non-finite one raises with both halves unmoved.
         """
         model = self.config.model
         elapsed = phase.compute_elapsed_s + self.config.training.bs_compute_time_s
@@ -262,6 +258,7 @@ class SplitTrainingProtocol:
         loss_value, cut_gradient = self.bs.compute_loss_and_gradients(
             phase.features, rf_sequences if model.use_rf else None, targets
         )
+        self.bs.check_gradients()
         if model.use_image and cut_gradient is not None:
             bank = self._ue_bank()
             bank.backward_and_update(
@@ -423,13 +420,11 @@ class SplitTrainingProtocol:
     # -- mode switches ---------------------------------------------------------------------
     @property
     def training_mode(self) -> bool:
-        """Whether the protocol (UE and BS halves) is in training mode."""
+        """Whether the protocol is in training mode (:meth:`eval` drops the
+        UE bank)."""
         return self._training_mode
 
     def train(self) -> "SplitTrainingProtocol":
-        if self.ue is not None:
-            self.ue.train()
-        self.bs.train()
         self._training_mode = True
         return self
 
@@ -438,15 +433,5 @@ class SplitTrainingProtocol:
         # (the next training step rebuilds it), so inference buffers do not
         # stack on top of them.
         self._bank = None
-        if self.ue is not None:
-            self.ue.eval()
-        self.bs.eval()
         self._training_mode = False
         return self
-
-    def num_parameters(self) -> int:
-        """Total trainable parameters across both halves."""
-        total = self.bs.num_parameters()
-        if self.ue is not None:
-            total += self.ue.num_parameters()
-        return total

@@ -7,14 +7,12 @@ the canonical state between steps; inference runs :meth:`UEClient.forward`.
 """
 from __future__ import annotations
 
-import os
 from typing import Dict, Optional
 
 import numpy as np
 
 from repro.nn.layers import Sequential
 from repro.nn.optim import Adam
-from repro.nn.serialization import load_parameters, save_parameters
 from repro.split.config import ModelConfig, TrainingConfig
 from repro.split.models import build_pooling_compressor, build_ue_cnn
 from repro.utils.seeding import SeedLike
@@ -171,14 +169,6 @@ class UEClient:
         """
         self.cnn.load_state_dict(state)
 
-    def save_weights(self, path: str | os.PathLike) -> None:
-        """Persist the CNN parameters to a ``.npz`` file."""
-        save_parameters(self.cnn, path)
-
-    def load_weights(self, path: str | os.PathLike) -> None:
-        """Restore CNN parameters saved with :meth:`save_weights`."""
-        load_parameters(self.cnn, path)
-
     def state_dict(self) -> Dict[str, Dict[str, np.ndarray]]:
         """Complete restorable client state: CNN weights and optimizer state.
 
@@ -196,14 +186,3 @@ class UEClient:
         self.cnn.load_state_dict(state["model"])
         if self.optimizer is not None:
             self.optimizer.load_state_dict(state["optimizer"])
-
-    def train(self) -> "UEClient":
-        self.cnn.train()
-        return self
-
-    def eval(self) -> "UEClient":
-        self.cnn.eval()
-        return self
-
-    def num_parameters(self) -> int:
-        return self.cnn.num_parameters()

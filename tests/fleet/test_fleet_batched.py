@@ -76,7 +76,7 @@ def test_bank_round_trip_matches_client_loop():
     clients = _bank_clients()
     loop_clients = copy.deepcopy(clients)
     bank = StackedUEBank(clients)
-    members = bank.num_members
+    members = len(clients)
 
     masks = rng.random((3, members)) < 0.7
     masks[0] = True

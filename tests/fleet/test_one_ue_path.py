@@ -3,10 +3,11 @@
 ``UEClient.backward`` / ``apply_update`` are the per-member reference the
 bank is tested against; no training path may call them.  And because the
 bank's ``apply_updates``, ``BSServer.compute_loss_and_gradients`` and
-``BSServer.apply_update`` are the only places a UE update, a BS loss or a BS
-update happens, their finiteness checks cover both fleet modes: a NaN
-smuggled in through a codec or a BS gradient stops the fit, and the round
-checkpoint keeps the last finished round.
+``BSServer.check_gradients`` guard the only places a UE update, a BS loss or
+a BS update happens, their finiteness checks cover both fleet modes: a NaN
+smuggled in through a codec or a BS gradient stops the fit before either
+half of that step moves, and the round checkpoint keeps the last finished
+round.
 """
 import dataclasses
 
@@ -158,14 +159,15 @@ def test_non_finite_bs_gradient_under_a_finite_loss_raises(
     mode, num_ues, tiny_experiment_config, small_split, tmp_path, monkeypatch
 ):
     """A NaN in one BS weight gradient, behind a finite loss, stops the fit
-    before the BS update of that step, and the checkpoint keeps round 1."""
+    before either half of that step updates, and the checkpoint keeps
+    round 1."""
     fleet_config = FleetConfig(num_ues=num_ues, mode=mode)
     reference = FleetTrainer(tiny_experiment_config, fleet_config)
     reference.fit(small_split.train, small_split.validation, max_rounds=1)
 
     trainer = FleetTrainer(tiny_experiment_config, fleet_config)
     armed = _arm_after_first_round(monkeypatch, trainer)
-    losses, snapshots = [], []
+    losses, snapshots, ue_snapshots = [], [], []
     original_gradients = BSServer.compute_loss_and_gradients
 
     def compute_loss_and_gradients(self, *args):
@@ -173,6 +175,7 @@ def test_non_finite_bs_gradient_under_a_finite_loss_raises(
         if armed:
             losses.append(loss)
             snapshots.append(flatten_state_tree(self.state_dict()))
+            ue_snapshots.append(_ue_side_state(trainer))
             list(self.rnn.parameters())[-1].grad.flat[0] = np.nan
         return loss, cut_gradient
 
@@ -181,7 +184,8 @@ def test_non_finite_bs_gradient_under_a_finite_loss_raises(
     )
     path = tmp_path / "run.npz"
     with pytest.raises(
-        FloatingPointError, match=r"^round 2\b.*non-finite BS gradient norm"
+        FloatingPointError,
+        match=r"^round 2, step 1\b.*non-finite BS gradient norm",
     ):
         trainer.fit(
             small_split.train,
@@ -195,4 +199,19 @@ def test_non_finite_bs_gradient_under_a_finite_loss_raises(
     assert after.keys() == snapshots[0].keys()
     for key, value in snapshots[0].items():
         assert np.array_equal(after[key], value), key
+    ue_after = _ue_side_state(trainer)
+    assert ue_after.keys() == ue_snapshots[0].keys()
+    for key, value in ue_snapshots[0].items():
+        assert np.array_equal(ue_after[key], value), key
     _assert_checkpoint_holds_round_1_of(path, reference)
+
+
+def _ue_side_state(trainer):
+    """Every member's UE weights and Adam state, and each live bank's copy."""
+    members = trainer.fleet.members
+    state = {f"ue{index}": member.ue.state_dict() for index, member in enumerate(members)}
+    banks = [trainer._bank] + [member.protocol._bank for member in members]
+    for index, bank in enumerate(banks):
+        if bank is not None:
+            state[f"bank{index}"] = bank.state_dict()
+    return flatten_state_tree(state)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Identity, LeakyReLU, ReLU, Sigmoid, Softplus, Tanh, get_activation
+from repro.nn import ReLU, Sigmoid
 from repro.nn.layers.activations import stable_sigmoid
 
 from tests.gradcheck import check_layer_gradients
@@ -24,19 +24,6 @@ def test_relu_backward_masks_negative():
     layer.forward(np.array([-1.0, 1.0]))
     grad = layer.backward(np.array([5.0, 5.0]))
     assert np.allclose(grad, [0.0, 5.0])
-
-
-def test_leaky_relu_forward_and_backward():
-    layer = LeakyReLU(negative_slope=0.1)
-    output = layer.forward(np.array([-2.0, 3.0]))
-    assert np.allclose(output, [-0.2, 3.0])
-    grad = layer.backward(np.array([1.0, 1.0]))
-    assert np.allclose(grad, [0.1, 1.0])
-
-
-def test_leaky_relu_rejects_negative_slope():
-    with pytest.raises(ValueError):
-        LeakyReLU(negative_slope=-0.1)
 
 
 def test_sigmoid_range_and_midpoint():
@@ -75,40 +62,12 @@ def test_stable_sigmoid_bitwise_equals_masked_form(gen, shape):
     np.testing.assert_array_equal(actual.view(np.int64), expected.view(np.int64))
 
 
-def test_tanh_matches_numpy(gen):
-    layer = Tanh()
-    inputs = gen.normal(size=(4, 5))
-    assert np.allclose(layer.forward(inputs), np.tanh(inputs))
-
-
-def test_softplus_positive_and_asymptotic(gen):
-    layer = Softplus()
-    inputs = np.array([-50.0, 0.0, 50.0])
-    output = layer.forward(inputs)
-    assert np.all(output > 0)
-    assert output[2] == pytest.approx(50.0, rel=1e-6)
-
-
-def test_identity_passthrough(gen):
-    layer = Identity()
-    inputs = gen.normal(size=(3, 3))
-    assert np.allclose(layer.forward(inputs), inputs)
-    assert np.allclose(layer.backward(inputs), inputs)
-
-
-@pytest.mark.parametrize("cls", [ReLU, LeakyReLU, Sigmoid, Tanh, Softplus])
+@pytest.mark.parametrize("cls", [ReLU, Sigmoid])
 def test_gradients_match_numerical(cls, gen):
     layer = cls()
     # Avoid the ReLU kink at exactly zero by shifting inputs away from it.
     inputs = gen.normal(size=(4, 6)) + 0.05
     check_layer_gradients(layer, inputs, (4, 6), gen, atol=1e-5)
-
-
-def test_get_activation_registry():
-    assert isinstance(get_activation("relu"), ReLU)
-    assert isinstance(get_activation("TANH"), Tanh)
-    with pytest.raises(KeyError):
-        get_activation("swishy")
 
 
 def test_backward_before_forward_raises():

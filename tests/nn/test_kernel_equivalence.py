@@ -19,11 +19,8 @@ from repro.nn.layers.conv import (
 )
 from repro.nn.layers.pooling import (
     AveragePool2D,
-    MaxPool2D,
     avgpool2d_backward_reference,
     avgpool2d_forward_reference,
-    maxpool2d_backward_reference,
-    maxpool2d_forward_reference,
 )
 from repro.nn.layers.recurrent import (
     GRU,
@@ -213,41 +210,9 @@ def test_avgpool_matches_reference(gen, batch, channels, height, width, pool):
     assert np.max(np.abs(grad_inputs - ref_grad)) <= TOL
 
 
-@pytest.mark.parametrize("batch,channels,height,width,pool", POOL_CASES)
-def test_maxpool_matches_reference(gen, batch, channels, height, width, pool):
-    layer = MaxPool2D(pool)
-    inputs = gen.normal(size=(batch, channels, height, width))
-    vectorized = layer.forward(inputs)
-    reference = maxpool2d_forward_reference(inputs, layer.pool_size)
-    assert np.max(np.abs(vectorized - reference)) <= TOL
-
-    grad_output = gen.normal(size=vectorized.shape)
-    grad_inputs = layer.backward(grad_output)
-    ref_grad = maxpool2d_backward_reference(inputs, grad_output, layer.pool_size)
-    assert np.max(np.abs(grad_inputs - ref_grad)) <= TOL
-
-
-def test_maxpool_tie_routing_matches_reference():
-    """Constant windows: the whole gradient goes to the first maximum."""
-    layer = MaxPool2D(2)
-    inputs = np.ones((1, 1, 4, 4))
-    layer.forward(inputs)
-    grad_inputs = layer.backward(np.ones((1, 1, 2, 2)))
-    ref_grad = maxpool2d_backward_reference(
-        inputs, np.ones((1, 1, 2, 2)), layer.pool_size
-    )
-    assert np.array_equal(grad_inputs, ref_grad)
-    # Each 2x2 window routes its unit gradient to exactly one element.
-    assert grad_inputs.sum() == pytest.approx(4.0)
-    assert np.count_nonzero(grad_inputs) == 4
-
-
 def test_pooling_gradcheck_vectorized_path(gen, gradcheck):
     gradcheck.layer(
         AveragePool2D((2, 3)), gen.normal(size=(2, 2, 4, 6)), (2, 2, 2, 2), gen
-    )
-    gradcheck.layer(
-        MaxPool2D(2), gen.normal(size=(2, 2, 4, 4)), (2, 2, 2, 2), gen, atol=1e-5
     )
 
 

@@ -1,8 +1,8 @@
-"""Tests for the optimizers."""
+"""Tests for the Adam optimizer and the shared optimizer base."""
 import numpy as np
 import pytest
 
-from repro.nn import SGD, Adam, Dense, MeanSquaredError, MomentumSGD, RMSProp, get_optimizer
+from repro.nn import Adam, Dense, MeanSquaredError
 from repro.nn.layers.base import Parameter
 
 
@@ -16,33 +16,6 @@ def quadratic_problem(optimizer_factory, steps=200):
         param.grad += 2.0 * (param.value - target)
         optimizer.step()
     return param.value, target
-
-
-def test_sgd_single_step_matches_formula():
-    param = Parameter("w", np.array([1.0, 2.0]))
-    optimizer = SGD([param], learning_rate=0.1)
-    param.grad[:] = [1.0, -1.0]
-    optimizer.step()
-    assert np.allclose(param.value, [0.9, 2.1])
-
-
-def test_sgd_converges_on_quadratic():
-    value, target = quadratic_problem(lambda p: SGD(p, learning_rate=0.1))
-    assert np.allclose(value, target, atol=1e-4)
-
-
-def test_momentum_converges_on_quadratic():
-    value, target = quadratic_problem(
-        lambda p: MomentumSGD(p, learning_rate=0.05, momentum=0.9)
-    )
-    assert np.allclose(value, target, atol=1e-3)
-
-
-def test_rmsprop_converges_on_quadratic():
-    value, target = quadratic_problem(
-        lambda p: RMSProp(p, learning_rate=0.05), steps=500
-    )
-    assert np.allclose(value, target, atol=1e-2)
 
 
 def test_adam_converges_on_quadratic():
@@ -71,7 +44,7 @@ def test_adam_defaults_match_paper():
 
 def test_zero_grad_resets():
     param = Parameter("w", np.zeros(3))
-    optimizer = SGD([param], learning_rate=0.1)
+    optimizer = Adam([param], learning_rate=0.1)
     param.grad[:] = 1.0
     optimizer.zero_grad()
     assert np.all(param.grad == 0.0)
@@ -79,7 +52,7 @@ def test_zero_grad_resets():
 
 def test_gradient_clipping_scales_down():
     param = Parameter("w", np.zeros(4))
-    optimizer = SGD([param], learning_rate=0.1)
+    optimizer = Adam([param], learning_rate=0.1)
     param.grad[:] = 10.0
     norm_before = float(np.linalg.norm(param.grad))
     returned = optimizer.clip_gradients(1.0)
@@ -89,7 +62,7 @@ def test_gradient_clipping_scales_down():
 
 def test_gradient_clipping_no_op_below_threshold():
     param = Parameter("w", np.zeros(2))
-    optimizer = SGD([param], learning_rate=0.1)
+    optimizer = Adam([param], learning_rate=0.1)
     param.grad[:] = 0.1
     optimizer.clip_gradients(10.0)
     assert np.allclose(param.grad, 0.1)
@@ -97,21 +70,12 @@ def test_gradient_clipping_no_op_below_threshold():
 
 def test_optimizer_validation():
     with pytest.raises(ValueError):
-        SGD([], learning_rate=0.1)
+        Adam([], learning_rate=0.1)
     param = Parameter("w", np.zeros(1))
     with pytest.raises(ValueError):
-        SGD([param], learning_rate=0.0)
-    with pytest.raises(ValueError):
-        MomentumSGD([param], momentum=1.0)
+        Adam([param], learning_rate=0.0)
     with pytest.raises(ValueError):
         Adam([param], beta1=1.0)
-
-
-def test_get_optimizer_registry():
-    param = Parameter("w", np.zeros(1))
-    assert isinstance(get_optimizer("adam", [param]), Adam)
-    with pytest.raises(KeyError):
-        get_optimizer("lion", [Parameter("w", np.zeros(1))])
 
 
 def test_adam_trains_a_small_network():

@@ -2,12 +2,9 @@
 import numpy as np
 import pytest
 
-from repro.nn import SGD, Adam, MomentumSGD, Parameter, RMSProp, get_optimizer
+from repro.nn import Adam, Parameter
 
 OPTIMIZERS = {
-    "sgd": {},
-    "momentum": {"momentum": 0.8},
-    "rmsprop": {"decay": 0.95, "epsilon": 1e-7},
     "adam": {"beta1": 0.85, "beta2": 0.98, "epsilon": 1e-9},
 }
 
@@ -31,7 +28,7 @@ def test_state_roundtrip_step_after_restore_matches(name):
     """Save mid-run, restore into a fresh optimizer, step: exact equality."""
     rng = np.random.default_rng(3)
     parameters = make_parameters(rng)
-    optimizer = get_optimizer(name, parameters, learning_rate=0.02, **OPTIMIZERS[name])
+    optimizer = Adam(parameters, learning_rate=0.02, **OPTIMIZERS[name])
     warmup = [[rng.normal(size=p.shape) for p in parameters] for _ in range(5)]
     drive(optimizer, parameters, warmup)
 
@@ -47,7 +44,7 @@ def test_state_roundtrip_step_after_restore_matches(name):
     restored_parameters = [
         Parameter(p.name, value) for p, value in zip(parameters, frozen_values)
     ]
-    restored = get_optimizer(name, restored_parameters, learning_rate=0.5)
+    restored = Adam(restored_parameters, learning_rate=0.5)
     restored.load_state_dict(state)
     assert restored.step_count == 5
     assert restored.learning_rate == pytest.approx(0.02)
@@ -62,7 +59,7 @@ def test_state_roundtrip_step_after_restore_matches(name):
 def test_state_dict_is_a_copy(name):
     rng = np.random.default_rng(1)
     parameters = make_parameters(rng)
-    optimizer = get_optimizer(name, parameters, learning_rate=0.01)
+    optimizer = Adam(parameters, learning_rate=0.01)
     drive(optimizer, parameters, [[rng.normal(size=p.shape) for p in parameters]])
     state = optimizer.state_dict()
     before = {key: np.asarray(value).copy() for key, value in state.items()}
@@ -86,11 +83,19 @@ def test_load_state_dict_rejects_missing_and_extra_entries():
 
 
 def test_load_state_dict_rejects_wrong_optimizer_kind():
+    """A state dict from another optimizer (here RMSProp-shaped) is refused."""
     rng = np.random.default_rng(0)
-    momentum = MomentumSGD(make_parameters(rng), learning_rate=0.01)
-    rmsprop = RMSProp(make_parameters(rng), learning_rate=0.01)
+    adam = Adam(make_parameters(rng), learning_rate=0.01)
+    foreign = {
+        "step_count": np.asarray(3),
+        "hyper/learning_rate": np.asarray(0.01),
+        "hyper/decay": np.asarray(0.95),
+        "hyper/epsilon": np.asarray(1e-7),
+        "slot/square_average/0": np.zeros((4, 3)),
+        "slot/square_average/1": np.zeros(3),
+    }
     with pytest.raises((KeyError, ValueError)):
-        rmsprop.load_state_dict(momentum.state_dict())
+        adam.load_state_dict(foreign)
 
 
 def test_load_state_dict_rejects_shape_mismatch():
@@ -100,9 +105,3 @@ def test_load_state_dict_rejects_shape_mismatch():
     state["slot/first_moment/0"] = np.zeros((2, 2))
     with pytest.raises(ValueError, match="shape mismatch"):
         adam.load_state_dict(state)
-
-
-def test_sgd_state_is_hyperparameters_only():
-    rng = np.random.default_rng(0)
-    sgd = SGD(make_parameters(rng), learning_rate=0.1)
-    assert set(sgd.state_dict()) == {"step_count", "hyper/learning_rate"}

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import AveragePool2D, GlobalAveragePool2D, MaxPool2D
+from repro.nn import AveragePool2D
 
 from tests.gradcheck import check_layer_gradients
 
@@ -56,47 +56,11 @@ def test_average_pool_rectangular_region(gen):
     assert output.shape == (1, 1, 4, 2)
 
 
-def test_max_pool_values(gen):
-    layer = MaxPool2D(2)
-    inputs = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
-    output = layer.forward(inputs)
-    assert np.allclose(output[0, 0], [[5, 7], [13, 15]])
-
-
-def test_max_pool_backward_routes_to_argmax():
-    layer = MaxPool2D(2)
-    inputs = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-    layer.forward(inputs)
-    grad = layer.backward(np.array([[[[10.0]]]]))
-    assert grad[0, 0, 1, 1] == pytest.approx(10.0)
-    assert grad.sum() == pytest.approx(10.0)
-
-
-def test_max_pool_gradients_match_numerical(gen):
-    layer = MaxPool2D(2)
-    inputs = gen.normal(size=(2, 1, 4, 4))
-    check_layer_gradients(layer, inputs, (2, 1, 2, 2), gen, atol=1e-5)
-
-
-def test_global_average_pool(gen):
-    layer = GlobalAveragePool2D()
-    inputs = gen.normal(size=(3, 2, 5, 7))
-    output = layer.forward(inputs)
-    assert output.shape == (3, 2)
-    assert np.allclose(output, inputs.mean(axis=(2, 3)))
-
-
-def test_global_average_pool_gradients(gen):
-    layer = GlobalAveragePool2D()
-    inputs = gen.normal(size=(2, 2, 3, 3))
-    check_layer_gradients(layer, inputs, (2, 2), gen)
-
-
 def test_pool_size_validation():
     with pytest.raises(ValueError):
         AveragePool2D(0)
     with pytest.raises(ValueError):
-        MaxPool2D((2, -1))
+        AveragePool2D((2, -1))
 
 
 def test_output_shape_helper():

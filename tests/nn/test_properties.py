@@ -11,7 +11,6 @@ from repro.nn import (
     MeanSquaredError,
     ReLU,
     Sigmoid,
-    Tanh,
 )
 
 FINITE = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -38,15 +37,6 @@ def test_sigmoid_bounded_and_monotone(values):
     assert np.all((output >= 0.0) & (output <= 1.0))
     shifted = layer.forward(values + 1.0)
     assert np.all(shifted >= output - 1e-12)
-
-
-@given(arrays(dtype=np.float64, shape=(3, 5), elements=FINITE))
-@settings(max_examples=40, deadline=None)
-def test_tanh_is_odd_function(values):
-    layer = Tanh()
-    positive = layer.forward(values)
-    negative = layer.forward(-values)
-    assert np.allclose(positive, -negative, atol=1e-12)
 
 
 @given(

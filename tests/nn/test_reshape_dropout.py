@@ -1,8 +1,8 @@
-"""Tests for Flatten, Reshape and Dropout layers."""
+"""Tests for the Flatten layer."""
 import numpy as np
 import pytest
 
-from repro.nn import Dropout, Flatten, Reshape
+from repro.nn import Flatten
 
 
 @pytest.fixture()
@@ -25,70 +25,6 @@ def test_flatten_rejects_scalar_batch(gen):
         Flatten().forward(np.array([1.0, 2.0]).reshape(2))
 
 
-def test_reshape_shape_and_backward(gen):
-    layer = Reshape((2, 6))
-    inputs = gen.normal(size=(4, 12))
-    output = layer.forward(inputs)
-    assert output.shape == (4, 2, 6)
-    grad = layer.backward(output)
-    assert np.allclose(grad, inputs)
-
-
-def test_reshape_element_count_mismatch(gen):
-    layer = Reshape((5, 5))
-    with pytest.raises(ValueError):
-        layer.forward(gen.normal(size=(2, 12)))
-
-
-def test_reshape_rejects_nonpositive_target():
-    with pytest.raises(ValueError):
-        Reshape((0, 3))
-
-
-def test_dropout_eval_mode_is_identity(gen):
-    layer = Dropout(0.5, seed=0)
-    layer.eval()
-    inputs = gen.normal(size=(10, 10))
-    assert np.allclose(layer.forward(inputs), inputs)
-
-
-def test_dropout_zero_rate_is_identity(gen):
-    layer = Dropout(0.0, seed=0)
-    inputs = gen.normal(size=(10, 10))
-    assert np.allclose(layer.forward(inputs), inputs)
-
-
-def test_dropout_preserves_expectation(gen):
-    layer = Dropout(0.3, seed=1)
-    inputs = np.ones((200, 200))
-    output = layer.forward(inputs)
-    assert output.mean() == pytest.approx(1.0, abs=0.02)
-
-
-def test_dropout_zeroes_fraction(gen):
-    layer = Dropout(0.4, seed=2)
-    output = layer.forward(np.ones((100, 100)))
-    zero_fraction = np.mean(output == 0.0)
-    assert zero_fraction == pytest.approx(0.4, abs=0.03)
-
-
-def test_dropout_backward_uses_same_mask(gen):
-    layer = Dropout(0.5, seed=3)
-    inputs = np.ones((50, 50))
-    output = layer.forward(inputs)
-    grad = layer.backward(np.ones_like(inputs))
-    assert np.allclose((output == 0.0), (grad == 0.0))
-
-
-def test_dropout_invalid_rate():
-    with pytest.raises(ValueError):
-        Dropout(1.0)
-    with pytest.raises(ValueError):
-        Dropout(-0.1)
-
-
 def test_backward_before_forward_raises():
     with pytest.raises(RuntimeError):
         Flatten().backward(np.ones((2, 2)))
-    with pytest.raises(RuntimeError):
-        Dropout(0.2).backward(np.ones((2, 2)))

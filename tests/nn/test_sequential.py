@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Conv2D, Dense, Dropout, Flatten, ReLU, Sequential
+from repro.nn import Conv2D, Dense, Flatten, ReLU, Sequential
 
 from tests.gradcheck import check_layer_gradients
 
@@ -47,7 +47,7 @@ def test_add_rejects_non_layer():
 def test_parameters_aggregated():
     model = build_mlp()
     expected = 6 * 8 + 8 + 8 * 2 + 2
-    assert model.num_parameters() == expected
+    assert sum(p.value.size for p in model.parameters()) == expected
     assert len(list(model.parameters())) == 4
 
 
@@ -69,14 +69,6 @@ def test_cnn_pipeline_gradients(gen):
     )
     inputs = gen.normal(size=(2, 1, 4, 4))
     check_layer_gradients(model, inputs, (2, 2), gen, atol=1e-5)
-
-
-def test_train_eval_propagates_to_children():
-    model = Sequential([Dense(2, 2, seed=0), Dropout(0.5, seed=1)])
-    model.eval()
-    assert all(not layer.training for layer in model)
-    model.train()
-    assert all(layer.training for layer in model)
 
 
 def test_zero_grad_clears_all(gen):
@@ -108,8 +100,3 @@ def test_nested_sequential_state_dict(gen):
     clone.load_state_dict(outer.state_dict())
     inputs = gen.normal(size=(2, 3))
     assert np.allclose(outer.forward(inputs), clone.forward(inputs))
-
-
-def test_summary_mentions_layers():
-    text = build_mlp().summary()
-    assert "Dense" in text and "ReLU" in text

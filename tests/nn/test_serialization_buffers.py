@@ -3,24 +3,16 @@
 The vectorized layers keep transient work buffers: the cached im2col column
 buffer and the zero-bordered padding and dilation buffers on :class:`Conv2D`
 (``cache_patches=True``) and the preallocated state/gate caches on the
-recurrent cells.  These tests pin
-the contract that saved state contains *only* trainable parameters — never
-the transient caches — and that a freshly constructed layer loaded from disk
-reproduces the original outputs exactly.
+recurrent cells.  These tests pin the contract that ``state_dict`` — what a
+checkpoint's state-tree archive stores — contains *only* trainable
+parameters, never the transient caches, and that a freshly constructed layer
+loaded from disk reproduces the original outputs exactly.
 """
 import numpy as np
 import pytest
 
-from repro.nn import (
-    GRU,
-    LSTM,
-    Conv2D,
-    Dense,
-    SimpleRNN,
-    load_parameters,
-    parameters_allclose,
-    save_parameters,
-)
+from repro.nn import GRU, LSTM, Conv2D, Dense, SimpleRNN
+from repro.nn.serialization import load_state_tree, save_state_tree
 
 
 @pytest.fixture()
@@ -33,9 +25,17 @@ def sequence_inputs(rng):
     return rng.normal(size=(4, 6, 5))
 
 
-def saved_keys(path):
-    with np.load(path) as archive:
-        return set(archive.files)
+def save_and_load(layer, path):
+    """``layer``'s ``state_dict`` after a round trip through an archive."""
+    save_state_tree(path, layer.state_dict())
+    return load_state_tree(path)
+
+
+def same_parameters(layer_a, layer_b):
+    state_a, state_b = layer_a.state_dict(), layer_b.state_dict()
+    return state_a.keys() == state_b.keys() and all(
+        np.array_equal(state_a[key], state_b[key]) for key in state_a
+    )
 
 
 CONV_BUFFERS = ("_cols", "_padded", "_dilated")
@@ -51,14 +51,13 @@ def test_conv2d_state_excludes_im2col_buffer(tmp_path, rng, conv_inputs):
     expected_keys = {"weight", "bias"}
     assert set(layer.state_dict()) == expected_keys
 
-    path = tmp_path / "conv.npz"
-    save_parameters(layer, path)
-    assert saved_keys(path) == expected_keys
+    saved = save_and_load(layer, tmp_path / "conv.npz")
+    assert set(saved) == expected_keys
 
     clone = Conv2D(2, 4, kernel_size=3, padding="same", cache_patches=True, seed=99)
-    assert not parameters_allclose(layer, clone)
-    load_parameters(clone, path)
-    assert parameters_allclose(layer, clone)
+    assert not same_parameters(layer, clone)
+    clone.load_state_dict(saved)
+    assert same_parameters(layer, clone)
     for buffer in CONV_BUFFERS:
         assert getattr(clone, buffer) is None, "loading must not create caches"
     assert np.allclose(layer.forward(conv_inputs), clone.forward(conv_inputs))
@@ -90,13 +89,12 @@ def test_recurrent_state_excludes_step_caches(tmp_path, layer_cls, sequence_inpu
         # Parameters only: no (T + 1, batch, H) state buffers may leak in.
         assert value.ndim <= 2, f"{key} looks like a cached state buffer"
 
-    path = tmp_path / "recurrent.npz"
-    save_parameters(layer, path)
-    assert saved_keys(path) == set(state)
+    saved = save_and_load(layer, tmp_path / "recurrent.npz")
+    assert set(saved) == set(state)
 
     clone = layer_cls(5, 7, seed=42)
-    load_parameters(clone, path)
-    assert parameters_allclose(layer, clone)
+    clone.load_state_dict(saved)
+    assert same_parameters(layer, clone)
     assert clone._cache is None, "loading parameters must not create caches"
     assert np.allclose(layer.forward(sequence_inputs), clone.forward(sequence_inputs))
 
@@ -108,11 +106,9 @@ def test_roundtrip_after_backward_pass(tmp_path, rng, conv_inputs):
     layer.backward(rng.normal(size=outputs.shape))
     assert any(np.abs(p.grad).sum() > 0 for p in layer.parameters())
 
-    path = tmp_path / "trained-conv.npz"
-    save_parameters(layer, path)
     clone = Conv2D(2, 3, kernel_size=3, seed=6)
-    load_parameters(clone, path)
-    assert parameters_allclose(layer, clone)
+    clone.load_state_dict(save_and_load(layer, tmp_path / "trained-conv.npz"))
+    assert same_parameters(layer, clone)
     for parameter in clone.parameters():
         assert np.allclose(parameter.grad, 0.0), "gradients must not be serialized"
 
@@ -122,9 +118,8 @@ def test_dense_and_recurrent_stack_roundtrip(tmp_path, rng, sequence_inputs):
 
     model = Sequential([LSTM(5, 7, seed=2), Dense(7, 1, seed=3)])
     model.forward(sequence_inputs)
-    path = tmp_path / "stack.npz"
-    save_parameters(model, path)
+    saved = save_and_load(model, tmp_path / "stack.npz")
 
     clone = Sequential([LSTM(5, 7, seed=8), Dense(7, 1, seed=9)])
-    load_parameters(clone, path)
+    clone.load_state_dict(saved)
     assert np.allclose(model.forward(sequence_inputs), clone.forward(sequence_inputs))

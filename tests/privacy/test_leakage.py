@@ -5,7 +5,6 @@ import pytest
 from repro.privacy import (
     PrivacyLeakageEvaluator,
     correlation_leakage,
-    leakage_for_pooling,
     upsample_feature_maps,
 )
 from repro.split import ModelConfig, UEClient
@@ -103,15 +102,6 @@ def test_correlation_leakage_bounds_and_identity(gen):
     assert correlation_leakage(images, constant) == pytest.approx(0.0)
     value = correlation_leakage(images, pool(images, 2))
     assert 0.0 <= value <= 1.0
-
-
-def test_leakage_for_pooling_helper(small_dataset):
-    images = small_dataset.images[:60]
-    fine = leakage_for_pooling(images, images, pooling=1)
-    coarse = leakage_for_pooling(images, images, pooling=12)
-    assert fine.leakage >= coarse.leakage
-    with pytest.raises(ValueError):
-        leakage_for_pooling(images, images, pooling=5)
 
 
 def test_leakage_with_ue_client(small_dataset):

@@ -1,8 +1,8 @@
-"""Tests for the multidimensional scaling implementations."""
+"""Tests for classical multidimensional scaling."""
 import numpy as np
 import pytest
 
-from repro.privacy import SmacofMDS, classical_mds, double_center, pairwise_distances, stress
+from repro.privacy import classical_mds, double_center, pairwise_distances
 
 
 @pytest.fixture()
@@ -61,46 +61,3 @@ def test_classical_mds_validation(gen):
     asymmetric[0, 1] += 1.0
     with pytest.raises(ValueError):
         classical_mds(asymmetric)
-
-
-def test_stress_zero_for_exact_embedding(gen):
-    points = gen.normal(size=(7, 2))
-    distances = pairwise_distances(points)
-    assert stress(distances, points) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_stress_positive_for_wrong_embedding(gen):
-    points = gen.normal(size=(7, 2))
-    distances = pairwise_distances(points)
-    assert stress(distances, gen.normal(size=(7, 2))) > 0.01
-
-
-def test_smacof_reduces_stress_vs_random(gen):
-    points = gen.normal(size=(12, 4))
-    distances = pairwise_distances(points)
-    random_start = gen.normal(size=(12, 2))
-    initial_stress = stress(distances, random_start)
-    mds = SmacofMDS(n_components=2, max_iterations=200, seed=0)
-    embedding, final_stress = mds.fit(distances, initial=random_start)
-    assert embedding.shape == (12, 2)
-    assert final_stress < initial_stress
-
-
-def test_smacof_near_perfect_for_intrinsically_2d(gen):
-    points = gen.normal(size=(15, 2))
-    distances = pairwise_distances(points)
-    _, final_stress = SmacofMDS(n_components=2, seed=0).fit(distances)
-    assert final_stress < 1e-3
-
-
-def test_smacof_validation(gen):
-    with pytest.raises(ValueError):
-        SmacofMDS(n_components=0)
-    with pytest.raises(ValueError):
-        SmacofMDS(max_iterations=0)
-    mds = SmacofMDS()
-    with pytest.raises(ValueError):
-        mds.fit(np.ones((3, 4)))
-    distances = pairwise_distances(gen.normal(size=(5, 2)))
-    with pytest.raises(ValueError):
-        mds.fit(distances, initial=np.zeros((4, 2)))

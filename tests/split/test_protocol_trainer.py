@@ -158,12 +158,10 @@ def test_protocol_predict_restores_prior_mode(model_config, training_config, gen
     assert protocol.training_mode  # protocols start in training mode
     protocol.predict(images, powers, batch_size=3)
     assert protocol.training_mode  # restored after predicting
-    assert protocol.bs.rnn.training and protocol.ue.cnn.training
 
     protocol.eval()
     protocol.predict(images, powers, batch_size=3)
     assert not protocol.training_mode  # eval mode survives predict()
-    assert not protocol.bs.rnn.training and not protocol.ue.cnn.training
 
     protocol.train()
     assert protocol.training_mode
@@ -185,19 +183,6 @@ def test_protocol_predict_independent_of_batch_size(
     full = protocol.predict(images, powers, batch_size=10)
     chunked = protocol.predict(images, powers, batch_size=3)
     assert np.allclose(full, chunked)
-
-
-def test_protocol_num_parameters_counts_both_halves(model_config, training_config):
-    protocol = SplitTrainingProtocol(
-        ExperimentConfig(model=model_config, training=training_config)
-    )
-    assert (
-        protocol.num_parameters()
-        == protocol.ue.num_parameters() + protocol.bs.num_parameters()
-    )
-
-
-# -- trainer ------------------------------------------------------------------------
 
 
 def test_trainer_fit_records_learning_curve(tiny_experiment_config, small_split):

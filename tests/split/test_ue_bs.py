@@ -166,6 +166,7 @@ def test_bs_update_changes_parameters(config, training, gen):
     bs = BSServer(config, training, seed=0)
     before = [p.value.copy() for p in bs.rnn.parameters()]
     bs.compute_loss_and_gradients(gen.random((4, 4, 1)), gen.random((4, 4)), gen.random(4))
+    bs.check_gradients()
     bs.apply_update()
     after = [p.value for p in bs.rnn.parameters()]
     assert any(not np.allclose(b, a) for b, a in zip(before, after))
@@ -173,6 +174,8 @@ def test_bs_update_changes_parameters(config, training, gen):
 
 def test_bs_without_optimizer_cannot_update(config, gen):
     bs = BSServer(config, training_config=None, seed=0)
+    with pytest.raises(RuntimeError):
+        bs.check_gradients()
     with pytest.raises(RuntimeError):
         bs.apply_update()
 
@@ -186,6 +189,7 @@ def test_bs_non_finite_gradient_raises_before_the_step(config, gen, clip, bad):
     bs.compute_loss_and_gradients(
         gen.random((4, 4, 1)), gen.random((4, 4)), gen.random(4)
     )
+    bs.check_gradients()
     bs.apply_update()
     loss, _ = bs.compute_loss_and_gradients(
         gen.random((4, 4, 1)), gen.random((4, 4)), gen.random(4)
@@ -197,7 +201,7 @@ def test_bs_non_finite_gradient_raises_before_the_step(config, gen, clip, bad):
     with np.errstate(invalid="ignore"), pytest.raises(
         FloatingPointError, match="non-finite BS gradient norm"
     ):
-        bs.apply_update()
+        bs.check_gradients()
     after = flatten_state_tree(bs.state_dict())
     assert after.keys() == before.keys()
     for key, value in before.items():

@@ -1,4 +1,4 @@
-"""Weight get/set and save/load round-trips for the two model halves.
+"""Weight get/set and state-tree save/load round-trips for the two model halves.
 
 The fleet hand-off and parallel averaging move UE weights between clients, so
 a restored client must be *bit-identical* in its forward pass, not merely
@@ -7,6 +7,7 @@ close.
 import numpy as np
 import pytest
 
+from repro.nn.serialization import load_state_tree, save_state_tree
 from repro.split import ModelConfig, TrainingConfig
 from repro.split.bs import BSServer
 from repro.split.ue import UEClient
@@ -37,10 +38,10 @@ def test_ue_save_load_weights_bit_identical_forward(
     source = UEClient(tiny_model_config, tiny_training_config, seed=1)
     reference = source.forward(image_batch)
     path = tmp_path / "ue_weights.npz"
-    source.save_weights(path)
+    save_state_tree(path, source.state_dict())
 
     restored = UEClient(tiny_model_config, tiny_training_config, seed=99)
-    restored.load_weights(path)
+    restored.load_state_dict(load_state_tree(path))
     assert np.array_equal(restored.forward(image_batch), reference)
 
 
@@ -64,9 +65,9 @@ def test_bs_save_load_weights_round_trip(
     powers = rng.random((5, 4))
     source = BSServer(tiny_model_config, tiny_training_config, seed=3)
     path = tmp_path / "bs_weights"
-    source.save_weights(path)
+    save_state_tree(path, source.state_dict())
     restored = BSServer(tiny_model_config, tiny_training_config, seed=7)
-    restored.load_weights(path)
+    restored.load_state_dict(load_state_tree(path))
     assert np.array_equal(
         source.predict(features, powers), restored.predict(features, powers)
     )

@@ -26,6 +26,7 @@ from typing import Callable, List
 import numpy as np
 
 from repro.fleet import FleetConfig, FleetTrainer
+from repro.fleet.trainer import joint_step
 from repro.split import ExperimentConfig, TrainingConfig
 from repro.split.config import ModelConfig
 
@@ -167,8 +168,9 @@ def test_n1000_batched_round_time_bounded(scale):
     def one_round() -> None:
         bank = trainer._ensure_bank()
         bank.gather()
+        protocols = [member.protocol for member in trainer.fleet]
         for _ in range(N1000_STEPS_PER_ROUND):
-            trainer._joint_step(batches, bank)
+            joint_step(protocols, trainer.fleet.bs, bank, trainer.scheduler, batches)
         bank.scatter()
         trainer.fleet.average_ue_weights()
 

@@ -12,7 +12,7 @@ An attribute counts as **captured** when a state key matches it directly
 ``a//b`` keys), when the spec maps it through an explicit alias, or when the
 attribute is a dict whose own keys all appear as state keys (the
 ``Layer._params`` idiom).  Everything else must carry a **waiver** with a
-reason — deliberate exclusions like ``ArqSession``'s debugging ring buffer.
+reason — deliberate exclusions like the shared BS a protocol never stores.
 Waivers and aliases that match nothing are themselves findings (``CKP004``),
 so a refactor cannot leave stale exemptions behind.
 """
@@ -304,14 +304,7 @@ def default_specs() -> List[ContractSpec]:
     return [
         ContractSpec(name="ExponentialFadingProcess", factory=fading_process),
         ContractSpec(name="WirelessLink", factory=wireless_link),
-        ContractSpec(
-            name="ArqSession",
-            factory=arq_session,
-            waived={
-                "_recent": "bounded debugging ring buffer, deliberately "
-                "excluded from checkpoints (restored sessions start empty)",
-            },
-        ),
+        ContractSpec(name="ArqSession", factory=arq_session),
         ContractSpec(name="ArqStatistics", factory=arq_statistics),
         ContractSpec(name="Dense", factory=dense_layer, waived=dict(layer_waivers)),
         ContractSpec(

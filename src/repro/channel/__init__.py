@@ -10,7 +10,6 @@ from repro.channel.link import (
     INFEASIBLE_SUCCESS_PROBABILITY,
     TransmissionResult,
     WirelessLink,
-    decoding_success_probabilities,
     decoding_success_probability,
     snr_decoding_threshold,
     transmit_across,
@@ -36,7 +35,6 @@ __all__ = [
     "TransmissionResult",
     "WirelessChannelParams",
     "WirelessLink",
-    "decoding_success_probabilities",
     "decoding_success_probability",
     "slots_from_fading",
     "snr_decoding_threshold",

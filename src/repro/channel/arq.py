@@ -11,14 +11,12 @@ The downlink is *gated* on the uplink: if the activations are never decoded
 paper's defaults retry forever), the BS has nothing to backpropagate, so no
 gradient payload is transmitted and the step costs only the uplink slots.
 Statistics are streamed (Welford mean/variance of per-step slots and latency)
-instead of accumulating an unbounded per-step history; a bounded ring buffer
-of recent steps is kept for tests and debugging.
+instead of accumulating a per-step history.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Deque, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -42,10 +40,6 @@ class StepCommunication:
 
     uplink: TransmissionResult
     downlink: Optional[TransmissionResult]
-
-    @property
-    def downlink_skipped(self) -> bool:
-        return self.downlink is None
 
     @property
     def total_slots(self) -> int:
@@ -247,23 +241,16 @@ class ArqSession:
         max_retransmissions: per-payload retransmission cap (non-negative;
             ``None`` retries until success, matching the paper).
         seed: RNG seed shared between the two directions (split internally).
-        history_limit: size of the bounded ring buffer of recent
-            :class:`StepCommunication` outcomes exposed as :attr:`history`
-            (aggregate statistics are unaffected by this limit).
     """
 
     params: WirelessChannelParams
     max_retransmissions: int | None = None
     seed: SeedLike = None
-    history_limit: int = 32
     uplink: WirelessLink = field(init=False)
     downlink: WirelessLink = field(init=False)
     statistics: ArqStatistics = field(init=False)
-    _recent: Deque[StepCommunication] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.history_limit < 0:
-            raise ValueError("history_limit must be non-negative")
         uplink_rng, downlink_rng = spawn_generators(self.seed, 2)
         self.uplink = WirelessLink(
             params=self.params,
@@ -278,21 +265,19 @@ class ArqSession:
             seed=downlink_rng,
         )
         self.statistics = ArqStatistics()
-        self._recent = deque(maxlen=self.history_limit)
-
-    @property
-    def history(self) -> List[StepCommunication]:
-        """The most recent exchanges (bounded by ``history_limit``)."""
-        return list(self._recent)
 
     def exchange(
         self, uplink_payload_bits: float, downlink_payload_bits: float
     ) -> StepCommunication:
         """Transmit the forward payload uplink, then — only if it was decoded —
-        the gradient payload downlink.
+        the gradient payload downlink, and record the exchange.
 
         A failed uplink means the BS never computed gradients, so the step
-        costs only the uplink slots and ``downlink`` is ``None``.
+        costs only the uplink slots and ``downlink`` is ``None``.  A bare
+        exchange of this session alone: the training step draws its
+        transmissions through :func:`transmit_uplink_across` /
+        :func:`transmit_downlink_across` and records them with
+        :meth:`record_exchange`.
         """
         uplink_result = self.uplink.transmit(uplink_payload_bits)
         downlink_result = (
@@ -317,22 +302,14 @@ class ArqSession:
         """
         step = StepCommunication(uplink=uplink, downlink=downlink)
         self.statistics.record(step)
-        self._recent.append(step)
         return step
 
     def reset_statistics(self) -> None:
-        """Clear aggregate statistics and the recent-step ring buffer."""
+        """Clear the aggregate statistics."""
         self.statistics = ArqStatistics()
-        self._recent.clear()
 
     def state_dict(self) -> dict:
-        """Restorable session state: both fading streams plus the aggregates.
-
-        The bounded ring buffer of recent exchanges (:attr:`history`) is a
-        debugging aid and is deliberately *not* part of the state: a restored
-        session starts with an empty buffer, while its statistics and RNG
-        streams continue exactly where the captured session stopped.
-        """
+        """Restorable session state: both fading streams plus the aggregates."""
         return {
             "uplink": self.uplink.state_dict(),
             "downlink": self.downlink.state_dict(),
@@ -344,7 +321,6 @@ class ArqSession:
         self.uplink.load_state_dict(state["uplink"])
         self.downlink.load_state_dict(state["downlink"])
         self.statistics = ArqStatistics.from_state(state["statistics"])
-        self._recent.clear()
 
 
 def transmit_uplink_across(
@@ -352,12 +328,12 @@ def transmit_uplink_across(
 ) -> BatchTransmissionResult:
     """One unrecorded uplink per session, batched across sessions.
 
-    The fleet's joint step moves every member's uplink payload through
-    :func:`repro.channel.link.transmit_across` in one call — draw-for-draw
-    identical per session to ``session.uplink.transmit``, since every
-    session owns its own fading streams.  The fleet schedules the results
-    on its shared medium and folds them in via
-    :meth:`ArqSession.record_exchange`.
+    The training step (:func:`repro.fleet.trainer.joint_step`) moves every
+    member's uplink payload through :func:`repro.channel.link.transmit_across`
+    in one call — draw-for-draw identical per session to
+    ``session.uplink.transmit``, since every session owns its own fading
+    streams.  The step schedules the results on its medium and folds them in
+    via :meth:`ArqSession.record_exchange`.
     """
     return transmit_across([session.uplink for session in sessions], payload_bits)
 

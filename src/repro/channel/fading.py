@@ -51,7 +51,9 @@ def slots_from_fading(
         vanishing ``p``; callers truncate or cap before integer conversion).
     """
     probability = np.asarray(success_probability, dtype=np.float64)
-    if np.any((probability <= 0.0) | (probability > 1.0)):
+    if probability.size and not (
+        probability.min() > 0.0 and probability.max() <= 1.0
+    ):
         raise ValueError("success_probability must be in (0, 1]")
     draws = np.asarray(draws, dtype=np.float64)
     if probability.ndim == 0:

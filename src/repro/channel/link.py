@@ -22,7 +22,8 @@ is sampled in closed form from a single fading draw (see
 :func:`repro.channel.fading.slots_from_fading`), truncated at the
 retransmission cap when one is configured.  :meth:`WirelessLink.transmit`
 does this for one payload and :func:`transmit_across` for one payload on each
-of many links.  The legacy per-slot loop is retained as
+of many links; the training step transmits through the latter in both fleet
+modes.  The legacy per-slot loop is retained as
 :meth:`WirelessLink.transmit_reference` — the correctness oracle for
 equivalence tests and the baseline for the channel benchmarks.
 """
@@ -79,35 +80,6 @@ def decoding_success_probability(
     if math.isinf(threshold):
         return 0.0
     return float(np.exp(-threshold / mean_snr))
-
-
-def decoding_success_probabilities(
-    mean_snr: float | np.ndarray,
-    payload_bits: np.ndarray,
-    slot_duration_s: float,
-    bandwidth_hz: float | np.ndarray,
-) -> np.ndarray:
-    """Vectorized :func:`decoding_success_probability` over payload arrays.
-
-    Element-for-element identical to the scalar form (same overflow guard,
-    same ``pow``/``exp`` sequence), so mixed scalar/vector callers observe
-    the same probabilities bit for bit.  ``mean_snr`` and ``bandwidth_hz``
-    may be per-payload arrays (broadcast against ``payload_bits``), which is
-    how :func:`transmit_across` evaluates one payload on each of many links
-    in a single call.
-    """
-    if np.any(np.asarray(mean_snr, dtype=np.float64) <= 0):
-        raise ValueError("mean_snr must be strictly positive")
-    if slot_duration_s <= 0 or np.any(np.asarray(bandwidth_hz, dtype=np.float64) <= 0):
-        raise ValueError("slot_duration_s and bandwidth_hz must be positive")
-    bits = np.asarray(payload_bits, dtype=np.float64)
-    if (bits < 0).any():
-        raise ValueError("payload_bits must be non-negative")
-    exponent = bits / (slot_duration_s * bandwidth_hz)
-    overflow = exponent > 1020
-    thresholds = np.power(2.0, np.where(overflow, 0.0, exponent)) - 1.0
-    thresholds = np.where(overflow, np.inf, thresholds)
-    return np.exp(-thresholds / mean_snr)
 
 
 @dataclass
@@ -349,27 +321,22 @@ class WirelessLink:
             return math.inf
         return 1.0 / probability
 
-    def expected_latency_s(self, payload_bits: float) -> float:
-        """Expected transmission latency including retransmissions."""
-        slots = self.expected_slots(payload_bits)
-        if math.isinf(slots):
-            return math.inf
-        return slots * self.params.slot_duration_s
-
 
 def transmit_across(
     links: Sequence["WirelessLink"], payload_bits: float | np.ndarray
 ) -> BatchTransmissionResult:
     """One :meth:`WirelessLink.transmit` on *each* of many independent links.
 
-    The fleet's joint step moves every member's payload in one call instead
-    of N scalar ``transmit`` calls.  Each link still consumes exactly the
-    draws scalar ``transmit`` would — one normalized fading draw from its own
-    stream when its payload is feasible, none otherwise — so the results are
-    draw-for-draw identical to calling ``links[i].transmit(bits[i])``
-    sequentially; only the probability/slot arithmetic is vectorized (through
-    :func:`decoding_success_probabilities` and :func:`slots_from_fading`,
-    both element-identical to their scalar twins).
+    The training step (:func:`repro.fleet.trainer.joint_step`) moves every
+    member's payload in one call instead of N scalar ``transmit`` calls, and
+    a rotation step's one payload the same way.  Each link still consumes
+    exactly the draws scalar ``transmit`` would — one normalized fading draw
+    from its own stream when its payload is feasible, none otherwise — so the
+    results are draw-for-draw identical to calling
+    ``links[i].transmit(bits[i])`` sequentially; only the probability/slot
+    arithmetic is vectorized (element-identical to
+    :func:`decoding_success_probability` and to the scalar slot count of
+    :meth:`WirelessLink.transmit`, through :func:`slots_from_fading`).
 
     Args:
         links: one link per payload.  All links must share one slot duration
@@ -388,23 +355,29 @@ def transmit_across(
         bits = np.full(count, float(bits))
     elif bits.shape != (count,):
         raise ValueError(f"payload_bits has {len(bits)} entries for {count} links")
-    slot_durations = {link.params.slot_duration_s for link in links}
-    if len(slot_durations) != 1:
+    if (bits < 0).any():
+        raise ValueError("payload_bits must be non-negative")
+    slot = links[0].params.slot_duration_s
+    if any(link.params.slot_duration_s != slot for link in links):
         raise ValueError("transmit_across requires a shared slot duration")
-    slot = slot_durations.pop()
 
-    mean_snrs = np.array([link.mean_snr for link in links])
-    bandwidths = np.array([link.bandwidth_hz for link in links])
-    probabilities = decoding_success_probabilities(mean_snrs, bits, slot, bandwidths)
+    # The scalar decoding_success_probability, element for element (same
+    # overflow guard, same pow/exp sequence); every link checked its SNR and
+    # bandwidth when it was built.
+    exponent = bits / (slot * np.array([link.bandwidth_hz for link in links]))
+    thresholds = np.where(
+        exponent > 1020, np.inf, np.power(2.0, np.minimum(exponent, 1020.0)) - 1.0
+    )
+    probabilities = np.exp(-thresholds / np.array([link.mean_snr for link in links]))
     feasible = probabilities >= INFEASIBLE_SUCCESS_PROBABILITY
-    slots = np.ones(count, dtype=np.float64)
-    success = np.zeros(count, dtype=bool)
-    if feasible.any():
-        # One draw per feasible link, in link order, each from its own
-        # stream — infeasible links skip their stream like scalar transmit.
-        gains = np.array([links[i]._transmit_draw() for i in np.flatnonzero(feasible)])
-        slots[feasible] = slots_from_fading(gains, probabilities[feasible], 1.0)
-        success[feasible] = True
+    # One draw per feasible link, in link order, each from its own stream —
+    # infeasible links skip their stream like scalar transmit.
+    gains = [
+        link._transmit_draw() for link, ok in zip(links, feasible.tolist()) if ok
+    ]
+    slots = np.ones(count)
+    if gains:
+        slots[feasible] = slots_from_fading(np.array(gains), probabilities[feasible])
     # A payload needing more than cap = max_retransmissions + 1 slots fails
     # after exactly cap slots; an uncapped link retries until decoded.
     caps = np.array(
@@ -414,7 +387,7 @@ def transmit_across(
         ],
         dtype=np.float64,
     )
-    success &= slots <= caps
+    success = feasible & (slots <= caps)
     # With probability >= the feasibility floor, slot counts stay far inside
     # the int64 range (< ~1e14 even at the floor).
     slots = np.minimum(slots, caps).astype(np.int64)

@@ -31,7 +31,11 @@ from repro.scenarios import get_scenario, scenario_fingerprint
 #:
 #: 1: ``Conv2D`` computes its input gradient as a transposed convolution
 #:    instead of a ``col2im`` scatter-add.
-TRAJECTORY_VERSION = 1
+#: 2: one training step for both fleet modes; a parallel-average step adds
+#:    its simulated time as ``compute + (uplink + downlink)``, so parallel
+#:    elapsed and occupancy values move by up to 1 ulp per step (rotation
+#:    runs are unchanged).
+TRAJECTORY_VERSION = 2
 
 
 def save_dataset(dataset: DepthPowerDataset, path: str | os.PathLike) -> None:

@@ -3,19 +3,22 @@
 :class:`StackedUEBank` fuses N identical UE architectures into stacked arrays
 with a leading member axis and drives the batched kernels of
 :mod:`repro.nn.stacked`, turning N Python-level model evaluations into a
-handful of broadcasted GEMMs.  It trains every UE in both fleet modes: a
-parallel-average fleet runs through one bank, and each rotation protocol
-trains its UE through a bank of one.  ``UEClient.backward`` /
-``apply_update`` survive only as the per-member reference of the tests.
+handful of broadcasted GEMMs.  It trains every UE in both fleet modes, as
+the UE half of the one training step,
+:func:`~repro.fleet.trainer.joint_step`: a parallel-average fleet runs
+through one bank, and each rotation protocol trains its UE through a bank of
+one.  ``UEClient.backward`` / ``apply_update`` survive only as the
+per-member reference of the tests.
 
 The bank is a *view* over the members' ``UEClient`` objects, not a second
 copy of the truth: :meth:`StackedUEBank.gather` snapshots the members'
 weights and Adam state, the training steps mutate only the stacked arrays,
 and :meth:`StackedUEBank.scatter` writes them back (after a parallel round,
-before weight averaging; after every rotation step).  The batched kernels
-are bitwise-identical to the per-member layers (same ``np.matmul`` lowering,
-same masked-update operation order), so checkpoints, hand-offs, averages and
-inference read exactly the arrays the per-member reference would produce.
+before weight averaging; after every rotation step that updated).  The
+batched kernels are bitwise-identical to the per-member layers (same
+``np.matmul`` lowering, same masked-update operation order), so checkpoints,
+hand-offs, averages and inference read exactly the arrays the per-member
+reference would produce.
 Members with different batch sizes (uneven strided shards) run one stacked
 pass per distinct size and exchange per-member lists instead of one array.
 
@@ -214,6 +217,9 @@ class StackedUEBank:
                 f"expected image sequences for {members} members, got "
                 f"{len(image_sequences)}"
             )
+        if isinstance(image_sequences, list) and members == 1:
+            # A bank of one views its member's batch instead of stacking a copy.
+            image_sequences = np.asarray(image_sequences[0])[None]
         passes = self._member_passes([len(images) for images in image_sequences])
         pooled = [
             self._forward_pass(selector, _take(image_sequences, selector), cache)

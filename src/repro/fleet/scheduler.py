@@ -20,8 +20,10 @@ schedulers; what differs is fairness:
   them across many cycles.
 
 With homogeneous payloads the proportional discipline degenerates to
-round-robin, and with a single UE both are a no-op — which keeps the N=1
-fleet draw-for-draw identical to the single-UE protocol.
+round-robin.  A lone demand completes after exactly its own slots under any
+work-conserving discipline; :meth:`MediumScheduler.schedule` returns that in
+closed form, which is what every rotation step (the training step on a
+roster of one, :data:`repro.fleet.trainer.UNCONTENDED`) pays for scheduling.
 """
 from __future__ import annotations
 
@@ -256,6 +258,10 @@ class MediumScheduler:
             )
         if (slots < 1).any():
             raise ValueError("every slot demand must be at least 1")
+        if len(slots) == 1:
+            # A lone demand owns the medium: every work-conserving
+            # discipline completes it after exactly its own slots.
+            return ScheduleResult(completion_slots=slots, total_slots=int(slots[0]))
         quanta = self._quanta(slots, payload_bits)
         completions = _weighted_round_robin_completions(slots, quanta)
         return ScheduleResult(

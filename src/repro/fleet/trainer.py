@@ -19,6 +19,13 @@ of split learning in one of two modes:
   computation plus the serialized communication, which is where the sublinear
   round-time scaling comes from.
 
+Both modes train through one step, :func:`joint_step`: a parallel-average
+round runs it on the whole fleet, and a rotation turn runs it on a roster of
+one through :meth:`SplitTrainingProtocol.training_step
+<repro.split.protocol.SplitTrainingProtocol.training_step>`.  So both modes
+share one accounting rule: a step takes ``compute + (uplink busy + downlink
+busy)`` of simulated time.
+
 Every round follows the paper's training protocol: minibatches are sampled
 uniformly at random from each member's training windows, validation RMSE (in
 dB) is computed after the round, and training stops when it reaches the
@@ -38,6 +45,7 @@ import numpy as np
 
 from repro.channel.arq import (
     ArqStatistics,
+    StepCommunication,
     transmit_downlink_across,
     transmit_uplink_across,
 )
@@ -45,7 +53,11 @@ from repro.dataset.sequences import SequenceDataset
 from repro.fleet.bank import StackedUEBank
 from repro.fleet.config import ROTATION, FleetConfig
 from repro.fleet.fleet import FleetMember, UEFleet, shard_indices
-from repro.fleet.scheduler import MediumScheduler, scheduler_from_name
+from repro.fleet.scheduler import (
+    MediumScheduler,
+    RoundRobinScheduler,
+    scheduler_from_name,
+)
 from repro.nn.metrics import root_mean_squared_error
 from repro.split.codecs import DOWNLINK_STREAM, UPLINK_STREAM, encode_decode_stacked
 from repro.split.checkpoint import (
@@ -54,8 +66,10 @@ from repro.split.checkpoint import (
     CheckpointLike,
     resolve_checkpoint,
 )
+from repro.split.bs import BSServer
 from repro.split.config import ExperimentConfig
 from repro.split.normalization import PowerNormalizer
+from repro.split.protocol import SplitTrainingProtocol
 from repro.utils.logging import get_logger
 
 logger = get_logger("fleet.trainer")
@@ -475,7 +489,9 @@ class FleetTrainer:
         powers: Optional[np.ndarray],
         targets: np.ndarray,
     ) -> Iterator[StepOutcome]:
-        """One rotation round: each member trains alone during its turn."""
+        """One rotation round: each member trains alone during its turn, one
+        :meth:`SplitTrainingProtocol.training_step` (a roster-of-one
+        :func:`joint_step`) at a time."""
         for member, shard, batch_size in zip(self.fleet, shards, batch_sizes):
             self.fleet.hand_off_to(member.index)
             for _ in range(steps_per_turn):
@@ -503,13 +519,15 @@ class FleetTrainer:
         powers: Optional[np.ndarray],
         targets: np.ndarray,
     ) -> Iterator[StepOutcome]:
-        """One parallel-average round: joint steps, then weight averaging.
+        """One parallel-average round: one :func:`joint_step` of the whole
+        fleet per step, then weight averaging.
 
         The fleet's bank gathers the members here and scatters back before
         the averaging, so the members hold the canonical state between rounds.
         """
         bank = self._ensure_bank()
         bank.gather()
+        protocols = [member.protocol for member in self.fleet]
         for _ in range(steps_per_turn):
             batches = [
                 self._draw_batch(member, shard, batch_size, images, powers, targets)
@@ -517,146 +535,12 @@ class FleetTrainer:
                     self.fleet, shards, batch_sizes
                 )
             ]
-            loss, lost, duration, busy = self._joint_step(batches, bank)
-            yield duration, busy, loss, lost, self.fleet.num_ues
+            outcome, _ = joint_step(
+                protocols, self.fleet.bs, bank, self.scheduler, batches
+            )
+            yield outcome
         bank.scatter()
         self.fleet.average_ue_weights()
-
-    def _joint_step(
-        self, batches, bank: StackedUEBank
-    ) -> Tuple[Optional[float], int, float, float]:
-        """One synchronized step of every member over the shared medium.
-
-        ``bank`` runs the members' CNN halves: one stacked array when every
-        batch size agrees, per-member lists otherwise.  Returns ``(joint loss
-        or None, lost member-steps, simulated duration, medium busy time)``.
-        """
-        training = self.config.training
-        tau = self.fleet.slot_duration_s
-        members = self.fleet.members
-        sessions = [member.arq for member in members]
-        codecs = [member.protocol.codec for member in members]
-        sizes = [len(target_batch) for _, _, target_batch in batches]
-
-        # Compute phase: every UE runs its CNN forward in parallel, so the
-        # fleet pays the per-step UE compute time once, not N times.
-        duration = training.ue_compute_time_s
-        features = bank.forward([image_batch for image_batch, _, _ in batches])
-        # The fleet builds every protocol from one config, so one payload
-        # check per distinct batch size covers every member.
-        protocol = members[0].protocol
-        downlink_bounds = {}
-        for index, size in enumerate(sizes):
-            if size not in downlink_bounds:
-                downlink_bounds[size] = protocol.sized_downlink_bits(
-                    features[index], size
-                )
-        features, uplink_bits = encode_decode_stacked(
-            codecs, features, UPLINK_STREAM
-        )
-
-        # Uplink phase: every member's own session draws its slot demand; the
-        # scheduler serializes the demands onto the one shared medium.  The
-        # recorded results carry the members' medium completion times.
-        uplinks = transmit_uplink_across(sessions, uplink_bits)
-        uplink_schedule = self.scheduler.schedule(
-            uplinks.slots_used, payload_bits=uplink_bits
-        )
-        uplink_results = dataclass_replace(
-            uplinks, elapsed_s=uplink_schedule.completion_times_s(tau)
-        ).results()
-        busy = uplink_schedule.busy_time_s(tau)
-        duration += busy
-
-        # The BS compute slot is charged once per joint step whether or not
-        # any uplink decodes — matching the single-UE protocol, which charges
-        # bs_compute_time_s on lost steps too.
-        duration += training.bs_compute_time_s
-        decoded = np.flatnonzero(uplinks.success).tolist()
-        loss_value: Optional[float] = None
-        downlinks = {}
-        if decoded:
-            # One shared BS step on the concatenated batch of every decoded
-            # member: the RNN forward/backward runs once per joint step.
-            rf_batch = (
-                np.concatenate([batches[index][1] for index in decoded], axis=0)
-                if self.config.model.use_rf
-                else None
-            )
-            target_batch = np.concatenate(
-                [batches[index][2] for index in decoded], axis=0
-            )
-            loss_value, cut_gradient = self.fleet.bs.compute_loss_and_gradients(
-                _concatenate_members(features, decoded), rf_batch, target_batch
-            )
-
-            # Downlink phase (gated per member on its own uplink).
-            downlink_bits = [downlink_bounds[sizes[index]] for index in decoded]
-            attempts = transmit_downlink_across(
-                [sessions[index] for index in decoded], downlink_bits
-            )
-            downlink_schedule = self.scheduler.schedule(
-                attempts.slots_used, payload_bits=downlink_bits
-            )
-            downlink_busy = downlink_schedule.busy_time_s(tau)
-            duration += downlink_busy
-            busy += downlink_busy
-            downlinks = dict(
-                zip(
-                    decoded,
-                    dataclass_replace(
-                        attempts,
-                        elapsed_s=downlink_schedule.completion_times_s(tau),
-                    ).results(),
-                )
-            )
-
-            # Members whose downlink decoded pass their gradient slice through
-            # their codec and update; the rest lose their client-side update.
-            # The BS updates only when the step delivered at least one
-            # gradient payload: a joint step whose every downlink failed is
-            # wholly lost, matching the single-UE protocol where a failed
-            # exchange aborts the step before any update.  (With partial
-            # downlink failures the BS gradient still includes the failed
-            # members' batches — their data reached the BS; only their
-            # client-side update is lost.)
-            positions = [
-                position
-                for position, index in enumerate(decoded)
-                if downlinks[index].success
-            ]
-            if positions:
-                self.fleet.bs.check_gradients()
-                delivered = [decoded[position] for position in positions]
-                gradients = _split_members(
-                    cut_gradient,
-                    [sizes[index] for index in decoded],
-                    positions,
-                    stacked=isinstance(features, np.ndarray),
-                )
-                gradients, _ = encode_decode_stacked(
-                    [codecs[index] for index in delivered],
-                    gradients,
-                    DOWNLINK_STREAM,
-                )
-                bank.backward_and_update(delivered, gradients)
-                self.fleet.bs.apply_update()
-            else:
-                self.fleet.bs.zero_grad()
-                loss_value = None
-
-        # Record per-member communication with medium-accurate latency: the
-        # elapsed time of each direction is the member's *completion* time on
-        # the shared medium (own slots plus queueing), while slots_used stays
-        # the member's own demand.
-        lost = 0
-        for index, (session, uplink_result) in enumerate(
-            zip(sessions, uplink_results)
-        ):
-            step = session.record_exchange(uplink_result, downlinks.get(index))
-            if not step.success:
-                lost += 1
-        return loss_value, lost, duration, busy
 
     # -- evaluation -------------------------------------------------------------------
     def predict_dbm(self, sequences: SequenceDataset) -> np.ndarray:
@@ -683,6 +567,170 @@ class FleetTrainer:
     def evaluate(self, sequences: SequenceDataset) -> float:
         """Validation RMSE in dB (predictions and targets in dBm)."""
         return root_mean_squared_error(self.predict_dbm(sequences), sequences.targets)
+
+
+#: The medium of a protocol training alone (a rotation turn).  With one demand
+#: per phase every work-conserving discipline completes it after exactly its
+#: own slots, so one instance serves every protocol.
+UNCONTENDED: MediumScheduler = RoundRobinScheduler()
+
+
+def joint_step(
+    protocols: Sequence[SplitTrainingProtocol],
+    bs: BSServer,
+    bank,
+    scheduler: MediumScheduler,
+    batches: Sequence[tuple],
+) -> Tuple[StepOutcome, List[Optional[StepCommunication]]]:
+    """One training step of every protocol in ``protocols`` over one medium.
+
+    The one training step of the library: a rotation turn runs it on a
+    roster of one (:meth:`SplitTrainingProtocol.training_step`), a
+    parallel-average round on the whole fleet.  The protocols share ``bs``
+    and one configuration, ``bank`` runs their UE CNNs (``None`` without an
+    image branch; one stacked array when every batch size agrees, per-member
+    lists otherwise), and ``batches`` holds one ``(images, powers,
+    targets)`` minibatch per protocol.  In order:
+
+    1. every UE runs its CNN forward and its codec encodes the cut-layer
+       activations;
+    2. every protocol's own ARQ session draws its uplink slot demand, and
+       ``scheduler`` serializes the demands onto the shared medium;
+    3. every member whose uplink decoded draws its downlink demand (sized by
+       the codec's bound: the gradient does not exist yet), scheduled the
+       same way;
+    4. when at least one downlink is delivered, the BS steps once on the
+       concatenated batch of every decoded member (a member whose downlink
+       failed contributed its data and loses only its UE update), the
+       delivered gradients pass the downlink codecs and the delivered UEs
+       update.  Otherwise the BS never runs and the step is lost.
+
+    The simulated duration is ``compute + (uplink busy + downlink busy)``.
+    UEs compute in parallel, so ``compute`` is
+    ``TrainingConfig.compute_time_per_step_s`` once per step; without an
+    image branch it is the BS compute time alone, as the RF-only baseline
+    measures its powers at the BS and transmits nothing.  Each session
+    records its exchange with its completion time on the medium as latency
+    (own slots plus queueing), while its slot count stays its own demand.
+
+    A non-finite BS loss, BS gradient norm or UE gradient norm raises
+    ``FloatingPointError`` before either half updates and leaves every codec
+    as it was before the step.
+
+    Returns:
+        The step's :data:`StepOutcome` and each protocol's recorded exchange
+        (``None`` without an image branch).
+    """
+    config = protocols[0].config
+    training, model = config.training, config.model
+    codecs = [protocol.codec for protocol in protocols]
+    sizes = [len(target_batch) for _, _, target_batch in batches]
+    decoded = list(range(len(protocols)))
+    positions = decoded  # of the delivered members, within ``decoded``
+    busy = 0.0
+    saved: list = []
+    if model.use_image:
+        compute_s = training.compute_time_per_step_s
+        sessions = [protocol.arq for protocol in protocols]
+        tau = config.channel.slot_duration_s
+        features = bank.forward([image_batch for image_batch, _, _ in batches])
+        # One config builds every protocol, so one payload check per
+        # distinct batch size covers every member.
+        downlink_bounds = {}
+        for index, size in enumerate(sizes):
+            if size not in downlink_bounds:
+                downlink_bounds[size] = protocols[0].sized_downlink_bits(
+                    features[index], size
+                )
+        # Error-feedback codecs move from here on: keep their state so a
+        # raise can put it back.  Stateless codecs have nothing to keep.
+        saved = [
+            (codec, codec.state_dict()) for codec in codecs if codec.stateful
+        ]
+        features, uplink_bits = encode_decode_stacked(
+            codecs, features, UPLINK_STREAM
+        )
+
+        uplinks = transmit_uplink_across(sessions, uplink_bits)
+        schedule = scheduler.schedule(uplinks.slots_used, payload_bits=uplink_bits)
+        uplink_results = dataclass_replace(
+            uplinks, elapsed_s=schedule.completion_times_s(tau)
+        ).results()
+        busy = schedule.busy_time_s(tau)
+
+        # The downlink is gated per member on its own uplink.
+        decoded = np.flatnonzero(uplinks.success).tolist()
+        downlinks = {}
+        if decoded:
+            downlink_bits = [downlink_bounds[sizes[index]] for index in decoded]
+            attempts = transmit_downlink_across(
+                [sessions[index] for index in decoded], downlink_bits
+            )
+            schedule = scheduler.schedule(
+                attempts.slots_used, payload_bits=downlink_bits
+            )
+            busy += schedule.busy_time_s(tau)
+            downlinks = dict(
+                zip(
+                    decoded,
+                    dataclass_replace(
+                        attempts, elapsed_s=schedule.completion_times_s(tau)
+                    ).results(),
+                )
+            )
+        positions = [
+            position
+            for position, index in enumerate(decoded)
+            if downlinks[index].success
+        ]
+    else:
+        compute_s = training.bs_compute_time_s
+
+    loss_value: Optional[float] = None
+    if positions:
+        rf_batch = (
+            np.concatenate([batches[index][1] for index in decoded], axis=0)
+            if model.use_rf
+            else None
+        )
+        target_batch = np.concatenate([batches[index][2] for index in decoded], axis=0)
+        try:
+            loss_value, cut_gradient = bs.compute_loss_and_gradients(
+                _concatenate_members(features, decoded) if model.use_image else None,
+                rf_batch,
+                target_batch,
+            )
+            bs.check_gradients()
+            if model.use_image:
+                delivered = [decoded[position] for position in positions]
+                gradients = _split_members(
+                    cut_gradient,
+                    [sizes[index] for index in decoded],
+                    positions,
+                    stacked=isinstance(features, np.ndarray),
+                )
+                gradients, _ = encode_decode_stacked(
+                    [codecs[index] for index in delivered],
+                    gradients,
+                    DOWNLINK_STREAM,
+                )
+                bank.backward_and_update(delivered, gradients)
+        except FloatingPointError:
+            for codec, state in saved:
+                codec.load_state_dict(state)
+            raise
+        bs.apply_update()
+
+    communications: List[Optional[StepCommunication]] = [None] * len(protocols)
+    if model.use_image:
+        communications = [
+            session.record_exchange(uplink_result, downlinks.get(index))
+            for index, (session, uplink_result) in enumerate(
+                zip(sessions, uplink_results)
+            )
+        ]
+    lost = sum(not step.success for step in communications if step is not None)
+    return (compute_s + busy, busy, loss_value, lost, len(protocols)), communications
 
 
 def _concatenate_members(batches, indices: Sequence[int]) -> np.ndarray:

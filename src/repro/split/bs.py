@@ -136,8 +136,9 @@ class BSServer:
     def check_gradients(self) -> None:
         """Clip the accumulated gradients and check their global norm.
 
-        The first half of a BS update: a joint step runs it before either
-        half's optimizer moves, then :meth:`apply_update` takes the step.
+        The first half of a BS update: the training step runs it before
+        either half's optimizer moves, then :meth:`apply_update` takes the
+        step.
 
         Raises:
             FloatingPointError: the global gradient norm (before clipping) is
@@ -162,9 +163,6 @@ class BSServer:
         if self.optimizer is None:
             raise RuntimeError("this BSServer was created without an optimizer")
         return self.optimizer
-
-    def zero_grad(self) -> None:
-        self.rnn.zero_grad()
 
     # -- weight exchange ------------------------------------------------------------
     def get_weights(self) -> Dict[str, np.ndarray]:

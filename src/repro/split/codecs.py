@@ -62,6 +62,11 @@ class PayloadCodec:
 
     name: str = ""
 
+    #: Whether :meth:`encode_decode` carries state from one call to the next
+    #: (error feedback); the training step restores such state when it
+    #: raises.
+    stateful: bool = False
+
     def encode_decode(
         self, values: np.ndarray, stream: str
     ) -> Tuple[np.ndarray, float]:
@@ -159,6 +164,7 @@ class TopKCodec(PayloadCodec):
     """
 
     name = "topk"
+    stateful = True
 
     def __init__(
         self,
@@ -271,7 +277,12 @@ def encode_decode_stacked(
             high = rows.max(axis=1)
             constant = high == low
             lanes = (members,) + (1,) * (values.ndim - 1)
-            step = np.where(constant, 1.0, (high - low) / first._levels)
+            step = (high - low) / first._levels
+            # As in _quantize: a range whose level spacing underflows to zero
+            # passes through unquantized.
+            underflow = step == 0.0  # repro: noqa[HYG001] -- exact underflow guard
+            underflow &= ~constant
+            step = np.where(constant | underflow, 1.0, step)
             low_lane = low.reshape(lanes)
             step_lane = step.reshape(lanes)
             quantized = np.rint((values - low_lane) / step_lane)
@@ -280,6 +291,8 @@ def encode_decode_stacked(
                 np.broadcast_to(low_lane, values.shape),
                 low_lane + quantized * step_lane,
             )
+            if underflow.any():
+                decoded = np.where(underflow.reshape(lanes), values, decoded)
             per_member = float(first.sized_payload_bits(values[0].size))
             return decoded, np.full(members, per_member)
     decoded = [None] * members

@@ -11,15 +11,19 @@ paper:
 4. the BS transmits the cut-layer gradient back on the downlink;
 5. the UE backpropagates through the CNN; both sides apply their Adam update.
 
-The UE half of steps 1 and 5 runs in a one-member
-:class:`~repro.fleet.bank.StackedUEBank`, the engine that trains every UE: it
-gathers the ``UEClient`` at the start of a step and scatters back at its end.
+:meth:`SplitTrainingProtocol.training_step` runs these as the library's one
+training step, :func:`repro.fleet.trainer.joint_step`, on a roster of one:
+this protocol alone on an uncontended medium, its UE in a one-member
+:class:`~repro.fleet.bank.StackedUEBank` that gathers the ``UEClient`` before
+the step and scatters back after an update.  The downlink payload is sized by
+the codec's bound, so its slots are drawn before the BS computes: a step
+whose downlink is lost never runs the BS.
 
-The simulated elapsed time of the step is the sum of both sides' computation
-time and the transmission time of both payloads, which is what produces the
-"elapsed time in training" axis of Fig. 3a.  The RF-only baseline involves no
-image branch and therefore no cut-layer communication at all (the BS measures
-the RF powers locally), so its steps only cost BS computation time.
+The simulated elapsed time of the step is both sides' computation time plus
+the transmission time of both payloads, which is what produces the "elapsed
+time in training" axis of Fig. 3a.  The RF-only baseline involves no image
+branch and therefore no cut-layer communication at all (the BS measures the
+RF powers locally), so its steps only cost BS computation time.
 """
 from __future__ import annotations
 
@@ -31,12 +35,7 @@ import numpy as np
 from repro.channel.arq import ArqSession, StepCommunication
 from repro.channel.payload import PayloadModel
 from repro.split.bs import BSServer
-from repro.split.codecs import (
-    DOWNLINK_STREAM,
-    UPLINK_STREAM,
-    PayloadCodec,
-    codec_from_name,
-)
+from repro.split.codecs import PayloadCodec, codec_from_name
 from repro.split.config import ExperimentConfig
 from repro.split.ue import UEClient
 from repro.utils.seeding import SeedLike, spawn_generators
@@ -60,30 +59,6 @@ class StepResult:
     elapsed_s: float
     communication: Optional[StepCommunication]
     updated: bool
-
-
-@dataclass
-class ComputePhase:
-    """UE-side forward half of one training step, awaiting communication.
-
-    Produced by :meth:`SplitTrainingProtocol.begin_step` and finished by
-    :meth:`SplitTrainingProtocol.complete_step` once the communication
-    outcome is known.
-
-    Attributes:
-        features: codec-decoded cut-layer activations ``(batch, L, F)`` — the
-            lossy tensor the BS will see (``None`` for the RF-only baseline).
-        uplink_payload_bits / downlink_payload_bits: *encoded* cut-layer
-            payload sizes for this minibatch (0 when there is no image
-            branch); the downlink uses the codec's deterministic bound since
-            the gradient does not exist yet at phase time.
-        compute_elapsed_s: UE-side computation time charged for the phase.
-    """
-
-    features: Optional[np.ndarray]
-    uplink_payload_bits: float
-    downlink_payload_bits: float
-    compute_elapsed_s: float
 
 
 class SplitTrainingProtocol:
@@ -114,7 +89,6 @@ class SplitTrainingProtocol:
             self.ue = UEClient(model, config.training, seed=ue_rng)
         self.bs = bs if bs is not None else BSServer(model, config.training, seed=bs_rng)
         self._bank = None
-        self._training_mode = True
 
         self.payload_model: Optional[PayloadModel] = None
         self.codec: Optional[PayloadCodec] = None
@@ -141,68 +115,38 @@ class SplitTrainingProtocol:
     ) -> StepResult:
         """Run one SGD step on a minibatch (already normalized inputs/targets).
 
-        Equivalent to :meth:`begin_step` + an uncontended :meth:`ArqSession
-        .exchange <repro.channel.arq.ArqSession.exchange>` + :meth:`complete_step`
-        (the single-UE case: the medium belongs to this session alone).
+        The fleet engine's :func:`~repro.fleet.trainer.joint_step` on a roster
+        of one: the medium belongs to this protocol alone, and a lost
+        exchange (uplink or gated downlink) updates nothing.
         """
-        phase = self.begin_step(image_sequences)
-        communication = None
-        if self.config.model.use_image:
-            assert self.arq is not None
-            # The exchange is gated: a lost uplink skips the downlink
-            # entirely, so the step only costs the uplink slots.
-            communication = self.arq.exchange(
-                phase.uplink_payload_bits, phase.downlink_payload_bits
-            )
-        return self.complete_step(phase, rf_sequences, targets, communication)
+        # Imported here: repro.fleet builds on this module.
+        from repro.fleet.bank import StackedUEBank
+        from repro.fleet.trainer import UNCONTENDED, joint_step
 
-    def begin_step(
-        self, image_sequences: Optional[np.ndarray]
-    ) -> ComputePhase:
-        """Compute phase of a training step: UE forward pass + payload sizing.
-
-        The cut-layer activations are passed through the payload codec here:
-        ``features`` holds the *decoded* (lossy) tensor the BS will actually
-        see, and ``uplink_payload_bits`` the *encoded* size the ARQ must move.
-        The downlink is sized by the codec's deterministic bound — the
-        gradient tensor does not exist yet when the exchange is simulated.
-
-        No channel RNG is consumed — the communication phase is left to the
-        caller (:meth:`training_step` runs it through the session's own
-        :meth:`~repro.channel.arq.ArqSession.exchange`).
-        """
-        training = self.config.training
-        if not self.config.model.use_image:
-            return ComputePhase(
-                features=None,
-                uplink_payload_bits=0.0,
-                downlink_payload_bits=0.0,
-                compute_elapsed_s=0.0,
-            )
-        assert self.ue is not None and self.codec is not None
-        images = self.ue.check_image_sequences(image_sequences)
-        bank = self._ue_bank()
-        bank.gather()
-        features = bank.forward(images[None])[0]
-        downlink_bits = self.sized_downlink_bits(features, len(image_sequences))
-        features, uplink_bits = self.codec.encode_decode(features, UPLINK_STREAM)
-        return ComputePhase(
-            features=features,
-            uplink_payload_bits=uplink_bits,
-            downlink_payload_bits=downlink_bits,
-            compute_elapsed_s=training.ue_compute_time_s,
+        bank = None
+        if self.ue is not None:
+            # Derived state, built on first use after predict(): every step
+            # gathers from the client, so it is never checkpointed.
+            if self._bank is None:
+                self._bank = StackedUEBank([self.ue])
+            bank = self._bank
+            bank.gather()
+        (elapsed_s, _, loss, _, _), (communication,) = joint_step(
+            [self],
+            self.bs,
+            bank,
+            UNCONTENDED,
+            [(image_sequences, rf_sequences, targets)],
         )
-
-    def _ue_bank(self):
-        """The UE's one-member bank, built on first use after :meth:`eval`;
-        derived state, as every step gathers from ``self.ue``, so it is never
-        checkpointed."""
-        if self._bank is None:
-            # Imported here: repro.fleet builds on this module.
-            from repro.fleet.bank import StackedUEBank
-
-            self._bank = StackedUEBank([self.ue])
-        return self._bank
+        updated = loss is not None
+        if updated and bank is not None:
+            bank.scatter()
+        return StepResult(
+            loss=loss if updated else float("nan"),
+            elapsed_s=elapsed_s,
+            communication=communication,
+            updated=updated,
+        )
 
     def sized_downlink_bits(self, features: np.ndarray, batch_size: int) -> float:
         """Downlink payload bound of a minibatch, after checking its cut tensor.
@@ -211,8 +155,7 @@ class SplitTrainingProtocol:
         sequences; a size that disagrees with the payload model raises
         ``ValueError``.  The downlink is sized by the codec's deterministic
         bound because the gradient tensor does not exist yet when the
-        exchange is simulated.  :meth:`begin_step` and the fleet's joint step
-        both size their payloads here.
+        exchange is simulated.  The training step sizes its payloads here.
         """
         assert self.payload_model is not None and self.codec is not None
         expected_elements = (
@@ -228,65 +171,6 @@ class SplitTrainingProtocol:
             )
         return self.codec.sized_payload_bits(expected_elements)
 
-    def complete_step(
-        self,
-        phase: ComputePhase,
-        rf_sequences: Optional[np.ndarray],
-        targets: np.ndarray,
-        communication: Optional[StepCommunication],
-    ) -> StepResult:
-        """BS half of a training step, given the communication outcome.
-
-        A failed exchange loses the step: no gradient exists yet on either
-        side, so nothing is updated.  Otherwise the BS computes loss and
-        cut-layer gradients, the UE backpropagates and both sides apply their
-        optimizer update.  Both halves' gradient norms are checked before
-        either update, so a non-finite one raises with both halves unmoved.
-        """
-        model = self.config.model
-        elapsed = phase.compute_elapsed_s + self.config.training.bs_compute_time_s
-        if communication is not None:
-            elapsed += communication.total_elapsed_s
-            if not communication.success:
-                return StepResult(
-                    loss=float("nan"),
-                    elapsed_s=elapsed,
-                    communication=communication,
-                    updated=False,
-                )
-
-        loss_value, cut_gradient = self.bs.compute_loss_and_gradients(
-            phase.features, rf_sequences if model.use_rf else None, targets
-        )
-        self.bs.check_gradients()
-        if model.use_image and cut_gradient is not None:
-            bank = self._ue_bank()
-            bank.backward_and_update(
-                [0], self.transmit_cut_gradient(cut_gradient)[None]
-            )
-            bank.scatter()
-        self.bs.apply_update()
-        return StepResult(
-            loss=loss_value,
-            elapsed_s=elapsed,
-            communication=communication,
-            updated=True,
-        )
-
-    def transmit_cut_gradient(self, cut_gradient: np.ndarray) -> np.ndarray:
-        """Pass the BS's cut-layer gradient through the downlink codec.
-
-        Returns the decoded (lossy) gradient the UE backpropagates.  The
-        payload size was already charged via the codec's deterministic bound
-        in :meth:`begin_step`; this advances the codec's downlink state
-        (e.g. the top-k error-feedback residual), so it is called only for
-        steps whose downlink was actually delivered.
-        """
-        if self.codec is None:
-            return cut_gradient
-        decoded, _ = self.codec.encode_decode(cut_gradient, DOWNLINK_STREAM)
-        return decoded
-
     # -- inference ----------------------------------------------------------------------
     def predict(
         self,
@@ -297,9 +181,9 @@ class SplitTrainingProtocol:
     ) -> np.ndarray:
         """Predict normalized received power for a set of sequences.
 
-        Inference is performed in evaluation mode; no communication time is
-        simulated (prediction payloads are single feature vectors, negligible
-        next to training payloads).
+        No communication time is simulated (prediction payloads are single
+        feature vectors, negligible next to training payloads), and the UE's
+        training bank is dropped with its buffers.
 
         Sliding windows share frames, so the UE CNN runs once per distinct
         frame: ``frame_ids`` is an ``(M, L)`` integer array naming the frame
@@ -329,8 +213,10 @@ class SplitTrainingProtocol:
             len(image_sequences) if image_sequences is not None else len(rf_sequences)
         )
 
-        was_training = self._training_mode
-        self.eval()
+        # The bank is training-only derived state: drop it and its buffers
+        # (the next training step rebuilds it), so inference buffers do not
+        # stack on top of them.
+        self._bank = None
         features = None
         if model.use_image and count:
             features = self._frame_features(image_sequences, frame_ids, batch_size)
@@ -346,8 +232,6 @@ class SplitTrainingProtocol:
                 batch_features = self.codec.preview(features[start:stop])
             rf_batch = rf_sequences[start:stop] if model.use_rf else None
             predictions[start:stop] = self.bs.predict(batch_features, rf_batch)
-        if was_training:
-            self.train()
         return predictions
 
     def _frame_features(
@@ -416,22 +300,3 @@ class SplitTrainingProtocol:
             self.arq.load_state_dict(state["arq"])
         if self.codec is not None:
             self.codec.load_state_dict(state.get("codec", {}))
-
-    # -- mode switches ---------------------------------------------------------------------
-    @property
-    def training_mode(self) -> bool:
-        """Whether the protocol is in training mode (:meth:`eval` drops the
-        UE bank)."""
-        return self._training_mode
-
-    def train(self) -> "SplitTrainingProtocol":
-        self._training_mode = True
-        return self
-
-    def eval(self) -> "SplitTrainingProtocol":
-        # The bank is training-only derived state: drop it and its buffers
-        # (the next training step rebuilds it), so inference buffers do not
-        # stack on top of them.
-        self._bank = None
-        self._training_mode = False
-        return self

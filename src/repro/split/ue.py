@@ -63,24 +63,13 @@ class UEClient:
             Cut-layer activations of shape ``(batch, L, F)`` where ``F`` is the
             pooled feature size (1 for the one-pixel configuration).
         """
-        images = self.check_image_sequences(image_sequences)
-        batch, length, height, width = images.shape
-        self._batch_shape = (batch, length)
-        flat = images.reshape(batch * length, 1, height, width)
-        output_image = self.cnn.forward(flat)
-        features = self.compressor.forward(output_image)
-        return features.reshape(batch, length, -1)
-
-    def check_image_sequences(self, image_sequences: np.ndarray) -> np.ndarray:
-        """``image_sequences`` as float64; ``ValueError`` unless it is a 4-D
-        ``(batch, L, H, W)`` array of the configured image size."""
         images = np.asarray(image_sequences, dtype=np.float64)
         if images.ndim != 4:
             raise ValueError(
                 f"expected image sequences of shape (batch, L, H, W), got "
                 f"{images.shape}"
             )
-        height, width = images.shape[2:]
+        batch, length, height, width = images.shape
         if (height, width) != (
             self.model_config.image_height,
             self.model_config.image_width,
@@ -89,7 +78,11 @@ class UEClient:
                 f"image size {(height, width)} does not match the configuration "
                 f"{(self.model_config.image_height, self.model_config.image_width)}"
             )
-        return images
+        self._batch_shape = (batch, length)
+        flat = images.reshape(batch * length, 1, height, width)
+        output_image = self.cnn.forward(flat)
+        features = self.compressor.forward(output_image)
+        return features.reshape(batch, length, -1)
 
     def output_images(self, images: np.ndarray) -> np.ndarray:
         """CNN output images (before pooling) for visualization (Fig. 2).

@@ -78,17 +78,16 @@ def test_uplink_downlink_payload_symmetry(pooling, batch):
 
 @given(st.floats(min_value=1e2, max_value=1e7))
 @settings(max_examples=40, deadline=None)
-def test_expected_latency_consistent_with_probability(payload_bits):
+def test_expected_slots_consistent_with_probability(payload_bits):
     from repro.channel import WirelessLink
 
     link = WirelessLink(params=PAPER_CHANNEL_PARAMS, direction="uplink", seed=0)
     probability = link.success_probability(payload_bits)
-    latency = link.expected_latency_s(payload_bits)
+    slots = link.expected_slots(payload_bits)
     if probability <= 0:
-        assert math.isinf(latency)
+        assert math.isinf(slots)
     else:
-        expected = PAPER_CHANNEL_PARAMS.slot_duration_s / probability
-        assert latency == pytest.approx(expected, rel=1e-9)
+        assert slots == pytest.approx(1.0 / probability, rel=1e-9)
 
 
 @given(

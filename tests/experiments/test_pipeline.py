@@ -109,16 +109,22 @@ def test_fingerprint_separates_configurations(smoke_scale):
     assert trained_model_path(base).name == f"model-{base}.npz"
 
 
-#: Smoke-scale fingerprints pinned when ``FleetConfig`` still carried an
-#: execution-only ``backend`` field that the fingerprint dropped: removing the
-#: field must leave every key, so entries trained before still hit.
+#: Smoke-scale fingerprints pinned at ``TRAJECTORY_VERSION`` 1, when
+#: ``FleetConfig`` still carried an execution-only ``backend`` field that the
+#: fingerprint dropped: removing the field must leave every key, so entries
+#: trained before still hit.  A version bump moves every key on purpose
+#: (``test_fingerprint_hashes_trajectory_version``), so the keys are derived
+#: at the pinned version.
 PINNED_SMOKE_FINGERPRINTS = {
     "single_ue": "abaa730b7671b336",
     "parallel_n2": "f0a123b5aed5cc95",
 }
 
 
-def test_fingerprints_are_pinned(smoke_scale):
+def test_fingerprints_are_pinned(smoke_scale, monkeypatch):
+    from repro.dataset import cache
+
+    monkeypatch.setattr(cache, "TRAJECTORY_VERSION", 1)
     config = ExperimentConfig.for_scenario(
         smoke_scale.scenario,
         model=smoke_scale.base_model_config(),

@@ -137,16 +137,26 @@ def test_split_trainer_matches_single_ue_loop_oracle(smoke_scale, smoke_split, s
 def test_single_ue_parallel_average_matches_single_trainer_rmse(
     smoke_config, smoke_split
 ):
-    """N=1 parallel averaging is averaging over one client: same trajectory."""
-    single = SplitTrainer(smoke_config).fit(
-        smoke_split.train, smoke_split.validation
+    """N=1 parallel averaging is averaging over one client: same trajectory,
+    and one accounting rule, so the same clock round by round.  Compute
+    times of the size of the slots make any difference in the order the
+    step's terms are added show in the last bits."""
+    config = dataclasses.replace(
+        smoke_config,
+        training=dataclasses.replace(
+            smoke_config.training, ue_compute_time_s=0.3, bs_compute_time_s=0.6
+        ),
     )
+    single = SplitTrainer(config).fit(smoke_split.train, smoke_split.validation)
     fleet = FleetTrainer(
-        smoke_config, FleetConfig(num_ues=1, mode="parallel_average")
+        config, FleetConfig(num_ues=1, mode="parallel_average")
     ).fit(smoke_split.train, smoke_split.validation)
     assert np.array_equal(
         fleet.validation_rmse_curve_db, single.validation_rmse_curve_db
     )
+    assert [elapsed.hex() for elapsed in fleet.elapsed_times_s] == [
+        elapsed.hex() for elapsed in single.elapsed_times_s
+    ]
     assert fleet.total_elapsed_s == single.total_elapsed_s
 
 

@@ -18,7 +18,7 @@ from repro.channel import PAPER_CHANNEL_PARAMS
 from repro.channel.params import LinkParams
 from repro.fleet import FleetConfig, FleetTrainer
 from repro.nn.serialization import flatten_state_tree
-from repro.split import ExperimentConfig
+from repro.split import ExperimentConfig, SplitTrainingProtocol
 from repro.split.bs import BSServer
 from repro.split.checkpoint import Checkpoint
 from repro.split.codecs import DOWNLINK_STREAM, UPLINK_STREAM, TopKCodec
@@ -215,3 +215,88 @@ def _ue_side_state(trainer):
         if bank is not None:
             state[f"bank{index}"] = bank.state_dict()
     return flatten_state_tree(state)
+
+
+def _topk(config):
+    return dataclasses.replace(
+        config, model=dataclasses.replace(config.model, codec="topk")
+    )
+
+
+def _codec_entries(state):
+    """Every codec entry of a state tree, flattened: both residual streams
+    of every member."""
+    return {
+        key: value
+        for key, value in flatten_state_tree(state).items()
+        if "codec//" in key
+    }
+
+
+def _poison_downlink_decode(monkeypatch):
+    """From now on the top-k codec decodes downlink payloads to NaN."""
+    original_encode_decode = TopKCodec.encode_decode
+
+    def encode_decode(self, values, name):
+        decoded, bits = original_encode_decode(self, values, name)
+        if name == DOWNLINK_STREAM:
+            decoded = np.full_like(decoded, np.nan)
+        return decoded, bits
+
+    monkeypatch.setattr(TopKCodec, "encode_decode", encode_decode)
+
+
+def _assert_same_entries(after, before):
+    assert after.keys() == before.keys()
+    for key, value in before.items():
+        assert np.array_equal(after[key], value), key
+
+
+def test_non_finite_ue_gradient_leaves_the_protocol_codec_unmoved(
+    tiny_experiment_config, monkeypatch
+):
+    protocol = SplitTrainingProtocol(_topk(tiny_experiment_config))
+    model = protocol.config.model
+    rng = np.random.default_rng(0)
+    batch = (
+        rng.random((16, model.sequence_length, model.image_height, model.image_width)),
+        rng.normal(size=(16, model.sequence_length)),
+        rng.normal(size=16),
+    )
+    for _ in range(2):  # both residual streams exist and are nonzero
+        assert protocol.training_step(*batch).updated
+    before = _codec_entries(protocol.state_dict())
+    assert "codec//residuals//downlink" in before
+
+    _poison_downlink_decode(monkeypatch)
+    with pytest.raises(FloatingPointError, match="non-finite UE gradient norm"):
+        protocol.training_step(*batch)
+    _assert_same_entries(_codec_entries(protocol.state_dict()), before)
+
+
+def test_non_finite_ue_gradient_leaves_every_fleet_codec_unmoved(
+    tiny_experiment_config, small_split, monkeypatch
+):
+    trainer = FleetTrainer(
+        _topk(tiny_experiment_config),
+        FleetConfig(num_ues=2, mode="parallel_average"),
+    )
+    before = []
+    original_evaluate = trainer.evaluate
+
+    def evaluate(sequences):
+        result = original_evaluate(sequences)
+        if not before:  # end of round 1: the state round 2 starts from
+            before.append(_codec_entries(trainer.state_dict()))
+            _poison_downlink_decode(monkeypatch)
+        return result
+
+    monkeypatch.setattr(trainer, "evaluate", evaluate)
+    with pytest.raises(
+        FloatingPointError,
+        match=r"^round 2, step 1\b.*non-finite UE gradient norm",
+    ):
+        trainer.fit(small_split.train, small_split.validation, max_rounds=3)
+    downlinks = [key for key in before[0] if key.endswith("codec//residuals//downlink")]
+    assert len(downlinks) == 2
+    _assert_same_entries(_codec_entries(trainer.state_dict()), before[0])

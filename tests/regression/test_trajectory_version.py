@@ -38,7 +38,7 @@ from repro.dataset.cache import TRAJECTORY_VERSION
 from repro.split import ExperimentConfig
 from repro.split.trainer import SplitTrainer
 
-PINNED_VERSION = 1
+PINNED_VERSION = 2
 PINNED_DIGEST = "2e228335b854fb399847002581c7b32afd6c4bbdda9184515fa8e5e37ec163b9"
 PINNED_RMSE_CURVE_DB = [14.200873956579121, 14.041367013438457]
 PINNED_PLATFORM = (

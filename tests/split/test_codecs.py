@@ -254,6 +254,23 @@ def test_stacked_homogeneous_matches_member_loop(codec_factory):
     assert np.array_equal(bits, expected_bits)
 
 
+def test_stacked_quantizer_passes_a_subnormal_range_through():
+    """A member whose level spacing underflows to zero is passed through, as
+    the scalar codec does, next to a member quantized as usual."""
+    codec = UniformQuantizerCodec(8)
+    values = np.stack(
+        [
+            np.array([0.0, 1e-322, 3e-322, 5e-322]),
+            np.array([0.0, 0.25, 0.5, 1.0]),
+        ]
+    )
+    decoded, _ = encode_decode_stacked([codec, codec], values, UPLINK_STREAM)
+    for member in range(2):
+        expected, _ = codec.encode_decode(values[member], UPLINK_STREAM)
+        np.testing.assert_array_equal(decoded[member], expected)
+    np.testing.assert_array_equal(decoded[0], values[0])
+
+
 def test_stacked_topk_advances_per_member_residuals():
     """Stateful codecs fall back to the member loop on the canonical objects."""
     rng = np.random.default_rng(9)

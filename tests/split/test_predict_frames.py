@@ -64,7 +64,7 @@ def test_deduplicated_predictions_equal_per_window_predictions(
 
 @pytest.mark.parametrize("pooling", [SIZE, 4], ids=["1pixel", "4x4"])
 def test_ue_features_are_bitwise_independent_of_the_cnn_batch(pooling):
-    protocol = make_protocol(pooling=pooling).eval()
+    protocol = make_protocol(pooling=pooling)
     gen = np.random.default_rng(1)
     frames = gen.random((13, 1, SIZE, SIZE))
     whole = protocol.ue.forward(frames)

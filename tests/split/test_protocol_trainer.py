@@ -148,23 +148,20 @@ def test_protocol_predict_shapes_and_modes(model_config, training_config, gen):
         protocol.predict(images, None)
 
 
-def test_protocol_predict_restores_prior_mode(model_config, training_config, gen):
-    """predict() must not silently re-enter training mode from eval mode."""
+def test_protocol_predict_drops_the_training_bank(model_config, training_config, gen):
+    """predict() frees the one-member training bank and its buffers; the next
+    training step rebuilds it from the client."""
     protocol = SplitTrainingProtocol(
         ExperimentConfig(model=model_config, training=training_config)
     )
-    images, powers, _ = make_batch(gen, batch=6)
+    images, powers, targets = make_batch(gen, batch=6)
 
-    assert protocol.training_mode  # protocols start in training mode
+    assert protocol.training_step(images, powers, targets).updated
+    assert protocol._bank is not None
     protocol.predict(images, powers, batch_size=3)
-    assert protocol.training_mode  # restored after predicting
-
-    protocol.eval()
-    protocol.predict(images, powers, batch_size=3)
-    assert not protocol.training_mode  # eval mode survives predict()
-
-    protocol.train()
-    assert protocol.training_mode
+    assert protocol._bank is None
+    assert protocol.training_step(images, powers, targets).updated
+    assert protocol._bank is not None
 
 
 def test_protocol_predict_independent_of_batch_size(
@@ -280,7 +277,9 @@ def test_history_time_to_reach():
 # -- payload codecs in the protocol -------------------------------------------------
 
 
-def test_begin_step_rejects_mismatched_cut_tensor(model_config, training_config, gen):
+def test_training_step_rejects_mismatched_cut_tensor(
+    model_config, training_config, gen
+):
     """The runtime payload-accounting assertion: a cut tensor whose element
     count diverges from the PayloadModel sizing must fail loudly, not ship
     mis-sized payloads."""
@@ -294,28 +293,37 @@ def test_begin_step_rejects_mismatched_cut_tensor(model_config, training_config,
     protocol.payload_model = PayloadModel(
         image_height=8, image_width=8, pooling_height=4, pooling_width=4
     )
-    images, _, _ = make_batch(gen)
+    images, powers, targets = make_batch(gen)
     with pytest.raises(ValueError, match="payload"):
-        protocol.begin_step(images)
+        protocol.training_step(images, powers, targets)
 
 
 @pytest.mark.parametrize("codec", ["uint8", "int4", "topk"])
-def test_codec_shrinks_phase_payloads(codec, model_config, training_config, gen):
-    identity = SplitTrainingProtocol(
-        ExperimentConfig(model=model_config, training=training_config)
-    )
-    compressed = SplitTrainingProtocol(
-        ExperimentConfig(
-            model=replace(model_config, codec=codec), training=training_config
+def test_codec_shrinks_phase_payloads(
+    codec, model_config, training_config, gen, monkeypatch
+):
+    """Both phases of a step move the codec's sizes: the encoded uplink and
+    the downlink bound."""
+    import repro.fleet.trainer as trainer_module
+
+    shipped = []
+    for name in ("transmit_uplink_across", "transmit_downlink_across"):
+        transmit = getattr(trainer_module, name)
+
+        def spy(sessions, payload_bits, transmit=transmit):
+            shipped.append(float(np.asarray(payload_bits).item()))
+            return transmit(sessions, payload_bits)
+
+        monkeypatch.setattr(trainer_module, name, spy)
+    images, powers, targets = make_batch(gen)
+    for model in (model_config, replace(model_config, codec=codec)):
+        protocol = SplitTrainingProtocol(
+            ExperimentConfig(model=model, training=training_config)
         )
-    )
-    images, _, _ = make_batch(gen)
-    base = identity.begin_step(images)
-    phase = compressed.begin_step(images)
-    assert phase.uplink_payload_bits < base.uplink_payload_bits
-    assert phase.downlink_payload_bits < base.downlink_payload_bits
-    # The BS sees the decoded tensor, same shape as the raw activations.
-    assert phase.features.shape == base.features.shape
+        assert protocol.training_step(images, powers, targets).updated
+    base_uplink, base_downlink, uplink, downlink = shipped
+    assert uplink < base_uplink
+    assert downlink < base_downlink
 
 
 def test_codec_step_trains_and_reports_encoded_bits(

@@ -6,8 +6,12 @@ kernels at the paper's geometry (40x40 depth images, 3x3 'same' convolution,
 reports per-layer throughput in samples/s next to the retained
 ``*_reference`` loop implementations.  The numbers are the perf baseline for
 future kernel work; the conv forward speedup is asserted to stay >= 5x.
+Convolutions are timed as the program runs them at inference: the stacked
+kernels of :mod:`repro.nn.stacked` at one member, with the column, padding
+and dilation buffers reused from pass to pass
+(:class:`~tests.nn.one_member_conv.OneMemberConv`).
 
-One row compares two vectorized formulations instead: ``Conv2D.backward``
+One row compares two vectorized formulations instead: the stacked backward
 (transposed-convolution input gradient) against the ``Wᵀ · grad`` columns +
 ``col2im`` scatter-add it replaced, rebuilt inline, at the fast scale's
 ``conv_out`` geometry; that speedup is asserted to stay >= 4x.
@@ -33,11 +37,7 @@ from repro.nn.layers.conv import (
     conv2d_forward_reference,
     im2col,
 )
-from repro.nn.layers.pooling import (
-    AveragePool2D,
-    avgpool2d_backward_reference,
-    avgpool2d_forward_reference,
-)
+from repro.nn.layers.pooling import AveragePool2D, avgpool2d_forward_reference
 from repro.nn.layers.recurrent import (
     GRU,
     LSTM,
@@ -49,6 +49,8 @@ from repro.nn.layers.recurrent import (
     simple_rnn_forward_reference,
     simple_rnn_gradients_reference,
 )
+
+from tests.nn.one_member_conv import OneMemberConv
 
 IMAGE_SIZE = 40  # the paper's depth-image resolution, also the asserted case
 POOL = 4
@@ -101,9 +103,9 @@ def _bench_batches(scale: ExperimentScale) -> tuple[int, int, int]:
 def _col2im_conv_backward(
     layer: Conv2D, cols: np.ndarray, input_shape: tuple, grad_output: np.ndarray
 ) -> np.ndarray:
-    """``Conv2D.backward`` as it was before the transposed-convolution input
-    gradient: the weight gradient, then ``Wᵀ · grad`` columns scattered back
-    by ``col2im``."""
+    """The stacked conv backward as it was before the transposed-convolution
+    input gradient: the weight gradient, then ``Wᵀ · grad`` columns
+    scattered back by ``col2im``."""
     batch, out_channels = grad_output.shape[:2]
     grad_flat = grad_output.reshape(batch, out_channels, -1)
     grad_kernel = np.matmul(grad_flat, cols.transpose(0, 2, 1)).sum(axis=0)
@@ -117,17 +119,18 @@ def _col2im_conv_backward(
 
 
 def _conv_backward_record(gen: np.random.Generator, repeats: int) -> KernelRecord:
-    """``Conv2D.backward`` vs the ``col2im`` formulation at ``conv_out``."""
+    """The stacked conv backward vs the ``col2im`` formulation at ``conv_out``."""
     batch, in_channels, out_channels, size = CONV_OUT_GEOMETRY
     layer = Conv2D(in_channels, out_channels, 3, padding="same", seed=0)
     inputs = gen.normal(size=(batch, in_channels, size, size))
-    grad_output = gen.normal(size=layer.forward(inputs).shape)
+    conv = OneMemberConv(layer)
+    grad_output = gen.normal(size=conv.forward(inputs).shape)
     cols = im2col(inputs, layer.kernel_size, layer.stride, layer.padding)
     old = _col2im_conv_backward(layer, cols, inputs.shape, grad_output)
-    assert np.allclose(layer.backward(grad_output), old, rtol=0.0, atol=1e-12)
+    assert np.allclose(conv.backward(grad_output), old, rtol=0.0, atol=1e-12)
     return KernelRecord(
         "conv_out backward/col2im",
-        _throughput(lambda: layer.backward(grad_output), batch, repeats),
+        _throughput(lambda: conv.backward(grad_output), batch, repeats),
         _throughput(
             lambda: _col2im_conv_backward(layer, cols, inputs.shape, grad_output),
             batch,
@@ -142,9 +145,10 @@ def _run_kernel_suite(scale: ExperimentScale) -> List[KernelRecord]:
     records: List[KernelRecord] = []
 
     # -- convolution: the paper's first UE layer (1 -> 8 channels, 3x3 same) --
-    conv = Conv2D(1, 8, 3, padding="same", seed=0)
+    layer = Conv2D(1, 8, 3, padding="same", seed=0)
     images = gen.normal(size=(vec_batch, 1, IMAGE_SIZE, IMAGE_SIZE))
     images_small = images[:ref_batch]
+    conv = OneMemberConv(layer)
     conv_out = conv.forward(images)
     grad_out = gen.normal(size=conv_out.shape)
 
@@ -154,8 +158,8 @@ def _run_kernel_suite(scale: ExperimentScale) -> List[KernelRecord]:
             _throughput(lambda: conv.forward(images), vec_batch, repeats),
             _throughput(
                 lambda: conv2d_forward_reference(
-                    images_small, conv.weight.value, conv.bias.value,
-                    conv.stride, conv.padding,
+                    images_small, layer.weight.value, layer.bias.value,
+                    layer.stride, layer.padding,
                 ),
                 ref_batch,
                 repeats,
@@ -168,8 +172,8 @@ def _run_kernel_suite(scale: ExperimentScale) -> List[KernelRecord]:
             _throughput(lambda: conv.backward(grad_out), vec_batch, repeats),
             _throughput(
                 lambda: conv2d_backward_reference(
-                    images_small, conv.weight.value, grad_out[:ref_batch],
-                    conv.stride, conv.padding,
+                    images_small, layer.weight.value, grad_out[:ref_batch],
+                    layer.stride, layer.padding,
                 ),
                 ref_batch,
                 repeats,
@@ -182,8 +186,6 @@ def _run_kernel_suite(scale: ExperimentScale) -> List[KernelRecord]:
     feature_maps = gen.normal(size=(vec_batch, 1, IMAGE_SIZE, IMAGE_SIZE))
     maps_small = feature_maps[:ref_batch]
     pool = AveragePool2D(POOL)
-    pooled = pool.forward(feature_maps)
-    pool_grad = gen.normal(size=pooled.shape)
     records.append(
         KernelRecord(
             f"avgpool {POOL}x{POOL} forward",
@@ -195,20 +197,6 @@ def _run_kernel_suite(scale: ExperimentScale) -> List[KernelRecord]:
             ),
         )
     )
-    records.append(
-        KernelRecord(
-            f"avgpool {POOL}x{POOL} backward",
-            _throughput(lambda: pool.backward(pool_grad), vec_batch, repeats),
-            _throughput(
-                lambda: avgpool2d_backward_reference(
-                    pool_grad[:ref_batch], maps_small.shape, pool.pool_size
-                ),
-                ref_batch,
-                repeats,
-            ),
-        )
-    )
-
     # -- recurrent: the paper's BS cell over length-4 sequences ----------------
     sequences = gen.normal(size=(vec_batch, SEQUENCE_LENGTH, RNN_INPUT))
     for cls, fwd_ref, grad_ref, name in (

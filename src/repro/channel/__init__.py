@@ -1,7 +1,6 @@
 """Wireless channel of the split-learning (cut-layer) link."""
 from repro.channel.arq import ArqSession, ArqStatistics, StepCommunication
 from repro.channel.fading import (
-    BlockFadingProcess,
     ExponentialFadingProcess,
     slots_from_fading,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "ArqSession",
     "ArqStatistics",
     "BatchTransmissionResult",
-    "BlockFadingProcess",
     "ExponentialFadingProcess",
     "INFEASIBLE_SUCCESS_PROBABILITY",
     "LinkParams",

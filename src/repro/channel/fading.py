@@ -97,38 +97,3 @@ class ExponentialFadingProcess:
     def load_state_dict(self, state: dict) -> None:
         """Restore a stream position captured by :meth:`state_dict`."""
         restore_generator_state(self._rng, state["rng"])
-
-
-@dataclass
-class BlockFadingProcess:
-    """Exponential fading held constant over blocks of ``block_length`` slots.
-
-    Not used by the paper's model (which is i.i.d. per slot) but provided for
-    sensitivity ablations on the channel coherence time.
-    """
-
-    block_length: int = 10
-    mean: float = 1.0
-    seed: SeedLike = None
-
-    def __post_init__(self):
-        if self.block_length <= 0:
-            raise ValueError("block_length must be strictly positive")
-        if self.mean <= 0:
-            raise ValueError("mean must be strictly positive")
-        self._rng = as_generator(self.seed)
-        self._current_gain = float(self._rng.exponential(self.mean))
-        self._slots_used = 0
-
-    def sample_one(self) -> float:
-        """Draw the gain for the next slot, refreshing every ``block_length``."""
-        if self._slots_used >= self.block_length:
-            self._current_gain = float(self._rng.exponential(self.mean))
-            self._slots_used = 0
-        self._slots_used += 1
-        return self._current_gain
-
-    def sample(self, count: int = 1) -> np.ndarray:
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        return np.array([self.sample_one() for _ in range(count)])

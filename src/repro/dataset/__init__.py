@@ -27,7 +27,6 @@ from repro.dataset.sequences import (
 from repro.dataset.splits import (
     PAPER_TRAIN_FRACTION,
     TrainValidationSplit,
-    paper_split,
     temporal_split,
 )
 
@@ -52,7 +51,6 @@ __all__ = [
     "horizon_in_frames",
     "load_cached_dataset",
     "load_dataset",
-    "paper_split",
     "save_dataset",
     "temporal_split",
 ]

@@ -54,25 +54,3 @@ def temporal_split(
         train=sequences.subset(indices[:boundary]),
         validation=sequences.subset(indices[boundary:]),
     )
-
-
-def paper_split(sequences: SequenceDataset) -> TrainValidationSplit:
-    """Split following the paper's boundary.
-
-    When the sequence dataset is built from a full 13,228-sample replica the
-    boundary falls at source index 9,928 exactly; for other dataset sizes the
-    equivalent fraction is used.
-    """
-    last_indices = sequences.last_indices
-    source_length = int(last_indices.max()) + sequences.horizon_frames + 1
-    if source_length >= PAPER_NUM_SAMPLES:
-        train_mask = last_indices <= PAPER_TRAIN_BOUNDARY - 1
-        indices = np.arange(len(sequences))
-        boundary_count = int(train_mask.sum())
-        if boundary_count == 0 or boundary_count == len(sequences):
-            return temporal_split(sequences)
-        return TrainValidationSplit(
-            train=sequences.subset(indices[train_mask]),
-            validation=sequences.subset(indices[~train_mask]),
-        )
-    return temporal_split(sequences)

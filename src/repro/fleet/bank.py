@@ -1,26 +1,36 @@
-"""The one engine that trains UE CNNs: stacked weights over identical UEs.
+"""The UE network, run over stacked weights: one plan, one forward, one backward.
 
-:class:`StackedUEBank` fuses N identical UE architectures into stacked arrays
-with a leading member axis and drives the batched kernels of
-:mod:`repro.nn.stacked`, turning N Python-level model evaluations into a
-handful of broadcasted GEMMs.  It trains every UE in both fleet modes, as
-the UE half of the one training step,
-:func:`~repro.fleet.trainer.joint_step`: a parallel-average fleet runs
-through one bank, and each rotation protocol trains its UE through a bank of
-one.  ``UEClient.backward`` / ``apply_update`` survive only as the
-per-member reference of the tests.
+The UE half of the split model is a small CNN followed by the average-pooling
+compressor whose output is the transmitted payload.  :func:`ue_plan` derives,
+once per :class:`~repro.split.ue.UEClient`, the one description of that
+network the program runs: its conv, ReLU and sigmoid steps (the first conv
+skips its input gradient, since its input is data) and the pool size of the
+:class:`~repro.split.config.ModelConfig`.  :func:`ue_forward` and
+:func:`ue_backward` run a plan over weights stacked along a leading member
+axis through the batched kernels of :mod:`repro.nn.stacked`, so N identical
+UEs cost a handful of broadcasted GEMMs.  Both callers share them:
+
+* :class:`StackedUEBank` trains every UE in both fleet modes, as the UE half
+  of the one training step, :func:`~repro.fleet.trainer.joint_step`: a
+  parallel-average fleet runs through one bank, and each rotation protocol
+  trains its UE through a bank of one;
+* ``UEClient`` runs the same plan at one member (``value[None]`` views of its
+  parameters) for evaluation, Fig. 2, Fig. 3b and Table 1.
+
+Each caller owns the buffer cache a pass fills (im2col columns, padding and
+dilation buffers, activation masks), and reuses it while the geometry stays.
 
 The bank is a *view* over the members' ``UEClient`` objects, not a second
 copy of the truth: :meth:`StackedUEBank.gather` snapshots the members'
 weights and Adam state, the training steps mutate only the stacked arrays,
 and :meth:`StackedUEBank.scatter` writes them back (after a parallel round,
 before weight averaging; after every rotation step that updated).  The
-batched kernels are bitwise-identical to the per-member layers (same
-``np.matmul`` lowering, same masked-update operation order), so checkpoints,
-hand-offs, averages and inference read exactly the arrays the per-member
-reference would produce.
-Members with different batch sizes (uneven strided shards) run one stacked
-pass per distinct size and exchange per-member lists instead of one array.
+stacked kernels and the masked Adam step are bitwise-identical member for
+member to the per-member loop of ``tests/fleet/member_loop_oracle.py``, so
+checkpoints, hand-offs, averages and inference read exactly the arrays a
+per-member run would produce.  Members with different batch sizes (uneven
+strided shards) run one stacked pass per distinct size and exchange
+per-member lists instead of one array.
 
 The bank is checkpointable (``state_dict``/``load_state_dict``, registered
 in :mod:`repro.analysis.contract`), but checkpoints never embed it: the
@@ -28,14 +38,13 @@ canonical copy lives in the members between steps and rounds.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.nn.layers.activations import ReLU, Sigmoid, stable_sigmoid
 from repro.nn.layers.conv import Conv2D, dilated_buffer, padded_buffer
-from repro.nn.layers.pooling import AveragePool2D
-from repro.nn.layers.reshape import Flatten
+from repro.nn.layers.sequential import Sequential
 from repro.nn.optim import Adam
 from repro.nn.stacked import (
     adam_bias_corrections,
@@ -45,7 +54,199 @@ from repro.nn.stacked import (
     stacked_conv2d_forward,
     stacked_gradient_norms,
 )
+from repro.split.config import ModelConfig
 from repro.split.ue import UEClient
+
+
+class UEPlan(NamedTuple):
+    """The UE network as :func:`ue_forward` and :func:`ue_backward` run it.
+
+    ``steps`` holds one tuple per CNN layer: ``("conv", weight_index,
+    bias_index, stride, padding, needs_input_grad)``, ``("relu",)`` or
+    ``("sigmoid",)``; the indices address the CNN's parameter list.
+    ``pool_size`` is the ``(w_H, w_W)`` average-pooling region.
+    """
+
+    steps: Tuple[Tuple, ...]
+    pool_size: Tuple[int, int]
+
+
+def ue_plan(cnn: Sequential, config: ModelConfig) -> UEPlan:
+    """Derive the plan of a UE CNN built by ``build_ue_cnn(config)``.
+
+    Checks the layer chain once: every conv is biased and takes the channels
+    the previous one produced, and the network maps a ``1 x N_H x N_W``
+    depth image to a ``1 x N_H x N_W`` output image, which the payload
+    accounting assumes.  The first conv sees the raw images, so it skips its
+    input gradient and backward stops there.
+    """
+    steps: List[Tuple] = []
+    param_cursor = 0
+    channels, height, width = 1, config.image_height, config.image_width
+    for layer in cnn.layers:
+        if isinstance(layer, Conv2D):
+            if not layer.use_bias:
+                raise ValueError("the UE network expects biased convolutions")
+            if layer.in_channels != channels:
+                raise ValueError(
+                    f"{layer.name}: expects {layer.in_channels} input channels, "
+                    f"the previous layer produces {channels}"
+                )
+            steps.append(
+                (
+                    "conv",
+                    param_cursor,
+                    param_cursor + 1,
+                    layer.stride,
+                    layer.padding,
+                    param_cursor > 0,
+                )
+            )
+            param_cursor += 2
+            channels, height, width = layer.output_shape(height, width)
+        elif isinstance(layer, ReLU):
+            steps.append(("relu",))
+        elif isinstance(layer, Sigmoid):
+            steps.append(("sigmoid",))
+        else:
+            raise ValueError(
+                f"the UE network cannot run CNN layer {type(layer).__name__}"
+            )
+    image = (1, config.image_height, config.image_width)
+    if (channels, height, width) != image:
+        raise ValueError(
+            f"the UE CNN maps a {image} image to {(channels, height, width)}; "
+            f"the payload needs a {image} output image"
+        )
+    return UEPlan(tuple(steps), (config.pooling_height, config.pooling_width))
+
+
+def ue_forward(
+    plan: UEPlan,
+    weights: Sequence[np.ndarray],
+    images: np.ndarray,
+    cache: Dict,
+    pooled: bool = True,
+) -> np.ndarray:
+    """Run the UE network for every member at once.
+
+    Args:
+        plan: the network, from :func:`ue_plan`.
+        weights: the CNN parameters in plan order, each stacked along a
+            leading member axis.
+        images: ``(members, frames, 1, H, W)`` depth images, one batch per
+            member.
+        cache: the caller's buffer cache: reused buffers are read from it,
+            and the pass leaves in it what :func:`ue_backward` needs.
+        pooled: apply the average-pooling compressor; ``False`` returns the
+            output images instead.
+
+    Returns:
+        ``(members, frames, 1, H / w_H, W / w_W)`` pooled maps, or the
+        ``(members, frames, 1, H, W)`` output images.
+    """
+    members, frames = images.shape[:2]
+    x = images
+    for step, spec in enumerate(plan.steps):
+        if spec[0] == "conv":
+            _, weight_index, bias_index, stride, padding, _ = spec
+            padded = cache[f"padded/{step}"] = padded_buffer(
+                (members * frames,) + x.shape[2:],
+                padding,
+                cache.get(f"padded/{step}"),
+            )
+            output, cache[f"cols/{step}"] = stacked_conv2d_forward(
+                weights[weight_index],
+                weights[bias_index],
+                x,
+                stride,
+                padding,
+                cols_out=cache.get(f"cols/{step}"),
+                padded_out=padded,
+            )
+            cache[f"conv_input_shape/{step}"] = x.shape
+            x = output
+        elif spec[0] == "relu":
+            mask = x > 0
+            cache[f"mask/{step}"] = mask
+            x = x * mask
+        else:  # sigmoid
+            x = stable_sigmoid(x)
+            cache[f"sigmoid/{step}"] = x
+    if not pooled:
+        return x
+    channels, map_h, map_w = x.shape[2:]
+    ph, pw = plan.pool_size
+    cache["pool_input_shape"] = x.shape
+    pooled_maps = x.reshape(
+        members * frames, channels, map_h // ph, ph, map_w // pw, pw
+    ).mean(axis=(3, 5))
+    return pooled_maps.reshape(members, frames, channels, map_h // ph, map_w // pw)
+
+
+def ue_backward(
+    plan: UEPlan,
+    weights: Sequence[np.ndarray],
+    cut_gradients,
+    cache: Dict,
+) -> List[Optional[np.ndarray]]:
+    """Gradients of the last pooled :func:`ue_forward` for every member.
+
+    Args:
+        plan / weights / cache: as passed to that forward.
+        cut_gradients: the gradient of each member's pooled maps, any shape
+            holding ``members * frames * H / w_H * W / w_W`` values in
+            member-major order.
+
+    Returns:
+        One stacked gradient per CNN parameter, in plan order.
+    """
+    pool_shape = cache["pool_input_shape"]
+    members, frames, channels, map_h, map_w = pool_shape
+    ph, pw = plan.pool_size
+    scale = 1.0 / (ph * pw)
+    grad_pooled = np.asarray(cut_gradients, dtype=np.float64).reshape(
+        members * frames, channels, map_h // ph, map_w // pw
+    )
+    grad = np.empty((members * frames, channels, map_h, map_w))
+    grad.reshape(members * frames, channels, map_h // ph, ph, map_w // pw, pw)[
+        ...
+    ] = grad_pooled[:, :, :, None, :, None] * scale
+    x_grad = grad.reshape(pool_shape)
+    grads: List[Optional[np.ndarray]] = [None] * len(weights)
+    for step in reversed(range(len(plan.steps))):
+        spec = plan.steps[step]
+        if spec[0] == "conv":
+            _, weight_index, bias_index, stride, padding, needs_input_grad = spec
+            input_shape = cache[f"conv_input_shape/{step}"]
+            kernels = weights[weight_index]
+            grad_output = x_grad.reshape(
+                (members, frames, kernels.shape[1]) + x_grad.shape[-2:]
+            )
+            dilated = None
+            if needs_input_grad:
+                dilated = cache[f"dilated/{step}"] = dilated_buffer(
+                    (members * frames, kernels.shape[1]),
+                    input_shape[3:],
+                    kernels.shape[3:],
+                    cache.get(f"dilated/{step}"),
+                )
+            x_grad, grads[weight_index], grads[bias_index] = stacked_conv2d_backward(
+                kernels,
+                cache[f"cols/{step}"],
+                grad_output,
+                input_shape,
+                stride,
+                padding,
+                needs_input_grad=needs_input_grad,
+                dilated_out=dilated,
+            )
+        elif spec[0] == "relu":
+            x_grad = x_grad * cache[f"mask/{step}"]
+        else:  # sigmoid
+            output = cache[f"sigmoid/{step}"]
+            x_grad = x_grad * output * (1.0 - output)
+    return grads
 
 
 class StackedUEBank:
@@ -68,52 +269,9 @@ class StackedUEBank:
             if client.model_config != template.model_config:
                 raise ValueError("StackedUEBank requires identical architectures")
 
-        # One entry per CNN layer: ("conv", weight_index, bias_index,
-        # stride, padding, needs_input_grad) or ("relu",) / ("sigmoid",).
-        # Tuples only, so the plan reads as immutable configuration.
-        plan: List[Tuple] = []
-        param_cursor = 0
-        for layer in template.cnn.layers:
-            if isinstance(layer, Conv2D):
-                if not layer.use_bias:
-                    raise ValueError("StackedUEBank expects biased convolutions")
-                plan.append(
-                    (
-                        "conv",
-                        param_cursor,
-                        param_cursor + 1,
-                        layer.stride,
-                        layer.padding,
-                        layer.needs_input_grad,
-                    )
-                )
-                param_cursor += 2
-            elif isinstance(layer, ReLU):
-                plan.append(("relu",))
-            elif isinstance(layer, Sigmoid):
-                plan.append(("sigmoid",))
-            else:
-                raise ValueError(
-                    f"StackedUEBank cannot batch CNN layer {type(layer).__name__}"
-                )
-        pool_size = None
-        for layer in template.compressor.layers:
-            if isinstance(layer, AveragePool2D):
-                pool_size = layer.pool_size
-            elif not isinstance(layer, Flatten):
-                raise ValueError(
-                    f"StackedUEBank cannot batch compressor layer "
-                    f"{type(layer).__name__}"
-                )
-        if pool_size is None:
-            raise ValueError("StackedUEBank expects an AveragePool2D compressor")
-        self._plan = tuple(plan)
-        self._pool_size = pool_size
-
+        self._plan = template.plan
         self._param_refs: List[List] = [list(c.cnn.parameters()) for c in self._clients]
         reference = self._param_refs[0]
-        if len(reference) != param_cursor:
-            raise ValueError("unexpected CNN parameter count")
         for refs in self._param_refs[1:]:
             if [p.shape for p in refs] != [p.shape for p in reference]:
                 raise ValueError("members disagree on parameter shapes")
@@ -199,7 +357,7 @@ class StackedUEBank:
         return self._passes
 
     def forward(self, image_sequences):
-        """All members' CNN + compressor passes in batched sweeps.
+        """All members' UE networks in batched sweeps.
 
         Args:
             image_sequences: each member's own minibatch ``(batch, L, H, W)``,
@@ -207,8 +365,8 @@ class StackedUEBank:
                 per-member arrays whose batch sizes may differ.
 
         Returns:
-            Cut-layer activations, bitwise equal to each member's
-            ``UEClient.forward`` output: one ``(members, batch, L, F)``
+            Cut-layer activations, bitwise equal to each member's own
+            forward pass: one ``(members, batch, L, F)``
             array when every batch size agrees, else a per-member list.
         """
         members = len(self._clients)
@@ -242,42 +400,12 @@ class StackedUEBank:
                 f"{images.shape}"
             )
         members, batch, length, height, width = images.shape
-        flat_batch = batch * length
-        x = images.reshape(members, flat_batch, 1, height, width)
-        for step, spec in enumerate(self._plan):
-            if spec[0] == "conv":
-                _, weight_index, bias_index, stride, padding, _ = spec
-                cols_key = f"cols/{step}"
-                padded = cache[f"padded/{step}"] = padded_buffer(
-                    (members * flat_batch,) + x.shape[2:],
-                    padding,
-                    cache.get(f"padded/{step}"),
-                )
-                output, cols = stacked_conv2d_forward(
-                    self._values[weight_index][selector],
-                    self._values[bias_index][selector],
-                    x,
-                    stride,
-                    padding,
-                    cols_out=cache.get(cols_key),
-                    padded_out=padded,
-                )
-                cache[cols_key] = cols
-                cache[f"conv_input_shape/{step}"] = x.shape
-                x = output
-            elif spec[0] == "relu":
-                mask = x > 0
-                cache[f"mask/{step}"] = mask
-                x = x * mask
-            else:  # sigmoid
-                x = stable_sigmoid(x)
-                cache[f"sigmoid/{step}"] = x
-        channels, map_h, map_w = x.shape[2:]
-        ph, pw = self._pool_size
-        cache["pool_input_shape"] = x.shape
-        pooled = x.reshape(
-            members * flat_batch, channels, map_h // ph, ph, map_w // pw, pw
-        ).mean(axis=(3, 5))
+        pooled = ue_forward(
+            self._plan,
+            [value[selector] for value in self._values],
+            images.reshape(members, batch * length, 1, height, width),
+            cache,
+        )
         return pooled.reshape(members, batch, length, -1)
 
     def backward(self, cut_gradients) -> None:
@@ -289,62 +417,20 @@ class StackedUEBank:
                 failed: their parameter gradients come out zero, and their
                 update is masked off anyway).
 
-        A convolution built with ``needs_input_grad=False`` (the first one)
-        ends the pass, as it ends ``Sequential.backward``.
+        The plan's first convolution skips its input gradient, which ends
+        the pass.
         """
         for selector, cache in self._passes:
             self._backward_pass(selector, _take(cut_gradients, selector), cache)
 
     def _backward_pass(self, selector, cut_gradients, cache: Dict) -> None:
         """The backward of one :meth:`_forward_pass`."""
-        pool_shape = cache["pool_input_shape"]
-        members, flat_batch, channels, map_h, map_w = pool_shape
-        ph, pw = self._pool_size
-        scale = 1.0 / (ph * pw)
-        grad_pooled = np.asarray(cut_gradients, dtype=np.float64).reshape(
-            members * flat_batch, channels, map_h // ph, map_w // pw
-        )
-        grad = np.empty((members * flat_batch, channels, map_h, map_w))
-        grad.reshape(
-            members * flat_batch, channels, map_h // ph, ph, map_w // pw, pw
-        )[...] = grad_pooled[:, :, :, None, :, None] * scale
-        x_grad = grad.reshape(pool_shape)
-        for step in reversed(range(len(self._plan))):
-            spec = self._plan[step]
-            if spec[0] == "conv":
-                _, weight_index, bias_index, stride, padding, needs_input_grad = spec
-                input_shape = cache[f"conv_input_shape/{step}"]
-                weights = self._values[weight_index][selector]
-                grad_output = x_grad.reshape(
-                    (members, flat_batch, weights.shape[1]) + x_grad.shape[-2:]
-                )
-                dilated = None
-                if needs_input_grad:
-                    dilated = cache[f"dilated/{step}"] = dilated_buffer(
-                        (members * flat_batch, weights.shape[1]),
-                        input_shape[3:],
-                        weights.shape[3:],
-                        cache.get(f"dilated/{step}"),
-                    )
-                x_grad, grad_weights, grad_biases = stacked_conv2d_backward(
-                    weights,
-                    cache[f"cols/{step}"],
-                    grad_output,
-                    input_shape,
-                    stride,
-                    padding,
-                    needs_input_grad=needs_input_grad,
-                    dilated_out=dilated,
-                )
-                # `+ 0.0` mirrors the layers' accumulate-from-zero (`grad +=`)
-                # so even signed zeros match the per-member layers bitwise.
-                self._grads[weight_index][selector] = grad_weights + 0.0
-                self._grads[bias_index][selector] = grad_biases + 0.0
-            elif spec[0] == "relu":
-                x_grad = x_grad * cache[f"mask/{step}"]
-            else:  # sigmoid
-                output = cache[f"sigmoid/{step}"]
-                x_grad = x_grad * output * (1.0 - output)
+        weights = [value[selector] for value in self._values]
+        grads = ue_backward(self._plan, weights, cut_gradients, cache)
+        for index, grad in enumerate(grads):
+            # `+ 0.0` mirrors an accumulate-from-zero (`grad +=`), so even
+            # signed zeros match a per-member step bitwise.
+            self._grads[index][selector] = grad + 0.0
 
     def backward_and_update(self, members: Sequence[int], cut_gradients) -> None:
         """Backpropagate and update the listed members only.
@@ -365,7 +451,7 @@ class StackedUEBank:
     def apply_updates(self, mask: np.ndarray) -> None:
         """Clip + Adam-step the members selected by ``mask``, in place.
 
-        Mirrors ``UEClient.apply_update`` per selected member: optional
+        Matches ``UEClient.apply_update`` per selected member: optional
         global-norm clipping, one optimizer step, gradients cleared.
         Masked-out members keep weights, moments and step counts untouched.
         A non-finite gradient norm raises ``FloatingPointError`` naming the
@@ -457,4 +543,4 @@ def _take(values, selector):
     return [values[member] for member in selector]
 
 
-__all__ = ["StackedUEBank"]
+__all__ = ["StackedUEBank", "UEPlan", "ue_backward", "ue_forward", "ue_plan"]

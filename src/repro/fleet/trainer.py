@@ -194,6 +194,42 @@ class FleetHistory:
         )
 
 
+#: Subtrees :func:`_layout` checks by presence only: top-k codec residuals
+#: appear with the first step, and a fresh trainer has no normalizer yet.
+_PRESENCE_ONLY = ("codec", "normalizer")
+_PLAIN_LEAF = "a plain-data leaf"
+_PRESENT = "present"
+
+
+def _layout(tree: dict, prefix: str = "") -> dict:
+    """``{key path: what the leaf must be}`` of a trainer state tree.
+
+    Arrays map to ``(shape, dtype)``, other leaves to one marker, and a
+    :data:`_PRESENCE_ONLY` subtree to its presence.  Key paths join keys
+    with ``//``, as the checkpoint archive does.
+    """
+    layout: dict = {}
+    for key, value in tree.items():
+        path = f"{prefix}{key}"
+        if key in _PRESENCE_ONLY:
+            layout[path] = _PRESENT
+        elif isinstance(value, np.ndarray):
+            layout[path] = (value.shape, value.dtype.str)
+        elif isinstance(value, dict):
+            layout.update(_layout(value, f"{path}//"))
+        else:
+            layout[path] = _PLAIN_LEAF
+    return layout
+
+
+def _describe(entry) -> str:
+    """One :func:`_layout` entry in words."""
+    if isinstance(entry, tuple):
+        shape, dtype = entry
+        return f"shape {shape} {dtype}"
+    return entry
+
+
 class FleetTrainer:
     """Trains a fleet of UE clients against one shared BS.
 
@@ -311,8 +347,40 @@ class FleetTrainer:
                 raise ValueError(
                     f"checkpoint {key} is {stored!r}, this trainer runs {value!r}"
                 )
+        self._check_layout(checkpoint.state)
         self.load_state_dict(checkpoint.state)
         return FleetHistory.from_state(checkpoint.history)
+
+    def _check_layout(self, state: dict) -> None:
+        """Raise unless ``state`` has this trainer's layout, before any load.
+
+        Keys, array shapes and dtypes must match this trainer's own state
+        tree, so a dropped entry or a checkpoint of another configuration
+        fails here, with nothing overwritten, instead of partway through
+        :meth:`load_state_dict`.  Plain-data leaves (RNG states, statistics)
+        are checked by key; the codec and normalizer subtrees by presence,
+        because top-k residuals appear with the first step and a fresh
+        trainer has no normalizer yet (every checkpoint has one).
+
+        Raises:
+            ValueError: ``"mismatched checkpoint: ..."``, naming the first
+                bad key in sorted order.
+        """
+        expected = _layout(self.state_dict())
+        expected.setdefault("normalizer", _PRESENT)
+        stored = _layout(state)
+        for key in sorted(expected.keys() | stored.keys()):
+            if key not in stored:
+                raise ValueError(f"mismatched checkpoint: {key!r} is missing")
+            if key not in expected:
+                raise ValueError(
+                    f"mismatched checkpoint: {key!r} is not part of this trainer"
+                )
+            if stored[key] != expected[key]:
+                raise ValueError(
+                    f"mismatched checkpoint: {key!r} holds {_describe(stored[key])}, "
+                    f"this trainer expects {_describe(expected[key])}"
+                )
 
     # -- training ---------------------------------------------------------------------
     def fit(

@@ -3,16 +3,16 @@
 This package replaces the PyTorch/Keras dependency of the original paper with
 explicit forward/backward layers, which keeps the split-learning cut layer —
 the object the paper studies — visible in code.  It holds what the paper's
-model needs: convolutions, ReLU/sigmoid and average pooling on the UE side,
-recurrent layers and a dense head on the BS side, an MSE loss, Adam, and the
-atomic state-tree archives that checkpoints are written with.
+model needs: the UE side's convolution parameters and the stacked kernels
+that run them (:mod:`repro.nn.stacked`), with ReLU, sigmoid and average
+pooling; recurrent layers and a dense head on the BS side; an MSE loss,
+Adam, and the atomic state-tree archives that checkpoints are written with.
 """
 from repro.nn import initializers, metrics
 from repro.nn.layers import (
     AveragePool2D,
     Conv2D,
     Dense,
-    Flatten,
     GRU,
     LSTM,
     Layer,
@@ -44,7 +44,6 @@ __all__ = [
     "AveragePool2D",
     "Conv2D",
     "Dense",
-    "Flatten",
     "GRU",
     "LSTM",
     "Layer",

@@ -26,14 +26,12 @@ from repro.nn.layers.recurrent import (
     simple_rnn_forward_reference,
     simple_rnn_gradients_reference,
 )
-from repro.nn.layers.reshape import Flatten
 from repro.nn.layers.sequential import Sequential
 
 __all__ = [
     "AveragePool2D",
     "Conv2D",
     "Dense",
-    "Flatten",
     "GRU",
     "LSTM",
     "Layer",

@@ -1,4 +1,4 @@
-"""Element-wise activation layers."""
+"""Element-wise activations: ReLU, and the sigmoid step of the UE CNN."""
 from __future__ import annotations
 
 import numpy as np
@@ -24,20 +24,11 @@ class ReLU(Layer):
 
 
 class Sigmoid(Layer):
-    """Logistic sigmoid ``1 / (1 + exp(-x))``."""
+    """The logistic sigmoid step that closes the UE CNN.
 
-    def __init__(self, name: str | None = None):
-        super().__init__(name=name)
-        self._output: np.ndarray | None = None
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._output = stable_sigmoid(np.asarray(inputs, dtype=np.float64))
-        return self._output
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        output = check_forward_called(self._output, self)
-        grad_output = np.asarray(grad_output, dtype=np.float64)
-        return grad_output * output * (1.0 - output)
+    It computes nothing itself: the UE network's plan
+    (:func:`repro.fleet.bank.ue_plan`) runs it as :func:`stable_sigmoid`.
+    """
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:

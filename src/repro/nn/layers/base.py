@@ -1,10 +1,13 @@
 """Layer protocol for the numpy neural-network substrate.
 
-Every layer implements an explicit ``forward``/``backward`` pair instead of a
-tape-based autograd.  The model used by the paper is a fixed two-segment
-pipeline (UE-side CNN, BS-side RNN), and keeping backpropagation explicit makes
-the cut-layer gradient exchange — the central object of split learning —
-visible in the code that simulates it.
+A computing layer implements an explicit ``forward``/``backward`` pair
+instead of a tape-based autograd.  The model used by the paper is a fixed
+two-segment pipeline (UE-side CNN, BS-side RNN), and keeping
+backpropagation explicit makes the cut-layer gradient exchange — the
+central object of split learning — visible in the code that simulates it.
+The BS layers compute this way.  The UE CNN's ``Conv2D`` and ``Sigmoid``
+only hold parameters and name their step: the UE network runs as one
+stacked plan (:mod:`repro.fleet.bank`).
 """
 from __future__ import annotations
 
@@ -40,8 +43,8 @@ class Parameter:
 class Layer:
     """Base class for all layers.
 
-    Sub-classes must implement :meth:`forward` and :meth:`backward`.  Layers
-    cache whatever they need for the backward pass on ``self`` during
+    Computing sub-classes implement :meth:`forward` and :meth:`backward`.
+    They cache whatever they need for the backward pass on ``self`` during
     ``forward``; calling ``backward`` before ``forward`` raises.
     """
 

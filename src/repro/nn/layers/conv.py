@@ -1,34 +1,27 @@
-"""2-D convolution implemented with stride-tricks im2col.
+"""2-D convolution: the layer's parameters and the im2col kernels.
 
-The UE-side model of the paper is a small CNN operating on depth images, so a
-single, well-tested Conv2D layer (NCHW layout, configurable stride and
-padding) is the workhorse of the image branch.
+The UE-side model of the paper is a small CNN operating on depth images.
+:class:`Conv2D` holds one convolution's parameters (NCHW layout,
+configurable stride and padding), their initialization and geometry; it
+computes nothing.  The UE network runs as one plan over stacked weights
+(:mod:`repro.fleet.bank` over the kernels of :mod:`repro.nn.stacked`), for
+training and for inference alike.
 
-The hot path lowers convolution to batched GEMMs: patches are gathered with
-:func:`numpy.lib.stride_tricks.sliding_window_view` into a column matrix
-(``im2col``) that is contracted against the flattened kernel with
-``np.matmul`` (one broadcasted GEMM over the batch axis).  The column buffer
-and the zero-bordered padding buffer are cached on the layer and reused
-across steps with the same geometry, so steady-state training does no
-per-step patch or padding allocation.
-
-The backward pass computes the weight gradient as one GEMM against the
-cached columns and the input gradient as a transposed convolution: the
-output gradient is zero-dilated by the stride into a persistent buffer with
-``k - 1 - padding`` leading zeros (:func:`dilate`), lowered with a stride-1
-``im2col`` and contracted against the spatially flipped, channel-swapped
-kernel (:func:`transposed_kernel_matrix`).  That replaces the ``col2im``
-scatter-add of a ``Wᵀ · grad`` column matrix; :func:`col2im` itself is kept as
-the inverse of :func:`im2col` for tests and tools.  A layer built with
-``needs_input_grad=False`` (the first layer of a network, whose input is
-data) skips the input gradient entirely.  The same matmul formulations
-generalize to a leading fleet-member axis bitwise-identically — see
-:mod:`repro.nn.stacked` for the stacked-weight variants with which the
-stacked UE bank trains every UE.
+This module keeps the building blocks those kernels lower convolution to.
+Patches are gathered with :func:`numpy.lib.stride_tricks.sliding_window_view`
+into a column matrix (:func:`im2col`) that is contracted against the
+flattened kernel with ``np.matmul``; :func:`padded_buffer` keeps a
+zero-bordered padding buffer reusable across passes.  The input gradient is
+a transposed convolution: the output gradient is zero-dilated by the stride
+into a reusable buffer with ``k - 1 - padding`` leading zeros
+(:func:`dilate`), lowered with a stride-1 :func:`im2col` and contracted
+against the spatially flipped, channel-swapped kernel
+(:func:`transposed_kernel_matrix`).  :func:`col2im`, the inverse of
+:func:`im2col`, computes nothing in the program.
 
 Naive per-output-pixel loop implementations are retained as
 ``conv2d_forward_reference`` / ``conv2d_backward_reference``.  They are the
-correctness oracle for the vectorized path (see
+correctness oracle of the vectorized kernels (see
 ``tests/nn/test_kernel_equivalence.py``) and the baseline of the kernel
 micro-benchmarks (``benchmarks/test_bench_nn_kernels.py``); they must never
 be called from the training path.
@@ -41,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.nn.initializers import get_initializer
-from repro.nn.layers.base import Layer, check_forward_called
+from repro.nn.layers.base import Layer
 from repro.utils.seeding import SeedLike
 
 
@@ -248,8 +241,8 @@ def col2im(
 ) -> np.ndarray:
     """Inverse of :func:`im2col`, accumulating overlapping patches.
 
-    Training does not call it (:meth:`Conv2D.backward` computes the input
-    gradient as a transposed convolution); it stays as the adjoint of
+    Nothing in the program calls it (the input gradient is a transposed
+    convolution, see :func:`dilate`); it stays as the adjoint of
     :func:`im2col` for tests and tools.  The scatter-add runs over the
     ``kh * kw`` kernel offsets (not over output pixels): overlapping windows
     alias the same padded pixels, so the accumulation cannot be expressed as
@@ -356,17 +349,11 @@ def conv2d_backward_reference(
 
 
 class Conv2D(Layer):
-    """2-D convolution over inputs of shape ``(batch, channels, H, W)``.
+    """The parameters of a 2-D convolution over ``(batch, channels, H, W)``.
 
-    Args:
-        cache_patches: reuse the im2col column buffer and the padding and
-            dilation buffers across passes with the same input geometry (the
-            steady state of minibatch training).  Disable for layers fed
-            wildly varying shapes to avoid holding the largest buffer alive.
-        needs_input_grad: compute the gradient with respect to the input in
-            :meth:`backward`.  ``False`` suits a network's first layer, whose
-            input is data: backward then only accumulates the parameter
-            gradients and returns ``None``.
+    Holds the ``(out_channels, in_channels, kh, kw)`` kernel and the bias,
+    their initialization and the geometry (stride, padding); the stacked
+    kernels of :mod:`repro.nn.stacked` compute with them.
     """
 
     def __init__(
@@ -378,8 +365,6 @@ class Conv2D(Layer):
         padding: int | Tuple[int, int] | str = 0,
         use_bias: bool = True,
         weight_init: str = "he_uniform",
-        cache_patches: bool = True,
-        needs_input_grad: bool = True,
         name: str | None = None,
         seed: SeedLike = None,
     ):
@@ -401,8 +386,6 @@ class Conv2D(Layer):
         else:
             self.padding = _pair(padding)
         self.use_bias = bool(use_bias)
-        self.cache_patches = bool(cache_patches)
-        self.needs_input_grad = bool(needs_input_grad)
 
         kh, kw = self.kernel_size
         w_init = get_initializer(weight_init)
@@ -416,11 +399,6 @@ class Conv2D(Layer):
         else:
             self.bias = None
 
-        self._cols: np.ndarray | None = None
-        self._padded: np.ndarray | None = None
-        self._dilated: np.ndarray | None = None
-        self._input_shape: Tuple[int, int, int, int] | None = None
-
     def output_shape(self, height: int, width: int) -> Tuple[int, int, int]:
         """Return ``(out_channels, out_h, out_w)`` for a given input size."""
         out_h = conv_output_size(
@@ -430,82 +408,3 @@ class Conv2D(Layer):
             width, self.kernel_size[1], self.stride[1], self.padding[1]
         )
         return self.out_channels, out_h, out_w
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        inputs = np.asarray(inputs, dtype=np.float64)
-        if inputs.ndim != 4:
-            raise ValueError(
-                f"{self.name}: expected 4-D input (batch, channels, H, W), "
-                f"got shape {inputs.shape}"
-            )
-        if inputs.shape[1] != self.in_channels:
-            raise ValueError(
-                f"{self.name}: expected {self.in_channels} input channels, "
-                f"got {inputs.shape[1]}"
-            )
-        batch, _, height, width = inputs.shape
-        _, out_h, out_w = self.output_shape(height, width)
-
-        padded = None
-        if self.cache_patches:
-            padded = self._padded = padded_buffer(
-                inputs.shape, self.padding, self._padded
-            )
-        buffer = self._cols if self.cache_patches else None
-        cols = im2col(
-            inputs,
-            self.kernel_size,
-            self.stride,
-            self.padding,
-            out=buffer,
-            padded=padded,
-        )
-        self._cols = cols
-        self._input_shape = inputs.shape
-
-        kernel_matrix = self.weight.value.reshape(self.out_channels, -1)
-        # (batch, out_channels, out_h * out_w): one broadcasted GEMM over the
-        # batch axis.  np.matmul here is bitwise-identical per batch slice to
-        # np.dot, which keeps the stacked fleet variants in repro.nn.stacked
-        # exactly equal to this path member-for-member.
-        output = np.matmul(kernel_matrix, cols)
-        if self.use_bias:
-            output += self.bias.value[None, :, None]
-        return output.reshape(batch, self.out_channels, out_h, out_w)
-
-    def backward(self, grad_output: np.ndarray) -> Optional[np.ndarray]:
-        cols = check_forward_called(self._cols, self)
-        grad_output = np.asarray(grad_output, dtype=np.float64)
-        batch = grad_output.shape[0]
-        # Explicit spatial size: reshape(-1) cannot infer it for empty batches.
-        grad_flat = grad_output.reshape(
-            batch, self.out_channels, grad_output.shape[2] * grad_output.shape[3]
-        )
-
-        # Per-batch GEMMs reduced over the batch axis; matches the stacked
-        # fleet kernels bitwise (see repro.nn.stacked).
-        grad_kernel = np.matmul(grad_flat, cols.transpose(0, 2, 1)).sum(axis=0)
-        self.weight.grad += grad_kernel.reshape(self.weight.value.shape)
-        if self.use_bias:
-            self.bias.grad += grad_flat.sum(axis=(0, 2))
-        if not self.needs_input_grad:
-            return None
-
-        # Input gradient as a transposed convolution: one GEMM of the
-        # flipped kernel against the stride-1 patches of the dilated
-        # gradient, already cropped to the unpadded input.
-        dilated = dilate(
-            grad_output,
-            self._input_shape[2:],
-            self.kernel_size,
-            self.stride,
-            self.padding,
-            out=self._dilated,
-        )
-        if self.cache_patches:
-            self._dilated = dilated
-        dilated_cols = im2col(dilated, self.kernel_size, (1, 1), (0, 0))
-        grad_inputs = np.matmul(
-            transposed_kernel_matrix(self.weight.value), dilated_cols
-        )
-        return grad_inputs.reshape(self._input_shape)

@@ -6,7 +6,9 @@ feature-map resolution for uplink payload size and privacy.
 
 The layer is a pure reshape-trick kernel: the ``(batch, channels, H, W)``
 input is viewed as ``(batch, channels, out_h, ph, out_w, pw)`` windows and
-reduced along the window axes in one pass.
+reduced along the window axes in one pass.  Table 1 pools CNN output images
+with it; the UE network's plan (:mod:`repro.fleet.bank`) pools the same way
+and differentiates the pooling itself.
 
 Naive per-window loop implementations are retained as ``*_reference``
 functions — the correctness oracle for the vectorized kernels and the
@@ -19,7 +21,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.nn.layers.base import Layer, check_forward_called
+from repro.nn.layers.base import Layer
 from repro.nn.layers.conv import _pair
 
 
@@ -88,7 +90,6 @@ class AveragePool2D(Layer):
         self.pool_size = _pair(pool_size)
         if any(p <= 0 for p in self.pool_size):
             raise ValueError("pool_size entries must be positive")
-        self._input_shape: Tuple[int, ...] | None = None
 
     def output_shape(self, height: int, width: int) -> Tuple[int, int]:
         """Spatial output shape for an input of ``height x width``."""
@@ -101,19 +102,5 @@ class AveragePool2D(Layer):
         batch, channels, height, width = inputs.shape
         out_h, out_w = self.output_shape(height, width)
         ph, pw = self.pool_size
-        self._input_shape = inputs.shape
         reshaped = inputs.reshape(batch, channels, out_h, ph, out_w, pw)
         return reshaped.mean(axis=(3, 5))
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        input_shape = check_forward_called(self._input_shape, self)
-        grad_output = np.asarray(grad_output, dtype=np.float64)
-        batch, channels, height, width = input_shape
-        ph, pw = self.pool_size
-        scale = 1.0 / (ph * pw)
-        grad = np.empty(input_shape, dtype=np.float64)
-        # One broadcast store into the windowed view of the output buffer.
-        grad.reshape(batch, channels, height // ph, ph, width // pw, pw)[...] = (
-            grad_output[:, :, :, None, :, None] * scale
-        )
-        return grad

@@ -1,21 +1,23 @@
-"""Stacked-weight kernel variants for fleets of identical models.
+"""Stacked-weight kernels: every NN computation of the UE network.
 
 Every UE of a fleet runs the *same* CNN architecture with its own weights,
-so N independent forward/backward passes can be fused into batched GEMMs by
-stacking the per-member weights along one extra leading axis.  The functions here are the member-axis generalizations of the single
-model kernels in :mod:`repro.nn.layers.conv` and :class:`repro.nn.optim.Adam`;
-because both sides use the same ``np.matmul`` lowering and elementwise
-update order, the stacked path is bitwise-identical member-for-member to
-running each model's own kernels in a Python loop.
+so N independent forward/backward passes fuse into batched GEMMs by stacking
+the per-member weights along one extra leading axis.  These kernels are the
+only convolution the program runs: the UE network's plan
+(:mod:`repro.fleet.bank`) runs them at N members to train a fleet and at one
+member for inference.
 
-The stacked backward mirrors :meth:`Conv2D.backward
-<repro.nn.layers.conv.Conv2D.backward>`: the weight gradient contracts the
-output gradient against the forward pass's patch matrix, and the input
-gradient is a transposed convolution (a zero-dilated gradient, its stride-1
-patches, one GEMM against the flipped kernels).  ``needs_input_grad=False``
-skips the input gradient, as the first layer of a network does.  The
-forward and backward optionally reuse zero-bordered padding and dilation
-buffers kept by the caller.
+The forward lowers each member's convolution to :func:`~repro.nn.layers.conv.im2col`
+columns contracted against its flattened kernel with ``np.matmul``.  The
+backward contracts the output gradient against the forward pass's patch
+matrix for the weight gradient, and computes the input gradient as a
+transposed convolution (a zero-dilated gradient, its stride-1 patches, one
+GEMM against the flipped kernels); ``needs_input_grad=False`` skips the
+input gradient, as a network's first layer does.  The forward and backward
+optionally reuse zero-bordered padding and dilation buffers kept by the
+caller.  The masked Adam step and the gradient norms follow the operation
+order of :class:`repro.nn.optim.Adam` and ``Optimizer.clip_gradients``, so
+each member's update is bitwise what its own optimizer would compute.
 
 Each batched kernel keeps its member-loop formulation as a ``*_reference``
 oracle, used by the equivalence tests (and nothing else).
@@ -139,9 +141,12 @@ def stacked_conv2d_backward(
         out=dilated_out,
     )
     dilated_cols = im2col(dilated, kernel_size, (1, 1), (0, 0))
+    # Explicit sizes: reshape(-1) cannot infer them for empty batches.
     grad_inputs = np.matmul(
         transposed_kernel_matrix(weights)[:, None],
-        dilated_cols.reshape(members, batch, -1, dilated_cols.shape[2]),
+        dilated_cols.reshape(
+            (members, batch) + dilated_cols.shape[1:]
+        ),
     )
     return grad_inputs.reshape(input_shape), grad_weights, grad_biases
 

@@ -17,7 +17,6 @@ from repro.scene.environment import (
 from repro.scene.geometry import (
     AxisAlignedBox,
     Pose,
-    bounding_box_of,
     point_segment_distance,
     project_point_onto_segment,
     ray_box_intersection,
@@ -37,7 +36,6 @@ __all__ = [
     "PedestrianTrafficConfig",
     "Pose",
     "SceneFrame",
-    "bounding_box_of",
     "default_ue_camera",
     "generate_crossing_traffic",
     "periodic_crossing_traffic",

@@ -9,7 +9,7 @@ method.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -58,10 +58,6 @@ class AxisAlignedBox:
         point = as_point(point)
         return bool(np.all(point >= self.minimum) and np.all(point <= self.maximum))
 
-    def translated(self, offset) -> "AxisAlignedBox":
-        """Return a copy of the box shifted by ``offset``."""
-        offset = as_point(offset)
-        return AxisAlignedBox(self.minimum + offset, self.maximum + offset)
 
 
 def ray_box_distances(origins, directions, minimum, maximum) -> np.ndarray:
@@ -263,13 +259,3 @@ def _normalize(vector: np.ndarray) -> np.ndarray:
     if norm == 0.0:  # repro: noqa[HYG001] -- exact zero-vector guard
         raise ValueError("cannot normalize the zero vector")
     return vector / norm
-
-
-def bounding_box_of(boxes: Iterable[AxisAlignedBox]) -> AxisAlignedBox:
-    """Smallest axis-aligned box containing all ``boxes``."""
-    boxes = list(boxes)
-    if not boxes:
-        raise ValueError("bounding_box_of requires at least one box")
-    minimum = np.min([box.minimum for box in boxes], axis=0)
-    maximum = np.max([box.maximum for box in boxes], axis=0)
-    return AxisAlignedBox(minimum, maximum)

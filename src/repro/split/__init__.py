@@ -22,9 +22,8 @@ from repro.split.config import (
     ExperimentConfig,
     ModelConfig,
     TrainingConfig,
-    paper_model_configs,
 )
-from repro.split.models import build_bs_rnn, build_pooling_compressor, build_ue_cnn
+from repro.split.models import build_bs_rnn, build_ue_cnn
 from repro.split.normalization import PowerNormalizer
 from repro.split.protocol import SplitTrainingProtocol, StepResult
 from repro.split.ue import UEClient
@@ -49,8 +48,6 @@ __all__ = [
     "TrainingConfig",
     "UEClient",
     "build_bs_rnn",
-    "build_pooling_compressor",
     "build_ue_cnn",
     "codec_from_name",
-    "paper_model_configs",
 ]

@@ -241,20 +241,3 @@ class ExperimentConfig:
 
     def describe(self) -> str:
         return self.model.describe()
-
-
-def paper_model_configs(image_size: int = 40) -> dict[str, ModelConfig]:
-    """The five schemes compared in Fig. 3a of the paper.
-
-    Returns a mapping from scheme label to :class:`ModelConfig` for:
-    Img+RF 1-pixel, Img+RF 4x4, Img-only 1-pixel, Img-only 4x4 and RF-only.
-    """
-    base = ModelConfig(image_height=image_size, image_width=image_size)
-    one_pixel = (image_size, image_size)
-    return {
-        "img+rf-1pixel": base.with_pooling(one_pixel),
-        "img+rf-4x4": base.with_pooling(4),
-        "img-only-1pixel": replace(base.with_pooling(one_pixel), use_rf=False),
-        "img-only-4x4": replace(base.with_pooling(4), use_rf=False),
-        "rf-only": replace(base, use_image=False),
-    }

@@ -3,10 +3,13 @@
 The split architecture follows Fig. 1 of the paper:
 
 * the UE holds convolutional layers that map each raw depth image to a
-  single-channel *output image* of the same spatial size, followed by an
-  average-pooling layer of region ``w_H x w_W`` that compresses the output to
-  ``(N_H / w_H) x (N_W / w_W)`` values — the compressed image that is
-  transmitted over the air;
+  single-channel *output image* of the same spatial size, followed by
+  average pooling over regions of ``w_H x w_W`` that compresses the output
+  to ``(N_H / w_H) x (N_W / w_W)`` values — the compressed image that is
+  transmitted over the air.  :func:`build_ue_cnn` builds the convolutional
+  part as a ``Sequential`` of parameter-holding layers; the pooling region
+  comes from the :class:`~repro.split.config.ModelConfig`, and both run as
+  one plan (:mod:`repro.fleet.bank`);
 * the BS holds recurrent layers that consume the length-``L`` sequence of
   (compressed image, received RF power) vectors and output the predicted
   future received power.
@@ -14,10 +17,8 @@ The split architecture follows Fig. 1 of the paper:
 from __future__ import annotations
 
 from repro.nn.layers import (
-    AveragePool2D,
     Conv2D,
     Dense,
-    Flatten,
     GRU,
     LSTM,
     ReLU,
@@ -37,12 +38,11 @@ def build_ue_cnn(config: ModelConfig, seed: SeedLike = None) -> Sequential:
     that the subsequent pooling stage controls the transmitted resolution
     exactly as in the paper.
 
-    The convolutions run with ``cache_patches=True``: inference feeds the CNN
-    equal chunks of distinct frames, so each layer's im2col column buffer is
-    reused from chunk to chunk (training runs the weights in a
-    :class:`~repro.fleet.bank.StackedUEBank`, which keeps its own buffers).
-    The first convolution sees the raw depth images, so it is built with
-    ``needs_input_grad=False`` and backward stops there.
+    The returned ``Sequential`` holds the parameters and describes the layer
+    chain; :func:`repro.fleet.bank.ue_plan` turns it, with the pooling region
+    of ``config``, into the plan that training and inference run.  Its
+    ``state_dict`` keys are positional, so the layer list is part of the
+    checkpoint format.
     """
     if not config.use_image:
         raise ValueError("cannot build a UE CNN for an RF-only configuration")
@@ -56,8 +56,6 @@ def build_ue_cnn(config: ModelConfig, seed: SeedLike = None) -> Sequential:
                 out_channels,
                 config.cnn_kernel_size,
                 padding="same",
-                cache_patches=True,
-                needs_input_grad=index > 0,
                 seed=seeds[index],
                 name=f"conv{index}",
             )
@@ -70,8 +68,6 @@ def build_ue_cnn(config: ModelConfig, seed: SeedLike = None) -> Sequential:
             1,
             config.cnn_kernel_size,
             padding="same",
-            cache_patches=True,
-            needs_input_grad=bool(config.cnn_channels),
             seed=seeds[-1],
             name="conv_out",
         )
@@ -80,21 +76,6 @@ def build_ue_cnn(config: ModelConfig, seed: SeedLike = None) -> Sequential:
     # scale (and bounded for transmission quantization).
     layers.append(Sigmoid(name="sigmoid_out"))
     return Sequential(layers, name="ue_cnn")
-
-
-def build_pooling_compressor(config: ModelConfig) -> Sequential:
-    """The average-pooling + flatten stage producing the transmitted payload."""
-    if not config.use_image:
-        raise ValueError("cannot build a compressor for an RF-only configuration")
-    return Sequential(
-        [
-            AveragePool2D(
-                (config.pooling_height, config.pooling_width), name="avg_pool"
-            ),
-            Flatten(name="flatten"),
-        ],
-        name="ue_compressor",
-    )
 
 
 def _recurrent_layer(config: ModelConfig, input_size: int, seed: SeedLike):

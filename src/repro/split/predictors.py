@@ -122,23 +122,3 @@ class RFOnlyPredictor(BasePredictor):
         model_config = model_config or ModelConfig()
         model_config = replace(model_config, use_image=False, use_rf=True)
         super().__init__(model_config, training_config, channel_params)
-
-
-def predictor_for_scheme(
-    scheme: str,
-    model_config: Optional[ModelConfig] = None,
-    training_config: Optional[TrainingConfig] = None,
-    channel_params: WirelessChannelParams = PAPER_CHANNEL_PARAMS,
-) -> BasePredictor:
-    """Factory mapping scheme names to predictor instances.
-
-    Recognized names: ``"img+rf"``, ``"img-only"``, ``"rf-only"``.
-    """
-    normalized = scheme.lower().replace("_", "-")
-    if normalized in ("img+rf", "imgrf", "multimodal"):
-        return MultimodalSplitPredictor(model_config, training_config, channel_params)
-    if normalized in ("img-only", "img", "image-only"):
-        return ImageOnlyPredictor(model_config, training_config, channel_params)
-    if normalized in ("rf-only", "rf"):
-        return RFOnlyPredictor(model_config, training_config, channel_params)
-    raise ValueError(f"unknown scheme {scheme!r}")

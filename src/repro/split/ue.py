@@ -1,9 +1,13 @@
 """UE-side client of the split-learning system.
 
-The UE owns the convolutional layers, the pooling compressor and their Adam
-state.  Training steps run in a :class:`~repro.fleet.bank.StackedUEBank`
-that gathers from and scatters back into the client, which therefore holds
-the canonical state between steps; inference runs :meth:`UEClient.forward`.
+The UE owns the CNN parameters and their Adam state.  The network they
+describe, the CNN followed by the average-pooling compressor, runs as the
+stacked plan of :mod:`repro.fleet.bank`: training steps run in a
+:class:`~repro.fleet.bank.StackedUEBank` that gathers from and scatters back
+into the client, which therefore holds the canonical state between steps,
+and inference (:meth:`UEClient.forward`, :meth:`~UEClient.output_images`,
+:meth:`~UEClient.compressed_images`) runs the same plan at one member, over
+buffers the client keeps.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ import numpy as np
 from repro.nn.layers import Sequential
 from repro.nn.optim import Adam
 from repro.split.config import ModelConfig, TrainingConfig
-from repro.split.models import build_pooling_compressor, build_ue_cnn
+from repro.split.models import build_ue_cnn
 from repro.utils.seeding import SeedLike
 
 
@@ -34,11 +38,14 @@ class UEClient:
         training_config: Optional[TrainingConfig] = None,
         seed: SeedLike = None,
     ):
+        # Imported here: repro.fleet builds on this package.
+        from repro.fleet.bank import ue_plan
+
         if not model_config.use_image:
             raise ValueError("UEClient requires an image-enabled configuration")
         self.model_config = model_config
         self.cnn: Sequential = build_ue_cnn(model_config, seed=seed)
-        self.compressor: Sequential = build_pooling_compressor(model_config)
+        self.plan = ue_plan(self.cnn, model_config)
         self.optimizer = None
         if training_config is not None:
             self.optimizer = Adam(
@@ -50,9 +57,29 @@ class UEClient:
         self._gradient_clip = (
             training_config.gradient_clip_norm if training_config else 0.0
         )
+        # The plan's buffer cache at one member: reused from chunk to chunk
+        # of equal size, and what backward() reads.
+        self._buffers: Dict = {}
         self._batch_shape: tuple[int, int] | None = None
 
     # -- forward -------------------------------------------------------------------
+    def _weights(self) -> list:
+        """The CNN parameters as one-member stacks (views, not copies)."""
+        return [param.value[None] for param in self.cnn.parameters()]
+
+    def _run(self, images: np.ndarray, pooled: bool = True) -> np.ndarray:
+        """The plan's forward over ``(N, H, W)`` images at one member."""
+        from repro.fleet.bank import ue_forward
+
+        output = ue_forward(
+            self.plan,
+            self._weights(),
+            images[None, :, None],
+            self._buffers,
+            pooled=pooled,
+        )
+        return output[0]
+
     def forward(self, image_sequences: np.ndarray) -> np.ndarray:
         """Run the CNN + compressor on a batch of image sequences.
 
@@ -79,10 +106,8 @@ class UEClient:
                 f"{(self.model_config.image_height, self.model_config.image_width)}"
             )
         self._batch_shape = (batch, length)
-        flat = images.reshape(batch * length, 1, height, width)
-        output_image = self.cnn.forward(flat)
-        features = self.compressor.forward(output_image)
-        return features.reshape(batch, length, -1)
+        pooled = self._run(images.reshape(batch * length, height, width))
+        return pooled.reshape(batch, length, -1)
 
     def output_images(self, images: np.ndarray) -> np.ndarray:
         """CNN output images (before pooling) for visualization (Fig. 2).
@@ -96,8 +121,7 @@ class UEClient:
         images = np.asarray(images, dtype=np.float64)
         if images.ndim != 3:
             raise ValueError("expected images of shape (N, H, W)")
-        output = self.cnn.forward(images[:, None, :, :])
-        return output[:, 0, :, :]
+        return self._run(images, pooled=False)[:, 0]
 
     def compressed_images(self, images: np.ndarray) -> np.ndarray:
         """Pooled CNN output images (the actually transmitted representation).
@@ -107,17 +131,18 @@ class UEClient:
         images = np.asarray(images, dtype=np.float64)
         if images.ndim != 3:
             raise ValueError("expected images of shape (N, H, W)")
-        output = self.cnn.forward(images[:, None, :, :])
-        pooled = self.compressor.layers[0].forward(output)
-        return pooled[:, 0, :, :]
+        return self._run(images)[:, 0]
 
-    # -- backward (per-member reference) -------------------------------------------
+    # -- backward --------------------------------------------------------------------
     def backward(self, cut_layer_gradient: np.ndarray) -> None:
-        """Backpropagate the cut-layer gradient received from the BS.
+        """Backpropagate the cut-layer gradient of the last :meth:`forward`.
 
-        With :meth:`apply_update`, the per-member reference that the tests
-        check the training engine, the stacked bank, against bitwise.
+        Runs the plan's backward at one member and accumulates the parameter
+        gradients for :meth:`apply_update`.  Training does not call it: the
+        bank runs the same backward for every member at once.
         """
+        from repro.fleet.bank import ue_backward
+
         if self._batch_shape is None:
             raise RuntimeError("backward() called before forward()")
         batch, length = self._batch_shape
@@ -127,9 +152,9 @@ class UEClient:
                 f"cut-layer gradient batch shape {gradient.shape[:2]} does not "
                 f"match the forward pass {(batch, length)}"
             )
-        flat = gradient.reshape(batch * length, -1)
-        grad_output_image = self.compressor.backward(flat)
-        self.cnn.backward(grad_output_image)
+        grads = ue_backward(self.plan, self._weights(), gradient, self._buffers)
+        for param, grad in zip(self.cnn.parameters(), grads):
+            param.grad += grad[0]
 
     def apply_update(self) -> None:
         """Apply one optimizer step and clear gradients."""
@@ -147,8 +172,8 @@ class UEClient:
     def get_weights(self) -> Dict[str, np.ndarray]:
         """``state_dict``-style copy of the CNN parameters.
 
-        The pooling compressor has no trainable parameters, so the CNN state
-        is the complete UE-side model.  The returned arrays are copies: the
+        Pooling has no trainable parameters, so the CNN state is the
+        complete UE-side model.  The returned arrays are copies: the
         fleet rotation hand-off and parallel averaging mutate them freely.
         """
         return self.cnn.state_dict()

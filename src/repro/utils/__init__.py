@@ -9,14 +9,8 @@ from repro.utils.seeding import (
 from repro.utils.units import (
     SPEED_OF_LIGHT,
     THERMAL_NOISE_DBM_PER_HZ,
-    db_to_linear,
     dbm_to_milliwatts,
-    dbm_to_watts,
     frequency_to_wavelength,
-    linear_to_db,
-    milliwatts_to_dbm,
-    noise_power_dbm,
-    watts_to_dbm,
 )
 
 __all__ = [
@@ -24,19 +18,13 @@ __all__ = [
     "THERMAL_NOISE_DBM_PER_HZ",
     "as_generator",
     "capture_generator_state",
-    "db_to_linear",
     "dbm_to_milliwatts",
-    "dbm_to_watts",
     "disable_console_logging",
     "enable_console_logging",
     "frequency_to_wavelength",
     "get_logger",
-    "linear_to_db",
-    "milliwatts_to_dbm",
-    "noise_power_dbm",
     "restore_generator_state",
     "spawn_generators",
-    "watts_to_dbm",
 ]
 
 from repro.utils.logging import disable_console_logging  # noqa: E402

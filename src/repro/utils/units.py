@@ -23,51 +23,9 @@ THERMAL_NOISE_DBM_PER_HZ = 10.0 * np.log10(
 )
 
 
-def db_to_linear(value_db):
-    """Convert a power ratio expressed in dB to a linear ratio."""
-    return np.power(10.0, np.asarray(value_db, dtype=float) / 10.0)
-
-
-def linear_to_db(value_linear):
-    """Convert a linear power ratio to dB.
-
-    Raises:
-        ValueError: if any element is not strictly positive.
-    """
-    value = np.asarray(value_linear, dtype=float)
-    if np.any(value <= 0):
-        raise ValueError("linear power ratio must be strictly positive")
-    return 10.0 * np.log10(value)
-
-
-def dbm_to_watts(value_dbm):
-    """Convert a power level in dBm to watts."""
-    return np.power(10.0, (np.asarray(value_dbm, dtype=float) - 30.0) / 10.0)
-
-
-def watts_to_dbm(value_watts):
-    """Convert a power level in watts to dBm.
-
-    Raises:
-        ValueError: if any element is not strictly positive.
-    """
-    value = np.asarray(value_watts, dtype=float)
-    if np.any(value <= 0):
-        raise ValueError("power in watts must be strictly positive")
-    return 10.0 * np.log10(value) + 30.0
-
-
 def dbm_to_milliwatts(value_dbm):
     """Convert a power level in dBm to milliwatts."""
     return np.power(10.0, np.asarray(value_dbm, dtype=float) / 10.0)
-
-
-def milliwatts_to_dbm(value_mw):
-    """Convert a power level in milliwatts to dBm."""
-    value = np.asarray(value_mw, dtype=float)
-    if np.any(value <= 0):
-        raise ValueError("power in milliwatts must be strictly positive")
-    return 10.0 * np.log10(value)
 
 
 def frequency_to_wavelength(frequency_hz: float) -> float:
@@ -75,18 +33,3 @@ def frequency_to_wavelength(frequency_hz: float) -> float:
     if frequency_hz <= 0:
         raise ValueError("frequency must be strictly positive")
     return SPEED_OF_LIGHT / frequency_hz
-
-
-def noise_power_dbm(bandwidth_hz: float, noise_figure_db: float = 0.0) -> float:
-    """Thermal noise power over ``bandwidth_hz`` including a noise figure.
-
-    Args:
-        bandwidth_hz: receiver bandwidth in hertz.
-        noise_figure_db: receiver noise figure in dB.
-
-    Returns:
-        Noise power in dBm.
-    """
-    if bandwidth_hz <= 0:
-        raise ValueError("bandwidth must be strictly positive")
-    return THERMAL_NOISE_DBM_PER_HZ + 10.0 * np.log10(bandwidth_hz) + noise_figure_db

@@ -7,7 +7,6 @@ import pytest
 from repro.channel import (
     ArqSession,
     ArqStatistics,
-    BlockFadingProcess,
     ExponentialFadingProcess,
     INFEASIBLE_SUCCESS_PROBABILITY,
     PAPER_CHANNEL_PARAMS,
@@ -42,15 +41,6 @@ def test_exponential_fading_reproducible():
     assert np.allclose(a, b)
     with pytest.raises(ValueError):
         ExponentialFadingProcess(mean=0.0)
-
-
-def test_block_fading_constant_within_block():
-    process = BlockFadingProcess(block_length=5, seed=0)
-    samples = process.sample(10)
-    assert len(np.unique(samples[:5])) == 1
-    assert len(np.unique(samples)) == 2
-    with pytest.raises(ValueError):
-        BlockFadingProcess(block_length=0)
 
 
 def test_snr_threshold_shannon_form():

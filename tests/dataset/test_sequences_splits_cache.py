@@ -12,7 +12,6 @@ from repro.dataset import (
     get_or_generate,
     horizon_in_frames,
     load_dataset,
-    paper_split,
     save_dataset,
     temporal_split,
 )
@@ -127,11 +126,6 @@ def test_temporal_split_validation(small_sequences):
         temporal_split(small_sequences, train_fraction=0.0)
     with pytest.raises(ValueError):
         temporal_split(small_sequences.subset([0]), train_fraction=0.5)
-
-
-def test_paper_split_small_dataset_uses_fraction(small_sequences):
-    split = paper_split(small_sequences)
-    assert 0.70 < split.train_fraction < 0.80
 
 
 def test_save_and_load_dataset_roundtrip(tmp_path, small_dataset):

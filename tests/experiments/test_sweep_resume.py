@@ -1,6 +1,10 @@
 """Resumable-sweep tests: incremental persistence, skip-completed, canonical
-artifact equivalence between interrupted-then-resumed and uninterrupted runs."""
+artifact equivalence between interrupted-then-resumed and uninterrupted runs
+(an exception in a serial run, and a forked worker that dies outright)."""
 import json
+import os
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -217,3 +221,51 @@ def test_checkpointed_sweep_cell_resumes_training(sweep_cache_dir, tmp_path):
 
     resumed = run_sweep(dataclasses.replace(config, resume=True))
     assert canonical_json(resumed) == canonical_json(reference)
+
+
+def test_worker_death_then_resume_matches_uninterrupted_run(
+    sweep_cache_dir, tmp_path, monkeypatch
+):
+    """One forked worker dies with ``os._exit`` once another cell completed.
+
+    The sweep fails with the broken pool, the partial artifact keeps every
+    completed cell, and the resumed sweep re-runs only the rest and writes
+    the uninterrupted run's canonical artifact.
+    """
+    reference = run_sweep(sweep_config(sweep_cache_dir, tmp_path / "reference.json"))
+
+    output = tmp_path / "killed.json"
+    true_fn = EXPERIMENTS["table1"]
+
+    def completed_cells():
+        try:
+            return len(json.loads(output.read_text())["completed_cells"])
+        except (OSError, ValueError, KeyError):
+            return 0
+
+    def dying(scale, dataset, options=None):
+        if (scale.scenario, scale.seed) == ("paper_baseline", 0):
+            deadline = time.monotonic() + 120.0
+            while completed_cells() == 0 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            os._exit(1)  # no exception, no cleanup: the worker process is gone
+        return true_fn(scale, dataset, options=options)
+
+    monkeypatch.setitem(EXPERIMENTS, "table1", dying)
+    with pytest.raises(BrokenProcessPool):
+        run_sweep(sweep_config(sweep_cache_dir, output, parallel=True, max_workers=2))
+    partial = json.loads(output.read_text())
+    assert partial["partial"] is True
+    survivors = len(partial["completed_cells"])
+    assert 1 <= survivors < 4
+
+    monkeypatch.setitem(EXPERIMENTS, "table1", true_fn)
+    resumed = run_sweep(
+        sweep_config(sweep_cache_dir, output, resume=True, parallel=True, max_workers=2)
+    )
+    assert resumed["resume"] == {
+        "skipped_cells": survivors,
+        "executed_cells": 4 - survivors,
+    }
+    assert canonical_json(resumed) == canonical_json(reference)
+    assert canonical_json(json.loads(output.read_text())) == canonical_json(reference)

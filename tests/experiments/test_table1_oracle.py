@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments import ExperimentScale, generate_dataset, run_table1
-from repro.nn.layers import Conv2D
+from repro.fleet import bank
 from repro.privacy.leakage import (
     PrivacyLeakageEvaluator,
     _centered_rows,
@@ -74,14 +74,16 @@ def test_run_table1_equals_the_per_pooling_oracle_at_fast(
 def test_one_table1_cell_runs_each_conv_layer_once(
     smoke_scale, smoke_dataset, monkeypatch
 ):
+    """Counted at the UE network's one conv kernel, which every conv step of
+    the plan calls once per pass."""
     calls = []
-    original = Conv2D.forward
+    original = bank.stacked_conv2d_forward
 
-    def counting(self, inputs):
-        calls.append(self.name)
-        return original(self, inputs)
+    def counting(weights, *args, **kwargs):
+        calls.append(weights.shape)
+        return original(weights, *args, **kwargs)
 
-    monkeypatch.setattr(Conv2D, "forward", counting)
+    monkeypatch.setattr(bank, "stacked_conv2d_forward", counting)
     conv_layers = len(smoke_scale.base_model_config().cnn_channels) + 1
     poolings = smoke_scale.valid_poolings()
     assert len(poolings) > 1

@@ -22,7 +22,7 @@ from repro.split import ExperimentConfig, TrainingConfig
 from repro.split.config import ModelConfig
 from repro.split.ue import UEClient
 
-from tests.fleet.member_loop_oracle import MemberLoop
+from tests.fleet.member_loop_oracle import MemberLoop, MemberNetwork
 from tests.fleet.test_fleet_checkpoint import fleet_weights, records_of
 
 MAX_ROUNDS = 3
@@ -75,6 +75,7 @@ def test_bank_round_trip_matches_client_loop():
     rng = np.random.default_rng(17)
     clients = _bank_clients()
     loop_clients = copy.deepcopy(clients)
+    loop = [MemberNetwork(client) for client in loop_clients]
     bank = StackedUEBank(clients)
     members = len(clients)
 
@@ -83,19 +84,18 @@ def test_bank_round_trip_matches_client_loop():
     for mask in masks:
         images = rng.random((members, 3, 2, 12, 12))
         features = bank.forward(images)
-        for member, client in enumerate(loop_clients):
-            expected = client.forward(images[member])
+        for member, network in enumerate(loop):
+            expected = network.forward(images[member])
             assert np.array_equal(features[member], expected)
         cut_gradients = rng.standard_normal(features.shape)
         cut_gradients[~mask] = 0.0
         bank.backward(cut_gradients)
         bank.apply_updates(mask)
-        for member, client in enumerate(loop_clients):
+        for member, network in enumerate(loop):
             if mask[member]:
-                client.backward(cut_gradients[member])
-                client.apply_update()
+                network.step(cut_gradients[member])
             else:
-                client.zero_grad()
+                network.client.zero_grad()
     bank.scatter()
     _assert_clients_equal(clients, loop_clients)
 
@@ -120,6 +120,7 @@ def test_bank_matches_client_reference_property(
     rng = np.random.default_rng(seed)
     clients = _bank_clients(members, gradient_clip_norm=clip)
     reference_clients = copy.deepcopy(clients)
+    reference = [MemberNetwork(client) for client in reference_clients]
     bank = StackedUEBank(clients)
     sizes = [
         base_size + (int(rng.integers(2)) if two_sizes else 0)
@@ -129,16 +130,15 @@ def test_bank_matches_client_reference_property(
         images = [rng.random((size, 2, 12, 12)) for size in sizes]
         features = bank.forward(images)
         assert isinstance(features, np.ndarray) == (len(set(sizes)) == 1)
-        for member, client in enumerate(reference_clients):
-            assert np.array_equal(features[member], client.forward(images[member]))
+        for member, network in enumerate(reference):
+            assert np.array_equal(features[member], network.forward(images[member]))
         delivered = np.flatnonzero(rng.random(members) < 0.6).tolist()
         if not delivered:
             continue
         gradients = [rng.standard_normal(features[m].shape) for m in delivered]
         bank.backward_and_update(delivered, gradients)
         for member, gradient in zip(delivered, gradients):
-            reference_clients[member].backward(gradient)
-            reference_clients[member].apply_update()
+            reference[member].step(gradient)
     bank.scatter()
     _assert_clients_equal(clients, reference_clients)
 

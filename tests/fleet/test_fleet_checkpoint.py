@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.fleet import FLEET_MODES, FleetConfig, FleetTrainer
+from repro.nn.serialization import flatten_state_tree
 from repro.split import Checkpoint, ExperimentConfig, TrainingConfig
 
 MAX_ROUNDS = 3
@@ -165,3 +166,76 @@ def test_split_checkpoint_rejected_by_fleet(config, small_split, tmp_path):
         FleetTrainer(config, FleetConfig(num_ues=2, mode="rotation")).fit(
             small_split.train, small_split.validation, resume_from=path
         )
+
+
+# -- mismatched checkpoints fail before anything loads -------------------------------
+
+
+def _round_one_checkpoint(config, small_split, tmp_path):
+    path = tmp_path / "n2.npz"
+    FleetTrainer(config, FleetConfig(num_ues=2, mode="parallel_average")).fit(
+        small_split.train, small_split.validation, max_rounds=1, checkpoint_path=path
+    )
+    return Checkpoint.load(path)
+
+
+def _assert_refused_untouched(trainer, checkpoint, small_split, message):
+    """The resume raises one "mismatched checkpoint" error naming the first
+    bad key, and the trainer's state tree is exactly as before."""
+    before = flatten_state_tree(trainer.state_dict())
+    with pytest.raises(ValueError, match=rf"^mismatched checkpoint: {message}"):
+        trainer.fit(small_split.train, small_split.validation, resume_from=checkpoint)
+    after = flatten_state_tree(trainer.state_dict())
+    assert after.keys() == before.keys()
+    for key, value in before.items():
+        assert np.array_equal(after[key], value), key
+
+
+def test_checkpoint_with_a_dropped_key_is_refused_before_any_load(
+    config, small_split, tmp_path
+):
+    checkpoint = _round_one_checkpoint(config, small_split, tmp_path)
+    # The last member's UE loads after the BS and member 0.
+    del checkpoint.state["fleet"]["members"]["1"]["protocol"]["ue"]["model"]["2.weight"]
+    trainer = FleetTrainer(config, FleetConfig(num_ues=2, mode="parallel_average"))
+    _assert_refused_untouched(
+        trainer,
+        checkpoint,
+        small_split,
+        "'fleet//members//1//protocol//ue//model//2.weight' is missing",
+    )
+
+
+def test_checkpoint_with_a_wrong_shape_is_refused_before_any_load(
+    config, small_split, tmp_path
+):
+    checkpoint = _round_one_checkpoint(config, small_split, tmp_path)
+    slots = checkpoint.state["fleet"]["members"]["1"]["protocol"]["ue"]["optimizer"]
+    slots["slot/second_moment/0"] = np.zeros((3, 1, 3, 3))
+    trainer = FleetTrainer(config, FleetConfig(num_ues=2, mode="parallel_average"))
+    _assert_refused_untouched(
+        trainer,
+        checkpoint,
+        small_split,
+        r"'fleet//members//1//protocol//ue//optimizer//slot/second_moment/0' "
+        r"holds shape \(3, 1, 3, 3\) <f8, this trainer expects shape \(2, 1, 3, 3\)",
+    )
+
+
+def test_checkpoint_of_another_configuration_is_refused_before_any_load(
+    config, small_split, tmp_path
+):
+    """Wider UE CNNs: the scheme label and fleet shape agree, the layout does
+    not."""
+    wider = dataclasses.replace(
+        config, model=dataclasses.replace(config.model, cnn_channels=(3,))
+    )
+    assert wider.model.describe() == config.model.describe()
+    checkpoint = _round_one_checkpoint(wider, small_split, tmp_path)
+    trainer = FleetTrainer(config, FleetConfig(num_ues=2, mode="parallel_average"))
+    _assert_refused_untouched(
+        trainer,
+        checkpoint,
+        small_split,
+        "'fleet//members//0//protocol//ue//model//0.bias' holds shape",
+    )

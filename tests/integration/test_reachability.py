@@ -32,6 +32,11 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 KERNEL = "test oracle: loop reference the vectorized kernel is checked against"
 MEMBER = "test oracle: per-member UE step the stacked bank is checked against"
 SCENE = "test oracle: one-frame view tests/scene/per_frame_oracle.py calls"
+ONE_BOX = (
+    "test view: the one-box form tests/scene checks a batched slab or "
+    "segment kernel through (tests/scene/per_frame_oracle.py keeps its own "
+    "scalar copy)"
+)
 HARNESS = "harness target: benchmarks/harness/trace.py resolves it by name"
 SUBCLASS = "user-subclass default: base-class hook the concrete classes override"
 EXAMPLE = "example/benchmark import: examples/ or benchmarks/ call it"
@@ -47,10 +52,8 @@ ALLOWLIST = {
     "repro.nn.layers.conv:conv2d_forward_reference": KERNEL,
     "repro.nn.layers.conv:conv2d_backward_reference": KERNEL,
     "repro.nn.layers.conv:col2im": HARNESS,
-    "repro.nn.layers.conv:Conv2D.backward": HARNESS,
     "repro.nn.layers.pooling:avgpool2d_forward_reference": KERNEL,
     "repro.nn.layers.pooling:avgpool2d_backward_reference": KERNEL,
-    "repro.nn.layers.pooling:AveragePool2D.backward": MEMBER,
     "repro.nn.layers.recurrent:simple_rnn_forward_reference": KERNEL,
     "repro.nn.layers.recurrent:simple_rnn_gradients_reference": KERNEL,
     "repro.nn.layers.recurrent:gru_forward_reference": KERNEL,
@@ -59,8 +62,6 @@ ALLOWLIST = {
     "repro.nn.layers.recurrent:lstm_gradients_reference": KERNEL,
     "repro.nn.stacked:stacked_conv2d_forward_reference": KERNEL,
     "repro.nn.stacked:stacked_conv2d_backward_reference": KERNEL,
-    "repro.nn.layers.activations:Sigmoid.backward": MEMBER,
-    "repro.nn.layers.reshape:Flatten.backward": MEMBER,
     "repro.nn.layers.base:Layer.forward": SUBCLASS,
     "repro.nn.layers.base:Layer.backward": SUBCLASS,
     "repro.nn.layers.base:Layer.zero_grad": MEMBER,
@@ -76,7 +77,8 @@ ALLOWLIST = {
     "repro.fleet.bank:StackedUEBank.load_state_dict": "checkpoint contract: "
     "the state_dict pair every registered checkpointable class keeps",
     "repro.fleet.config:FleetConfig.resolved_backend": HARNESS,
-    "repro.split.ue:UEClient.backward": HARNESS,
+    "repro.split.ue:UEClient.backward": HARNESS + "; the plan's backward at "
+    "one member, which tests/split/test_ue_network.py checks",
     "repro.split.ue:UEClient.apply_update": MEMBER,
     "repro.split.ue:UEClient.zero_grad": MEMBER,
     "repro.split.bs:BSServer.get_weights": EXAMPLE,
@@ -89,12 +91,10 @@ ALLOWLIST = {
     "repro.split.codecs:UniformQuantizerCodec.encode_decode": HARNESS + "; the "
     "per-member reference encode_decode_stacked vectorizes",
     "repro.split.config:ExperimentConfig.describe": TESTS_ONLY,
-    "repro.split.config:paper_model_configs": TESTS_ONLY,
     "repro.split.predictors:BasePredictor.fit": EXAMPLE,
     "repro.split.predictors:BasePredictor.predict": EXAMPLE,
     "repro.split.predictors:BasePredictor.evaluate": EXAMPLE,
     "repro.split.predictors:BasePredictor.scheme": EXAMPLE,
-    "repro.split.predictors:predictor_for_scheme": TESTS_ONLY,
     "repro.split.trainer:SplitTrainer.protocol": EXAMPLE,
     "repro.privacy.leakage:PrivacyLeakageEvaluator.evaluate": HARNESS,
     # -- analysis, channel, dataset ----------------------------------------
@@ -103,8 +103,6 @@ ALLOWLIST = {
     "repro.analysis.registry:known_codes": BRANCH + " (--select)",
     "repro.channel.arq:ArqSession.exchange": HARNESS + "; the ARQ goldens "
     "replay it",
-    "repro.channel.fading:BlockFadingProcess.sample": TESTS_ONLY,
-    "repro.channel.fading:BlockFadingProcess.sample_one": TESTS_ONLY,
     "repro.channel.fading:ExponentialFadingProcess.sample": TESTS_ONLY,
     "repro.channel.link:BatchTransmissionResult.empty": BRANCH
     + " (a transmit of zero payloads)",
@@ -127,7 +125,6 @@ ALLOWLIST = {
     "repro.dataset.generator:generate_small_dataset": EXAMPLE,
     "repro.dataset.sequences:SequenceDataset.image_shape": TESTS_ONLY,
     "repro.dataset.splits:TrainValidationSplit.train_fraction": TESTS_ONLY,
-    "repro.dataset.splits:paper_split": TESTS_ONLY,
     # -- experiments, fleet, scenarios -------------------------------------
     "repro.experiments.common:ExperimentScale.fast": BRANCH + " (--scale fast)",
     "repro.experiments.common:ExperimentScale.paper": BRANCH + " (--scale paper)",
@@ -204,20 +201,12 @@ ALLOWLIST = {
     "repro.scene.geometry:AxisAlignedBox.center": SCENE,
     "repro.scene.geometry:AxisAlignedBox.size": SCENE,
     "repro.scene.geometry:AxisAlignedBox.contains": SCENE,
-    "repro.scene.geometry:AxisAlignedBox.translated": TESTS_ONLY,
-    "repro.scene.geometry:bounding_box_of": TESTS_ONLY,
-    "repro.scene.geometry:point_segment_distance": TESTS_ONLY,
-    "repro.scene.geometry:project_point_onto_segment": TESTS_ONLY,
-    "repro.scene.geometry:ray_box_intersection": TESTS_ONLY,
-    "repro.scene.geometry:segment_intersects_box": TESTS_ONLY,
+    "repro.scene.geometry:point_segment_distance": ONE_BOX,
+    "repro.scene.geometry:project_point_onto_segment": ONE_BOX,
+    "repro.scene.geometry:ray_box_intersection": ONE_BOX,
+    "repro.scene.geometry:segment_intersects_box": ONE_BOX,
     "repro.utils.logging:enable_console_logging": TESTS_ONLY,
     "repro.utils.logging:disable_console_logging": TESTS_ONLY,
-    "repro.utils.units:db_to_linear": TESTS_ONLY,
-    "repro.utils.units:linear_to_db": TESTS_ONLY,
-    "repro.utils.units:dbm_to_watts": TESTS_ONLY,
-    "repro.utils.units:watts_to_dbm": TESTS_ONLY,
-    "repro.utils.units:milliwatts_to_dbm": TESTS_ONLY,
-    "repro.utils.units:noise_power_dbm": TESTS_ONLY,
 }
 
 

@@ -1,4 +1,5 @@
-"""Tests for the Conv2D layer and the im2col helpers."""
+"""Tests for the Conv2D parameters, the im2col helpers and the one-member
+convolution the program runs with them."""
 import numpy as np
 import pytest
 
@@ -6,6 +7,7 @@ from repro.nn import Conv2D
 from repro.nn.layers.conv import col2im, conv_output_size, im2col
 
 from tests.gradcheck import check_layer_gradients
+from tests.nn.one_member_conv import conv
 
 
 @pytest.fixture()
@@ -32,26 +34,26 @@ def test_im2col_col2im_roundtrip_counts(gen):
 
 
 def test_forward_shape_same_padding(gen):
-    layer = Conv2D(1, 4, 3, padding="same", seed=0)
+    layer = conv(1, 4, 3, padding="same", seed=0)
     output = layer.forward(gen.normal(size=(2, 1, 10, 10)))
     assert output.shape == (2, 4, 10, 10)
 
 
 def test_forward_shape_valid_and_stride(gen):
-    layer = Conv2D(2, 3, 3, stride=2, padding=0, seed=0)
+    layer = conv(2, 3, 3, stride=2, padding=0, seed=0)
     output = layer.forward(gen.normal(size=(1, 2, 9, 9)))
     assert output.shape == (1, 3, 4, 4)
 
 
 def test_identity_kernel_reproduces_input(gen):
-    layer = Conv2D(1, 1, 1, use_bias=False, seed=0)
+    layer = conv(1, 1, 1, use_bias=False, seed=0)
     layer.weight.value[...] = 1.0
     inputs = gen.normal(size=(2, 1, 5, 5))
     assert np.allclose(layer.forward(inputs), inputs)
 
 
 def test_known_convolution_result():
-    layer = Conv2D(1, 1, 3, padding=0, use_bias=False, seed=0)
+    layer = conv(1, 1, 3, padding=0, use_bias=False, seed=0)
     layer.weight.value[...] = 1.0  # box filter: output = sum of 3x3 patch
     inputs = np.arange(25, dtype=float).reshape(1, 1, 5, 5)
     output = layer.forward(inputs)
@@ -60,7 +62,7 @@ def test_known_convolution_result():
 
 
 def test_bias_added_per_channel(gen):
-    layer = Conv2D(1, 2, 1, seed=0)
+    layer = conv(1, 2, 1, seed=0)
     layer.weight.value[...] = 0.0
     layer.bias.value[:] = [1.5, -2.0]
     output = layer.forward(np.zeros((1, 1, 3, 3)))
@@ -69,23 +71,36 @@ def test_bias_added_per_channel(gen):
 
 
 def test_gradients_match_numerical(gen):
-    layer = Conv2D(2, 3, 3, padding=1, seed=1)
+    layer = conv(2, 3, 3, padding=1, seed=1)
     inputs = gen.normal(size=(2, 2, 5, 5))
     check_layer_gradients(layer, inputs, (2, 3, 5, 5), gen, atol=1e-6)
 
 
 def test_gradients_match_numerical_with_stride(gen):
-    layer = Conv2D(1, 2, 3, stride=2, padding=1, seed=1)
+    layer = conv(1, 2, 3, stride=2, padding=1, seed=1)
     inputs = gen.normal(size=(2, 1, 6, 6))
     check_layer_gradients(layer, inputs, (2, 2, 3, 3), gen, atol=1e-6)
 
 
-def test_invalid_inputs_raise(gen):
-    layer = Conv2D(2, 3, 3, seed=0)
+def test_invalid_inputs_raise():
+    """The UE network rejects a conv chain whose channels do not connect,
+    and images of the wrong rank."""
+    from repro.fleet.bank import ue_plan
+    from repro.nn import ReLU, Sequential, Sigmoid
+    from repro.split import ModelConfig
+    from repro.split.ue import UEClient
+
+    config = ModelConfig(
+        image_height=8, image_width=8, pooling_height=8, pooling_width=8,
+        cnn_channels=(2,),
+    )
+    broken = Sequential(
+        [Conv2D(1, 2, 3, padding=1), ReLU(), Conv2D(3, 1, 3, padding=1), Sigmoid()]
+    )
+    with pytest.raises(ValueError, match="input channels"):
+        ue_plan(broken, config)
     with pytest.raises(ValueError):
-        layer.forward(gen.normal(size=(2, 1, 5, 5)))  # wrong channels
-    with pytest.raises(ValueError):
-        layer.forward(gen.normal(size=(2, 5, 5)))  # wrong rank
+        UEClient(config, seed=0).forward(np.zeros((2, 8, 8)))  # wrong rank
 
 
 def test_same_padding_requires_odd_kernel():

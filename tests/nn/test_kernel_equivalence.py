@@ -6,22 +6,18 @@ module-level ``*_reference`` functions.  These tests pin the vectorized paths
 to the references — forward outputs and every gradient — to well below the
 1e-6 acceptance tolerance, and additionally gradient-check the vectorized
 layers against central differences through the shared ``gradcheck`` fixture.
+Convolutions run as the program runs them: the stacked kernels at one member
+(:class:`~tests.nn.one_member_conv.OneMemberConv`).  The pooling backward
+lives in the UE network's plan and is checked there
+(``tests/split/test_ue_network.py``).
 """
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.nn.layers.conv import (
-    Conv2D,
-    conv2d_backward_reference,
-    conv2d_forward_reference,
-)
-from repro.nn.layers.pooling import (
-    AveragePool2D,
-    avgpool2d_backward_reference,
-    avgpool2d_forward_reference,
-)
+from repro.nn.layers.conv import conv2d_backward_reference, conv2d_forward_reference
+from repro.nn.layers.pooling import AveragePool2D, avgpool2d_forward_reference
 from repro.nn.layers.recurrent import (
     GRU,
     LSTM,
@@ -33,6 +29,11 @@ from repro.nn.layers.recurrent import (
     simple_rnn_forward_reference,
     simple_rnn_gradients_reference,
 )
+
+from repro.split.config import ModelConfig, TrainingConfig
+from repro.split.ue import UEClient
+
+from tests.nn.one_member_conv import conv
 
 TOL = 1e-6
 
@@ -60,7 +61,7 @@ CONV_CASES = [
 def test_conv_forward_matches_reference(
     gen, batch, in_ch, out_ch, height, width, kernel, stride, padding
 ):
-    layer = Conv2D(in_ch, out_ch, kernel, stride=stride, padding=padding, seed=3)
+    layer = conv(in_ch, out_ch, kernel, stride=stride, padding=padding, seed=3)
     inputs = gen.normal(size=(batch, in_ch, height, width))
     vectorized = layer.forward(inputs)
     reference = conv2d_forward_reference(
@@ -76,7 +77,7 @@ def test_conv_forward_matches_reference(
 def test_conv_backward_matches_reference(
     gen, batch, in_ch, out_ch, height, width, kernel, stride, padding
 ):
-    layer = Conv2D(in_ch, out_ch, kernel, stride=stride, padding=padding, seed=3)
+    layer = conv(in_ch, out_ch, kernel, stride=stride, padding=padding, seed=3)
     inputs = gen.normal(size=(batch, in_ch, height, width))
     output = layer.forward(inputs)
     grad_output = gen.normal(size=output.shape)
@@ -92,7 +93,7 @@ def test_conv_backward_matches_reference(
 
 
 def test_conv_cached_patch_buffer_is_reused_and_correct(gen):
-    layer = Conv2D(2, 3, 3, padding=1, seed=0)
+    layer = conv(2, 3, 3, padding=1, seed=0)
     inputs_a = gen.normal(size=(4, 2, 6, 6))
     inputs_b = gen.normal(size=(4, 2, 6, 6))
     layer.forward(inputs_a)
@@ -137,7 +138,7 @@ def test_conv_input_grad_matches_reference(
     gen, batch, in_ch, out_ch, height, width, kernel, stride, padding
 ):
     """The transposed-convolution input gradient against the per-pixel loop."""
-    layer = Conv2D(in_ch, out_ch, kernel, stride=stride, padding=padding, seed=5)
+    layer = conv(in_ch, out_ch, kernel, stride=stride, padding=padding, seed=5)
     inputs = gen.normal(size=(batch, in_ch, height, width))
     grad_output = gen.normal(size=layer.forward(inputs).shape)
     grad_inputs = layer.backward(grad_output)
@@ -150,8 +151,8 @@ def test_conv_input_grad_matches_reference(
 
 @pytest.mark.parametrize("padding", [0, 1, 4])
 def test_conv_without_input_grad_keeps_parameter_grads_bitwise(gen, padding):
-    full = Conv2D(2, 3, 3, stride=2, padding=padding, seed=9)
-    skipping = Conv2D(
+    full = conv(2, 3, 3, stride=2, padding=padding, seed=9)
+    skipping = conv(
         2, 3, 3, stride=2, padding=padding, seed=9, needs_input_grad=False
     )
     inputs = gen.normal(size=(3, 2, 9, 8))
@@ -165,7 +166,7 @@ def test_conv_without_input_grad_keeps_parameter_grads_bitwise(gen, padding):
 
 
 def test_conv_input_grad_does_not_alias_layer_scratch(gen):
-    layer = Conv2D(2, 2, 3, stride=2, padding=1, seed=4)
+    layer = conv(2, 2, 3, stride=2, padding=1, seed=4)
     inputs = gen.normal(size=(2, 2, 7, 7))
     output = layer.forward(inputs)
     first = layer.backward(gen.normal(size=output.shape))
@@ -178,7 +179,7 @@ def test_conv_input_grad_does_not_alias_layer_scratch(gen):
 
 
 def test_conv_gradcheck_vectorized_path(gen, gradcheck):
-    layer = Conv2D(2, 2, 3, stride=2, padding=1, seed=7)
+    layer = conv(2, 2, 3, stride=2, padding=1, seed=7)
     inputs = gen.normal(size=(2, 2, 7, 5))
     gradcheck.layer(layer, inputs, (2, 2, 4, 3), gen, atol=1e-6)
 
@@ -202,18 +203,26 @@ def test_avgpool_matches_reference(gen, batch, channels, height, width, pool):
     reference = avgpool2d_forward_reference(inputs, layer.pool_size)
     assert np.max(np.abs(vectorized - reference)) <= TOL
 
-    grad_output = gen.normal(size=vectorized.shape)
-    grad_inputs = layer.backward(grad_output)
-    ref_grad = avgpool2d_backward_reference(
-        grad_output, inputs.shape, layer.pool_size
-    )
-    assert np.max(np.abs(grad_inputs - ref_grad)) <= TOL
-
 
 def test_pooling_gradcheck_vectorized_path(gen, gradcheck):
-    gradcheck.layer(
-        AveragePool2D((2, 3)), gen.normal(size=(2, 2, 4, 6)), (2, 2, 2, 2), gen
+    """The plan's pooling backward, over a rectangular region, through a
+    one-conv UE network: its parameter gradients match central differences."""
+    model = ModelConfig(
+        image_height=4, image_width=6, pooling_height=2, pooling_width=3,
+        cnn_channels=(), sequence_length=1,
     )
+    client = UEClient(model, TrainingConfig(), seed=3)
+    images = gen.random((2, 1, 4, 6))
+    weights = gen.normal(size=(2, 1, 4))
+
+    def loss():
+        return float(np.sum(weights * client.forward(images)))
+
+    loss()
+    client.backward(weights)
+    for _, parameter in client.cnn.named_parameters():
+        numerical = gradcheck.parameter_gradient(loss, parameter)
+        assert np.max(np.abs(numerical - parameter.grad)) < 1e-6
 
 
 # -- recurrent ---------------------------------------------------------------

@@ -3,8 +3,7 @@ import numpy as np
 import pytest
 
 from repro.nn import AveragePool2D
-
-from tests.gradcheck import check_layer_gradients
+from repro.nn.layers.pooling import avgpool2d_backward_reference
 
 
 @pytest.fixture()
@@ -37,17 +36,24 @@ def test_average_pool_rejects_indivisible_input(gen):
 
 
 def test_average_pool_backward_distributes_uniformly():
-    layer = AveragePool2D(2)
-    inputs = np.zeros((1, 1, 4, 4))
-    layer.forward(inputs)
-    grad = layer.backward(np.ones((1, 1, 2, 2)))
+    """The loop reference of the pooling backward, which the UE network's
+    plan is checked against (``tests/fleet/member_loop_oracle.py``)."""
+    grad = avgpool2d_backward_reference(np.ones((1, 1, 2, 2)), (1, 1, 4, 4), (2, 2))
     assert np.allclose(grad, 0.25)
 
 
-def test_average_pool_gradients_match_numerical(gen):
+def test_average_pool_gradients_match_numerical(gen, gradcheck):
+    """The reference backward is the gradient of the vectorized forward."""
     layer = AveragePool2D(2)
     inputs = gen.normal(size=(2, 2, 4, 4))
-    check_layer_gradients(layer, inputs, (2, 2, 2, 2), gen)
+    weights = gen.normal(size=(2, 2, 2, 2))
+
+    def loss_of(values):
+        return float(np.sum(weights * layer.forward(values)))
+
+    numerical = gradcheck.input_gradient(loss_of, inputs)
+    analytic = avgpool2d_backward_reference(weights, inputs.shape, (2, 2))
+    assert np.max(np.abs(numerical - analytic)) < 1e-6
 
 
 def test_average_pool_rectangular_region(gen):

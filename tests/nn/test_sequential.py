@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Conv2D, Dense, Flatten, ReLU, Sequential
+from repro.nn import Dense, ReLU, Sequential
 
 from tests.gradcheck import check_layer_gradients
 
@@ -61,14 +61,6 @@ def test_gradients_match_numerical(gen):
     model = Sequential([Dense(4, 5, seed=1), ReLU(), Dense(5, 3, seed=2)])
     inputs = gen.normal(size=(3, 4)) + 0.05
     check_layer_gradients(model, inputs, (3, 3), gen, atol=1e-5)
-
-
-def test_cnn_pipeline_gradients(gen):
-    model = Sequential(
-        [Conv2D(1, 2, 3, padding=1, seed=3), ReLU(), Flatten(), Dense(2 * 16, 2, seed=4)]
-    )
-    inputs = gen.normal(size=(2, 1, 4, 4))
-    check_layer_gradients(model, inputs, (2, 2), gen, atol=1e-5)
 
 
 def test_zero_grad_clears_all(gen):

@@ -1,23 +1,21 @@
-"""Round-trip serialization of the vectorized Conv2D / recurrent layers.
+"""Round-trip serialization of the conv parameters and recurrent layers.
 
-The vectorized layers keep transient work buffers: the cached im2col column
-buffer and the zero-bordered padding and dilation buffers on :class:`Conv2D`
-(``cache_patches=True``) and the preallocated state/gate caches on the
-recurrent cells.  These tests pin the contract that ``state_dict`` — what a
-checkpoint's state-tree archive stores — contains *only* trainable
-parameters, never the transient caches, and that a freshly constructed layer
-loaded from disk reproduces the original outputs exactly.
+The vectorized code keeps transient work buffers: the im2col column buffers
+and the zero-bordered padding and dilation buffers the UE network's plan
+keeps in its ``UEClient`` (``Conv2D`` itself keeps none), and the
+preallocated state/gate caches on the recurrent cells.  These tests pin the
+contract that ``state_dict`` — what a checkpoint's state-tree archive stores
+— contains *only* trainable parameters and optimizer state, never the
+transient caches, and that a freshly constructed layer or client loaded from
+disk reproduces the original outputs exactly.
 """
 import numpy as np
 import pytest
 
 from repro.nn import GRU, LSTM, Conv2D, Dense, SimpleRNN
-from repro.nn.serialization import load_state_tree, save_state_tree
-
-
-@pytest.fixture()
-def conv_inputs(rng):
-    return rng.normal(size=(3, 2, 10, 10))
+from repro.nn.serialization import flatten_state_tree, load_state_tree, save_state_tree
+from repro.split.config import ModelConfig, TrainingConfig
+from repro.split.ue import UEClient
 
 
 @pytest.fixture()
@@ -38,41 +36,55 @@ def same_parameters(layer_a, layer_b):
     )
 
 
-CONV_BUFFERS = ("_cols", "_padded", "_dilated")
+CONV_BUFFERS = ("cols", "padded", "dilated")
+
+MODEL = ModelConfig(
+    image_height=10,
+    image_width=10,
+    pooling_height=5,
+    pooling_width=5,
+    cnn_channels=(2,),
+    sequence_length=2,
+)
 
 
-def test_conv2d_state_excludes_im2col_buffer(tmp_path, rng, conv_inputs):
-    layer = Conv2D(2, 4, kernel_size=3, padding="same", cache_patches=True, seed=0)
-    outputs = layer.forward(conv_inputs)
-    layer.backward(rng.normal(size=outputs.shape))
+def trained_client(rng, seed=0):
+    """A client after one forward and backward pass of its network."""
+    client = UEClient(MODEL, TrainingConfig(), seed=seed)
+    features = client.forward(rng.random((3, 2, 10, 10)))
+    client.backward(rng.normal(size=features.shape))
+    return client
+
+
+def test_conv2d_state_excludes_im2col_buffer(tmp_path, rng):
+    client = trained_client(rng)
     for buffer in CONV_BUFFERS:
-        assert getattr(layer, buffer) is not None, f"{buffer} was not populated"
+        assert any(key.startswith(f"{buffer}/") for key in client._buffers), buffer
 
-    expected_keys = {"weight", "bias"}
-    assert set(layer.state_dict()) == expected_keys
+    state = flatten_state_tree(client.state_dict())
+    assert all(key.startswith(("model//", "optimizer//")) for key in state)
+    save_state_tree(tmp_path / "ue.npz", client.state_dict())
+    saved = load_state_tree(tmp_path / "ue.npz")
 
-    saved = save_and_load(layer, tmp_path / "conv.npz")
-    assert set(saved) == expected_keys
-
-    clone = Conv2D(2, 4, kernel_size=3, padding="same", cache_patches=True, seed=99)
-    assert not same_parameters(layer, clone)
+    clone = UEClient(MODEL, TrainingConfig(), seed=99)
     clone.load_state_dict(saved)
-    assert same_parameters(layer, clone)
-    for buffer in CONV_BUFFERS:
-        assert getattr(clone, buffer) is None, "loading must not create caches"
-    assert np.allclose(layer.forward(conv_inputs), clone.forward(conv_inputs))
+    assert clone._buffers == {}, "loading must not create caches"
+    images = rng.random((2, 2, 10, 10))
+    assert np.array_equal(client.forward(images), clone.forward(images))
 
 
-def test_conv2d_without_patch_cache_keeps_no_buffers(rng, conv_inputs):
-    layer = Conv2D(2, 4, kernel_size=3, padding="same", cache_patches=False, seed=0)
-    outputs = layer.forward(conv_inputs)
-    layer.backward(rng.normal(size=outputs.shape))
-    assert layer._padded is None and layer._dilated is None
+def test_conv2d_without_patch_cache_keeps_no_buffers(rng):
+    """The parameters hold no scratch: every buffer is the client's."""
+    client = trained_client(rng)
+    for layer in client.cnn.layers:
+        arrays = [
+            name for name, value in vars(layer).items() if isinstance(value, np.ndarray)
+        ]
+        assert arrays == [], (layer.name, arrays)
 
 
-def test_conv2d_state_dict_copies_are_independent(conv_inputs):
+def test_conv2d_state_dict_copies_are_independent():
     layer = Conv2D(2, 4, kernel_size=3, seed=0)
-    layer.forward(conv_inputs)
     state = layer.state_dict()
     state["weight"][:] = 0.0
     assert not np.allclose(layer.weight.value, 0.0)
@@ -99,14 +111,12 @@ def test_recurrent_state_excludes_step_caches(tmp_path, layer_cls, sequence_inpu
     assert np.allclose(layer.forward(sequence_inputs), clone.forward(sequence_inputs))
 
 
-def test_roundtrip_after_backward_pass(tmp_path, rng, conv_inputs):
+def test_roundtrip_after_backward_pass(tmp_path, rng):
     """Gradients accumulated on the source layer must not leak into the clone."""
-    layer = Conv2D(2, 3, kernel_size=3, seed=5)
-    outputs = layer.forward(conv_inputs)
-    layer.backward(rng.normal(size=outputs.shape))
+    layer = trained_client(rng, seed=5).cnn.layers[0]
     assert any(np.abs(p.grad).sum() > 0 for p in layer.parameters())
 
-    clone = Conv2D(2, 3, kernel_size=3, seed=6)
+    clone = Conv2D(1, 2, kernel_size=3, padding="same", seed=6)
     clone.load_state_dict(save_and_load(layer, tmp_path / "trained-conv.npz"))
     assert same_parameters(layer, clone)
     for parameter in clone.parameters():

@@ -1,18 +1,18 @@
-"""Stacked (member-axis) kernels vs. their loop references and real layers.
+"""Stacked (member-axis) kernels vs. their member-loop references.
 
-The stacked UE bank fuses N identical-architecture models into one
-set of broadcasted GEMMs (:mod:`repro.nn.stacked`).  The acceptance bar is
-1e-6 agreement; because the single-model kernels in
-:mod:`repro.nn.layers.conv` use the same ``np.matmul`` lowering, the stacked
-variants are in fact *bitwise* identical member-for-member, and these tests
-pin that.
+The UE network runs N identical-architecture models as one set of
+broadcasted GEMMs (:mod:`repro.nn.stacked`).  The acceptance bar is 1e-6
+agreement; because the member-loop references use the same ``np.matmul``
+lowering per member, the stacked kernels are in fact *bitwise* identical
+member-for-member (and to one-member passes, the inference path), and these
+tests pin that.
 """
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.nn.layers.conv import Conv2D, dilated_buffer, padded_buffer
+from repro.nn.layers.conv import dilated_buffer, padded_buffer
 from repro.nn.optim import Adam
 from repro.nn.layers.base import Parameter
 from repro.nn.stacked import (
@@ -25,6 +25,8 @@ from repro.nn.stacked import (
     stacked_conv2d_forward_reference,
     stacked_gradient_norms,
 )
+
+from tests.nn.one_member_conv import conv
 
 GEOMETRIES = [
     # (in_channels, out_channels, kernel, stride, padding, H, W)
@@ -81,13 +83,13 @@ def test_stacked_backward_matches_reference(gen, geometry):
 
 @pytest.mark.parametrize("geometry", GEOMETRIES)
 def test_stacked_kernels_match_per_member_conv2d_layers(gen, geometry):
-    """The batched GEMM equals N independent Conv2D layers, bitwise."""
+    """The batched GEMM equals N independent one-member passes, bitwise."""
     in_channels, out_channels, kernel, stride, padding, _, _ = geometry
     weights, biases, inputs, stride, padding = _stack_case(gen, geometry)
     members = len(weights)
     layers = []
     for member in range(members):
-        layer = Conv2D(
+        layer = conv(
             in_channels, out_channels, kernel, stride=stride, padding=padding,
             seed=member,
         )

@@ -5,7 +5,6 @@ import pytest
 from repro.scene import (
     AxisAlignedBox,
     Pose,
-    bounding_box_of,
     point_segment_distance,
     project_point_onto_segment,
     ray_box_intersection,
@@ -37,12 +36,6 @@ def test_box_contains(unit_box):
     assert unit_box.contains([0.5, 0.5, 0.5])
     assert unit_box.contains([0.0, 0.0, 0.0])
     assert not unit_box.contains([1.5, 0.5, 0.5])
-
-
-def test_box_translated(unit_box):
-    moved = unit_box.translated([1.0, 0.0, 0.0])
-    assert np.allclose(moved.minimum, [1, 0, 0])
-    assert np.allclose(moved.maximum, [2, 1, 1])
 
 
 def test_ray_hits_box_head_on(unit_box):
@@ -120,13 +113,3 @@ def test_pose_orthonormal_frame():
 def test_pose_rejects_collinear_up():
     with pytest.raises(ValueError):
         Pose(position=[0, 0, 0], forward=[0, 0, 1])
-
-
-def test_bounding_box_of():
-    box_a = AxisAlignedBox([0, 0, 0], [1, 1, 1])
-    box_b = AxisAlignedBox([2, -1, 0], [3, 0, 2])
-    combined = bounding_box_of([box_a, box_b])
-    assert np.allclose(combined.minimum, [0, -1, 0])
-    assert np.allclose(combined.maximum, [3, 1, 2])
-    with pytest.raises(ValueError):
-        bounding_box_of([])

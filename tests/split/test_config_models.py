@@ -7,10 +7,9 @@ from repro.split import (
     ModelConfig,
     TrainingConfig,
     build_bs_rnn,
-    build_pooling_compressor,
     build_ue_cnn,
-    paper_model_configs,
 )
+from repro.split.ue import UEClient
 
 
 def test_default_model_config_is_paper_one_pixel():
@@ -97,15 +96,6 @@ def test_experiment_config_describe():
     assert "1-pixel" in ExperimentConfig().describe()
 
 
-def test_paper_model_configs_cover_five_schemes():
-    configs = paper_model_configs()
-    assert len(configs) == 5
-    assert configs["rf-only"].use_image is False
-    assert configs["img-only-1pixel"].use_rf is False
-    assert configs["img+rf-1pixel"].is_one_pixel
-    assert configs["img+rf-4x4"].pooling_height == 4
-
-
 # -- model builders ----------------------------------------------------------------
 
 
@@ -123,9 +113,9 @@ def small_config():
 
 
 def test_ue_cnn_preserves_spatial_size(small_config):
-    cnn = build_ue_cnn(small_config, seed=0)
-    output = cnn.forward(np.random.default_rng(0).random((2, 1, 12, 12)))
-    assert output.shape == (2, 1, 12, 12)
+    client = UEClient(small_config, seed=0)
+    output = client.output_images(np.random.default_rng(0).random((2, 12, 12)))
+    assert output.shape == (2, 12, 12)
     assert output.min() >= 0.0 and output.max() <= 1.0  # sigmoid output image
 
 
@@ -133,14 +123,15 @@ def test_ue_cnn_preserves_spatial_size(small_config):
 def test_ue_cnn_skips_only_the_first_input_gradient(small_config, channels):
     from dataclasses import replace
 
-    from repro.nn.layers.conv import Conv2D
-
-    cnn = build_ue_cnn(replace(small_config, cnn_channels=channels), seed=0)
-    convs = [layer for layer in cnn.layers if isinstance(layer, Conv2D)]
-    assert [conv.needs_input_grad for conv in convs] == [False] + [True] * len(channels)
-    output = cnn.forward(np.random.default_rng(0).random((2, 1, 12, 12)))
-    assert cnn.backward(np.ones_like(output)) is None
-    assert all(np.any(conv.weight.grad != 0) for conv in convs)
+    client = UEClient(
+        replace(small_config, cnn_channels=channels), TrainingConfig(), seed=0
+    )
+    convs = [step for step in client.plan.steps if step[0] == "conv"]
+    assert [step[5] for step in convs] == [False] + [True] * len(channels)
+    features = client.forward(np.random.default_rng(0).random((2, 1, 12, 12)))
+    client.backward(np.ones_like(features))
+    assert "dilated/0" not in client._buffers  # no input-gradient scratch
+    assert all(np.any(param.grad != 0) for param in client.cnn.parameters())
 
 
 def test_ue_cnn_requires_image_branch():
@@ -149,11 +140,11 @@ def test_ue_cnn_requires_image_branch():
 
 
 def test_pooling_compressor_output_size(small_config):
-    compressor = build_pooling_compressor(small_config)
-    pooled = compressor.forward(np.random.default_rng(0).random((3, 1, 12, 12)))
-    assert pooled.shape == (3, 1)
-    finer = build_pooling_compressor(small_config.with_pooling(4))
-    assert finer.forward(np.random.default_rng(0).random((3, 1, 12, 12))).shape == (3, 9)
+    images = np.random.default_rng(0).random((3, 1, 12, 12))
+    assert UEClient(small_config, seed=0).forward(images).shape == (3, 1, 1)
+    finer = UEClient(small_config.with_pooling(4), seed=0)
+    assert finer.forward(images).shape == (3, 1, 9)
+    assert finer.compressed_images(images[:, 0]).shape == (3, 3, 3)
 
 
 def test_bs_rnn_output_shape(small_config):

@@ -8,6 +8,7 @@ because a frame's features do not depend on which frames share its batch.
 import numpy as np
 import pytest
 
+from repro.fleet import bank
 from repro.split import ExperimentConfig, ModelConfig, TrainingConfig
 from repro.split.protocol import SplitTrainingProtocol
 from repro.split.trainer import SplitTrainer
@@ -80,13 +81,13 @@ def test_cnn_sees_each_distinct_frame_once(monkeypatch):
     protocol = make_protocol()
     images, powers, ids = sliding_windows(10)
     seen = []
-    forward = protocol.ue.cnn.forward
+    forward = bank.ue_forward
 
-    def counting_forward(inputs):
-        seen.append(len(inputs))
-        return forward(inputs)
+    def counting_forward(plan, weights, images, *args, **kwargs):
+        seen.append(images.shape[1])
+        return forward(plan, weights, images, *args, **kwargs)
 
-    monkeypatch.setattr(protocol.ue.cnn, "forward", counting_forward)
+    monkeypatch.setattr(bank, "ue_forward", counting_forward)
     protocol.predict(images, powers, frame_ids=ids)
     assert sum(seen) == 13
     seen.clear()

@@ -6,7 +6,6 @@ from repro.split.predictors import (
     ImageOnlyPredictor,
     MultimodalSplitPredictor,
     RFOnlyPredictor,
-    predictor_for_scheme,
 )
 
 
@@ -58,23 +57,6 @@ def test_predict_before_fit_raises(tiny_model_config, tiny_training_config, smal
         predictor.predict(small_split.validation)
     with pytest.raises(RuntimeError):
         predictor.evaluate(small_split.validation)
-
-
-def test_predictor_for_scheme_factory(tiny_model_config, tiny_training_config):
-    assert isinstance(
-        predictor_for_scheme("img+rf", tiny_model_config, tiny_training_config),
-        MultimodalSplitPredictor,
-    )
-    assert isinstance(
-        predictor_for_scheme("img-only", tiny_model_config, tiny_training_config),
-        ImageOnlyPredictor,
-    )
-    assert isinstance(
-        predictor_for_scheme("RF_ONLY", tiny_model_config, tiny_training_config),
-        RFOnlyPredictor,
-    )
-    with pytest.raises(ValueError):
-        predictor_for_scheme("audio-only")
 
 
 def test_fit_is_reproducible_with_same_seed(tiny_model_config, tiny_training_config, small_split):

@@ -37,7 +37,7 @@ from repro.nn.layers.conv import (
     conv2d_forward_reference,
     im2col,
 )
-from repro.nn.layers.pooling import AveragePool2D, avgpool2d_forward_reference
+from repro.nn.layers.pooling import average_pool, avgpool2d_forward_reference
 from repro.nn.layers.recurrent import (
     GRU,
     LSTM,
@@ -185,13 +185,12 @@ def _run_kernel_suite(scale: ExperimentScale) -> List[KernelRecord]:
     # -- pooling: the paper's 4x4 compression knob -----------------------------
     feature_maps = gen.normal(size=(vec_batch, 1, IMAGE_SIZE, IMAGE_SIZE))
     maps_small = feature_maps[:ref_batch]
-    pool = AveragePool2D(POOL)
     records.append(
         KernelRecord(
             f"avgpool {POOL}x{POOL} forward",
-            _throughput(lambda: pool.forward(feature_maps), vec_batch, repeats),
+            _throughput(lambda: average_pool(feature_maps, POOL), vec_batch, repeats),
             _throughput(
-                lambda: avgpool2d_forward_reference(maps_small, pool.pool_size),
+                lambda: avgpool2d_forward_reference(maps_small, (POOL, POOL)),
                 ref_batch,
                 repeats,
             ),

@@ -105,11 +105,10 @@ def run_fig3a(
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
         configs = {name: configs[name] for name in schemes}
 
+    jobs = [pipeline.split_job(name, config) for name, config in configs.items()]
     result = Fig3aResult(scale=scale)
-    for name, model_config in configs.items():
-        # Only the history is kept, so each model is freed before the next.
-        job = pipeline.split_job(name, model_config)
-        result.histories[name] = pipeline.train(job).history
+    for trained in pipeline.train_all(jobs):
+        result.histories[trained.key] = trained.history
     return result
 
 

@@ -147,9 +147,13 @@ def run_fig3b(
         ground_truth_dbm=truth,
         transition_mask=transition_mask_from_truth(truth),
     )
-    for name, model_config in schemes.items():
-        job = pipeline.split_job(name, model_config)
-        predictions = pipeline.predict_dbm(pipeline.train(job), window)
+    jobs = [pipeline.split_job(name, config) for name, config in schemes.items()]
+    models = pipeline.train_all(jobs)
+    while models:
+        # Each model goes before the next one predicts, which then reuses
+        # its freed inference buffers instead of faulting in fresh pages.
+        trained = models.pop(0)
+        predictions = pipeline.predict_dbm(trained, window)
         overall = root_mean_squared_error(predictions, truth)
         if result.transition_mask.any():
             transition = root_mean_squared_error(
@@ -157,8 +161,8 @@ def run_fig3b(
             )
         else:
             transition = overall
-        result.predictions[name] = SchemePrediction(
-            scheme=name,
+        result.predictions[trained.key] = SchemePrediction(
+            scheme=trained.key,
             predictions_dbm=predictions,
             rmse_db=overall,
             transition_rmse_db=transition,

@@ -172,17 +172,19 @@ def run_compression_pareto(
 
     result = CompressionParetoResult(scale=scale, codecs=codecs)
     batch_size = scale.training_config().batch_size
+    fit_kwargs = {} if max_epochs is None else {"max_rounds": max_epochs}
+    jobs = []
     for codec in codecs:
         overrides: dict = {"codec": codec}
         if topk_fraction is not None and codec == "topk":
             overrides["codec_topk_fraction"] = topk_fraction
         model_config = dataclasses.replace(scale.base_model_config(), **overrides)
-        fit_kwargs = {} if max_epochs is None else {"max_rounds": max_epochs}
-        job = pipeline.split_job(codec, model_config, **fit_kwargs)
-        result.histories[codec] = pipeline.train(job).history
+        jobs.append(pipeline.split_job(codec, model_config, **fit_kwargs))
         result.uplink_payload_bits[codec] = _sized_uplink_bits(
             model_config, batch_size, codec
         )
+    for trained in pipeline.train_all(jobs):
+        result.histories[trained.key] = trained.history
     return result
 
 

@@ -180,18 +180,22 @@ def run_fleet_scaling(
     result = FleetScalingResult(
         scale=scale, scheduler=scheduler, ue_counts=ue_counts, modes=modes
     )
-    for mode in modes:
-        for num_ues in ue_counts:
-            fleet_kwargs = dict(num_ues=num_ues, mode=mode, scheduler=scheduler)
-            if placement_jitter is not None:
-                fleet_kwargs["placement_jitter"] = placement_jitter
-            job = pipeline.fleet_job(
+    cells = [(mode, num_ues) for mode in modes for num_ues in ue_counts]
+    jobs = []
+    for mode, num_ues in cells:
+        fleet_kwargs = dict(num_ues=num_ues, mode=mode, scheduler=scheduler)
+        if placement_jitter is not None:
+            fleet_kwargs["placement_jitter"] = placement_jitter
+        jobs.append(
+            pipeline.fleet_job(
                 f"{mode}/n{num_ues}",
                 FleetConfig(**fleet_kwargs),
                 config,
                 max_rounds=max_rounds,
             )
-            result.histories[(mode, num_ues)] = pipeline.train(job).history
+        )
+    for cell, trained in zip(cells, pipeline.train_all(jobs)):
+        result.histories[cell] = trained.history
     return result
 
 

@@ -13,7 +13,8 @@ persistence is implemented once instead of five times:
 * **train** — run one :class:`TrainingJob` (a fleet; single-UE jobs are the
   fleet of one) with round-granular checkpoints under ``--checkpoint-dir``,
   resumption via ``--resume``, and content-addressed trained-model caching
-  (:mod:`repro.experiments.model_cache`);
+  (:mod:`repro.experiments.model_cache`); a figure's independent jobs train
+  side by side in forked workers (:meth:`ExperimentPipeline.train_all`);
 * **evaluate** — the single normalized-eval path of the training engine
   (:meth:`repro.fleet.trainer.FleetTrainer.predict_dbm`);
 * **artifact** — atomic JSON artifact writing (:func:`write_artifact`).
@@ -31,11 +32,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import re
+import threading
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.dataset.generator import DepthPowerDataset
 from repro.dataset.splits import TrainValidationSplit
@@ -52,7 +56,7 @@ from repro.experiments.model_cache import (
 from repro.fleet.config import SINGLE_UE, FleetConfig
 from repro.fleet.trainer import FleetHistory, FleetTrainer
 from repro.nn.serialization import atomic_write_text
-from repro.split.checkpoint import Checkpoint
+from repro.split.checkpoint import Checkpoint, CheckpointLike
 from repro.split.config import ExperimentConfig
 from repro.utils.logging import get_logger
 
@@ -120,9 +124,73 @@ class TrainedModel:
     resumed: bool = False
 
 
+@dataclass(frozen=True)
+class _JobPlan:
+    """Where one job's run state lives, and what its fit starts from."""
+
+    fingerprint: str
+    checkpoint_path: Optional[Path]
+    cache_path: Optional[Path]
+    resume_from: Optional[CheckpointLike]
+    cache_hit: bool
+
+
 def _job_slug(key: str) -> str:
     """Filesystem-safe form of a job key."""
     return re.sub(r"[^A-Za-z0-9._+-]+", "-", key).strip("-") or "job"
+
+
+# -- process pools --------------------------------------------------------------------
+
+
+def pool_context():
+    """The start method of every process pool (sweep cells, training jobs).
+
+    Fork where available: workers inherit the parent's memory (the split,
+    runtime-registered experiments, ``sys.path`` set by test conftests)
+    instead of re-importing and unpickling it.
+    """
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        return multiprocessing.get_context()
+
+
+def _available_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - platforms without affinity
+        return os.cpu_count() or 1
+
+
+#: The pipeline, jobs and plans of :meth:`ExperimentPipeline.train_all`,
+#: installed in each pool worker by :func:`_install_jobs` (inherited, not
+#: pickled, under fork).
+_WORKER_JOBS: Optional[tuple] = None
+
+
+def _install_jobs(pipeline: "ExperimentPipeline", jobs, plans) -> None:
+    global _WORKER_JOBS
+    _WORKER_JOBS = (pipeline, jobs, plans)
+    # A killed parent never tells its workers to stop, and a fork worker
+    # holds the pool's call queue open itself, so it would wait on it
+    # forever: exit as soon as the parent is gone.
+    parent = multiprocessing.parent_process()
+    assert parent is not None
+    threading.Thread(target=_exit_after, args=(parent,), daemon=True).start()
+
+
+def _exit_after(parent) -> None:
+    parent.join()  # returns when the parent process has ended
+    os._exit(1)
+
+
+def _train_in_worker(index: int) -> Checkpoint:
+    """Train job ``index`` in a pool worker; return its final checkpoint."""
+    assert _WORKER_JOBS is not None
+    pipeline, jobs, plans = _WORKER_JOBS
+    return pipeline._train_to_checkpoint(jobs[index], plans[index])
 
 
 class ExperimentPipeline:
@@ -218,19 +286,13 @@ class ExperimentPipeline:
             f"{_job_slug(job.key)}-{fingerprint}.npz"
         )
 
-    def train(self, job: TrainingJob) -> TrainedModel:
-        """Run one training job through cache, checkpointing and resume.
+    def _plan(self, job: TrainingJob) -> _JobPlan:
+        """Resolve a job's run state: a model-cache hit, a resume, or fresh.
 
-        Resolution order: a trained-model cache entry (a finished run's
-        checkpoint) is restored instantly; otherwise, with ``resume`` set, an
-        existing job checkpoint continues bit-identically; otherwise the job
-        trains from scratch.  Fresh results are stored back into the model
-        cache when one is configured.  A cache entry that cannot be loaded
-        (truncated, corrupted, an old layout) is a miss: the job retrains
-        and the fresh entry atomically replaces it.
+        A cache entry that cannot be loaded (truncated, corrupted, an old
+        layout) is a miss.
         """
         fingerprint = self.job_fingerprint(job)
-        trainer = job.build_trainer()
         checkpoint_path = self.checkpoint_path(job, fingerprint)
         cache_path = (
             trained_model_path(fingerprint, self.options.model_cache_dir)
@@ -238,7 +300,7 @@ class ExperimentPipeline:
             else None
         )
 
-        resume_from = None
+        resume_from: Optional[CheckpointLike] = None
         cache_hit = False
         if cache_path is not None and cache_path.exists():
             try:
@@ -261,25 +323,111 @@ class ExperimentPipeline:
         ):
             resume_from = checkpoint_path
             logger.info("job %s: resuming from %s", job.key, checkpoint_path)
+        return _JobPlan(
+            fingerprint, checkpoint_path, cache_path, resume_from, cache_hit
+        )
 
+    def _train(
+        self,
+        job: TrainingJob,
+        plan: _JobPlan,
+        finished: Optional[Checkpoint] = None,
+    ) -> TrainedModel:
+        """Fit ``job`` from its plan; store a fresh result in the model cache.
+
+        ``finished`` is the final checkpoint of this job, trained already by
+        :meth:`train_all`: the fit restores it, as it restores a cache hit,
+        and stores nothing.
+        """
+        trainer = job.build_trainer()
         history = trainer.fit(
             self.split.train,
             self.split.validation,
-            checkpoint_path=checkpoint_path,
+            checkpoint_path=plan.checkpoint_path,
             checkpoint_every=self.options.checkpoint_every,
-            resume_from=resume_from,
+            resume_from=plan.resume_from if finished is None else finished,
             **dict(job.fit_kwargs),
         )
-        if cache_path is not None and not cache_hit:
-            trainer.final_checkpoint(history).save(cache_path)
+        if finished is None and plan.cache_path is not None and not plan.cache_hit:
+            trainer.final_checkpoint(history).save(plan.cache_path)
         return TrainedModel(
             key=job.key,
             trainer=trainer,
             history=history,
-            fingerprint=fingerprint,
-            cache_hit=cache_hit,
-            resumed=resume_from is not None and not cache_hit,
+            fingerprint=plan.fingerprint,
+            cache_hit=plan.cache_hit,
+            resumed=plan.resume_from is not None and not plan.cache_hit,
         )
+
+    def _train_to_checkpoint(self, job: TrainingJob, plan: _JobPlan) -> Checkpoint:
+        """Train ``job`` from its plan; return its final checkpoint."""
+        trained = self._train(job, plan)
+        return trained.trainer.final_checkpoint(trained.history)
+
+    def train(self, job: TrainingJob) -> TrainedModel:
+        """Run one training job through cache, checkpointing and resume.
+
+        Resolution order: a trained-model cache entry (a finished run's
+        checkpoint) is restored instantly; otherwise, with ``resume`` set, an
+        existing job checkpoint continues bit-identically; otherwise the job
+        trains from scratch.  Fresh results are stored back into the model
+        cache when one is configured.  A cache entry that cannot be loaded
+        (truncated, corrupted, an old layout) is a miss: the job retrains
+        and the fresh entry atomically replaces it.
+        """
+        return self._train(job, self._plan(job))
+
+    def train_all(self, jobs: Sequence[TrainingJob]) -> List[TrainedModel]:
+        """Run independent jobs; those that still need training run concurrently.
+
+        Cache hits and resume points resolve here, as in :meth:`train`.  The
+        jobs left to train run in a process pool of ``min(CPUs, jobs left)``
+        workers (fork where available), or here, one after another, when
+        that is one worker or this process is itself a pool worker (a
+        parallel sweep cell).  Each job trains as :meth:`train` would,
+        checkpoints and cache entry included, down to its final checkpoint,
+        which a fresh trainer here restores the way it restores a cache hit:
+        so a trained job's working memory is gone before the next one
+        starts.  Either way the histories, checkpoints and cache entries are
+        bit-identical, and no worker outlives the call.
+
+        Returns:
+            One :class:`TrainedModel` per job, in job order.
+
+        Raises:
+            Whatever a job raises (e.g. ``FloatingPointError`` naming the
+            round and step); jobs not yet started are cancelled.
+        """
+        jobs = list(jobs)
+        plans = [self._plan(job) for job in jobs]
+        pending = [index for index, plan in enumerate(plans) if not plan.cache_hit]
+        workers = min(_available_cpus(), len(pending))
+        finished: Dict[int, Checkpoint] = {}
+        if workers <= 1 or multiprocessing.parent_process() is not None:
+            for index in pending:
+                finished[index] = self._train_to_checkpoint(jobs[index], plans[index])
+        else:
+            self.split  # built once here and inherited by every worker
+            logger.info("training %d jobs on %d workers", len(pending), workers)
+            with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=pool_context(),
+                initializer=_install_jobs,
+                initargs=(self, jobs, plans),
+            ) as pool:
+                futures = {
+                    pool.submit(_train_in_worker, index): index for index in pending
+                }
+                try:
+                    for future in as_completed(futures):
+                        finished[futures[future]] = future.result()
+                except BaseException:
+                    pool.shutdown(wait=True, cancel_futures=True)
+                    raise
+        return [
+            self._train(job, plan, finished.get(index))
+            for index, (job, plan) in enumerate(zip(jobs, plans))
+        ]
 
     # -- stage 3: evaluate ------------------------------------------------------------
     def evaluate(self, trained: TrainedModel, sequences) -> float:

@@ -33,7 +33,6 @@ import argparse
 import copy
 import inspect
 import json
-import multiprocessing
 import os
 import sys
 import time
@@ -50,6 +49,7 @@ from repro.experiments.pipeline import (
     PipelineOptions,
     add_run_state_arguments,
     experiment_specs,
+    pool_context,
     write_artifact,
 )
 from repro.scenarios import get_scenario, scenario_names
@@ -292,14 +292,6 @@ def _execute_cell(spec: _CellSpec) -> Dict[str, object]:
     }
 
 
-def _pool_context():
-    """Prefer fork (inherits sys.path set by test conftests) where available."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context()
-
-
 def _aggregate_cells(cells: Sequence[Dict[str, object]]) -> Dict[str, Dict[str, float]]:
     """Mean/std/min/max of every metric across one scenario's seeds."""
     keys: List[str] = sorted({key for cell in cells for key in cell["metrics"]})
@@ -474,7 +466,7 @@ def run_sweep(config: SweepConfig) -> Dict[str, object]:
     default_workers = max(os.cpu_count() or 1, 2)
     workers = min(config.max_workers or default_workers, max(len(pending), 1))
     use_pool = config.parallel and workers > 1 and len(pending) > 1
-    context = _pool_context()
+    context = pool_context()
     if (
         use_pool
         and config.experiment in _RUNTIME_EXPERIMENTS

@@ -29,7 +29,7 @@ from repro.channel.payload import PayloadModel
 from repro.dataset.generator import DepthPowerDataset
 from repro.experiments.common import ExperimentScale
 from repro.experiments.pipeline import ExperimentPipeline, PipelineOptions
-from repro.nn.layers import AveragePool2D
+from repro.nn.layers import average_pool
 from repro.privacy.leakage import PrivacyLeakageEvaluator, correlation_leakage
 from repro.split.ue import UEClient
 from repro.utils.seeding import as_generator
@@ -184,7 +184,7 @@ def run_table1(
         raw_images
     )
     transmitted = [
-        AveragePool2D((pooling, pooling)).forward(output[:, None])[:, 0]
+        average_pool(output[:, None], pooling)[:, 0]
         for pooling in poolings
     ]
     leakages = PrivacyLeakageEvaluator(seed=scale.seed).evaluate_all(

@@ -44,6 +44,7 @@ import numpy as np
 
 from repro.nn.layers.activations import ReLU, Sigmoid, stable_sigmoid
 from repro.nn.layers.conv import Conv2D, dilated_buffer, padded_buffer
+from repro.nn.layers.pooling import average_pool
 from repro.nn.layers.sequential import Sequential
 from repro.nn.optim import Adam
 from repro.nn.stacked import (
@@ -175,13 +176,11 @@ def ue_forward(
             cache[f"sigmoid/{step}"] = x
     if not pooled:
         return x
-    channels, map_h, map_w = x.shape[2:]
-    ph, pw = plan.pool_size
     cache["pool_input_shape"] = x.shape
-    pooled_maps = x.reshape(
-        members * frames, channels, map_h // ph, ph, map_w // pw, pw
-    ).mean(axis=(3, 5))
-    return pooled_maps.reshape(members, frames, channels, map_h // ph, map_w // pw)
+    pooled_maps = average_pool(
+        x.reshape((members * frames,) + x.shape[2:]), plan.pool_size
+    )
+    return pooled_maps.reshape((members, frames) + pooled_maps.shape[1:])
 
 
 def ue_backward(

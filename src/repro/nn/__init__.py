@@ -10,7 +10,6 @@ Adam, and the atomic state-tree archives that checkpoints are written with.
 """
 from repro.nn import initializers, metrics
 from repro.nn.layers import (
-    AveragePool2D,
     Conv2D,
     Dense,
     GRU,
@@ -21,6 +20,7 @@ from repro.nn.layers import (
     Sequential,
     Sigmoid,
     SimpleRNN,
+    average_pool,
 )
 from repro.nn.losses import Loss, MeanSquaredError
 from repro.nn.metrics import mean_squared_error, root_mean_squared_error
@@ -41,7 +41,6 @@ from repro.nn.stacked import (
 
 __all__ = [
     "Adam",
-    "AveragePool2D",
     "Conv2D",
     "Dense",
     "GRU",
@@ -57,6 +56,7 @@ __all__ = [
     "SimpleRNN",
     "atomic_savez",
     "atomic_write_text",
+    "average_pool",
     "initializers",
     "load_state_tree",
     "mean_squared_error",

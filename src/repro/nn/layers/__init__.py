@@ -11,7 +11,7 @@ from repro.nn.layers.conv import (
 )
 from repro.nn.layers.dense import Dense
 from repro.nn.layers.pooling import (
-    AveragePool2D,
+    average_pool,
     avgpool2d_backward_reference,
     avgpool2d_forward_reference,
 )
@@ -29,7 +29,6 @@ from repro.nn.layers.recurrent import (
 from repro.nn.layers.sequential import Sequential
 
 __all__ = [
-    "AveragePool2D",
     "Conv2D",
     "Dense",
     "GRU",
@@ -40,6 +39,7 @@ __all__ = [
     "Sequential",
     "Sigmoid",
     "SimpleRNN",
+    "average_pool",
     "avgpool2d_backward_reference",
     "avgpool2d_forward_reference",
     "col2im",

@@ -4,11 +4,13 @@ Average pooling is the compression knob of the paper: the UE pools the CNN
 output with a ``wH x wW`` window before transmitting it to the BS, trading
 feature-map resolution for uplink payload size and privacy.
 
-The layer is a pure reshape-trick kernel: the ``(batch, channels, H, W)``
-input is viewed as ``(batch, channels, out_h, ph, out_w, pw)`` windows and
-reduced along the window axes in one pass.  Table 1 pools CNN output images
-with it; the UE network's plan (:mod:`repro.fleet.bank`) pools the same way
-and differentiates the pooling itself.
+:func:`average_pool` is a pure reshape-trick kernel: the
+``(batch, channels, H, W)`` input is viewed as
+``(batch, channels, out_h, ph, out_w, pw)`` windows and reduced along the
+window axes in one pass.  It is the only pooling forward: the UE network's
+plan (:mod:`repro.fleet.bank`) pools the cut layer with it (and
+differentiates the pooling itself), and Table 1 pools CNN output images with
+it.
 
 Naive per-window loop implementations are retained as ``*_reference``
 functions — the correctness oracle for the vectorized kernels and the
@@ -21,7 +23,6 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.nn.layers.base import Layer
 from repro.nn.layers.conv import _pair
 
 
@@ -78,29 +79,24 @@ def avgpool2d_backward_reference(
     return grad
 
 
-class AveragePool2D(Layer):
-    """Non-overlapping average pooling over ``(batch, channels, H, W)`` inputs.
+def average_pool(
+    inputs: np.ndarray, pool_size: int | Tuple[int, int]
+) -> np.ndarray:
+    """Non-overlapping average pooling of ``(batch, channels, H, W)`` inputs.
 
-    The input spatial dimensions must be divisible by the pool size; this is
-    the regime used in the paper (40x40 feature maps pooled by 1, 4, 10 or 40).
+    ``H`` and ``W`` must be divisible by the pool size; this is the regime
+    used in the paper (40x40 feature maps pooled by 1, 4, 10 or 40).
+
+    Returns:
+        ``(batch, channels, H / ph, W / pw)`` window means.
     """
-
-    def __init__(self, pool_size: int | Tuple[int, int], name: str | None = None):
-        super().__init__(name=name)
-        self.pool_size = _pair(pool_size)
-        if any(p <= 0 for p in self.pool_size):
-            raise ValueError("pool_size entries must be positive")
-
-    def output_shape(self, height: int, width: int) -> Tuple[int, int]:
-        """Spatial output shape for an input of ``height x width``."""
-        return _check_divisible(self.name, height, width, self.pool_size)
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        inputs = np.asarray(inputs, dtype=np.float64)
-        if inputs.ndim != 4:
-            raise ValueError(f"{self.name}: expected 4-D input, got {inputs.shape}")
-        batch, channels, height, width = inputs.shape
-        out_h, out_w = self.output_shape(height, width)
-        ph, pw = self.pool_size
-        reshaped = inputs.reshape(batch, channels, out_h, ph, out_w, pw)
-        return reshaped.mean(axis=(3, 5))
+    ph, pw = _pair(pool_size)
+    if ph <= 0 or pw <= 0:
+        raise ValueError("pool_size entries must be positive")
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.ndim != 4:
+        raise ValueError(f"average_pool: expected 4-D input, got {inputs.shape}")
+    batch, channels, height, width = inputs.shape
+    out_h, out_w = _check_divisible("average_pool", height, width, (ph, pw))
+    reshaped = inputs.reshape(batch, channels, out_h, ph, out_w, pw)
+    return reshaped.mean(axis=(3, 5))

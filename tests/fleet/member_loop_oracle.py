@@ -15,7 +15,7 @@ step, ``UEClient.apply_update``.
 (``trainer._bank = MemberLoop(...)``), it replays a fleet run the way
 per-member code would; the bank must match it bit for bit.
 
-The pooling forward is :class:`~repro.nn.layers.pooling.AveragePool2D`, not
+The pooling forward is :func:`~repro.nn.layers.pooling.average_pool`, not
 ``avgpool2d_forward_reference``: the loop reference averages each window in
 a different summation order, so it agrees with the reshape mean only to
 rounding, while the backward reference writes each input gradient once and
@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.nn.layers.activations import ReLU, Sigmoid, stable_sigmoid
 from repro.nn.layers.conv import Conv2D
-from repro.nn.layers.pooling import AveragePool2D, avgpool2d_backward_reference
+from repro.nn.layers.pooling import average_pool, avgpool2d_backward_reference
 from repro.nn.stacked import (
     stacked_conv2d_backward_reference,
     stacked_conv2d_forward_reference,
@@ -77,7 +77,7 @@ class MemberNetwork:
                 x = stable_sigmoid(x)
                 self._saved.append(x)
         self._pool_input_shape = x.shape
-        pooled = AveragePool2D(self.pool_size).forward(x)
+        pooled = average_pool(x, self.pool_size)
         return pooled.reshape(batch, length, -1)
 
     def backward(self, cut_gradient: np.ndarray) -> None:

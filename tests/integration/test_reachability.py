@@ -18,7 +18,9 @@ only its own unit tests call is dead weight: delete it with its tests.
 The probe runs in fresh interpreters, so the calls modules make while they
 are imported (registries, decorators) are recorded too.  The analysis pass
 and the rest run side by side, because the profiler slows the call-heavy
-analysis most.
+analysis most.  The experiments train their jobs in this interpreter (one
+CPU for ``ExperimentPipeline.train_all``): a forked worker's calls would
+never reach the profiler here.
 """
 import ast
 import json
@@ -145,6 +147,8 @@ ALLOWLIST = {
     "repro.experiments.model_cache:default_model_cache_dir": BRANCH
     + " (no cache directory)",
     "repro.experiments.pipeline:ExperimentPipeline.evaluate": TESTS_ONLY,
+    "repro.experiments.pipeline:ExperimentPipeline.train": HARNESS + "; the "
+    "single-job form of train_all, which every runner calls",
     "repro.experiments.sweep:canonical_artifact": TESTS_ONLY,
     "repro.experiments.sweep:register_experiment": TESTS_ONLY,
     "repro.experiments.table1_privacy_success:Table1Result.format_table": EXAMPLE,
@@ -262,9 +266,12 @@ def probe(part: str, workdir: Path, output: Path) -> None:
 
 def _run_experiments(workdir: Path) -> None:
     from repro.experiments import ablations, fig_compression_pareto, fig_fleet_scaling
+    from repro.experiments import pipeline
     from repro.experiments.common import ExperimentScale
     from repro.experiments.run import main as run_main
     from repro.experiments.sweep import main as sweep_main
+
+    pipeline._available_cpus = lambda: 1
 
     caches = [
         "--dataset-cache-dir", str(workdir / "datasets"),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.nn.layers.conv import Conv2D, conv2d_forward_reference
-from repro.nn.layers.pooling import AveragePool2D
+from repro.nn.layers.pooling import average_pool
 from repro.nn.layers.pooling import avgpool2d_forward_reference
 from repro.nn.layers.recurrent import GRU, LSTM, SimpleRNN
 
@@ -78,12 +78,11 @@ def test_conv_empty_batch_roundtrip():
 
 
 @pytest.mark.parametrize(
-    "layer_factory", [lambda: AveragePool2D(2), lambda: AveragePool2D((2, 2))]
+    "pool", [lambda x: average_pool(x, 2), lambda x: average_pool(x, (2, 2))]
 )
-def test_pooling_empty_batch_roundtrip(layer_factory):
-    layer = layer_factory()
+def test_pooling_empty_batch_roundtrip(pool):
     empty = np.zeros((0, 1, 4, 4))
-    output = layer.forward(empty)
+    output = pool(empty)
     assert output.shape == (0, 1, 2, 2)
 
 
@@ -109,8 +108,8 @@ def test_single_channel_conv_gradients(gen, gradcheck):
 
 def test_single_channel_pooling(gen):
     inputs = gen.normal(size=(2, 1, 6, 6))
-    assert AveragePool2D(3).forward(inputs).shape == (2, 1, 2, 2)
-    assert AveragePool2D(6).forward(inputs).shape == (2, 1, 1, 1)
+    assert average_pool(inputs, 3).shape == (2, 1, 2, 2)
+    assert average_pool(inputs, 6).shape == (2, 1, 1, 1)
 
 
 # -- non-square inputs --------------------------------------------------------
@@ -124,9 +123,8 @@ def test_conv_non_square_input_and_gradients(gen, gradcheck):
 
 
 def test_pooling_non_square_input(gen):
-    layer = AveragePool2D((2, 5))
     inputs = gen.normal(size=(1, 2, 4, 10))
-    output = layer.forward(inputs)
+    output = average_pool(inputs, (2, 5))
     assert output.shape == (1, 2, 2, 2)
     assert np.allclose(output, avgpool2d_forward_reference(inputs, (2, 5)))
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.fleet.bank import ue_plan
-from repro.nn import AveragePool2D, Conv2D, Dense, ReLU, Sequential, Sigmoid
+from repro.nn import Conv2D, Dense, ReLU, Sequential, Sigmoid, average_pool
 from repro.split import ModelConfig, TrainingConfig
 from repro.split.ue import UEClient
 
@@ -69,7 +69,7 @@ def test_output_and_compressed_images_follow_the_forward():
     assert np.array_equal(compressed.reshape(6, 1, -1), features)
     output = client.output_images(images)
     assert output.shape == (6, 12, 12)
-    pooled = AveragePool2D(4).forward(output[:, None])[:, 0]
+    pooled = average_pool(output[:, None], 4)[:, 0]
     assert np.array_equal(pooled, compressed)
 
 

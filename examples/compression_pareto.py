@@ -14,10 +14,9 @@ The ARQ layer transmits the *encoded* payload sizes, so slot counts — and
 therefore the simulated wall-clock — respond to compression, while the BS
 trains on the *decoded* (lossy) tensors.  This script runs the Pareto
 experiment at the fast scale and prints the accuracy/latency frontier —
-the same numbers the ``fig_compression_pareto`` CLI writes to its JSON
-artifact:
+the numbers the experiment CLI writes under its artifact's ``figure`` key:
 
-    python -m repro.experiments.fig_compression_pareto --scale fast
+    python -m repro.experiments.run --experiment pareto --scale fast
 
 Run with:  python examples/compression_pareto.py
 """

@@ -13,9 +13,9 @@ single BS and a single slotted medium.  Two training modes are available:
 
 This script trains fleets of 1, 2 and 4 UEs in both modes at the fast scale
 and prints the learning-curve endpoints plus medium-occupancy accounting —
-the same numbers the ``fig_fleet_scaling`` CLI writes to its JSON artifact:
+the numbers the experiment CLI writes under its artifact's ``figure`` key:
 
-    python -m repro.experiments.fig_fleet_scaling --scale fast --ues 1 2 4
+    python -m repro.experiments.run --experiment fleet --scale fast --ues 1 2 4
 
 Run with:  python examples/fleet_scaling.py
 """

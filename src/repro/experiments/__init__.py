@@ -14,7 +14,6 @@ from repro.experiments.ablations import (
 from repro.experiments.common import (
     ExperimentScale,
     generate_dataset,
-    load_or_generate_dataset,
     prepare_split,
     scale_from_name,
     scheme_model_configs,
@@ -27,6 +26,16 @@ from repro.experiments.fig2_feature_maps import (
     shannon_entropy_bits,
 )
 from repro.experiments.fig3a_learning_curves import Fig3aResult, run_fig3a
+from repro.experiments.fig_compression_pareto import (
+    COMPRESSION_ARTIFACT_SCHEMA_VERSION,
+    CompressionParetoResult,
+    run_compression_pareto,
+)
+from repro.experiments.fig_fleet_scaling import (
+    FLEET_ARTIFACT_SCHEMA_VERSION,
+    FleetScalingResult,
+    run_fleet_scaling,
+)
 from repro.experiments.model_cache import (
     default_model_cache_dir,
     trained_model_fingerprint,
@@ -92,10 +101,8 @@ __all__ = [
     "experiment_specs",
     "format_summary",
     "generate_dataset",
-    "load_or_generate_dataset",
     "pooling_sweep",
     "prepare_split",
-    "register_experiment",
     "rnn_type_sweep",
     "run_sweep",
     "run_fig2",
@@ -116,23 +123,15 @@ __all__ = [
     "write_artifact",
 ]
 
-# Sweep-orchestrator and fleet-scaling names are exported lazily (PEP 562) so
-# that running their CLIs as ``python -m repro.experiments.sweep`` /
-# ``python -m repro.experiments.fig_fleet_scaling`` does not trip the runpy
-# "found in sys.modules" warning by importing the modules during package init.
+# Sweep-orchestrator names are exported lazily (PEP 562) so that running its
+# CLI as ``python -m repro.experiments.sweep`` does not trip the runpy "found
+# in sys.modules" warning by importing the module during package init.
 _LAZY_EXPORTS = {
     "ARTIFACT_SCHEMA_VERSION": "sweep",
     "SweepConfig": "sweep",
     "canonical_artifact": "sweep",
     "format_summary": "sweep",
-    "register_experiment": "sweep",
     "run_sweep": "sweep",
-    "FLEET_ARTIFACT_SCHEMA_VERSION": "fig_fleet_scaling",
-    "FleetScalingResult": "fig_fleet_scaling",
-    "run_fleet_scaling": "fig_fleet_scaling",
-    "COMPRESSION_ARTIFACT_SCHEMA_VERSION": "fig_compression_pareto",
-    "CompressionParetoResult": "fig_compression_pareto",
-    "run_compression_pareto": "fig_compression_pareto",
 }
 
 

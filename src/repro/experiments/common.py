@@ -8,13 +8,11 @@ preserving the qualitative comparisons.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
 
-from repro.dataset.cache import get_or_generate
 from repro.dataset.generator import DatasetConfig, DepthPowerDataset, MmWaveDepthDatasetGenerator
 from repro.dataset.sequences import SequenceDataset, build_sequences
 from repro.dataset.splits import TrainValidationSplit, temporal_split
@@ -207,19 +205,6 @@ def scale_from_name(name: str) -> ExperimentScale:
 def generate_dataset(scale: ExperimentScale) -> DepthPowerDataset:
     """Generate (not cached) the dataset for a given scale and its scenario."""
     return MmWaveDepthDatasetGenerator(scale.dataset_config()).generate()
-
-
-def load_or_generate_dataset(
-    scale: ExperimentScale,
-    cache_dir: str | os.PathLike | None = None,
-    force_regenerate: bool = False,
-) -> DepthPowerDataset:
-    """Dataset for ``scale`` through the content-addressed on-disk cache."""
-    return get_or_generate(
-        scale.dataset_config(),
-        cache_dir=cache_dir,
-        force_regenerate=force_regenerate,
-    )
 
 
 def prepare_split(

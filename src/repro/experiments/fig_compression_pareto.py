@@ -15,34 +15,26 @@ The qualitative expectation: uint8 is on the Pareto front (same accuracy,
 ~4x fewer uplink bits), int4 and top-k trade a little accuracy for much
 shorter steps.
 
-CLI::
+CLI (the artifact's ``figure`` is :meth:`CompressionParetoResult.artifact`)::
 
-    python -m repro.experiments.fig_compression_pareto \
+    python -m repro.experiments.run --experiment pareto \
         --scale fast --codecs identity uint8 topk \
         --output compression-pareto.json
 
-The artifact contains only simulated quantities, so two runs with the same
+The figure contains only simulated quantities, so two runs with the same
 seed are byte-identical.
 """
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import sys
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.channel.payload import PayloadModel
 from repro.dataset.generator import DepthPowerDataset
 from repro.dataset.splits import TrainValidationSplit
-from repro.experiments.common import ExperimentScale, scale_from_name
-from repro.experiments.pipeline import (
-    ExperimentPipeline,
-    PipelineOptions,
-    add_run_state_arguments,
-    options_from_args,
-    write_artifact,
-)
+from repro.experiments.common import ExperimentScale
+from repro.experiments.pipeline import ExperimentPipeline, PipelineOptions
 from repro.fleet.trainer import FleetHistory
 from repro.split.codecs import CODEC_NAMES, codec_from_name
 
@@ -141,7 +133,7 @@ def run_compression_pareto(
     scale: Optional[ExperimentScale] = None,
     codecs: Sequence[str] = DEFAULT_CODECS,
     topk_fraction: Optional[float] = None,
-    max_epochs: Optional[int] = None,
+    max_rounds: Optional[int] = None,
     dataset: Optional[DepthPowerDataset] = None,
     split: Optional[TrainValidationSplit] = None,
     options: Optional[PipelineOptions] = None,
@@ -154,7 +146,8 @@ def run_compression_pareto(
             :data:`repro.split.codecs.CODEC_NAMES`).
         topk_fraction: kept fraction for the ``topk`` cells (``None`` = the
             model-config default).
-        max_epochs: cap on epochs per cell (``None`` = the scale's budget).
+        max_rounds: cap on epochs (rounds of the fleet of one) per cell
+            (``None`` = the scale's budget).
         dataset: pre-built dataset (split is derived from it when no split
             is given).
         split: pre-built train/validation split (regenerated when omitted).
@@ -172,7 +165,7 @@ def run_compression_pareto(
 
     result = CompressionParetoResult(scale=scale, codecs=codecs)
     batch_size = scale.training_config().batch_size
-    fit_kwargs = {} if max_epochs is None else {"max_rounds": max_epochs}
+    fit_kwargs = {} if max_rounds is None else {"max_rounds": max_rounds}
     jobs = []
     for codec in codecs:
         overrides: dict = {"codec": codec}
@@ -208,72 +201,3 @@ def result_metrics(result: CompressionParetoResult) -> dict:
                 communication.mean_step_latency_s
             )
     return metrics
-
-
-# -- CLI ----------------------------------------------------------------------------
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.fig_compression_pareto",
-        description="Compression Pareto: accuracy vs time over cut-layer codecs.",
-    )
-    parser.add_argument(
-        "--scale",
-        default="fast",
-        choices=("paper", "fast", "smoke"),
-        help="experiment scale (default: fast)",
-    )
-    parser.add_argument(
-        "--codecs",
-        nargs="+",
-        default=list(DEFAULT_CODECS),
-        choices=CODEC_NAMES,
-        help="cut-layer codecs to run (default: all)",
-    )
-    parser.add_argument(
-        "--topk-fraction",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="kept fraction for the topk cells (default: model default)",
-    )
-    parser.add_argument(
-        "--max-epochs",
-        type=int,
-        default=None,
-        metavar="E",
-        help="cap epochs per cell (default: the scale's epoch budget)",
-    )
-    parser.add_argument(
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="artifact JSON path (default: compression-pareto-<scale>.json)",
-    )
-    add_run_state_arguments(parser)
-    return parser
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    scale = scale_from_name(args.scale)
-    result = run_compression_pareto(
-        scale=scale,
-        codecs=args.codecs,
-        topk_fraction=args.topk_fraction,
-        max_epochs=args.max_epochs,
-        options=options_from_args(args),
-    )
-    output = args.output or f"compression-pareto-{args.scale}.json"
-    write_artifact(result.artifact(), output)
-    try:
-        print(result.format_table())
-        print(f"artifact written to {output}")
-    except BrokenPipeError:  # e.g. `... | head`; the artifact is on disk
-        pass
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

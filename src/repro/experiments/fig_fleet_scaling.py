@@ -15,32 +15,24 @@ are serial), while a parallel-average round amortizes compute across the
 fleet and grows only with the serialized communication — its round time is
 sublinear in N and its medium occupancy climbs toward 1.
 
-CLI::
+CLI (the artifact's ``figure`` is :meth:`FleetScalingResult.artifact`)::
 
-    python -m repro.experiments.fig_fleet_scaling \
+    python -m repro.experiments.run --experiment fleet \
         --scale fast --ues 1 2 4 --modes rotation parallel_average \
         --output fleet-scaling.json
 
-The artifact contains only simulated quantities, so two runs with the same
+The figure contains only simulated quantities, so two runs with the same
 seed are byte-identical.
 """
 from __future__ import annotations
 
-import argparse
-import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.dataset.generator import DepthPowerDataset
 from repro.dataset.splits import TrainValidationSplit
-from repro.experiments.common import ExperimentScale, scale_from_name
-from repro.experiments.pipeline import (
-    ExperimentPipeline,
-    PipelineOptions,
-    add_run_state_arguments,
-    options_from_args,
-    write_artifact,
-)
+from repro.experiments.common import ExperimentScale
+from repro.experiments.pipeline import ExperimentPipeline, PipelineOptions
 from repro.fleet import FLEET_MODES, FleetConfig, FleetHistory
 from repro.split.config import ExperimentConfig
 
@@ -218,88 +210,3 @@ def result_metrics(result: FleetScalingResult) -> dict:
                 communication.mean_step_latency_s
             )
     return metrics
-
-
-# -- CLI ----------------------------------------------------------------------------
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.fig_fleet_scaling",
-        description="Fleet scaling: RMSE-vs-time and medium occupancy over N.",
-    )
-    parser.add_argument(
-        "--scale",
-        default="fast",
-        choices=("paper", "fast", "smoke"),
-        help="experiment scale (default: fast)",
-    )
-    parser.add_argument(
-        "--ues",
-        type=int,
-        nargs="+",
-        default=[1, 2, 4],
-        metavar="N",
-        help="fleet sizes to run (default: 1 2 4)",
-    )
-    parser.add_argument(
-        "--modes",
-        nargs="+",
-        default=list(FLEET_MODES),
-        choices=FLEET_MODES,
-        help="fleet modes (default: both)",
-    )
-    parser.add_argument(
-        "--scheduler",
-        default="round_robin",
-        choices=("round_robin", "proportional"),
-        help="medium scheduler (default: round_robin)",
-    )
-    parser.add_argument(
-        "--jitter",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="per-UE placement jitter fraction (default: fleet default)",
-    )
-    parser.add_argument(
-        "--max-rounds",
-        type=int,
-        default=None,
-        metavar="R",
-        help="cap rounds per cell (default: the scale's epoch budget)",
-    )
-    parser.add_argument(
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="artifact JSON path (default: fleet-scaling-<scale>.json)",
-    )
-    add_run_state_arguments(parser)
-    return parser
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    scale = scale_from_name(args.scale)
-    result = run_fleet_scaling(
-        scale=scale,
-        ue_counts=args.ues,
-        modes=args.modes,
-        scheduler=args.scheduler,
-        placement_jitter=args.jitter,
-        max_rounds=args.max_rounds,
-        options=options_from_args(args),
-    )
-    output = args.output or f"fleet-scaling-{args.scale}.json"
-    write_artifact(result.artifact(), output)
-    try:
-        print(result.format_table())
-        print(f"artifact written to {output}")
-    except BrokenPipeError:  # e.g. `... | head`; the artifact is on disk
-        pass
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,15 +1,15 @@
 """Stage-based experiment pipeline shared by every paper runner.
 
-All five experiments (``fig2`` / ``fig3a`` / ``fig3b`` / ``table1`` /
-``fleet``) are compositions of the same four stages::
+All six experiments (``fig2`` / ``fig3a`` / ``fig3b`` / ``table1`` /
+``fleet`` / ``pareto``) are compositions of the same four stages::
 
     dataset  ->  train  ->  evaluate  ->  artifact
 
 :class:`ExperimentPipeline` implements the stages once, so run-state
-persistence is implemented once instead of five times:
+persistence is implemented once instead of six times:
 
-* **dataset** — generate, or flow through the content-addressed dataset
-  cache (:mod:`repro.dataset.cache`);
+* **dataset** — the dataset a caller hands in (a sweep or ``run`` cell loads
+  it through the content-addressed dataset cache), or a fresh one;
 * **train** — run one :class:`TrainingJob` (a fleet; single-UE jobs are the
   fleet of one) with round-granular checkpoints under ``--checkpoint-dir``,
   resumption via ``--resume``, and content-addressed trained-model caching
@@ -19,7 +19,10 @@ persistence is implemented once instead of five times:
   (:meth:`repro.fleet.trainer.FleetTrainer.predict_dbm`);
 * **artifact** — atomic JSON artifact writing (:func:`write_artifact`).
 
-One CLI (:mod:`repro.experiments.run`) drives any registered experiment::
+:func:`experiment_specs` is the one experiment table.  One CLI
+(:mod:`repro.experiments.run`) runs any of them on one {scenario, seed}
+cell, with the code a sweep (:mod:`repro.experiments.sweep`) runs each of
+its cells with::
 
     python -m repro.experiments.run --experiment fig3a --scale fast \
         --checkpoint-dir ckpts --resume --output fig3a.json
@@ -30,7 +33,6 @@ uninterrupted run's artifact (training trajectories are bit-identical).
 """
 from __future__ import annotations
 
-import argparse
 import json
 import multiprocessing
 import os
@@ -43,12 +45,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.dataset.generator import DepthPowerDataset
 from repro.dataset.splits import TrainValidationSplit
-from repro.experiments.common import (
-    ExperimentScale,
-    generate_dataset,
-    load_or_generate_dataset,
-    prepare_split,
-)
+from repro.experiments.common import ExperimentScale, generate_dataset, prepare_split
 from repro.experiments.model_cache import (
     trained_model_fingerprint,
     trained_model_path,
@@ -62,7 +59,8 @@ from repro.utils.logging import get_logger
 
 logger = get_logger("experiments.pipeline")
 
-#: Version of the unified pipeline-CLI artifact layout.
+#: Version of the ``run`` CLI's artifact layout.  The ``figure`` key of the
+#: experiments that have one (``fleet``, ``pareto``) is optional in it.
 PIPELINE_ARTIFACT_SCHEMA_VERSION = 1
 
 
@@ -76,20 +74,11 @@ class PipelineOptions:
         resume: continue jobs from their checkpoint files when present.
         model_cache_dir: content-addressed trained-model cache directory
             (``None`` disables the cache).
-        dataset_cache_dir: dataset cache directory (implies using the cache).
-        use_dataset_cache: route dataset generation through the default
-            dataset cache even without an explicit directory.
-        force_regenerate: bypass the dataset cache read path.
-        checkpoint_every: checkpoint cadence in epochs/rounds.
     """
 
     checkpoint_dir: Optional[str] = None
     resume: bool = False
     model_cache_dir: Optional[str] = None
-    dataset_cache_dir: Optional[str] = None
-    use_dataset_cache: bool = False
-    force_regenerate: bool = False
-    checkpoint_every: int = 1
 
 
 @dataclass(frozen=True)
@@ -147,8 +136,8 @@ def pool_context():
     """The start method of every process pool (sweep cells, training jobs).
 
     Fork where available: workers inherit the parent's memory (the split,
-    runtime-registered experiments, ``sys.path`` set by test conftests)
-    instead of re-importing and unpickling it.
+    a runner a test swapped in its module, ``sys.path`` set by test
+    conftests) instead of re-importing and unpickling it.
     """
     try:
         return multiprocessing.get_context("fork")
@@ -170,15 +159,22 @@ def _available_cpus() -> int:
 _WORKER_JOBS: Optional[tuple] = None
 
 
-def _install_jobs(pipeline: "ExperimentPipeline", jobs, plans) -> None:
-    global _WORKER_JOBS
-    _WORKER_JOBS = (pipeline, jobs, plans)
-    # A killed parent never tells its workers to stop, and a fork worker
-    # holds the pool's call queue open itself, so it would wait on it
-    # forever: exit as soon as the parent is gone.
+def watch_parent() -> None:
+    """Initializer of every pool worker: exit as soon as the parent is gone.
+
+    A killed parent never tells its workers to stop, and a fork worker
+    holds the pool's call queue open itself, so it would wait on it
+    forever.
+    """
     parent = multiprocessing.parent_process()
     assert parent is not None
     threading.Thread(target=_exit_after, args=(parent,), daemon=True).start()
+
+
+def _install_jobs(pipeline: "ExperimentPipeline", jobs, plans) -> None:
+    global _WORKER_JOBS
+    _WORKER_JOBS = (pipeline, jobs, plans)
+    watch_parent()
 
 
 def _exit_after(parent) -> None:
@@ -218,21 +214,9 @@ class ExperimentPipeline:
     # -- stage 1: dataset -------------------------------------------------------------
     @property
     def dataset(self) -> DepthPowerDataset:
-        """The experiment dataset, generated (or cache-loaded) on first use."""
+        """The experiment dataset, generated on first use unless handed in."""
         if self._dataset is None:
-            options = self.options
-            if (
-                options.dataset_cache_dir is not None
-                or options.use_dataset_cache
-                or options.force_regenerate
-            ):
-                self._dataset = load_or_generate_dataset(
-                    self.scale,
-                    cache_dir=options.dataset_cache_dir,
-                    force_regenerate=options.force_regenerate,
-                )
-            else:
-                self._dataset = generate_dataset(self.scale)
+            self._dataset = generate_dataset(self.scale)
         return self._dataset
 
     @property
@@ -344,7 +328,6 @@ class ExperimentPipeline:
             self.split.train,
             self.split.validation,
             checkpoint_path=plan.checkpoint_path,
-            checkpoint_every=self.options.checkpoint_every,
             resume_from=plan.resume_from if finished is None else finished,
             **dict(job.fit_kwargs),
         )
@@ -454,17 +437,20 @@ def write_artifact(artifact: Dict[str, object], path: str | os.PathLike) -> Path
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One registered experiment: how to run it and how to summarize it.
+    """One experiment: how to run it and how to summarize it.
 
     ``run(scale=..., dataset=..., options=..., **run_kwargs)`` produces the
     experiment's result object; ``metrics(result)`` flattens it into the
-    scalar mapping used by sweep cells and the pipeline-CLI artifact.
+    scalar mapping of a sweep cell and of the ``run`` CLI's artifact, and
+    ``figure(result)``, where set, is the figure's full JSON data (per-round
+    curves and all), which ``run`` writes under the artifact's ``figure``.
     """
 
     name: str
     run: Callable[..., Any]
     metrics: Callable[[Any], Dict[str, float]]
     run_kwargs: Mapping[str, Any] = field(default_factory=dict)
+    figure: Optional[Callable[[Any], Dict[str, Any]]] = None
 
     def run_cell(
         self,
@@ -480,7 +466,12 @@ class ExperimentSpec:
 
 
 def experiment_specs() -> Dict[str, ExperimentSpec]:
-    """The built-in experiments (imported lazily to avoid import cycles)."""
+    """The experiment table: every experiment the sweep and ``run`` know.
+
+    The runner modules are imported, and their runners looked up, at each
+    call (lazily, to avoid import cycles): a runner swapped in its module,
+    e.g. by a test's ``monkeypatch``, is the one every later cell runs.
+    """
     from repro.experiments import (
         fig2_feature_maps,
         fig3a_learning_curves,
@@ -512,11 +503,13 @@ def experiment_specs() -> Dict[str, ExperimentSpec]:
             metrics=fig_fleet_scaling.result_metrics,
             # The sweep's historical fleet cell: N in {1, 2, 4}, both modes.
             run_kwargs={"ue_counts": (1, 2, 4)},
+            figure=fig_fleet_scaling.FleetScalingResult.artifact,
         ),
         "pareto": ExperimentSpec(
             name="pareto",
             run=fig_compression_pareto.run_compression_pareto,
             metrics=fig_compression_pareto.result_metrics,
+            figure=fig_compression_pareto.CompressionParetoResult.artifact,
         ),
         "table1": ExperimentSpec(
             name="table1",
@@ -524,45 +517,3 @@ def experiment_specs() -> Dict[str, ExperimentSpec]:
             metrics=table1_privacy_success.result_metrics,
         ),
     }
-
-
-# -- CLI ------------------------------------------------------------------------------
-
-
-def add_run_state_arguments(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--checkpoint-dir`` / ``--resume`` / cache flags.
-
-    Used by every experiment CLI (this module, the fleet-scaling CLI and the
-    sweep) so run-state persistence is one flag set everywhere.
-    """
-    group = parser.add_argument_group("run-state persistence")
-    group.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        metavar="DIR",
-        help="write epoch-granular training checkpoints under DIR",
-    )
-    group.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume from existing checkpoints/artifacts instead of restarting",
-    )
-    group.add_argument(
-        "--model-cache-dir",
-        default=None,
-        metavar="DIR",
-        help="content-addressed trained-model cache directory",
-    )
-
-
-def options_from_args(args: argparse.Namespace, **overrides) -> PipelineOptions:
-    """Build :class:`PipelineOptions` from parsed shared CLI flags."""
-    values = dict(
-        checkpoint_dir=args.checkpoint_dir,
-        resume=bool(args.resume),
-        model_cache_dir=args.model_cache_dir,
-    )
-    values.update(overrides)
-    return PipelineOptions(**values)
-
-

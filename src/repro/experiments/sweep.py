@@ -1,8 +1,11 @@
 """Parallel multi-scenario / multi-seed sweep orchestrator.
 
-``run_sweep`` executes a {scenario x seed} grid of one experiment runner
-(``fig2`` / ``fig3a`` / ``fig3b`` / ``table1`` / ``fleet``), farming cells out
-to a ``concurrent.futures`` process pool.  Datasets flow through the
+``run_sweep`` executes a {scenario x seed} grid of one experiment of
+:func:`~repro.experiments.pipeline.experiment_specs` (``fig2`` / ``fig3a`` /
+``fig3b`` / ``table1`` / ``fleet`` / ``pareto``), farming cells out to a
+``concurrent.futures`` process pool.  Every cell runs through
+:func:`run_cell`, which ``python -m repro.experiments.run`` calls for its
+one cell.  Datasets flow through the
 content-addressed on-disk cache (:mod:`repro.dataset.cache`), so repeated
 sweeps — and different experiments over the same {scenario, seed, scale} —
 skip generation entirely.  The result is an aggregated JSON artifact with
@@ -31,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import inspect
 import json
 import os
 import sys
@@ -39,17 +41,18 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.dataset.cache import config_fingerprint, get_or_generate, load_cached_dataset
+from repro.experiments import pipeline
 from repro.experiments.common import ExperimentScale, scale_from_name
 from repro.experiments.pipeline import (
     PipelineOptions,
-    add_run_state_arguments,
     experiment_specs,
     pool_context,
+    watch_parent,
     write_artifact,
 )
 from repro.scenarios import get_scenario, scenario_names
@@ -71,69 +74,6 @@ VOLATILE_ARTIFACT_KEYS = ("wall_clock_s", "parallel", "max_workers", "resume")
 #: Per-cell keys that describe execution timing/caching, not the science.
 VOLATILE_CELL_KEYS = ("dataset_seconds", "experiment_seconds", "dataset_cache_hit")
 
-MetricFn = Callable[..., Dict[str, float]]
-
-
-def _spec_metric_fn(spec) -> MetricFn:
-    """Adapt an :class:`~repro.experiments.pipeline.ExperimentSpec` to the
-    sweep's ``(scale, dataset, options=None) -> metrics`` contract."""
-
-    def metric_fn(
-        scale: ExperimentScale, dataset, options: Optional[PipelineOptions] = None
-    ) -> Dict[str, float]:
-        return spec.run_cell(scale, dataset=dataset, options=options)
-
-    metric_fn.__name__ = f"metrics_{spec.name}"
-    return metric_fn
-
-
-EXPERIMENTS: Dict[str, MetricFn] = {
-    name: _spec_metric_fn(spec) for name, spec in experiment_specs().items()
-}
-
-#: Names registered (or overridden) at runtime.  These only reach pool
-#: workers under the fork start method — spawned workers re-import this
-#: module and would silently fall back to the stock table above — so
-#: :func:`run_sweep` executes them serially on spawn-only platforms.
-_RUNTIME_EXPERIMENTS: set = set()
-
-
-def register_experiment(name: str, runner: MetricFn, overwrite: bool = False) -> None:
-    """Register a custom sweep experiment: ``runner(scale, dataset) -> metrics``.
-
-    Runners may also accept an ``options`` keyword (a
-    :class:`~repro.experiments.pipeline.PipelineOptions`) to participate in
-    checkpointing/resume; two-argument runners keep working unchanged.
-    Custom experiments run in the process pool only where the ``fork`` start
-    method is available (workers inherit the registry); on spawn-only
-    platforms :func:`run_sweep` executes them serially.
-    """
-    if name in EXPERIMENTS and not overwrite:
-        raise ValueError(f"experiment {name!r} is already registered")
-    EXPERIMENTS[name] = runner
-    _RUNTIME_EXPERIMENTS.add(name)
-
-
-def _call_metric_fn(
-    fn: MetricFn,
-    scale: ExperimentScale,
-    dataset,
-    options: Optional[PipelineOptions],
-) -> Dict[str, float]:
-    """Invoke a metric fn, passing ``options`` only when its signature accepts it."""
-    try:
-        parameters = inspect.signature(fn).parameters
-    except (TypeError, ValueError):  # pragma: no cover - builtins/partials
-        parameters = {}
-    accepts_options = "options" in parameters or any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in parameters.values()
-    )
-    if accepts_options:
-        return fn(scale, dataset, options=options)
-    return fn(scale, dataset)
-
-
 # -- sweep configuration ------------------------------------------------------------
 
 
@@ -145,14 +85,13 @@ class SweepConfig:
         scenarios: registered scenario names (or instances) forming the grid
             rows; normalized to names at construction.
         seeds: base RNG seeds forming the grid columns.
-        experiment: experiment key (``fig2`` / ``fig3a`` / ``fig3b`` /
-            ``table1`` / ``fleet`` or anything added via
-            :func:`register_experiment`).
+        experiment: a key of
+            :func:`~repro.experiments.pipeline.experiment_specs`.
         scale: experiment scale name (``paper`` / ``fast`` / ``smoke``).
         parallel: run cells in a process pool (serial when False).
         max_workers: process-pool size (default: ``min(cells, max(CPUs, 2))``
-            — at least two workers so parallelism is exercised even on
-            single-CPU hosts).
+            over the CPUs this process may run on — at least two workers so
+            parallelism is exercised even on single-CPU hosts).
         cache_dir: dataset cache directory (default: the library cache).
         output_path: artifact JSON destination (``None`` = do not write).
             Completed cells are persisted into this file incrementally, which
@@ -205,10 +144,11 @@ class SweepConfig:
             raise ValueError("duplicate scenario names in sweep")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("duplicate seeds in sweep")
-        if self.experiment not in EXPERIMENTS:
+        experiments = experiment_specs()
+        if self.experiment not in experiments:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; "
-                f"registered: {sorted(EXPERIMENTS)}"
+                f"known: {sorted(experiments)}"
             )
         scale_from_name(self.scale)  # validates the name
         if self.max_workers is not None and self.max_workers <= 0:
@@ -255,41 +195,86 @@ def _cell_options(spec: _CellSpec) -> Optional[PipelineOptions]:
     )
 
 
-def _execute_cell(spec: _CellSpec) -> Dict[str, object]:
-    """Run one {scenario, seed} cell: cached dataset -> experiment -> metrics."""
-    from repro.scenarios import register
+def _cell_scale(scale: str, scenario, seed: int) -> ExperimentScale:
+    """The scale of one cell: a named scale bound to a scenario and a seed."""
+    return scale_from_name(scale).with_scenario(scenario).with_seed(seed)
 
-    register(spec.scenario, overwrite=True)  # no-op under fork, restores under spawn
-    scale = (
-        scale_from_name(spec.scale)
-        .with_scenario(spec.scenario)
-        .with_seed(spec.seed)
-    )
-    config = scale.dataset_config()
+
+def run_cell(
+    experiment: str,
+    scale: str,
+    scenario,
+    seed: int,
+    cache_dir: Optional[str] = None,
+    force_regenerate: bool = False,
+    options: Optional[PipelineOptions] = None,
+    **run_kwargs,
+) -> Tuple[Dict[str, object], Any]:
+    """Run one {scenario, seed} cell: cached dataset -> experiment -> metrics.
+
+    Args:
+        experiment: a key of
+            :func:`~repro.experiments.pipeline.experiment_specs`.
+        scale: scale name (``paper`` / ``fast`` / ``smoke``).
+        scenario: registered scenario name (or instance).
+        seed: base RNG seed.
+        cache_dir: dataset cache directory (default: the library cache).
+        force_regenerate: regenerate the dataset even on a cache hit.
+        options: the runner's run-state persistence knobs.
+        **run_kwargs: runner keywords; they override the spec's
+            ``run_kwargs``.
+
+    Returns:
+        The cell record (a sweep artifact's per-cell entry) and the runner's
+        result object.
+    """
+    spec = experiment_specs()[experiment]
+    cell_scale = _cell_scale(scale, scenario, seed)
+    config = cell_scale.dataset_config()
     dataset_start = time.perf_counter()
     dataset = (
-        None
-        if spec.force_regenerate
-        else load_cached_dataset(config, cache_dir=spec.cache_dir)
+        None if force_regenerate else load_cached_dataset(config, cache_dir=cache_dir)
     )
     cache_hit = dataset is not None
     if dataset is None:
-        dataset = get_or_generate(config, cache_dir=spec.cache_dir, force_regenerate=True)
+        dataset = get_or_generate(config, cache_dir=cache_dir, force_regenerate=True)
     dataset_seconds = time.perf_counter() - dataset_start
     experiment_start = time.perf_counter()
-    metrics = _call_metric_fn(
-        EXPERIMENTS[spec.experiment], scale, dataset, _cell_options(spec)
+    result = spec.run(
+        scale=cell_scale,
+        dataset=dataset,
+        options=options,
+        **{**spec.run_kwargs, **run_kwargs},
     )
+    metrics = spec.metrics(result)
     experiment_seconds = time.perf_counter() - experiment_start
-    return {
-        "scenario": spec.scenario.name,
-        "seed": spec.seed,
+    cell = {
+        "scenario": cell_scale.scenario,
+        "seed": cell_scale.seed,
         "dataset_fingerprint": config_fingerprint(config),
         "dataset_cache_hit": bool(cache_hit),
         "dataset_seconds": round(dataset_seconds, 4),
         "experiment_seconds": round(experiment_seconds, 4),
         "metrics": {key: float(value) for key, value in sorted(metrics.items())},
     }
+    return cell, result
+
+
+def _execute_cell(spec: _CellSpec) -> Dict[str, object]:
+    """Run one grid cell (in a pool worker, or here when serial)."""
+    from repro.scenarios import register
+
+    register(spec.scenario, overwrite=True)  # no-op under fork, restores under spawn
+    cell, _ = run_cell(
+        spec.experiment,
+        spec.scale,
+        spec.scenario.name,
+        spec.seed,
+        cache_dir=spec.cache_dir,
+        force_regenerate=spec.force_regenerate,
+        options=_cell_options(spec),
+    )
+    return cell
 
 
 def _aggregate_cells(cells: Sequence[Dict[str, object]]) -> Dict[str, Dict[str, float]]:
@@ -424,11 +409,7 @@ def run_sweep(config: SweepConfig) -> Dict[str, object]:
     unique_specs: List[_CellSpec] = []
     unique_fingerprints: List[str] = []
     for spec in specs:
-        cell_scale = (
-            scale_from_name(spec.scale)
-            .with_scenario(spec.scenario)
-            .with_seed(spec.seed)
-        )
+        cell_scale = _cell_scale(spec.scale, spec.scenario, spec.seed)
         fingerprint = config_fingerprint(cell_scale.dataset_config())
         if fingerprint not in unique_index:
             unique_index[fingerprint] = len(unique_specs)
@@ -463,27 +444,15 @@ def run_sweep(config: SweepConfig) -> Dict[str, object]:
     # At least two workers whenever parallelism is requested: even on a
     # single-CPU host the cells interleave (dataset generation releases the
     # GIL-free process boundary) and the orchestration path stays exercised.
-    default_workers = max(os.cpu_count() or 1, 2)
+    default_workers = max(pipeline._available_cpus(), 2)
     workers = min(config.max_workers or default_workers, max(len(pending), 1))
     use_pool = config.parallel and workers > 1 and len(pending) > 1
-    context = pool_context()
-    if (
-        use_pool
-        and config.experiment in _RUNTIME_EXPERIMENTS
-        and context.get_start_method() != "fork"
-    ):
-        # Spawned workers re-import this module and would not see a
-        # runtime-registered (or runtime-overridden) experiment function.
-        logger.warning(
-            "runtime-registered experiment %r cannot cross spawn-style pool "
-            "workers; running serially",
-            config.experiment,
-        )
-        use_pool = False
     start = time.perf_counter()
     if use_pool:
         logger.info("running %d sweep cells on %d workers", len(pending), workers)
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=pool_context(), initializer=watch_parent
+        ) as pool:
             futures = {
                 pool.submit(_execute_cell, unique_specs[index]): index
                 for index in pending
@@ -594,6 +563,48 @@ def format_summary(artifact: Dict[str, object]) -> str:
 # -- CLI ----------------------------------------------------------------------------
 
 
+def add_cell_arguments(parser: argparse.ArgumentParser) -> None:
+    """The flags of a cell: its scale, its dataset cache and its run state.
+
+    Shared by this module's CLI and ``python -m repro.experiments.run``.
+    """
+    parser.add_argument(
+        "--scale",
+        default="fast",
+        choices=("paper", "fast", "smoke"),
+        help="experiment scale (default: fast)",
+    )
+    parser.add_argument(
+        "--cache-dir",
+        default=None,
+        metavar="DIR",
+        help="dataset cache directory (default: library cache / REPRO_CACHE_DIR)",
+    )
+    parser.add_argument(
+        "--force-regenerate",
+        action="store_true",
+        help="ignore cached datasets and regenerate",
+    )
+    group = parser.add_argument_group("run-state persistence")
+    group.add_argument(
+        "--checkpoint-dir",
+        default=None,
+        metavar="DIR",
+        help="write epoch-granular training checkpoints under DIR",
+    )
+    group.add_argument(
+        "--resume",
+        action="store_true",
+        help="resume from existing checkpoints/artifacts instead of restarting",
+    )
+    group.add_argument(
+        "--model-cache-dir",
+        default=None,
+        metavar="DIR",
+        help="content-addressed trained-model cache directory",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.sweep",
@@ -623,14 +634,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--experiment",
         default="fig3b",
-        choices=sorted(EXPERIMENTS),
+        choices=sorted(experiment_specs()),
         help="experiment to run per cell (default: fig3b)",
-    )
-    parser.add_argument(
-        "--scale",
-        default="fast",
-        choices=("paper", "fast", "smoke"),
-        help="experiment scale (default: fast)",
     )
     parser.add_argument(
         "--output",
@@ -649,22 +654,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--serial", action="store_true", help="disable the process pool"
     )
     parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="dataset cache directory (default: library cache / REPRO_CACHE_DIR)",
-    )
-    parser.add_argument(
-        "--force-regenerate",
-        action="store_true",
-        help="ignore cached datasets and regenerate",
-    )
-    parser.add_argument(
         "--list-scenarios",
         action="store_true",
         help="print the registered scenario catalog and exit",
     )
-    add_run_state_arguments(parser)
+    add_cell_arguments(parser)
     return parser
 
 

@@ -42,7 +42,7 @@ REQUIRED_COMM_KEYS = {
 @pytest.fixture(scope="module")
 def pareto_result(smoke_scale, smoke_split):
     return run_compression_pareto(
-        scale=smoke_scale, split=smoke_split, codecs=CODECS, max_epochs=2
+        scale=smoke_scale, split=smoke_split, codecs=CODECS, max_rounds=2
     )
 
 
@@ -90,7 +90,7 @@ def test_artifact_deterministic(smoke_scale, smoke_split):
             scale=smoke_scale,
             split=smoke_split,
             codecs=("identity", "topk"),
-            max_epochs=2,
+            max_rounds=2,
         ).artifact()
 
     assert json.dumps(artifact(), sort_keys=True) == json.dumps(
@@ -113,13 +113,13 @@ def test_topk_fraction_override(smoke_scale, smoke_split):
         split=smoke_split,
         codecs=("topk",),
         topk_fraction=0.5,
-        max_epochs=1,
+        max_rounds=1,
     )
     default = run_compression_pareto(
         scale=smoke_scale,
         split=smoke_split,
         codecs=("topk",),
-        max_epochs=1,
+        max_rounds=1,
     )
     assert (
         result.uplink_payload_bits["topk"] > default.uplink_payload_bits["topk"]
@@ -135,34 +135,40 @@ def test_run_compression_pareto_validation(smoke_scale, smoke_split):
         )
 
 
-def test_cli_writes_artifact(tmp_path):
-    from repro.experiments import fig_compression_pareto
+def test_cli_writes_artifact(tmp_path, sweep_cache_dir):
+    from repro.experiments.run import main
 
     output = tmp_path / "pareto.json"
-    exit_code = fig_compression_pareto.main(
+    exit_code = main(
         [
+            "--experiment",
+            "pareto",
             "--scale",
             "smoke",
             "--codecs",
             "identity",
             "uint8",
-            "--max-epochs",
+            "--max-rounds",
             "1",
+            "--cache-dir",
+            str(sweep_cache_dir),
             "--output",
             str(output),
         ]
     )
     assert exit_code == 0
     artifact = json.loads(output.read_text())
-    assert artifact["schema_version"] == COMPRESSION_ARTIFACT_SCHEMA_VERSION
-    assert set(artifact["cells"]) == {"identity", "uint8"}
+    assert set(artifact["metrics"]) >= {"identity/final_rmse_db", "uint8/elapsed_s"}
+    figure = artifact["figure"]
+    assert figure["schema_version"] == COMPRESSION_ARTIFACT_SCHEMA_VERSION
+    assert set(figure["cells"]) == {"identity", "uint8"}
+    assert all(cell["epochs"] == 1 for cell in figure["cells"].values())
 
 
 def test_registered_in_experiment_specs():
     from repro.experiments.pipeline import experiment_specs
-    from repro.experiments.sweep import ARTIFACT_SCHEMA_VERSION, EXPERIMENTS
+    from repro.experiments.sweep import ARTIFACT_SCHEMA_VERSION
 
     assert "pareto" in experiment_specs()
-    assert "pareto" in EXPERIMENTS
     # The sweep artifact layout gained the pareto metrics in v4.
     assert ARTIFACT_SCHEMA_VERSION >= 4

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.dataset.cache import load_cached_dataset
 from repro.experiments import ExperimentScale
 from repro.experiments.fig3a_learning_curves import run_fig3a
 from repro.experiments.model_cache import (
@@ -16,6 +17,8 @@ from repro.experiments.pipeline import (
     TrainingJob,
     experiment_specs,
 )
+from repro.experiments.run import main as run_main
+from repro.experiments.sweep import SweepConfig, run_cell, run_sweep
 from repro.fleet import SINGLE_UE, FleetConfig, FleetTrainer
 from repro.split import ExperimentConfig
 
@@ -41,11 +44,16 @@ def test_pipeline_lazy_dataset_and_split(smoke_scale, smoke_dataset):
     assert pipeline.split is split  # cached
 
 
-def test_pipeline_dataset_cache_roundtrip(smoke_scale, tmp_path):
-    options = PipelineOptions(dataset_cache_dir=str(tmp_path / "datasets"))
-    first = ExperimentPipeline(smoke_scale, options).dataset
-    second = ExperimentPipeline(smoke_scale, options).dataset
-    assert np.array_equal(first.images, second.images)
+def test_pipeline_dataset_cache_roundtrip(smoke_scale, smoke_dataset, tmp_path):
+    """A cell (sweep or ``run``) generates its dataset into the cache once,
+    then loads it back: the same dataset, the same metrics."""
+    cache_dir = str(tmp_path / "datasets")
+    first, _ = run_cell("table1", "smoke", "paper_baseline", 0, cache_dir=cache_dir)
+    second, _ = run_cell("table1", "smoke", "paper_baseline", 0, cache_dir=cache_dir)
+    assert not first["dataset_cache_hit"] and second["dataset_cache_hit"]
+    assert first["metrics"] == second["metrics"]
+    cached = load_cached_dataset(smoke_scale.dataset_config(), cache_dir=cache_dir)
+    assert np.array_equal(cached.images, smoke_dataset.images)
     assert list((tmp_path / "datasets").glob("dataset-*.npz"))
 
 
@@ -266,15 +274,15 @@ def test_experiment_specs_cover_the_registered_runners(smoke_scale, smoke_datase
 
 
 def test_unified_cli_writes_artifact(tmp_path, capsys):
-    from repro.experiments.run import main
-
     output = tmp_path / "table1.json"
-    exit_code = main(
+    exit_code = run_main(
         [
             "--experiment",
             "table1",
             "--scale",
             "smoke",
+            "--cache-dir",
+            str(tmp_path / "datasets"),
             "--output",
             str(output),
             "--checkpoint-dir",
@@ -287,3 +295,38 @@ def test_unified_cli_writes_artifact(tmp_path, capsys):
     assert artifact["scale"] == "smoke"
     assert artifact["metrics"]
     assert str(output) in capsys.readouterr().out
+
+
+def test_run_metrics_equal_the_sweep_cell(tmp_path, sweep_cache_dir):
+    """``run`` is the sweep's one-cell case: same scenario and seed, same
+    metrics."""
+    output = tmp_path / "table1.json"
+    assert run_main([
+        "--experiment", "table1", "--scale", "smoke", "--scenario", "dense_crowd",
+        "--seed", "1", "--cache-dir", str(sweep_cache_dir), "--output", str(output),
+    ]) == 0
+    artifact = run_sweep(
+        SweepConfig(
+            scenarios=("dense_crowd",),
+            seeds=(1,),
+            experiment="table1",
+            scale="smoke",
+            parallel=False,
+            cache_dir=str(sweep_cache_dir),
+        )
+    )
+    cell = artifact["scenarios"]["dense_crowd"]["cells"][0]
+    written = json.loads(output.read_text())
+    assert (written["scenario"], written["seed"]) == ("dense_crowd", 1)
+    assert written["metrics"] == cell["metrics"]
+
+
+def test_run_refuses_an_option_the_runner_does_not_take(tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run_main([
+            "--experiment", "fig3a", "--ues", "2",
+            "--output", str(tmp_path / "fig3a.json"),
+        ])
+    assert excinfo.value.code == 2
+    assert "--ues does not apply to --experiment fig3a" in capsys.readouterr().err
+    assert not (tmp_path / "fig3a.json").exists()

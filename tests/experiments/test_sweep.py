@@ -4,13 +4,13 @@ import json
 import pytest
 
 from repro.dataset.generator import MmWaveDepthDatasetGenerator
+from repro.experiments import pipeline
+from repro.experiments.pipeline import experiment_specs
 from repro.experiments.sweep import (
     ARTIFACT_SCHEMA_VERSION,
-    EXPERIMENTS,
     SweepConfig,
     format_summary,
     main,
-    register_experiment,
     run_sweep,
 )
 
@@ -116,8 +116,9 @@ def test_sweep_fig3a_metrics_include_communication(sweep_cache_dir):
 
 
 def test_sweep_fleet_experiment_metrics(sweep_cache_dir):
-    """The fleet experiment is registered and reports per-(mode, N) metrics."""
-    assert "fleet" in EXPERIMENTS
+    """The fleet experiment is in the experiment table and reports per-(mode, N)
+    metrics."""
+    assert "fleet" in experiment_specs()
     artifact = run_sweep(
         smoke_sweep_config(
             sweep_cache_dir,
@@ -269,26 +270,16 @@ def test_training_experiment_metrics(sweep_cache_dir):
     assert all(value == value for value in metrics.values())  # no NaNs
 
 
-def test_register_experiment(sweep_cache_dir):
-    def constant_metric(scale, dataset):
-        return {"dataset_len": float(len(dataset))}
-
-    register_experiment("test_constant", constant_metric)
-    try:
-        with pytest.raises(ValueError, match="already registered"):
-            register_experiment("test_constant", constant_metric)
-        artifact = run_sweep(
-            smoke_sweep_config(
-                sweep_cache_dir,
-                scenarios=("paper_baseline",),
-                seeds=(0,),
-                experiment="test_constant",
-            )
-        )
-        cell = artifact["scenarios"]["paper_baseline"]["cells"][0]
-        assert cell["metrics"] == {"dataset_len": 260.0}
-    finally:
-        EXPERIMENTS.pop("test_constant", None)
+@pytest.mark.parametrize("cpus, workers", [(1, 2), (3, 3)])
+def test_default_pool_size_follows_the_available_cpus(
+    sweep_cache_dir, monkeypatch, cpus, workers
+):
+    """The default pool is the CPUs this process may run on (as for
+    ``train_all``), and at least two workers."""
+    monkeypatch.setattr(pipeline, "_available_cpus", lambda: cpus)
+    artifact = run_sweep(smoke_sweep_config(sweep_cache_dir, parallel=True))
+    assert artifact["parallel"] is True
+    assert artifact["max_workers"] == workers
 
 
 def test_cli_writes_artifact(sweep_cache_dir, tmp_path, capsys):

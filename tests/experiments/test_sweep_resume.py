@@ -1,18 +1,23 @@
 """Resumable-sweep tests: incremental persistence, skip-completed, canonical
 artifact equivalence between interrupted-then-resumed and uninterrupted runs
-(an exception in a serial run, and a forked worker that dies outright)."""
+(an exception in a serial run, and a forked worker that dies outright).
+
+Faults are injected by swapping ``run_table1`` in its module: every cell
+looks its runner up there (``experiment_specs()``), and forked workers
+inherit the swap."""
 import json
 import os
+import textwrap
 import time
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.experiments.sweep import (
-    EXPERIMENTS,
-    SweepConfig,
-    canonical_artifact,
-    run_sweep,
+from repro.experiments import table1_privacy_success
+from repro.experiments.sweep import SweepConfig, canonical_artifact, run_sweep
+from tests.experiments.orphan_check import (
+    assert_workers_exit_with_killed_parent,
+    needs_fork_and_proc,
 )
 
 
@@ -49,16 +54,16 @@ def test_resume_requires_output_path(sweep_cache_dir):
 def test_partial_artifact_is_persisted_per_cell(sweep_cache_dir, tmp_path, monkeypatch):
     """A sweep killed mid-grid leaves a partial artifact with completed cells."""
     output = tmp_path / "sweep.json"
-    true_fn = EXPERIMENTS["table1"]
+    true_fn = table1_privacy_success.run_table1
     calls = []
 
     def flaky(scale, dataset, options=None):
         if calls:
             raise RuntimeError("simulated kill")
         calls.append(1)
-        return true_fn(scale, dataset, options=options)
+        return true_fn(scale=scale, dataset=dataset, options=options)
 
-    monkeypatch.setitem(EXPERIMENTS, "table1", flaky)
+    monkeypatch.setattr(table1_privacy_success, "run_table1", flaky)
     with pytest.raises(RuntimeError, match="simulated kill"):
         run_sweep(sweep_config(sweep_cache_dir, output))
     partial = json.loads(output.read_text())
@@ -77,16 +82,16 @@ def test_kill_and_resume_matches_uninterrupted_run(
     )
 
     output = tmp_path / "resumable.json"
-    true_fn = EXPERIMENTS["table1"]
+    true_fn = table1_privacy_success.run_table1
     calls = []
 
     def flaky(scale, dataset, options=None):
         if len(calls) >= 2:
             raise RuntimeError("simulated kill")
         calls.append(1)
-        return true_fn(scale, dataset, options=options)
+        return true_fn(scale=scale, dataset=dataset, options=options)
 
-    monkeypatch.setitem(EXPERIMENTS, "table1", flaky)
+    monkeypatch.setattr(table1_privacy_success, "run_table1", flaky)
     with pytest.raises(RuntimeError):
         run_sweep(sweep_config(sweep_cache_dir, output))
 
@@ -94,9 +99,9 @@ def test_kill_and_resume_matches_uninterrupted_run(
 
     def counting(scale, dataset, options=None):
         executed.append((scale.scenario, scale.seed))
-        return true_fn(scale, dataset, options=options)
+        return true_fn(scale=scale, dataset=dataset, options=options)
 
-    monkeypatch.setitem(EXPERIMENTS, "table1", counting)
+    monkeypatch.setattr(table1_privacy_success, "run_table1", counting)
     resumed = run_sweep(sweep_config(sweep_cache_dir, output, resume=True))
 
     # Only the two missing cells executed; the completed two were skipped.
@@ -118,7 +123,7 @@ def test_resume_of_finished_sweep_skips_everything(
     def exploding(scale, dataset, options=None):  # pragma: no cover - must not run
         raise AssertionError("no cell should execute on a full-skip resume")
 
-    monkeypatch.setitem(EXPERIMENTS, "table1", exploding)
+    monkeypatch.setattr(table1_privacy_success, "run_table1", exploding)
     resumed = run_sweep(sweep_config(sweep_cache_dir, output, resume=True))
     assert resumed["resume"] == {"skipped_cells": 4, "executed_cells": 0}
     assert canonical_json(resumed) == canonical_json(first)
@@ -235,7 +240,7 @@ def test_worker_death_then_resume_matches_uninterrupted_run(
     reference = run_sweep(sweep_config(sweep_cache_dir, tmp_path / "reference.json"))
 
     output = tmp_path / "killed.json"
-    true_fn = EXPERIMENTS["table1"]
+    true_fn = table1_privacy_success.run_table1
 
     def completed_cells():
         try:
@@ -249,9 +254,9 @@ def test_worker_death_then_resume_matches_uninterrupted_run(
             while completed_cells() == 0 and time.monotonic() < deadline:
                 time.sleep(0.05)
             os._exit(1)  # no exception, no cleanup: the worker process is gone
-        return true_fn(scale, dataset, options=options)
+        return true_fn(scale=scale, dataset=dataset, options=options)
 
-    monkeypatch.setitem(EXPERIMENTS, "table1", dying)
+    monkeypatch.setattr(table1_privacy_success, "run_table1", dying)
     with pytest.raises(BrokenProcessPool):
         run_sweep(sweep_config(sweep_cache_dir, output, parallel=True, max_workers=2))
     partial = json.loads(output.read_text())
@@ -259,7 +264,7 @@ def test_worker_death_then_resume_matches_uninterrupted_run(
     survivors = len(partial["completed_cells"])
     assert 1 <= survivors < 4
 
-    monkeypatch.setitem(EXPERIMENTS, "table1", true_fn)
+    monkeypatch.setattr(table1_privacy_success, "run_table1", true_fn)
     resumed = run_sweep(
         sweep_config(sweep_cache_dir, output, resume=True, parallel=True, max_workers=2)
     )
@@ -269,3 +274,25 @@ def test_worker_death_then_resume_matches_uninterrupted_run(
     }
     assert canonical_json(resumed) == canonical_json(reference)
     assert canonical_json(json.loads(output.read_text())) == canonical_json(reference)
+
+
+#: A parallel two-cell table1 sweep whose cells hang, so both workers are
+#: mid-cell when the test kills this process.
+_HANGING_SWEEP = textwrap.dedent(
+    """
+    import sys, time
+    from repro.experiments import table1_privacy_success
+    from repro.experiments.sweep import SweepConfig, run_sweep
+
+    table1_privacy_success.run_table1 = lambda **kwargs: time.sleep(600)
+    run_sweep(SweepConfig(
+        scenarios=("paper_baseline",), seeds=(0, 1), experiment="table1",
+        scale="smoke", max_workers=2, cache_dir=sys.argv[1],
+    ))
+    """
+)
+
+
+@needs_fork_and_proc
+def test_sweep_workers_exit_when_the_sweep_is_killed(sweep_cache_dir):
+    assert_workers_exit_with_killed_parent(_HANGING_SWEEP, str(sweep_cache_dir))

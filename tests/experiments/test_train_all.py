@@ -11,13 +11,8 @@ import hashlib
 import json
 import multiprocessing
 import os
-import signal
-import subprocess
-import sys
 import textwrap
-import time
 from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +25,10 @@ from repro.experiments.fig_compression_pareto import run_compression_pareto
 from repro.experiments.fig_fleet_scaling import run_fleet_scaling
 from repro.experiments.pipeline import ExperimentPipeline, PipelineOptions
 from repro.split.bs import BSServer
+from tests.experiments.orphan_check import (
+    assert_workers_exit_with_killed_parent,
+    needs_fork_and_proc,
+)
 
 needs_fork = pytest.mark.skipif(
     pipeline_module.pool_context().get_start_method() != "fork",
@@ -124,7 +123,7 @@ def test_pareto_and_fleet_artifacts_match_serial_bitwise(
     for count in (1, 2):
         workers(count)
         pareto = run_compression_pareto(
-            smoke_scale, codecs=("identity", "uint8", "topk"), max_epochs=2,
+            smoke_scale, codecs=("identity", "uint8", "topk"), max_rounds=2,
             split=smoke_split,
         )
         fleet = run_fleet_scaling(
@@ -220,55 +219,6 @@ _HANGING_PARENT = textwrap.dedent(
 )
 
 
-def _live_children(pid: int):
-    """Child pids of ``pid`` that have not exited (Linux ``/proc``)."""
-    children = Path(f"/proc/{pid}/task/{pid}/children").read_text().split()
-    return [int(child) for child in children if _running(int(child))]
-
-
-def _running(pid: int) -> bool:
-    try:
-        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
-    except FileNotFoundError:
-        return False
-    return state != "Z"
-
-
-def _wait_for(condition, timeout: float):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        value = condition()
-        if value:
-            return value
-        time.sleep(0.05)
-    return condition()
-
-
-@needs_fork
-@pytest.mark.skipif(
-    not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
-    reason="reads child processes from Linux /proc",
-)
+@needs_fork_and_proc
 def test_workers_exit_when_the_parent_is_killed():
-    src = Path(pipeline_module.__file__).resolve().parents[2]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    parent = subprocess.Popen([sys.executable, "-c", _HANGING_PARENT], env=env)
-
-    def two_workers():
-        children = _live_children(parent.pid)
-        return children if len(children) == 2 else None
-
-    try:
-        workers = _wait_for(two_workers, timeout=60)
-        assert workers, "the pool never started two workers"
-    finally:
-        parent.send_signal(signal.SIGKILL)
-        parent.wait()
-    try:
-        assert _wait_for(
-            lambda: not any(_running(pid) for pid in workers), timeout=10
-        ), "a worker outlived its killed parent"
-    finally:
-        for pid in workers:
-            if _running(pid):
-                os.kill(pid, signal.SIGKILL)
+    assert_workers_exit_with_killed_parent(_HANGING_PARENT)

@@ -131,12 +131,14 @@ def test_run_fleet_scaling_validation(smoke_scale, smoke_split):
         )
 
 
-def test_cli_writes_artifact(tmp_path):
-    from repro.experiments import fig_fleet_scaling
+def test_cli_writes_artifact(tmp_path, sweep_cache_dir):
+    from repro.experiments.run import main
 
     output = tmp_path / "fleet.json"
-    exit_code = fig_fleet_scaling.main(
+    exit_code = main(
         [
+            "--experiment",
+            "fleet",
             "--scale",
             "smoke",
             "--ues",
@@ -146,11 +148,19 @@ def test_cli_writes_artifact(tmp_path):
             "parallel_average",
             "--max-rounds",
             "1",
+            "--cache-dir",
+            str(sweep_cache_dir),
             "--output",
             str(output),
         ]
     )
     assert exit_code == 0
     artifact = json.loads(output.read_text())
-    assert artifact["schema_version"] == FLEET_ARTIFACT_SCHEMA_VERSION
-    assert set(artifact["cells"]["parallel_average"]) == {"1", "2"}
+    assert set(artifact["metrics"]) >= {"parallel_average/n2/final_rmse_db"}
+    figure = artifact["figure"]
+    assert figure["schema_version"] == FLEET_ARTIFACT_SCHEMA_VERSION
+    assert set(figure["cells"]) == {"parallel_average"}
+    assert set(figure["cells"]["parallel_average"]) == {"1", "2"}
+    assert all(
+        cell["rounds"] == 1 for cell in figure["cells"]["parallel_average"].values()
+    )

@@ -4,9 +4,9 @@ The probe runs the program's entry points at smoke scale under
 ``sys.setprofile`` and records every function they call:
 
 * the ``repro.experiments.run`` experiments, cold and then resumed from the
-  dataset, checkpoint and trained-model caches;
+  dataset, checkpoint and trained-model caches, and a fleet-scaling run with
+  its experiment options;
 * one serial ``table1`` sweep cell;
-* the fleet-scaling and compression-Pareto CLIs;
 * the five ablations, with minimal arguments;
 * ``repro.analysis`` over ``src/repro``.
 
@@ -43,6 +43,7 @@ HARNESS = "harness target: benchmarks/harness/trace.py resolves it by name"
 SUBCLASS = "user-subclass default: base-class hook the concrete classes override"
 EXAMPLE = "example/benchmark import: examples/ or benchmarks/ call it"
 BRANCH = "entry-point branch the smoke probe does not take"
+POOL = BRANCH + " (a process pool: the probe trains and sweeps in one process)"
 TESTS_ONLY = (
     "tests only, outside the NN-library surface: deletion candidate "
     "(ROADMAP item 7)"
@@ -141,16 +142,20 @@ ALLOWLIST = {
     "repro.experiments.fig_compression_pareto:CompressionParetoResult.history": (
         EXAMPLE
     ),
+    "repro.experiments.fig_compression_pareto:CompressionParetoResult"
+    ".format_table": EXAMPLE,
     "repro.experiments.fig_fleet_scaling:FleetScalingResult.history": EXAMPLE,
-    "repro.experiments.fig_fleet_scaling:result_metrics": BRANCH
-    + " (run --experiment fleet)",
+    "repro.experiments.fig_fleet_scaling:FleetScalingResult.format_table": EXAMPLE,
     "repro.experiments.model_cache:default_model_cache_dir": BRANCH
     + " (no cache directory)",
     "repro.experiments.pipeline:ExperimentPipeline.evaluate": TESTS_ONLY,
     "repro.experiments.pipeline:ExperimentPipeline.train": HARNESS + "; the "
     "single-job form of train_all, which every runner calls",
+    "repro.experiments.pipeline:ExperimentSpec.run_cell": EXAMPLE + " (the "
+    "sweep-cold workload's oracle; cells run through sweep.run_cell)",
+    "repro.experiments.pipeline:pool_context": POOL,
+    "repro.experiments.pipeline:watch_parent": POOL,
     "repro.experiments.sweep:canonical_artifact": TESTS_ONLY,
-    "repro.experiments.sweep:register_experiment": TESTS_ONLY,
     "repro.experiments.table1_privacy_success:Table1Result.format_table": EXAMPLE,
     "repro.experiments.table1_privacy_success:Table1Result.summary_rows": EXAMPLE,
     "repro.experiments.table1_privacy_success:Table1Result.poolings": EXAMPLE,
@@ -265,8 +270,7 @@ def probe(part: str, workdir: Path, output: Path) -> None:
 
 
 def _run_experiments(workdir: Path) -> None:
-    from repro.experiments import ablations, fig_compression_pareto, fig_fleet_scaling
-    from repro.experiments import pipeline
+    from repro.experiments import ablations, pipeline
     from repro.experiments.common import ExperimentScale
     from repro.experiments.run import main as run_main
     from repro.experiments.sweep import main as sweep_main
@@ -274,7 +278,7 @@ def _run_experiments(workdir: Path) -> None:
     pipeline._available_cpus = lambda: 1
 
     caches = [
-        "--dataset-cache-dir", str(workdir / "datasets"),
+        "--cache-dir", str(workdir / "datasets"),
         "--checkpoint-dir", str(workdir / "checkpoints"),
         "--model-cache-dir", str(workdir / "models"),
     ]
@@ -289,13 +293,10 @@ def _run_experiments(workdir: Path) -> None:
         "--cache-dir", str(workdir / "datasets"),
         "--output", str(workdir / "sweep.json"),
     ]) == 0
-    assert fig_fleet_scaling.main([
-        "--scale", "smoke", "--ues", "1", "2", "--max-rounds", "1",
+    assert run_main([
+        "--experiment", "fleet", "--scale", "smoke", "--ues", "1", "2",
+        "--max-rounds", "1", "--cache-dir", str(workdir / "datasets"),
         "--output", str(workdir / "fleet.json"),
-    ]) == 0
-    assert fig_compression_pareto.main([
-        "--scale", "smoke", "--max-epochs", "1",
-        "--output", str(workdir / "pareto-cli.json"),
     ]) == 0
     smoke = ExperimentScale.smoke()
     ablations.pooling_sweep(image_size=12, batch_size=16)

@@ -327,7 +327,7 @@ def default_specs() -> List[ContractSpec]:
                 "objects, the scatter() targets",
                 "_grads": "per-step gradient scratch, zeroed by every "
                 "apply_updates call",
-                "_passes": "per-batch-size member groups and their "
+                "_passes": "per-batch-size, per-worker member slices and their "
                 "forward-pass buffers, transient compute state",
             },
         ),

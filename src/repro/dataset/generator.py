@@ -17,7 +17,7 @@ from repro.mmwave.power import ReceivedPowerModel
 from repro.scenarios import get_scenario
 from repro.scene.actors import generate_crossing_traffic
 from repro.scene.environment import DEFAULT_FRAME_INTERVAL_S, CorridorScene
-from repro.utils.seeding import SeedLike, spawn_generators
+from repro.utils.seeding import spawn_generators
 
 #: Number of samples in the measured dataset of the paper.
 PAPER_NUM_SAMPLES = 13_228

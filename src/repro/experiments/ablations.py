@@ -14,8 +14,8 @@ These sweeps probe the design choices that DESIGN.md calls out:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from dataclasses import dataclass, replace
+from typing import List, Optional
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from repro.dataset.splits import temporal_split
 from repro.experiments.common import ExperimentScale, prepare_split
 from repro.mmwave.blockage import KnifeEdgeBlockageModel, PiecewiseLinearBlockageModel
 from repro.mmwave.power import ReceivedPowerModel
-from repro.split.config import ExperimentConfig, ModelConfig, TrainingConfig
+from repro.split.config import ExperimentConfig
 from repro.split.trainer import SplitTrainer
 
 

@@ -14,7 +14,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.dataset.generator import DatasetConfig, DepthPowerDataset, MmWaveDepthDatasetGenerator
-from repro.dataset.sequences import SequenceDataset, build_sequences
+from repro.dataset.sequences import build_sequences
 from repro.dataset.splits import TrainValidationSplit, temporal_split
 from repro.scenarios import Scenario, get_scenario
 from repro.scenarios import registry as _registry

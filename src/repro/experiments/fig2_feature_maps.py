@@ -21,7 +21,6 @@ import numpy as np
 from repro.dataset.generator import DepthPowerDataset
 from repro.experiments.common import ExperimentScale
 from repro.experiments.pipeline import ExperimentPipeline, PipelineOptions
-from repro.split.config import ModelConfig
 from repro.split.ue import UEClient
 
 

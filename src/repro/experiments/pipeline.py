@@ -55,6 +55,7 @@ from repro.fleet.trainer import FleetHistory, FleetTrainer
 from repro.nn.serialization import atomic_write_text
 from repro.split.checkpoint import Checkpoint, CheckpointLike
 from repro.split.config import ExperimentConfig
+from repro.utils import parallel
 from repro.utils.logging import get_logger
 
 logger = get_logger("experiments.pipeline")
@@ -143,14 +144,6 @@ def pool_context():
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         return multiprocessing.get_context()
-
-
-def _available_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - platforms without affinity
-        return os.cpu_count() or 1
 
 
 #: The pipeline, jobs and plans of :meth:`ExperimentPipeline.train_all`,
@@ -384,9 +377,9 @@ class ExperimentPipeline:
         jobs = list(jobs)
         plans = [self._plan(job) for job in jobs]
         pending = [index for index, plan in enumerate(plans) if not plan.cache_hit]
-        workers = min(_available_cpus(), len(pending))
+        workers = min(parallel.available_workers(), len(pending))
         finished: Dict[int, Checkpoint] = {}
-        if workers <= 1 or multiprocessing.parent_process() is not None:
+        if workers <= 1:
             for index in pending:
                 finished[index] = self._train_to_checkpoint(jobs[index], plans[index])
         else:

@@ -46,7 +46,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.dataset.cache import config_fingerprint, get_or_generate, load_cached_dataset
-from repro.experiments import pipeline
 from repro.experiments.common import ExperimentScale, scale_from_name
 from repro.experiments.pipeline import (
     PipelineOptions,
@@ -56,6 +55,7 @@ from repro.experiments.pipeline import (
     write_artifact,
 )
 from repro.scenarios import get_scenario, scenario_names
+from repro.utils import parallel
 from repro.utils.logging import get_logger
 
 logger = get_logger("experiments.sweep")
@@ -444,7 +444,7 @@ def run_sweep(config: SweepConfig) -> Dict[str, object]:
     # At least two workers whenever parallelism is requested: even on a
     # single-CPU host the cells interleave (dataset generation releases the
     # GIL-free process boundary) and the orchestration path stays exercised.
-    default_workers = max(pipeline._available_cpus(), 2)
+    default_workers = max(parallel.available_workers(), 2)
     workers = min(config.max_workers or default_workers, max(len(pending), 1))
     use_pool = config.parallel and workers > 1 and len(pending) > 1
     start = time.perf_counter()

@@ -28,8 +28,16 @@ before weight averaging; after every rotation step that updated).  The
 stacked kernels and the masked Adam step are bitwise-identical member for
 member to the per-member loop of ``tests/fleet/member_loop_oracle.py``, so
 checkpoints, hand-offs, averages and inference read exactly the arrays a
-per-member run would produce.  Members with different batch sizes (uneven
-strided shards) run one stacked pass per distinct size and exchange
+per-member run would produce.
+
+The bank's passes run on threads, over contiguous slices of members: each
+group of members with one batch size (all of them, with equal shards) is
+cut into ``min(workers, members in group)`` slices, where ``workers`` is
+:func:`~repro.utils.parallel.available_workers` (the CPUs this process may
+use; 1 inside a pool worker), and no option changes it.  Every member's
+GEMMs and reductions are independent of the other members in its stack, so
+the slicing is bitwise invisible; a bank of one never starts a thread.
+Members with different batch sizes (uneven strided shards) exchange
 per-member lists instead of one array.
 
 The bank is checkpointable (``state_dict``/``load_state_dict``, registered
@@ -38,6 +46,7 @@ canonical copy lives in the members between steps and rounds.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,6 +66,7 @@ from repro.nn.stacked import (
 )
 from repro.split.config import ModelConfig
 from repro.split.ue import UEClient
+from repro.utils import parallel
 
 
 class UEPlan(NamedTuple):
@@ -298,6 +308,7 @@ class StackedUEBank:
         self._step_counts = np.zeros(len(self._clients), dtype=np.int64)
         self._grads: List[np.ndarray] = []
         self._pass_sizes: Tuple[int, ...] = ()
+        self._workers = 0
         self._passes: List[Tuple[object, Dict]] = []
         self.gather()
 
@@ -338,22 +349,46 @@ class StackedUEBank:
     def _member_passes(self, sizes: Sequence[int]) -> List[Tuple[object, Dict]]:
         """``(member selector, buffer cache)`` of each stacked pass.
 
-        One pass per distinct batch size: a ``slice`` over every member when
-        all sizes agree, otherwise an index array per size.  The plan and its
-        buffers persist while the sizes stay the same.
+        Members are grouped by batch size (one group when all sizes agree),
+        and each group is cut into ``min(workers, members in group)``
+        contiguous runs of members, one pass each: a ``slice`` when there is
+        one group, otherwise an index array.  The passes and their buffers
+        persist while the sizes and the worker count stay the same.
         """
         sizes = tuple(int(size) for size in sizes)
-        if sizes != self._pass_sizes:
-            distinct = sorted(set(sizes))
-            if len(distinct) == 1:
-                self._passes = [(slice(None), {})]
-            else:
-                by_size = np.array(sizes)
-                self._passes = [
-                    (np.flatnonzero(by_size == size), {}) for size in distinct
-                ]
-            self._pass_sizes = sizes
+        workers = min(parallel.available_workers(), len(sizes))
+        if (sizes, workers) != (self._pass_sizes, self._workers):
+            by_size = np.array(sizes)
+            groups = [np.flatnonzero(by_size == size) for size in sorted(set(sizes))]
+            parts = [
+                part
+                for group in groups
+                for part in np.array_split(group, min(workers, len(group)))
+            ]
+            if len(groups) == 1:
+                parts = [slice(int(part[0]), int(part[-1]) + 1) for part in parts]
+            self._passes = [(part, {}) for part in parts]
+            self._pass_sizes, self._workers = sizes, workers
         return self._passes
+
+    def _run_passes(self, run_pass, inputs) -> list:
+        """``run_pass(selector, inputs, cache)`` of every pass, in pass order.
+
+        Several passes run on a thread pool of the bank's worker count:
+        each touches only its own members' slices and buffers, and numpy's
+        GEMMs and copies release the GIL.  The pool lives for this call
+        only, so no thread outlives it (a fork worker would inherit a pool
+        without its threads).
+        """
+        if len(self._passes) == 1:
+            selector, cache = self._passes[0]
+            return [run_pass(selector, inputs, cache)]
+        with ThreadPoolExecutor(max_workers=self._workers) as pool:
+            futures = [
+                pool.submit(run_pass, selector, inputs, cache)
+                for selector, cache in self._passes
+            ]
+            return [future.result() for future in futures]
 
     def forward(self, image_sequences):
         """All members' UE networks in batched sweeps.
@@ -378,12 +413,11 @@ class StackedUEBank:
             # A bank of one views its member's batch instead of stacking a copy.
             image_sequences = np.asarray(image_sequences[0])[None]
         passes = self._member_passes([len(images) for images in image_sequences])
-        pooled = [
-            self._forward_pass(selector, _take(image_sequences, selector), cache)
-            for selector, cache in passes
-        ]
+        pooled = self._run_passes(self._forward_pass, image_sequences)
         if len(passes) == 1:
             return pooled[0]
+        if isinstance(passes[0][0], slice):
+            return np.concatenate(pooled)
         features: list = [None] * members
         for (selector, _), group in zip(passes, pooled):
             for position, member in enumerate(selector):
@@ -392,7 +426,7 @@ class StackedUEBank:
 
     def _forward_pass(self, selector, image_sequences, cache: Dict) -> np.ndarray:
         """One stacked pass over the members ``selector`` picks."""
-        images = np.asarray(image_sequences, dtype=np.float64)
+        images = np.asarray(_take(image_sequences, selector), dtype=np.float64)
         if images.ndim != 5:
             raise ValueError(
                 f"expected (members, batch, L, H, W) image sequences, got "
@@ -416,16 +450,17 @@ class StackedUEBank:
                 failed: their parameter gradients come out zero, and their
                 update is masked off anyway).
 
-        The plan's first convolution skips its input gradient, which ends
-        the pass.
+        Runs the passes of the last :meth:`forward`; the plan's first
+        convolution skips its input gradient, which ends each pass.
         """
-        for selector, cache in self._passes:
-            self._backward_pass(selector, _take(cut_gradients, selector), cache)
+        self._run_passes(self._backward_pass, cut_gradients)
 
     def _backward_pass(self, selector, cut_gradients, cache: Dict) -> None:
         """The backward of one :meth:`_forward_pass`."""
         weights = [value[selector] for value in self._values]
-        grads = ue_backward(self._plan, weights, cut_gradients, cache)
+        grads = ue_backward(
+            self._plan, weights, _take(cut_gradients, selector), cache
+        )
         for index, grad in enumerate(grads):
             # `+ 0.0` mirrors an accumulate-from-zero (`grad +=`), so even
             # signed zeros match a per-member step bitwise.

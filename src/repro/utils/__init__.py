@@ -1,4 +1,4 @@
-"""Shared utilities: unit conversions, seeding and logging."""
+"""Shared utilities: unit conversions, seeding, logging and worker counts."""
 from repro.utils.logging import enable_console_logging, get_logger
 from repro.utils.seeding import (
     as_generator,

@@ -7,7 +7,7 @@ passing a single integer through the configuration objects.
 """
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 

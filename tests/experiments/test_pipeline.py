@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.dataset.cache import load_cached_dataset
-from repro.experiments import ExperimentScale
 from repro.experiments.fig3a_learning_curves import run_fig3a
 from repro.experiments.model_cache import (
     trained_model_fingerprint,

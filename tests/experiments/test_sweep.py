@@ -4,7 +4,6 @@ import json
 import pytest
 
 from repro.dataset.generator import MmWaveDepthDatasetGenerator
-from repro.experiments import pipeline
 from repro.experiments.pipeline import experiment_specs
 from repro.experiments.sweep import (
     ARTIFACT_SCHEMA_VERSION,
@@ -13,6 +12,7 @@ from repro.experiments.sweep import (
     main,
     run_sweep,
 )
+from repro.utils import parallel
 
 
 def smoke_sweep_config(cache_dir, **overrides):
@@ -276,7 +276,7 @@ def test_default_pool_size_follows_the_available_cpus(
 ):
     """The default pool is the CPUs this process may run on (as for
     ``train_all``), and at least two workers."""
-    monkeypatch.setattr(pipeline, "_available_cpus", lambda: cpus)
+    monkeypatch.setattr(parallel, "_available_cpus", lambda: cpus)
     artifact = run_sweep(smoke_sweep_config(sweep_cache_dir, parallel=True))
     assert artifact["parallel"] is True
     assert artifact["max_workers"] == workers

@@ -1,10 +1,10 @@
 """``ExperimentPipeline.train_all``: independent jobs in forked workers.
 
-The worker count is the pipeline's CPU count, patched here to pick one
-worker (everything runs in this process) or two (the jobs that miss the
-model cache run in a fork pool).  Either way every history, prediction,
-artifact and cache entry must be bit-identical, and no worker may outlive
-the call.
+The worker count is :func:`repro.utils.parallel.available_workers`, whose
+CPU count is patched here to pick one worker (everything runs in this
+process) or two (the jobs that miss the model cache run in a fork pool).
+Either way every history, prediction, artifact and cache entry must be
+bit-identical, and no worker may outlive the call.
 """
 import dataclasses
 import hashlib
@@ -25,6 +25,7 @@ from repro.experiments.fig_compression_pareto import run_compression_pareto
 from repro.experiments.fig_fleet_scaling import run_fleet_scaling
 from repro.experiments.pipeline import ExperimentPipeline, PipelineOptions
 from repro.split.bs import BSServer
+from repro.utils import parallel
 from tests.experiments.orphan_check import (
     assert_workers_exit_with_killed_parent,
     needs_fork_and_proc,
@@ -41,7 +42,7 @@ def workers(monkeypatch):
     """Set the CPU count ``train_all`` sizes its pool by."""
 
     def set_workers(count: int) -> None:
-        monkeypatch.setattr(pipeline_module, "_available_cpus", lambda: count)
+        monkeypatch.setattr(parallel, "_available_cpus", lambda: count)
 
     return set_workers
 
@@ -209,11 +210,12 @@ def test_train_all_inside_a_pool_worker_runs_serially(
 _HANGING_PARENT = textwrap.dedent(
     """
     import time
-    from repro.experiments import pipeline, run_fig3a, scale_from_name
+    from repro.experiments import run_fig3a, scale_from_name
     from repro.split.bs import BSServer
+    from repro.utils import parallel
 
     BSServer.compute_loss_and_gradients = lambda self, *args: time.sleep(600)
-    pipeline._available_cpus = lambda: 2
+    parallel._available_cpus = lambda: 2
     run_fig3a(scale_from_name("smoke"))
     """
 )

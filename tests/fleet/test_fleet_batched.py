@@ -21,6 +21,7 @@ from repro.nn.serialization import flatten_state_tree
 from repro.split import ExperimentConfig, TrainingConfig
 from repro.split.config import ModelConfig
 from repro.split.ue import UEClient
+from repro.utils import parallel
 
 from tests.fleet.member_loop_oracle import MemberLoop, MemberNetwork
 from tests.fleet.test_fleet_checkpoint import fleet_weights, records_of
@@ -232,8 +233,11 @@ def _assert_bank_matches_oracle(config, split, num_ues):
 
 
 def test_bank_and_member_loop_oracle_train_identically(
-    config, small_split, smoke_scale, smoke_split
+    config, small_split, smoke_scale, smoke_split, monkeypatch
 ):
+    # One worker, so the bank runs one pass per batch size (the pass-count
+    # assertion below); tests/fleet/test_sharded_bank.py runs it sharded.
+    monkeypatch.setattr(parallel, "_available_cpus", lambda: 1)
     # Every codec family: stateless, vectorized quantizer, stateful top-k.
     for codec in ("identity", "uint8", "topk"):
         codec_config = dataclasses.replace(
@@ -264,8 +268,12 @@ def test_bank_and_member_loop_oracle_train_identically(
     assert history.communication.downlink_failures > 0
 
 
-def test_uneven_shards_run_one_stacked_pass_per_batch_size(config, small_split):
-    """190 windows over 12 members give batches of 15 and 16: two passes."""
+def test_uneven_shards_run_one_stacked_pass_per_batch_size(
+    config, small_split, monkeypatch
+):
+    """190 windows over 12 members give batches of 15 and 16: two passes
+    on one worker."""
+    monkeypatch.setattr(parallel, "_available_cpus", lambda: 1)
     batch_size = config.training.batch_size
     shards = shard_indices(len(small_split.train), 12)
     sizes = [min(batch_size, len(shard)) for shard in shards]

@@ -97,6 +97,7 @@ def test_client_and_bank_run_the_same_forward(monkeypatch):
     from repro.fleet import bank
     from repro.split import ModelConfig, TrainingConfig
     from repro.split.ue import UEClient
+    from repro.utils import parallel
 
     calls = []
     original = bank.ue_forward
@@ -106,6 +107,8 @@ def test_client_and_bank_run_the_same_forward(monkeypatch):
         return original(plan, weights, images, *args, **kwargs)
 
     monkeypatch.setattr(bank, "ue_forward", counting)
+    # One worker: the bank runs its three members in one pass.
+    monkeypatch.setattr(parallel, "_available_cpus", lambda: 1)
     model = ModelConfig(
         image_height=8, image_width=8, pooling_height=4, pooling_width=4,
         cnn_channels=(2,), sequence_length=2,

@@ -270,12 +270,13 @@ def probe(part: str, workdir: Path, output: Path) -> None:
 
 
 def _run_experiments(workdir: Path) -> None:
-    from repro.experiments import ablations, pipeline
+    from repro.experiments import ablations
     from repro.experiments.common import ExperimentScale
     from repro.experiments.run import main as run_main
     from repro.experiments.sweep import main as sweep_main
+    from repro.utils import parallel
 
-    pipeline._available_cpus = lambda: 1
+    parallel._available_cpus = lambda: 1
 
     caches = [
         "--cache-dir", str(workdir / "datasets"),

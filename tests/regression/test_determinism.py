@@ -5,7 +5,6 @@ configuration hash; both are only sound if a seed fully determines the
 simulated data and the training trajectory within a process.
 """
 import numpy as np
-import pytest
 
 from repro.dataset.generator import MmWaveDepthDatasetGenerator
 from repro.experiments import ExperimentScale, generate_dataset, prepare_split

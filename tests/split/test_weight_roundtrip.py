@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.nn.serialization import load_state_tree, save_state_tree
-from repro.split import ModelConfig, TrainingConfig
+from repro.split import ModelConfig
 from repro.split.bs import BSServer
 from repro.split.ue import UEClient
 

@@ -147,3 +147,22 @@ class MemberLoop:
         """Backpropagate and update the listed members, one gradient each."""
         for member, gradient in zip(members, cut_gradients):
             self._members[member].step(gradient)
+
+
+def fit_on_oracle(config, fleet_config, train, validation, **fit_options):
+    """``FleetTrainer(config, fleet_config).fit(...)`` with every UE step
+    taken by :class:`MemberLoop`; returns the trainer and its history.
+
+    A parallel-average round trains through the trainer's bank; a rotation
+    turn through the bank of one its protocol builds, so that bank is
+    replaced too while the fit runs.
+    """
+    from unittest import mock
+
+    from repro.fleet import FleetTrainer, bank
+
+    trainer = FleetTrainer(config, fleet_config)
+    trainer._bank = MemberLoop([member.ue for member in trainer.fleet.members])
+    with mock.patch.object(bank, "StackedUEBank", MemberLoop):
+        history = trainer.fit(train, validation, **fit_options)
+    return trainer, history

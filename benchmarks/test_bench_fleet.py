@@ -34,8 +34,8 @@ from repro.split.config import ModelConfig
 #: margin (T(2N) <= SUBLINEAR_MARGIN * 2 * T(N)).
 SUBLINEAR_MARGIN = 0.95
 
-#: Host wall-clock budget for one full batched round (gather, joint steps,
-#: scatter) at N=1000.  Measured ~0.15 s; a regression to per-member-loop
+#: Host wall-clock budget for one full batched round (the joint steps, then
+#: FedAvg) at N=1000.  Measured ~0.15 s; a regression to per-member-loop
 #: cost (~1.8 s) must fail even on a fast machine.
 N1000_ROUND_BUDGET_S = 1.0
 
@@ -166,13 +166,11 @@ def test_n1000_batched_round_time_bounded(scale):
     batches = _member_batches(num_ues)
 
     def one_round() -> None:
-        bank = trainer._ensure_bank()
-        bank.gather()
-        protocols = [member.protocol for member in trainer.fleet]
+        fleet = trainer.fleet
+        protocols = [member.protocol for member in fleet]
         for _ in range(N1000_STEPS_PER_ROUND):
-            joint_step(protocols, trainer.fleet.bs, bank, trainer.scheduler, batches)
-        bank.scatter()
-        trainer.fleet.average_ue_weights()
+            joint_step(protocols, fleet.bs, fleet.bank, trainer.scheduler, batches)
+        fleet.average_ue_weights()
 
     one_round()  # warm up
     (round_s,) = _best_times(one_round, repeats=2)

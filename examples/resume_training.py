@@ -45,6 +45,16 @@ def make_trainer(scale: ExperimentScale) -> SplitTrainer:
     )
 
 
+def final_weights(trainer: SplitTrainer) -> dict:
+    """The BS model's weights and the UE bank's weight stacks, by key."""
+    fleet = trainer.state_dict()["fleet"]
+    weights = {f"bs.{key}": value for key, value in fleet["bs"]["model"].items()}
+    for key, value in fleet["ue"].items():
+        if key.startswith("values/"):
+            weights[f"ue.{key}"] = value
+    return weights
+
+
 def main() -> None:
     scale = ExperimentScale.smoke()
     split = prepare_split(scale)
@@ -91,12 +101,10 @@ def main() -> None:
     curves_equal = np.array_equal(
         reference.validation_rmse_curve_db, resumed.validation_rmse_curve_db
     )
+    resumed_weights = final_weights(resumed_trainer)
     weights_equal = all(
-        np.array_equal(value, resumed_trainer.protocol.bs.get_weights()[key])
-        for key, value in reference_trainer.protocol.bs.get_weights().items()
-    ) and all(
-        np.array_equal(value, resumed_trainer.protocol.ue.get_weights()[key])
-        for key, value in reference_trainer.protocol.ue.get_weights().items()
+        np.array_equal(value, resumed_weights[key])
+        for key, value in final_weights(reference_trainer).items()
     )
     print(f"   learning curves identical: {curves_equal}")
     print(f"   final weights identical:   {weights_equal}")

@@ -269,9 +269,12 @@ def default_specs() -> List[ContractSpec]:
         from repro.split.config import TrainingConfig
         from repro.split.ue import UEClient
 
-        model, training = small_split_model(), TrainingConfig()
-        bank = StackedUEBank(
-            [UEClient(model, training, seed=member) for member in range(2)]
+        client = UEClient(small_split_model(), seed=0)
+        bank = StackedUEBank.broadcast(
+            client.plan,
+            [param.value for param in client.cnn.parameters()],
+            2,
+            TrainingConfig(),
         )
         # Exercise one masked round trip so transient caches and gradient
         # scratch exist — the snapshot should look like mid-training state.
@@ -321,10 +324,6 @@ def default_specs() -> List[ContractSpec]:
             name="StackedUEBank",
             factory=stacked_ue_bank,
             waived={
-                "_clients": "references to externally owned UEClient objects; "
-                "their state rides in the members' own checkpoints",
-                "_param_refs": "references to externally owned Parameter "
-                "objects, the scatter() targets",
                 "_grads": "per-step gradient scratch, zeroed by every "
                 "apply_updates call",
                 "_passes": "per-batch-size, per-worker member slices and their "
@@ -337,8 +336,10 @@ def default_specs() -> List[ContractSpec]:
             waived={
                 "bs": "the shared BS; the fleet stores it once, beside its "
                 "members' protocols",
-                "_bank": "one-member StackedUEBank derived from the UE: "
-                "every step gathers from the client, which is captured",
+                "ue": "the UE's weights and Adam state are a row of the fleet's "
+                "StackedUEBank, which the fleet stores once",
+                "_bank": "one-member StackedUEBank viewing the UE's row of the "
+                "fleet's bank; it owns only buffers",
             },
         ),
     ]

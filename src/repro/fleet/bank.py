@@ -14,21 +14,24 @@ UEs cost a handful of broadcasted GEMMs.  Both callers share them:
   of the one training step, :func:`~repro.fleet.trainer.joint_step`: a
   parallel-average fleet runs through one bank, and each rotation protocol
   trains its UE through a bank of one;
-* ``UEClient`` runs the same plan at one member (``value[None]`` views of its
-  parameters) for evaluation, Fig. 2, Fig. 3b and Table 1.
+* ``UEClient`` runs the same plan at one member (``stack[k:k+1]`` views of
+  its bank row) for evaluation, Fig. 2, Fig. 3b and Table 1.
 
 Each caller owns the buffer cache a pass fills (im2col columns, padding and
 dilation buffers, activation masks), and reuses it while the geometry stays.
 
-The bank is a *view* over the members' ``UEClient`` objects, not a second
-copy of the truth: :meth:`StackedUEBank.gather` snapshots the members'
-weights and Adam state, the training steps mutate only the stacked arrays,
-and :meth:`StackedUEBank.scatter` writes them back (after a parallel round,
-before weight averaging; after every rotation step that updated).  The
-stacked kernels and the masked Adam step are bitwise-identical member for
-member to the per-member loop of ``tests/fleet/member_loop_oracle.py``, so
-checkpoints, hand-offs, averages and inference read exactly the arrays a
-per-member run would produce.
+The bank is also the one store of UE state: every UE's CNN weights, Adam
+moments and step count are a row of its stacked arrays.  A fleet builds one
+bank of N rows (``UEFleet.bank``) and each member's client is a row of it: the
+client's parameter values are views of the row, and a rotation protocol
+trains through :meth:`StackedUEBank.member`, a bank of one that views the
+same row.  So no step or round copies UE state between two stores; the
+training steps update the rows in place.  :meth:`StackedUEBank.scatter`
+writes one weight set into chosen rows (the fleet's initial sync, the
+rotation hand-off, the FedAvg broadcast) and :meth:`StackedUEBank.gather` is
+FedAvg's reduction, the mean over the member axis.  The stacked kernels, the
+masked Adam step and that mean are bitwise-identical member for member to the
+per-member loop of ``tests/fleet/member_loop_oracle.py``.
 
 The bank's passes run on threads, over contiguous slices of members: each
 group of members with one batch size (all of them, with equal shards) is
@@ -41,8 +44,8 @@ Members with different batch sizes (uneven strided shards) exchange
 per-member lists instead of one array.
 
 The bank is checkpointable (``state_dict``/``load_state_dict``, registered
-in :mod:`repro.analysis.contract`), but checkpoints never embed it: the
-canonical copy lives in the members between steps and rounds.
+in :mod:`repro.analysis.contract`), and a fleet checkpoint stores the
+fleet's bank once, so its UE leaves do not grow with the fleet.
 """
 from __future__ import annotations
 
@@ -55,7 +58,7 @@ from repro.nn.layers.activations import ReLU, Sigmoid, stable_sigmoid
 from repro.nn.layers.conv import Conv2D, dilated_buffer, padded_buffer
 from repro.nn.layers.pooling import average_pool
 from repro.nn.layers.sequential import Sequential
-from repro.nn.optim import Adam
+from repro.nn.optim import ADAM_EPSILON
 from repro.nn.stacked import (
     adam_bias_corrections,
     stacked_adam_update,
@@ -64,8 +67,7 @@ from repro.nn.stacked import (
     stacked_conv2d_forward,
     stacked_gradient_norms,
 )
-from repro.split.config import ModelConfig
-from repro.split.ue import UEClient
+from repro.split.config import ModelConfig, TrainingConfig
 from repro.utils import parallel
 
 
@@ -259,91 +261,93 @@ def ue_backward(
 
 
 class StackedUEBank:
-    """Per-parameter stacked weights + Adam state for N identical UEs.
+    """Every UE's CNN weights, Adam moments and step counts, stacked.
+
+    The one store of UE state: each array carries a leading member axis, one
+    row per UE.  A bank either owns its arrays (:meth:`broadcast`) or views
+    rows of another bank's (:meth:`member`); the training steps update them
+    in place, so a view's updates land in the rows it views.
 
     Args:
-        clients: the fleet members' ``UEClient`` objects, each with an Adam
-            optimizer and the same architecture.  The bank holds references
-            and gathers their state immediately.
+        plan: the UE network, from :func:`ue_plan`.
+        training: Adam's learning rate and betas and the gradient clip norm
+            (``None``: an inference-only bank, whose updates raise).
+        values / first_moment / second_moment: one stacked array per CNN
+            parameter, in plan order.
+        step_counts: ``(members,)`` Adam step counts.
     """
 
-    def __init__(self, clients: Sequence[UEClient]):
-        if not clients:
-            raise ValueError("StackedUEBank requires at least one UE client")
-        self._clients: List[UEClient] = list(clients)
-        template = self._clients[0]
-        for client in self._clients:
-            if not isinstance(client.optimizer, Adam):
-                raise ValueError("StackedUEBank requires Adam-equipped clients")
-            if client.model_config != template.model_config:
-                raise ValueError("StackedUEBank requires identical architectures")
-
-        self._plan = template.plan
-        self._param_refs: List[List] = [list(c.cnn.parameters()) for c in self._clients]
-        reference = self._param_refs[0]
-        for refs in self._param_refs[1:]:
-            if [p.shape for p in refs] != [p.shape for p in reference]:
-                raise ValueError("members disagree on parameter shapes")
-
-        optimizer = template.optimizer
-        self._learning_rate = optimizer.learning_rate
-        self._beta1 = optimizer.beta1
-        self._beta2 = optimizer.beta2
-        self._epsilon = optimizer.epsilon
-        self._gradient_clip = template._gradient_clip
-        for client in self._clients[1:]:
-            same = (
-                client.optimizer.learning_rate == self._learning_rate
-                and client.optimizer.beta1 == self._beta1
-                and client.optimizer.beta2 == self._beta2
-                and client.optimizer.epsilon == self._epsilon
-                and client._gradient_clip == self._gradient_clip
-            )
-            if not same:
-                raise ValueError("members disagree on optimizer hyper-parameters")
-
-        self._values: List[np.ndarray] = []
-        self._first_moment: List[np.ndarray] = []
-        self._second_moment: List[np.ndarray] = []
-        self._step_counts = np.zeros(len(self._clients), dtype=np.int64)
-        self._grads: List[np.ndarray] = []
+    def __init__(
+        self,
+        plan: UEPlan,
+        training: Optional[TrainingConfig],
+        values: List[np.ndarray],
+        first_moment: List[np.ndarray],
+        second_moment: List[np.ndarray],
+        step_counts: np.ndarray,
+    ):
+        self._plan = plan
+        self._training = training
+        self._values = values
+        self._first_moment = first_moment
+        self._second_moment = second_moment
+        self._step_counts = step_counts
+        self._grads = [np.zeros_like(value) for value in values]
         self._pass_sizes: Tuple[int, ...] = ()
         self._workers = 0
         self._passes: List[Tuple[object, Dict]] = []
-        self.gather()
 
-    # -- member synchronization ------------------------------------------------
-    def gather(self) -> None:
-        """Snapshot every member's weights and Adam state into the stack."""
-        members = len(self._clients)
-        slots = [client.optimizer._slots() for client in self._clients]
-        self._values = []
-        self._first_moment = []
-        self._second_moment = []
-        for index in range(len(self._param_refs[0])):
-            self._values.append(
-                np.stack([self._param_refs[n][index].value for n in range(members)])
-            )
-            self._first_moment.append(
-                np.stack([slots[n]["first_moment"][index] for n in range(members)])
-            )
-            self._second_moment.append(
-                np.stack([slots[n]["second_moment"][index] for n in range(members)])
-            )
-        self._step_counts = np.array(
-            [client.optimizer.step_count for client in self._clients], dtype=np.int64
+    @classmethod
+    def broadcast(
+        cls,
+        plan: UEPlan,
+        weights: Sequence[np.ndarray],
+        members: int,
+        training: Optional[TrainingConfig],
+    ) -> "StackedUEBank":
+        """A bank of ``members`` rows that all start from ``weights`` (one
+        member's CNN parameters, in plan order), with zero Adam state."""
+        if members < 1:
+            raise ValueError("StackedUEBank requires at least one member")
+        values = [np.empty((members,) + np.shape(weight)) for weight in weights]
+        bank = cls(
+            plan,
+            training,
+            values,
+            [np.zeros_like(value) for value in values],
+            [np.zeros_like(value) for value in values],
+            np.zeros(members, dtype=np.int64),
         )
-        self._grads = [np.zeros_like(value) for value in self._values]
+        bank.scatter(weights, slice(None))
+        return bank
 
-    def scatter(self) -> None:
-        """Write the stacked state back into the member objects, in place."""
-        for member, client in enumerate(self._clients):
-            slots = client.optimizer._slots()
-            for index, param in enumerate(self._param_refs[member]):
-                param.value[...] = self._values[index][member]
-                slots["first_moment"][index][...] = self._first_moment[index][member]
-                slots["second_moment"][index][...] = self._second_moment[index][member]
-            client.optimizer.step_count = int(self._step_counts[member])
+    def member(self, index: int) -> "StackedUEBank":
+        """A bank of one over row ``index``: views of this bank's arrays, step
+        count included, with buffers of its own."""
+        rows = slice(index, index + 1)
+        return StackedUEBank(
+            self._plan,
+            self._training,
+            [value[rows] for value in self._values],
+            [moment[rows] for moment in self._first_moment],
+            [moment[rows] for moment in self._second_moment],
+            self._step_counts[rows],
+        )
+
+    # -- weight exchange -------------------------------------------------------
+    def weights(self, member: int) -> List[np.ndarray]:
+        """Row ``member``'s CNN parameters as one-member stacks (views)."""
+        return [value[member : member + 1] for value in self._values]
+
+    def gather(self) -> List[np.ndarray]:
+        """The members' mean CNN parameters, FedAvg's reduction."""
+        return [value.mean(axis=0) for value in self._values]
+
+    def scatter(self, weights: Sequence[np.ndarray], members) -> None:
+        """Write one set of CNN parameters into the rows ``members`` selects
+        (any index of the member axis).  The Adam state stays per member."""
+        for value, weight in zip(self._values, weights):
+            value[members] = weight
 
     # -- batched compute -------------------------------------------------------
     def _member_passes(self, sizes: Sequence[int]) -> List[Tuple[object, Dict]]:
@@ -403,7 +407,7 @@ class StackedUEBank:
             forward pass: one ``(members, batch, L, F)``
             array when every batch size agrees, else a per-member list.
         """
-        members = len(self._clients)
+        members = len(self._step_counts)
         if len(image_sequences) != members:
             raise ValueError(
                 f"expected image sequences for {members} members, got "
@@ -477,7 +481,7 @@ class StackedUEBank:
         full = [np.zeros((size,) + tail) for size in self._pass_sizes]
         for member, gradient in zip(members, cut_gradients):
             full[member] = gradient
-        mask = np.zeros(len(self._clients), dtype=bool)
+        mask = np.zeros(len(self._step_counts), dtype=bool)
         mask[list(members)] = True
         self.backward(full)
         self.apply_updates(mask)
@@ -485,12 +489,15 @@ class StackedUEBank:
     def apply_updates(self, mask: np.ndarray) -> None:
         """Clip + Adam-step the members selected by ``mask``, in place.
 
-        Matches ``UEClient.apply_update`` per selected member: optional
-        global-norm clipping, one optimizer step, gradients cleared.
-        Masked-out members keep weights, moments and step counts untouched.
-        A non-finite gradient norm raises ``FloatingPointError`` naming the
-        members, before any state changes.
+        Per selected member: optional global-norm clipping, one Adam step,
+        gradients cleared, bitwise as a per-member ``repro.nn.optim.Adam``
+        would.  Masked-out members keep weights, moments and step counts
+        untouched.  A non-finite gradient norm raises ``FloatingPointError``
+        naming the members, before any state changes.
         """
+        training = self._training
+        if training is None:
+            raise RuntimeError("this StackedUEBank was created without training")
         mask = np.asarray(mask, dtype=bool)
         norms = stacked_gradient_norms(self._grads)
         diverged = np.flatnonzero(~np.isfinite(norms))
@@ -499,13 +506,14 @@ class StackedUEBank:
                 f"non-finite UE gradient norm at bank member(s) "
                 f"{diverged.tolist()} of {len(norms)}"
             )
-        if self._gradient_clip > 0:
-            scales = stacked_clip_scales(norms, self._gradient_clip)
+        if training.gradient_clip_norm > 0:
+            scales = stacked_clip_scales(norms, training.gradient_clip_norm)
             for grad in self._grads:
                 grad *= scales.reshape((len(scales),) + (1,) * (grad.ndim - 1))
-        self._step_counts = self._step_counts + mask.astype(np.int64)
+        # In place: a bank of one views its row of the fleet's step counts.
+        self._step_counts += mask.astype(np.int64)
         correction1, correction2 = adam_bias_corrections(
-            self._step_counts, mask, self._beta1, self._beta2
+            self._step_counts, mask, training.beta1, training.beta2
         )
         for index, value in enumerate(self._values):
             stacked_adam_update(
@@ -516,10 +524,10 @@ class StackedUEBank:
                 mask,
                 correction1,
                 correction2,
-                self._learning_rate,
-                self._beta1,
-                self._beta2,
-                self._epsilon,
+                training.learning_rate,
+                training.beta1,
+                training.beta2,
+                ADAM_EPSILON,
             )
         for grad in self._grads:
             grad[...] = 0.0
@@ -535,7 +543,7 @@ class StackedUEBank:
         return state
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Restore :meth:`state_dict` output; :meth:`scatter` to publish it."""
+        """Restore :meth:`state_dict` output in place (views see it)."""
         expected = {"step_counts"}
         for index in range(len(self._values)):
             expected.update(
@@ -567,7 +575,7 @@ class StackedUEBank:
                         f"{target.shape}, got {loaded.shape}"
                     )
                 target[...] = loaded
-        self._step_counts = counts.copy()
+        self._step_counts[...] = counts
 
 
 def _take(values, selector):

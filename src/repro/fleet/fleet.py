@@ -1,10 +1,14 @@
 """The fleet itself: N UE clients, one shared BS, N independent channels.
 
 ``UEFleet`` owns the per-UE machinery — each member has its own
-:class:`~repro.split.ue.UEClient` (and Adam state), its own
+:class:`~repro.split.ue.UEClient`, its own
 :class:`~repro.channel.arq.ArqSession` over a placement-jittered channel, and
 its own minibatch RNG — while the :class:`~repro.split.bs.BSServer` is a
-single shared instance injected into every member's protocol.
+single shared instance injected into every member's protocol.  Every
+member's UE state (CNN weights, Adam moments, step count) is one row of the
+fleet's :class:`~repro.fleet.bank.StackedUEBank`, ``UEFleet.bank``: the
+rotation hand-off and the parallel averaging write rows of it, and a
+checkpoint stores it once.
 
 Seeding is arranged so that **member 0 is byte-for-byte the single-UE
 setup**: its protocol is constructed exactly like ``SplitTrainingProtocol
@@ -21,6 +25,7 @@ from typing import List
 import numpy as np
 
 from repro.channel.params import WirelessChannelParams
+from repro.fleet.bank import StackedUEBank
 from repro.scenarios.placement import fleet_channel_params
 from repro.split.config import ExperimentConfig
 from repro.split.protocol import SplitTrainingProtocol
@@ -132,13 +137,21 @@ class UEFleet:
                         channel=channels[k],
                     )
                 )
-            # Every client starts from the same weights (member 0's init):
-            # the rotation hand-off assumes one logical model, and parallel
-            # averaging assumes a common starting point, exactly like
-            # splitfed.
-            initial = base_protocol.ue.get_weights()
-            for member in self.members[1:]:
-                member.ue.set_weights(initial)
+        # One bank holds every member's UE state.  Every row starts from the
+        # same weights (member 0's init): the rotation hand-off assumes one
+        # logical model, and parallel averaging assumes a common starting
+        # point, exactly like splitfed.
+        self.bank = None
+        if config.model.use_image:
+            ue = base_protocol.ue
+            self.bank = StackedUEBank.broadcast(
+                ue.plan,
+                [param.value for param in ue.cnn.parameters()],
+                fleet_config.num_ues,
+                config.training,
+            )
+            for member in self.members:
+                member.ue.join(self.bank, member.index)
         self._weight_holder = 0
 
     @property
@@ -165,13 +178,14 @@ class UEFleet:
     def hand_off_to(self, index: int) -> None:
         """Copy the logical UE model to member ``index`` (rotation mode).
 
-        A no-op when the member already holds the weights — in particular for
-        a fleet of one, where no copy ever happens.
+        Only the weights move: the receiving member keeps its own Adam state,
+        the classic split-learning hand-off.  A no-op when the member already
+        holds the weights — in particular for a fleet of one, where no copy
+        ever happens.
         """
         if index == self._weight_holder:
             return
-        state = self.members[self._weight_holder].ue.get_weights()
-        self.members[index].ue.set_weights(state)
+        self.bank.scatter(self.bank.weights(self._weight_holder), [index])
         self._weight_holder = index
 
     # -- parallel averaging -----------------------------------------------------------
@@ -182,23 +196,18 @@ class UEFleet:
         FedAvg practice); after this call every member holds identical
         weights, so any member can serve evaluation.
         """
-        states = [member.ue.get_weights() for member in self.members]
-        averaged = {
-            key: np.mean([state[key] for state in states], axis=0)
-            for key in states[0]
-        }
-        for member in self.members:
-            member.ue.set_weights(averaged)
+        self.bank.scatter(self.bank.gather(), slice(None))
         self._weight_holder = 0
 
     # -- run state --------------------------------------------------------------------
     def state_dict(self) -> dict:
         """Complete restorable fleet state.
 
-        The shared BS is stored once; each member contributes its private
-        half (UE weights + optimizer, ARQ session, batch stream).
+        The shared BS and the UE bank (every member's weights and Adam
+        state) are stored once; each member contributes the rest of its
+        private half (ARQ session, codec state, batch stream).
         """
-        return {
+        state = {
             "bs": self.bs.state_dict(),
             "weight_holder": self._weight_holder,
             "members": {
@@ -209,6 +218,9 @@ class UEFleet:
                 for member in self.members
             },
         }
+        if self.bank is not None:
+            state["ue"] = self.bank.state_dict()
+        return state
 
     def load_state_dict(self, state: dict) -> None:
         """Restore fleet state captured by :meth:`state_dict`."""
@@ -219,6 +231,8 @@ class UEFleet:
                 f"{self.num_ues}"
             )
         self.bs.load_state_dict(state["bs"])
+        if self.bank is not None:
+            self.bank.load_state_dict(state["ue"])
         self._weight_holder = int(state["weight_holder"])
         for member in self.members:
             member_state = members[str(member.index)]

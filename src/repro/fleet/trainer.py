@@ -4,7 +4,8 @@
 of split learning in one of two modes:
 
 * **rotation** — classic split learning.  The members take turns: the logical
-  UE model is handed client-to-client (``state_dict`` copy), and the member
+  UE model is handed client-to-client (a copy of its weight row in the
+  fleet's bank), and the member
   whose turn it is trains alone for ``steps_per_turn`` SGD steps over an
   uncontended medium.  A fleet of one in this mode *is* the paper's
   single-UE protocol, and :class:`~repro.split.trainer.SplitTrainer` is
@@ -50,7 +51,6 @@ from repro.channel.arq import (
     transmit_uplink_across,
 )
 from repro.dataset.sequences import SequenceDataset
-from repro.fleet.bank import StackedUEBank
 from repro.fleet.config import ROTATION, FleetConfig
 from repro.fleet.fleet import FleetMember, UEFleet, shard_indices
 from repro.fleet.scheduler import (
@@ -248,15 +248,6 @@ class FleetTrainer:
             fleet_config.scheduler
         )
         self.normalizer: Optional[PowerNormalizer] = None
-        self._bank: Optional[StackedUEBank] = None
-
-    def _ensure_bank(self) -> StackedUEBank:
-        """The lazily built bank that trains every member in parallel rounds."""
-        if self._bank is None:
-            self._bank = StackedUEBank(
-                [member.ue for member in self.fleet.members]
-            )
-        return self._bank
 
     # -- data preparation -------------------------------------------------------------
     def _model_inputs(self, sequences: SequenceDataset):
@@ -588,13 +579,7 @@ class FleetTrainer:
         targets: np.ndarray,
     ) -> Iterator[StepOutcome]:
         """One parallel-average round: one :func:`joint_step` of the whole
-        fleet per step, then weight averaging.
-
-        The fleet's bank gathers the members here and scatters back before
-        the averaging, so the members hold the canonical state between rounds.
-        """
-        bank = self._ensure_bank()
-        bank.gather()
+        fleet per step through the fleet's bank, then weight averaging."""
         protocols = [member.protocol for member in self.fleet]
         for _ in range(steps_per_turn):
             batches = [
@@ -604,10 +589,9 @@ class FleetTrainer:
                 )
             ]
             outcome, _ = joint_step(
-                protocols, self.fleet.bs, bank, self.scheduler, batches
+                protocols, self.fleet.bs, self.fleet.bank, self.scheduler, batches
             )
             yield outcome
-        bank.scatter()
         self.fleet.average_ue_weights()
 
     # -- evaluation -------------------------------------------------------------------

@@ -32,10 +32,6 @@ class Parameter:
         """Reset the accumulated gradient to zero."""
         self.grad.fill(0.0)
 
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return self.value.shape
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Parameter(name={self.name!r}, shape={self.value.shape})"
 

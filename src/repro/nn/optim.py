@@ -123,6 +123,10 @@ class Optimizer:
         return total
 
 
+#: Adam's ``epsilon``: the BS optimizer's default and the UE bank's constant.
+ADAM_EPSILON = 1e-8
+
+
 class Adam(Optimizer):
     """Adam optimizer (Kingma & Ba, 2015) with bias correction.
 
@@ -135,7 +139,7 @@ class Adam(Optimizer):
         learning_rate: float = 0.001,
         beta1: float = 0.9,
         beta2: float = 0.999,
-        epsilon: float = 1e-8,
+        epsilon: float = ADAM_EPSILON,
     ):
         super().__init__(parameters, learning_rate)
         if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:

@@ -164,18 +164,7 @@ class BSServer:
             raise RuntimeError("this BSServer was created without an optimizer")
         return self.optimizer
 
-    # -- weight exchange ------------------------------------------------------------
-    def get_weights(self) -> Dict[str, np.ndarray]:
-        """``state_dict``-style copy of the RNN (+ head) parameters."""
-        return self.rnn.state_dict()
-
-    def set_weights(self, state: Dict[str, np.ndarray]) -> None:
-        """Load parameter values produced by :meth:`get_weights`.
-
-        Gradients are reset; the optimizer keeps its moment estimates.
-        """
-        self.rnn.load_state_dict(state)
-
+    # -- (de)serialization ----------------------------------------------------------
     def state_dict(self) -> Dict[str, Dict[str, np.ndarray]]:
         """Complete restorable server state: RNN weights and optimizer state."""
         state: Dict[str, Dict[str, np.ndarray]] = {"model": self.rnn.state_dict()}

@@ -22,9 +22,11 @@ interrupt during the write leaves the previous checkpoint intact.
 On disk a checkpoint is a packed state-tree archive
 (:func:`~repro.nn.serialization.save_state_tree`): a JSON manifest member
 plus one blob member per dtype, so an N-member fleet checkpoint has as many
-zip members as a single-UE one.  Version 2 is that layout; version 1 stored
-one member per leaf and is refused with a ``ValueError``, as is any archive
-that cannot be read back whole.  The version enters the trained-model cache
+zip members as a single-UE one.  Version 3 is that layout with a fleet's UE
+state stored once, as its stacked bank (``fleet/ue``), so the number of UE
+leaves does not grow with the fleet.  Version 2 stored the UE state per
+member and version 1 one zip member per leaf; both are refused with a
+``ValueError``, as is any archive that cannot be read back whole.  The version enters the trained-model cache
 key (:func:`~repro.experiments.model_cache.trained_model_fingerprint`), so a
 layout change turns old cache entries into misses.
 """
@@ -36,8 +38,9 @@ from typing import Union
 
 from repro.nn.serialization import load_state_tree, save_state_tree
 
-#: Version of the checkpoint archive layout (2: packed manifest + dtype blobs).
-CHECKPOINT_VERSION = 2
+#: Version of the checkpoint archive layout (3: packed manifest + dtype
+#: blobs, the fleet's UE state as one stacked bank).
+CHECKPOINT_VERSION = 3
 
 #: Checkpoint kind of the one training engine,
 #: :class:`~repro.fleet.trainer.FleetTrainer` (the single-UE trainer is its
@@ -104,7 +107,7 @@ class Checkpoint:
             raise ValueError(f"{os.fspath(path)!r} is not a checkpoint") from exc
         if version != CHECKPOINT_VERSION:
             raise ValueError(
-                f"checkpoint version {version} unsupported "
+                f"{os.fspath(path)!r}: checkpoint version {version} unsupported "
                 f"(expected {CHECKPOINT_VERSION})"
             )
         return cls(

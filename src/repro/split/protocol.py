@@ -13,11 +13,11 @@ paper:
 
 :meth:`SplitTrainingProtocol.training_step` runs these as the library's one
 training step, :func:`repro.fleet.trainer.joint_step`, on a roster of one:
-this protocol alone on an uncontended medium, its UE in a one-member
-:class:`~repro.fleet.bank.StackedUEBank` that gathers the ``UEClient`` before
-the step and scatters back after an update.  The downlink payload is sized by
-the codec's bound, so its slots are drawn before the BS computes: a step
-whose downlink is lost never runs the BS.
+this protocol alone on an uncontended medium, its UE trained by a one-member
+:class:`~repro.fleet.bank.StackedUEBank` that views the client's row of its
+bank, so the step updates the UE state where it lives.  The downlink payload
+is sized by the codec's bound, so its slots are drawn before the BS computes:
+a step whose downlink is lost never runs the BS.
 
 The simulated elapsed time of the step is both sides' computation time plus
 the transmission time of both payloads, which is what produces the "elapsed
@@ -120,17 +120,15 @@ class SplitTrainingProtocol:
         exchange (uplink or gated downlink) updates nothing.
         """
         # Imported here: repro.fleet builds on this module.
-        from repro.fleet.bank import StackedUEBank
         from repro.fleet.trainer import UNCONTENDED, joint_step
 
         bank = None
         if self.ue is not None:
-            # Derived state, built on first use after predict(): every step
-            # gathers from the client, so it is never checkpointed.
+            # A view of the client's row, built on first use after predict():
+            # it owns only buffers, so it is never checkpointed.
             if self._bank is None:
-                self._bank = StackedUEBank([self.ue])
+                self._bank = self.ue.bank.member(self.ue.row)
             bank = self._bank
-            bank.gather()
         (elapsed_s, _, loss, _, _), (communication,) = joint_step(
             [self],
             self.bs,
@@ -139,8 +137,6 @@ class SplitTrainingProtocol:
             [(image_sequences, rf_sequences, targets)],
         )
         updated = loss is not None
-        if updated and bank is not None:
-            bank.scatter()
         return StepResult(
             loss=loss if updated else float("nan"),
             elapsed_s=elapsed_s,
@@ -213,9 +209,9 @@ class SplitTrainingProtocol:
             len(image_sequences) if image_sequences is not None else len(rf_sequences)
         )
 
-        # The bank is training-only derived state: drop it and its buffers
-        # (the next training step rebuilds it), so inference buffers do not
-        # stack on top of them.
+        # The training bank is a view with buffers: drop it (the next
+        # training step rebuilds it), so inference buffers do not stack on
+        # top of its buffers.
         self._bank = None
         features = None
         if model.use_image and count:
@@ -276,14 +272,13 @@ class SplitTrainingProtocol:
     def state_dict(self) -> dict:
         """Restorable state of this protocol's private half.
 
-        Covers the UE half (weights + optimizer), the ARQ session (fading RNG
-        streams and aggregate statistics) and any payload-codec state (the
-        top-k error-feedback residuals).  The BS is not included: the fleet
-        shares one BS across its members' protocols and stores it once.
+        Covers the ARQ session (fading RNG streams and aggregate statistics)
+        and any payload-codec state (the top-k error-feedback residuals).
+        Neither the UE nor the BS is included: the UE state is a row of the
+        fleet's bank and the fleet shares one BS across its members'
+        protocols, and the fleet stores each once.
         """
         state: dict = {}
-        if self.ue is not None:
-            state["ue"] = self.ue.state_dict()
         if self.arq is not None:
             state["arq"] = self.arq.state_dict()
         if self.codec is not None:
@@ -294,8 +289,6 @@ class SplitTrainingProtocol:
 
     def load_state_dict(self, state: dict) -> None:
         """Restore protocol state captured by :meth:`state_dict`."""
-        if self.ue is not None:
-            self.ue.load_state_dict(state["ue"])
         if self.arq is not None:
             self.arq.load_state_dict(state["arq"])
         if self.codec is not None:

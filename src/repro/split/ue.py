@@ -1,13 +1,15 @@
 """UE-side client of the split-learning system.
 
-The UE owns the CNN parameters and their Adam state.  The network they
-describe, the CNN followed by the average-pooling compressor, runs as the
-stacked plan of :mod:`repro.fleet.bank`: training steps run in a
-:class:`~repro.fleet.bank.StackedUEBank` that gathers from and scatters back
-into the client, which therefore holds the canonical state between steps,
-and inference (:meth:`UEClient.forward`, :meth:`~UEClient.output_images`,
-:meth:`~UEClient.compressed_images`) runs the same plan at one member, over
-buffers the client keeps.
+The UE's trainable state, its CNN weights and their Adam moments and step
+count, is one row of a :class:`~repro.fleet.bank.StackedUEBank`: a
+standalone client owns a bank of one, and a fleet member's client is a row
+of its fleet's bank (:meth:`UEClient.join`).  The CNN's parameter values
+are views of that row, so nothing copies UE state in or out.  The network,
+the CNN followed by the average-pooling compressor, runs as the stacked plan
+of :mod:`repro.fleet.bank`: training steps run in a bank (the fleet's, or a
+bank of one over the client's row), and inference (:meth:`UEClient.forward`,
+:meth:`~UEClient.output_images`, :meth:`~UEClient.compressed_images`) runs
+the same plan at one member over the row, with buffers the client keeps.
 """
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.nn.layers import Sequential
-from repro.nn.optim import Adam
 from repro.split.config import ModelConfig, TrainingConfig
 from repro.split.models import build_ue_cnn
 from repro.utils.seeding import SeedLike
@@ -27,8 +28,8 @@ class UEClient:
 
     Args:
         model_config: architecture description.
-        training_config: optimizer hyper-parameters (``None`` disables the
-            optimizer — useful for inference-only clients).
+        training_config: optimizer hyper-parameters (``None`` makes an
+            inference-only client, whose bank refuses updates).
         seed: RNG seed for weight initialization.
     """
 
@@ -39,33 +40,35 @@ class UEClient:
         seed: SeedLike = None,
     ):
         # Imported here: repro.fleet builds on this package.
-        from repro.fleet.bank import ue_plan
+        from repro.fleet.bank import StackedUEBank, ue_plan
 
         if not model_config.use_image:
             raise ValueError("UEClient requires an image-enabled configuration")
         self.model_config = model_config
         self.cnn: Sequential = build_ue_cnn(model_config, seed=seed)
         self.plan = ue_plan(self.cnn, model_config)
-        self.optimizer = None
-        if training_config is not None:
-            self.optimizer = Adam(
-                self.cnn.parameters(),
-                learning_rate=training_config.learning_rate,
-                beta1=training_config.beta1,
-                beta2=training_config.beta2,
-            )
-        self._gradient_clip = (
-            training_config.gradient_clip_norm if training_config else 0.0
-        )
+        initial = [param.value for param in self.cnn.parameters()]
+        self.join(StackedUEBank.broadcast(self.plan, initial, 1, training_config), 0)
         # The plan's buffer cache at one member: reused from chunk to chunk
         # of equal size, and what backward() reads.
         self._buffers: Dict = {}
         self._batch_shape: tuple[int, int] | None = None
 
+    def join(self, bank, row: int) -> None:
+        """Make row ``row`` of ``bank`` this client's UE state.
+
+        The CNN's parameter values become views of that row, so everything
+        that reads the client reads the bank; the client's previous row is
+        dropped.
+        """
+        self.bank, self.row = bank, row
+        for param, weight in zip(self.cnn.parameters(), bank.weights(row)):
+            param.value = weight[0]
+
     # -- forward -------------------------------------------------------------------
     def _weights(self) -> list:
-        """The CNN parameters as one-member stacks (views, not copies)."""
-        return [param.value[None] for param in self.cnn.parameters()]
+        """The CNN parameters as one-member stacks: views of the bank row."""
+        return self.bank.weights(self.row)
 
     def _run(self, images: np.ndarray, pooled: bool = True) -> np.ndarray:
         """The plan's forward over ``(N, H, W)`` images at one member."""
@@ -138,8 +141,8 @@ class UEClient:
         """Backpropagate the cut-layer gradient of the last :meth:`forward`.
 
         Runs the plan's backward at one member and accumulates the parameter
-        gradients for :meth:`apply_update`.  Training does not call it: the
-        bank runs the same backward for every member at once.
+        gradients into the CNN's ``Parameter.grad``.  Training does not call
+        it: the bank runs the same backward for every member at once.
         """
         from repro.fleet.bank import ue_backward
 
@@ -155,52 +158,3 @@ class UEClient:
         grads = ue_backward(self.plan, self._weights(), gradient, self._buffers)
         for param, grad in zip(self.cnn.parameters(), grads):
             param.grad += grad[0]
-
-    def apply_update(self) -> None:
-        """Apply one optimizer step and clear gradients."""
-        if self.optimizer is None:
-            raise RuntimeError("this UEClient was created without an optimizer")
-        if self._gradient_clip > 0:
-            self.optimizer.clip_gradients(self._gradient_clip)
-        self.optimizer.step()
-        self.optimizer.zero_grad()
-
-    def zero_grad(self) -> None:
-        self.cnn.zero_grad()
-
-    # -- weight exchange ------------------------------------------------------------
-    def get_weights(self) -> Dict[str, np.ndarray]:
-        """``state_dict``-style copy of the CNN parameters.
-
-        Pooling has no trainable parameters, so the CNN state is the
-        complete UE-side model.  The returned arrays are copies: the
-        fleet rotation hand-off and parallel averaging mutate them freely.
-        """
-        return self.cnn.state_dict()
-
-    def set_weights(self, state: Dict[str, np.ndarray]) -> None:
-        """Load parameter values produced by :meth:`get_weights`.
-
-        Gradients are reset; the optimizer keeps its moment estimates (the
-        ``Parameter`` objects it tracks are retained, only their values
-        change), which is the classic split-learning hand-off semantics.
-        """
-        self.cnn.load_state_dict(state)
-
-    def state_dict(self) -> Dict[str, Dict[str, np.ndarray]]:
-        """Complete restorable client state: CNN weights and optimizer state.
-
-        Unlike :meth:`get_weights` (the hand-off payload), this includes the
-        Adam slot buffers and step count, so a restored client continues the
-        exact optimization trajectory.
-        """
-        state: Dict[str, Dict[str, np.ndarray]] = {"model": self.cnn.state_dict()}
-        if self.optimizer is not None:
-            state["optimizer"] = self.optimizer.state_dict()
-        return state
-
-    def load_state_dict(self, state: Dict[str, Dict[str, np.ndarray]]) -> None:
-        """Restore state captured by :meth:`state_dict`."""
-        self.cnn.load_state_dict(state["model"])
-        if self.optimizer is not None:
-            self.optimizer.load_state_dict(state["optimizer"])

@@ -52,7 +52,17 @@ def per_leaf_version_1(path):
     )
 
 
-@pytest.mark.parametrize("damage", [truncate, flip_byte, per_leaf_version_1])
+def packed_version_2(path):
+    """Rewrite the checkpoint's header as version 2, the packed layout that
+    stored every member's UE state separately."""
+    stored = Checkpoint.load(path)
+    stored.version = 2
+    stored.save(path)
+
+
+@pytest.mark.parametrize(
+    "damage", [truncate, flip_byte, per_leaf_version_1, packed_version_2]
+)
 def test_unreadable_model_cache_entry_is_a_miss(
     damage, smoke_scale, smoke_dataset, smoke_split, tmp_path
 ):
@@ -95,6 +105,20 @@ def test_explicit_resume_from_an_unreadable_checkpoint_raises(
     truncate(path)
     with pytest.raises(ValueError, match="unreadable state-tree archive"):
         SplitTrainer(config).fit(
+            small_split.train, small_split.validation, resume_from=path
+        )
+
+
+def test_explicit_resume_from_a_version_2_checkpoint_raises(
+    tiny_experiment_config, small_split, tmp_path
+):
+    path = tmp_path / "run.npz"
+    SplitTrainer(tiny_experiment_config).fit(
+        small_split.train, small_split.validation, max_rounds=1, checkpoint_path=path
+    )
+    packed_version_2(path)
+    with pytest.raises(ValueError, match=r"checkpoint version 2 unsupported"):
+        SplitTrainer(tiny_experiment_config).fit(
             small_split.train, small_split.validation, resume_from=path
         )
 

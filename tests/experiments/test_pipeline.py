@@ -116,12 +116,14 @@ def test_fingerprint_separates_configurations(smoke_scale):
     assert trained_model_path(base).name == f"model-{base}.npz"
 
 
-#: Smoke-scale fingerprints pinned at ``TRAJECTORY_VERSION`` 1, when
-#: ``FleetConfig`` still carried an execution-only ``backend`` field that the
-#: fingerprint dropped: removing the field must leave every key, so entries
-#: trained before still hit.  A version bump moves every key on purpose
-#: (``test_fingerprint_hashes_trajectory_version``), so the keys are derived
-#: at the pinned version.
+#: Smoke-scale fingerprints pinned at ``TRAJECTORY_VERSION`` 1 and
+#: ``CHECKPOINT_VERSION`` 2, when ``FleetConfig`` still carried an
+#: execution-only ``backend`` field that the fingerprint dropped: removing the
+#: field must leave every key, so entries trained before still hit.  A
+#: version bump moves every key on purpose
+#: (``test_fingerprint_hashes_trajectory_version``,
+#: ``test_checkpoint_version_enters_the_fingerprint_and_filenames``), so the
+#: keys are derived at the pinned versions.
 PINNED_SMOKE_FINGERPRINTS = {
     "single_ue": "abaa730b7671b336",
     "parallel_n2": "f0a123b5aed5cc95",
@@ -130,8 +132,10 @@ PINNED_SMOKE_FINGERPRINTS = {
 
 def test_fingerprints_are_pinned(smoke_scale, monkeypatch):
     from repro.dataset import cache
+    from repro.split import checkpoint
 
     monkeypatch.setattr(cache, "TRAJECTORY_VERSION", 1)
+    monkeypatch.setattr(checkpoint, "CHECKPOINT_VERSION", 2)
     config = ExperimentConfig.for_scenario(
         smoke_scale.scenario,
         model=smoke_scale.base_model_config(),

@@ -98,9 +98,9 @@ def test_ue_cnn_weights_do_not_depend_on_the_pooling(scale_name):
     scale = getattr(ExperimentScale, scale_name)()
     config = scale.base_model_config()
     for seed in (0, 3):
-        reference = UEClient(config, seed=seed).get_weights()
+        reference = UEClient(config, seed=seed).cnn.state_dict()
         for pooling in scale.valid_poolings():
-            weights = UEClient(config.with_pooling(pooling), seed=seed).get_weights()
+            weights = UEClient(config.with_pooling(pooling), seed=seed).cnn.state_dict()
             assert weights.keys() == reference.keys()
             for key, value in reference.items():
                 assert np.array_equal(weights[key], value), (pooling, key)

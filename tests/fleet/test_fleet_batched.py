@@ -1,14 +1,14 @@
-"""The stacked UE bank, the one UE training engine, against its oracles.
+"""The stacked UE bank, the one UE store and training engine, against its oracles.
 
-:class:`StackedUEBank` trains every UE CNN.  It must be bitwise-identical to
-the per-member reference, which these tests pin at three levels: the raw
-bank against deep-copied ``UEClient`` objects stepping through ``backward``
-/ ``apply_update`` (hand-picked and property-based), full
-``FleetTrainer.fit`` histories and state trees against the same fit with the
+:class:`StackedUEBank` holds and trains every UE CNN.  It must be
+bitwise-identical to the per-member reference, which these tests pin at
+three levels: the raw bank against per-member networks, each with its own
+parameters and Adam (hand-picked and property-based, plus FedAvg and the
+bank-of-one view), full ``FleetTrainer.fit`` histories and state trees
+against the same fit with the
 :class:`~tests.fleet.member_loop_oracle.MemberLoop` oracle installed as the
-trainer's bank, and checkpoints that interchange between the two.
+fleet's store, and checkpoints that interchange between the two.
 """
-import copy
 import dataclasses
 
 import numpy as np
@@ -23,7 +23,7 @@ from repro.split.config import ModelConfig
 from repro.split.ue import UEClient
 from repro.utils import parallel
 
-from tests.fleet.member_loop_oracle import MemberLoop, MemberNetwork
+from tests.fleet.member_loop_oracle import MemberLoop, MemberNetwork, install
 from tests.fleet.test_fleet_checkpoint import fleet_weights, records_of
 
 MAX_ROUNDS = 3
@@ -39,10 +39,12 @@ def config(tiny_model_config):
     )
 
 
-# -- the stacked bank vs. per-member clients ----------------------------------------
+# -- the stacked bank vs. per-member networks ---------------------------------------
 
 
-def _bank_clients(members=4, gradient_clip_norm=1.0):
+def _bank_and_oracle(members=4, gradient_clip_norm=1.0):
+    """A bank of ``members`` UEs, each from its own initial weights, and the
+    per-member oracle starting from the same weights."""
     model = ModelConfig(
         image_height=12,
         image_width=12,
@@ -54,51 +56,50 @@ def _bank_clients(members=4, gradient_clip_norm=1.0):
         sequence_length=2,
     )
     training = TrainingConfig(gradient_clip_norm=gradient_clip_norm)
-    return [UEClient(model, training, seed=member) for member in range(members)]
+    clients = [UEClient(model, training, seed=member) for member in range(members)]
+    bank = StackedUEBank.broadcast(
+        clients[0].plan, _initial(clients[0]), members, training
+    )
+    for row, client in enumerate(clients):
+        bank.scatter(_initial(client), [row])
+    oracle = MemberLoop([MemberNetwork(client, training) for client in clients])
+    return bank, oracle
 
 
-def _assert_clients_equal(clients, reference_clients):
+def _initial(client):
+    return [param.value for param in client.cnn.parameters()]
+
+
+def _assert_same_state(bank, reference):
     """Weights, Adam moments and step counts, bit for bit."""
-    for client, reference in zip(clients, reference_clients):
-        weights = client.get_weights()
-        for key, value in reference.get_weights().items():
-            assert np.array_equal(weights[key], value), key
-        assert client.optimizer.step_count == reference.optimizer.step_count
-        slots = client.optimizer._slots()
-        reference_slots = reference.optimizer._slots()
-        for slot in ("first_moment", "second_moment"):
-            for array, expected in zip(slots[slot], reference_slots[slot]):
-                assert np.array_equal(array, expected)
+    state = bank.state_dict()
+    expected = reference.state_dict()
+    assert state.keys() == expected.keys()
+    for key, value in expected.items():
+        assert np.array_equal(state[key], value), key
 
 
 def test_bank_round_trip_matches_client_loop():
-    """gather -> masked steps -> scatter equals each client updating itself."""
+    """Masked steps of the bank equal each member updating itself."""
     rng = np.random.default_rng(17)
-    clients = _bank_clients()
-    loop_clients = copy.deepcopy(clients)
-    loop = [MemberNetwork(client) for client in loop_clients]
-    bank = StackedUEBank(clients)
-    members = len(clients)
+    bank, oracle = _bank_and_oracle()
+    members = 4
 
     masks = rng.random((3, members)) < 0.7
     masks[0] = True
     for mask in masks:
         images = rng.random((members, 3, 2, 12, 12))
         features = bank.forward(images)
-        for member, network in enumerate(loop):
-            expected = network.forward(images[member])
-            assert np.array_equal(features[member], expected)
+        expected = oracle.forward(images)
+        for member in range(members):
+            assert np.array_equal(features[member], expected[member])
         cut_gradients = rng.standard_normal(features.shape)
         cut_gradients[~mask] = 0.0
         bank.backward(cut_gradients)
         bank.apply_updates(mask)
-        for member, network in enumerate(loop):
-            if mask[member]:
-                network.step(cut_gradients[member])
-            else:
-                network.client.zero_grad()
-    bank.scatter()
-    _assert_clients_equal(clients, loop_clients)
+        delivered = np.flatnonzero(mask).tolist()
+        oracle.backward_and_update(delivered, cut_gradients[delivered])
+    _assert_same_state(bank, oracle)
 
 
 @settings(max_examples=30, deadline=None)
@@ -112,17 +113,14 @@ def test_bank_round_trip_matches_client_loop():
 def test_bank_matches_client_reference_property(
     members, base_size, two_sizes, clip, seed
 ):
-    """Random fleets: the bank equals per-member clients over 3 steps.
+    """Random fleets: the bank equals per-member networks over 3 steps.
 
     Batch sizes are equal or take two values (the strided-shard case, one
     stacked pass per size); clipping is off, binding or slack; each step
     delivers a random subset of the members.
     """
     rng = np.random.default_rng(seed)
-    clients = _bank_clients(members, gradient_clip_norm=clip)
-    reference_clients = copy.deepcopy(clients)
-    reference = [MemberNetwork(client) for client in reference_clients]
-    bank = StackedUEBank(clients)
+    bank, oracle = _bank_and_oracle(members, gradient_clip_norm=clip)
     sizes = [
         base_size + (int(rng.integers(2)) if two_sizes else 0)
         for _ in range(members)
@@ -131,43 +129,66 @@ def test_bank_matches_client_reference_property(
         images = [rng.random((size, 2, 12, 12)) for size in sizes]
         features = bank.forward(images)
         assert isinstance(features, np.ndarray) == (len(set(sizes)) == 1)
-        for member, network in enumerate(reference):
-            assert np.array_equal(features[member], network.forward(images[member]))
+        for member, expected in enumerate(oracle.forward(images)):
+            assert np.array_equal(features[member], expected)
         delivered = np.flatnonzero(rng.random(members) < 0.6).tolist()
         if not delivered:
             continue
         gradients = [rng.standard_normal(features[m].shape) for m in delivered]
         bank.backward_and_update(delivered, gradients)
-        for member, gradient in zip(delivered, gradients):
-            reference[member].step(gradient)
-    bank.scatter()
-    _assert_clients_equal(clients, reference_clients)
+        oracle.backward_and_update(delivered, gradients)
+    _assert_same_state(bank, oracle)
+
+
+def test_member_view_trains_its_row_in_place():
+    """A bank of one over row k steps that row, step count included, as the
+    whole bank stepping member k alone; the other rows stay."""
+    rng = np.random.default_rng(11)
+    bank, _ = _bank_and_oracle(members=3)
+    reference, _ = _bank_and_oracle(members=3)
+    view = bank.member(1)
+    for _ in range(2):
+        images = rng.random((3, 2, 2, 12, 12))
+        gradient = rng.standard_normal((1, 2, 2, 9))
+        view.forward(images[1:2])
+        view.backward_and_update([0], gradient)
+        reference.forward(images)
+        reference.backward_and_update([1], gradient)
+    _assert_same_state(bank, reference)
+    assert bank.state_dict()["step_counts"].tolist() == [0, 2, 0]
+
+
+def test_fedavg_is_the_list_mean_of_the_rows():
+    """gather + scatter over every row is the per-member list mean, bitwise."""
+    bank, oracle = _bank_and_oracle(members=5)
+    bank.scatter(bank.gather(), slice(None))
+    oracle.scatter(oracle.gather(), slice(None))
+    _assert_same_state(bank, oracle)
 
 
 def test_bank_rejects_non_finite_gradients_before_any_update():
     rng = np.random.default_rng(5)
-    clients = _bank_clients(members=3)
-    before = copy.deepcopy(clients)
-    bank = StackedUEBank(clients)
+    bank, _ = _bank_and_oracle(members=3)
+    before = bank.state_dict()
     features = bank.forward(rng.random((3, 2, 2, 12, 12)))
     gradients = rng.standard_normal(features.shape)
     gradients[2, 0, 0, 0] = np.nan
     with pytest.raises(FloatingPointError, match=r"member\(s\) \[2\] of 3"):
         bank.backward_and_update([0, 1, 2], gradients)
-    bank.scatter()
-    _assert_clients_equal(clients, before)
+    after = bank.state_dict()
+    for key, value in before.items():
+        assert np.array_equal(after[key], value), key
 
 
 def test_bank_state_dict_round_trip():
     rng = np.random.default_rng(3)
-    clients = _bank_clients(members=2)
-    bank = StackedUEBank(clients)
+    bank, _ = _bank_and_oracle(members=2)
     features = bank.forward(rng.random((2, 2, 2, 12, 12)))
     bank.backward(rng.standard_normal(features.shape))
     bank.apply_updates(np.array([True, True]))
     state = bank.state_dict()
 
-    restored = StackedUEBank(_bank_clients(members=2))
+    restored, _ = _bank_and_oracle(members=2)
     restored.load_state_dict(state)
     for key, value in restored.state_dict().items():
         assert np.array_equal(value, state[key])
@@ -175,17 +196,9 @@ def test_bank_state_dict_round_trip():
         restored.load_state_dict({"step_counts": state["step_counts"]})
     with pytest.raises(ValueError):
         restored.load_state_dict({**state, "values/99": state["values/0"]})
-
-
-def test_bank_rejects_heterogeneous_members():
-    clients = _bank_clients(members=2)
-    other_model = dataclasses.replace(clients[0].model_config, cnn_channels=(4,))
-    mismatched = UEClient(other_model, TrainingConfig(), seed=9)
-    with pytest.raises(ValueError, match="identical architectures"):
-        StackedUEBank([clients[0], mismatched])
-    without_optimizer = UEClient(clients[0].model_config, None, seed=1)
-    with pytest.raises(ValueError, match="Adam"):
-        StackedUEBank([clients[0], without_optimizer])
+    wider, _ = _bank_and_oracle(members=3)
+    with pytest.raises(ValueError, match="member count"):
+        wider.load_state_dict(state)
 
 
 # -- full-run equivalence -----------------------------------------------------------
@@ -194,7 +207,7 @@ def test_bank_rejects_heterogeneous_members():
 def _oracle_trainer(config, fleet_config):
     """A trainer whose members step through the per-member oracle."""
     trainer = FleetTrainer(config, fleet_config)
-    trainer._bank = MemberLoop([member.ue for member in trainer.fleet.members])
+    install(trainer)
     return trainer
 
 
@@ -227,7 +240,7 @@ def _assert_bank_matches_oracle(config, split, num_ues):
     oracle_history = oracle.fit(split.train, split.validation, max_rounds=MAX_ROUNDS)
     trainer = FleetTrainer(config, fleet_config)
     history = trainer.fit(split.train, split.validation, max_rounds=MAX_ROUNDS)
-    assert isinstance(trainer._bank, StackedUEBank)
+    assert isinstance(trainer.fleet.bank, StackedUEBank)
     _assert_same_run(trainer, history, oracle, oracle_history)
     return trainer, history
 
@@ -244,7 +257,7 @@ def test_bank_and_member_loop_oracle_train_identically(
             config, model=dataclasses.replace(config.model, codec=codec)
         )
         trainer, _ = _assert_bank_matches_oracle(codec_config, small_split, 3)
-        assert len(trainer._bank._passes) == 1  # equal shards: one stacked pass
+        assert len(trainer.fleet.bank._passes) == 1  # equal shards: one pass
 
     # A lossy link (the N=1 anchor's cap-0 link): failed uplinks, failed
     # downlinks and wholly lost joint steps.
@@ -279,7 +292,7 @@ def test_uneven_shards_run_one_stacked_pass_per_batch_size(
     sizes = [min(batch_size, len(shard)) for shard in shards]
     assert set(sizes) == {15, 16}
     trainer, _ = _assert_bank_matches_oracle(config, small_split, 12)
-    passes = trainer._bank._passes
+    passes = trainer.fleet.bank._passes
     assert len(passes) == 2
     for selector, _ in passes:
         assert len({sizes[member] for member in selector}) == 1

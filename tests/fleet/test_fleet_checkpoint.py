@@ -26,11 +26,11 @@ def records_of(history):
 
 
 def fleet_weights(trainer):
-    state = {f"bs.{k}": v for k, v in trainer.fleet.bs.get_weights().items()}
-    for member in trainer.fleet.members:
-        state.update(
-            {f"ue{member.index}.{k}": v for k, v in member.ue.get_weights().items()}
-        )
+    """The BS weights and every member's row of the UE bank, by key."""
+    state = {f"bs.{k}": v for k, v in trainer.fleet.bs.state_dict()["model"].items()}
+    for key, value in trainer.fleet.bank.state_dict().items():
+        if key.startswith("values/"):
+            state.update({f"ue{row}.{key}": weights for row, weights in enumerate(value)})
     return state
 
 
@@ -124,6 +124,27 @@ def test_n2_topk_codec_resume_is_bit_identical(mode, config, small_split, tmp_pa
             )
 
 
+def test_ue_checkpoint_leaves_do_not_grow_with_the_fleet(config, small_split, tmp_path):
+    """A fleet checkpoint stores the UE state once, as the bank's stacks: 3
+    leaves per CNN parameter (weights and both Adam moments) plus the step
+    counts, at any fleet size."""
+    for num_ues in (2, 9):
+        path = tmp_path / f"n{num_ues}.npz"
+        trainer = FleetTrainer(
+            config, FleetConfig(num_ues=num_ues, mode="parallel_average")
+        )
+        trainer.fit(
+            small_split.train,
+            small_split.validation,
+            max_rounds=1,
+            checkpoint_path=path,
+        )
+        leaves = flatten_state_tree(Checkpoint.load(path).state)
+        ue_leaves = [key for key in leaves if "//ue//" in key]
+        parameters = len(list(trainer.fleet.members[0].ue.cnn.parameters()))
+        assert len(ue_leaves) == 3 * parameters + 1, num_ues
+
+
 def test_rotation_checkpoint_preserves_weight_holder(config, small_split, tmp_path):
     fleet_config = FleetConfig(num_ues=2, mode="rotation")
     path = tmp_path / "rotation.npz"
@@ -195,14 +216,14 @@ def test_checkpoint_with_a_dropped_key_is_refused_before_any_load(
     config, small_split, tmp_path
 ):
     checkpoint = _round_one_checkpoint(config, small_split, tmp_path)
-    # The last member's UE loads after the BS and member 0.
-    del checkpoint.state["fleet"]["members"]["1"]["protocol"]["ue"]["model"]["2.weight"]
+    # The UE bank loads after the BS.
+    del checkpoint.state["fleet"]["ue"]["values/2"]
     trainer = FleetTrainer(config, FleetConfig(num_ues=2, mode="parallel_average"))
     _assert_refused_untouched(
         trainer,
         checkpoint,
         small_split,
-        "'fleet//members//1//protocol//ue//model//2.weight' is missing",
+        "'fleet//ue//values/2' is missing",
     )
 
 
@@ -210,15 +231,14 @@ def test_checkpoint_with_a_wrong_shape_is_refused_before_any_load(
     config, small_split, tmp_path
 ):
     checkpoint = _round_one_checkpoint(config, small_split, tmp_path)
-    slots = checkpoint.state["fleet"]["members"]["1"]["protocol"]["ue"]["optimizer"]
-    slots["slot/second_moment/0"] = np.zeros((3, 1, 3, 3))
+    checkpoint.state["fleet"]["ue"]["slot/second_moment/0"] = np.zeros((3, 2, 1, 3, 3))
     trainer = FleetTrainer(config, FleetConfig(num_ues=2, mode="parallel_average"))
     _assert_refused_untouched(
         trainer,
         checkpoint,
         small_split,
-        r"'fleet//members//1//protocol//ue//optimizer//slot/second_moment/0' "
-        r"holds shape \(3, 1, 3, 3\) <f8, this trainer expects shape \(2, 1, 3, 3\)",
+        r"'fleet//ue//slot/second_moment/0' holds shape \(3, 2, 1, 3, 3\) <f8, "
+        r"this trainer expects shape \(2, 2, 1, 3, 3\)",
     )
 
 
@@ -237,5 +257,5 @@ def test_checkpoint_of_another_configuration_is_refused_before_any_load(
         trainer,
         checkpoint,
         small_split,
-        "'fleet//members//0//protocol//ue//model//0.bias' holds shape",
+        "'fleet//ue//slot/first_moment/0' holds shape",
     )

@@ -253,9 +253,9 @@ def test_fleet_member_zero_keeps_nominal_channel(smoke_config):
 
 def test_fleet_members_start_from_identical_weights(smoke_config):
     fleet = UEFleet(smoke_config, FleetConfig(num_ues=3))
-    reference = fleet.members[0].ue.get_weights()
+    reference = fleet.members[0].ue.cnn.state_dict()
     for member in fleet.members[1:]:
-        state = member.ue.get_weights()
+        state = member.ue.cnn.state_dict()
         assert all(np.array_equal(reference[key], state[key]) for key in reference)
 
 
@@ -272,25 +272,23 @@ def test_fleet_shares_one_bs(smoke_config):
 
 def test_hand_off_moves_weights(smoke_config):
     fleet = UEFleet(smoke_config, FleetConfig(num_ues=2))
-    # Perturb member 0's weights, then hand off to member 1.
-    state = fleet.members[0].ue.get_weights()
-    key = next(iter(state))
-    state[key] = state[key] + 1.0
-    fleet.members[0].ue.set_weights(state)
+    # Perturb member 0's weights (its row of the bank), then hand off to
+    # member 1.
+    next(fleet.members[0].ue.cnn.parameters()).value[...] += 1.0
+    state = fleet.members[0].ue.cnn.state_dict()
     fleet.hand_off_to(1)
     assert fleet.weight_holder == 1
-    received = fleet.members[1].ue.get_weights()
-    assert np.array_equal(received[key], state[key])
+    received = fleet.members[1].ue.cnn.state_dict()
+    assert all(np.array_equal(received[key], state[key]) for key in state)
 
 
 def test_average_ue_weights_broadcasts_mean(smoke_config):
     fleet = UEFleet(smoke_config, FleetConfig(num_ues=2))
-    state_a = fleet.members[0].ue.get_weights()
-    state_b = {key: value + 2.0 for key, value in state_a.items()}
-    fleet.members[1].ue.set_weights(state_b)
+    state_a = fleet.members[0].ue.cnn.state_dict()
+    fleet.bank.scatter([weight + 2.0 for weight in fleet.bank.weights(0)], [1])
     fleet.average_ue_weights()
     for member in fleet.members:
-        averaged = member.ue.get_weights()
+        averaged = member.ue.cnn.state_dict()
         for key in state_a:
             assert np.allclose(averaged[key], state_a[key] + 1.0)
 
@@ -300,7 +298,7 @@ def test_parallel_average_leaves_members_identical(smoke_config, smoke_split):
         smoke_config, FleetConfig(num_ues=3, mode="parallel_average")
     )
     trainer.fit(smoke_split.train, smoke_split.validation, max_rounds=1)
-    states = [member.ue.get_weights() for member in trainer.fleet]
+    states = [member.ue.cnn.state_dict() for member in trainer.fleet]
     for state in states[1:]:
         assert all(
             np.array_equal(states[0][key], state[key]) for key in states[0]

@@ -1,7 +1,7 @@
 """Every UE trains through the stacked bank, and a diverged step fails loudly.
 
-``UEClient.backward`` / ``apply_update`` are the per-member reference the
-bank is tested against; no training path may call them.  And because the
+``UEClient.backward`` runs the UE network's backward at one member for the
+benchmark harness; no training path may call it.  And because the
 bank's ``apply_updates``, ``BSServer.compute_loss_and_gradients`` and
 ``BSServer.check_gradients`` guard the only places a UE update, a BS loss or
 a BS update happens, their finiteness checks cover both fleet modes: a NaN
@@ -62,19 +62,18 @@ def test_training_never_calls_the_per_member_reference(
         config, split = _lossy_config(smoke_scale), smoke_split
 
     def refuse(self, *args, **kwargs):
-        raise AssertionError("training called the per-member UEClient reference")
+        raise AssertionError("training called UEClient.backward")
 
     monkeypatch.setattr(UEClient, "backward", refuse)
-    monkeypatch.setattr(UEClient, "apply_update", refuse)
     trainer = FleetTrainer(config, FleetConfig(num_ues=num_ues, mode=mode))
-    initial = trainer.fleet.members[0].ue.get_weights()
+    initial = trainer.fleet.members[0].ue.cnn.state_dict()
     history = trainer.fit(split.train, split.validation, max_rounds=ROUNDS)
 
     steps = sum(record.steps for record in history.records)
     assert sum(record.lost_steps for record in history.records) < steps
     if variant == "lossy":
         assert sum(record.lost_steps for record in history.records) > 0
-    trained = trainer.fleet.members[0].ue.get_weights()
+    trained = trainer.fleet.members[0].ue.cnn.state_dict()
     assert any(not np.array_equal(trained[key], initial[key]) for key in initial)
 
 
@@ -207,14 +206,8 @@ def test_non_finite_bs_gradient_under_a_finite_loss_raises(
 
 
 def _ue_side_state(trainer):
-    """Every member's UE weights and Adam state, and each live bank's copy."""
-    members = trainer.fleet.members
-    state = {f"ue{index}": member.ue.state_dict() for index, member in enumerate(members)}
-    banks = [trainer._bank] + [member.protocol._bank for member in members]
-    for index, bank in enumerate(banks):
-        if bank is not None:
-            state[f"bank{index}"] = bank.state_dict()
-    return flatten_state_tree(state)
+    """Every member's UE weights and Adam state: the fleet's bank."""
+    return flatten_state_tree(trainer.fleet.bank.state_dict())
 
 
 def _topk(config):

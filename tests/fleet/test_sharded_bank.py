@@ -19,12 +19,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.fleet import FleetConfig, FleetTrainer, StackedUEBank, bank, shard_indices
+from repro.fleet import FleetConfig, FleetTrainer, bank, shard_indices
 from repro.split import ExperimentConfig, TrainingConfig
 from repro.split.config import ModelConfig
 from repro.utils import parallel
 
-from tests.fleet.test_fleet_batched import _assert_same_run, _bank_clients
+from tests.fleet.test_fleet_batched import _assert_same_run, _bank_and_oracle
 
 MAX_ROUNDS = 2
 WORKERS = (1, 2, 3)
@@ -95,7 +95,7 @@ def test_sharded_fits_are_bitwise_equal(
         workers(count)
         path = tmp_path / f"{count}-workers.npz"
         trainer, history = _fit(config, small_split, num_ues, path)
-        passes = trainer._bank._passes
+        passes = trainer.fleet.bank._passes
         assert len(passes) == sum(min(count, n) for n in batch_sizes.values())
         for selector, _ in passes:
             members = np.arange(num_ues)[selector]
@@ -142,7 +142,7 @@ def test_more_threads_than_cpus_under_fast_switching(workers):
     interval = sys.getswitchinterval()
     for count in (1, 5):
         workers(count)
-        stacked = StackedUEBank(_bank_clients(members))
+        stacked, _ = _bank_and_oracle(members)
         features = []
         sys.setswitchinterval(1e-6)
         try:
@@ -186,7 +186,7 @@ _FIT_THEN_FORK = textwrap.dedent(
         fleet = FleetConfig(num_ues=4, mode="parallel_average")
         trainer = FleetTrainer(config, fleet)
         trainer.fit(split.train, split.validation, max_rounds=1)
-        assert len(trainer._bank._passes) > 1
+        assert len(trainer.fleet.bank._passes) > 1
 
     sharded_fit()
     child = os.fork()

@@ -113,12 +113,15 @@ def test_client_and_bank_run_the_same_forward(monkeypatch):
         image_height=8, image_width=8, pooling_height=4, pooling_width=4,
         cnn_channels=(2,), sequence_length=2,
     )
-    clients = [UEClient(model, TrainingConfig(), seed=seed) for seed in range(3)]
+    client = UEClient(model, TrainingConfig(), seed=0)
+    initial = [param.value for param in client.cnn.parameters()]
     images = np.zeros((3, 5, 2, 8, 8))
-    bank.StackedUEBank(clients).forward(images)
-    clients[0].forward(images[0])
-    clients[0].output_images(images[0, :, 0])
-    clients[0].compressed_images(images[0, :, 0])
+    bank.StackedUEBank.broadcast(client.plan, initial, 3, TrainingConfig()).forward(
+        images
+    )
+    client.forward(images[0])
+    client.output_images(images[0, :, 0])
+    client.compressed_images(images[0, :, 0])
     assert calls == [(3, 10), (1, 10), (1, 5), (1, 5)]
 
 

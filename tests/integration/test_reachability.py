@@ -77,15 +77,9 @@ ALLOWLIST = {
     "repro.nn.losses:Loss.backward": SUBCLASS,
     "repro.nn.serialization:flatten_state_tree": "test oracle: the flat view "
     "the checkpoint and resume tests compare state trees through",
-    "repro.fleet.bank:StackedUEBank.load_state_dict": "checkpoint contract: "
-    "the state_dict pair every registered checkpointable class keeps",
     "repro.fleet.config:FleetConfig.resolved_backend": HARNESS,
     "repro.split.ue:UEClient.backward": HARNESS + "; the plan's backward at "
     "one member, which tests/split/test_ue_network.py checks",
-    "repro.split.ue:UEClient.apply_update": MEMBER,
-    "repro.split.ue:UEClient.zero_grad": MEMBER,
-    "repro.split.bs:BSServer.get_weights": EXAMPLE,
-    "repro.split.bs:BSServer.set_weights": TESTS_ONLY,
     "repro.split.codecs:PayloadCodec.encode_decode": SUBCLASS,
     "repro.split.codecs:PayloadCodec.preview": SUBCLASS,
     "repro.split.codecs:PayloadCodec.sized_payload_bits": SUBCLASS,

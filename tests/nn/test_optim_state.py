@@ -29,14 +29,14 @@ def test_state_roundtrip_step_after_restore_matches(name):
     rng = np.random.default_rng(3)
     parameters = make_parameters(rng)
     optimizer = Adam(parameters, learning_rate=0.02, **OPTIMIZERS[name])
-    warmup = [[rng.normal(size=p.shape) for p in parameters] for _ in range(5)]
+    warmup = [[rng.normal(size=p.value.shape) for p in parameters] for _ in range(5)]
     drive(optimizer, parameters, warmup)
 
     state = optimizer.state_dict()
     frozen_values = [p.value.copy() for p in parameters]
 
     # Continue the original run for three more steps.
-    tail = [[rng.normal(size=p.shape) for p in parameters] for _ in range(3)]
+    tail = [[rng.normal(size=p.value.shape) for p in parameters] for _ in range(3)]
     drive(optimizer, parameters, tail)
     expected = [p.value.copy() for p in parameters]
 
@@ -60,10 +60,10 @@ def test_state_dict_is_a_copy(name):
     rng = np.random.default_rng(1)
     parameters = make_parameters(rng)
     optimizer = Adam(parameters, learning_rate=0.01)
-    drive(optimizer, parameters, [[rng.normal(size=p.shape) for p in parameters]])
+    drive(optimizer, parameters, [[rng.normal(size=p.value.shape) for p in parameters]])
     state = optimizer.state_dict()
     before = {key: np.asarray(value).copy() for key, value in state.items()}
-    drive(optimizer, parameters, [[rng.normal(size=p.shape) for p in parameters]])
+    drive(optimizer, parameters, [[rng.normal(size=p.value.shape) for p in parameters]])
     for key, value in state.items():
         assert np.array_equal(np.asarray(value), before[key]), key
 

@@ -61,13 +61,14 @@ def test_conv2d_state_excludes_im2col_buffer(tmp_path, rng):
     for buffer in CONV_BUFFERS:
         assert any(key.startswith(f"{buffer}/") for key in client._buffers), buffer
 
-    state = flatten_state_tree(client.state_dict())
-    assert all(key.startswith(("model//", "optimizer//")) for key in state)
-    save_state_tree(tmp_path / "ue.npz", client.state_dict())
+    # The client's UE state is its bank row: weights, Adam moments, steps.
+    state = flatten_state_tree(client.bank.state_dict())
+    assert all(key.startswith(("values/", "slot/", "step_counts")) for key in state)
+    save_state_tree(tmp_path / "ue.npz", client.bank.state_dict())
     saved = load_state_tree(tmp_path / "ue.npz")
 
     clone = UEClient(MODEL, TrainingConfig(), seed=99)
-    clone.load_state_dict(saved)
+    clone.bank.load_state_dict(saved)
     assert clone._buffers == {}, "loading must not create caches"
     images = rng.random((2, 2, 10, 10))
     assert np.array_equal(client.forward(images), clone.forward(images))

@@ -72,7 +72,7 @@ def trajectory(smoke_scale, smoke_split):
     digest = hashlib.sha256(history.validation_rmse_curve_db.tobytes())
     for record in history.records:
         digest.update(np.float64(record.train_loss).tobytes())
-    weights = trainer.protocol.ue.get_weights()
+    weights = trainer.protocol.ue.cnn.state_dict()
     for key in sorted(weights):
         digest.update(key.encode())
         digest.update(weights[key].tobytes())

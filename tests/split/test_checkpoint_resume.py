@@ -26,9 +26,10 @@ def records_of(history):
 
 
 def weights_of(trainer):
-    state = dict(trainer.protocol.bs.get_weights())
-    if trainer.protocol.ue is not None:
-        state.update({f"ue.{k}": v for k, v in trainer.protocol.ue.get_weights().items()})
+    """The BS state and the UE bank's state, by key."""
+    fleet = trainer.state_dict()["fleet"]
+    state = {f"bs.{k}": v for k, v in fleet["bs"]["model"].items()}
+    state.update({f"ue.{k}": v for k, v in fleet.get("ue", {}).items()})
     return state
 
 

@@ -69,11 +69,12 @@ def test_ue_output_and_compressed_images(config, training, gen):
 
 
 def test_ue_backward_and_update_changes_parameters(config, training, gen):
+    """A step of a bank of one over the client's row moves what it reads."""
     ue = UEClient(config, training, seed=0)
     before = [p.value.copy() for p in ue.cnn.parameters()]
-    features = ue.forward(gen.random((2, 4, 8, 8)))
-    ue.backward(gen.random(features.shape))
-    ue.apply_update()
+    bank = ue.bank.member(ue.row)
+    features = bank.forward(gen.random((1, 2, 4, 8, 8)))
+    bank.backward_and_update([0], gen.random(features.shape))
     after = [p.value for p in ue.cnn.parameters()]
     assert any(not np.allclose(b, a) for b, a in zip(before, after))
 
@@ -93,10 +94,13 @@ def test_ue_backward_shape_mismatch(config, training, gen):
 
 def test_ue_without_optimizer_cannot_update(config, gen):
     ue = UEClient(config, training_config=None, seed=0)
-    features = ue.forward(gen.random((1, 4, 8, 8)))
-    ue.backward(np.zeros_like(features))
-    with pytest.raises(RuntimeError):
-        ue.apply_update()
+    before = ue.bank.state_dict()
+    bank = ue.bank.member(ue.row)
+    features = bank.forward(gen.random((1, 1, 4, 8, 8)))
+    with pytest.raises(RuntimeError, match="without training"):
+        bank.backward_and_update([0], np.zeros_like(features))
+    for key, value in ue.bank.state_dict().items():
+        assert np.array_equal(value, before[key]), key
 
 
 # -- BS server ------------------------------------------------------------------

@@ -8,7 +8,6 @@ path bitwise to the layer-by-layer loop references of
 against central differences, and pin the plan's checks and the client's
 buffer reuse.
 """
-import copy
 import dataclasses
 
 import numpy as np
@@ -43,19 +42,17 @@ CONFIGS = [
 def test_one_member_matches_the_member_oracle_bitwise(config):
     rng = np.random.default_rng(8)
     client = UEClient(config, TrainingConfig(), seed=4)
-    oracle = MemberNetwork(copy.deepcopy(client))
+    oracle = MemberNetwork(client)
     for batch in (5, 5, 3):  # equal chunks reuse the buffers, then a new size
         images = rng.random((batch, config.sequence_length, 12, 12))
         features = client.forward(images)
         assert np.array_equal(features, oracle.forward(images))
         gradient = rng.standard_normal(features.shape)
-        client.zero_grad()
-        oracle.client.zero_grad()
+        client.cnn.zero_grad()
+        oracle.zero_grad()
         client.backward(gradient)
         oracle.backward(gradient)
-        for param, expected in zip(
-            client.cnn.parameters(), oracle.client.cnn.parameters()
-        ):
+        for param, expected in zip(client.cnn.parameters(), oracle.parameters):
             assert np.array_equal(param.grad, expected.grad), param.name
 
 
@@ -108,7 +105,7 @@ def test_plan_rejects_a_network_it_cannot_run():
 def test_client_reuses_its_buffers_across_equal_chunks():
     rng = np.random.default_rng(4)
     client = UEClient(BASE, seed=0)
-    oracle = MemberNetwork(copy.deepcopy(client))
+    oracle = MemberNetwork(client)
     client.forward(rng.random((4, 2, 12, 12)))
     cols, padded = client._buffers["cols/0"], client._buffers["padded/0"]
     images = rng.random((4, 2, 12, 12))

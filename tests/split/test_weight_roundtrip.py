@@ -1,7 +1,8 @@
-"""Weight get/set and state-tree save/load round-trips for the two model halves.
+"""Weight exchange and state-tree save/load round-trips for the two model halves.
 
-The fleet hand-off and parallel averaging move UE weights between clients, so
-a restored client must be *bit-identical* in its forward pass, not merely
+The fleet hand-off and parallel averaging write UE weights into rows of the
+fleet's bank (``weights`` out, ``scatter`` in), so a client whose row was
+written or restored must be *bit-identical* in its forward pass, not merely
 close.
 """
 import numpy as np
@@ -28,7 +29,7 @@ def test_ue_get_set_weights_bit_identical_forward(
     assert not np.array_equal(
         source.forward(image_batch), target.forward(image_batch)
     )
-    target.set_weights(source.get_weights())
+    target.bank.scatter(source.bank.weights(source.row), [target.row])
     assert np.array_equal(source.forward(image_batch), target.forward(image_batch))
 
 
@@ -38,24 +39,11 @@ def test_ue_save_load_weights_bit_identical_forward(
     source = UEClient(tiny_model_config, tiny_training_config, seed=1)
     reference = source.forward(image_batch)
     path = tmp_path / "ue_weights.npz"
-    save_state_tree(path, source.state_dict())
+    save_state_tree(path, source.bank.state_dict())
 
     restored = UEClient(tiny_model_config, tiny_training_config, seed=99)
-    restored.load_state_dict(load_state_tree(path))
+    restored.bank.load_state_dict(load_state_tree(path))
     assert np.array_equal(restored.forward(image_batch), reference)
-
-
-def test_bs_get_set_weights_bit_identical_predict(
-    rng, tiny_model_config, tiny_training_config
-):
-    features = rng.random((5, 4, tiny_model_config.image_feature_size))
-    powers = rng.random((5, 4))
-    source = BSServer(tiny_model_config, tiny_training_config, seed=3)
-    target = BSServer(tiny_model_config, tiny_training_config, seed=4)
-    target.set_weights(source.get_weights())
-    assert np.array_equal(
-        source.predict(features, powers), target.predict(features, powers)
-    )
 
 
 def test_bs_save_load_weights_round_trip(
@@ -73,12 +61,11 @@ def test_bs_save_load_weights_round_trip(
     )
 
 
-def test_get_weights_returns_copies(tiny_model_config, tiny_training_config):
+def test_bank_state_dict_returns_copies(tiny_model_config, tiny_training_config):
     client = UEClient(tiny_model_config, tiny_training_config, seed=1)
-    state = client.get_weights()
-    key = next(iter(state))
-    state[key] += 1.0
-    assert not np.array_equal(state[key], client.get_weights()[key])
+    state = client.bank.state_dict()
+    state["values/0"] += 1.0
+    assert not np.array_equal(state["values/0"], client.bank.state_dict()["values/0"])
 
 
 def test_set_weights_shape_mismatch_raises(tiny_training_config):
@@ -99,21 +86,22 @@ def test_set_weights_shape_mismatch_raises(tiny_training_config):
     client = UEClient(small, tiny_training_config, seed=1)
     donor = UEClient(large, tiny_training_config, seed=1)
     with pytest.raises(ValueError):
-        client.set_weights(donor.get_weights())
+        client.bank.scatter(donor.bank.weights(donor.row), [client.row])
 
 
 def test_set_weights_preserves_optimizer_binding(
     tiny_model_config, tiny_training_config, image_batch
 ):
-    """The optimizer keeps stepping the same Parameter objects after a load."""
+    """A written row stays the client's: a training step over the row moves
+    what the client reads."""
     client = UEClient(tiny_model_config, tiny_training_config, seed=1)
     donor = UEClient(tiny_model_config, tiny_training_config, seed=2)
-    client.set_weights(donor.get_weights())
-    before = client.get_weights()
-    features = client.forward(image_batch)
-    client.backward(np.ones_like(features))
-    client.apply_update()
-    after = client.get_weights()
+    client.bank.scatter(donor.bank.weights(donor.row), [client.row])
+    before = client.cnn.state_dict()
+    bank = client.bank.member(client.row)
+    features = bank.forward(image_batch[None])
+    bank.backward_and_update([0], np.ones_like(features))
+    after = client.cnn.state_dict()
     assert any(
         not np.array_equal(before[key], after[key]) for key in before
-    ), "optimizer update had no effect after set_weights"
+    ), "optimizer update had no effect after a weight write"

@@ -256,12 +256,10 @@ def install(trainer) -> MemberLoop:
     return oracle
 
 
-def fit_on_oracle(config, fleet_config, train, validation, **fit_options):
-    """``FleetTrainer(config, fleet_config).fit(...)`` with every UE step
-    taken by :class:`MemberLoop`; returns the trainer and its history."""
+def oracle_trainer(config, fleet_config):
+    """A ``FleetTrainer`` whose UE state and steps are a :class:`MemberLoop`."""
     from repro.fleet import FleetTrainer
 
     trainer = FleetTrainer(config, fleet_config)
     install(trainer)
-    history = trainer.fit(train, validation, **fit_options)
-    return trainer, history
+    return trainer

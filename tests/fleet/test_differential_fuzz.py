@@ -25,7 +25,7 @@ from repro.fleet import FLEET_MODES, FleetConfig, FleetTrainer
 from repro.fleet.scheduler import SCHEDULERS
 from repro.split import ExperimentConfig
 
-from tests.fleet.member_loop_oracle import fit_on_oracle
+from tests.fleet.member_loop_oracle import oracle_trainer
 from tests.fleet.test_fleet_batched import _assert_same_run
 
 ROUNDS = 3
@@ -83,9 +83,8 @@ def test_random_fleets_match_the_oracle_and_resume_bitwise(
 
     trainer = FleetTrainer(config, fleet_config)
     history = trainer.fit(*data, max_rounds=ROUNDS)
-    oracle, oracle_history = fit_on_oracle(
-        config, fleet_config, *data, max_rounds=ROUNDS
-    )
+    oracle = oracle_trainer(config, fleet_config)
+    oracle_history = oracle.fit(*data, max_rounds=ROUNDS)
     _assert_same_run(trainer, history, oracle, oracle_history)
 
     path = tmp_path_factory.mktemp("fuzz") / "interrupted.npz"

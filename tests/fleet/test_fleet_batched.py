@@ -3,8 +3,8 @@
 :class:`StackedUEBank` holds and trains every UE CNN.  It must be
 bitwise-identical to the per-member reference, which these tests pin at
 three levels: the raw bank against per-member networks, each with its own
-parameters and Adam (hand-picked and property-based, plus FedAvg and the
-bank-of-one view), full ``FleetTrainer.fit`` histories and state trees
+parameters and Adam (hand-picked and property-based, plus the bank-of-one
+view), full ``FleetTrainer.fit`` histories and state trees
 against the same fit with the
 :class:`~tests.fleet.member_loop_oracle.MemberLoop` oracle installed as the
 fleet's store, and checkpoints that interchange between the two.
@@ -23,7 +23,7 @@ from repro.split.config import ModelConfig
 from repro.split.ue import UEClient
 from repro.utils import parallel
 
-from tests.fleet.member_loop_oracle import MemberLoop, MemberNetwork, install
+from tests.fleet.member_loop_oracle import MemberLoop, MemberNetwork, oracle_trainer
 from tests.fleet.test_fleet_checkpoint import fleet_weights, records_of
 
 MAX_ROUNDS = 3
@@ -158,14 +158,6 @@ def test_member_view_trains_its_row_in_place():
     assert bank.state_dict()["step_counts"].tolist() == [0, 2, 0]
 
 
-def test_fedavg_is_the_list_mean_of_the_rows():
-    """gather + scatter over every row is the per-member list mean, bitwise."""
-    bank, oracle = _bank_and_oracle(members=5)
-    bank.scatter(bank.gather(), slice(None))
-    oracle.scatter(oracle.gather(), slice(None))
-    _assert_same_state(bank, oracle)
-
-
 def test_bank_rejects_non_finite_gradients_before_any_update():
     rng = np.random.default_rng(5)
     bank, _ = _bank_and_oracle(members=3)
@@ -204,13 +196,6 @@ def test_bank_state_dict_round_trip():
 # -- full-run equivalence -----------------------------------------------------------
 
 
-def _oracle_trainer(config, fleet_config):
-    """A trainer whose members step through the per-member oracle."""
-    trainer = FleetTrainer(config, fleet_config)
-    install(trainer)
-    return trainer
-
-
 def _assert_same_run(trainer, history, reference_trainer, reference):
     """Histories and whole state trees equal, leaf for leaf."""
 
@@ -236,7 +221,7 @@ def _assert_bank_matches_oracle(config, split, num_ues):
     """Fit on the bank and on the oracle; return the bank's trainer and
     history after asserting the two runs match bit for bit."""
     fleet_config = FleetConfig(num_ues=num_ues, mode="parallel_average")
-    oracle = _oracle_trainer(config, fleet_config)
+    oracle = oracle_trainer(config, fleet_config)
     oracle_history = oracle.fit(split.train, split.validation, max_rounds=MAX_ROUNDS)
     trainer = FleetTrainer(config, fleet_config)
     history = trainer.fit(split.train, split.validation, max_rounds=MAX_ROUNDS)
@@ -334,7 +319,7 @@ def test_checkpoints_interchange_between_bank_and_oracle(
 ):
     """A checkpoint written on one side resumes on the other, bit for bit."""
     fleet_config = FleetConfig(num_ues=3, mode="parallel_average")
-    build = {"oracle": _oracle_trainer, "bank": FleetTrainer}
+    build = {"oracle": oracle_trainer, "bank": FleetTrainer}
     reader = "bank" if writer == "oracle" else "oracle"
     reference_trainer = FleetTrainer(config, fleet_config)
     reference = reference_trainer.fit(

@@ -3,8 +3,9 @@
 A :class:`Checkpoint` captures everything a training loop needs to continue a
 run *bit-identically* after a process death:
 
-* both model halves' weights **and** optimizer state (Adam moments, step
-  counts, hyper-parameters);
+* both model halves' weights **and** optimizer state (Adam moments and step
+  counts; the BS optimizer's hyper-parameters too, while the UE bank takes
+  its own from the ``TrainingConfig``);
 * every RNG stream the loop consumes — minibatch sampling and the per-session
   fading streams of the ARQ link(s);
 * the aggregate ARQ statistics accumulated so far;

@@ -1,7 +1,7 @@
 """Micro-benchmarks of the O(1) geometric-sampling channel vs. the loop reference.
 
 Times :meth:`WirelessLink.transmit` (one geometric draw per payload) against
-the retained per-slot retry loop :meth:`WirelessLink.transmit_reference`
+the per-slot retry loop ``transmit_reference`` of ``tests/channel/link_oracle.py``
 (expected ``1/p`` draws per payload) across decreasing per-slot success
 probabilities.
 
@@ -26,6 +26,8 @@ import numpy as np
 
 from repro.channel import PAPER_CHANNEL_PARAMS, WirelessLink
 from repro.experiments import ExperimentScale
+
+from tests.channel.link_oracle import transmit_reference
 
 MIN_TRANSMIT_SPEEDUP = 10.0
 LOW_SUCCESS_PROBABILITY = 1e-3
@@ -91,7 +93,7 @@ def _run_channel_suite(scale: ExperimentScale) -> List[ChannelRecord]:
                 ),
                 _throughput(
                     lambda: [
-                        loop_link.transmit_reference(payload)
+                        transmit_reference(loop_link, payload)
                         for _ in range(loop_count)
                     ],
                     loop_count,
@@ -145,7 +147,7 @@ def test_channel_throughput_and_distribution(benchmark, scale):
         [geometric_link.transmit(payload).slots_used for _ in range(geometric_count)]
     )
     loop = np.array(
-        [loop_link.transmit_reference(payload).slots_used for _ in range(loop_count)]
+        [transmit_reference(loop_link, payload).slots_used for _ in range(loop_count)]
     )
     expected_mean = geometric_link.expected_slots(payload)
     variance = (1.0 - LOW_SUCCESS_PROBABILITY) / LOW_SUCCESS_PROBABILITY**2

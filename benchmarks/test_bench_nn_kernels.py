@@ -3,16 +3,17 @@
 Times the forward and backward passes of the conv / pooling / recurrent
 kernels at the paper's geometry (40x40 depth images, 3x3 'same' convolution,
 4x4 average pooling, length-4 sequences into a 32-unit recurrent cell) and
-reports per-layer throughput in samples/s next to the retained
-``*_reference`` loop implementations.  The numbers are the perf baseline for
+reports per-layer throughput in samples/s next to the ``*_reference`` loop
+oracles of ``tests/nn/kernel_oracles.py``.  The numbers are the perf baseline for
 future kernel work; the conv forward speedup is asserted to stay >= 5x.
 Convolutions are timed as the program runs them at inference: the stacked
-kernels of :mod:`repro.nn.stacked` at one member, with the column, padding
-and dilation buffers reused from pass to pass
+kernels of :mod:`repro.nn.stacked` at one member, with the column buffer and
+the padding buffers of the input and of the output gradient reused from pass
+to pass
 (:class:`~tests.nn.one_member_conv.OneMemberConv`).
 
 One row compares two vectorized formulations instead: the stacked backward
-(transposed-convolution input gradient) against the ``Wᵀ · grad`` columns +
+(the input gradient as a convolution of the output gradient) against the ``Wᵀ · grad`` columns +
 ``col2im`` scatter-add it replaced, rebuilt inline, at the fast scale's
 ``conv_out`` geometry; that speedup is asserted to stay >= 4x.
 
@@ -30,18 +31,14 @@ from typing import Callable, List
 import numpy as np
 
 from repro.experiments import ExperimentScale
-from repro.nn.layers.conv import (
-    Conv2D,
-    col2im,
+from repro.nn.layers.conv import Conv2D, col2im, im2col
+from repro.nn.layers.pooling import average_pool
+from repro.nn.layers.recurrent import GRU, LSTM, SimpleRNN
+
+from tests.nn.kernel_oracles import (
+    avgpool2d_forward_reference,
     conv2d_backward_reference,
     conv2d_forward_reference,
-    im2col,
-)
-from repro.nn.layers.pooling import average_pool, avgpool2d_forward_reference
-from repro.nn.layers.recurrent import (
-    GRU,
-    LSTM,
-    SimpleRNN,
     gru_forward_reference,
     gru_gradients_reference,
     lstm_forward_reference,
@@ -49,7 +46,6 @@ from repro.nn.layers.recurrent import (
     simple_rnn_forward_reference,
     simple_rnn_gradients_reference,
 )
-
 from tests.nn.one_member_conv import OneMemberConv
 
 IMAGE_SIZE = 40  # the paper's depth-image resolution, also the asserted case
@@ -113,19 +109,17 @@ def _col2im_conv_backward(
     layer.bias.grad += grad_flat.sum(axis=(0, 2))
     kernel_matrix = layer.weight.value.reshape(out_channels, -1)
     grad_cols = np.matmul(kernel_matrix.T, grad_flat)
-    return col2im(
-        grad_cols, input_shape, layer.kernel_size, layer.stride, layer.padding
-    )
+    return col2im(grad_cols, input_shape, layer.kernel_size)
 
 
 def _conv_backward_record(gen: np.random.Generator, repeats: int) -> KernelRecord:
     """The stacked conv backward vs the ``col2im`` formulation at ``conv_out``."""
     batch, in_channels, out_channels, size = CONV_OUT_GEOMETRY
-    layer = Conv2D(in_channels, out_channels, 3, padding="same", seed=0)
+    layer = Conv2D(in_channels, out_channels, 3, seed=0)
     inputs = gen.normal(size=(batch, in_channels, size, size))
     conv = OneMemberConv(layer)
     grad_output = gen.normal(size=conv.forward(inputs).shape)
-    cols = im2col(inputs, layer.kernel_size, layer.stride, layer.padding)
+    cols = im2col(inputs, layer.kernel_size)
     old = _col2im_conv_backward(layer, cols, inputs.shape, grad_output)
     assert np.allclose(conv.backward(grad_output), old, rtol=0.0, atol=1e-12)
     return KernelRecord(
@@ -145,7 +139,7 @@ def _run_kernel_suite(scale: ExperimentScale) -> List[KernelRecord]:
     records: List[KernelRecord] = []
 
     # -- convolution: the paper's first UE layer (1 -> 8 channels, 3x3 same) --
-    layer = Conv2D(1, 8, 3, padding="same", seed=0)
+    layer = Conv2D(1, 8, 3, seed=0)
     images = gen.normal(size=(vec_batch, 1, IMAGE_SIZE, IMAGE_SIZE))
     images_small = images[:ref_batch]
     conv = OneMemberConv(layer)
@@ -158,8 +152,7 @@ def _run_kernel_suite(scale: ExperimentScale) -> List[KernelRecord]:
             _throughput(lambda: conv.forward(images), vec_batch, repeats),
             _throughput(
                 lambda: conv2d_forward_reference(
-                    images_small, layer.weight.value, layer.bias.value,
-                    layer.stride, layer.padding,
+                    images_small, layer.weight.value, layer.bias.value
                 ),
                 ref_batch,
                 repeats,
@@ -172,8 +165,7 @@ def _run_kernel_suite(scale: ExperimentScale) -> List[KernelRecord]:
             _throughput(lambda: conv.backward(grad_out), vec_batch, repeats),
             _throughput(
                 lambda: conv2d_backward_reference(
-                    images_small, layer.weight.value, grad_out[:ref_batch],
-                    layer.stride, layer.padding,
+                    images_small, layer.weight.value, grad_out[:ref_batch]
                 ),
                 ref_batch,
                 repeats,

@@ -7,6 +7,10 @@
   purpose.
 * ``HYG002`` — a mutable default argument is shared across calls; with the
   repo's long-lived trainer/session objects that is cross-run state leakage.
+* ``HYG003`` — a function or method named ``*_reference`` is a loop oracle
+  of a vectorized kernel.  Oracles live with the tests that check against
+  them (``tests/nn/kernel_oracles.py``, ``tests/channel/link_oracle.py``,
+  ...), so the shipped package carries only the code the program runs.
 """
 from __future__ import annotations
 
@@ -85,3 +89,23 @@ def check_mutable_default(ctx) -> Iterator[Finding]:
                     "mutable default argument is evaluated once and shared "
                     "across calls; default to None and create inside",
                 )
+
+
+@rule(
+    "HYG003",
+    "oracle-outside-tests",
+    "*_reference oracle defined outside tests",
+)
+def check_reference_oracle(ctx) -> Iterator[Finding]:
+    if ctx.in_tests():
+        return
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+            node.name.endswith("_reference")
+        ):
+            yield ctx.finding(
+                node,
+                "HYG003",
+                f"{node.name} is a test oracle; define it under tests/, next "
+                f"to the tests that check against it",
+            )

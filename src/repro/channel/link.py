@@ -23,9 +23,9 @@ is sampled in closed form from a single fading draw (see
 retransmission cap when one is configured.  :meth:`WirelessLink.transmit`
 does this for one payload and :func:`transmit_across` for one payload on each
 of many links; the training step transmits through the latter in both fleet
-modes.  The legacy per-slot loop is retained as
-:meth:`WirelessLink.transmit_reference` — the correctness oracle for
-equivalence tests and the baseline for the channel benchmarks.
+modes.  The per-slot loop lives on as the test oracle
+``tests/channel/link_oracle.py``, which the channel benchmarks time
+:meth:`WirelessLink.transmit` against.
 """
 from __future__ import annotations
 
@@ -186,12 +186,6 @@ class WirelessLink:
     def bandwidth_hz(self) -> float:
         return self._bandwidth_hz
 
-    def snr_threshold(self, payload_bits: float) -> float:
-        """SNR needed to decode ``payload_bits`` in one slot."""
-        return snr_decoding_threshold(
-            payload_bits, self.params.slot_duration_s, self.bandwidth_hz
-        )
-
     def success_probability(self, payload_bits: float) -> float:
         """Closed-form per-slot decoding success probability."""
         return decoding_success_probability(
@@ -206,7 +200,7 @@ class WirelessLink:
 
         The slot count is drawn directly from the geometric distribution via
         one fading draw (i.i.d. fading makes this statistically identical to
-        the per-slot loop in :meth:`transmit_reference`), truncated when a
+        a per-slot retry loop), truncated when a
         retransmission cap is configured: a payload that would need more than
         ``max_retransmissions + 1`` slots fails after exactly that many.
 
@@ -253,49 +247,6 @@ class WirelessLink:
             elapsed_s=slots * slot,
             first_attempt_success=slots == 1,
         )
-
-    def transmit_reference(self, payload_bits: float) -> TransmissionResult:
-        """Legacy per-slot retry loop (correctness oracle for :meth:`transmit`).
-
-        Draws one fading gain per slot — expected ``1/p`` draws per payload —
-        and is therefore pathologically slow at low success probability.  It
-        is retained as the statistical reference for equivalence tests and
-        the channel benchmarks, with the same declared-infeasible accounting
-        as the O(1) path.  Note the two paths consume the fading RNG stream
-        at different rates, so they are equivalent in distribution, not
-        draw-for-draw.
-        """
-        probability = self.success_probability(payload_bits)
-        slot = self.params.slot_duration_s
-        if probability < INFEASIBLE_SUCCESS_PROBABILITY:
-            return TransmissionResult(
-                success=False,
-                slots_used=1,
-                elapsed_s=slot,
-                first_attempt_success=False,
-            )
-        threshold = self.snr_threshold(payload_bits)
-        attempts = 0
-        while True:
-            attempts += 1
-            snr = self._mean_snr * self.fading.sample_one()
-            if snr > threshold:
-                return TransmissionResult(
-                    success=True,
-                    slots_used=attempts,
-                    elapsed_s=attempts * slot,
-                    first_attempt_success=attempts == 1,
-                )
-            if (
-                self.max_retransmissions is not None
-                and attempts > self.max_retransmissions
-            ):
-                return TransmissionResult(
-                    success=False,
-                    slots_used=attempts,
-                    elapsed_s=attempts * slot,
-                    first_attempt_success=False,
-                )
 
     def state_dict(self) -> dict:
         """Restorable state of this link direction: the fading stream position.

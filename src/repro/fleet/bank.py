@@ -17,8 +17,9 @@ UEs cost a handful of broadcasted GEMMs.  Both callers share them:
 * ``UEClient`` runs the same plan at one member (``stack[k:k+1]`` views of
   its bank row) for evaluation, Fig. 2, Fig. 3b and Table 1.
 
-Each caller owns the buffer cache a pass fills (im2col columns, padding and
-dilation buffers, activation masks), and reuses it while the geometry stays.
+Each caller owns the buffer cache a pass fills (im2col columns, the padding
+buffers of each conv's input and output gradient, activation masks), and
+reuses it while the geometry stays.
 
 The bank is also the one store of UE state: every UE's CNN weights, Adam
 moments and step count are a row of its stacked arrays.  A fleet builds one
@@ -55,7 +56,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.nn.layers.activations import ReLU, Sigmoid, stable_sigmoid
-from repro.nn.layers.conv import Conv2D, dilated_buffer, padded_buffer
+from repro.nn.layers.conv import Conv2D, padded_buffer
 from repro.nn.layers.pooling import average_pool
 from repro.nn.layers.sequential import Sequential
 from repro.nn.optim import ADAM_EPSILON
@@ -75,8 +76,9 @@ class UEPlan(NamedTuple):
     """The UE network as :func:`ue_forward` and :func:`ue_backward` run it.
 
     ``steps`` holds one tuple per CNN layer: ``("conv", weight_index,
-    bias_index, stride, padding, needs_input_grad)``, ``("relu",)`` or
-    ``("sigmoid",)``; the indices address the CNN's parameter list.
+    bias_index, needs_input_grad)``, ``("relu",)`` or ``("sigmoid",)``; the
+    indices address the CNN's parameter list.  Every conv is a 'same' one,
+    so the images keep their size until the pooling.
     ``pool_size`` is the ``(w_H, w_W)`` average-pooling region.
     """
 
@@ -87,36 +89,25 @@ class UEPlan(NamedTuple):
 def ue_plan(cnn: Sequential, config: ModelConfig) -> UEPlan:
     """Derive the plan of a UE CNN built by ``build_ue_cnn(config)``.
 
-    Checks the layer chain once: every conv is biased and takes the channels
-    the previous one produced, and the network maps a ``1 x N_H x N_W``
-    depth image to a ``1 x N_H x N_W`` output image, which the payload
-    accounting assumes.  The first conv sees the raw images, so it skips its
+    Checks the layer chain once: every conv takes the channels the previous
+    one produced, and the network maps a one-channel depth image to a
+    one-channel output image of the same size, which the payload accounting
+    assumes.  The first conv sees the raw images, so it skips its
     input gradient and backward stops there.
     """
     steps: List[Tuple] = []
     param_cursor = 0
-    channels, height, width = 1, config.image_height, config.image_width
+    channels = 1
     for layer in cnn.layers:
         if isinstance(layer, Conv2D):
-            if not layer.use_bias:
-                raise ValueError("the UE network expects biased convolutions")
             if layer.in_channels != channels:
                 raise ValueError(
                     f"{layer.name}: expects {layer.in_channels} input channels, "
                     f"the previous layer produces {channels}"
                 )
-            steps.append(
-                (
-                    "conv",
-                    param_cursor,
-                    param_cursor + 1,
-                    layer.stride,
-                    layer.padding,
-                    param_cursor > 0,
-                )
-            )
+            steps.append(("conv", param_cursor, param_cursor + 1, param_cursor > 0))
             param_cursor += 2
-            channels, height, width = layer.output_shape(height, width)
+            channels = layer.out_channels
         elif isinstance(layer, ReLU):
             steps.append(("relu",))
         elif isinstance(layer, Sigmoid):
@@ -125,11 +116,10 @@ def ue_plan(cnn: Sequential, config: ModelConfig) -> UEPlan:
             raise ValueError(
                 f"the UE network cannot run CNN layer {type(layer).__name__}"
             )
-    image = (1, config.image_height, config.image_width)
-    if (channels, height, width) != image:
+    if channels != 1:
         raise ValueError(
-            f"the UE CNN maps a {image} image to {(channels, height, width)}; "
-            f"the payload needs a {image} output image"
+            f"the UE CNN outputs {channels} channels; the payload needs a "
+            f"one-channel output image"
         )
     return UEPlan(tuple(steps), (config.pooling_height, config.pooling_width))
 
@@ -162,23 +152,20 @@ def ue_forward(
     x = images
     for step, spec in enumerate(plan.steps):
         if spec[0] == "conv":
-            _, weight_index, bias_index, stride, padding, _ = spec
+            _, weight_index, bias_index, _ = spec
+            kernels = weights[weight_index]
             padded = cache[f"padded/{step}"] = padded_buffer(
                 (members * frames,) + x.shape[2:],
-                padding,
+                kernels.shape[-1],
                 cache.get(f"padded/{step}"),
             )
-            output, cache[f"cols/{step}"] = stacked_conv2d_forward(
-                weights[weight_index],
+            x, cache[f"cols/{step}"] = stacked_conv2d_forward(
+                kernels,
                 weights[bias_index],
                 x,
-                stride,
-                padding,
                 cols_out=cache.get(f"cols/{step}"),
                 padded_out=padded,
             )
-            cache[f"conv_input_shape/{step}"] = x.shape
-            x = output
         elif spec[0] == "relu":
             mask = x > 0
             cache[f"mask/{step}"] = mask
@@ -228,29 +215,24 @@ def ue_backward(
     for step in reversed(range(len(plan.steps))):
         spec = plan.steps[step]
         if spec[0] == "conv":
-            _, weight_index, bias_index, stride, padding, needs_input_grad = spec
-            input_shape = cache[f"conv_input_shape/{step}"]
+            _, weight_index, bias_index, needs_input_grad = spec
             kernels = weights[weight_index]
             grad_output = x_grad.reshape(
                 (members, frames, kernels.shape[1]) + x_grad.shape[-2:]
             )
-            dilated = None
+            padded = None
             if needs_input_grad:
-                dilated = cache[f"dilated/{step}"] = dilated_buffer(
-                    (members * frames, kernels.shape[1]),
-                    input_shape[3:],
-                    kernels.shape[3:],
-                    cache.get(f"dilated/{step}"),
+                padded = cache[f"grad_padded/{step}"] = padded_buffer(
+                    (members * frames,) + grad_output.shape[2:],
+                    kernels.shape[-1],
+                    cache.get(f"grad_padded/{step}"),
                 )
             x_grad, grads[weight_index], grads[bias_index] = stacked_conv2d_backward(
                 kernels,
                 cache[f"cols/{step}"],
                 grad_output,
-                input_shape,
-                stride,
-                padding,
                 needs_input_grad=needs_input_grad,
-                dilated_out=dilated,
+                padded_out=padded,
             )
         elif spec[0] == "relu":
             x_grad = x_grad * cache[f"mask/{step}"]

@@ -153,9 +153,9 @@ def _weighted_round_robin_completions(
     * its own final burst ``r_i``.
 
     Everything is sorts, prefix sums, and ``searchsorted``: O(N log N)
-    overall, versus the retained O(N^2) oracle
-    :func:`_weighted_round_robin_completions_reference` it is validated
-    against (directly and by property-based tests).
+    overall, versus the O(N^2) per-demand oracle of
+    ``tests/fleet/scheduler_oracle.py`` it is validated against (directly and
+    by property-based tests).
     """
     count = len(slots)
     final_cycle = -(-slots // quanta)  # ceil division
@@ -197,36 +197,13 @@ def _weighted_round_robin_completions(
     return earlier_cycles + active_peers + same_cycle_peers + final_burst
 
 
-def _weighted_round_robin_completions_reference(
-    slots: np.ndarray, quanta: np.ndarray
-) -> np.ndarray:
-    """O(N^2) per-demand oracle for :func:`_weighted_round_robin_completions`.
-
-    Same cyclic-service semantics, one Python-level pass per demand.  Kept as
-    the equivalence reference for the O(N log N) production path; not used on
-    the hot path.
-    """
-    count = len(slots)
-    completions = np.zeros(count, dtype=np.int64)
-    for i in range(count):
-        final_cycle = -(-slots[i] // quanta[i])  # ceil division
-        done_before = (final_cycle - 1) * quanta
-        earlier_cycles = np.minimum(slots, done_before).sum()
-        peers = np.minimum(
-            quanta[:i], np.maximum(slots[:i] - done_before[:i], 0)
-        ).sum()
-        own_final_burst = slots[i] - (final_cycle - 1) * quanta[i]
-        completions[i] = earlier_cycles + peers + own_final_burst
-    return completions
-
-
 class MediumScheduler:
     """Base class: assign medium slots to a batch of transmission demands.
 
     Completion math runs in O(N log N) for N demands (sorts and prefix sums
     over final cycles — see :func:`_weighted_round_robin_completions`), so
     scheduling stays negligible even for 1000-UE fleets; the O(N^2) loop
-    formulation is retained only as a validation oracle.
+    formulation is a test oracle.
     """
 
     #: Registry key (set by subclasses).

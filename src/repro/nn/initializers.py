@@ -1,22 +1,17 @@
 """Weight initialization schemes for the numpy neural-network substrate.
 
-Initializers are plain callables ``(shape, rng) -> ndarray`` registered under
-string names so that layer constructors can accept either a name or a custom
-callable.
+Initializers are plain functions ``(shape, rng) -> ndarray`` that the layers
+call directly: :class:`~repro.nn.layers.conv.Conv2D` draws its kernel with
+:func:`he_uniform`, :class:`~repro.nn.layers.dense.Dense` its weight and the
+recurrent layers their input kernels with :func:`xavier_uniform`, and the
+recurrent layers their recurrent kernels with :func:`orthogonal`.  Biases
+start at zero (the LSTM's forget-gate bias at one).
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-Initializer = Callable[[Sequence[int], np.random.Generator], np.ndarray]
-
-
-def zeros(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-    """All-zero initializer, used for biases."""
-    del rng
-    return np.zeros(shape, dtype=np.float64)
 
 
 def _fan_in_fan_out(shape: Sequence[int]) -> tuple[int, int]:
@@ -66,26 +61,3 @@ def orthogonal(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
         q = q.T
     return q[:rows, :cols].reshape(shape).astype(np.float64)
 
-
-_REGISTRY: dict[str, Initializer] = {
-    "zeros": zeros,
-    "xavier_uniform": xavier_uniform,
-    "glorot_uniform": xavier_uniform,
-    "he_uniform": he_uniform,
-    "orthogonal": orthogonal,
-}
-
-
-def get_initializer(name_or_fn: str | Initializer) -> Initializer:
-    """Resolve an initializer from a registry name or pass a callable through.
-
-    Raises:
-        KeyError: if the name is unknown.
-    """
-    if callable(name_or_fn):
-        return name_or_fn
-    try:
-        return _REGISTRY[name_or_fn]
-    except KeyError as exc:
-        known = ", ".join(sorted(_REGISTRY))
-        raise KeyError(f"unknown initializer {name_or_fn!r}; known: {known}") from exc

@@ -1,9 +1,9 @@
-"""Fully connected (dense) layer."""
+"""Fully connected (dense) layer: the BS network's head."""
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.initializers import get_initializer
+from repro.nn.initializers import xavier_uniform
 from repro.nn.layers.base import Layer, check_forward_called
 from repro.utils.seeding import SeedLike
 
@@ -11,17 +11,15 @@ from repro.utils.seeding import SeedLike
 class Dense(Layer):
     """Affine transformation ``y = x @ W + b``.
 
-    Accepts inputs of shape ``(batch, in_features)`` or any higher-rank shape
-    whose last axis is ``in_features``; the leading axes are preserved.
+    ``W`` is Xavier-uniform initialized and ``b`` starts at zero.  Accepts
+    inputs of shape ``(batch, in_features)`` or any higher-rank shape whose
+    last axis is ``in_features``; the leading axes are preserved.
     """
 
     def __init__(
         self,
         in_features: int,
         out_features: int,
-        use_bias: bool = True,
-        weight_init: str = "xavier_uniform",
-        bias_init: str = "zeros",
         name: str | None = None,
         seed: SeedLike = None,
     ):
@@ -30,19 +28,12 @@ class Dense(Layer):
             raise ValueError("in_features and out_features must be positive")
         self.in_features = int(in_features)
         self.out_features = int(out_features)
-        self.use_bias = bool(use_bias)
-
-        w_init = get_initializer(weight_init)
         self.weight = self.add_parameter(
-            "weight", w_init((self.in_features, self.out_features), self.rng)
+            "weight", xavier_uniform((self.in_features, self.out_features), self.rng)
         )
-        if self.use_bias:
-            b_init = get_initializer(bias_init)
-            self.bias = self.add_parameter(
-                "bias", b_init((self.out_features,), self.rng)
-            )
-        else:
-            self.bias = None
+        self.bias = self.add_parameter(
+            "bias", np.zeros(self.out_features, dtype=np.float64)
+        )
         self._inputs: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
@@ -53,10 +44,7 @@ class Dense(Layer):
                 f"got {inputs.shape[-1]}"
             )
         self._inputs = inputs
-        output = inputs @ self.weight.value
-        if self.use_bias:
-            output = output + self.bias.value
-        return output
+        return inputs @ self.weight.value + self.bias.value
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         inputs = check_forward_called(self._inputs, self)
@@ -66,7 +54,6 @@ class Dense(Layer):
         flat_grad = grad_output.reshape(-1, self.out_features)
 
         self.weight.grad += flat_in.T @ flat_grad
-        if self.use_bias:
-            self.bias.grad += flat_grad.sum(axis=0)
+        self.bias.grad += flat_grad.sum(axis=0)
         grad_input = grad_output @ self.weight.value.T
         return grad_input.reshape(inputs.shape)

@@ -11,11 +11,6 @@ window axes in one pass.  It is the only pooling forward: the UE network's
 plan (:mod:`repro.fleet.bank`) pools the cut layer with it (and
 differentiates the pooling itself), and Table 1 pools CNN output images with
 it.
-
-Naive per-window loop implementations are retained as ``*_reference``
-functions — the correctness oracle for the vectorized kernels and the
-baseline of the kernel micro-benchmarks; never call them from the training
-path.
 """
 from __future__ import annotations
 
@@ -23,60 +18,14 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.nn.layers.conv import _pair
 
-
-def _check_divisible(
-    name: str, height: int, width: int, pool: Tuple[int, int]
-) -> Tuple[int, int]:
-    ph, pw = pool
-    if height % ph != 0 or width % pw != 0:
-        raise ValueError(
-            f"{name}: input {height}x{width} not divisible by pool {ph}x{pw}"
-        )
-    return height // ph, width // pw
-
-
-def avgpool2d_forward_reference(
-    inputs: np.ndarray, pool_size: Tuple[int, int]
-) -> np.ndarray:
-    """Naive per-window average pooling (correctness oracle, never hot path)."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    batch, channels, height, width = inputs.shape
-    ph, pw = pool_size
-    out_h, out_w = _check_divisible("avgpool2d_forward_reference", height, width, pool_size)
-    output = np.zeros((batch, channels, out_h, out_w), dtype=np.float64)
-    for b in range(batch):
-        for c in range(channels):
-            for i in range(out_h):
-                for j in range(out_w):
-                    window = inputs[
-                        b, c, i * ph : (i + 1) * ph, j * pw : (j + 1) * pw
-                    ]
-                    output[b, c, i, j] = window.mean()
-    return output
-
-
-def avgpool2d_backward_reference(
-    grad_output: np.ndarray,
-    input_shape: Tuple[int, int, int, int],
-    pool_size: Tuple[int, int],
-) -> np.ndarray:
-    """Naive average-pooling backward pass (correctness oracle)."""
-    grad_output = np.asarray(grad_output, dtype=np.float64)
-    ph, pw = pool_size
-    grad = np.zeros(input_shape, dtype=np.float64)
-    batch, channels, _, _ = input_shape
-    out_h, out_w = grad_output.shape[2], grad_output.shape[3]
-    scale = 1.0 / (ph * pw)
-    for b in range(batch):
-        for c in range(channels):
-            for i in range(out_h):
-                for j in range(out_w):
-                    grad[
-                        b, c, i * ph : (i + 1) * ph, j * pw : (j + 1) * pw
-                    ] += grad_output[b, c, i, j] * scale
-    return grad
+def _pair(value: int | Tuple[int, int]) -> Tuple[int, int]:
+    """Normalize an int or 2-tuple into a 2-tuple of ints."""
+    if isinstance(value, (tuple, list)):
+        if len(value) != 2:
+            raise ValueError("expected a 2-tuple")
+        return int(value[0]), int(value[1])
+    return int(value), int(value)
 
 
 def average_pool(
@@ -97,6 +46,9 @@ def average_pool(
     if inputs.ndim != 4:
         raise ValueError(f"average_pool: expected 4-D input, got {inputs.shape}")
     batch, channels, height, width = inputs.shape
-    out_h, out_w = _check_divisible("average_pool", height, width, (ph, pw))
-    reshaped = inputs.reshape(batch, channels, out_h, ph, out_w, pw)
+    if height % ph != 0 or width % pw != 0:
+        raise ValueError(
+            f"average_pool: input {height}x{width} not divisible by pool {ph}x{pw}"
+        )
+    reshaped = inputs.reshape(batch, channels, height // ph, ph, width // pw, pw)
     return reshaped.mean(axis=(3, 5))

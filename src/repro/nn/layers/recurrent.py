@@ -3,8 +3,11 @@
 The BS-side model of the paper is a recurrent network that consumes a length-4
 sequence of (pooled image features, RF power) vectors and predicts the future
 received power.  All layers accept inputs of shape
-``(batch, time, features)`` and can either return only the last hidden state
-(``return_sequences=False``, the paper's configuration) or the full sequence.
+``(batch, time, features)`` and return the last hidden state
+``(batch, hidden)``, which the dense head maps to the prediction.  Input
+kernels are Xavier-uniform initialized, recurrent kernels orthogonal (one
+square block per gate), biases zero except the LSTM's forget gate, which
+starts at 1.
 
 The hot path is fused: the input projections of *all* time steps and gates are
 computed with one GEMM before the recurrence (``inputs @ w_x``), hidden/cell
@@ -13,319 +16,26 @@ whole sequence, and the backward pass accumulates per-step pre-activation
 gradients into one buffer so every weight gradient reduces to a single
 ``einsum`` over the time axis.  Only the inherently sequential ``h_{t-1} @
 w_h`` recurrence remains inside the time loop.
-
-The original step-by-step, list-accumulating implementations are retained as
-``*_forward_reference`` / ``*_gradients_reference`` module functions.  They
-are the correctness oracle for the fused kernels (see
-``tests/nn/test_kernel_equivalence.py``) and the baseline of the kernel
-micro-benchmarks; never call them from the training path.
 """
 from __future__ import annotations
 
-from typing import Dict, List
-
 import numpy as np
 
-from repro.nn.initializers import get_initializer
+from repro.nn.initializers import orthogonal, xavier_uniform
 from repro.nn.layers.activations import stable_sigmoid
 from repro.nn.layers.base import Layer, check_forward_called
 from repro.utils.seeding import SeedLike
 
 
-def _expand_reference_grad(
-    grad_output: np.ndarray, batch: int, time_steps: int, hidden_size: int,
-    return_sequences: bool,
-) -> np.ndarray:
-    """Per-time-step gradient array for the reference backward passes."""
-    grad_output = np.asarray(grad_output, dtype=np.float64)
-    if return_sequences:
-        return grad_output
-    expanded = np.zeros((batch, time_steps, hidden_size), dtype=np.float64)
-    expanded[:, -1, :] = grad_output
-    return expanded
-
-
-# ---------------------------------------------------------------------------
-# Loop reference implementations (the original per-step kernels)
-# ---------------------------------------------------------------------------
-
-
-def simple_rnn_forward_reference(
-    inputs: np.ndarray,
-    w_x: np.ndarray,
-    w_h: np.ndarray,
-    bias: np.ndarray,
-    return_sequences: bool = False,
-) -> np.ndarray:
-    """Step-by-step Elman RNN forward pass (correctness oracle)."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    batch, time_steps, _ = inputs.shape
-    hidden = np.zeros((batch, w_h.shape[0]), dtype=np.float64)
-    states: List[np.ndarray] = []
-    for t in range(time_steps):
-        pre = inputs[:, t, :] @ w_x + hidden @ w_h
-        hidden = np.tanh(pre + bias)
-        states.append(hidden)
-    if return_sequences:
-        return np.stack(states, axis=1)
-    return states[-1]
-
-
-def simple_rnn_gradients_reference(
-    inputs: np.ndarray,
-    w_x: np.ndarray,
-    w_h: np.ndarray,
-    bias: np.ndarray,
-    grad_output: np.ndarray,
-    return_sequences: bool = False,
-) -> Dict[str, np.ndarray]:
-    """Step-by-step Elman RNN backward pass (correctness oracle)."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    batch, time_steps, _ = inputs.shape
-    hidden_size = w_h.shape[0]
-    hidden = np.zeros((batch, hidden_size), dtype=np.float64)
-    states = [hidden]
-    for t in range(time_steps):
-        pre = inputs[:, t, :] @ w_x + states[-1] @ w_h
-        states.append(np.tanh(pre + bias))
-
-    grad_seq = _expand_reference_grad(
-        grad_output, batch, time_steps, hidden_size, return_sequences
-    )
-    grad_inputs = np.zeros_like(inputs)
-    grad_w_x = np.zeros_like(w_x)
-    grad_w_h = np.zeros_like(w_h)
-    grad_bias = np.zeros_like(bias)
-    grad_hidden = np.zeros((batch, hidden_size), dtype=np.float64)
-    for t in reversed(range(time_steps)):
-        total = grad_seq[:, t, :] + grad_hidden
-        hidden = states[t + 1]
-        prev_hidden = states[t]
-        grad_pre = total * (1.0 - hidden * hidden)
-        grad_w_x += inputs[:, t, :].T @ grad_pre
-        grad_w_h += prev_hidden.T @ grad_pre
-        grad_bias += grad_pre.sum(axis=0)
-        grad_inputs[:, t, :] = grad_pre @ w_x.T
-        grad_hidden = grad_pre @ w_h.T
-    return {
-        "inputs": grad_inputs,
-        "w_x": grad_w_x,
-        "w_h": grad_w_h,
-        "bias": grad_bias,
-    }
-
-
-def gru_forward_reference(
-    inputs: np.ndarray,
-    w_x: np.ndarray,
-    w_h: np.ndarray,
-    bias: np.ndarray,
-    return_sequences: bool = False,
-) -> np.ndarray:
-    """Step-by-step GRU forward pass (correctness oracle)."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    batch, time_steps, _ = inputs.shape
-    hidden_size = w_h.shape[0]
-    hidden = np.zeros((batch, hidden_size), dtype=np.float64)
-    states: List[np.ndarray] = []
-    for t in range(time_steps):
-        x_proj = inputs[:, t, :] @ w_x + bias
-        h_proj = hidden @ w_h
-        z = stable_sigmoid(x_proj[:, :hidden_size] + h_proj[:, :hidden_size])
-        r = stable_sigmoid(
-            x_proj[:, hidden_size : 2 * hidden_size]
-            + h_proj[:, hidden_size : 2 * hidden_size]
-        )
-        n = np.tanh(
-            x_proj[:, 2 * hidden_size :] + r * h_proj[:, 2 * hidden_size :]
-        )
-        hidden = (1.0 - z) * n + z * hidden
-        states.append(hidden)
-    if return_sequences:
-        return np.stack(states, axis=1)
-    return states[-1]
-
-
-def gru_gradients_reference(
-    inputs: np.ndarray,
-    w_x: np.ndarray,
-    w_h: np.ndarray,
-    bias: np.ndarray,
-    grad_output: np.ndarray,
-    return_sequences: bool = False,
-) -> Dict[str, np.ndarray]:
-    """Step-by-step GRU backward pass (correctness oracle)."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    batch, time_steps, _ = inputs.shape
-    H = w_h.shape[0]
-    hidden = np.zeros((batch, H), dtype=np.float64)
-    states = [hidden]
-    gates: List[tuple] = []
-    for t in range(time_steps):
-        x_proj = inputs[:, t, :] @ w_x + bias
-        h_proj = states[-1] @ w_h
-        z = stable_sigmoid(x_proj[:, :H] + h_proj[:, :H])
-        r = stable_sigmoid(x_proj[:, H : 2 * H] + h_proj[:, H : 2 * H])
-        n = np.tanh(x_proj[:, 2 * H :] + r * h_proj[:, 2 * H :])
-        gates.append((z, r, n, h_proj[:, 2 * H :]))
-        states.append((1.0 - z) * n + z * states[-1])
-
-    grad_seq = _expand_reference_grad(
-        grad_output, batch, time_steps, H, return_sequences
-    )
-    grad_inputs = np.zeros_like(inputs)
-    grad_w_x = np.zeros_like(w_x)
-    grad_w_h = np.zeros_like(w_h)
-    grad_bias = np.zeros_like(bias)
-    grad_hidden = np.zeros((batch, H), dtype=np.float64)
-    for t in reversed(range(time_steps)):
-        total = grad_seq[:, t, :] + grad_hidden
-        z, r, n, h_candidate_proj = gates[t]
-        prev_hidden = states[t]
-
-        grad_n = total * (1.0 - z)
-        grad_z = total * (prev_hidden - n)
-        grad_pre_n = grad_n * (1.0 - n * n)
-        grad_pre_z = grad_z * z * (1.0 - z)
-        grad_r = grad_pre_n * h_candidate_proj
-        grad_pre_r = grad_r * r * (1.0 - r)
-
-        grad_x_proj = np.concatenate([grad_pre_z, grad_pre_r, grad_pre_n], axis=1)
-        grad_h_proj = np.concatenate(
-            [grad_pre_z, grad_pre_r, grad_pre_n * r], axis=1
-        )
-
-        x_t = inputs[:, t, :]
-        grad_w_x += x_t.T @ grad_x_proj
-        grad_w_h += prev_hidden.T @ grad_h_proj
-        grad_bias += grad_x_proj.sum(axis=0)
-
-        grad_inputs[:, t, :] = grad_x_proj @ w_x.T
-        grad_hidden = total * z + grad_h_proj @ w_h.T
-    return {
-        "inputs": grad_inputs,
-        "w_x": grad_w_x,
-        "w_h": grad_w_h,
-        "bias": grad_bias,
-    }
-
-
-def lstm_forward_reference(
-    inputs: np.ndarray,
-    w_x: np.ndarray,
-    w_h: np.ndarray,
-    bias: np.ndarray,
-    return_sequences: bool = False,
-) -> np.ndarray:
-    """Step-by-step LSTM forward pass (correctness oracle)."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    batch, time_steps, _ = inputs.shape
-    H = w_h.shape[0]
-    hidden = np.zeros((batch, H), dtype=np.float64)
-    cell = np.zeros((batch, H), dtype=np.float64)
-    states: List[np.ndarray] = []
-    for t in range(time_steps):
-        pre = inputs[:, t, :] @ w_x + hidden @ w_h + bias
-        i = stable_sigmoid(pre[:, :H])
-        f = stable_sigmoid(pre[:, H : 2 * H])
-        g = np.tanh(pre[:, 2 * H : 3 * H])
-        o = stable_sigmoid(pre[:, 3 * H :])
-        cell = f * cell + i * g
-        hidden = o * np.tanh(cell)
-        states.append(hidden)
-    if return_sequences:
-        return np.stack(states, axis=1)
-    return states[-1]
-
-
-def lstm_gradients_reference(
-    inputs: np.ndarray,
-    w_x: np.ndarray,
-    w_h: np.ndarray,
-    bias: np.ndarray,
-    grad_output: np.ndarray,
-    return_sequences: bool = False,
-) -> Dict[str, np.ndarray]:
-    """Step-by-step LSTM backward pass (correctness oracle)."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    batch, time_steps, _ = inputs.shape
-    H = w_h.shape[0]
-    hidden = np.zeros((batch, H), dtype=np.float64)
-    cell = np.zeros((batch, H), dtype=np.float64)
-    hidden_states = [hidden]
-    cell_states = [cell]
-    gates: List[tuple] = []
-    for t in range(time_steps):
-        pre = inputs[:, t, :] @ w_x + hidden_states[-1] @ w_h + bias
-        i = stable_sigmoid(pre[:, :H])
-        f = stable_sigmoid(pre[:, H : 2 * H])
-        g = np.tanh(pre[:, 2 * H : 3 * H])
-        o = stable_sigmoid(pre[:, 3 * H :])
-        cell = f * cell_states[-1] + i * g
-        tanh_cell = np.tanh(cell)
-        gates.append((i, f, g, o, tanh_cell))
-        hidden_states.append(o * tanh_cell)
-        cell_states.append(cell)
-
-    grad_seq = _expand_reference_grad(
-        grad_output, batch, time_steps, H, return_sequences
-    )
-    grad_inputs = np.zeros_like(inputs)
-    grad_w_x = np.zeros_like(w_x)
-    grad_w_h = np.zeros_like(w_h)
-    grad_bias = np.zeros_like(bias)
-    grad_hidden = np.zeros((batch, H), dtype=np.float64)
-    grad_cell = np.zeros((batch, H), dtype=np.float64)
-    for t in reversed(range(time_steps)):
-        total = grad_seq[:, t, :] + grad_hidden
-        i, f, g, o, tanh_cell = gates[t]
-        prev_cell = cell_states[t]
-        prev_hidden = hidden_states[t]
-
-        grad_o = total * tanh_cell
-        grad_cell_t = grad_cell + total * o * (1.0 - tanh_cell * tanh_cell)
-        grad_i = grad_cell_t * g
-        grad_g = grad_cell_t * i
-        grad_f = grad_cell_t * prev_cell
-
-        grad_pre = np.concatenate(
-            [
-                grad_i * i * (1.0 - i),
-                grad_f * f * (1.0 - f),
-                grad_g * (1.0 - g * g),
-                grad_o * o * (1.0 - o),
-            ],
-            axis=1,
-        )
-
-        grad_w_x += inputs[:, t, :].T @ grad_pre
-        grad_w_h += prev_hidden.T @ grad_pre
-        grad_bias += grad_pre.sum(axis=0)
-
-        grad_inputs[:, t, :] = grad_pre @ w_x.T
-        grad_hidden = grad_pre @ w_h.T
-        grad_cell = grad_cell_t * f
-    return {
-        "inputs": grad_inputs,
-        "w_x": grad_w_x,
-        "w_h": grad_w_h,
-        "bias": grad_bias,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Fused layer implementations
-# ---------------------------------------------------------------------------
-
-
 class _RecurrentBase(Layer):
-    """Shared plumbing for recurrent layers (shape checks, sequence handling)."""
+    """Shared plumbing for recurrent layers: shape checks, state buffers and
+    the ``gates``-wide input and recurrent kernels with a zero bias."""
 
     def __init__(
         self,
         input_size: int,
         hidden_size: int,
-        return_sequences: bool = False,
+        gates: int,
         name: str | None = None,
         seed: SeedLike = None,
     ):
@@ -334,7 +44,16 @@ class _RecurrentBase(Layer):
             raise ValueError("input_size and hidden_size must be positive")
         self.input_size = int(input_size)
         self.hidden_size = int(hidden_size)
-        self.return_sequences = bool(return_sequences)
+        H = self.hidden_size
+        self.w_x = self.add_parameter(
+            "w_x", xavier_uniform((self.input_size, gates * H), self.rng)
+        )
+        self.w_h = self.add_parameter(
+            "w_h",
+            np.concatenate([orthogonal((H, H), self.rng) for _ in range(gates)], axis=1),
+        )
+        self.bias = self.add_parameter("bias", np.zeros(gates * H, dtype=np.float64))
+        self._cache = None
 
     def _check_input(self, inputs: np.ndarray) -> np.ndarray:
         inputs = np.asarray(inputs, dtype=np.float64)
@@ -351,15 +70,8 @@ class _RecurrentBase(Layer):
         return inputs
 
     def _expand_output_grad(self, grad_output: np.ndarray, time_steps: int):
-        """Convert the incoming gradient into a per-time-step gradient array."""
+        """The last state's gradient as a per-time-step gradient array."""
         grad_output = np.asarray(grad_output, dtype=np.float64)
-        if self.return_sequences:
-            if grad_output.ndim != 3 or grad_output.shape[1] != time_steps:
-                raise ValueError(
-                    f"{self.name}: gradient shape {grad_output.shape} does not "
-                    f"match a sequence of length {time_steps}"
-                )
-            return grad_output
         expanded = np.zeros(
             (grad_output.shape[0], time_steps, self.hidden_size), dtype=np.float64
         )
@@ -374,12 +86,6 @@ class _RecurrentBase(Layer):
         states[0] = 0.0
         return states
 
-    def _emit(self, states: np.ndarray) -> np.ndarray:
-        """Layer output from the time-major state buffer ``states[1:]``."""
-        if self.return_sequences:
-            return np.ascontiguousarray(states[1:].transpose(1, 0, 2))
-        return states[-1].copy()
-
 
 class SimpleRNN(_RecurrentBase):
     """Elman RNN with tanh nonlinearity."""
@@ -388,25 +94,10 @@ class SimpleRNN(_RecurrentBase):
         self,
         input_size: int,
         hidden_size: int,
-        return_sequences: bool = False,
-        kernel_init: str = "xavier_uniform",
-        recurrent_init: str = "orthogonal",
         name: str | None = None,
         seed: SeedLike = None,
     ):
-        super().__init__(input_size, hidden_size, return_sequences, name, seed)
-        k_init = get_initializer(kernel_init)
-        r_init = get_initializer(recurrent_init)
-        self.w_x = self.add_parameter(
-            "w_x", k_init((self.input_size, self.hidden_size), self.rng)
-        )
-        self.w_h = self.add_parameter(
-            "w_h", r_init((self.hidden_size, self.hidden_size), self.rng)
-        )
-        self.bias = self.add_parameter(
-            "bias", np.zeros(self.hidden_size, dtype=np.float64)
-        )
-        self._cache = None
+        super().__init__(input_size, hidden_size, 1, name, seed)
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         inputs = self._check_input(inputs)
@@ -418,7 +109,7 @@ class SimpleRNN(_RecurrentBase):
         for t in range(time_steps):
             np.tanh(x_proj[:, t, :] + states[t] @ w_h, out=states[t + 1])
         self._cache = (inputs, states)
-        return self._emit(states)
+        return states[-1].copy()
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         inputs, states = check_forward_called(self._cache, self)
@@ -453,30 +144,11 @@ class GRU(_RecurrentBase):
         self,
         input_size: int,
         hidden_size: int,
-        return_sequences: bool = False,
-        kernel_init: str = "xavier_uniform",
-        recurrent_init: str = "orthogonal",
         name: str | None = None,
         seed: SeedLike = None,
     ):
-        super().__init__(input_size, hidden_size, return_sequences, name, seed)
-        k_init = get_initializer(kernel_init)
-        r_init = get_initializer(recurrent_init)
         # Gates are stacked as [update z | reset r | candidate n].
-        self.w_x = self.add_parameter(
-            "w_x", k_init((self.input_size, 3 * self.hidden_size), self.rng)
-        )
-        self.w_h = self.add_parameter(
-            "w_h",
-            np.concatenate(
-                [r_init((self.hidden_size, self.hidden_size), self.rng) for _ in range(3)],
-                axis=1,
-            ),
-        )
-        self.bias = self.add_parameter(
-            "bias", np.zeros(3 * self.hidden_size, dtype=np.float64)
-        )
-        self._cache = None
+        super().__init__(input_size, hidden_size, 3, name, seed)
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         inputs = self._check_input(inputs)
@@ -499,7 +171,7 @@ class GRU(_RecurrentBase):
             n_all[t] = np.tanh(x_proj[:, t, 2 * H :] + r_all[t] * n_proj_all[t])
             states[t + 1] = (1.0 - z_all[t]) * n_all[t] + z_all[t] * states[t]
         self._cache = (inputs, states, z_all, r_all, n_all, n_proj_all)
-        return self._emit(states)
+        return states[-1].copy()
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         inputs, states, z_all, r_all, n_all, n_proj_all = check_forward_called(
@@ -551,31 +223,13 @@ class LSTM(_RecurrentBase):
         self,
         input_size: int,
         hidden_size: int,
-        return_sequences: bool = False,
-        kernel_init: str = "xavier_uniform",
-        recurrent_init: str = "orthogonal",
-        forget_bias: float = 1.0,
         name: str | None = None,
         seed: SeedLike = None,
     ):
-        super().__init__(input_size, hidden_size, return_sequences, name, seed)
-        k_init = get_initializer(kernel_init)
-        r_init = get_initializer(recurrent_init)
-        H = self.hidden_size
         # Gates are stacked as [input i | forget f | cell g | output o].
-        self.w_x = self.add_parameter(
-            "w_x", k_init((self.input_size, 4 * H), self.rng)
-        )
-        self.w_h = self.add_parameter(
-            "w_h",
-            np.concatenate(
-                [r_init((H, H), self.rng) for _ in range(4)], axis=1
-            ),
-        )
-        bias = np.zeros(4 * H, dtype=np.float64)
-        bias[H : 2 * H] = float(forget_bias)
-        self.bias = self.add_parameter("bias", bias)
-        self._cache = None
+        super().__init__(input_size, hidden_size, 4, name, seed)
+        H = self.hidden_size
+        self.bias.value[H : 2 * H] = 1.0
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         inputs = self._check_input(inputs)
@@ -602,7 +256,7 @@ class LSTM(_RecurrentBase):
             np.tanh(cells[t + 1], out=tanh_cells[t])
             states[t + 1] = o * tanh_cells[t]
         self._cache = (inputs, states, cells, gates, tanh_cells)
-        return self._emit(states)
+        return states[-1].copy()
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         inputs, states, cells, gates, tanh_cells = check_forward_called(

@@ -5,22 +5,20 @@ so N independent forward/backward passes fuse into batched GEMMs by stacking
 the per-member weights along one extra leading axis.  These kernels are the
 only convolution the program runs: the UE network's plan
 (:mod:`repro.fleet.bank`) runs them at N members to train a fleet and at one
-member for inference.
+member for inference.  Every convolution is a 'same' one (stride 1, odd
+``k x k`` kernel, ``k // 2`` padding), so outputs have the inputs' size.
 
 The forward lowers each member's convolution to :func:`~repro.nn.layers.conv.im2col`
 columns contracted against its flattened kernel with ``np.matmul``.  The
 backward contracts the output gradient against the forward pass's patch
-matrix for the weight gradient, and computes the input gradient as a
-transposed convolution (a zero-dilated gradient, its stride-1 patches, one
-GEMM against the flipped kernels); ``needs_input_grad=False`` skips the
-input gradient, as a network's first layer does.  The forward and backward
-optionally reuse zero-bordered padding and dilation buffers kept by the
-caller.  The masked Adam step and the gradient norms follow the operation
-order of :class:`repro.nn.optim.Adam` and ``Optimizer.clip_gradients``, so
-each member's update is bitwise what its own optimizer would compute.
-
-Each batched kernel keeps its member-loop formulation as a ``*_reference``
-oracle, used by the equivalence tests (and nothing else).
+matrix for the weight gradient, and computes the input gradient as the
+:func:`~repro.nn.layers.conv.im2col` of the output gradient contracted
+against the flipped kernels; ``needs_input_grad=False`` skips the input
+gradient, as a network's first layer does.  The forward and backward
+optionally reuse zero-bordered padding buffers kept by the caller.  The
+masked Adam step and the gradient norms follow the operation order of
+:class:`repro.nn.optim.Adam` and ``Optimizer.clip_gradients``, so each
+member's update is bitwise what its own optimizer would compute.
 """
 from __future__ import annotations
 
@@ -28,42 +26,23 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.layers.conv import (
-    conv_output_size,
-    dilate,
-    im2col,
-    transposed_kernel_matrix,
-)
-
-
-def _stacked_geometry(
-    weights: np.ndarray, inputs: np.ndarray, stride, padding
-) -> Tuple[int, int]:
-    """Output spatial size shared by every member (identical architecture)."""
-    kernel_size = weights.shape[3:]
-    height, width = inputs.shape[3:]
-    out_h = conv_output_size(height, kernel_size[0], stride[0], padding[0])
-    out_w = conv_output_size(width, kernel_size[1], stride[1], padding[1])
-    return out_h, out_w
+from repro.nn.layers.conv import im2col, transposed_kernel_matrix
 
 
 def stacked_conv2d_forward(
     weights: np.ndarray,
-    biases: Optional[np.ndarray],
+    biases: np.ndarray,
     inputs: np.ndarray,
-    stride: Tuple[int, int] = (1, 1),
-    padding: Tuple[int, int] = (0, 0),
     cols_out: Optional[np.ndarray] = None,
     padded_out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """All members' convolutions in one broadcasted GEMM.
 
     Args:
-        weights: ``(members, out_channels, in_channels, kh, kw)`` stacked
+        weights: ``(members, out_channels, in_channels, k, k)`` stacked
             kernels, one slice per member.
-        biases: ``(members, out_channels)`` stacked biases, or ``None``.
+        biases: ``(members, out_channels)`` stacked biases.
         inputs: ``(members, batch, in_channels, H, W)`` per-member inputs.
-        stride / padding: shared convolution geometry.
         cols_out: optional reusable patch buffer, as returned by a previous
             call with the same geometry (forwarded to :func:`im2col`).
         padded_out: optional zero-bordered padding buffer for the flattened
@@ -72,50 +51,40 @@ def stacked_conv2d_forward(
             :func:`im2col` as ``padded``).
 
     Returns:
-        ``(output, cols)`` — output ``(members, batch, out_channels, oh, ow)``
-        and the flattened patch matrix ``(members * batch, F, oh * ow)``
+        ``(output, cols)`` — output ``(members, batch, out_channels, H, W)``
+        and the flattened patch matrix ``(members * batch, F, H * W)``
         needed by :func:`stacked_conv2d_backward`.
     """
     members, batch = inputs.shape[:2]
-    kernel_size = weights.shape[3:]
-    out_h, out_w = _stacked_geometry(weights, inputs, stride, padding)
     flat_inputs = inputs.reshape((members * batch,) + inputs.shape[2:])
-    cols = im2col(
-        flat_inputs, kernel_size, stride, padding, out=cols_out, padded=padded_out
-    )
+    cols = im2col(flat_inputs, weights.shape[-1], out=cols_out, padded=padded_out)
     out_channels = weights.shape[1]
     kernel_matrix = weights.reshape(members, 1, out_channels, -1)
     stacked_cols = cols.reshape(members, batch, cols.shape[1], cols.shape[2])
     output = np.matmul(kernel_matrix, stacked_cols)
-    if biases is not None:
-        output += biases[:, None, :, None]
-    return output.reshape(members, batch, out_channels, out_h, out_w), cols
+    output += biases[:, None, :, None]
+    return output.reshape((members, batch, out_channels) + inputs.shape[3:]), cols
 
 
 def stacked_conv2d_backward(
     weights: np.ndarray,
     cols: np.ndarray,
     grad_output: np.ndarray,
-    input_shape: Tuple[int, ...],
-    stride: Tuple[int, int] = (1, 1),
-    padding: Tuple[int, int] = (0, 0),
     needs_input_grad: bool = True,
-    dilated_out: Optional[np.ndarray] = None,
+    padded_out: Optional[np.ndarray] = None,
 ) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
     """Gradients of :func:`stacked_conv2d_forward` for every member at once.
 
     Args:
         weights: the stacked kernels used in the forward pass.
         cols: the patch matrix returned by the forward pass.
-        grad_output: ``(members, batch, out_channels, oh, ow)``.
-        input_shape: the forward pass's ``inputs.shape``.
-        stride / padding: shared convolution geometry.
+        grad_output: ``(members, batch, out_channels, H, W)``.
         needs_input_grad: compute ``grad_inputs``; when ``False`` it is
             returned as ``None``.
-        dilated_out: optional dilation buffer for the flattened
-            ``(members * batch, ...)`` gradient, from
-            :func:`~repro.nn.layers.conv.dilated_buffer` (forwarded to
-            :func:`~repro.nn.layers.conv.dilate`).
+        padded_out: optional zero-bordered padding buffer for the flattened
+            ``(members * batch, ...)`` output gradient, from
+            :func:`~repro.nn.layers.conv.padded_buffer` (forwarded to
+            :func:`im2col` as ``padded``).
 
     Returns:
         ``(grad_inputs, grad_weights, grad_biases)`` with shapes matching
@@ -131,82 +100,18 @@ def stacked_conv2d_backward(
     grad_biases = grad_flat.sum(axis=(1, 3))
     if not needs_input_grad:
         return None, grad_weights, grad_biases
-    kernel_size = weights.shape[3:]
-    dilated = dilate(
+    grad_cols = im2col(
         grad_output.reshape((members * batch,) + grad_output.shape[2:]),
-        input_shape[3:],
-        kernel_size,
-        stride,
-        padding,
-        out=dilated_out,
+        weights.shape[-1],
+        padded=padded_out,
     )
-    dilated_cols = im2col(dilated, kernel_size, (1, 1), (0, 0))
     # Explicit sizes: reshape(-1) cannot infer them for empty batches.
     grad_inputs = np.matmul(
         transposed_kernel_matrix(weights)[:, None],
-        dilated_cols.reshape(
-            (members, batch) + dilated_cols.shape[1:]
-        ),
+        grad_cols.reshape((members, batch) + grad_cols.shape[1:]),
     )
+    input_shape = (members, batch, weights.shape[2]) + grad_output.shape[3:]
     return grad_inputs.reshape(input_shape), grad_weights, grad_biases
-
-
-def stacked_conv2d_forward_reference(
-    weights: np.ndarray,
-    biases: Optional[np.ndarray],
-    inputs: np.ndarray,
-    stride: Tuple[int, int] = (1, 1),
-    padding: Tuple[int, int] = (0, 0),
-) -> np.ndarray:
-    """Member-loop oracle for :func:`stacked_conv2d_forward`."""
-    members, batch = inputs.shape[:2]
-    out_channels = weights.shape[1]
-    kernel_size = weights.shape[3:]
-    out_h, out_w = _stacked_geometry(weights, inputs, stride, padding)
-    output = np.empty((members, batch, out_channels, out_h, out_w))
-    for member in range(members):
-        cols = im2col(inputs[member], kernel_size, stride, padding)
-        kernel_matrix = weights[member].reshape(out_channels, -1)
-        member_out = np.matmul(kernel_matrix, cols)
-        if biases is not None:
-            member_out += biases[member][None, :, None]
-        output[member] = member_out.reshape(batch, out_channels, out_h, out_w)
-    return output
-
-
-def stacked_conv2d_backward_reference(
-    weights: np.ndarray,
-    inputs: np.ndarray,
-    grad_output: np.ndarray,
-    stride: Tuple[int, int] = (1, 1),
-    padding: Tuple[int, int] = (0, 0),
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Member-loop oracle for :func:`stacked_conv2d_backward`.
-
-    Recomputes each member's patch matrices from ``inputs`` and
-    ``grad_output`` (the batched variant reuses the forward pass's patch
-    buffer instead).
-    """
-    members, batch, out_channels = grad_output.shape[:3]
-    kernel_size = weights.shape[3:]
-    spatial = grad_output.shape[3] * grad_output.shape[4]
-    grad_inputs = np.empty_like(inputs)
-    grad_weights = np.empty_like(weights)
-    grad_biases = np.empty((members, out_channels))
-    for member in range(members):
-        cols = im2col(inputs[member], kernel_size, stride, padding)
-        grad_flat = grad_output[member].reshape(batch, out_channels, spatial)
-        grad_kernel = np.matmul(grad_flat, cols.transpose(0, 2, 1)).sum(axis=0)
-        grad_weights[member] = grad_kernel.reshape(weights.shape[1:])
-        grad_biases[member] = grad_flat.sum(axis=(0, 2))
-        dilated = dilate(
-            grad_output[member], inputs.shape[3:], kernel_size, stride, padding
-        )
-        dilated_cols = im2col(dilated, kernel_size, (1, 1), (0, 0))
-        grad_inputs[member] = np.matmul(
-            transposed_kernel_matrix(weights[member]), dilated_cols
-        ).reshape(inputs.shape[1:])
-    return grad_inputs, grad_weights, grad_biases
 
 
 def adam_bias_corrections(

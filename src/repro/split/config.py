@@ -63,6 +63,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.image_height <= 0 or self.image_width <= 0:
             raise ValueError("image dimensions must be positive")
+        if self.pooling_height <= 0 or self.pooling_width <= 0:
+            raise ValueError("pooling dimensions must be positive")
+        if any(channels <= 0 for channels in self.cnn_channels):
+            raise ValueError("cnn_channels must all be positive")
         if self.image_height % self.pooling_height != 0:
             raise ValueError("image_height must be divisible by pooling_height")
         if self.image_width % self.pooling_width != 0:

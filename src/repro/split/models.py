@@ -34,7 +34,7 @@ def build_ue_cnn(config: ModelConfig, seed: SeedLike = None) -> Sequential:
     """Build the UE-side CNN (without the pooling compressor).
 
     The network maps a ``(batch, 1, N_H, N_W)`` depth image to a
-    ``(batch, 1, N_H, N_W)`` output image using 'same'-padded convolutions, so
+    ``(batch, 1, N_H, N_W)`` output image using 'same' convolutions, so
     that the subsequent pooling stage controls the transmitted resolution
     exactly as in the paper.
 
@@ -55,7 +55,6 @@ def build_ue_cnn(config: ModelConfig, seed: SeedLike = None) -> Sequential:
                 in_channels,
                 out_channels,
                 config.cnn_kernel_size,
-                padding="same",
                 seed=seeds[index],
                 name=f"conv{index}",
             )
@@ -67,7 +66,6 @@ def build_ue_cnn(config: ModelConfig, seed: SeedLike = None) -> Sequential:
             in_channels,
             1,
             config.cnn_kernel_size,
-            padding="same",
             seed=seeds[-1],
             name="conv_out",
         )

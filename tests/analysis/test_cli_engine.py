@@ -28,6 +28,7 @@ VIOLATIONS = {
     "SER003": "HANDLE = open('x.txt', 'w')\n",
     "HYG001": "def f(x):\n    return x == 1.5\n",
     "HYG002": "def f(items=[]):\n    return items\n",
+    "HYG003": "def conv_reference(x):\n    return x\n",
     "NOQ001": "X = 1  # repro: noqa[RNG001] -- nothing to suppress here\n",
     "NOQ002": "X = 1  # repro: noqa[RNG001\n",
     "AST001": "def broken(:\n",

@@ -73,3 +73,32 @@ def test_hyg002_suppressed(lint):
         """
     )
     assert "HYG002" not in codes and "NOQ001" not in codes
+
+
+def test_hyg003_flags_reference_functions_and_methods(lint):
+    assert "HYG003" in lint("def conv2d_forward_reference(x):\n    return x\n")
+    assert "HYG003" in lint(
+        """
+        class Link:
+            def transmit_reference(self, bits):
+                return bits
+        """
+    )
+
+
+def test_hyg003_negative_for_other_names_and_test_files(lint):
+    snippet = "def reference_completions(slots):\n    return slots\n"
+    assert "HYG003" not in lint(snippet)
+    oracle = "def transmit_reference(link, bits):\n    return bits\n"
+    assert "HYG003" not in lint(oracle, filename="tests/channel/link_oracle.py")
+    assert "HYG003" not in lint(oracle, filename="test_link.py")
+
+
+def test_hyg003_is_silent_on_the_shipped_package():
+    from pathlib import Path
+
+    import repro
+    from repro.analysis import analyze_paths
+
+    report = analyze_paths([Path(repro.__file__).parent], contract="off")
+    assert [f.render() for f in report.findings if f.code == "HYG003"] == []

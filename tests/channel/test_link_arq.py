@@ -18,6 +18,8 @@ from repro.channel import (
     transmit_across,
 )
 
+from tests.channel.link_oracle import transmit_reference
+
 
 def payload_for_success_probability(probability: float, direction: str = "uplink") -> float:
     """Payload bits giving the requested per-slot success probability."""
@@ -198,7 +200,7 @@ def test_transmit_matches_reference_loop_distribution():
     count = 6000
     geometric = transmit_across([geometric_link] * count, payload).slots_used
     loop = np.array(
-        [loop_link.transmit_reference(payload).slots_used for _ in range(count)]
+        [transmit_reference(loop_link, payload).slots_used for _ in range(count)]
     )
     # Geometric(0.5): mean 2, variance 2.  Means of 6000 draws have a standard
     # error of ~0.018; 5-sigma two-sample tolerances keep this deterministic

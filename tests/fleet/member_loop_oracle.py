@@ -2,8 +2,8 @@
 
 :class:`MemberNetwork` is one member's UE, kept the per-member way: its own
 copies of the CNN parameters, its own :class:`repro.nn.optim.Adam`, and a
-forward and backward run layer by layer through the loop references the
-library keeps for its kernels: the member loops
+forward and backward run layer by layer through the loop oracles of
+``tests/nn/kernel_oracles.py``: the member loops
 ``stacked_conv2d_forward_reference`` / ``stacked_conv2d_backward_reference``
 at one member, the ReLU mask, :func:`stable_sigmoid`, and the pooling pair.
 It reads the layer chain and the pool size off a client and never calls the
@@ -34,14 +34,16 @@ import numpy as np
 from repro.nn.layers.activations import ReLU, Sigmoid, stable_sigmoid
 from repro.nn.layers.base import Parameter
 from repro.nn.layers.conv import Conv2D
-from repro.nn.layers.pooling import average_pool, avgpool2d_backward_reference
+from repro.nn.layers.pooling import average_pool
 from repro.nn.optim import Adam
-from repro.nn.stacked import (
+from repro.split.config import TrainingConfig
+from repro.split.ue import UEClient
+
+from tests.nn.kernel_oracles import (
+    avgpool2d_backward_reference,
     stacked_conv2d_backward_reference,
     stacked_conv2d_forward_reference,
 )
-from repro.split.config import TrainingConfig
-from repro.split.ue import UEClient
 
 
 class MemberNetwork:
@@ -95,11 +97,7 @@ class MemberNetwork:
             if isinstance(layer, Conv2D):
                 self._saved.append(x)
                 x = stacked_conv2d_forward_reference(
-                    weight.value[None],
-                    bias.value[None],
-                    x[None],
-                    layer.stride,
-                    layer.padding,
+                    weight.value[None], bias.value[None], x[None]
                 )[0]
             elif isinstance(layer, ReLU):
                 mask = x > 0
@@ -128,11 +126,7 @@ class MemberNetwork:
         for (layer, weight, bias), saved in reversed(steps):
             if isinstance(layer, Conv2D):
                 grad_inputs, grad_weight, grad_bias = stacked_conv2d_backward_reference(
-                    weight.value[None],
-                    saved[None],
-                    grad[None],
-                    layer.stride,
-                    layer.padding,
+                    weight.value[None], saved[None], grad[None]
                 )
                 weight.grad += grad_weight[0]
                 bias.grad += grad_bias[0]

@@ -10,6 +10,8 @@ from repro.fleet import (
     scheduler_from_name,
 )
 
+from tests.fleet.scheduler_oracle import weighted_round_robin_completions_reference
+
 
 def reference_completions(slots, quanta):
     """Slot-by-slot reference simulation of cyclic weighted service."""
@@ -200,16 +202,13 @@ def test_scheduler_from_name():
 
 
 def _completion_pair(slots, quanta):
-    from repro.fleet.scheduler import (
-        _weighted_round_robin_completions,
-        _weighted_round_robin_completions_reference,
-    )
+    from repro.fleet.scheduler import _weighted_round_robin_completions
 
     slots = np.asarray(slots, dtype=np.int64)
     quanta = np.asarray(quanta, dtype=np.int64)
     return (
         _weighted_round_robin_completions(slots, quanta),
-        _weighted_round_robin_completions_reference(slots, quanta),
+        weighted_round_robin_completions_reference(slots, quanta),
     )
 
 

@@ -31,7 +31,6 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
-KERNEL = "test oracle: loop reference the vectorized kernel is checked against"
 MEMBER = "test oracle: per-member UE step the stacked bank is checked against"
 SCENE = "test oracle: one-frame view tests/scene/per_frame_oracle.py calls"
 ONE_BOX = (
@@ -52,19 +51,7 @@ TESTS_ONLY = (
 #: ``module:qualname`` -> why it stays although no entry point reaches it.
 ALLOWLIST = {
     # -- repro.nn and the split halves -------------------------------------
-    "repro.nn.layers.conv:conv2d_forward_reference": KERNEL,
-    "repro.nn.layers.conv:conv2d_backward_reference": KERNEL,
     "repro.nn.layers.conv:col2im": HARNESS,
-    "repro.nn.layers.pooling:avgpool2d_forward_reference": KERNEL,
-    "repro.nn.layers.pooling:avgpool2d_backward_reference": KERNEL,
-    "repro.nn.layers.recurrent:simple_rnn_forward_reference": KERNEL,
-    "repro.nn.layers.recurrent:simple_rnn_gradients_reference": KERNEL,
-    "repro.nn.layers.recurrent:gru_forward_reference": KERNEL,
-    "repro.nn.layers.recurrent:gru_gradients_reference": KERNEL,
-    "repro.nn.layers.recurrent:lstm_forward_reference": KERNEL,
-    "repro.nn.layers.recurrent:lstm_gradients_reference": KERNEL,
-    "repro.nn.stacked:stacked_conv2d_forward_reference": KERNEL,
-    "repro.nn.stacked:stacked_conv2d_backward_reference": KERNEL,
     "repro.nn.layers.base:Layer.forward": SUBCLASS,
     "repro.nn.layers.base:Layer.backward": SUBCLASS,
     "repro.nn.layers.base:Layer.zero_grad": MEMBER,
@@ -103,11 +90,8 @@ ALLOWLIST = {
     "repro.channel.fading:ExponentialFadingProcess.sample": TESTS_ONLY,
     "repro.channel.link:BatchTransmissionResult.empty": BRANCH
     + " (a transmit of zero payloads)",
-    "repro.channel.link:WirelessLink.transmit_reference": KERNEL,
     "repro.channel.link:WirelessLink.success_probability": EXAMPLE + " (the "
     "scalar transmit and expected_slots call it)",
-    "repro.channel.link:WirelessLink.snr_threshold": "test oracle: only "
-    "transmit_reference, the loop reference of transmit, calls it",
     "repro.channel.link:WirelessLink.expected_slots": EXAMPLE,
     "repro.channel.link:WirelessLink.transmit": EXAMPLE + " (the scalar path "
     "of examples/custom_scene_simulation.py and the channel benchmark); the "

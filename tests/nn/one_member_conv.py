@@ -5,14 +5,14 @@ kernels of :mod:`repro.nn.stacked`, at N members to train a fleet and at one
 member for inference.  :class:`OneMemberConv` gives the kernel tests a
 layer-shaped handle on that one-member path (``forward``/``backward`` plus
 the parameter protocol :func:`tests.gradcheck.check_layer_gradients` uses),
-keeping the reusable column, padding and dilation buffers the UE network's
-plan keeps per conv step.
+keeping the reusable column buffer and the padding buffers of the input and
+of the output gradient that the UE network's plan keeps per conv step.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layers.conv import Conv2D, dilated_buffer, padded_buffer
+from repro.nn.layers.conv import Conv2D, padded_buffer
 from repro.nn.stacked import stacked_conv2d_backward, stacked_conv2d_forward
 
 
@@ -20,7 +20,7 @@ class OneMemberConv:
     """``layer``'s convolution as a one-member stacked pass.
 
     Args:
-        layer: the parameters (and geometry) to convolve with.
+        layer: the parameters to convolve with.
         needs_input_grad: compute the input gradient in :meth:`backward`;
             ``False`` returns ``None`` there, as the UE network's first conv
             does.
@@ -30,13 +30,10 @@ class OneMemberConv:
         self.layer = layer
         self.weight = layer.weight
         self.bias = layer.bias
-        self.stride = layer.stride
-        self.padding = layer.padding
         self.needs_input_grad = needs_input_grad
         self._cols = None
         self._padded = None
-        self._dilated = None
-        self._input_shape = None
+        self._grad_padded = None
 
     def named_parameters(self):
         return self.layer.named_parameters()
@@ -45,47 +42,34 @@ class OneMemberConv:
         self.layer.zero_grad()
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        inputs = np.asarray(inputs, dtype=np.float64)[None]
-        self._padded = padded_buffer(
-            (inputs.shape[1],) + inputs.shape[2:], self.padding, self._padded
-        )
-        bias = None if self.bias is None else self.bias.value[None]
+        inputs = np.asarray(inputs, dtype=np.float64)
+        self._padded = padded_buffer(inputs.shape, self.layer.kernel_size, self._padded)
         output, self._cols = stacked_conv2d_forward(
             self.weight.value[None],
-            bias,
-            inputs,
-            self.stride,
-            self.padding,
+            self.bias.value[None],
+            inputs[None],
             cols_out=self._cols,
             padded_out=self._padded,
         )
-        self._input_shape = inputs.shape
         return output[0]
 
     def backward(self, grad_output: np.ndarray):
         if self._cols is None:
             raise RuntimeError("backward() called before forward()")
-        grad_output = np.asarray(grad_output, dtype=np.float64)[None]
+        grad_output = np.asarray(grad_output, dtype=np.float64)
         if self.needs_input_grad:
-            self._dilated = dilated_buffer(
-                (grad_output.shape[1], grad_output.shape[2]),
-                self._input_shape[3:],
-                self.layer.kernel_size,
-                self._dilated,
+            self._grad_padded = padded_buffer(
+                grad_output.shape, self.layer.kernel_size, self._grad_padded
             )
         grad_inputs, grad_weight, grad_bias = stacked_conv2d_backward(
             self.weight.value[None],
             self._cols,
-            grad_output,
-            self._input_shape,
-            self.stride,
-            self.padding,
+            grad_output[None],
             needs_input_grad=self.needs_input_grad,
-            dilated_out=self._dilated,
+            padded_out=self._grad_padded,
         )
         self.weight.grad += grad_weight[0]
-        if self.bias is not None:
-            self.bias.grad += grad_bias[0]
+        self.bias.grad += grad_bias[0]
         return None if grad_inputs is None else grad_inputs[0]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Conv2D
-from repro.nn.layers.conv import col2im, conv_output_size, im2col
+from repro.nn.layers.conv import col2im, im2col
 
 from tests.gradcheck import check_layer_gradients
 from tests.nn.one_member_conv import conv
@@ -15,50 +15,45 @@ def gen():
     return np.random.default_rng(21)
 
 
-def test_conv_output_size():
-    assert conv_output_size(8, 3, 1, 1) == 8
-    assert conv_output_size(8, 3, 1, 0) == 6
-    assert conv_output_size(8, 2, 2, 0) == 4
-    with pytest.raises(ValueError):
-        conv_output_size(2, 5, 1, 0)
+def test_conv_output_size(gen):
+    """A 'same' convolution keeps the spatial size, whatever the kernel."""
+    for kernel in (1, 3, 5, 7):
+        layer = conv(2, 3, kernel, seed=0)
+        assert layer.forward(gen.normal(size=(1, 2, 8, 5))).shape == (1, 3, 8, 5)
 
 
 def test_im2col_col2im_roundtrip_counts(gen):
     images = gen.normal(size=(2, 3, 6, 6))
-    cols = im2col(images, (3, 3), (1, 1), (1, 1))
+    cols = im2col(images, 3)
     assert cols.shape == (2, 3 * 9, 36)
-    back = col2im(cols, images.shape, (3, 3), (1, 1), (1, 1))
+    back = col2im(cols, images.shape, 3)
     # col2im accumulates overlaps; interior pixels are counted 9 times.
     assert back.shape == images.shape
     assert np.allclose(back[:, :, 2:4, 2:4], 9.0 * images[:, :, 2:4, 2:4])
 
 
 def test_forward_shape_same_padding(gen):
-    layer = conv(1, 4, 3, padding="same", seed=0)
+    layer = conv(1, 4, 3, seed=0)
     output = layer.forward(gen.normal(size=(2, 1, 10, 10)))
     assert output.shape == (2, 4, 10, 10)
 
 
-def test_forward_shape_valid_and_stride(gen):
-    layer = conv(2, 3, 3, stride=2, padding=0, seed=0)
-    output = layer.forward(gen.normal(size=(1, 2, 9, 9)))
-    assert output.shape == (1, 3, 4, 4)
-
-
 def test_identity_kernel_reproduces_input(gen):
-    layer = conv(1, 1, 1, use_bias=False, seed=0)
+    layer = conv(1, 1, 1, seed=0)
     layer.weight.value[...] = 1.0
     inputs = gen.normal(size=(2, 1, 5, 5))
     assert np.allclose(layer.forward(inputs), inputs)
 
 
 def test_known_convolution_result():
-    layer = conv(1, 1, 3, padding=0, use_bias=False, seed=0)
+    layer = conv(1, 1, 3, seed=0)
     layer.weight.value[...] = 1.0  # box filter: output = sum of 3x3 patch
     inputs = np.arange(25, dtype=float).reshape(1, 1, 5, 5)
     output = layer.forward(inputs)
-    assert output.shape == (1, 1, 3, 3)
-    assert output[0, 0, 0, 0] == pytest.approx(inputs[0, 0, :3, :3].sum())
+    assert output.shape == (1, 1, 5, 5)
+    assert output[0, 0, 1, 1] == pytest.approx(inputs[0, 0, :3, :3].sum())
+    # The zero border: a corner sums only the 2x2 patch inside the image.
+    assert output[0, 0, 0, 0] == pytest.approx(inputs[0, 0, :2, :2].sum())
 
 
 def test_bias_added_per_channel(gen):
@@ -71,15 +66,9 @@ def test_bias_added_per_channel(gen):
 
 
 def test_gradients_match_numerical(gen):
-    layer = conv(2, 3, 3, padding=1, seed=1)
+    layer = conv(2, 3, 3, seed=1)
     inputs = gen.normal(size=(2, 2, 5, 5))
     check_layer_gradients(layer, inputs, (2, 3, 5, 5), gen, atol=1e-6)
-
-
-def test_gradients_match_numerical_with_stride(gen):
-    layer = conv(1, 2, 3, stride=2, padding=1, seed=1)
-    inputs = gen.normal(size=(2, 1, 6, 6))
-    check_layer_gradients(layer, inputs, (2, 2, 3, 3), gen, atol=1e-6)
 
 
 def test_invalid_inputs_raise():
@@ -95,7 +84,7 @@ def test_invalid_inputs_raise():
         cnn_channels=(2,),
     )
     broken = Sequential(
-        [Conv2D(1, 2, 3, padding=1), ReLU(), Conv2D(3, 1, 3, padding=1), Sigmoid()]
+        [Conv2D(1, 2, 3), ReLU(), Conv2D(3, 1, 3), Sigmoid()]
     )
     with pytest.raises(ValueError, match="input channels"):
         ue_plan(broken, config)
@@ -105,14 +94,4 @@ def test_invalid_inputs_raise():
 
 def test_same_padding_requires_odd_kernel():
     with pytest.raises(ValueError):
-        Conv2D(1, 1, 4, padding="same")
-
-
-def test_same_padding_requires_unit_stride():
-    with pytest.raises(ValueError):
-        Conv2D(1, 1, 3, stride=2, padding="same")
-
-
-def test_output_shape_helper():
-    layer = Conv2D(1, 8, 5, padding=2, seed=0)
-    assert layer.output_shape(40, 40) == (8, 40, 40)
+        Conv2D(1, 1, 4)

@@ -31,13 +31,6 @@ def test_forward_matches_manual_computation(gen):
     assert np.allclose(layer.forward(inputs), expected)
 
 
-def test_no_bias_option(gen):
-    layer = Dense(4, 2, use_bias=False, seed=1)
-    assert layer.bias is None
-    inputs = gen.normal(size=(3, 4))
-    assert np.allclose(layer.forward(inputs), inputs @ layer.weight.value)
-
-
 def test_gradients_match_numerical(gen):
     layer = Dense(4, 3, seed=2)
     inputs = gen.normal(size=(5, 4))
@@ -89,7 +82,6 @@ def test_num_parameters():
         return sum(p.value.size for p in layer.parameters())
 
     assert count(Dense(4, 3, seed=0)) == 4 * 3 + 3
-    assert count(Dense(4, 3, use_bias=False, seed=0)) == 12
 
 
 def test_state_dict_roundtrip(gen):

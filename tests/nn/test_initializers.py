@@ -54,14 +54,3 @@ def test_orthogonal_rejects_1d(gen):
     with pytest.raises(ValueError):
         initializers.orthogonal((5,), gen)
 
-
-def test_registry_lookup_and_unknown(gen):
-    fn = initializers.get_initializer("he_uniform")
-    assert fn is initializers.he_uniform
-    with pytest.raises(KeyError):
-        initializers.get_initializer("not-an-initializer")
-
-
-def test_registry_accepts_callable(gen):
-    custom = lambda shape, rng: np.full(shape, 7.0)  # noqa: E731
-    assert initializers.get_initializer(custom) is custom

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from repro.nn import average_pool
-from repro.nn.layers.pooling import avgpool2d_backward_reference
+
+from tests.nn.kernel_oracles import avgpool2d_backward_reference
 
 
 @pytest.fixture()

@@ -62,7 +62,8 @@ def test_mse_nonnegative_and_symmetric(predictions, targets):
 )
 @settings(max_examples=40, deadline=None)
 def test_dense_is_linear_operator(inputs_a, inputs_b, scale):
-    layer = Dense(5, 3, use_bias=False, seed=0)
+    layer = Dense(5, 3, seed=0)
+    layer.bias.value[...] = 0.0  # without its offset the affine map is linear
     combined = layer.forward(inputs_a + scale * inputs_b)
     separate = layer.forward(inputs_a) + scale * layer.forward(inputs_b)
     assert np.allclose(combined, separate, atol=1e-8)

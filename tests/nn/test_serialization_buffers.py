@@ -1,8 +1,8 @@
 """Round-trip serialization of the conv parameters and recurrent layers.
 
 The vectorized code keeps transient work buffers: the im2col column buffers
-and the zero-bordered padding and dilation buffers the UE network's plan
-keeps in its ``UEClient`` (``Conv2D`` itself keeps none), and the
+and the zero-bordered padding buffers (of each conv's input and output
+gradient) the UE network's plan keeps in its ``UEClient`` (``Conv2D`` itself keeps none), and the
 preallocated state/gate caches on the recurrent cells.  These tests pin the
 contract that ``state_dict`` — what a checkpoint's state-tree archive stores
 — contains *only* trainable parameters and optimizer state, never the
@@ -36,7 +36,7 @@ def same_parameters(layer_a, layer_b):
     )
 
 
-CONV_BUFFERS = ("cols", "padded", "dilated")
+CONV_BUFFERS = ("cols", "padded", "grad_padded")
 
 MODEL = ModelConfig(
     image_height=10,
@@ -117,7 +117,7 @@ def test_roundtrip_after_backward_pass(tmp_path, rng):
     layer = trained_client(rng, seed=5).cnn.layers[0]
     assert any(np.abs(p.grad).sum() > 0 for p in layer.parameters())
 
-    clone = Conv2D(1, 2, kernel_size=3, padding="same", seed=6)
+    clone = Conv2D(1, 2, kernel_size=3, seed=6)
     clone.load_state_dict(save_and_load(layer, tmp_path / "trained-conv.npz"))
     assert same_parameters(layer, clone)
     for parameter in clone.parameters():

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn.layers.conv import dilated_buffer, padded_buffer
+from repro.nn.layers.conv import padded_buffer
 from repro.nn.optim import Adam
 from repro.nn.layers.base import Parameter
 from repro.nn.stacked import (
@@ -20,20 +20,22 @@ from repro.nn.stacked import (
     stacked_adam_update,
     stacked_clip_scales,
     stacked_conv2d_backward,
-    stacked_conv2d_backward_reference,
     stacked_conv2d_forward,
-    stacked_conv2d_forward_reference,
     stacked_gradient_norms,
 )
 
+from tests.nn.kernel_oracles import (
+    stacked_conv2d_backward_reference,
+    stacked_conv2d_forward_reference,
+)
 from tests.nn.one_member_conv import conv
 
 GEOMETRIES = [
-    # (in_channels, out_channels, kernel, stride, padding, H, W)
-    (1, 3, (3, 3), (1, 1), (0, 0), 8, 8),
-    (2, 4, (3, 3), (1, 1), (1, 1), 7, 9),
-    (3, 2, (2, 2), (2, 2), (0, 0), 8, 8),
-    (1, 5, (5, 3), (2, 1), (2, 1), 11, 6),
+    # (in_channels, out_channels, kernel, H, W)
+    (1, 3, 3, 8, 8),
+    (2, 4, 3, 7, 9),
+    (3, 2, 1, 8, 8),
+    (1, 5, 5, 11, 6),
 ]
 
 
@@ -42,39 +44,34 @@ def gen():
     return np.random.default_rng(321)
 
 
-def _stack_case(gen, geometry, members=4, batch=3, biased=True):
-    in_channels, out_channels, kernel, stride, padding, height, width = geometry
+def _stack_case(gen, geometry, members=4, batch=3):
+    in_channels, out_channels, kernel, height, width = geometry
     weights = gen.standard_normal(
-        (members, out_channels, in_channels) + kernel
+        (members, out_channels, in_channels, kernel, kernel)
     )
-    biases = gen.standard_normal((members, out_channels)) if biased else None
+    biases = gen.standard_normal((members, out_channels))
     inputs = gen.standard_normal((members, batch, in_channels, height, width))
-    return weights, biases, inputs, stride, padding
+    return weights, biases, inputs
 
 
 @pytest.mark.parametrize("geometry", GEOMETRIES)
-@pytest.mark.parametrize("biased", [True, False])
-def test_stacked_forward_matches_reference(gen, geometry, biased):
-    weights, biases, inputs, stride, padding = _stack_case(
-        gen, geometry, biased=biased
-    )
-    output, _ = stacked_conv2d_forward(weights, biases, inputs, stride, padding)
-    expected = stacked_conv2d_forward_reference(
-        weights, biases, inputs, stride, padding
-    )
+def test_stacked_forward_matches_reference(gen, geometry):
+    weights, biases, inputs = _stack_case(gen, geometry)
+    output, _ = stacked_conv2d_forward(weights, biases, inputs)
+    expected = stacked_conv2d_forward_reference(weights, biases, inputs)
     assert np.array_equal(output, expected)
 
 
 @pytest.mark.parametrize("geometry", GEOMETRIES)
 def test_stacked_backward_matches_reference(gen, geometry):
-    weights, biases, inputs, stride, padding = _stack_case(gen, geometry)
-    output, cols = stacked_conv2d_forward(weights, biases, inputs, stride, padding)
+    weights, biases, inputs = _stack_case(gen, geometry)
+    output, cols = stacked_conv2d_forward(weights, biases, inputs)
     grad_output = gen.standard_normal(output.shape)
     grad_inputs, grad_weights, grad_biases = stacked_conv2d_backward(
-        weights, cols, grad_output, inputs.shape, stride, padding
+        weights, cols, grad_output
     )
     ref_inputs, ref_weights, ref_biases = stacked_conv2d_backward_reference(
-        weights, inputs, grad_output, stride, padding
+        weights, inputs, grad_output
     )
     assert np.array_equal(grad_inputs, ref_inputs)
     assert np.array_equal(grad_weights, ref_weights)
@@ -84,27 +81,24 @@ def test_stacked_backward_matches_reference(gen, geometry):
 @pytest.mark.parametrize("geometry", GEOMETRIES)
 def test_stacked_kernels_match_per_member_conv2d_layers(gen, geometry):
     """The batched GEMM equals N independent one-member passes, bitwise."""
-    in_channels, out_channels, kernel, stride, padding, _, _ = geometry
-    weights, biases, inputs, stride, padding = _stack_case(gen, geometry)
+    in_channels, out_channels, kernel, _, _ = geometry
+    weights, biases, inputs = _stack_case(gen, geometry)
     members = len(weights)
     layers = []
     for member in range(members):
-        layer = conv(
-            in_channels, out_channels, kernel, stride=stride, padding=padding,
-            seed=member,
-        )
+        layer = conv(in_channels, out_channels, kernel, seed=member)
         layer.weight.value[...] = weights[member]
         layer.bias.value[...] = biases[member]
         layers.append(layer)
 
-    output, cols = stacked_conv2d_forward(weights, biases, inputs, stride, padding)
+    output, cols = stacked_conv2d_forward(weights, biases, inputs)
     member_outputs = [layer.forward(inputs[i]) for i, layer in enumerate(layers)]
     for member in range(members):
         assert np.array_equal(output[member], member_outputs[member])
 
     grad_output = gen.standard_normal(output.shape)
     grad_inputs, grad_weights, grad_biases = stacked_conv2d_backward(
-        weights, cols, grad_output, inputs.shape, stride, padding
+        weights, cols, grad_output
     )
     for member, layer in enumerate(layers):
         member_grad_inputs = layer.backward(grad_output[member])
@@ -114,50 +108,41 @@ def test_stacked_kernels_match_per_member_conv2d_layers(gen, geometry):
 
 
 def test_stacked_forward_reuses_patch_buffer(gen):
-    weights, biases, inputs, stride, padding = _stack_case(gen, GEOMETRIES[0])
-    first_out, cols = stacked_conv2d_forward(weights, biases, inputs, stride, padding)
+    weights, biases, inputs = _stack_case(gen, GEOMETRIES[0])
+    first_out, cols = stacked_conv2d_forward(weights, biases, inputs)
     inputs2 = gen.standard_normal(inputs.shape)
-    reused_out, cols2 = stacked_conv2d_forward(
-        weights, biases, inputs2, stride, padding, cols_out=cols
-    )
+    reused_out, cols2 = stacked_conv2d_forward(weights, biases, inputs2, cols_out=cols)
     assert cols2 is cols  # the buffer was reused, not reallocated
-    expected = stacked_conv2d_forward_reference(
-        weights, biases, inputs2, stride, padding
-    )
+    expected = stacked_conv2d_forward_reference(weights, biases, inputs2)
     assert np.array_equal(reused_out, expected)
 
 
 @pytest.mark.parametrize("geometry", GEOMETRIES)
 def test_stacked_backward_reuses_buffers_and_skips_input_grad(gen, geometry):
-    """Caller-kept padding/dilation buffers and ``needs_input_grad=False``
-    leave every gradient bitwise unchanged."""
-    weights, biases, inputs, stride, padding = _stack_case(gen, geometry)
+    """Caller-kept padding buffers (of the input and of the output gradient)
+    and ``needs_input_grad=False`` leave every gradient bitwise unchanged."""
+    weights, biases, inputs = _stack_case(gen, geometry)
+    kernel = weights.shape[-1]
     flat_shape = (inputs.shape[0] * inputs.shape[1],) + inputs.shape[2:]
-    padded = padded_buffer(flat_shape, padding)
-    output, cols = stacked_conv2d_forward(
-        weights, biases, inputs, stride, padding, padded_out=padded
-    )
+    padded = padded_buffer(flat_shape, kernel)
+    output, cols = stacked_conv2d_forward(weights, biases, inputs, padded_out=padded)
     grad_output = gen.standard_normal(output.shape)
-    expected = stacked_conv2d_backward_reference(
-        weights, inputs, grad_output, stride, padding
-    )
-    dilated = dilated_buffer(
-        (flat_shape[0], weights.shape[1]), inputs.shape[3:], weights.shape[3:]
+    expected = stacked_conv2d_backward_reference(weights, inputs, grad_output)
+    grad_padded = padded_buffer(
+        (flat_shape[0], weights.shape[1]) + flat_shape[2:], kernel
     )
     for _ in range(2):  # the second pass reuses the dirtied buffers
         output_again, _ = stacked_conv2d_forward(
-            weights, biases, inputs, stride, padding, cols_out=cols, padded_out=padded
+            weights, biases, inputs, cols_out=cols, padded_out=padded
         )
         assert np.array_equal(output_again, output)
         grads = stacked_conv2d_backward(
-            weights, cols, grad_output, inputs.shape, stride, padding,
-            dilated_out=dilated,
+            weights, cols, grad_output, padded_out=grad_padded
         )
         for got, want in zip(grads, expected):
             assert np.array_equal(got, want)
     grad_inputs, grad_weights, grad_biases = stacked_conv2d_backward(
-        weights, cols, grad_output, inputs.shape, stride, padding,
-        needs_input_grad=False,
+        weights, cols, grad_output, needs_input_grad=False
     )
     assert grad_inputs is None
     assert np.array_equal(grad_weights, expected[1])

@@ -67,6 +67,21 @@ def test_model_config_validation():
         ModelConfig(sequence_length=0)
 
 
+def test_model_config_rejects_zero_pooling():
+    with pytest.raises(ValueError, match="pooling dimensions must be positive"):
+        ModelConfig(pooling_height=0)
+
+
+def test_model_config_rejects_negative_pooling():
+    with pytest.raises(ValueError, match="pooling dimensions must be positive"):
+        ModelConfig(pooling_height=-40, pooling_width=-40)
+
+
+def test_model_config_rejects_zero_cnn_channels():
+    with pytest.raises(ValueError, match="cnn_channels must all be positive"):
+        ModelConfig(cnn_channels=(0,))
+
+
 def test_training_config_paper_defaults():
     config = TrainingConfig()
     assert config.learning_rate == pytest.approx(0.001)
@@ -127,10 +142,10 @@ def test_ue_cnn_skips_only_the_first_input_gradient(small_config, channels):
         replace(small_config, cnn_channels=channels), TrainingConfig(), seed=0
     )
     convs = [step for step in client.plan.steps if step[0] == "conv"]
-    assert [step[5] for step in convs] == [False] + [True] * len(channels)
+    assert [step[3] for step in convs] == [False] + [True] * len(channels)
     features = client.forward(np.random.default_rng(0).random((2, 1, 12, 12)))
     client.backward(np.ones_like(features))
-    assert "dilated/0" not in client._buffers  # no input-gradient scratch
+    assert "grad_padded/0" not in client._buffers  # no input-gradient scratch
     assert all(np.any(param.grad != 0) for param in client.cnn.parameters())
 
 

@@ -94,12 +94,8 @@ def test_plan_rejects_a_network_it_cannot_run():
 
     with pytest.raises(ValueError, match="cannot run CNN layer Dense"):
         ue_plan(cnn(Dense(4, 4), Sigmoid()), BASE)
-    with pytest.raises(ValueError, match="biased"):
-        ue_plan(cnn(Conv2D(1, 1, 3, padding=1, use_bias=False), Sigmoid()), BASE)
     with pytest.raises(ValueError, match="output image"):
-        ue_plan(cnn(Conv2D(1, 2, 3, padding=1), ReLU()), BASE)
-    with pytest.raises(ValueError, match="output image"):
-        ue_plan(cnn(Conv2D(1, 1, 3), Sigmoid()), BASE)  # 'valid' shrinks it
+        ue_plan(cnn(Conv2D(1, 2, 3), ReLU()), BASE)
 
 
 def test_client_reuses_its_buffers_across_equal_chunks():

@@ -1,7 +1,8 @@
 """Configuration objects for the multimodal split-learning framework."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, field, fields, replace
 from typing import Tuple
 
 from repro.channel.params import PAPER_CHANNEL_PARAMS, WirelessChannelParams
@@ -17,6 +18,18 @@ PAPER_MAX_EPOCHS = 100
 PAPER_TOTAL_SGD_STEPS = 156
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``: any integer but a ``bool``, else ``TypeError``.
+
+    A float or a numpy integer stored as given would hash and serialize
+    differently from the ``int`` it equals, so one model would get several
+    model-cache keys.
+    """
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture of the split neural network.
@@ -29,7 +42,8 @@ class ModelConfig:
         cnn_channels: hidden channel counts of the UE-side CNN; the CNN always
             maps back to a single-channel output image of the input size.
         cnn_kernel_size: convolution kernel size (odd, 'same' padding).
-        rnn_type: ``"lstm"``, ``"gru"`` or ``"simple"``.
+        rnn_type: ``"lstm"``, ``"gru"`` or ``"simple"`` (any case; stored
+            lower-case, as is ``codec``).
         rnn_hidden_size: hidden units of the BS-side recurrent layer.
         head_hidden_size: hidden units of the dense head after the RNN
             (0 disables the extra layer).
@@ -61,6 +75,17 @@ class ModelConfig:
     codec_topk_fraction: float = DEFAULT_TOPK_FRACTION
 
     def __post_init__(self):
+        for spec in fields(self):
+            if spec.type == "int":
+                value = _integer(spec.name, getattr(self, spec.name))
+                object.__setattr__(self, spec.name, value)
+        object.__setattr__(
+            self,
+            "cnn_channels",
+            tuple(_integer("cnn_channels", value) for value in self.cnn_channels),
+        )
+        object.__setattr__(self, "rnn_type", self.rnn_type.lower())
+        object.__setattr__(self, "codec", self.codec.lower())
         if self.image_height <= 0 or self.image_width <= 0:
             raise ValueError("image dimensions must be positive")
         if self.pooling_height <= 0 or self.pooling_width <= 0:
@@ -73,7 +98,7 @@ class ModelConfig:
             raise ValueError("image_width must be divisible by pooling_width")
         if self.cnn_kernel_size % 2 == 0 or self.cnn_kernel_size <= 0:
             raise ValueError("cnn_kernel_size must be a positive odd number")
-        if self.rnn_type.lower() not in ("lstm", "gru", "simple"):
+        if self.rnn_type not in ("lstm", "gru", "simple"):
             raise ValueError("rnn_type must be one of 'lstm', 'gru', 'simple'")
         if self.rnn_hidden_size <= 0:
             raise ValueError("rnn_hidden_size must be positive")
@@ -85,7 +110,7 @@ class ModelConfig:
             raise ValueError("at least one of use_image / use_rf must be True")
         if self.bits_per_value <= 0:
             raise ValueError("bits_per_value must be positive")
-        if self.codec.lower() not in CODEC_NAMES:
+        if self.codec not in CODEC_NAMES:
             raise ValueError(
                 f"codec must be one of {CODEC_NAMES}, got {self.codec!r}"
             )

@@ -77,10 +77,9 @@ def build_ue_cnn(config: ModelConfig, seed: SeedLike = None) -> Sequential:
 
 
 def _recurrent_layer(config: ModelConfig, input_size: int, seed: SeedLike):
-    rnn_type = config.rnn_type.lower()
-    if rnn_type == "lstm":
+    if config.rnn_type == "lstm":
         return LSTM(input_size, config.rnn_hidden_size, seed=seed, name="lstm")
-    if rnn_type == "gru":
+    if config.rnn_type == "gru":
         return GRU(input_size, config.rnn_hidden_size, seed=seed, name="gru")
     return SimpleRNN(input_size, config.rnn_hidden_size, seed=seed, name="rnn")
 

@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+from repro.experiments.common import ExperimentScale
+from repro.experiments.model_cache import trained_model_fingerprint
 from repro.split import (
     ExperimentConfig,
     ModelConfig,
@@ -80,6 +82,47 @@ def test_model_config_rejects_negative_pooling():
 def test_model_config_rejects_zero_cnn_channels():
     with pytest.raises(ValueError, match="cnn_channels must all be positive"):
         ModelConfig(cnn_channels=(0,))
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"pooling_height": 4.0, "pooling_width": 4},
+        {"cnn_kernel_size": 3.0},
+        {"sequence_length": 2.0},
+        {"rnn_hidden_size": True},
+        {"cnn_channels": (8.0,)},
+    ],
+    ids=[
+        "float-pooling", "float-kernel", "float-length", "bool-size", "float-channels"
+    ],
+)
+def test_model_config_rejects_non_integer_sizes(field):
+    with pytest.raises(TypeError, match="must be an integer"):
+        ModelConfig(**field)
+
+
+def test_model_config_stores_channels_as_a_hashable_tuple():
+    config = ModelConfig(cnn_channels=[8])
+    assert config.cnn_channels == (8,)
+    assert hash(config) == hash(ModelConfig(cnn_channels=(8,)))
+
+
+def test_model_config_spellings_of_one_model_share_a_cache_key():
+    """Upper-case names and numpy integers describe the same model as the
+    canonical config: equal, stored as ``str``/``int``, one cache key."""
+    scale = ExperimentScale.smoke()
+    canonical = ModelConfig(pooling_height=4, pooling_width=4)
+    spelled = ModelConfig(
+        pooling_height=np.int64(4), pooling_width=np.int64(4),
+        rnn_type="LSTM", codec="Identity",
+    )
+    assert spelled == canonical
+    assert type(spelled.pooling_height) is int
+    assert spelled.describe() == canonical.describe()
+    assert trained_model_fingerprint(
+        scale, ExperimentConfig(model=spelled)
+    ) == trained_model_fingerprint(scale, ExperimentConfig(model=canonical))
 
 
 def test_training_config_paper_defaults():

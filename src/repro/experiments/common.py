@@ -110,9 +110,9 @@ class ExperimentScale:
     def with_scenario(self, scenario: Union[Scenario, str]) -> "ExperimentScale":
         """Copy of this scale bound to a different registered scenario.
 
-        Only the scenario *name* travels on the scale (names must survive
-        pickling into sweep workers and cache keys), so a bare
-        :class:`Scenario` instance is accepted only if it is registered.
+        Only the scenario *name* travels on the scale (names are what cache
+        keys hold), so a bare :class:`Scenario` instance is accepted only if
+        it is registered.
         """
         scenario = get_scenario(scenario)
         registered = _registry.all_scenarios().get(scenario.name)

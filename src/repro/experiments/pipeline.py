@@ -34,11 +34,8 @@ uninterrupted run's artifact (training trajectories are bit-identical).
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import re
-import threading
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
@@ -128,58 +125,6 @@ class _JobPlan:
 def _job_slug(key: str) -> str:
     """Filesystem-safe form of a job key."""
     return re.sub(r"[^A-Za-z0-9._+-]+", "-", key).strip("-") or "job"
-
-
-# -- process pools --------------------------------------------------------------------
-
-
-def pool_context():
-    """The start method of every process pool (sweep cells, training jobs).
-
-    Fork where available: workers inherit the parent's memory (the split,
-    a runner a test swapped in its module, ``sys.path`` set by test
-    conftests) instead of re-importing and unpickling it.
-    """
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context()
-
-
-#: The pipeline, jobs and plans of :meth:`ExperimentPipeline.train_all`,
-#: installed in each pool worker by :func:`_install_jobs` (inherited, not
-#: pickled, under fork).
-_WORKER_JOBS: Optional[tuple] = None
-
-
-def watch_parent() -> None:
-    """Initializer of every pool worker: exit as soon as the parent is gone.
-
-    A killed parent never tells its workers to stop, and a fork worker
-    holds the pool's call queue open itself, so it would wait on it
-    forever.
-    """
-    parent = multiprocessing.parent_process()
-    assert parent is not None
-    threading.Thread(target=_exit_after, args=(parent,), daemon=True).start()
-
-
-def _install_jobs(pipeline: "ExperimentPipeline", jobs, plans) -> None:
-    global _WORKER_JOBS
-    _WORKER_JOBS = (pipeline, jobs, plans)
-    watch_parent()
-
-
-def _exit_after(parent) -> None:
-    parent.join()  # returns when the parent process has ended
-    os._exit(1)
-
-
-def _train_in_worker(index: int) -> Checkpoint:
-    """Train job ``index`` in a pool worker; return its final checkpoint."""
-    assert _WORKER_JOBS is not None
-    pipeline, jobs, plans = _WORKER_JOBS
-    return pipeline._train_to_checkpoint(jobs[index], plans[index])
 
 
 class ExperimentPipeline:
@@ -335,11 +280,6 @@ class ExperimentPipeline:
             resumed=plan.resume_from is not None and not plan.cache_hit,
         )
 
-    def _train_to_checkpoint(self, job: TrainingJob, plan: _JobPlan) -> Checkpoint:
-        """Train ``job`` from its plan; return its final checkpoint."""
-        trained = self._train(job, plan)
-        return trained.trainer.final_checkpoint(trained.history)
-
     def train(self, job: TrainingJob) -> TrainedModel:
         """Run one training job through cache, checkpointing and resume.
 
@@ -357,49 +297,40 @@ class ExperimentPipeline:
         """Run independent jobs; those that still need training run concurrently.
 
         Cache hits and resume points resolve here, as in :meth:`train`.  The
-        jobs left to train run in a process pool of ``min(CPUs, jobs left)``
-        workers (fork where available), or here, one after another, when
-        that is one worker or this process is itself a pool worker (a
-        parallel sweep cell).  Each job trains as :meth:`train` would,
-        checkpoints and cache entry included, down to its final checkpoint,
-        which a fresh trainer here restores the way it restores a cache hit:
-        so a trained job's working memory is gone before the next one
-        starts.  Either way the histories, checkpoints and cache entries are
-        bit-identical, and no worker outlives the call.
+        jobs left to train run in ``min(CPUs, jobs left)`` forked workers
+        (:func:`repro.utils.parallel.fork_each`), or here, one after
+        another, when that is one worker, the platform cannot fork, or this
+        process is itself a pool worker (a parallel sweep cell).  Each job
+        trains as :meth:`train` would, checkpoints and cache entry included,
+        down to its final checkpoint, which a fresh trainer here restores
+        the way it restores a cache hit: so a trained job's working memory
+        is gone before the next one starts.  Either way the histories,
+        checkpoints and cache entries are bit-identical, and no worker
+        outlives the call.
 
         Returns:
             One :class:`TrainedModel` per job, in job order.
 
         Raises:
             Whatever a job raises (e.g. ``FloatingPointError`` naming the
-            round and step); jobs not yet started are cancelled.
+            round and step); jobs not yet started are cancelled, and a
+            worker that dies outright raises ``BrokenProcessPool``.
         """
         jobs = list(jobs)
         plans = [self._plan(job) for job in jobs]
         pending = [index for index, plan in enumerate(plans) if not plan.cache_hit]
-        workers = min(parallel.available_workers(), len(pending))
         finished: Dict[int, Checkpoint] = {}
-        if workers <= 1:
-            for index in pending:
-                finished[index] = self._train_to_checkpoint(jobs[index], plans[index])
-        else:
-            self.split  # built once here and inherited by every worker
-            logger.info("training %d jobs on %d workers", len(pending), workers)
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=pool_context(),
-                initializer=_install_jobs,
-                initargs=(self, jobs, plans),
-            ) as pool:
-                futures = {
-                    pool.submit(_train_in_worker, index): index for index in pending
-                }
-                try:
-                    for future in as_completed(futures):
-                        finished[futures[future]] = future.result()
-                except BaseException:
-                    pool.shutdown(wait=True, cancel_futures=True)
-                    raise
+        self.split  # built once here, and inherited by forked workers
+
+        def train(position: int) -> Checkpoint:
+            index = pending[position]
+            trained = self._train(jobs[index], plans[index])
+            return trained.trainer.final_checkpoint(trained.history)
+
+        def keep(position: int, checkpoint: Checkpoint) -> None:
+            finished[pending[position]] = checkpoint
+
+        parallel.fork_each(train, len(pending), parallel.available_workers(), keep)
         return [
             self._train(job, plan, finished.get(index))
             for index, (job, plan) in enumerate(zip(jobs, plans))

@@ -2,8 +2,8 @@
 
 ``run_sweep`` executes a {scenario x seed} grid of one experiment of
 :func:`~repro.experiments.pipeline.experiment_specs` (``fig2`` / ``fig3a`` /
-``fig3b`` / ``table1`` / ``fleet`` / ``pareto``), farming cells out to a
-``concurrent.futures`` process pool.  Every cell runs through
+``fig3b`` / ``table1`` / ``fleet`` / ``pareto``), farming cells out to
+forked workers (:func:`repro.utils.parallel.fork_each`).  Every cell runs through
 :func:`run_cell`, which ``python -m repro.experiments.run`` calls for its
 one cell.  Datasets flow through the
 content-addressed on-disk cache (:mod:`repro.dataset.cache`), so repeated
@@ -38,7 +38,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -50,11 +49,9 @@ from repro.experiments.common import ExperimentScale, scale_from_name
 from repro.experiments.pipeline import (
     PipelineOptions,
     experiment_specs,
-    pool_context,
-    watch_parent,
     write_artifact,
 )
-from repro.scenarios import get_scenario, scenario_names
+from repro.scenarios import Scenario, get_scenario, scenario_names
 from repro.utils import parallel
 from repro.utils.logging import get_logger
 
@@ -88,10 +85,13 @@ class SweepConfig:
         experiment: a key of
             :func:`~repro.experiments.pipeline.experiment_specs`.
         scale: experiment scale name (``paper`` / ``fast`` / ``smoke``).
-        parallel: run cells in a process pool (serial when False).
-        max_workers: process-pool size (default: ``min(cells, max(CPUs, 2))``
-            over the CPUs this process may run on — at least two workers so
-            parallelism is exercised even on single-CPU hosts).
+        parallel: run cells in forked workers (here, one after another,
+            when False).
+        max_workers: how many workers to fork, at most one per cell
+            (default: the CPUs this process may run on, and at least two, so
+            the fork path runs even on single-CPU hosts).  One worker, one
+            cell left to run, or a platform without ``fork`` runs the cells
+            here.
         cache_dir: dataset cache directory (default: the library cache).
         output_path: artifact JSON destination (``None`` = do not write).
             Completed cells are persisted into this file incrementally, which
@@ -122,8 +122,8 @@ class SweepConfig:
     def __post_init__(self):
         if not tuple(self.scenarios):
             raise ValueError("at least one scenario is required")
-        # Normalize instances to names right away (names are what pickles
-        # into workers and cache keys).  Unknown names raise KeyError here;
+        # Normalize instances to names right away (names are what cache
+        # keys and artifacts hold).  Unknown names raise KeyError here;
         # an unregistered bare instance would dangle, so reject it too.
         from repro.scenarios import all_scenarios
 
@@ -157,41 +157,22 @@ class SweepConfig:
             raise ValueError("resume requires an output_path to read back")
 
 
-@dataclass(frozen=True)
-class _CellSpec:
-    """Picklable description of one grid cell, shipped to pool workers.
-
-    The full :class:`Scenario` object travels in the spec (not just its name)
-    so that custom registered scenarios survive spawn-style pool workers,
-    whose fresh interpreters only know the built-in presets.
-    """
-
-    scenario: object  # Scenario (typed loosely to keep the spec picklable docs-simple)
-    seed: int
-    experiment: str
-    scale: str
-    cache_dir: Optional[str]
-    force_regenerate: bool
-    checkpoint_root: Optional[str] = None
-    resume: bool = False
-    model_cache_dir: Optional[str] = None
-
-
-def _cell_options(spec: _CellSpec) -> Optional[PipelineOptions]:
+def _cell_options(
+    config: SweepConfig, scenario: Scenario, seed: int
+) -> Optional[PipelineOptions]:
     """Run-state persistence options for one cell (``None`` = vanilla run)."""
-    if not (spec.checkpoint_root or spec.model_cache_dir or spec.resume):
+    if not (config.checkpoint_dir or config.model_cache_dir or config.resume):
         return None
     checkpoint_dir = None
-    if spec.checkpoint_root is not None:
+    if config.checkpoint_dir is not None:
         cell_key = (
-            f"{spec.experiment}-{spec.scale}-"
-            f"{spec.scenario.fingerprint}-s{spec.seed}"
+            f"{config.experiment}-{config.scale}-{scenario.fingerprint}-s{seed}"
         )
-        checkpoint_dir = os.path.join(spec.checkpoint_root, cell_key)
+        checkpoint_dir = os.path.join(config.checkpoint_dir, cell_key)
     return PipelineOptions(
         checkpoint_dir=checkpoint_dir,
-        resume=spec.resume,
-        model_cache_dir=spec.model_cache_dir,
+        resume=config.resume,
+        model_cache_dir=config.model_cache_dir,
     )
 
 
@@ -258,23 +239,6 @@ def run_cell(
         "metrics": {key: float(value) for key, value in sorted(metrics.items())},
     }
     return cell, result
-
-
-def _execute_cell(spec: _CellSpec) -> Dict[str, object]:
-    """Run one grid cell (in a pool worker, or here when serial)."""
-    from repro.scenarios import register
-
-    register(spec.scenario, overwrite=True)  # no-op under fork, restores under spawn
-    cell, _ = run_cell(
-        spec.experiment,
-        spec.scale,
-        spec.scenario.name,
-        spec.seed,
-        cache_dir=spec.cache_dir,
-        force_regenerate=spec.force_regenerate,
-        options=_cell_options(spec),
-    )
-    return cell
 
 
 def _aggregate_cells(cells: Sequence[Dict[str, object]]) -> Dict[str, Dict[str, float]]:
@@ -385,43 +349,29 @@ def canonical_artifact(artifact: Dict[str, object]) -> Dict[str, object]:
 def run_sweep(config: SweepConfig) -> Dict[str, object]:
     """Execute the sweep grid and return (and optionally write) the artifact."""
     scenarios = [get_scenario(name) for name in config.scenarios]
-    specs = [
-        _CellSpec(
-            scenario=scenario,
-            seed=seed,
-            experiment=config.experiment,
-            scale=config.scale,
-            cache_dir=config.cache_dir,
-            force_regenerate=config.force_regenerate,
-            checkpoint_root=config.checkpoint_dir,
-            resume=config.resume,
-            model_cache_dir=config.model_cache_dir,
-        )
-        for scenario in scenarios
-        for seed in config.seeds
-    ]
+    grid = [(scenario, seed) for scenario in scenarios for seed in config.seeds]
 
     # Cells whose dataset fingerprints coincide (physically identical
     # scenarios at the same seed) would race to generate the same dataset in
     # parallel; run each unique cell once and fan the result back out.
     unique_index: Dict[str, int] = {}
     assignment: List[int] = []
-    unique_specs: List[_CellSpec] = []
+    unique_grid: List[Tuple[Scenario, int]] = []
     unique_fingerprints: List[str] = []
-    for spec in specs:
-        cell_scale = _cell_scale(spec.scale, spec.scenario, spec.seed)
+    for scenario, seed in grid:
+        cell_scale = _cell_scale(config.scale, scenario, seed)
         fingerprint = config_fingerprint(cell_scale.dataset_config())
         if fingerprint not in unique_index:
-            unique_index[fingerprint] = len(unique_specs)
-            unique_specs.append(spec)
+            unique_index[fingerprint] = len(unique_grid)
+            unique_grid.append((scenario, seed))
             unique_fingerprints.append(fingerprint)
         assignment.append(unique_index[fingerprint])
-    if len(unique_specs) < len(specs):
+    if len(unique_grid) < len(grid):
         logger.info(
             "%d of %d cells share physics with another cell; running %d",
-            len(specs) - len(unique_specs),
-            len(specs),
-            len(unique_specs),
+            len(grid) - len(unique_grid),
+            len(grid),
+            len(unique_grid),
         )
 
     # Resume: pre-fill cells already completed by a previous (partial or
@@ -435,59 +385,47 @@ def run_sweep(config: SweepConfig) -> Dict[str, object]:
         logger.info(
             "resume: skipping %d of %d unique cells already completed",
             skipped,
-            len(unique_specs),
+            len(unique_grid),
         )
     pending = [
         index for index, cell in enumerate(unique_cells) if cell is None
     ]
 
+    def execute(position: int) -> Dict[str, object]:
+        scenario, seed = unique_grid[pending[position]]
+        cell, _ = run_cell(
+            config.experiment,
+            config.scale,
+            scenario.name,
+            seed,
+            cache_dir=config.cache_dir,
+            force_regenerate=config.force_regenerate,
+            options=_cell_options(config, scenario, seed),
+        )
+        return cell
+
+    def keep(position: int, cell: Dict[str, object]) -> None:
+        # Persist after every completed cell, so a kill or a failed cell
+        # loses no completed work.
+        unique_cells[pending[position]] = cell
+        _persist_partial(config, unique_cells)
+
     # At least two workers whenever parallelism is requested: even on a
-    # single-CPU host the cells interleave (dataset generation releases the
-    # GIL-free process boundary) and the orchestration path stays exercised.
-    default_workers = max(parallel.available_workers(), 2)
-    workers = min(config.max_workers or default_workers, max(len(pending), 1))
-    use_pool = config.parallel and workers > 1 and len(pending) > 1
+    # single-CPU host the cells interleave and the fork path stays
+    # exercised.
+    requested = config.max_workers or max(parallel.available_workers(), 2)
     start = time.perf_counter()
-    if use_pool:
-        logger.info("running %d sweep cells on %d workers", len(pending), workers)
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=pool_context(), initializer=watch_parent
-        ) as pool:
-            futures = {
-                pool.submit(_execute_cell, unique_specs[index]): index
-                for index in pending
-            }
-            remaining = set(futures)
-            failure: Optional[BaseException] = None
-            while remaining:
-                done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                for future in done:
-                    try:
-                        unique_cells[futures[future]] = future.result()
-                    except BaseException as exc:  # noqa: BLE001 - re-raised below
-                        failure = failure or exc
-                # Persist after every completion batch — including the
-                # successes that share a batch with a failed cell — so a
-                # kill or cell error loses no completed work.
-                _persist_partial(config, unique_cells)
-                if failure is not None:
-                    for future in remaining:  # skip cells not yet started
-                        future.cancel()
-                    raise failure
-    else:
-        if pending:
-            logger.info("running %d sweep cells serially", len(pending))
-        for index in pending:
-            unique_cells[index] = _execute_cell(unique_specs[index])
-            _persist_partial(config, unique_cells)
+    workers = parallel.fork_each(
+        execute, len(pending), requested if config.parallel else 1, keep
+    )
     wall_clock_s = time.perf_counter() - start
 
     cells = []
-    for spec, index in zip(specs, assignment):
+    for (scenario, _), index in zip(grid, assignment):
         cell = dict(unique_cells[index])
         executed_as = cell["scenario"]
-        cell["scenario"] = spec.scenario.name
-        if spec.scenario.name != executed_as:
+        cell["scenario"] = scenario.name
+        if scenario.name != executed_as:
             # This cell never executed: its metrics were copied from the
             # physically identical cell that did.  Zero the execution
             # metadata so timing/cache accounting stays honest.
@@ -508,8 +446,8 @@ def run_sweep(config: SweepConfig) -> Dict[str, object]:
         "experiment": config.experiment,
         "scale": config.scale,
         "seeds": list(config.seeds),
-        "parallel": bool(use_pool),
-        "max_workers": workers if use_pool else 1,
+        "parallel": workers > 1,
+        "max_workers": workers,
         "num_cells": len(cells),
         "wall_clock_s": round(wall_clock_s, 4),
         "scenarios": {

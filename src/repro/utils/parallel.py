@@ -1,16 +1,28 @@
-"""How many workers a parallel section of the program may run on.
+"""How many workers a parallel section of the program may run on, and the
+one process pool.
 
-Two sections fan out: :meth:`~repro.experiments.pipeline.ExperimentPipeline.train_all`
-trains a figure's jobs in fork workers, and
-:class:`~repro.fleet.bank.StackedUEBank` runs its stacked passes on threads.
-Both size themselves by :func:`available_workers`, so neither
-oversubscribes the host when the other (or a parallel sweep) is already
-using it.  Tests pin the count by patching :func:`_available_cpus`.
+Two sections fan out to processes, both through :func:`fork_each`:
+:meth:`~repro.experiments.pipeline.ExperimentPipeline.train_all` trains a
+figure's jobs and :func:`~repro.experiments.sweep.run_sweep` runs a sweep's
+cells.  :class:`~repro.fleet.bank.StackedUEBank` runs its stacked passes on
+threads of its own, which share the bank's memory and return in order.
+``train_all`` and the bank size themselves by :func:`available_workers`, so
+neither oversubscribes the host when the other (or a parallel sweep) is
+already using it.  Tests pin the count by patching :func:`_available_cpus`.
 """
 from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from typing import Callable, Optional, TypeVar
+
+from repro.utils.logging import get_logger
+
+logger = get_logger("utils.parallel")
+
+T = TypeVar("T")
 
 
 def _available_cpus() -> int:
@@ -32,4 +44,87 @@ def available_workers() -> int:
     return _available_cpus()
 
 
-__all__ = ["available_workers"]
+def fork_each(
+    task: Callable[[int], T],
+    count: int,
+    workers: int,
+    done: Callable[[int, T], None],
+) -> int:
+    """Run ``task(i)`` for ``i in range(count)``; hand each result to ``done``.
+
+    ``done(i, result)`` runs here, in the calling process, as each task
+    completes.  With ``min(workers, count) <= 1``, or on a platform without
+    ``fork``, the tasks run here in index order.  Otherwise they run in that
+    many forked workers and complete in any order: ``task`` reaches the
+    workers by inheritance, so it may be any callable (a closure, a bound
+    method); only the index and the result are pickled.  Every worker exits
+    as soon as this process is gone.
+
+    On the first failure the tasks not yet started are cancelled, the
+    running ones finish, each success still reaches ``done``, and the
+    failure is re-raised.  A worker that dies outright surfaces as
+    :class:`~concurrent.futures.process.BrokenProcessPool`.
+
+    Returns:
+        The number of worker processes used; 1 means the tasks ran here.
+    """
+    workers = min(workers, count)
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        for index in range(count):
+            done(index, task(index))
+        return 1
+    logger.info("running %d tasks on %d forked workers", count, workers)
+    failure: Optional[BaseException] = None
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_install_task,
+        initargs=(task,),
+    ) as pool:
+        futures = {pool.submit(_run_task, index): index for index in range(count)}
+        try:
+            for future in as_completed(futures):
+                if future.cancelled():
+                    continue
+                error = future.exception()
+                if error is None:
+                    done(futures[future], future.result())
+                elif failure is None:
+                    failure = error
+                    for other in futures:  # a running task cannot be cancelled
+                        other.cancel()
+        except BaseException:
+            pool.shutdown(wait=True, cancel_futures=True)
+            raise
+    if failure is not None:
+        raise failure
+    return workers
+
+
+#: The task of :func:`fork_each`, installed in each worker by
+#: :func:`_install_task` (inherited through the fork, never pickled).
+_TASK: Optional[Callable] = None
+
+
+def _install_task(task: Callable) -> None:
+    """Initializer of every worker: keep ``task``, and watch the parent.
+
+    A killed parent never tells its workers to stop, and a fork worker holds
+    the pool's call queue open itself, so it would wait on it forever.
+    """
+    global _TASK
+    _TASK = task
+    parent = multiprocessing.parent_process()
+    threading.Thread(target=_exit_after, args=(parent,), daemon=True).start()
+
+
+def _exit_after(parent) -> None:
+    parent.join()  # returns when the parent process has ended
+    os._exit(1)
+
+
+def _run_task(index: int):
+    return _TASK(index)
+
+
+__all__ = ["available_workers", "fork_each"]

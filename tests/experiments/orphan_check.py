@@ -1,10 +1,11 @@
 """Kill a process that runs a fork pool, and check its workers go with it.
 
-Shared by the ``train_all`` and sweep tests: both pools install
-``repro.experiments.pipeline.watch_parent`` in every worker, so a worker
-must exit soon after its parent is SIGKILLed instead of waiting on the
-pool's queue forever.
+Shared by the ``train_all`` and sweep tests: both fork their workers
+through ``repro.utils.parallel.fork_each``, which has every worker watch its
+parent, so a worker must exit soon after its parent is SIGKILLed instead of
+waiting on the pool's queue forever.
 """
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -14,13 +15,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import pipeline
+from repro.utils import parallel
 
-SRC = Path(pipeline.__file__).resolve().parents[2]
+SRC = Path(parallel.__file__).resolve().parents[2]
 
 #: Marks a test that kills a subprocess and reads its children from ``/proc``.
 needs_fork_and_proc = pytest.mark.skipif(
-    pipeline.pool_context().get_start_method() != "fork"
+    "fork" not in multiprocessing.get_all_start_methods()
     or not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
     reason="relies on fork workers and reads child processes from Linux /proc",
 )

@@ -17,7 +17,6 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from repro.experiments import pipeline as pipeline_module
 from repro.experiments.common import scheme_model_configs
 from repro.experiments.fig3a_learning_curves import run_fig3a
 from repro.experiments.fig3b_power_prediction import run_fig3b
@@ -32,7 +31,7 @@ from tests.experiments.orphan_check import (
 )
 
 needs_fork = pytest.mark.skipif(
-    pipeline_module.pool_context().get_start_method() != "fork",
+    "fork" not in multiprocessing.get_all_start_methods(),
     reason="the test patches the parent and relies on fork workers inheriting it",
 )
 
@@ -166,7 +165,7 @@ def test_all_cache_hits_build_no_pool(
     fresh = run_fig3a(smoke_scale, split=smoke_split, options=options)
 
     workers(2)
-    monkeypatch.setattr(pipeline_module, "ProcessPoolExecutor", _refuse_pool)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _refuse_pool)
     pipeline = ExperimentPipeline(smoke_scale, options, split=smoke_split)
     jobs = [
         pipeline.split_job(name, config)
@@ -192,9 +191,9 @@ def test_train_all_inside_a_pool_worker_runs_serially(
 ):
     workers(2)
     # Inherited by the fork worker: a pool built there fails its job.
-    monkeypatch.setattr(pipeline_module, "ProcessPoolExecutor", _refuse_pool)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _refuse_pool)
     with ProcessPoolExecutor(
-        max_workers=1, mp_context=pipeline_module.pool_context()
+        max_workers=1, mp_context=multiprocessing.get_context("fork")
     ) as pool:
         in_worker = pool.submit(_fig3a_in_worker, smoke_scale, smoke_split).result()
     assert multiprocessing.active_children() == []

@@ -18,9 +18,10 @@ only its own unit tests call is dead weight: delete it with its tests.
 The probe runs in fresh interpreters, so the calls modules make while they
 are imported (registries, decorators) are recorded too.  The analysis pass
 and the rest run side by side, because the profiler slows the call-heavy
-analysis most.  The experiments train their jobs in this interpreter (one
-CPU for ``ExperimentPipeline.train_all``): a forked worker's calls would
-never reach the profiler here.
+analysis most.  The experiments train their jobs, and the sweep runs its
+cell, in this interpreter (one CPU, so ``repro.utils.parallel.fork_each``
+runs its tasks inline): a forked worker's calls would never reach the
+profiler here.
 """
 import ast
 import json
@@ -42,10 +43,9 @@ HARNESS = "harness target: benchmarks/harness/trace.py resolves it by name"
 SUBCLASS = "user-subclass default: base-class hook the concrete classes override"
 EXAMPLE = "example/benchmark import: examples/ or benchmarks/ call it"
 BRANCH = "entry-point branch the smoke probe does not take"
-POOL = BRANCH + " (a process pool: the probe trains and sweeps in one process)"
 TESTS_ONLY = (
     "tests only, outside the NN-library surface: deletion candidate "
-    "(ROADMAP item 7)"
+    "(ROADMAP item 14)"
 )
 
 #: ``module:qualname`` -> why it stays although no entry point reaches it.
@@ -131,8 +131,6 @@ ALLOWLIST = {
     "single-job form of train_all, which every runner calls",
     "repro.experiments.pipeline:ExperimentSpec.run_cell": EXAMPLE + " (the "
     "sweep-cold workload's oracle; cells run through sweep.run_cell)",
-    "repro.experiments.pipeline:pool_context": POOL,
-    "repro.experiments.pipeline:watch_parent": POOL,
     "repro.experiments.sweep:canonical_artifact": TESTS_ONLY,
     "repro.experiments.table1_privacy_success:Table1Result.format_table": EXAMPLE,
     "repro.experiments.table1_privacy_success:Table1Result.summary_rows": EXAMPLE,

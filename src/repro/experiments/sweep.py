@@ -3,9 +3,9 @@
 ``run_sweep`` executes a {scenario x seed} grid of one experiment of
 :func:`~repro.experiments.pipeline.experiment_specs` (``fig2`` / ``fig3a`` /
 ``fig3b`` / ``table1`` / ``fleet`` / ``pareto``), farming cells out to
-forked workers (:func:`repro.utils.parallel.fork_each`).  Every cell runs through
-:func:`run_cell`, which ``python -m repro.experiments.run`` calls for its
-one cell.  Datasets flow through the
+forked workers (:func:`repro.utils.parallel.fork_each`).  Every cell runs
+through :func:`run_cell`, which ``python -m repro.experiments.run`` calls
+for its one cell.  Datasets flow through the
 content-addressed on-disk cache (:mod:`repro.dataset.cache`), so repeated
 sweeps — and different experiments over the same {scenario, seed, scale} —
 skip generation entirely.  The result is an aggregated JSON artifact with

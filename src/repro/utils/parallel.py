@@ -15,8 +15,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import Callable, Optional, TypeVar
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from itertools import islice
+from typing import Callable, Dict, Optional, TypeVar
 
 from repro.utils.logging import get_logger
 
@@ -60,9 +61,9 @@ def fork_each(
     method); only the index and the result are pickled.  Every worker exits
     as soon as this process is gone.
 
-    On the first failure the tasks not yet started are cancelled, the
-    running ones finish, each success still reaches ``done``, and the
-    failure is re-raised.  A worker that dies outright surfaces as
+    On the first failure no further task starts, the running ones finish,
+    each success still reaches ``done``, and the failure is re-raised.  A
+    worker that dies outright surfaces as
     :class:`~concurrent.futures.process.BrokenProcessPool`.
 
     Returns:
@@ -74,6 +75,8 @@ def fork_each(
             done(index, task(index))
         return 1
     logger.info("running %d tasks on %d forked workers", count, workers)
+    indices = iter(range(count))
+    running: Dict[Future, int] = {}
     failure: Optional[BaseException] = None
     with ProcessPoolExecutor(
         max_workers=workers,
@@ -81,21 +84,22 @@ def fork_each(
         initializer=_install_task,
         initargs=(task,),
     ) as pool:
-        futures = {pool.submit(_run_task, index): index for index in range(count)}
-        try:
-            for future in as_completed(futures):
-                if future.cancelled():
-                    continue
+        while True:
+            # A task is submitted only when a worker is free for it, so none
+            # waits in a queue to start after a failure.
+            if failure is None:
+                for index in islice(indices, workers - len(running)):
+                    running[pool.submit(_run_task, index)] = index
+            if not running:
+                break
+            finished, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in finished:
+                index = running.pop(future)
                 error = future.exception()
                 if error is None:
-                    done(futures[future], future.result())
+                    done(index, future.result())
                 elif failure is None:
                     failure = error
-                    for other in futures:  # a running task cannot be cancelled
-                        other.cancel()
-        except BaseException:
-            pool.shutdown(wait=True, cancel_futures=True)
-            raise
     if failure is not None:
         raise failure
     return workers

@@ -313,7 +313,7 @@ class ExperimentPipeline:
 
         Raises:
             Whatever a job raises (e.g. ``FloatingPointError`` naming the
-            round and step); jobs not yet started are cancelled, and a
+            round and step); no further job starts after it, and a
             worker that dies outright raises ``BrokenProcessPool``.
         """
         jobs = list(jobs)

@@ -1,7 +1,8 @@
 """``repro.utils.parallel.fork_each``: the one process pool.
 
-Every pool here has two fork workers.  Tasks record that they started by
-touching a file, which a forked worker and this process both see.
+Every pool here has two fork workers.  The failure test's tasks record
+that they started by touching a file, which a forked worker and this
+process both see.
 """
 import multiprocessing
 import os

@@ -17,9 +17,20 @@ UEs cost a handful of broadcasted GEMMs.  Both callers share them:
 * ``UEClient`` runs the same plan at one member (``stack[k:k+1]`` views of
   its bank row) for evaluation, Fig. 2, Fig. 3b and Table 1.
 
-Each caller owns the buffer cache a pass fills (im2col columns, the padding
-buffers of each conv's input and output gradient, activation masks), and
-reuses it while the geometry stays.
+Each caller owns the buffer cache a pass fills, and reuses it while the
+geometry stays.  A pass runs each convolution over blocks of consecutive
+members sized so that one block's widest im2col column buffer fits
+:data:`BLOCK_BYTES` (about 8 MiB; a member's frames are never split), through
+one block-sized column buffer per conv.  The cache keeps the pass-sized
+padded input of each conv (for a ``1 x 1`` kernel, its input itself), the
+activation masks and sigmoid outputs, and one block-sized buffer each for
+the columns, the output gradient's padding and its columns.  Backward walks
+the blocks in reverse: the last block's columns are still in the buffer, and
+every other block recomputes its own from the padded input.  So an N=260
+fleet holds a few MB of columns instead of the ~300 MB of the whole fleet's,
+and a bank of one, like ``UEClient``, is a pass of one block that recomputes
+nothing.  Cutting along the member axis reorders no sum, so the blocks are
+bitwise invisible.
 
 The bank is also the one store of UE state: every UE's CNN weights, Adam
 moments and step count are a row of its stacked arrays.  A fleet builds one
@@ -56,7 +67,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.nn.layers.activations import ReLU, Sigmoid, stable_sigmoid
-from repro.nn.layers.conv import Conv2D, padded_buffer
+from repro.nn.layers.conv import Conv2D, padded_buffer, padded_columns
 from repro.nn.layers.pooling import average_pool
 from repro.nn.layers.sequential import Sequential
 from repro.nn.optim import ADAM_EPSILON
@@ -124,6 +135,49 @@ def ue_plan(cnn: Sequential, config: ModelConfig) -> UEPlan:
     return UEPlan(tuple(steps), (config.pooling_height, config.pooling_width))
 
 
+#: Bytes of one block's largest im2col column buffer.  A pass cuts its
+#: members into blocks of consecutive members that fit it (at least one
+#: member), so the columns a pass holds stay cache-sized whatever the fleet
+#: size.  Small networks fit a bank of one in one block, which never
+#: recomputes its columns.
+BLOCK_BYTES = 8 << 20
+
+
+def _member_blocks(
+    plan: UEPlan, weights: Sequence[np.ndarray], images_shape: Tuple[int, ...]
+) -> List[slice]:
+    """Consecutive runs of the members of ``images_shape`` (a
+    ``(members, frames, channels, H, W)`` input), each as large as
+    :data:`BLOCK_BYTES` allows for its widest float64 column buffer.
+
+    Never cuts one member's frames: its weight gradient sums over them.
+    Every block but the last has the same size.
+    """
+    members, frames = images_shape[:2]
+    height, width = images_shape[-2:]
+    rows = max(
+        (
+            weights[spec[1]].shape[2] * weights[spec[1]].shape[-1] ** 2
+            for spec in plan.steps
+            if spec[0] == "conv"
+        ),
+        default=0,
+    )
+    member_bytes = frames * rows * height * width * 8
+    size = max(1, BLOCK_BYTES // member_bytes) if member_bytes else members
+    return [
+        slice(start, min(start + size, members)) for start in range(0, members, size)
+    ]
+
+
+def _block_buffer(cache: Dict, key: str, shape: Tuple[int, ...]) -> np.ndarray:
+    """The cached array ``key`` when it has ``shape``, else a new one."""
+    buffer = cache.get(key)
+    if buffer is None or buffer.shape != shape:
+        buffer = cache[key] = np.empty(shape)
+    return buffer
+
+
 def ue_forward(
     plan: UEPlan,
     weights: Sequence[np.ndarray],
@@ -133,12 +187,17 @@ def ue_forward(
 ) -> np.ndarray:
     """Run the UE network for every member at once.
 
+    Each convolution runs over blocks of members in order (see
+    :data:`BLOCK_BYTES`), through one block-sized column buffer; the cache
+    keeps the pass-sized padded inputs, so :func:`ue_backward` can recompute
+    the columns of every block but the last.
+
     Args:
         plan: the network, from :func:`ue_plan`.
         weights: the CNN parameters in plan order, each stacked along a
             leading member axis.
         images: ``(members, frames, 1, H, W)`` depth images, one batch per
-            member.
+            member; kept unchanged until the backward.
         cache: the caller's buffer cache: reused buffers are read from it,
             and the pass leaves in it what :func:`ue_backward` needs.
         pooled: apply the average-pooling compressor; ``False`` returns the
@@ -149,29 +208,47 @@ def ue_forward(
         ``(members, frames, 1, H, W)`` output images.
     """
     members, frames = images.shape[:2]
-    x = images
+    blocks = cache["blocks"] = _member_blocks(plan, weights, images.shape)
+    block_rows = (blocks[0].stop - blocks[0].start) * frames
+    # `owned`: x is an array this pass made and caches nowhere, so a ReLU may
+    # overwrite it (not the caller's images, not a cached sigmoid output).
+    x, owned = images, False
     for step, spec in enumerate(plan.steps):
         if spec[0] == "conv":
             _, weight_index, bias_index, _ = spec
             kernels = weights[weight_index]
-            padded = cache[f"padded/{step}"] = padded_buffer(
-                (members * frames,) + x.shape[2:],
-                kernels.shape[-1],
-                cache.get(f"padded/{step}"),
+            kernel_size = kernels.shape[-1]
+            flat = x.reshape((members * frames,) + x.shape[2:])
+            padded = padded_buffer(
+                flat.shape, kernel_size, cache.get(f"padded/{step}")
             )
-            x, cache[f"cols/{step}"] = stacked_conv2d_forward(
-                kernels,
-                weights[bias_index],
-                x,
-                cols_out=cache.get(f"cols/{step}"),
-                padded_out=padded,
+            # The padded input, or a 1 x 1 kernel's input itself: the source
+            # of the columns backward recomputes.
+            cache[f"padded/{step}"] = flat if padded is None else padded
+            channels, height, width = x.shape[2:]
+            cols = _block_buffer(
+                cache,
+                f"cols/{step}",
+                (block_rows, channels * kernel_size**2, height * width),
             )
+            output = np.empty((members, frames, kernels.shape[1], height, width))
+            for block in blocks:
+                rows = slice(block.start * frames, block.stop * frames)
+                stacked_conv2d_forward(
+                    kernels[block],
+                    weights[bias_index][block],
+                    x[block],
+                    cols_out=cols[: rows.stop - rows.start],
+                    padded_out=None if padded is None else padded[rows],
+                    out=output[block],
+                )
+            cache[f"cols_block/{step}"] = len(blocks) - 1
+            x, owned = output, True
         elif spec[0] == "relu":
-            mask = x > 0
-            cache[f"mask/{step}"] = mask
-            x = x * mask
+            mask = cache[f"mask/{step}"] = x > 0
+            x, owned = np.multiply(x, mask, out=x if owned else None), True
         else:  # sigmoid
-            x = stable_sigmoid(x)
+            x, owned = stable_sigmoid(x), False
             cache[f"sigmoid/{step}"] = x
     if not pooled:
         return x
@@ -189,6 +266,10 @@ def ue_backward(
     cache: Dict,
 ) -> List[Optional[np.ndarray]]:
     """Gradients of the last pooled :func:`ue_forward` for every member.
+
+    Each convolution walks that forward's blocks in reverse: the column
+    buffer still holds the last block's columns, and every other block
+    recomputes its own from the cached padded input.
 
     Args:
         plan / weights / cache: as passed to that forward.
@@ -211,34 +292,61 @@ def ue_backward(
         ...
     ] = grad_pooled[:, :, :, None, :, None] * scale
     x_grad = grad.reshape(pool_shape)
+    blocks = cache["blocks"]
+    block_rows = (blocks[0].stop - blocks[0].start) * frames
+    spatial = (map_h, map_w)
     grads: List[Optional[np.ndarray]] = [None] * len(weights)
     for step in reversed(range(len(plan.steps))):
         spec = plan.steps[step]
         if spec[0] == "conv":
             _, weight_index, bias_index, needs_input_grad = spec
             kernels = weights[weight_index]
-            grad_output = x_grad.reshape(
-                (members, frames, kernels.shape[1]) + x_grad.shape[-2:]
-            )
-            padded = None
+            out_channels, in_channels, kernel_size = kernels.shape[1:4]
+            grad_output = x_grad.reshape((members, frames, out_channels) + spatial)
+            padded = grad_cols = x_grad = None
             if needs_input_grad:
                 padded = cache[f"grad_padded/{step}"] = padded_buffer(
-                    (members * frames,) + grad_output.shape[2:],
-                    kernels.shape[-1],
+                    (block_rows, out_channels) + spatial,
+                    kernel_size,
                     cache.get(f"grad_padded/{step}"),
                 )
-            x_grad, grads[weight_index], grads[bias_index] = stacked_conv2d_backward(
-                kernels,
-                cache[f"cols/{step}"],
-                grad_output,
-                needs_input_grad=needs_input_grad,
-                padded_out=padded,
-            )
+                grad_cols = _block_buffer(
+                    cache,
+                    f"grad_cols/{step}",
+                    (block_rows, out_channels * kernel_size**2, map_h * map_w),
+                )
+                x_grad = np.empty((members, frames, in_channels) + spatial)
+            cols = cache[f"cols/{step}"]
+            grads[weight_index] = np.empty_like(kernels)
+            grads[bias_index] = np.empty_like(weights[bias_index])
+            for index in reversed(range(len(blocks))):
+                block = blocks[index]
+                count = (block.stop - block.start) * frames
+                if cache[f"cols_block/{step}"] != index:
+                    rows = slice(block.start * frames, block.stop * frames)
+                    padded_columns(
+                        cache[f"padded/{step}"][rows], kernel_size, cols[:count]
+                    )
+                    cache[f"cols_block/{step}"] = index
+                (
+                    _,
+                    grads[weight_index][block],
+                    grads[bias_index][block],
+                ) = stacked_conv2d_backward(
+                    kernels[block],
+                    cols[:count],
+                    grad_output[block],
+                    needs_input_grad=needs_input_grad,
+                    padded_out=None if padded is None else padded[:count],
+                    grad_cols_out=None if grad_cols is None else grad_cols[:count],
+                    out=None if x_grad is None else x_grad[block],
+                )
         elif spec[0] == "relu":
-            x_grad = x_grad * cache[f"mask/{step}"]
+            x_grad *= cache[f"mask/{step}"]
         else:  # sigmoid
             output = cache[f"sigmoid/{step}"]
-            x_grad = x_grad * output * (1.0 - output)
+            x_grad *= output
+            x_grad *= 1.0 - output
     return grads
 
 

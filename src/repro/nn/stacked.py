@@ -15,10 +15,13 @@ matrix for the weight gradient, and computes the input gradient as the
 :func:`~repro.nn.layers.conv.im2col` of the output gradient contracted
 against the flipped kernels; ``needs_input_grad=False`` skips the input
 gradient, as a network's first layer does.  The forward and backward
-optionally reuse zero-bordered padding buffers kept by the caller.  The
-masked Adam step and the gradient norms follow the operation order of
-:class:`repro.nn.optim.Adam` and ``Optimizer.clip_gradients``, so each
-member's update is bitwise what its own optimizer would compute.
+optionally reuse the caller's buffers: zero-bordered padding buffers, the
+patch matrices of the inputs and of the output gradient, and the output
+arrays; a caller that runs a pass in blocks of members hands each block its
+views of them.  The masked Adam step and the gradient norms follow the
+operation order of :class:`repro.nn.optim.Adam` and
+``Optimizer.clip_gradients``, so each member's update is bitwise what its own
+optimizer would compute.
 """
 from __future__ import annotations
 
@@ -35,6 +38,7 @@ def stacked_conv2d_forward(
     inputs: np.ndarray,
     cols_out: Optional[np.ndarray] = None,
     padded_out: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """All members' convolutions in one broadcasted GEMM.
 
@@ -43,12 +47,16 @@ def stacked_conv2d_forward(
             kernels, one slice per member.
         biases: ``(members, out_channels)`` stacked biases.
         inputs: ``(members, batch, in_channels, H, W)`` per-member inputs.
-        cols_out: optional reusable patch buffer, as returned by a previous
-            call with the same geometry (forwarded to :func:`im2col`).
+        cols_out: optional reusable patch buffer of the returned ``cols``'
+            shape (forwarded to :func:`im2col`).  A caller that runs a pass
+            in blocks of members passes each block a leading view of one
+            block-sized buffer.
         padded_out: optional zero-bordered padding buffer for the flattened
             ``(members * batch, ...)`` inputs, from
             :func:`~repro.nn.layers.conv.padded_buffer` (forwarded to
             :func:`im2col` as ``padded``).
+        out: optional C-contiguous ``(members, batch, out_channels, H, W)``
+            array the output is written into (a fresh one otherwise).
 
     Returns:
         ``(output, cols)`` — output ``(members, batch, out_channels, H, W)``
@@ -59,11 +67,15 @@ def stacked_conv2d_forward(
     flat_inputs = inputs.reshape((members * batch,) + inputs.shape[2:])
     cols = im2col(flat_inputs, weights.shape[-1], out=cols_out, padded=padded_out)
     out_channels = weights.shape[1]
+    if out is None:
+        out = np.empty((members, batch, out_channels) + inputs.shape[3:])
     kernel_matrix = weights.reshape(members, 1, out_channels, -1)
     stacked_cols = cols.reshape(members, batch, cols.shape[1], cols.shape[2])
-    output = np.matmul(kernel_matrix, stacked_cols)
+    # Explicit sizes: reshape(-1) cannot infer them for empty batches.
+    output = out.reshape(members, batch, out_channels, cols.shape[2])
+    np.matmul(kernel_matrix, stacked_cols, out=output)
     output += biases[:, None, :, None]
-    return output.reshape((members, batch, out_channels) + inputs.shape[3:]), cols
+    return out, cols
 
 
 def stacked_conv2d_backward(
@@ -72,12 +84,16 @@ def stacked_conv2d_backward(
     grad_output: np.ndarray,
     needs_input_grad: bool = True,
     padded_out: Optional[np.ndarray] = None,
+    grad_cols_out: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
 ) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
     """Gradients of :func:`stacked_conv2d_forward` for every member at once.
 
     Args:
         weights: the stacked kernels used in the forward pass.
-        cols: the patch matrix returned by the forward pass.
+        cols: the patch matrix of the forward pass (returned by it, or
+            recomputed from its padded input with
+            :func:`~repro.nn.layers.conv.padded_columns`).
         grad_output: ``(members, batch, out_channels, H, W)``.
         needs_input_grad: compute ``grad_inputs``; when ``False`` it is
             returned as ``None``.
@@ -85,6 +101,11 @@ def stacked_conv2d_backward(
             ``(members * batch, ...)`` output gradient, from
             :func:`~repro.nn.layers.conv.padded_buffer` (forwarded to
             :func:`im2col` as ``padded``).
+        grad_cols_out: optional reusable buffer for the output gradient's
+            patch matrix ``(members * batch, out_channels * k * k, H * W)``
+            (forwarded to :func:`im2col` as ``out``).
+        out: optional C-contiguous array of ``grad_inputs``' shape that the
+            input gradient is written into (a fresh one otherwise).
 
     Returns:
         ``(grad_inputs, grad_weights, grad_biases)`` with shapes matching
@@ -103,15 +124,18 @@ def stacked_conv2d_backward(
     grad_cols = im2col(
         grad_output.reshape((members * batch,) + grad_output.shape[2:]),
         weights.shape[-1],
+        out=grad_cols_out,
         padded=padded_out,
     )
-    # Explicit sizes: reshape(-1) cannot infer them for empty batches.
-    grad_inputs = np.matmul(
+    input_shape = (members, batch, weights.shape[2]) + grad_output.shape[3:]
+    if out is None:
+        out = np.empty(input_shape)
+    np.matmul(
         transposed_kernel_matrix(weights)[:, None],
         grad_cols.reshape((members, batch) + grad_cols.shape[1:]),
+        out=out.reshape(members, batch, weights.shape[2], spatial),
     )
-    input_shape = (members, batch, weights.shape[2]) + grad_output.shape[3:]
-    return grad_inputs.reshape(input_shape), grad_weights, grad_biases
+    return out, grad_weights, grad_biases
 
 
 def adam_bias_corrections(

@@ -13,6 +13,10 @@ which a run is interrupted, and checks two identities bit for bit:
 Both compare histories and whole flattened state trees.  The link is lossy
 (unpooled payloads over a 32 m link with a weak downlink), so the cap
 decides how many uplinks, downlinks and whole steps are lost.
+
+The suite runs twice: with the bank's own block budget, which fits every
+drawn fleet in one block per pass, and with a budget of one member per
+block, so backward recomputes the columns of every member but a pass's last.
 """
 import dataclasses
 
@@ -21,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.channel import PAPER_CHANNEL_PARAMS
 from repro.channel.params import LinkParams
-from repro.fleet import FLEET_MODES, FleetConfig, FleetTrainer
+from repro.fleet import FLEET_MODES, FleetConfig, FleetTrainer, bank
 from repro.fleet.scheduler import SCHEDULERS
 from repro.split import ExperimentConfig
 
@@ -94,3 +98,13 @@ def test_random_fleets_match_the_oracle_and_resume_bitwise(
     resumed = FleetTrainer(config, fleet_config)
     resumed_history = resumed.fit(*data, max_rounds=ROUNDS, resume_from=path)
     _assert_same_run(resumed, resumed_history, trainer, history)
+
+
+def test_random_fleets_in_one_member_blocks(
+    smoke_scale, smoke_split, tmp_path_factory, monkeypatch
+):
+    """The same suite with every stacked pass cut into one-member blocks."""
+    monkeypatch.setattr(bank, "BLOCK_BYTES", 1)
+    test_random_fleets_match_the_oracle_and_resume_bitwise(
+        smoke_scale, smoke_split, tmp_path_factory
+    )

@@ -80,12 +80,6 @@ class ExponentialFadingProcess:
             raise ValueError("mean must be strictly positive")
         self._rng = as_generator(self.seed)
 
-    def sample(self, count: int = 1) -> np.ndarray:
-        """Draw ``count`` i.i.d. fading gains."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        return self._rng.exponential(self.mean, size=count)
-
     def sample_one(self) -> float:
         """Draw a single fading gain."""
         return float(self._rng.exponential(self.mean))

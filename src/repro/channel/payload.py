@@ -82,37 +82,12 @@ class PayloadModel:
         """Number of activation values transmitted per image."""
         return self.feature_map_height * self.feature_map_width
 
-    @property
-    def compression_ratio(self) -> float:
-        """Raw pixels divided by transmitted values (``w_H * w_W``)."""
-        return float(self.pooling_height * self.pooling_width)
-
     def uplink_payload_bits(self, batch_size: int) -> float:
         """Feed-forward payload ``B_UL`` in bits for one minibatch."""
         if batch_size <= 0:
             raise ValueError("batch_size must be strictly positive")
         return float(
             self.values_per_image
-            * batch_size
-            * self.bits_per_value
-            * self.sequence_length
-        )
-
-    def downlink_payload_bits(self, batch_size: int) -> float:
-        """Back-propagation payload in bits for one minibatch.
-
-        The cut-layer gradient tensor has the same shape as the forward
-        activations, so the payload matches the uplink size.
-        """
-        return self.uplink_payload_bits(batch_size)
-
-    def raw_image_payload_bits(self, batch_size: int) -> float:
-        """Payload if raw images were transmitted instead (no CNN/pooling)."""
-        if batch_size <= 0:
-            raise ValueError("batch_size must be strictly positive")
-        return float(
-            self.image_height
-            * self.image_width
             * batch_size
             * self.bits_per_value
             * self.sequence_length

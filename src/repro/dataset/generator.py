@@ -68,24 +68,9 @@ class DepthPowerDataset:
         return int(self.images.shape[1]), int(self.images.shape[2])
 
     @property
-    def times_s(self) -> np.ndarray:
-        """Absolute sample times."""
-        return np.arange(len(self)) * self.frame_interval_s
-
-    @property
     def blockage_fraction(self) -> float:
         """Fraction of frames in which the LoS is blocked."""
         return float(self.line_of_sight_blocked.mean()) if len(self) else 0.0
-
-    def slice(self, start: int, stop: int) -> "DepthPowerDataset":
-        """Return a contiguous sub-dataset (useful for plotting windows)."""
-        return DepthPowerDataset(
-            images=self.images[start:stop],
-            powers_dbm=self.powers_dbm[start:stop],
-            line_of_sight_blocked=self.line_of_sight_blocked[start:stop],
-            frame_interval_s=self.frame_interval_s,
-            metadata=dict(self.metadata),
-        )
 
 
 @dataclass

@@ -73,10 +73,6 @@ class SequenceDataset:
     def sequence_length(self) -> int:
         return int(self.image_sequences.shape[1])
 
-    @property
-    def image_shape(self) -> tuple[int, int]:
-        return int(self.image_sequences.shape[2]), int(self.image_sequences.shape[3])
-
     def subset(self, indices) -> "SequenceDataset":
         """Restrict the sequence dataset to the given sample positions."""
         indices = np.asarray(indices)

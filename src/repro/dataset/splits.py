@@ -25,11 +25,6 @@ class TrainValidationSplit:
     train: SequenceDataset
     validation: SequenceDataset
 
-    @property
-    def train_fraction(self) -> float:
-        total = len(self.train) + len(self.validation)
-        return len(self.train) / total if total else 0.0
-
 
 def temporal_split(
     sequences: SequenceDataset,

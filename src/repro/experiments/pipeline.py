@@ -337,10 +337,6 @@ class ExperimentPipeline:
         ]
 
     # -- stage 3: evaluate ------------------------------------------------------------
-    def evaluate(self, trained: TrainedModel, sequences) -> float:
-        """Validation RMSE (dB) via the shared normalized-eval path."""
-        return trained.trainer.evaluate(sequences)
-
     def predict_dbm(self, trained: TrainedModel, sequences):
         """Denormalized predictions via the shared normalized-eval path."""
         return trained.trainer.predict_dbm(sequences)

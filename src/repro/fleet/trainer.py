@@ -155,13 +155,6 @@ class FleetHistory:
     def validation_rmse_curve_db(self) -> np.ndarray:
         return np.array([record.validation_rmse_db for record in self.records])
 
-    def time_to_reach_db(self, rmse_db: float) -> float:
-        """Simulated time needed to first reach ``rmse_db`` (inf if never)."""
-        for record in self.records:
-            if record.validation_rmse_db <= rmse_db:
-                return record.elapsed_s
-        return float("inf")
-
     @property
     def medium_occupancy(self) -> float:
         """Run-level medium occupancy: busy time over total simulated time."""

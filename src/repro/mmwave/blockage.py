@@ -127,11 +127,6 @@ class IndependentBodiesBlockageModel(BlockageModel):
         """Attenuation of each (frame, body) row, shape ``(P,)``."""
         raise NotImplementedError
 
-    def single_body_attenuation_db(self, blocker: BlockerGeometry) -> float:
-        """Attenuation contributed by one body."""
-        rows = BlockerArrays.from_lists([[blocker]])
-        return float(self.body_attenuations_db(rows)[0])
-
     def frame_attenuations_db(self, blockers: BlockerArrays) -> np.ndarray:
         bodies = self.body_attenuations_db(blockers).tolist()
         bounds = np.searchsorted(blockers.frame, np.arange(blockers.num_frames + 1)).tolist()
@@ -142,11 +137,6 @@ class IndependentBodiesBlockageModel(BlockageModel):
         # Multiple simultaneous blockers rarely exceed ~30 dB in measurements.
         cap = 1.5 * self.max_attenuation_db
         return np.where(cap < totals, cap, totals)
-
-    def attenuation_db(self, blockers: Sequence[BlockerGeometry]) -> float:
-        """Total attenuation of one frame's bodies (independent screens, dB sum, capped)."""
-        rows = BlockerArrays.from_lists([list(blockers)])
-        return float(self.frame_attenuations_db(rows)[0])
 
 
 @dataclass

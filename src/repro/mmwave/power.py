@@ -21,7 +21,6 @@ from repro.mmwave.fading import MeasurementNoise, NakagamiFadingProcess
 from repro.mmwave.propagation import LinkBudget
 from repro.scene.environment import (
     BlockerArrays,
-    BlockerGeometry,
     CorridorScene,
     FrameBatch,
     SceneFrame,
@@ -65,13 +64,6 @@ class ReceivedPowerModel:
         power = line_of_sight - self.blockage_model.frame_attenuations_db(blockers)
         # ``max(power, floor)`` on Python floats.
         return np.where(self.floor_dbm > power, self.floor_dbm, power)
-
-    def mean_power_dbm(
-        self, distance_m: float, blockers: Sequence[BlockerGeometry] = ()
-    ) -> float:
-        """Deterministic received power (no fading / noise) in dBm."""
-        rows = BlockerArrays.from_lists([list(blockers)])
-        return float(self.mean_powers_dbm(distance_m, rows)[0])
 
     def power_trace_dbm(
         self, scene: CorridorScene, frames: Sequence[SceneFrame]

@@ -24,7 +24,6 @@ from repro.scenarios.registry import (
     get_scenario,
     register,
     scenario_names,
-    unregister,
 )
 
 __all__ = [
@@ -44,5 +43,4 @@ __all__ = [
     "register",
     "scenario_fingerprint",
     "scenario_names",
-    "unregister",
 ]

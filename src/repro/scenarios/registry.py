@@ -30,11 +30,6 @@ def register(scenario: Scenario, overwrite: bool = False) -> Scenario:
     return scenario
 
 
-def unregister(name: str) -> None:
-    """Remove a scenario from the registry (mainly for tests)."""
-    _REGISTRY.pop(name, None)
-
-
 def get_scenario(scenario: "Scenario | str") -> Scenario:
     """Normalize a name or instance into a :class:`Scenario`.
 

@@ -17,10 +17,6 @@ from repro.scene.environment import (
 from repro.scene.geometry import (
     AxisAlignedBox,
     Pose,
-    point_segment_distance,
-    project_point_onto_segment,
-    ray_box_intersection,
-    segment_intersects_box,
 )
 
 __all__ = [
@@ -39,8 +35,4 @@ __all__ = [
     "default_ue_camera",
     "generate_crossing_traffic",
     "periodic_crossing_traffic",
-    "point_segment_distance",
-    "project_point_onto_segment",
-    "ray_box_intersection",
-    "segment_intersects_box",
 ]

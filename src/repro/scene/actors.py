@@ -9,11 +9,10 @@ walking speed, with randomized spawn times, speeds and crossing positions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.scene.geometry import AxisAlignedBox
 from repro.utils.seeding import SeedLike, as_generator
 
 #: Typical adult body dimensions used for the blocking box [m].
@@ -35,8 +34,8 @@ class Pedestrian:
     A pedestrian exposes :meth:`states_at`, its activity and floor position
     at an array of absolute times, and :meth:`bodies_at`, the axis-aligned
     boxes its body occupies at the times it is in the scene.  The scene
-    evaluates every frame of a run in one call.  :meth:`state_at` and
-    :meth:`body_at` are their one-time views.
+    evaluates every frame of a run in one call.  :meth:`state_at` is the
+    one-time view of :meth:`states_at`.
 
     A subclass implements either :meth:`state_at` (the default
     :meth:`states_at` then evaluates it once per time) or :meth:`states_at`
@@ -72,13 +71,6 @@ class Pedestrian:
         center = positions[indices] + np.array([0.0, 0.0, self.body_size[2] / 2.0])
         half = self.body_size / 2.0
         return indices, center - half, center + half
-
-    def body_at(self, time_s: float) -> Optional[AxisAlignedBox]:
-        """Axis-aligned box of the body at ``time_s`` or ``None`` if inactive."""
-        indices, minimum, maximum = self.bodies_at([time_s])
-        if not len(indices):
-            return None
-        return AxisAlignedBox(minimum[0], maximum[0])
 
 
 class CrossingPedestrian(Pedestrian):
@@ -124,11 +116,6 @@ class CrossingPedestrian(Pedestrian):
     @property
     def end_time_s(self) -> float:
         return self.start_time_s + self.duration_s
-
-    def crossing_time_s(self) -> float:
-        """Time at which the body center crosses the link line (y = 0)."""
-        fraction = abs(0.0 - self.start_y) / abs(self.end_y - self.start_y)
-        return self.start_time_s + fraction * self.duration_s
 
     def states_at(self, times_s) -> Tuple[np.ndarray, np.ndarray]:
         times = np.asarray(times_s, dtype=np.float64)

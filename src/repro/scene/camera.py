@@ -10,8 +10,7 @@ one ray per pixel.
 static boxes are ray-cast once, one slab test covers every (frame, box) pair
 in bounded chunks, and each frame's boxes are combined in their given order,
 so every frame is bitwise the image a one-frame render would give.
-:meth:`DepthCamera.render` and :meth:`DepthCamera.render_normalized` are its
-one-frame views.
+:meth:`DepthCamera.render` is its one-frame view.
 """
 from __future__ import annotations
 
@@ -200,17 +199,6 @@ class DepthCamera:
             [box.minimum for box in boxes],
             [box.maximum for box in boxes],
         )[0]
-
-    def render_normalized(self, boxes: Iterable[AxisAlignedBox]) -> np.ndarray:
-        """Render a depth image scaled to ``[0, 1]``.
-
-        0 corresponds to the minimum range (closest) and 1 to the maximum
-        range (farthest / background), the convention used by the dataset
-        generator and the CNN input pipeline.
-        """
-        intr = self.intrinsics
-        depth = self.render(boxes)
-        return (depth - intr.min_range_m) / (intr.max_range_m - intr.min_range_m)
 
 
 def default_ue_camera(

@@ -14,9 +14,8 @@ array operations, ray-casts the static walls once, runs one slab test over
 all (frame, body) pairs in bounded chunks and computes the blocker geometry
 for all pairs at once.  Per-frame reductions (nearest hit, attenuation sums)
 combine each frame's bodies in pedestrian order, so the batch is bitwise what
-a frame-by-frame, body-by-body loop produces.  ``frame_at``, ``frames``,
-``active_bodies``, ``blocker_geometry`` and ``line_of_sight_blocked`` are
-views of the same kernels.
+a frame-by-frame, body-by-body loop produces.  ``frames`` is a view of the
+same pass.
 """
 from __future__ import annotations
 
@@ -236,10 +235,6 @@ class CorridorScene:
         )
         return [left, right, back]
 
-    def add_pedestrian(self, pedestrian: Pedestrian) -> None:
-        """Add an actor to the scene."""
-        self.pedestrians.append(pedestrian)
-
     # -- geometry ----------------------------------------------------------------
     def _bodies(self, times_s: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Body boxes of all active pedestrians at each time.
@@ -273,25 +268,6 @@ class CorridorScene:
             body_width_m=maximum[:, 1] - minimum[:, 1],
         )
 
-    def active_bodies(self, time_s: float) -> List[AxisAlignedBox]:
-        """Body boxes of all pedestrians active at ``time_s``."""
-        _, minimum, maximum = self._bodies(np.array([time_s], dtype=np.float64))
-        return [AxisAlignedBox(low, high) for low, high in zip(minimum, maximum)]
-
-    def blocker_geometry(self, body: AxisAlignedBox) -> BlockerGeometry:
-        """Compute link-relative geometry for one body box."""
-        arrays = self._blocker_arrays(
-            1, np.zeros(1, dtype=np.int64), body.minimum[None, :], body.maximum[None, :]
-        )
-        return arrays.frame_blockers(0)[0]
-
-    def line_of_sight_blocked(self, time_s: float) -> bool:
-        """Whether any pedestrian blocks the LoS at ``time_s``."""
-        _, minimum, maximum = self._bodies(np.array([time_s], dtype=np.float64))
-        return bool(
-            segment_box_hits(self.ue_position, self.bs_position, minimum, maximum).any()
-        )
-
     # -- frame generation ----------------------------------------------------------
     def simulate(self, count: int, start_index: int = 0) -> FrameBatch:
         """Simulate ``count`` consecutive frames from ``start_index`` in one pass.
@@ -309,7 +285,7 @@ class CorridorScene:
         images = self.camera.render_frames(
             count, frame_ids, minimum, maximum, static_boxes=self.static_boxes
         )
-        # Scale to [0, 1] in place, element by element as render_normalized does.
+        # Scale to [0, 1] in place: 0 is the minimum range, 1 the maximum.
         intr = self.camera.intrinsics
         np.subtract(images, intr.min_range_m, out=images)
         np.divide(images, intr.max_range_m - intr.min_range_m, out=images)
@@ -320,10 +296,6 @@ class CorridorScene:
             blockers=self._blocker_arrays(count, frame_ids, minimum, maximum),
         )
 
-    def frame_at(self, index: int) -> SceneFrame:
-        """Render the scene at frame ``index`` (time = index * frame interval)."""
-        return self.simulate(1, index)[0]
-
     def frames(self, count: int, start_index: int = 0) -> Iterator[SceneFrame]:
         """Yield ``count`` consecutive frames starting at ``start_index``.
 
@@ -331,7 +303,3 @@ class CorridorScene:
         iteration starts; the frames are views into it.
         """
         yield from self.simulate(count, start_index)
-
-    @property
-    def frame_rate_hz(self) -> float:
-        return 1.0 / self.frame_interval_s

@@ -120,21 +120,6 @@ def ray_box_distances(origins, directions, minimum, maximum) -> np.ndarray:
     return np.where(hit, distances, np.inf)
 
 
-def ray_box_intersection(
-    origins: np.ndarray,
-    directions: np.ndarray,
-    box: AxisAlignedBox,
-) -> np.ndarray:
-    """Distance along each ray to the entry point of one ``box``.
-
-    One-box view of :func:`ray_box_distances`: returns shape ``(n,)``, with
-    ``numpy.inf`` where the ray misses the box.
-    """
-    return ray_box_distances(
-        origins, directions, box.minimum[None, :], box.maximum[None, :]
-    )[0]
-
-
 def segment_box_hits(start, end, minimum, maximum) -> np.ndarray:
     """Whether the segment from ``start`` to ``end`` intersects each box.
 
@@ -149,13 +134,6 @@ def segment_box_hits(start, end, minimum, maximum) -> np.ndarray:
         maximum = np.asarray(maximum, dtype=np.float64)
         return np.all((start >= minimum) & (start <= maximum), axis=1)
     return ray_box_distances(start, direction, minimum, maximum)[:, 0] <= 1.0
-
-
-def segment_intersects_box(start, end, box: AxisAlignedBox) -> bool:
-    """Whether the line segment from ``start`` to ``end`` intersects ``box``."""
-    return bool(
-        segment_box_hits(start, end, box.minimum[None, :], box.maximum[None, :])[0]
-    )
 
 
 def row_norms(vectors: np.ndarray) -> np.ndarray:
@@ -189,22 +167,6 @@ def project_points_onto_segment(points, start, end) -> Tuple[np.ndarray, np.ndar
     fractions = np.where(fractions < 1.0, fractions, 1.0)
     closest = start + fractions[:, None] * direction
     return fractions, row_norms(points - closest)
-
-
-def point_segment_distance(point, start, end) -> float:
-    """Shortest Euclidean distance from ``point`` to the segment ``start-end``."""
-    return float(project_points_onto_segment(as_point(point), start, end)[1][0])
-
-
-def project_point_onto_segment(point, start, end) -> Tuple[float, np.ndarray]:
-    """Project ``point`` onto the segment and return ``(fraction, closest point)``.
-
-    ``fraction`` is clipped to ``[0, 1]`` and measures the position of the
-    closest point along the segment from ``start``.
-    """
-    fraction = float(project_points_onto_segment(as_point(point), start, end)[0][0])
-    start = as_point(start)
-    return fraction, start + fraction * (as_point(end) - start)
 
 
 def reduce_by_frame(ufunc, totals: np.ndarray, frame_ids, values: np.ndarray) -> np.ndarray:

@@ -30,6 +30,16 @@ def _integer(name: str, value) -> int:
     return operator.index(value)
 
 
+def _integer_fields(config) -> None:
+    """Store every ``int`` field of the frozen dataclass ``config`` (and every
+    optional one that is not ``None``) as :func:`_integer` returns it."""
+    for spec in fields(config):
+        value = getattr(config, spec.name)
+        optional = spec.type in ("int | None", "Optional[int]")
+        if spec.type == "int" or (optional and value is not None):
+            object.__setattr__(config, spec.name, _integer(spec.name, value))
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture of the split neural network.
@@ -75,10 +85,7 @@ class ModelConfig:
     codec_topk_fraction: float = DEFAULT_TOPK_FRACTION
 
     def __post_init__(self):
-        for spec in fields(self):
-            if spec.type == "int":
-                value = _integer(spec.name, getattr(self, spec.name))
-                object.__setattr__(self, spec.name, value)
+        _integer_fields(self)
         object.__setattr__(
             self,
             "cnn_channels",
@@ -213,11 +220,13 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _integer_fields(self)
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
         if self.eval_batch_size <= 0:
             raise ValueError("eval_batch_size must be positive")
-        if self.learning_rate <= 0:
+        # The float checks are negated comparisons so that NaN fails them.
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
             raise ValueError("beta1 and beta2 must be in [0, 1)")
@@ -225,11 +234,11 @@ class TrainingConfig:
             raise ValueError("max_epochs must be positive")
         if self.steps_per_epoch <= 0:
             raise ValueError("steps_per_epoch must be positive")
-        if self.target_rmse_db <= 0:
+        if not self.target_rmse_db > 0:
             raise ValueError("target_rmse_db must be positive")
-        if self.gradient_clip_norm < 0:
+        if not self.gradient_clip_norm >= 0:
             raise ValueError("gradient_clip_norm must be non-negative")
-        if self.ue_compute_time_s < 0 or self.bs_compute_time_s < 0:
+        if not (self.ue_compute_time_s >= 0 and self.bs_compute_time_s >= 0):
             raise ValueError("compute times must be non-negative")
         if self.max_retransmissions is not None and self.max_retransmissions < 0:
             raise ValueError("max_retransmissions must be non-negative or None")
@@ -267,6 +276,3 @@ class ExperimentConfig:
             training=training if training is not None else TrainingConfig(),
             channel=get_scenario(scenario).channel,
         )
-
-    def describe(self) -> str:
-        return self.model.describe()

@@ -1,5 +1,5 @@
 """Shared utilities: unit conversions, seeding, logging and worker counts."""
-from repro.utils.logging import enable_console_logging, get_logger
+from repro.utils.logging import get_logger
 from repro.utils.seeding import (
     as_generator,
     capture_generator_state,
@@ -19,12 +19,8 @@ __all__ = [
     "as_generator",
     "capture_generator_state",
     "dbm_to_milliwatts",
-    "disable_console_logging",
-    "enable_console_logging",
     "frequency_to_wavelength",
     "get_logger",
     "restore_generator_state",
     "spawn_generators",
 ]
-
-from repro.utils.logging import disable_console_logging  # noqa: E402

@@ -2,7 +2,7 @@
 
 The library never configures the root logger; it only attaches a
 :class:`logging.NullHandler` to its own namespace so that importing ``repro``
-stays silent unless the application opts in via :func:`enable_console_logging`.
+stays silent unless the application attaches a handler of its own.
 """
 from __future__ import annotations
 
@@ -23,23 +23,3 @@ def get_logger(name: str | None = None) -> logging.Logger:
     if name is None:
         return logging.getLogger(LIBRARY_LOGGER_NAME)
     return logging.getLogger(f"{LIBRARY_LOGGER_NAME}.{name}")
-
-
-def enable_console_logging(level: int = logging.INFO) -> logging.Handler:
-    """Attach a simple console handler to the library logger.
-
-    Returns the handler so callers (and tests) can detach it again.
-    """
-    logger = logging.getLogger(LIBRARY_LOGGER_NAME)
-    handler = logging.StreamHandler()
-    handler.setFormatter(
-        logging.Formatter("%(asctime)s %(name)s %(levelname)s: %(message)s")
-    )
-    logger.addHandler(handler)
-    logger.setLevel(level)
-    return handler
-
-
-def disable_console_logging(handler: logging.Handler) -> None:
-    """Detach a handler previously returned by :func:`enable_console_logging`."""
-    logging.getLogger(LIBRARY_LOGGER_NAME).removeHandler(handler)

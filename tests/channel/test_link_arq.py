@@ -32,15 +32,14 @@ def payload_for_success_probability(probability: float, direction: str = "uplink
 
 def test_exponential_fading_unit_mean():
     process = ExponentialFadingProcess(seed=0)
-    samples = process.sample(50000)
+    samples = np.array([process.sample_one() for _ in range(50000)])
     assert samples.mean() == pytest.approx(1.0, abs=0.02)
     assert np.all(samples >= 0.0)
 
 
 def test_exponential_fading_reproducible():
-    a = ExponentialFadingProcess(seed=3).sample(10)
-    b = ExponentialFadingProcess(seed=3).sample(10)
-    assert np.allclose(a, b)
+    a, b = ExponentialFadingProcess(seed=3), ExponentialFadingProcess(seed=3)
+    assert [a.sample_one() for _ in range(10)] == [b.sample_one() for _ in range(10)]
     with pytest.raises(ValueError):
         ExponentialFadingProcess(mean=0.0)
 
@@ -141,9 +140,9 @@ def test_arq_session_exchange_updates_statistics():
     session = ArqSession(params=PAPER_CHANNEL_PARAMS, seed=0)
     payload = PayloadModel(pooling_height=40, pooling_width=40)
     for _ in range(5):
-        step = session.exchange(
-            payload.uplink_payload_bits(64), payload.downlink_payload_bits(64)
-        )
+        # The cut-layer gradients have the activations' shape: same payload.
+        bits = payload.uplink_payload_bits(64)
+        step = session.exchange(bits, bits)
         assert step.success
         assert step.total_elapsed_s >= 2e-3  # at least one slot each way
     stats = session.statistics

@@ -86,23 +86,22 @@ def test_payload_scales_inversely_with_pooling_area():
     )
 
 
-def test_downlink_matches_uplink_payload():
-    model = PayloadModel(pooling_height=4, pooling_width=4)
-    assert model.downlink_payload_bits(16) == model.uplink_payload_bits(16)
-
-
 def test_raw_image_payload_is_upper_bound():
-    model = PayloadModel(pooling_height=4, pooling_width=4)
-    assert model.raw_image_payload_bits(16) > model.uplink_payload_bits(16)
+    # Without pooling the payload is the raw images: N_H * N_W * B * R * L.
     no_pool = PayloadModel(pooling_height=1, pooling_width=1)
-    assert no_pool.raw_image_payload_bits(16) == pytest.approx(
-        no_pool.uplink_payload_bits(16)
+    raw_bits = (
+        no_pool.image_height * no_pool.image_width * 16
+        * no_pool.bits_per_value * no_pool.sequence_length
     )
+    assert no_pool.uplink_payload_bits(16) == pytest.approx(raw_bits)
+    model = PayloadModel(pooling_height=4, pooling_width=4)
+    assert model.uplink_payload_bits(16) < raw_bits
 
 
 def test_compression_ratio():
-    assert PayloadModel(pooling_height=4, pooling_width=4).compression_ratio == 16.0
-    assert PayloadModel(pooling_height=40, pooling_width=40).compression_ratio == 1600.0
+    # Pooling sends one value per w_H x w_W region of the 40 x 40 image.
+    assert PayloadModel(pooling_height=4, pooling_width=4).values_per_image * 16 == 1600
+    assert PayloadModel(pooling_height=40, pooling_width=40).values_per_image == 1
 
 
 def test_payload_validation():

@@ -69,13 +69,6 @@ def test_more_bandwidth_never_hurts(payload_bits):
     assert wide >= narrow - 1e-12
 
 
-@given(POOLINGS, BATCH)
-@settings(max_examples=60, deadline=None)
-def test_uplink_downlink_payload_symmetry(pooling, batch):
-    model = PayloadModel(pooling_height=pooling, pooling_width=pooling)
-    assert model.uplink_payload_bits(batch) == model.downlink_payload_bits(batch)
-
-
 @given(st.floats(min_value=1e2, max_value=1e7))
 @settings(max_examples=40, deadline=None)
 def test_expected_slots_consistent_with_probability(payload_bits):

@@ -3,6 +3,8 @@
 Each test writes a good entry, damages it, and checks that the next lookup
 regenerates the dataset bit for bit and atomically replaces the entry.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -45,7 +47,14 @@ def drop_key(path):
 
 
 def wrong_shape(path):
-    save_dataset(load_dataset(path).slice(0, CONFIG.num_samples - 1), path)
+    dataset = load_dataset(path)
+    short = dataclasses.replace(
+        dataset,
+        images=dataset.images[:-1],
+        powers_dbm=dataset.powers_dbm[:-1],
+        line_of_sight_blocked=dataset.line_of_sight_blocked[:-1],
+    )
+    save_dataset(short, path)
 
 
 @pytest.mark.parametrize("damage", [truncate, flip_byte, drop_key, wrong_shape])

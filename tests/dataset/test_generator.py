@@ -10,6 +10,7 @@ from repro.dataset import (
     PAPER_TRAIN_BOUNDARY,
     generate_small_dataset,
 )
+from repro.scene import DEFAULT_FRAME_INTERVAL_S
 
 
 def test_paper_constants():
@@ -77,17 +78,8 @@ def test_generation_is_deterministic_per_seed():
 
 
 def test_times_and_metadata(small_dataset):
-    times = small_dataset.times_s
-    assert times[0] == 0.0
-    assert times[1] == pytest.approx(small_dataset.frame_interval_s)
+    assert small_dataset.frame_interval_s == DEFAULT_FRAME_INTERVAL_S
     assert small_dataset.metadata["num_samples"] == 260
-
-
-def test_slice_returns_aligned_subset(small_dataset):
-    window = small_dataset.slice(10, 20)
-    assert len(window) == 10
-    assert np.allclose(window.images[0], small_dataset.images[10])
-    assert np.allclose(window.powers_dbm, small_dataset.powers_dbm[10:20])
 
 
 def test_dataset_validation_mismatched_lengths():

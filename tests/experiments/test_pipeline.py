@@ -61,7 +61,7 @@ def test_train_stage_runs_split_and_fleet_jobs(pipeline, smoke_scale):
         pipeline.split_job("anchor", smoke_scale.base_model_config())
     )
     assert trained.history.records and not trained.cache_hit and not trained.resumed
-    assert np.isfinite(pipeline.evaluate(trained, pipeline.split.validation))
+    assert np.isfinite(trained.trainer.evaluate(pipeline.split.validation))
 
     config = ExperimentConfig.for_scenario(
         smoke_scale.scenario,
@@ -203,8 +203,8 @@ def test_model_cache_hit_skips_training(smoke_scale, smoke_dataset, smoke_split,
     assert steps == []  # not a single SGD step ran
     assert records_of(second.history) == records_of(first.history)
     # The cache-hit trainer is fully usable for evaluation.
-    assert second_pipeline.evaluate(second, smoke_split.validation) == pytest.approx(
-        first_pipeline.evaluate(first, smoke_split.validation)
+    assert second.trainer.evaluate(smoke_split.validation) == pytest.approx(
+        first.trainer.evaluate(smoke_split.validation)
     )
 
 

@@ -59,38 +59,36 @@ def test_sweep_config_accepts_scenario_instances(sweep_cache_dir):
         )
 
 
-def test_physically_identical_scenarios_run_once(sweep_cache_dir):
+def test_physically_identical_scenarios_run_once(sweep_cache_dir, monkeypatch):
     """A renamed clone of a preset shares physics: its cells are not re-run."""
     import dataclasses
 
-    from repro.scenarios import get_scenario, register, unregister
+    from repro.scenarios import get_scenario, register, registry
 
+    monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
     clone = dataclasses.replace(
         get_scenario("paper_baseline"), name="baseline_clone", description="copy"
     )
     register(clone)
-    try:
-        artifact = run_sweep(
-            smoke_sweep_config(
-                sweep_cache_dir,
-                scenarios=("paper_baseline", "baseline_clone"),
-                seeds=(0,),
-            )
+    artifact = run_sweep(
+        smoke_sweep_config(
+            sweep_cache_dir,
+            scenarios=("paper_baseline", "baseline_clone"),
+            seeds=(0,),
         )
-        original = artifact["scenarios"]["paper_baseline"]["cells"][0]
-        copied = artifact["scenarios"]["baseline_clone"]["cells"][0]
-        assert original["metrics"] == copied["metrics"]
-        assert original["dataset_fingerprint"] == copied["dataset_fingerprint"]
-        # The copy is flagged and its execution metadata zeroed.
-        assert copied["deduplicated_from"] == "paper_baseline"
-        assert copied["experiment_seconds"] == 0.0
-        assert "deduplicated_from" not in original
-        assert (
-            artifact["scenarios"]["paper_baseline"]["scenario_hash"]
-            == artifact["scenarios"]["baseline_clone"]["scenario_hash"]
-        )
-    finally:
-        unregister("baseline_clone")
+    )
+    original = artifact["scenarios"]["paper_baseline"]["cells"][0]
+    copied = artifact["scenarios"]["baseline_clone"]["cells"][0]
+    assert original["metrics"] == copied["metrics"]
+    assert original["dataset_fingerprint"] == copied["dataset_fingerprint"]
+    # The copy is flagged and its execution metadata zeroed.
+    assert copied["deduplicated_from"] == "paper_baseline"
+    assert copied["experiment_seconds"] == 0.0
+    assert "deduplicated_from" not in original
+    assert (
+        artifact["scenarios"]["paper_baseline"]["scenario_hash"]
+        == artifact["scenarios"]["baseline_clone"]["scenario_hash"]
+    )
 
 
 def test_sweep_fig3a_metrics_include_communication(sweep_cache_dir):

@@ -34,19 +34,10 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 
 MEMBER = "test oracle: per-member UE step the stacked bank is checked against"
 SCENE = "test oracle: one-frame view tests/scene/per_frame_oracle.py calls"
-ONE_BOX = (
-    "test view: the one-box form tests/scene checks a batched slab or "
-    "segment kernel through (tests/scene/per_frame_oracle.py keeps its own "
-    "scalar copy)"
-)
 HARNESS = "harness target: benchmarks/harness/trace.py resolves it by name"
 SUBCLASS = "user-subclass default: base-class hook the concrete classes override"
 EXAMPLE = "example/benchmark import: examples/ or benchmarks/ call it"
 BRANCH = "entry-point branch the smoke probe does not take"
-TESTS_ONLY = (
-    "tests only, outside the NN-library surface: deletion candidate "
-    "(ROADMAP item 14)"
-)
 
 #: ``module:qualname`` -> why it stays although no entry point reaches it.
 ALLOWLIST = {
@@ -64,7 +55,8 @@ ALLOWLIST = {
     "repro.nn.losses:Loss.backward": SUBCLASS,
     "repro.nn.serialization:flatten_state_tree": "test oracle: the flat view "
     "the checkpoint and resume tests compare state trees through",
-    "repro.fleet.config:FleetConfig.resolved_backend": HARNESS,
+    "repro.fleet.config:FleetConfig.resolved_backend": "harness workload: "
+    "benchmarks/harness/workloads.py checks the fleet-n260 backend through it",
     "repro.split.ue:UEClient.backward": HARNESS + "; the plan's backward at "
     "one member, which tests/split/test_ue_network.py checks",
     "repro.split.codecs:PayloadCodec.encode_decode": SUBCLASS,
@@ -74,7 +66,6 @@ ALLOWLIST = {
     "per-member reference encode_decode_stacked vectorizes",
     "repro.split.codecs:UniformQuantizerCodec.encode_decode": HARNESS + "; the "
     "per-member reference encode_decode_stacked vectorizes",
-    "repro.split.config:ExperimentConfig.describe": TESTS_ONLY,
     "repro.split.predictors:BasePredictor.fit": EXAMPLE,
     "repro.split.predictors:BasePredictor.predict": EXAMPLE,
     "repro.split.predictors:BasePredictor.evaluate": EXAMPLE,
@@ -87,7 +78,6 @@ ALLOWLIST = {
     "repro.analysis.registry:known_codes": BRANCH + " (--select)",
     "repro.channel.arq:ArqSession.exchange": HARNESS + "; the ARQ goldens "
     "replay it",
-    "repro.channel.fading:ExponentialFadingProcess.sample": TESTS_ONLY,
     "repro.channel.link:BatchTransmissionResult.empty": BRANCH
     + " (a transmit of zero payloads)",
     "repro.channel.link:WirelessLink.success_probability": EXAMPLE + " (the "
@@ -96,16 +86,9 @@ ALLOWLIST = {
     "repro.channel.link:WirelessLink.transmit": EXAMPLE + " (the scalar path "
     "of examples/custom_scene_simulation.py and the channel benchmark); the "
     "ARQ goldens pin it",
-    "repro.channel.payload:PayloadModel.compression_ratio": TESTS_ONLY,
-    "repro.channel.payload:PayloadModel.downlink_payload_bits": TESTS_ONLY,
-    "repro.channel.payload:PayloadModel.raw_image_payload_bits": TESTS_ONLY,
     "repro.dataset.cache:default_cache_dir": BRANCH + " (no cache directory)",
     "repro.dataset.generator:DepthPowerDataset.blockage_fraction": EXAMPLE,
-    "repro.dataset.generator:DepthPowerDataset.slice": TESTS_ONLY,
-    "repro.dataset.generator:DepthPowerDataset.times_s": TESTS_ONLY,
     "repro.dataset.generator:generate_small_dataset": EXAMPLE,
-    "repro.dataset.sequences:SequenceDataset.image_shape": TESTS_ONLY,
-    "repro.dataset.splits:TrainValidationSplit.train_fraction": TESTS_ONLY,
     # -- experiments, fleet, scenarios -------------------------------------
     "repro.experiments.common:ExperimentScale.fast": BRANCH + " (--scale fast)",
     "repro.experiments.common:ExperimentScale.paper": BRANCH + " (--scale paper)",
@@ -126,12 +109,12 @@ ALLOWLIST = {
     "repro.experiments.fig_fleet_scaling:FleetScalingResult.format_table": EXAMPLE,
     "repro.experiments.model_cache:default_model_cache_dir": BRANCH
     + " (no cache directory)",
-    "repro.experiments.pipeline:ExperimentPipeline.evaluate": TESTS_ONLY,
     "repro.experiments.pipeline:ExperimentPipeline.train": HARNESS + "; the "
     "single-job form of train_all, which every runner calls",
     "repro.experiments.pipeline:ExperimentSpec.run_cell": EXAMPLE + " (the "
     "sweep-cold workload's oracle; cells run through sweep.run_cell)",
-    "repro.experiments.sweep:canonical_artifact": TESTS_ONLY,
+    "repro.experiments.sweep:canonical_artifact": "CI step: the sweep "
+    "kill-and-resume check in .github/workflows/ci.yml compares runs through it",
     "repro.experiments.table1_privacy_success:Table1Result.format_table": EXAMPLE,
     "repro.experiments.table1_privacy_success:Table1Result.summary_rows": EXAMPLE,
     "repro.experiments.table1_privacy_success:Table1Result.poolings": EXAMPLE,
@@ -144,54 +127,32 @@ ALLOWLIST = {
     ),
     "repro.fleet.trainer:FleetHistory.elapsed_times_s": EXAMPLE,
     "repro.fleet.trainer:FleetHistory.validation_rmse_curve_db": EXAMPLE,
-    "repro.fleet.trainer:FleetHistory.time_to_reach_db": TESTS_ONLY,
     "repro.scenarios.base:Scenario.describe": BRANCH + " (sweep --list-scenarios)",
     "repro.scenarios.registry:scenario_names": BRANCH + " (sweep --list-scenarios)",
-    "repro.scenarios.registry:unregister": TESTS_ONLY,
     # -- mmwave, scene, utils ----------------------------------------------
     "repro.mmwave.blockage:BlockageModel.attenuation_db": SUBCLASS,
     "repro.mmwave.blockage:BlockageModel.frame_attenuations_db": SUBCLASS,
     "repro.mmwave.blockage:IndependentBodiesBlockageModel.body_attenuations_db": (
         SUBCLASS
     ),
-    "repro.mmwave.blockage:IndependentBodiesBlockageModel.attenuation_db": (
-        TESTS_ONLY
-    ),
-    "repro.mmwave.blockage:IndependentBodiesBlockageModel"
-    ".single_body_attenuation_db": TESTS_ONLY,
-    "repro.mmwave.power:ReceivedPowerModel.mean_power_dbm": TESTS_ONLY,
-    "repro.mmwave.propagation:log_distance_path_loss_db": TESTS_ONLY,
+    "repro.mmwave.propagation:log_distance_path_loss_db": "golden: "
+    "tests/regression/test_golden_values.py pins its closed form",
     "repro.scene.actors:Pedestrian.state_at": SUBCLASS,
     "repro.scene.actors:Pedestrian.states_at": SUBCLASS,
     "repro.scene.actors:CrossingPedestrian.state_at": SCENE,
     "repro.scene.actors:LoiteringPedestrian.state_at": SCENE,
     "repro.scene.actors:LoiteringPedestrian.states_at": BRANCH
     + " (a scenario with loitering pedestrians)",
-    "repro.scene.actors:CrossingPedestrian.crossing_time_s": TESTS_ONLY,
-    "repro.scene.actors:Pedestrian.body_at": TESTS_ONLY,
     "repro.scene.actors:periodic_crossing_traffic": EXAMPLE,
     "repro.scene.camera:DepthCamera.render": HARNESS,
-    "repro.scene.camera:DepthCamera.render_normalized": TESTS_ONLY,
     "repro.scene.environment:BlockerArrays.frame_blockers": EXAMPLE,
     "repro.scene.environment:BlockerArrays.from_lists": EXAMPLE,
     "repro.scene.environment:CorridorScene.frames": EXAMPLE,
     "repro.scene.environment:SceneFrame.line_of_sight_blocked": EXAMPLE,
-    "repro.scene.environment:CorridorScene.line_of_sight_blocked": TESTS_ONLY,
-    "repro.scene.environment:CorridorScene.active_bodies": TESTS_ONLY,
-    "repro.scene.environment:CorridorScene.add_pedestrian": TESTS_ONLY,
-    "repro.scene.environment:CorridorScene.blocker_geometry": TESTS_ONLY,
-    "repro.scene.environment:CorridorScene.frame_at": TESTS_ONLY,
-    "repro.scene.environment:CorridorScene.frame_rate_hz": TESTS_ONLY,
     "repro.scene.geometry:AxisAlignedBox.from_center": SCENE,
     "repro.scene.geometry:AxisAlignedBox.center": SCENE,
     "repro.scene.geometry:AxisAlignedBox.size": SCENE,
     "repro.scene.geometry:AxisAlignedBox.contains": SCENE,
-    "repro.scene.geometry:point_segment_distance": ONE_BOX,
-    "repro.scene.geometry:project_point_onto_segment": ONE_BOX,
-    "repro.scene.geometry:ray_box_intersection": ONE_BOX,
-    "repro.scene.geometry:segment_intersects_box": ONE_BOX,
-    "repro.utils.logging:enable_console_logging": TESTS_ONLY,
-    "repro.utils.logging:disable_console_logging": TESTS_ONLY,
 }
 
 

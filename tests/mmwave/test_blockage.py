@@ -8,7 +8,7 @@ from repro.mmwave import (
     fresnel_parameter,
     knife_edge_loss_db,
 )
-from repro.scene.environment import BlockerGeometry
+from repro.scene.environment import BlockerArrays, BlockerGeometry
 
 
 def make_blocker(clearance, d_tx=2.0, d_rx=2.0, width=0.5, blocking=None):
@@ -54,33 +54,36 @@ def test_fresnel_parameter_validation():
 
 def test_knife_edge_model_deep_shadow_attenuation():
     model = KnifeEdgeBlockageModel()
-    attenuation = model.single_body_attenuation_db(make_blocker(0.0))
+    [attenuation] = model.body_attenuations_db(BlockerArrays.from_lists([[make_blocker(0.0)]]))
     assert 15.0 <= attenuation <= model.max_attenuation_db
 
 
 def test_knife_edge_model_clear_path_no_attenuation():
     model = KnifeEdgeBlockageModel()
-    attenuation = model.single_body_attenuation_db(make_blocker(1.5))
+    [attenuation] = model.body_attenuations_db(BlockerArrays.from_lists([[make_blocker(1.5)]]))
     assert attenuation == pytest.approx(0.0, abs=0.1)
 
 
 def test_knife_edge_model_monotone_in_clearance():
     model = KnifeEdgeBlockageModel()
     clearances = [0.0, 0.1, 0.2, 0.3, 0.5, 1.0]
-    attenuations = [model.single_body_attenuation_db(make_blocker(c)) for c in clearances]
-    assert all(a >= b - 1e-9 for a, b in zip(attenuations, attenuations[1:]))
+    rows = BlockerArrays.from_lists([[make_blocker(c) for c in clearances]])
+    attenuations = model.body_attenuations_db(rows)
+    assert np.all(np.diff(attenuations) <= 1e-9)
 
 
 def test_knife_edge_model_total_capped_for_multiple_bodies():
     model = KnifeEdgeBlockageModel(max_attenuation_db=20.0)
     blockers = [make_blocker(0.0, d_tx=1.0, d_rx=3.0), make_blocker(0.0, d_tx=3.0, d_rx=1.0)]
-    total = model.attenuation_db(blockers)
+    rows = BlockerArrays.from_lists([blockers])
+    [total] = model.frame_attenuations_db(rows)
     assert total <= 1.5 * model.max_attenuation_db + 1e-9
-    assert total >= model.single_body_attenuation_db(blockers[0]) - 1e-9
+    assert total >= model.body_attenuations_db(rows)[0] - 1e-9
 
 
 def test_knife_edge_model_no_blockers():
-    assert KnifeEdgeBlockageModel().attenuation_db([]) == 0.0
+    rows = BlockerArrays.from_lists([[]])
+    assert KnifeEdgeBlockageModel().frame_attenuations_db(rows).tolist() == [0.0]
 
 
 def test_knife_edge_model_validation():
@@ -94,10 +97,9 @@ def test_piecewise_model_regions():
     model = PiecewiseLinearBlockageModel(
         max_attenuation_db=20.0, inner_clearance_m=0.2, outer_clearance_m=0.6
     )
-    assert model.single_body_attenuation_db(make_blocker(0.0)) == pytest.approx(20.0)
-    assert model.single_body_attenuation_db(make_blocker(0.1)) == pytest.approx(20.0)
-    assert model.single_body_attenuation_db(make_blocker(0.4)) == pytest.approx(10.0)
-    assert model.single_body_attenuation_db(make_blocker(0.8)) == pytest.approx(0.0)
+    rows = BlockerArrays.from_lists([[make_blocker(c) for c in (0.0, 0.1, 0.4, 0.8)]])
+    attenuations = model.body_attenuations_db(rows)
+    assert attenuations.tolist() == pytest.approx([20.0, 20.0, 10.0, 0.0])
 
 
 def test_piecewise_model_validation():
@@ -111,7 +113,7 @@ def test_both_models_agree_on_qualitative_shape():
     knife = KnifeEdgeBlockageModel()
     piecewise = PiecewiseLinearBlockageModel()
     for model in (knife, piecewise):
-        blocked = model.attenuation_db([make_blocker(0.0)])
-        clear = model.attenuation_db([make_blocker(1.5)])
+        rows = BlockerArrays.from_lists([[make_blocker(0.0)], [make_blocker(1.5)]])
+        blocked, clear = model.frame_attenuations_db(rows)
         assert blocked > 10.0
         assert clear < 1.0

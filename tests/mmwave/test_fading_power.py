@@ -10,7 +10,7 @@ from repro.mmwave import (
     ReceivedPowerModel,
 )
 from repro.scene import CorridorScene, DepthCameraIntrinsics, LoiteringPedestrian
-from repro.scene.environment import BlockerGeometry
+from repro.scene.environment import BlockerArrays, BlockerGeometry
 
 
 def test_nakagami_gains_unit_mean_power():
@@ -60,7 +60,8 @@ def test_measurement_noise_statistics():
 def test_mean_power_unblocked_equals_link_budget():
     model = ReceivedPowerModel()
     expected = float(model.link_budget.line_of_sight_power_dbm(4.0))
-    assert model.mean_power_dbm(4.0, []) == pytest.approx(expected)
+    no_blockers = BlockerArrays.from_lists([[]])
+    assert model.mean_powers_dbm(4.0, no_blockers).tolist() == pytest.approx([expected])
 
 
 def test_mean_power_blocked_is_attenuated():
@@ -72,8 +73,7 @@ def test_mean_power_blocked_is_attenuated():
         distance_from_rx_m=2.0,
         body_width_m=0.5,
     )
-    unblocked = model.mean_power_dbm(4.0, [])
-    blocked = model.mean_power_dbm(4.0, [blocker])
+    unblocked, blocked = model.mean_powers_dbm(4.0, BlockerArrays.from_lists([[], [blocker]]))
     assert unblocked - blocked > 10.0
 
 
@@ -81,7 +81,8 @@ def test_mean_power_never_below_floor():
     model = ReceivedPowerModel(
         link_budget=LinkBudget(tx_power_dbm=-50.0), floor_dbm=-78.0
     )
-    assert model.mean_power_dbm(1000.0, []) == pytest.approx(-78.0)
+    no_blockers = BlockerArrays.from_lists([[]])
+    assert model.mean_powers_dbm(1000.0, no_blockers).tolist() == pytest.approx([-78.0])
 
 
 def test_power_trace_matches_blockage_pattern():

@@ -13,8 +13,8 @@ from repro.scenarios import (
     register,
     scenario_fingerprint,
     scenario_names,
-    unregister,
 )
+from repro.scenarios import registry
 from repro.scene.actors import PedestrianTrafficConfig
 
 
@@ -47,19 +47,18 @@ def test_unknown_scenario_lists_catalog():
         get_scenario("does_not_exist")
 
 
-def test_register_rejects_conflicting_redefinition():
+def test_register_rejects_conflicting_redefinition(monkeypatch):
+    monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
     custom = Scenario(name="test_custom_corridor", link_distance_m=5.0)
-    try:
-        register(custom)
-        # Identical re-registration is a no-op.
-        register(custom)
-        conflicting = Scenario(name="test_custom_corridor", link_distance_m=6.0)
-        with pytest.raises(ValueError, match="already registered"):
-            register(conflicting)
-        register(conflicting, overwrite=True)
-        assert get_scenario("test_custom_corridor").link_distance_m == 6.0
-    finally:
-        unregister("test_custom_corridor")
+    register(custom)
+    # Identical re-registration is a no-op.
+    register(custom)
+    conflicting = Scenario(name="test_custom_corridor", link_distance_m=6.0)
+    with pytest.raises(ValueError, match="already registered"):
+        register(conflicting)
+    register(conflicting, overwrite=True)
+    assert get_scenario("test_custom_corridor").link_distance_m == 6.0
+    monkeypatch.undo()
     assert "test_custom_corridor" not in scenario_names()
 
 
@@ -100,17 +99,15 @@ def test_scenario_walk_span_must_fit_inside_walls():
     assert narrow.traffic.corridor_half_width_m == pytest.approx(1.0)
 
 
-def test_with_scenario_rejects_unregistered_instances():
+def test_with_scenario_rejects_unregistered_instances(monkeypatch):
+    monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
     unregistered = Scenario(name="never_registered", link_distance_m=5.0)
     with pytest.raises(ValueError, match="not registered"):
         ExperimentScale.fast().with_scenario(unregistered)
     # A registered instance binds by name.
     register(unregistered)
-    try:
-        scale = ExperimentScale.fast().with_scenario(unregistered)
-        assert scale.scenario == "never_registered"
-    finally:
-        unregister("never_registered")
+    scale = ExperimentScale.fast().with_scenario(unregistered)
+    assert scale.scenario == "never_registered"
 
 
 def test_preset_physics():

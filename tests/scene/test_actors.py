@@ -17,13 +17,17 @@ def test_crossing_pedestrian_timeline():
     )
     assert pedestrian.duration_s == pytest.approx(4.0)
     assert pedestrian.end_time_s == pytest.approx(5.0)
-    assert pedestrian.crossing_time_s() == pytest.approx(3.0)
+    # Halfway along its walk, at t = 3 s, the body center is on the link line.
+    active, positions = pedestrian.states_at([3.0])
+    assert active[0]
+    assert positions[0, 1] == pytest.approx(0.0)
 
 
 def test_crossing_pedestrian_inactive_outside_window():
     pedestrian = CrossingPedestrian(crossing_x=2.0, start_time_s=1.0)
     assert not pedestrian.state_at(0.5).active
-    assert pedestrian.body_at(0.5) is None
+    indices, _, _ = pedestrian.bodies_at([0.5])
+    assert len(indices) == 0
     assert not pedestrian.state_at(100.0).active
 
 
@@ -51,11 +55,11 @@ def test_crossing_pedestrian_body_box_centered_at_half_height():
     pedestrian = CrossingPedestrian(
         crossing_x=2.0, start_time_s=0.0, body_size=(0.3, 0.5, 1.8)
     )
-    body = pedestrian.body_at(pedestrian.crossing_time_s())
-    assert body is not None
-    assert body.minimum[2] == pytest.approx(0.0)
-    assert body.maximum[2] == pytest.approx(1.8)
-    assert body.center[0] == pytest.approx(2.0)
+    indices, minimum, maximum = pedestrian.bodies_at([2.0])  # on the link line
+    assert indices.tolist() == [0]
+    assert minimum[0, 2] == pytest.approx(0.0)
+    assert maximum[0, 2] == pytest.approx(1.8)
+    assert (minimum[0, 0] + maximum[0, 0]) / 2.0 == pytest.approx(2.0)
 
 
 def test_crossing_pedestrian_validation():

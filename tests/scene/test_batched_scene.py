@@ -27,6 +27,7 @@ from repro.scene import (
 )
 from repro.scene.actors import PedestrianState
 from repro.scene.environment import BlockerArrays, BlockerGeometry
+from repro.scene.geometry import AxisAlignedBox
 from tests.scene import per_frame_oracle as oracle
 
 INTERVAL = 0.033
@@ -155,35 +156,39 @@ def test_simulate_matches_per_frame_loop(scene, start_index, count, seed):
 @settings(max_examples=40, deadline=None)
 def test_one_frame_views_match_per_frame_loop(scene, index):
     time_s = index * INTERVAL
-    frame = scene.frame_at(index)
+    batch = scene.simulate(1, index)
+    frame = batch[0]
     expected = oracle.frame_at(scene, index)
     assert_bitwise(frame.depth_image, expected.depth_image)
     assert_same_blockers(frame.blockers, expected.blockers)
     assert frame.time_s == expected.time_s
 
-    assert scene.line_of_sight_blocked(time_s) == oracle.line_of_sight_blocked(scene, time_s)
-    bodies = scene.active_bodies(time_s)
+    assert batch.line_of_sight_blocked[0] == oracle.line_of_sight_blocked(scene, time_s)
+    bodies = [
+        AxisAlignedBox(low, high)
+        for pedestrian in scene.pedestrians
+        for low, high in zip(*pedestrian.bodies_at([time_s])[1:])
+    ]
     expected_bodies = oracle.active_bodies(scene, time_s)
     assert len(bodies) == len(expected_bodies)
     for body, want in zip(bodies, expected_bodies):
         assert_bitwise(body.minimum, want.minimum)
         assert_bitwise(body.maximum, want.maximum)
-        assert_same_blockers(
-            [scene.blocker_geometry(body)], [oracle.blocker_geometry(scene, want)]
-        )
+    assert_same_blockers(
+        frame.blockers, [oracle.blocker_geometry(scene, want) for want in expected_bodies]
+    )
     boxes = scene.static_boxes + bodies
     assert_bitwise(scene.camera.render(boxes), oracle.render(scene.camera, boxes))
 
     for model in (KnifeEdgeBlockageModel(), PiecewiseLinearBlockageModel()):
         assert_bitwise(
-            model.attenuation_db(frame.blockers),
-            oracle.attenuation_db(model, expected.blockers),
+            model.frame_attenuations_db(batch.blockers),
+            [oracle.attenuation_db(model, expected.blockers)],
         )
-        for blocker in frame.blockers:
-            assert_bitwise(
-                model.single_body_attenuation_db(blocker),
-                oracle.single_body_attenuation_db(model, blocker),
-            )
+        assert_bitwise(
+            model.body_attenuations_db(batch.blockers),
+            [oracle.single_body_attenuation_db(model, blocker) for blocker in frame.blockers],
+        )
 
 
 def random_blockers(rng, frames):

@@ -79,14 +79,6 @@ def test_none_boxes_are_skipped(camera):
     assert np.allclose(image, camera.intrinsics.max_range_m)
 
 
-def test_render_normalized_in_unit_range(camera):
-    box = AxisAlignedBox.from_center([3.0, 0.0, 1.0], [0.2, 0.6, 0.6])
-    image = camera.render_normalized([box])
-    assert image.min() >= 0.0
-    assert image.max() <= 1.0
-    assert image[10, 10] < image[0, 0]  # the box is closer than the background
-
-
 def test_background_depth_override():
     pose = Pose(position=[0, 0, 1], forward=[1, 0, 0])
     camera = DepthCamera(pose, DepthCameraIntrinsics(width=5, height=5), background_depth_m=6.0)

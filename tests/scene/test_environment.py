@@ -24,14 +24,13 @@ def test_scene_geometry_defaults():
     scene = make_scene()
     assert np.allclose(scene.ue_position, [0.0, 0.0, 1.0])
     assert np.allclose(scene.bs_position, [4.0, 0.0, 1.0])
-    assert scene.frame_rate_hz == pytest.approx(1.0 / 0.033)
     assert len(scene.static_boxes) == 3  # two side walls + back wall
 
 
 def test_scene_without_walls():
     scene = make_scene(include_walls=False)
     assert scene.static_boxes == []
-    frame = scene.frame_at(0)
+    frame = scene.simulate(1)[0]
     assert np.allclose(frame.depth_image, 1.0)  # nothing but background
 
 
@@ -46,9 +45,9 @@ def test_scene_validation():
 
 def test_blocking_pedestrian_detected():
     blocker = LoiteringPedestrian(position=[2.0, 0.0, 0.0])
-    scene = make_scene(pedestrians=[blocker])
-    assert scene.line_of_sight_blocked(0.0)
-    geometry = scene.blocker_geometry(blocker.body_at(0.0))
+    frame = make_scene(pedestrians=[blocker]).simulate(1)[0]
+    assert frame.line_of_sight_blocked
+    [geometry] = frame.blockers
     assert geometry.blocking
     assert geometry.clearance_m == pytest.approx(0.125, abs=0.2)
     assert geometry.distance_from_tx_m == pytest.approx(2.0, abs=0.1)
@@ -56,9 +55,9 @@ def test_blocking_pedestrian_detected():
 
 def test_non_blocking_pedestrian():
     bystander = LoiteringPedestrian(position=[2.0, 1.8, 0.0])
-    scene = make_scene(pedestrians=[bystander])
-    assert not scene.line_of_sight_blocked(0.0)
-    geometry = scene.blocker_geometry(bystander.body_at(0.0))
+    frame = make_scene(pedestrians=[bystander]).simulate(1)[0]
+    assert not frame.line_of_sight_blocked
+    [geometry] = frame.blockers
     assert not geometry.blocking
     assert geometry.clearance_m > 1.0
 
@@ -67,18 +66,20 @@ def test_crossing_pedestrian_blocks_only_during_crossing():
     pedestrian = CrossingPedestrian(
         crossing_x=2.0, start_time_s=0.0, speed_mps=1.0, start_y=-2.0, end_y=2.0
     )
-    scene = make_scene(pedestrians=[pedestrian])
-    assert not scene.line_of_sight_blocked(0.5)  # still 1.5 m away laterally
-    assert scene.line_of_sight_blocked(pedestrian.crossing_time_s())
-    assert not scene.line_of_sight_blocked(3.9)
+    # Frames 0.1 s apart: frame 20 is at t = 2.0 s, when the body center
+    # crosses the link line (y = 0).
+    blocked = make_scene(pedestrians=[pedestrian], frame_interval_s=0.1).simulate(40)
+    assert not blocked.line_of_sight_blocked[5]  # still 1.5 m away laterally
+    assert blocked.line_of_sight_blocked[20]
+    assert not blocked.line_of_sight_blocked[39]
 
 
 def test_frame_rendering_shows_pedestrian():
     blocker = LoiteringPedestrian(position=[2.0, 0.0, 0.0])
     empty_scene = make_scene()
     blocked_scene = make_scene(pedestrians=[blocker])
-    empty_frame = empty_scene.frame_at(0)
-    blocked_frame = blocked_scene.frame_at(0)
+    empty_frame = empty_scene.simulate(1)[0]
+    blocked_frame = blocked_scene.simulate(1)[0]
     # The pedestrian is closer than any wall, so the minimum depth drops.
     assert blocked_frame.depth_image.min() < empty_frame.depth_image.min()
     assert blocked_frame.line_of_sight_blocked
@@ -96,19 +97,12 @@ def test_frames_iterator_counts_and_times():
 
 def test_frame_at_negative_index_raises():
     with pytest.raises(ValueError):
-        make_scene().frame_at(-1)
-
-
-def test_add_pedestrian():
-    scene = make_scene()
-    assert not scene.line_of_sight_blocked(0.0)
-    scene.add_pedestrian(LoiteringPedestrian(position=[2.0, 0.0, 0.0]))
-    assert scene.line_of_sight_blocked(0.0)
+        make_scene().simulate(1, -1)
 
 
 def test_blocker_geometry_distances_sum_to_link_distance():
     blocker = LoiteringPedestrian(position=[1.0, 0.0, 0.0])
     scene = make_scene(pedestrians=[blocker])
-    geometry = scene.blocker_geometry(blocker.body_at(0.0))
+    [geometry] = scene.simulate(1)[0].blockers
     total = geometry.distance_from_tx_m + geometry.distance_from_rx_m
     assert total == pytest.approx(scene.link_distance_m)

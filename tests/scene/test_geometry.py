@@ -2,14 +2,16 @@
 import numpy as np
 import pytest
 
-from repro.scene import (
-    AxisAlignedBox,
-    Pose,
-    point_segment_distance,
-    project_point_onto_segment,
-    ray_box_intersection,
-    segment_intersects_box,
+from repro.scene import AxisAlignedBox, Pose
+from repro.scene.geometry import (
+    project_points_onto_segment,
+    ray_box_distances,
+    segment_box_hits,
 )
+
+#: Corners of the unit cube as the ``(1, 3)`` rows the batched kernels take.
+LOW = np.zeros((1, 3))
+HIGH = np.ones((1, 3))
 
 
 @pytest.fixture()
@@ -38,69 +40,77 @@ def test_box_contains(unit_box):
     assert not unit_box.contains([1.5, 0.5, 0.5])
 
 
-def test_ray_hits_box_head_on(unit_box):
-    distance = ray_box_intersection([-1.0, 0.5, 0.5], [1.0, 0.0, 0.0], unit_box)
-    assert distance[0] == pytest.approx(1.0)
+def test_ray_hits_box_head_on():
+    distances = ray_box_distances([[-1.0, 0.5, 0.5]], [[1.0, 0.0, 0.0]], LOW, HIGH)
+    assert distances.shape == (1, 1)
+    assert distances[0, 0] == pytest.approx(1.0)
 
 
-def test_ray_misses_box(unit_box):
-    distance = ray_box_intersection([-1.0, 2.0, 0.5], [1.0, 0.0, 0.0], unit_box)
-    assert np.isinf(distance[0])
+def test_ray_misses_box():
+    # Crosses the x slab but moves away from the y slab it starts outside.
+    distances = ray_box_distances([[-1.0, 2.0, 0.5]], [[1.0, 1.0, 0.0]], LOW, HIGH)
+    assert np.isinf(distances[0, 0])
 
 
-def test_ray_parallel_outside_slab_misses(unit_box):
+def test_ray_parallel_outside_slab_misses():
     # Ray travels along x at y=2: parallel to the y slabs and outside them.
-    distance = ray_box_intersection([-1.0, 2.0, 0.5], [1.0, 0.0, 0.0], unit_box)
-    assert np.isinf(distance[0])
+    distances = ray_box_distances([[-1.0, 2.0, 0.5]], [[1.0, 0.0, 0.0]], LOW, HIGH)
+    assert np.isinf(distances[0, 0])
 
 
-def test_ray_starting_inside_box_returns_zero(unit_box):
-    distance = ray_box_intersection([0.5, 0.5, 0.5], [1.0, 0.0, 0.0], unit_box)
-    assert distance[0] == pytest.approx(0.0)
+def test_ray_starting_inside_box_returns_zero():
+    distances = ray_box_distances([[0.5, 0.5, 0.5]], [[1.0, 0.0, 0.0]], LOW, HIGH)
+    assert distances[0, 0] == 0.0
 
 
-def test_ray_pointing_away_misses(unit_box):
-    distance = ray_box_intersection([-1.0, 0.5, 0.5], [-1.0, 0.0, 0.0], unit_box)
-    assert np.isinf(distance[0])
+def test_ray_pointing_away_misses():
+    distances = ray_box_distances([[-1.0, 0.5, 0.5]], [[-1.0, 0.0, 0.0]], LOW, HIGH)
+    assert np.isinf(distances[0, 0])
 
 
-def test_ray_vectorized_batch(unit_box):
+def test_ray_vectorized_batch():
     origins = np.array([[-1.0, 0.5, 0.5], [-1.0, 5.0, 0.5]])
     directions = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    distances = ray_box_intersection(origins, directions, unit_box)
-    assert distances.shape == (2,)
-    assert np.isfinite(distances[0]) and np.isinf(distances[1])
+    distances = ray_box_distances(origins, directions, LOW, HIGH)
+    assert distances.shape == (1, 2)
+    assert np.isfinite(distances[0, 0]) and np.isinf(distances[0, 1])
 
 
-def test_ray_unnormalized_direction_scales_distance(unit_box):
-    distance = ray_box_intersection([-1.0, 0.5, 0.5], [2.0, 0.0, 0.0], unit_box)
-    assert distance[0] == pytest.approx(0.5)
+def test_ray_unnormalized_direction_scales_distance():
+    distances = ray_box_distances([[-1.0, 0.5, 0.5]], [[2.0, 0.0, 0.0]], LOW, HIGH)
+    assert distances[0, 0] == pytest.approx(0.5)
 
 
-def test_segment_intersects_box(unit_box):
-    assert segment_intersects_box([-1, 0.5, 0.5], [2, 0.5, 0.5], unit_box)
-    assert not segment_intersects_box([-1, 2.0, 0.5], [2, 2.0, 0.5], unit_box)
+def test_segment_intersects_box():
+    assert segment_box_hits([-1, 0.5, 0.5], [2, 0.5, 0.5], LOW, HIGH).tolist() == [True]
+    assert segment_box_hits([-1, 2.0, 0.5], [2, 2.0, 0.5], LOW, HIGH).tolist() == [False]
     # Segment stopping short of the box.
-    assert not segment_intersects_box([-2, 0.5, 0.5], [-1, 0.5, 0.5], unit_box)
+    assert segment_box_hits([-2, 0.5, 0.5], [-1, 0.5, 0.5], LOW, HIGH).tolist() == [False]
 
 
-def test_segment_degenerate_point(unit_box):
-    assert segment_intersects_box([0.5, 0.5, 0.5], [0.5, 0.5, 0.5], unit_box)
-    assert not segment_intersects_box([2, 2, 2], [2, 2, 2], unit_box)
+def test_segment_degenerate_point():
+    # A zero-length segment hits exactly the boxes containing its point.
+    assert segment_box_hits([0.5, 0.5, 0.5], [0.5, 0.5, 0.5], LOW, HIGH).tolist() == [True]
+    assert segment_box_hits([2, 2, 2], [2, 2, 2], LOW, HIGH).tolist() == [False]
 
 
 def test_point_segment_distance():
-    assert point_segment_distance([0, 1, 0], [-1, 0, 0], [1, 0, 0]) == pytest.approx(1.0)
-    assert point_segment_distance([5, 0, 0], [-1, 0, 0], [1, 0, 0]) == pytest.approx(4.0)
-    assert point_segment_distance([0, 0, 0], [0, 0, 0], [0, 0, 0]) == pytest.approx(0.0)
+    _, distances = project_points_onto_segment(
+        [[0, 1, 0], [5, 0, 0]], [-1, 0, 0], [1, 0, 0]
+    )
+    assert distances.tolist() == pytest.approx([1.0, 4.0])
+    # Zero-length segment: the distance to its one point.
+    fractions, distances = project_points_onto_segment([[0, 3, 4]], [0, 0, 0], [0, 0, 0])
+    assert fractions.tolist() == [0.0]
+    assert distances.tolist() == pytest.approx([5.0])
 
 
 def test_project_point_onto_segment():
-    fraction, closest = project_point_onto_segment([0.25, 3.0, 0.0], [0, 0, 0], [1, 0, 0])
-    assert fraction == pytest.approx(0.25)
-    assert np.allclose(closest, [0.25, 0, 0])
-    fraction, _ = project_point_onto_segment([5, 0, 0], [0, 0, 0], [1, 0, 0])
-    assert fraction == pytest.approx(1.0)
+    fractions, distances = project_points_onto_segment(
+        [[0.25, 3.0, 0.0], [5, 0, 0]], [0, 0, 0], [1, 0, 0]
+    )
+    assert fractions.tolist() == pytest.approx([0.25, 1.0])  # clipped to the end
+    assert distances.tolist() == pytest.approx([3.0, 4.0])
 
 
 def test_pose_orthonormal_frame():

@@ -8,9 +8,11 @@ from repro.scene import (
     DepthCamera,
     DepthCameraIntrinsics,
     Pose,
-    point_segment_distance,
-    ray_box_intersection,
-    segment_intersects_box,
+)
+from repro.scene.geometry import (
+    project_points_onto_segment,
+    ray_box_distances,
+    segment_box_hits,
 )
 
 COORD = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -44,8 +46,10 @@ def test_translation_preserves_size(box, dx, dy):
 @settings(max_examples=50, deadline=None)
 def test_ray_from_center_always_hits(box):
     # A ray starting inside the box reports distance 0.
-    distance = ray_box_intersection(box.center, [1.0, 0.0, 0.0], box)
-    assert distance[0] == 0.0
+    distances = ray_box_distances(
+        box.center[None, :], [[1.0, 0.0, 0.0]], box.minimum[None, :], box.maximum[None, :]
+    )
+    assert distances[0, 0] == 0.0
 
 
 @given(boxes())
@@ -53,7 +57,8 @@ def test_ray_from_center_always_hits(box):
 def test_segment_through_center_intersects(box):
     start = box.center - np.array([100.0, 0.0, 0.0])
     end = box.center + np.array([100.0, 0.0, 0.0])
-    assert segment_intersects_box(start, end, box)
+    hits = segment_box_hits(start, end, box.minimum[None, :], box.maximum[None, :])
+    assert hits.tolist() == [True]
 
 
 @given(
@@ -63,7 +68,8 @@ def test_segment_through_center_intersects(box):
 )
 @settings(max_examples=50, deadline=None)
 def test_point_segment_distance_nonnegative_and_bounded(point, start, end):
-    distance = point_segment_distance(point, start, end)
+    _, distances = project_points_onto_segment([point], start, end)
+    distance = float(distances[0])
     assert distance >= 0.0
     to_start = float(np.linalg.norm(np.array(point) - np.array(start)))
     to_end = float(np.linalg.norm(np.array(point) - np.array(end)))

@@ -1,9 +1,16 @@
 """Tests for the split-model configuration objects and model builders."""
+import json
+import math
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.common import ExperimentScale
 from repro.experiments.model_cache import trained_model_fingerprint
+from repro.fleet.config import FleetConfig
 from repro.split import (
     ExperimentConfig,
     ModelConfig,
@@ -151,7 +158,110 @@ def test_training_config_validation():
 
 
 def test_experiment_config_describe():
-    assert "1-pixel" in ExperimentConfig().describe()
+    assert "1-pixel" in ExperimentConfig().model.describe()
+
+
+@pytest.mark.parametrize(
+    "config, arguments, error",
+    [
+        (TrainingConfig, {"batch_size": 32.0}, TypeError),
+        (TrainingConfig, {"batch_size": True}, TypeError),
+        (TrainingConfig, {"max_epochs": 2.5}, TypeError),
+        (TrainingConfig, {"seed": 1.5}, TypeError),
+        (TrainingConfig, {"max_retransmissions": 3.0}, TypeError),
+        (TrainingConfig, {"learning_rate": math.nan}, ValueError),
+        (TrainingConfig, {"target_rmse_db": math.nan}, ValueError),
+        (TrainingConfig, {"gradient_clip_norm": math.nan}, ValueError),
+        (TrainingConfig, {"ue_compute_time_s": math.nan}, ValueError),
+        (FleetConfig, {"num_ues": 2.0}, TypeError),
+        (FleetConfig, {"num_ues": True}, TypeError),
+        (FleetConfig, {"max_rounds": 3.0}, TypeError),
+    ],
+    ids=[
+        "float-batch", "bool-batch", "fractional-epochs", "fractional-seed",
+        "float-retransmissions", "nan-learning-rate", "nan-target", "nan-clip",
+        "nan-compute-time", "float-ues", "bool-ues", "float-rounds",
+    ],
+)
+def test_run_configs_reject_non_integers_and_nan(config, arguments, error):
+    with pytest.raises(error):
+        config(**arguments)
+
+
+def test_training_config_spellings_of_one_run_share_a_cache_key():
+    """A numpy integer describes the same run as the ``int`` it equals."""
+    scale = ExperimentScale.smoke()
+    canonical = TrainingConfig(batch_size=32, max_retransmissions=3, seed=7)
+    spelled = TrainingConfig(
+        batch_size=np.int64(32), max_retransmissions=np.int32(3), seed=np.int64(7)
+    )
+    assert type(spelled.batch_size) is int and type(spelled.seed) is int
+    assert trained_model_fingerprint(
+        scale, ExperimentConfig(training=spelled)
+    ) == trained_model_fingerprint(scale, ExperimentConfig(training=canonical))
+    fleet = FleetConfig(num_ues=np.int64(3), max_rounds=np.int64(2))
+    assert asdict(fleet) == asdict(FleetConfig(num_ues=3, max_rounds=2))
+    assert type(fleet.num_ues) is int
+
+
+#: Constructor arguments of every numeric kind a caller might pass.
+NUMBERS = st.one_of(
+    st.integers(-2, 70),
+    st.integers(-2, 70).map(np.int64),
+    st.integers(-2, 70).map(float),
+    st.floats(-2.0, 70.0),
+    st.just(math.nan),
+    st.booleans(),
+)
+
+
+def numeric_arguments(config, optional=()):
+    """Any subset of ``config``'s numeric fields, each drawn from NUMBERS
+    (and ``None`` for the ``optional`` ones)."""
+    draws = {
+        spec.name: st.one_of(NUMBERS, st.none()) if spec.name in optional else NUMBERS
+        for spec in fields(config)
+        if spec.type in ("int", "float", "int | None", "Optional[int]")
+    }
+    return st.fixed_dictionaries({}, optional=draws)
+
+
+def assert_one_spelling(config, arguments):
+    """Either the constructor rejects ``arguments`` or its integer fields
+    are plain ``int``s and it equals, hashes and serializes as the
+    all-``int`` spelling of the same arguments."""
+    try:
+        built = config(**arguments)
+    except (TypeError, ValueError):
+        return
+    integers = [
+        spec.name
+        for spec in fields(config)
+        if spec.type in ("int", "int | None", "Optional[int]")
+    ]
+    for name in integers:
+        assert getattr(built, name) is None or type(getattr(built, name)) is int
+    canonical = config(**{
+        name: int(value) if name in integers and value is not None else value
+        for name, value in arguments.items()
+    })
+    assert built == canonical
+    assert hash(built) == hash(canonical)
+    assert json.dumps(asdict(built), sort_keys=True, default=str) == json.dumps(
+        asdict(canonical), sort_keys=True, default=str
+    )
+
+
+@given(numeric_arguments(TrainingConfig, optional=("max_retransmissions",)))
+@settings(max_examples=200, deadline=None)
+def test_training_config_has_one_spelling_per_run(arguments):
+    assert_one_spelling(TrainingConfig, arguments)
+
+
+@given(numeric_arguments(FleetConfig, optional=("steps_per_turn", "max_rounds", "seed")))
+@settings(max_examples=200, deadline=None)
+def test_fleet_config_has_one_spelling_per_run(arguments):
+    assert_one_spelling(FleetConfig, arguments)
 
 
 # -- model builders ----------------------------------------------------------------

@@ -260,20 +260,6 @@ def test_trainer_evaluate_before_fit_raises(tiny_experiment_config, small_split)
         trainer.predict_dbm(small_split.validation)
 
 
-def test_history_time_to_reach():
-    from repro.fleet import FleetHistory, FleetRoundRecord
-
-    history = FleetHistory(scheme="test", num_ues=1, mode="rotation", scheduler="round_robin")
-    history.records = [
-        FleetRoundRecord(1, 1.0, 1.0, 0.5, 6.0, 2, 0, 0.5, 0.5),
-        FleetRoundRecord(2, 2.0, 1.0, 0.4, 4.0, 2, 0, 0.5, 0.5),
-        FleetRoundRecord(3, 3.5, 1.5, 0.3, 3.0, 2, 0, 0.5, 1 / 3),
-    ]
-    assert history.time_to_reach_db(4.5) == pytest.approx(2.0)
-    assert history.time_to_reach_db(2.0) == float("inf")
-    assert np.allclose(history.validation_rmse_curve_db, [6.0, 4.0, 3.0])
-
-
 # -- payload codecs in the protocol -------------------------------------------------
 
 

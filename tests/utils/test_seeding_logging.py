@@ -1,14 +1,10 @@
 """Tests for seeding helpers and the library logger."""
-import logging
-
 import numpy as np
 import pytest
 
 from repro.utils import (
     as_generator,
     capture_generator_state,
-    disable_console_logging,
-    enable_console_logging,
     get_logger,
     restore_generator_state,
     spawn_generators,
@@ -94,12 +90,3 @@ def test_capture_restore_reject_non_generators():
 def test_get_logger_namespacing():
     assert get_logger().name == "repro"
     assert get_logger("split.trainer").name == "repro.split.trainer"
-
-
-def test_enable_disable_console_logging():
-    handler = enable_console_logging(logging.DEBUG)
-    try:
-        assert handler in logging.getLogger("repro").handlers
-    finally:
-        disable_console_logging(handler)
-    assert handler not in logging.getLogger("repro").handlers

@@ -18,6 +18,7 @@ from repro.scenarios import get_scenario
 from repro.scene.actors import generate_crossing_traffic
 from repro.scene.environment import DEFAULT_FRAME_INTERVAL_S, CorridorScene
 from repro.utils.seeding import spawn_generators
+from repro.utils.validation import integer_fields
 
 #: Number of samples in the measured dataset of the paper.
 PAPER_NUM_SAMPLES = 13_228
@@ -63,11 +64,6 @@ class DepthPowerDataset:
         return int(self.images.shape[0])
 
     @property
-    def image_shape(self) -> tuple[int, int]:
-        """(height, width) of each depth frame."""
-        return int(self.images.shape[1]), int(self.images.shape[2])
-
-    @property
     def blockage_fraction(self) -> float:
         """Fraction of frames in which the LoS is blocked."""
         return float(self.line_of_sight_blocked.mean()) if len(self) else 0.0
@@ -99,13 +95,17 @@ class DatasetConfig:
     scenario: str = "paper_baseline"
 
     def __post_init__(self):
+        # One spelling per dataset: ``num_samples=50.0`` or ``seed=True``
+        # would otherwise get a dataset-cache key of its own.
+        integer_fields(self)
         if self.num_samples <= 0:
             raise ValueError("num_samples must be positive")
         if self.image_height <= 0 or self.image_width <= 0:
             raise ValueError("image dimensions must be positive")
-        if self.frame_interval_s <= 0:
+        # The float checks are negated comparisons so that NaN fails them.
+        if not self.frame_interval_s > 0:
             raise ValueError("frame_interval_s must be positive")
-        if self.link_distance_m <= 0:
+        if not self.link_distance_m > 0:
             raise ValueError("link_distance_m must be positive")
 
     @property

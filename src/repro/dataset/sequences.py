@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.dataset.generator import DepthPowerDataset
 
@@ -37,7 +38,10 @@ class SequenceDataset:
     """Sliding-window samples ready for the split-learning models.
 
     Attributes:
-        image_sequences: ``(M, L, H, W)`` depth-image windows.
+        image_sequences: ``(M, L, H, W)`` depth-image windows.  Built by
+            :func:`build_sequences`, this is a read-only strided view of the
+            source dataset's ``images`` (each frame is stored once, not ``L``
+            times), and contiguous slices of it stay views.
         power_sequences: ``(M, L)`` received-power windows [dBm].
         targets: ``(M,)`` received power ``horizon_frames`` after the window
             end [dBm].
@@ -74,8 +78,12 @@ class SequenceDataset:
         return int(self.image_sequences.shape[1])
 
     def subset(self, indices) -> "SequenceDataset":
-        """Restrict the sequence dataset to the given sample positions."""
-        indices = np.asarray(indices)
+        """Restrict the sequence dataset to the given sample positions.
+
+        A ``slice`` keeps views of the arrays; an index array gathers copies.
+        """
+        if not isinstance(indices, slice):
+            indices = np.asarray(indices)
         return SequenceDataset(
             image_sequences=self.image_sequences[indices],
             power_sequences=self.power_sequences[indices],
@@ -135,14 +143,13 @@ def build_sequences(
 
     last_indices = np.arange(first_last_index, last_last_index + 1)
     count = len(last_indices)
-    height, width = dataset.image_shape
 
-    image_sequences = np.empty((count, sequence_length, height, width))
-    power_sequences = np.empty((count, sequence_length))
-    for offset in range(sequence_length):
-        source = last_indices - (sequence_length - 1) + offset
-        image_sequences[:, offset] = dataset.images[source]
-        power_sequences[:, offset] = dataset.powers_dbm[source]
+    # Window m covers frames m, ..., m + L - 1: a read-only strided view of
+    # the frames, so each frame is stored once rather than L times.
+    windows = sliding_window_view(dataset.images, sequence_length, axis=0)
+    image_sequences = windows[:count].transpose(0, 3, 1, 2)
+    frames = last_indices[:, None] + np.arange(1 - sequence_length, 1)
+    power_sequences = dataset.powers_dbm[frames]
     targets = dataset.powers_dbm[last_indices + horizon_frames]
 
     if normalize_power:

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.dataset.generator import PAPER_NUM_SAMPLES, PAPER_TRAIN_BOUNDARY
 from repro.dataset.sequences import SequenceDataset
 
@@ -32,6 +30,9 @@ def temporal_split(
 ) -> TrainValidationSplit:
     """Split sequences by time: the first fraction trains, the tail validates.
 
+    Both halves are contiguous slices, so they view ``sequences``' arrays
+    rather than copy them.
+
     Args:
         sequences: sliding-window dataset ordered by time.
         train_fraction: fraction of windows (by last index) assigned to
@@ -44,8 +45,7 @@ def temporal_split(
         raise ValueError("need at least two sequence samples to split")
     boundary = int(round(count * train_fraction))
     boundary = min(max(boundary, 1), count - 1)
-    indices = np.arange(count)
     return TrainValidationSplit(
-        train=sequences.subset(indices[:boundary]),
-        validation=sequences.subset(indices[boundary:]),
+        train=sequences.subset(slice(None, boundary)),
+        validation=sequences.subset(slice(boundary, None)),
     )

@@ -6,7 +6,7 @@ from typing import Optional
 
 from repro.fleet.scheduler import SCHEDULERS
 from repro.scenarios.placement import DEFAULT_JITTER_FRACTION
-from repro.split.config import _integer_fields
+from repro.utils.validation import integer_fields
 
 #: The two fleet training modes.
 ROTATION = "rotation"
@@ -55,7 +55,7 @@ class FleetConfig:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        _integer_fields(self)
+        integer_fields(self)
         if self.num_ues < 1:
             raise ValueError("num_ues must be at least 1")
         if self.mode not in FLEET_MODES:

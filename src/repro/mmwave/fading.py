@@ -55,12 +55,16 @@ class NakagamiFadingProcess:
             latent[index] = (
                 self.correlation * latent[index - 1] + scale * innovations[index]
             )
-        from scipy import stats
+        # scipy.special, not scipy.stats: the same two ufuncs, bit for bit,
+        # without the ~45 MB and ~0.7 s that importing scipy.stats costs.
+        from scipy import special
 
-        uniforms = stats.norm.cdf(latent)
-        # Nakagami-m power gain is Gamma(m, 1/m) distributed with unit mean.
-        gains = stats.gamma.ppf(np.clip(uniforms, 1e-12, 1.0 - 1e-12), a=self.m,
-                                scale=1.0 / self.m)
+        uniforms = special.ndtr(latent)
+        # Nakagami-m power gain is Gamma(m, 1/m) distributed with unit mean:
+        # the inverse regularized incomplete gamma function is its quantile
+        # at unit scale.
+        quantiles = np.clip(uniforms, 1e-12, 1.0 - 1e-12)
+        gains = special.gammaincinv(self.m, quantiles) * (1.0 / self.m)
         return 10.0 * np.log10(np.maximum(gains, 1e-12))
 
 

@@ -1,12 +1,12 @@
 """Configuration objects for the multimodal split-learning framework."""
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Tuple
 
 from repro.channel.params import PAPER_CHANNEL_PARAMS, WirelessChannelParams
 from repro.split.codecs import CODEC_NAMES, DEFAULT_TOPK_FRACTION
+from repro.utils.validation import integer, integer_fields
 
 #: RMSE (dB) at which the paper stops training.
 PAPER_TARGET_RMSE_DB = 2.7
@@ -16,28 +16,6 @@ PAPER_MAX_EPOCHS = 100
 
 #: Total number of SGD steps quoted by the paper for the full run.
 PAPER_TOTAL_SGD_STEPS = 156
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an ``int``: any integer but a ``bool``, else ``TypeError``.
-
-    A float or a numpy integer stored as given would hash and serialize
-    differently from the ``int`` it equals, so one model would get several
-    model-cache keys.
-    """
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
-
-
-def _integer_fields(config) -> None:
-    """Store every ``int`` field of the frozen dataclass ``config`` (and every
-    optional one that is not ``None``) as :func:`_integer` returns it."""
-    for spec in fields(config):
-        value = getattr(config, spec.name)
-        optional = spec.type in ("int | None", "Optional[int]")
-        if spec.type == "int" or (optional and value is not None):
-            object.__setattr__(config, spec.name, _integer(spec.name, value))
 
 
 @dataclass(frozen=True)
@@ -85,11 +63,11 @@ class ModelConfig:
     codec_topk_fraction: float = DEFAULT_TOPK_FRACTION
 
     def __post_init__(self):
-        _integer_fields(self)
+        integer_fields(self)
         object.__setattr__(
             self,
             "cnn_channels",
-            tuple(_integer("cnn_channels", value) for value in self.cnn_channels),
+            tuple(integer("cnn_channels", value) for value in self.cnn_channels),
         )
         object.__setattr__(self, "rnn_type", self.rnn_type.lower())
         object.__setattr__(self, "codec", self.codec.lower())
@@ -220,7 +198,7 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _integer_fields(self)
+        integer_fields(self)
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
         if self.eval_batch_size <= 0:

@@ -256,16 +256,15 @@ class SplitTrainingProtocol:
         _, first, inverse = np.unique(
             frame_ids.ravel(), return_index=True, return_inverse=True
         )
-        frames = image_sequences.reshape(
-            (count * length, 1) + image_sequences.shape[2:]
-        )
+        # Gather each chunk's frames straight from the windows: reshaping a
+        # strided window view to one frame per row would copy all M * L.
         chunk = batch_size * length
-        distinct = np.concatenate(
-            [
-                self.ue.forward(frames[first[start : start + chunk]])[:, 0]
-                for start in range(0, len(first), chunk)
-            ]
-        )
+        outputs = []
+        for start in range(0, len(first), chunk):
+            ids = first[start : start + chunk]
+            frames = image_sequences[ids // length, ids % length][:, None]
+            outputs.append(self.ue.forward(frames)[:, 0])
+        distinct = np.concatenate(outputs)
         return distinct[inverse].reshape(count, length, -1)
 
     # -- (de)serialization -------------------------------------------------------------

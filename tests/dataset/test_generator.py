@@ -8,6 +8,7 @@ from repro.dataset import (
     MmWaveDepthDatasetGenerator,
     PAPER_NUM_SAMPLES,
     PAPER_TRAIN_BOUNDARY,
+    config_fingerprint,
     generate_small_dataset,
 )
 from repro.scene import DEFAULT_FRAME_INTERVAL_S
@@ -36,12 +37,46 @@ def test_dataset_config_validation():
         DatasetConfig(frame_interval_s=0.0)
 
 
+@pytest.mark.parametrize(
+    "arguments, error",
+    [
+        ({"num_samples": 50.0}, TypeError),
+        ({"num_samples": 50.5}, TypeError),
+        ({"image_height": 8.0}, TypeError),
+        ({"image_width": True}, TypeError),
+        ({"seed": True}, TypeError),
+        ({"seed": 1.0}, TypeError),
+        ({"frame_interval_s": float("nan")}, ValueError),
+        ({"link_distance_m": float("nan")}, ValueError),
+    ],
+    ids=lambda value: str(value) if isinstance(value, dict) else value.__name__,
+)
+def test_dataset_config_rejects_non_integers_and_nan(arguments, error):
+    with pytest.raises(error):
+        DatasetConfig(**arguments)
+
+
+def test_dataset_config_stores_one_spelling_per_dataset():
+    """A numpy integer is stored as the ``int`` it equals, so both spellings
+    share one dataset-cache key."""
+    plain = DatasetConfig(num_samples=50, image_height=8, image_width=8, seed=3)
+    numpy_spelled = DatasetConfig(
+        num_samples=np.int64(50),
+        image_height=np.int32(8),
+        image_width=8,
+        seed=np.uint8(3),
+    )
+    assert type(numpy_spelled.num_samples) is int
+    assert type(numpy_spelled.seed) is int
+    assert numpy_spelled == plain
+    assert config_fingerprint(numpy_spelled) == config_fingerprint(plain)
+
+
 def test_small_dataset_shapes(small_dataset):
     assert len(small_dataset) == 260
     assert small_dataset.images.shape == (260, 12, 12)
     assert small_dataset.powers_dbm.shape == (260,)
     assert small_dataset.line_of_sight_blocked.shape == (260,)
-    assert small_dataset.image_shape == (12, 12)
 
 
 def test_small_dataset_value_ranges(small_dataset):

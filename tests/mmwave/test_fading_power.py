@@ -1,4 +1,9 @@
 """Tests for small-scale fading, measurement noise and the received-power model."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +16,9 @@ from repro.mmwave import (
 )
 from repro.scene import CorridorScene, DepthCameraIntrinsics, LoiteringPedestrian
 from repro.scene.environment import BlockerArrays, BlockerGeometry
+from repro.utils.seeding import as_generator
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def test_nakagami_gains_unit_mean_power():
@@ -46,6 +54,59 @@ def test_nakagami_validation_and_edge_counts():
     assert process.sample_gains_db(0).shape == (0,)
     with pytest.raises(ValueError):
         process.sample_gains_db(-1)
+
+
+def _scipy_stats_gains_db(m, correlation, seed, count):
+    """Oracle: the AR(1) Gaussian copula mapped through ``scipy.stats``."""
+    from scipy import stats
+
+    innovations = as_generator(seed).normal(size=count)
+    latent = np.empty(count)
+    latent[0] = innovations[0]
+    scale = np.sqrt(1.0 - correlation**2)
+    for index in range(1, count):
+        latent[index] = correlation * latent[index - 1] + scale * innovations[index]
+    uniforms = stats.norm.cdf(latent)
+    gains = stats.gamma.ppf(
+        np.clip(uniforms, 1e-12, 1.0 - 1e-12), a=m, scale=1.0 / m
+    )
+    return 10.0 * np.log10(np.maximum(gains, 1e-12))
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 1.5, 4.0, 7.3, 20.0])
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("count", [1, 997])
+def test_nakagami_gains_are_bitwise_the_scipy_stats_formula(m, seed, count):
+    correlation = 0.8
+    gains_db = NakagamiFadingProcess(
+        m=m, correlation=correlation, seed=seed
+    ).sample_gains_db(count)
+    expected = _scipy_stats_gains_db(m, correlation, seed, count)
+    assert gains_db.tobytes() == expected.tobytes()
+
+
+def test_dataset_generation_does_not_import_scipy_stats():
+    """Fading needs two ufuncs of ``scipy.special``, not the ~45 MB
+    ``scipy.stats`` import, in every process that generates a dataset."""
+    script = (
+        "import sys\n"
+        "from repro.experiments.common import generate_dataset, scale_from_name\n"
+        "dataset = generate_dataset(scale_from_name('smoke'))\n"
+        "assert len(dataset) > 0\n"
+        "assert 'scipy.special' in sys.modules\n"
+        "print(sorted(name for name in sys.modules if name.startswith('scipy.stats')))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "[]"
 
 
 def test_measurement_noise_statistics():

@@ -5,8 +5,11 @@ windows by ``frame_ids``.  These tests pin that the ids only save work: the
 predictions are bitwise those of the per-window path (``frame_ids=None``),
 because a frame's features do not depend on which frames share its batch.
 """
+import dataclasses
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.fleet import bank
 from repro.split import ExperimentConfig, ModelConfig, TrainingConfig
@@ -121,6 +124,35 @@ def test_empty_window_set_predicts_nothing():
     protocol = make_protocol()
     images = np.zeros((0, LENGTH, SIZE, SIZE))
     assert protocol.predict(images, np.zeros((0, LENGTH))).shape == (0,)
+
+
+@pytest.mark.parametrize("codec", ["identity", "topk"])
+@pytest.mark.parametrize("with_ids", [False, True], ids=["per-window", "ids"])
+def test_window_views_predict_like_contiguous_copies(codec, with_ids):
+    """Windows that view one frame stream predict bitwise as their copies."""
+    protocol = make_protocol(codec)
+    gen = np.random.default_rng(4)
+    frames = gen.random((12, SIZE, SIZE))
+    view = sliding_window_view(frames, LENGTH, axis=0).transpose(0, 3, 1, 2)
+    ids = np.arange(len(view))[:, None] + np.arange(LENGTH)
+    powers = gen.normal(size=ids.shape)
+    frame_ids = ids if with_ids else None
+    on_view = protocol.predict(view, powers, batch_size=3, frame_ids=frame_ids)
+    on_copy = protocol.predict(
+        np.ascontiguousarray(view), powers, batch_size=3, frame_ids=frame_ids
+    )
+    assert np.array_equal(on_view, on_copy)
+
+
+def test_trainer_predicts_views_like_copies(tiny_experiment_config, small_split):
+    trainer = SplitTrainer(tiny_experiment_config)
+    trainer.fit(small_split.train, small_split.validation, max_rounds=1)
+    validation = small_split.validation
+    assert not validation.image_sequences.flags.c_contiguous
+    copied = dataclasses.replace(
+        validation, image_sequences=np.ascontiguousarray(validation.image_sequences)
+    )
+    assert np.array_equal(trainer.predict_dbm(validation), trainer.predict_dbm(copied))
 
 
 def test_trainer_predictions_equal_the_per_window_reference(

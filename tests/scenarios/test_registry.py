@@ -75,6 +75,25 @@ def test_fingerprint_is_content_addressed():
     assert len(fingerprints) == len(DEFAULT_SCENARIOS)
 
 
+#: ``scenario_fingerprint`` of every built-in preset.  It keys the dataset
+#: cache, so a validation change (which must not rewrite a valid field) may
+#: not move any of them.
+PINNED_FINGERPRINTS = {
+    "dense_crowd": "ff01650ad84f8027",
+    "fast_walkers": "c850bef54bbcd946",
+    "long_corridor": "e15a21208113d5a9",
+    "paper_baseline": "ce6749e6bcd13441",
+    "sparse_traffic": "0e16899654dc6ddc",
+    "wide_fov_camera": "61db65c0a5395801",
+}
+
+
+def test_preset_fingerprints_are_pinned():
+    assert {
+        scenario.name: scenario_fingerprint(scenario) for scenario in DEFAULT_SCENARIOS
+    } == PINNED_FINGERPRINTS
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(name="")

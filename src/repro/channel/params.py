@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.utils.units import dbm_to_milliwatts
+from repro.utils.validation import positive
 
 
 @dataclass(frozen=True)
@@ -24,8 +25,7 @@ class LinkParams:
     bandwidth_hz: float
 
     def __post_init__(self):
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth_hz must be strictly positive")
+        positive("bandwidth_hz", self.bandwidth_hz)
 
     @property
     def transmit_power_mw(self) -> float:
@@ -56,12 +56,9 @@ class WirelessChannelParams:
     noise_psd_dbm_per_hz: float = -174.0
 
     def __post_init__(self):
-        if self.distance_m <= 0:
-            raise ValueError("distance_m must be strictly positive")
-        if self.path_loss_exponent <= 0:
-            raise ValueError("path_loss_exponent must be strictly positive")
-        if self.slot_duration_s <= 0:
-            raise ValueError("slot_duration_s must be strictly positive")
+        positive("distance_m", self.distance_m)
+        positive("path_loss_exponent", self.path_loss_exponent)
+        positive("slot_duration_s", self.slot_duration_s)
 
     def direction(self, name: str) -> LinkParams:
         """Return the :class:`LinkParams` for ``"uplink"`` or ``"downlink"``."""

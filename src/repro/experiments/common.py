@@ -19,6 +19,7 @@ from repro.dataset.splits import TrainValidationSplit, temporal_split
 from repro.scenarios import Scenario, get_scenario
 from repro.scenarios import registry as _registry
 from repro.split.config import ModelConfig, TrainingConfig
+from repro.utils.validation import integer
 
 #: Mean pedestrian interarrival time of the paper's environment; the ratio of
 #: a scale's ``mean_interarrival_s`` to this value is the traffic densification
@@ -126,7 +127,7 @@ class ExperimentScale:
 
     def with_seed(self, seed: int) -> "ExperimentScale":
         """Copy of this scale with a different base RNG seed."""
-        return replace(self, seed=int(seed))
+        return replace(self, seed=integer("seed", seed))
 
     @property
     def traffic_density_scale(self) -> float:

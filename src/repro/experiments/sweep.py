@@ -54,6 +54,7 @@ from repro.experiments.pipeline import (
 from repro.scenarios import Scenario, get_scenario, scenario_names
 from repro.utils import parallel
 from repro.utils.logging import get_logger
+from repro.utils.validation import integer
 
 logger = get_logger("experiments.sweep")
 
@@ -137,7 +138,9 @@ class SweepConfig:
                 )
             names.append(scenario.name)
         object.__setattr__(self, "scenarios", tuple(names))
-        object.__setattr__(self, "seeds", tuple(int(seed) for seed in self.seeds))
+        object.__setattr__(
+            self, "seeds", tuple(integer("seed", seed) for seed in self.seeds)
+        )
         if not self.seeds:
             raise ValueError("at least one seed is required")
         if len(set(self.scenarios)) != len(self.scenarios):

@@ -18,19 +18,23 @@ UEs cost a handful of broadcasted GEMMs.  Both callers share them:
   its bank row) for evaluation, Fig. 2, Fig. 3b and Table 1.
 
 Each caller owns the buffer cache a pass fills, and reuses it while the
-geometry stays.  A pass runs each convolution over blocks of consecutive
-members sized so that one block's widest im2col column buffer fits
-:data:`BLOCK_BYTES` (about 8 MiB; a member's frames are never split), through
-one block-sized column buffer per conv.  The cache keeps the pass-sized
-padded input of each conv (for a ``1 x 1`` kernel, its input itself), the
-activation masks and sigmoid outputs, and one block-sized buffer each for
-the columns, the output gradient's padding and its columns.  Backward walks
-the blocks in reverse: the last block's columns are still in the buffer, and
-every other block recomputes its own from the padded input.  So an N=260
-fleet holds a few MB of columns instead of the ~300 MB of the whole fleet's,
-and a bank of one, like ``UEClient``, is a pass of one block that recomputes
-nothing.  Cutting along the member axis reorders no sum, so the blocks are
-bitwise invisible.
+geometry stays.  A pass cuts its members into blocks of consecutive members
+sized so that one block's widest im2col column buffer fits
+:data:`BLOCK_BYTES` (about 8 MiB; a member's frames are never split), and
+runs the whole network on one block (conv, ReLU, ..., the last conv and its
+sigmoid) in block-sized buffers before the next block starts.  What a pass
+keeps is then the images (a reference to the caller's), the network's
+one-channel sigmoid output, which is pooled over the whole pass, and the
+last block's state: each conv's padded input and columns and each ReLU
+mask.  Backward runs block by block too, from the block whose state the
+buffers hold; every other block first recomputes its state from the images
+(all of the forward up to the last conv's columns, not that conv's GEMM nor
+the sigmoid, whose output the pass kept).  So an N=260 fleet's pass holds a
+few block-sized buffers instead of every conv's pass-sized padded input,
+masks and outputs, and a bank of one, like ``UEClient``, is a pass of one
+block that recomputes nothing.  Cutting along the member axis reorders no
+sum, and each member meets the same GEMM, reduction and elementwise
+operands, so the blocks are bitwise invisible.
 
 The bank is also the one store of UE state: every UE's CNN weights, Adam
 moments and step count are a row of its stacked arrays.  A fleet builds one
@@ -67,7 +71,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.nn.layers.activations import ReLU, Sigmoid, stable_sigmoid
-from repro.nn.layers.conv import Conv2D, padded_buffer, padded_columns
+from repro.nn.layers.conv import Conv2D, im2col, padded_buffer
 from repro.nn.layers.pooling import average_pool
 from repro.nn.layers.sequential import Sequential
 from repro.nn.optim import ADAM_EPSILON
@@ -103,8 +107,9 @@ def ue_plan(cnn: Sequential, config: ModelConfig) -> UEPlan:
     Checks the layer chain once: every conv takes the channels the previous
     one produced, and the network maps a one-channel depth image to a
     one-channel output image of the same size, which the payload accounting
-    assumes.  The first conv sees the raw images, so it skips its
-    input gradient and backward stops there.
+    assumes, from a first conv to a last conv and a sigmoid.  The first conv
+    sees the raw images, so it skips its input gradient and backward stops
+    there.
     """
     steps: List[Tuple] = []
     param_cursor = 0
@@ -132,14 +137,24 @@ def ue_plan(cnn: Sequential, config: ModelConfig) -> UEPlan:
             f"the UE CNN outputs {channels} channels; the payload needs a "
             f"one-channel output image"
         )
+    kinds = [spec[0] for spec in steps]
+    if kinds[:1] != ["conv"]:
+        raise ValueError(
+            "the UE CNN must start with a conv: backward ends at the first "
+            "conv, which sees the raw images"
+        )
+    if kinds[-2:] != ["conv", "sigmoid"]:
+        raise ValueError(
+            "the UE CNN must end in a conv and a sigmoid: the payload is its "
+            "[0, 1] output image"
+        )
     return UEPlan(tuple(steps), (config.pooling_height, config.pooling_width))
 
 
 #: Bytes of one block's largest im2col column buffer.  A pass cuts its
 #: members into blocks of consecutive members that fit it (at least one
-#: member), so the columns a pass holds stay cache-sized whatever the fleet
-#: size.  Small networks fit a bank of one in one block, which never
-#: recomputes its columns.
+#: member), so the buffers a pass holds stay cache-sized whatever the fleet
+#: size.  A pass of one member is one block, which recomputes nothing.
 BLOCK_BYTES = 8 << 20
 
 
@@ -156,12 +171,9 @@ def _member_blocks(
     members, frames = images_shape[:2]
     height, width = images_shape[-2:]
     rows = max(
-        (
-            weights[spec[1]].shape[2] * weights[spec[1]].shape[-1] ** 2
-            for spec in plan.steps
-            if spec[0] == "conv"
-        ),
-        default=0,
+        weights[spec[1]].shape[2] * weights[spec[1]].shape[-1] ** 2
+        for spec in plan.steps
+        if spec[0] == "conv"
     )
     member_bytes = frames * rows * height * width * 8
     size = max(1, BLOCK_BYTES // member_bytes) if member_bytes else members
@@ -184,13 +196,17 @@ def ue_forward(
     images: np.ndarray,
     cache: Dict,
     pooled: bool = True,
+    _block: Optional[int] = None,
 ) -> np.ndarray:
     """Run the UE network for every member at once.
 
-    Each convolution runs over blocks of members in order (see
-    :data:`BLOCK_BYTES`), through one block-sized column buffer; the cache
-    keeps the pass-sized padded inputs, so :func:`ue_backward` can recompute
-    the columns of every block but the last.
+    Each block of members (see :data:`BLOCK_BYTES`) runs the whole network
+    in block-sized buffers before the next block starts, and writes its
+    sigmoid output into the pass's one-channel output, which is pooled as
+    a whole.  So the pass keeps the images (by reference), that output and
+    the last block's state: each conv's padded input and columns and each
+    hidden ReLU mask.  :func:`ue_backward` recomputes the other blocks'
+    state from the images.
 
     Args:
         plan: the network, from :func:`ue_plan`.
@@ -202,59 +218,76 @@ def ue_forward(
             and the pass leaves in it what :func:`ue_backward` needs.
         pooled: apply the average-pooling compressor; ``False`` returns the
             output images instead.
+        _block: :func:`ue_backward`'s recompute: refill the block buffers
+            with block ``_block`` of the last pass over ``images``, up to
+            the last conv's columns (not its GEMM), and return ``None``.
 
     Returns:
         ``(members, frames, 1, H / w_H, W / w_W)`` pooled maps, or the
         ``(members, frames, 1, H, W)`` output images.
     """
     members, frames = images.shape[:2]
-    blocks = cache["blocks"] = _member_blocks(plan, weights, images.shape)
-    block_rows = (blocks[0].stop - blocks[0].start) * frames
-    # `owned`: x is an array this pass made and caches nowhere, so a ReLU may
-    # overwrite it (not the caller's images, not a cached sigmoid output).
-    x, owned = images, False
-    for step, spec in enumerate(plan.steps):
-        if spec[0] == "conv":
-            _, weight_index, bias_index, _ = spec
-            kernels = weights[weight_index]
-            kernel_size = kernels.shape[-1]
-            flat = x.reshape((members * frames,) + x.shape[2:])
-            padded = padded_buffer(
-                flat.shape, kernel_size, cache.get(f"padded/{step}")
-            )
-            # The padded input, or a 1 x 1 kernel's input itself: the source
-            # of the columns backward recomputes.
-            cache[f"padded/{step}"] = flat if padded is None else padded
-            channels, height, width = x.shape[2:]
-            cols = _block_buffer(
-                cache,
-                f"cols/{step}",
-                (block_rows, channels * kernel_size**2, height * width),
-            )
-            output = np.empty((members, frames, kernels.shape[1], height, width))
-            for block in blocks:
-                rows = slice(block.start * frames, block.stop * frames)
-                stacked_conv2d_forward(
+    # ue_plan ends every network in a conv and a sigmoid.
+    last_conv = len(plan.steps) - 2
+    if _block is None:
+        blocks = cache["blocks"] = _member_blocks(plan, weights, images.shape)
+        cache["images"] = images
+        output = cache["output"] = np.empty((members, frames) + images.shape[2:])
+        indices = range(len(blocks))
+    else:
+        blocks, indices = cache["blocks"], (_block,)
+    size = blocks[0].stop - blocks[0].start
+    for index in indices:
+        block = blocks[index]
+        count = (block.stop - block.start) * frames
+        # `owned`: x is a buffer this block wrote and keeps nowhere, so a
+        # ReLU may overwrite it (not the caller's images, not a kept
+        # sigmoid output).
+        x, owned = images[block], False
+        for step, spec in enumerate(plan.steps[:-1]):
+            if spec[0] == "conv":
+                _, weight_index, bias_index, _ = spec
+                kernels = weights[weight_index]
+                kernel_size = kernels.shape[-1]
+                channels, height, width = x.shape[2:]
+                padded = cache[f"padded/{step}"] = padded_buffer(
+                    (size * frames, channels, height, width),
+                    kernel_size,
+                    cache.get(f"padded/{step}"),
+                )
+                padded = None if padded is None else padded[:count]
+                cols = _block_buffer(
+                    cache,
+                    f"cols/{step}",
+                    (size * frames, channels * kernel_size**2, height * width),
+                )[:count]
+                if step == last_conv and _block is not None:
+                    flat = x.reshape((count,) + x.shape[2:])
+                    im2col(flat, kernel_size, out=cols, padded=padded)
+                    break
+                x, _ = stacked_conv2d_forward(
                     kernels[block],
                     weights[bias_index][block],
-                    x[block],
-                    cols_out=cols[: rows.stop - rows.start],
-                    padded_out=None if padded is None else padded[rows],
-                    out=output[block],
+                    x,
+                    cols_out=cols,
+                    padded_out=padded,
                 )
-            cache[f"cols_block/{step}"] = len(blocks) - 1
-            x, owned = output, True
-        elif spec[0] == "relu":
-            mask = cache[f"mask/{step}"] = x > 0
-            x, owned = np.multiply(x, mask, out=x if owned else None), True
-        else:  # sigmoid
-            x, owned = stable_sigmoid(x), False
-            cache[f"sigmoid/{step}"] = x
+                owned = True
+            elif spec[0] == "relu":
+                mask = cache[f"mask/{step}"] = x > 0
+                x, owned = np.multiply(x, mask, out=x if owned else None), True
+            else:  # a hidden sigmoid
+                x, owned = stable_sigmoid(x), False
+                cache[f"sigmoid/{step}"] = x
+        if _block is None:
+            stable_sigmoid(x, out=output[block])
+        cache["held"] = index
+    if _block is not None:
+        return None
     if not pooled:
-        return x
-    cache["pool_input_shape"] = x.shape
+        return output
     pooled_maps = average_pool(
-        x.reshape((members * frames,) + x.shape[2:]), plan.pool_size
+        output.reshape((members * frames,) + output.shape[2:]), plan.pool_size
     )
     return pooled_maps.reshape((members, frames) + pooled_maps.shape[1:])
 
@@ -267,9 +300,12 @@ def ue_backward(
 ) -> List[Optional[np.ndarray]]:
     """Gradients of the last pooled :func:`ue_forward` for every member.
 
-    Each convolution walks that forward's blocks in reverse: the column
-    buffer still holds the last block's columns, and every other block
-    recomputes its own from the cached padded input.
+    Each block of members runs the backward in block-sized buffers, from
+    the pooling to the first conv.  The block whose state the buffers hold
+    (after a forward, the last one) goes first; every other block, in
+    reverse order, first recomputes its state from the images through
+    :func:`ue_forward`.  So a pass of one block, like every ``UEClient``
+    pass, recomputes nothing.
 
     Args:
         plan / weights / cache: as passed to that forward.
@@ -280,73 +316,69 @@ def ue_backward(
     Returns:
         One stacked gradient per CNN parameter, in plan order.
     """
-    pool_shape = cache["pool_input_shape"]
-    members, frames, channels, map_h, map_w = pool_shape
+    output = cache["output"]
+    members, frames, _, height, width = output.shape
     ph, pw = plan.pool_size
     scale = 1.0 / (ph * pw)
     grad_pooled = np.asarray(cut_gradients, dtype=np.float64).reshape(
-        members * frames, channels, map_h // ph, map_w // pw
+        members * frames, 1, height // ph, 1, width // pw, 1
     )
-    grad = np.empty((members * frames, channels, map_h, map_w))
-    grad.reshape(members * frames, channels, map_h // ph, ph, map_w // pw, pw)[
-        ...
-    ] = grad_pooled[:, :, :, None, :, None] * scale
-    x_grad = grad.reshape(pool_shape)
     blocks = cache["blocks"]
-    block_rows = (blocks[0].stop - blocks[0].start) * frames
-    spatial = (map_h, map_w)
-    grads: List[Optional[np.ndarray]] = [None] * len(weights)
-    for step in reversed(range(len(plan.steps))):
-        spec = plan.steps[step]
-        if spec[0] == "conv":
-            _, weight_index, bias_index, needs_input_grad = spec
-            kernels = weights[weight_index]
-            out_channels, in_channels, kernel_size = kernels.shape[1:4]
-            grad_output = x_grad.reshape((members, frames, out_channels) + spatial)
-            padded = grad_cols = x_grad = None
-            if needs_input_grad:
-                padded = cache[f"grad_padded/{step}"] = padded_buffer(
-                    (block_rows, out_channels) + spatial,
-                    kernel_size,
-                    cache.get(f"grad_padded/{step}"),
-                )
-                grad_cols = _block_buffer(
-                    cache,
-                    f"grad_cols/{step}",
-                    (block_rows, out_channels * kernel_size**2, map_h * map_w),
-                )
-                x_grad = np.empty((members, frames, in_channels) + spatial)
-            cols = cache[f"cols/{step}"]
-            grads[weight_index] = np.empty_like(kernels)
-            grads[bias_index] = np.empty_like(weights[bias_index])
-            for index in reversed(range(len(blocks))):
-                block = blocks[index]
-                count = (block.stop - block.start) * frames
-                if cache[f"cols_block/{step}"] != index:
-                    rows = slice(block.start * frames, block.stop * frames)
-                    padded_columns(
-                        cache[f"padded/{step}"][rows], kernel_size, cols[:count]
+    size = blocks[0].stop - blocks[0].start
+    spatial = (height, width)
+    grads = [np.empty_like(weight) for weight in weights]
+    held = cache["held"]
+    for index in [held] + [i for i in reversed(range(len(blocks))) if i != held]:
+        if index != cache["held"]:
+            ue_forward(plan, weights, cache["images"], cache, _block=index)
+        block = blocks[index]
+        block_members = block.stop - block.start
+        count = block_members * frames
+        # The pooling's and the sigmoid's backward.
+        x_grad = np.empty((block_members, frames, 1) + spatial)
+        rows = slice(block.start * frames, block.stop * frames)
+        x_grad.reshape(count, 1, height // ph, ph, width // pw, pw)[...] = (
+            grad_pooled[rows] * scale
+        )
+        x_grad *= output[block]
+        x_grad *= 1.0 - output[block]
+        for step in reversed(range(len(plan.steps) - 1)):
+            spec = plan.steps[step]
+            if spec[0] == "conv":
+                _, weight_index, bias_index, needs_input_grad = spec
+                kernels = weights[weight_index]
+                out_channels, kernel_size = kernels.shape[1], kernels.shape[-1]
+                padded = grad_cols = None
+                if needs_input_grad:
+                    padded = cache[f"grad_padded/{step}"] = padded_buffer(
+                        (size * frames, out_channels) + spatial,
+                        kernel_size,
+                        cache.get(f"grad_padded/{step}"),
                     )
-                    cache[f"cols_block/{step}"] = index
+                    padded = None if padded is None else padded[:count]
+                    grad_cols = _block_buffer(
+                        cache,
+                        f"grad_cols/{step}",
+                        (size * frames, out_channels * kernel_size**2, height * width),
+                    )[:count]
                 (
-                    _,
+                    x_grad,
                     grads[weight_index][block],
                     grads[bias_index][block],
                 ) = stacked_conv2d_backward(
                     kernels[block],
-                    cols[:count],
-                    grad_output[block],
+                    cache[f"cols/{step}"][:count],
+                    x_grad,
                     needs_input_grad=needs_input_grad,
-                    padded_out=None if padded is None else padded[:count],
-                    grad_cols_out=None if grad_cols is None else grad_cols[:count],
-                    out=None if x_grad is None else x_grad[block],
+                    padded_out=padded,
+                    grad_cols_out=grad_cols,
                 )
-        elif spec[0] == "relu":
-            x_grad *= cache[f"mask/{step}"]
-        else:  # sigmoid
-            output = cache[f"sigmoid/{step}"]
-            x_grad *= output
-            x_grad *= 1.0 - output
+            elif spec[0] == "relu":
+                x_grad *= cache[f"mask/{step}"]
+            else:  # a hidden sigmoid
+                sigmoid = cache[f"sigmoid/{step}"]
+                x_grad *= sigmoid
+                x_grad *= 1.0 - sigmoid
     return grads
 
 

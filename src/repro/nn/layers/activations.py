@@ -31,18 +31,22 @@ class Sigmoid(Layer):
     """
 
 
-def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+def stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Numerically stable sigmoid that avoids overflow for large |x|.
 
     Branch-free: ``e = exp(-|x|)`` never overflows, and the sigmoid is
     ``1 / (1 + e)`` for ``x >= 0`` and ``e / (1 + e)`` below.  Each element
     gets exactly the operations of the masked two-branch form, so the result
-    is bitwise the same without the boolean gathers and scatters.  The
-    divisions run in place, which keeps the peak at about two input-sized
-    arrays (the stacked UE bank calls this on every member at once).
+    is bitwise the same without the boolean gathers and scatters.  Every
+    step runs in place, so the only input-sized arrays are ``e`` and the
+    result, which goes into ``out`` (a float64 array of ``x``'s shape) when
+    given: the UE network writes each block's sigmoid straight into the
+    pass's output.
     """
-    e = np.exp(-np.abs(x))
-    out = np.add(e, 1.0)
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.add(e, 1.0, out=out)
     np.divide(e, out, out=e)
     np.divide(1.0, out, out=out)
     np.copyto(out, e, where=x < 0)

@@ -12,13 +12,11 @@ alike.
 This module keeps the building blocks those kernels lower convolution to.
 Patches are gathered with :func:`numpy.lib.stride_tricks.sliding_window_view`
 into a column matrix (:func:`im2col`) that is contracted against the
-flattened kernel with ``np.matmul``.  It is two steps, :func:`pad_images`
-(fill the interior of a zero-bordered buffer, which :func:`padded_buffer`
-keeps reusable across passes) and :func:`padded_columns` (the columns of an
-already padded buffer), so a caller that keeps the padded input can
-recompute the columns in backward instead of holding them.  The input
-gradient is the same kind of convolution: the :func:`im2col` of the output
-gradient, contracted against the spatially flipped, channel-swapped kernel
+flattened kernel with ``np.matmul``.  :func:`im2col` fills the interior of a
+zero-bordered buffer, which :func:`padded_buffer` keeps reusable across
+passes, and copies the columns out of it.  The input gradient is the same
+kind of convolution: the :func:`im2col` of the output gradient, contracted
+against the spatially flipped, channel-swapped kernel
 (:func:`transposed_kernel_matrix`).  :func:`col2im`, the adjoint of
 :func:`im2col`, computes nothing in the program.
 """
@@ -42,65 +40,35 @@ def im2col(
 ) -> np.ndarray:
     """Rearrange the patches of a 'same' convolution into columns.
 
-    The two halves are :func:`pad_images` (fill the padded interior) and
-    :func:`padded_columns` (the columns of an already padded buffer); a
-    caller that keeps the padded buffer can recompute the columns from it
-    without copying the input again.
-
     Args:
         images: array of shape ``(batch, channels, height, width)``.
         kernel_size: the odd kernel side ``k``; the images are zero-padded by
             ``p = k // 2`` on each side.
         out: optional preallocated output buffer of the correct shape and
-            dtype; reused when compatible, otherwise a fresh array is
-            allocated.
+            dtype; reused when it has the result's shape and dtype and is
+            C-contiguous, otherwise a fresh array is allocated.
         padded: optional zero-bordered buffer of shape
             ``(batch, channels, height + 2 p, width + 2 p)``, as returned by
             :func:`padded_buffer`; only its interior is written, so its
             border must hold zeros.  When absent or incompatible the input
-            is padded into a fresh array.
+            is padded into a fresh array.  A ``1 x 1`` kernel pads nothing.
 
     Returns:
         Array of shape ``(batch, channels * k * k, height * width)``.
     """
-    return padded_columns(pad_images(images, kernel_size, padded), kernel_size, out)
-
-
-def pad_images(
-    images: np.ndarray, kernel_size: int, padded: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """The images zero-padded by ``k // 2`` on each side, for :func:`padded_columns`.
-
-    Writes the interior of ``padded`` (see :func:`im2col`) when it is
-    compatible, else pads into a fresh array.  A ``1 x 1`` kernel pads
-    nothing: the images themselves are returned.
-    """
-    batch, channels, height, width = images.shape
-    p = kernel_size // 2
-    if not p:
-        return images
-    if (
-        padded is None
-        or padded.shape != (batch, channels, height + 2 * p, width + 2 * p)
-        or padded.dtype != images.dtype
-    ):
-        return np.pad(images, ((0, 0), (0, 0), (p, p), (p, p)), mode="constant")
-    padded[:, :, p : p + height, p : p + width] = images
-    return padded
-
-
-def padded_columns(
-    padded: np.ndarray, kernel_size: int, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """The :func:`im2col` columns of images already padded by :func:`pad_images`.
-
-    ``padded`` is ``(batch, channels, height + 2 p, width + 2 p)``; ``out``
-    is reused when it has the result's shape and dtype and is C-contiguous,
-    otherwise a fresh array is allocated.
-    """
     k = kernel_size
-    batch, channels = padded.shape[:2]
-    height, width = padded.shape[2] - k + 1, padded.shape[3] - k + 1
+    batch, channels, height, width = images.shape
+    p = k // 2
+    if not p:
+        padded = images
+    elif (
+        padded is not None
+        and padded.shape == (batch, channels, height + 2 * p, width + 2 * p)
+        and padded.dtype == images.dtype
+    ):
+        padded[:, :, p : p + height, p : p + width] = images
+    else:
+        padded = np.pad(images, ((0, 0), (0, 0), (p, p), (p, p)), mode="constant")
     # (batch, channels, height, width, k, k) strided view — no copy yet.
     windows = sliding_window_view(padded, (k, k), axis=(2, 3))
 

@@ -92,8 +92,7 @@ def stacked_conv2d_backward(
     Args:
         weights: the stacked kernels used in the forward pass.
         cols: the patch matrix of the forward pass (returned by it, or
-            recomputed from its padded input with
-            :func:`~repro.nn.layers.conv.padded_columns`).
+            recomputed with :func:`~repro.nn.layers.conv.im2col`).
         grad_output: ``(members, batch, out_channels, H, W)``.
         needs_input_grad: compute ``grad_inputs``; when ``False`` it is
             returned as ``None``.

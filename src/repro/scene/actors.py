@@ -14,6 +14,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.utils.seeding import SeedLike, as_generator
+from repro.utils.validation import positive
 
 #: Typical adult body dimensions used for the blocking box [m].
 DEFAULT_BODY_SIZE = (0.3, 0.5, 1.75)
@@ -203,14 +204,12 @@ class PedestrianTrafficConfig:
     body_size: tuple = DEFAULT_BODY_SIZE
 
     def __post_init__(self):
-        if self.mean_interarrival_s <= 0:
-            raise ValueError("mean_interarrival_s must be positive")
+        positive("mean_interarrival_s", self.mean_interarrival_s)
         if self.speed_range_mps[0] <= 0 or self.speed_range_mps[1] < self.speed_range_mps[0]:
             raise ValueError("speed_range_mps must be positive and ordered")
         if self.crossing_x_range[1] < self.crossing_x_range[0]:
             raise ValueError("crossing_x_range must be ordered")
-        if self.corridor_half_width_m <= 0:
-            raise ValueError("corridor_half_width_m must be positive")
+        positive("corridor_half_width_m", self.corridor_half_width_m)
 
     def with_interarrival_scale(self, factor: float) -> "PedestrianTrafficConfig":
         """Copy with the mean interarrival time multiplied by ``factor``.

@@ -1,6 +1,7 @@
 """Type checks shared by the frozen configuration dataclasses."""
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import fields
 
@@ -15,6 +16,20 @@ def integer(name: str, value) -> int:
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     return operator.index(value)
+
+
+def positive(name: str, value) -> None:
+    """Raise unless ``value`` is a real number above zero.
+
+    A ``bool`` or a non-number raises ``TypeError``; zero, a negative and
+    NaN raise ``ValueError`` (NaN compares false with everything, so a bare
+    ``value <= 0`` check lets it through).  Nothing is converted: the
+    configs hash their fields as stored.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    if not value > 0:
+        raise ValueError(f"{name} must be strictly positive, got {value!r}")
 
 
 def integer_fields(config) -> None:

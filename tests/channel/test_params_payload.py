@@ -58,6 +58,19 @@ def test_channel_params_validation():
         WirelessChannelParams(path_loss_exponent=-1.0)
 
 
+@pytest.mark.parametrize(
+    "field", ["distance_m", "path_loss_exponent", "slot_duration_s"]
+)
+def test_channel_params_reject_nan(field):
+    with pytest.raises(ValueError, match=field):
+        WirelessChannelParams(**{field: float("nan")})
+
+
+def test_link_params_reject_nan_bandwidth():
+    with pytest.raises(ValueError, match="bandwidth_hz"):
+        LinkParams(transmit_power_dbm=10.0, bandwidth_hz=float("nan"))
+
+
 # -- payload model -----------------------------------------------------------------
 
 

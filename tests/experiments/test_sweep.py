@@ -1,6 +1,7 @@
 """Tests for the multi-scenario / multi-seed sweep orchestrator."""
 import json
 
+import numpy as np
 import pytest
 
 from repro.dataset.generator import MmWaveDepthDatasetGenerator
@@ -39,6 +40,16 @@ def test_sweep_config_validation(sweep_cache_dir):
         smoke_sweep_config(sweep_cache_dir, scale="galactic")
     with pytest.raises(ValueError, match="duplicate"):
         smoke_sweep_config(sweep_cache_dir, seeds=(0, 0))
+
+
+def test_sweep_seeds_must_be_integers(sweep_cache_dir):
+    with pytest.raises(TypeError, match="seed"):
+        smoke_sweep_config(sweep_cache_dir, seeds=(0.5,))
+    with pytest.raises(TypeError, match="seed"):
+        smoke_sweep_config(sweep_cache_dir, seeds=(True,))
+    config = smoke_sweep_config(sweep_cache_dir, seeds=(np.int64(3), 4))
+    assert config.seeds == (3, 4)
+    assert all(type(seed) is int for seed in config.seeds)
 
 
 def test_sweep_unknown_scenario_fails_at_construction(sweep_cache_dir):

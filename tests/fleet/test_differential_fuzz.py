@@ -16,7 +16,8 @@ decides how many uplinks, downlinks and whole steps are lost.
 
 The suite runs twice: with the bank's own block budget, which fits every
 drawn fleet in one block per pass, and with a budget of one member per
-block, so backward recomputes the columns of every member but a pass's last.
+block, so backward recomputes the forward of every member of a pass but the
+one whose state the block buffers still hold.
 """
 import dataclasses
 

@@ -1,9 +1,10 @@
 """Stacked passes cut into blocks of members, against the member-loop oracle.
 
-Each stacked pass of :class:`~repro.fleet.bank.StackedUEBank` runs its
-convolutions over blocks of consecutive members whose column buffer fits
-:data:`repro.fleet.bank.BLOCK_BYTES`; backward recomputes the columns of
-every block but the last.  At the test geometries every pass fits one block,
+Each stacked pass of :class:`~repro.fleet.bank.StackedUEBank` runs the UE
+network over blocks of consecutive members whose column buffer fits
+:data:`repro.fleet.bank.BLOCK_BYTES`, one whole block at a time; backward
+recomputes the state of every block but the one its buffers still hold.  At
+the test geometries every pass fits one block,
 so these tests patch the budget (as other tests patch the CPU count) to one
 member per block, two members per block (with an uneven last block) and the
 whole pass, and check bit for bit: the bank against
@@ -161,17 +162,19 @@ def test_client_backward_after_forward(monkeypatch, members_per_block):
 
 def test_only_cut_passes_recompute_columns(monkeypatch):
     """A bank of one runs one block and recomputes nothing; a pass cut into
-    blocks recomputes the columns of every block but the last, and a second
-    backward recomputes the ones the first left behind."""
+    k blocks recomputes k - 1 blocks per backward, starting from the block
+    whose state the buffers hold, and a second backward gives the same
+    gradients bit for bit."""
     config = _config()
-    calls = []
-    original = bank.padded_columns
+    recomputed = []
+    original = bank.ue_forward
 
-    def counting(padded, *args, **kwargs):
-        calls.append(len(padded))
-        return original(padded, *args, **kwargs)
+    def counting(*args, _block=None, **kwargs):
+        if _block is not None:
+            recomputed.append(_block)
+        return original(*args, _block=_block, **kwargs)
 
-    monkeypatch.setattr(bank, "padded_columns", counting)
+    monkeypatch.setattr(bank, "ue_forward", counting)
     monkeypatch.setattr(parallel, "_available_cpus", lambda: 1)
     client = UEClient(config.model, config.training, seed=0)
     initial = [param.value for param in client.cnn.parameters()]
@@ -181,24 +184,27 @@ def test_only_cut_passes_recompute_columns(monkeypatch):
     one = StackedUEBank.broadcast(client.plan, initial, 1, config.training)
     features = one.forward(images[:1])
     one.backward(np.ones_like(features))
-    assert calls == []
+    assert recomputed == []
 
     _set_budget(monkeypatch, 1, config)
     fleet = StackedUEBank.broadcast(client.plan, initial, 3, config.training)
     features = fleet.forward(images)
+    (_, cache), = fleet._passes
+    assert len(cache["blocks"]) == 3
     fleet.backward(np.ones_like(features))
     grads = [grad.copy() for grad in fleet._grads]
-    assert calls == [64] * 6  # blocks 1 and 0 of each of the three convs
+    assert recomputed == [1, 0]  # block 2 is still in the buffers
     fleet.backward(np.ones_like(features))
     assert all(map(np.array_equal, fleet._grads, grads))
-    assert calls == [64] * 15  # then blocks 2, 1 and 0 of each conv
+    assert recomputed == [1, 0, 2, 1]  # then block 0 is
 
 
 def test_n260_bank_steps_stay_cache_sized(monkeypatch):
     """Two N=260 bank steps at fast geometry on one worker: the tracemalloc
     peak stays far below the whole fleet's columns (about 437 MiB when every
-    pass held them), and the pass holds column buffers of at most two
-    blocks per conv step."""
+    pass held them) and its padded inputs (about 105 MiB when every pass
+    held those), the pass holds column buffers of at most two blocks per
+    conv step, and no cache entry grows with channels x members x frames."""
     monkeypatch.setattr(parallel, "_available_cpus", lambda: 1)
     members, batch, length = 260, 2, 4
     model = ModelConfig(
@@ -224,7 +230,7 @@ def test_n260_bank_steps_stay_cache_sized(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 160 * 2**20, f"{peak / 2**20:.0f} MiB"
+    assert peak < 48 * 2**20, f"{peak / 2**20:.0f} MiB"
 
     (_, cache), = stacked._passes
     block_members = cache["blocks"][0].stop - cache["blocks"][0].start
@@ -238,3 +244,11 @@ def test_n260_bank_steps_stay_cache_sized(monkeypatch):
             if key in (f"cols/{step}", f"grad_cols/{step}")
         ]
         assert columns and sum(columns) <= 2 * block_bytes, step
+    # The one-channel pass-sized arrays (images, sigmoid output) stay; every
+    # conv's padded input, output and columns, and every ReLU mask, is
+    # block-sized.
+    multi_channel = max(model.cnn_channels) * members * batch * length * 20 * 20
+    sizes = {
+        key: value.size for key, value in cache.items() if isinstance(value, np.ndarray)
+    }
+    assert all(size < multi_channel for size in sizes.values()), sizes

@@ -1,6 +1,7 @@
 """Tests for the scenario presets, registry and config-hash identity."""
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.channel.params import PAPER_CHANNEL_PARAMS
@@ -163,6 +164,16 @@ def test_scale_composes_scenario_into_dataset_config():
 
     long_config = fast.with_scenario("long_corridor").dataset_config()
     assert long_config.link_distance_m == pytest.approx(8.0)
+
+
+def test_with_seed_takes_integers_only():
+    fast = ExperimentScale.fast()
+    with pytest.raises(TypeError, match="seed"):
+        fast.with_seed(1.5)
+    with pytest.raises(TypeError, match="seed"):
+        fast.with_seed(True)
+    seeded = fast.with_seed(np.int64(3))
+    assert seeded.seed == 3 and type(seeded.seed) is int
 
 
 def test_with_seed_and_with_scenario_are_pure():

@@ -123,6 +123,12 @@ def test_generate_crossing_traffic_validation():
         PedestrianTrafficConfig(speed_range_mps=(1.5, 0.8))
 
 
+@pytest.mark.parametrize("field", ["mean_interarrival_s", "corridor_half_width_m"])
+def test_traffic_config_rejects_nan(field):
+    with pytest.raises(ValueError, match=field):
+        PedestrianTrafficConfig(**{field: float("nan")})
+
+
 def test_periodic_crossing_traffic_spacing():
     traffic = periodic_crossing_traffic(duration_s=20.0, period_s=5.0, first_crossing_s=1.0)
     assert len(traffic) == 4

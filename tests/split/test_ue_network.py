@@ -96,6 +96,12 @@ def test_plan_rejects_a_network_it_cannot_run():
         ue_plan(cnn(Dense(4, 4), Sigmoid()), BASE)
     with pytest.raises(ValueError, match="output image"):
         ue_plan(cnn(Conv2D(1, 2, 3), ReLU()), BASE)
+    with pytest.raises(ValueError, match="start with a conv"):
+        ue_plan(cnn(ReLU(), Conv2D(1, 1, 3), Sigmoid()), BASE)
+    with pytest.raises(ValueError, match="end in a conv and a sigmoid"):
+        ue_plan(cnn(Conv2D(1, 1, 3), ReLU()), BASE)
+    with pytest.raises(ValueError, match="end in a conv and a sigmoid"):
+        ue_plan(cnn(Conv2D(1, 1, 3), Sigmoid(), Sigmoid()), BASE)
 
 
 def test_client_reuses_its_buffers_across_equal_chunks():

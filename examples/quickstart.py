@@ -14,13 +14,11 @@ Run with:  python examples/quickstart.py
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.dataset import build_sequences, generate_small_dataset, temporal_split
-from repro.split import ModelConfig, TrainingConfig
-from repro.split.predictors import (
-    ImageOnlyPredictor,
-    MultimodalSplitPredictor,
-    RFOnlyPredictor,
-)
+from repro.split import ExperimentConfig, ModelConfig, TrainingConfig
+from repro.split.trainer import SplitTrainer
 
 
 def main() -> None:
@@ -46,22 +44,25 @@ def main() -> None:
     )
     training_config = TrainingConfig(batch_size=32, max_epochs=15, steps_per_epoch=4, seed=7)
 
-    predictors = {
-        "Img+RF (1-pixel)": MultimodalSplitPredictor(model_config, training_config),
-        "Img-only (1-pixel)": ImageOnlyPredictor(model_config, training_config),
-        "RF-only": RFOnlyPredictor(model_config, training_config),
+    schemes = {
+        "Img+RF (1-pixel)": model_config,
+        "Img-only (1-pixel)": replace(model_config, use_rf=False),
+        "RF-only": replace(model_config, use_image=False),
     }
 
     print("\nTraining the three schemes compared in the paper ...")
-    for name, predictor in predictors.items():
-        history = predictor.fit(split.train, split.validation)
+    best_rmse_db = {}
+    for name, model in schemes.items():
+        trainer = SplitTrainer(ExperimentConfig(model=model, training=training_config))
+        history = trainer.fit(split.train, split.validation)
+        best_rmse_db[name] = history.best_rmse_db
         print(
             f"  {name:<20s} best RMSE {history.best_rmse_db:5.2f} dB  "
             f"simulated training time {history.total_elapsed_s:6.2f} s  "
             f"({len(history.records)} epochs)"
         )
 
-    best = min(predictors, key=lambda n: predictors[n].history.best_rmse_db)
+    best = min(best_rmse_db, key=best_rmse_db.get)
     print(f"\nBest scheme on this run: {best}")
 
 

@@ -1,16 +1,5 @@
-"""Experiment runners, one per table/figure of the paper plus ablations."""
-from repro.experiments.ablations import (
-    BandwidthSweepRow,
-    BlockageComparisonResult,
-    PoolingSweepRow,
-    RnnTypeRow,
-    SequenceLengthRow,
-    bandwidth_sweep,
-    blockage_model_comparison,
-    pooling_sweep,
-    rnn_type_sweep,
-    sequence_length_sweep,
-)
+"""Experiment runners: one per figure or table of the paper, plus the
+compression and fleet-scaling studies."""
 from repro.experiments.common import (
     ExperimentScale,
     generate_dataset,
@@ -74,8 +63,6 @@ __all__ = [
     "FleetScalingResult",
     "run_compression_pareto",
     "run_fleet_scaling",
-    "BandwidthSweepRow",
-    "BlockageComparisonResult",
     "ExperimentPipeline",
     "ExperimentScale",
     "ExperimentSpec",
@@ -84,26 +71,19 @@ __all__ = [
     "Fig3bResult",
     "PAPER_TABLE1",
     "PipelineOptions",
-    "PoolingSweepRow",
     "PoolingVisualization",
-    "RnnTypeRow",
     "SchemePrediction",
-    "SequenceLengthRow",
     "SweepConfig",
     "Table1Result",
     "Table1Row",
     "TrainedModel",
     "TrainingJob",
-    "bandwidth_sweep",
-    "blockage_model_comparison",
     "canonical_artifact",
     "default_model_cache_dir",
     "experiment_specs",
     "format_summary",
     "generate_dataset",
-    "pooling_sweep",
     "prepare_split",
-    "rnn_type_sweep",
     "run_sweep",
     "run_fig2",
     "run_fig3a",
@@ -114,7 +94,6 @@ __all__ = [
     "scheme_model_configs",
     "select_plot_window",
     "select_representative_frames",
-    "sequence_length_sweep",
     "shannon_entropy_bits",
     "success_probability_for_pooling",
     "trained_model_fingerprint",

@@ -19,7 +19,7 @@ from repro.dataset.splits import TrainValidationSplit, temporal_split
 from repro.scenarios import Scenario, get_scenario
 from repro.scenarios import registry as _registry
 from repro.split.config import ModelConfig, TrainingConfig
-from repro.utils.validation import integer
+from repro.utils.validation import integer, integer_fields, positive
 
 #: Mean pedestrian interarrival time of the paper's environment; the ratio of
 #: a scale's ``mean_interarrival_s`` to this value is the traffic densification
@@ -68,6 +68,29 @@ class ExperimentScale:
     learning_rate: float = 1e-3
     seed: int = 0
     scenario: str = "paper_baseline"
+
+    def __post_init__(self):
+        # One spelling per scale: the model-cache key hashes every field, and
+        # a bad size would otherwise surface only when a config is built.
+        integer_fields(self)
+        object.__setattr__(
+            self,
+            "cnn_channels",
+            tuple(integer("cnn_channels", value) for value in self.cnn_channels),
+        )
+        for name in (
+            "num_samples", "image_size", "max_epochs", "steps_per_epoch",
+            "batch_size", "eval_batch_size", "rnn_hidden_size",
+        ):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if any(channels <= 0 for channels in self.cnn_channels):
+            raise ValueError("cnn_channels must all be positive")
+        # Zero windows would leave nothing to score after the first epoch.
+        if self.validation_windows is not None and self.validation_windows < 1:
+            raise ValueError("validation_windows must be None or at least 1")
+        positive("mean_interarrival_s", self.mean_interarrival_s)
+        positive("learning_rate", self.learning_rate)
 
     @classmethod
     def paper(cls) -> "ExperimentScale":

@@ -201,8 +201,9 @@ class PiecewiseLinearBlockageModel(IndependentBodiesBlockageModel):
 
     Attenuation is ``max_attenuation_db`` when the body centre is within
     ``inner_clearance_m`` of the link, zero beyond ``outer_clearance_m``, and
-    linear in between.  Fast and fully deterministic; used in tests and as an
-    ablation against the knife-edge model.
+    linear in between.  Fast and fully deterministic; a
+    :class:`~repro.mmwave.power.ReceivedPowerModel` option beside the
+    knife-edge model.
     """
 
     max_attenuation_db: float = 20.0

@@ -1,9 +1,9 @@
 """Core package: the multimodal split-learning framework of the paper.
 
-The trainer and the predictors are not re-exported here: they run on the
-fleet engine (:mod:`repro.fleet`), whose modules import this package's
-submodules.  Import them from :mod:`repro.split.trainer` and
-:mod:`repro.split.predictors`.
+The trainer is not re-exported here: it runs on the fleet engine
+(:mod:`repro.fleet`), whose modules import this package's submodules.
+Import :class:`~repro.split.trainer.SplitTrainer` from
+:mod:`repro.split.trainer`.
 """
 from repro.split.bs import BSServer
 from repro.split.checkpoint import CHECKPOINT_VERSION, Checkpoint

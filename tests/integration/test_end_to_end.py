@@ -1,10 +1,11 @@
 """Integration tests spanning the full pipeline (scene -> dataset -> training)."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.dataset import build_sequences, temporal_split
 from repro.split import ExperimentConfig, ModelConfig, TrainingConfig
-from repro.split.predictors import MultimodalSplitPredictor, RFOnlyPredictor
 from repro.split.trainer import SplitTrainer
 
 
@@ -27,12 +28,11 @@ def test_full_pipeline_improves_over_untrained(small_split, tiny_model_config):
 def test_multimodal_and_rf_predictions_are_in_physical_range(
     small_split, tiny_model_config, tiny_training_config
 ):
-    for predictor in (
-        MultimodalSplitPredictor(tiny_model_config, tiny_training_config),
-        RFOnlyPredictor(tiny_model_config, tiny_training_config),
-    ):
-        predictor.fit(small_split.train, small_split.validation)
-        predictions = predictor.predict(small_split.validation)
+    for model in (tiny_model_config, replace(tiny_model_config, use_image=False)):
+        config = ExperimentConfig(model=model, training=tiny_training_config)
+        trainer = SplitTrainer(config)
+        trainer.fit(small_split.train, small_split.validation)
+        predictions = trainer.predict_dbm(small_split.validation)
         assert np.all(predictions < -5.0)
         assert np.all(predictions > -85.0)
 
@@ -47,8 +47,8 @@ def test_simulated_time_scales_with_payload(small_dataset):
         cnn_channels=(2,), rnn_hidden_size=8,
     )
 
-    one_pixel = MultimodalSplitPredictor(base, training)
-    fine = MultimodalSplitPredictor(base.with_pooling(1), training)
+    one_pixel = SplitTrainer(ExperimentConfig(model=base, training=training))
+    fine = SplitTrainer(ExperimentConfig(model=base.with_pooling(1), training=training))
     history_one_pixel = one_pixel.fit(split.train, split.validation)
     history_fine = fine.fit(split.train, split.validation)
     # 12x12 images with 1x1 pooling -> 144x the payload; with the paper channel
@@ -67,9 +67,9 @@ def test_dataset_regeneration_and_training_determinism(small_dataset):
     training = TrainingConfig(batch_size=16, max_epochs=2, steps_per_epoch=2, seed=9)
     rmse_values = []
     for _ in range(2):
-        predictor = MultimodalSplitPredictor(config, training)
-        predictor.fit(split.train, split.validation)
-        rmse_values.append(predictor.evaluate(split.validation))
+        trainer = SplitTrainer(ExperimentConfig(model=config, training=training))
+        trainer.fit(split.train, split.validation)
+        rmse_values.append(trainer.evaluate(split.validation))
     assert rmse_values[0] == pytest.approx(rmse_values[1])
 
 

@@ -7,7 +7,6 @@ The probe runs the program's entry points at smoke scale under
   dataset, checkpoint and trained-model caches, and a fleet-scaling run with
   its experiment options;
 * one serial ``table1`` sweep cell;
-* the five ablations, with minimal arguments;
 * ``repro.analysis`` over ``src/repro``.
 
 A public function or method (a name without a leading ``_``, on a module or
@@ -38,6 +37,8 @@ HARNESS = "harness target: benchmarks/harness/trace.py resolves it by name"
 SUBCLASS = "user-subclass default: base-class hook the concrete classes override"
 EXAMPLE = "example/benchmark import: examples/ or benchmarks/ call it"
 BRANCH = "entry-point branch the smoke probe does not take"
+RNN_TYPE = ("config option: the 'gru'/'simple' ModelConfig.rnn_type, checked "
+            "against tests/nn/kernel_oracles.py")
 
 #: ``module:qualname`` -> why it stays although no entry point reaches it.
 ALLOWLIST = {
@@ -51,6 +52,10 @@ ALLOWLIST = {
     "tests/gradcheck.py perturbs parameters through it",
     "repro.nn.layers.sequential:Sequential.named_parameters": "test oracle: "
     "tests/gradcheck.py perturbs parameters through it",
+    "repro.nn.layers.recurrent:GRU.forward": RNN_TYPE,
+    "repro.nn.layers.recurrent:GRU.backward": RNN_TYPE,
+    "repro.nn.layers.recurrent:SimpleRNN.forward": RNN_TYPE,
+    "repro.nn.layers.recurrent:SimpleRNN.backward": RNN_TYPE,
     "repro.nn.losses:Loss.forward": SUBCLASS,
     "repro.nn.losses:Loss.backward": SUBCLASS,
     "repro.nn.serialization:flatten_state_tree": "test oracle: the flat view "
@@ -66,10 +71,6 @@ ALLOWLIST = {
     "per-member reference encode_decode_stacked vectorizes",
     "repro.split.codecs:UniformQuantizerCodec.encode_decode": HARNESS + "; the "
     "per-member reference encode_decode_stacked vectorizes",
-    "repro.split.predictors:BasePredictor.fit": EXAMPLE,
-    "repro.split.predictors:BasePredictor.predict": EXAMPLE,
-    "repro.split.predictors:BasePredictor.evaluate": EXAMPLE,
-    "repro.split.predictors:BasePredictor.scheme": EXAMPLE,
     "repro.split.trainer:SplitTrainer.protocol": EXAMPLE,
     "repro.privacy.leakage:PrivacyLeakageEvaluator.evaluate": HARNESS,
     # -- analysis, channel, dataset ----------------------------------------
@@ -92,6 +93,8 @@ ALLOWLIST = {
     # -- experiments, fleet, scenarios -------------------------------------
     "repro.experiments.common:ExperimentScale.fast": BRANCH + " (--scale fast)",
     "repro.experiments.common:ExperimentScale.paper": BRANCH + " (--scale paper)",
+    "repro.experiments.common:generate_dataset": "harness workload: "
+    "benchmarks/harness/workloads.py builds every workload's dataset through it",
     "repro.experiments.fig2_feature_maps:Fig2Result.format_table": EXAMPLE,
     "repro.experiments.fig2_feature_maps:Fig2Result.summary_rows": EXAMPLE,
     "repro.experiments.fig3a_learning_curves:Fig3aResult.best_scheme": EXAMPLE,
@@ -134,6 +137,10 @@ ALLOWLIST = {
     "repro.mmwave.blockage:BlockageModel.frame_attenuations_db": SUBCLASS,
     "repro.mmwave.blockage:IndependentBodiesBlockageModel.body_attenuations_db": (
         SUBCLASS
+    ),
+    "repro.mmwave.blockage:PiecewiseLinearBlockageModel.body_attenuations_db": (
+        "config option: a ReceivedPowerModel blockage model, checked by "
+        "tests/scene/per_frame_oracle.py"
     ),
     "repro.mmwave.propagation:log_distance_path_loss_db": "golden: "
     "tests/regression/test_golden_values.py pins its closed form",
@@ -207,8 +214,6 @@ def probe(part: str, workdir: Path, output: Path) -> None:
 
 
 def _run_experiments(workdir: Path) -> None:
-    from repro.experiments import ablations
-    from repro.experiments.common import ExperimentScale
     from repro.experiments.run import main as run_main
     from repro.experiments.sweep import main as sweep_main
     from repro.utils import parallel
@@ -236,12 +241,6 @@ def _run_experiments(workdir: Path) -> None:
         "--max-rounds", "1", "--cache-dir", str(workdir / "datasets"),
         "--output", str(workdir / "fleet.json"),
     ]) == 0
-    smoke = ExperimentScale.smoke()
-    ablations.pooling_sweep(image_size=12, batch_size=16)
-    ablations.bandwidth_sweep(pooling=4, bandwidths_hz=[30e6])
-    ablations.sequence_length_sweep(smoke, sequence_lengths=[2])
-    ablations.blockage_model_comparison(num_samples=120, image_size=8)
-    ablations.rnn_type_sweep(smoke, rnn_types=["lstm", "gru", "simple"])
 
 
 def _run_analysis(workdir: Path) -> None:

@@ -176,11 +176,24 @@ def test_experiment_config_describe():
         (FleetConfig, {"num_ues": 2.0}, TypeError),
         (FleetConfig, {"num_ues": True}, TypeError),
         (FleetConfig, {"max_rounds": 3.0}, TypeError),
+        (ExperimentScale, {"num_samples": 700.0}, TypeError),
+        (ExperimentScale, {"num_samples": True}, TypeError),
+        (ExperimentScale, {"batch_size": 32.5}, TypeError),
+        (ExperimentScale, {"seed": 1.5}, TypeError),
+        (ExperimentScale, {"cnn_channels": (4.0,)}, TypeError),
+        (ExperimentScale, {"max_epochs": -1}, ValueError),
+        (ExperimentScale, {"validation_windows": 0}, ValueError),
+        (ExperimentScale, {"learning_rate": math.nan}, ValueError),
+        (ExperimentScale, {"mean_interarrival_s": math.nan}, ValueError),
     ],
     ids=[
         "float-batch", "bool-batch", "fractional-epochs", "fractional-seed",
         "float-retransmissions", "nan-learning-rate", "nan-target", "nan-clip",
         "nan-compute-time", "float-ues", "bool-ues", "float-rounds",
+        "scale-float-samples", "scale-bool-samples", "scale-fractional-batch",
+        "scale-fractional-seed", "scale-float-channels", "scale-negative-epochs",
+        "scale-no-validation-windows", "scale-nan-learning-rate",
+        "scale-nan-interarrival",
     ],
 )
 def test_run_configs_reject_non_integers_and_nan(config, arguments, error):
@@ -262,6 +275,22 @@ def test_training_config_has_one_spelling_per_run(arguments):
 @settings(max_examples=200, deadline=None)
 def test_fleet_config_has_one_spelling_per_run(arguments):
     assert_one_spelling(FleetConfig, arguments)
+
+
+@given(numeric_arguments(ExperimentScale, optional=("validation_windows",)))
+@settings(max_examples=200, deadline=None)
+def test_experiment_scale_has_one_spelling_per_run(arguments):
+    assert_one_spelling(ExperimentScale, arguments)
+
+
+def test_experiment_scale_stores_channels_as_a_hashable_tuple():
+    scale = ExperimentScale(cnn_channels=[4])
+    canonical = ExperimentScale(cnn_channels=(4,))
+    assert scale.cnn_channels == (4,)
+    assert hash(scale) == hash(canonical)
+    assert trained_model_fingerprint(
+        scale, ExperimentConfig()
+    ) == trained_model_fingerprint(canonical, ExperimentConfig())
 
 
 # -- model builders ----------------------------------------------------------------

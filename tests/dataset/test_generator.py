@@ -11,7 +11,6 @@ from repro.dataset import (
     config_fingerprint,
     generate_small_dataset,
 )
-from repro.mmwave import PiecewiseLinearBlockageModel, ReceivedPowerModel
 from repro.scene import DEFAULT_FRAME_INTERVAL_S
 
 
@@ -94,16 +93,6 @@ def test_dataset_contains_blockage_events(small_dataset):
 def test_blocked_frames_have_lower_power(small_dataset):
     blocked = small_dataset.line_of_sight_blocked
     assert small_dataset.powers_dbm[~blocked].mean() > small_dataset.powers_dbm[blocked].mean() + 8.0
-    # A dataset under the piecewise-linear blockage model fades as deep.
-    piecewise = MmWaveDepthDatasetGenerator(
-        DatasetConfig(
-            num_samples=260, image_height=10, image_width=10, seed=1,
-            mean_interarrival_s=1.5,
-        ),
-        power_model=ReceivedPowerModel(blockage_model=PiecewiseLinearBlockageModel()),
-    ).generate()
-    powers, blocked = piecewise.powers_dbm, piecewise.line_of_sight_blocked
-    assert powers[~blocked].mean() > powers[blocked].mean() + 8.0
 
 
 def test_blocked_frames_show_closer_depth(small_dataset):

@@ -1,10 +1,7 @@
 """Tests for the per-figure/table experiment runners (smoke scale)."""
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from repro.channel import PAPER_CHANNEL_PARAMS, PayloadModel
 from repro.experiments import (
     ExperimentScale,
     PAPER_TABLE1,
@@ -16,7 +13,6 @@ from repro.experiments import (
     scheme_model_configs,
     select_representative_frames,
     shannon_entropy_bits,
-    success_probability_for_pooling,
     transition_mask_from_truth,
 )
 # The smoke_scale / smoke_dataset / smoke_split fixtures are session-scoped
@@ -96,43 +92,6 @@ def test_paper_success_probabilities_match_table1():
     assert values[4] == pytest.approx(PAPER_TABLE1[4]["success_probability"], abs=0.005)
     assert values[10] == pytest.approx(PAPER_TABLE1[10]["success_probability"], abs=0.005)
     assert values[40] == pytest.approx(PAPER_TABLE1[40]["success_probability"], abs=0.005)
-
-
-def test_success_probability_over_every_pooling_of_the_paper_image():
-    """The finer grid behind Table 1's row: every region dividing 40x40."""
-    poolings = [1, 2, 4, 5, 8, 10, 20, 40]
-    payloads = [
-        PayloadModel(pooling_height=p, pooling_width=p).uplink_payload_bits(64)
-        for p in poolings
-    ]
-    assert payloads == sorted(payloads, reverse=True)
-    successes = {p: success_probability_for_pooling(p) for p in poolings}
-    ordered = list(successes.values())
-    assert all(b >= a - 1e-12 for a, b in zip(ordered, ordered[1:]))
-    # One pixel always decodes, so a step's expected uplink latency is one slot.
-    assert successes[40] == pytest.approx(1.0, abs=1e-6)
-    slot_s = PAPER_CHANNEL_PARAMS.slot_duration_s
-    assert slot_s / successes[40] == pytest.approx(1e-3, rel=1e-3)
-    # The crossover: 4x4 pooling is (nearly) undecodable, 10x10 is fine.
-    assert successes[4] < 0.05
-    assert successes[10] > 0.99
-
-
-def test_success_probability_of_4x4_pooling_over_uplink_bandwidth():
-    def with_bandwidth(bandwidth_hz):
-        uplink = replace(PAPER_CHANNEL_PARAMS.uplink, bandwidth_hz=bandwidth_hz)
-        return replace(PAPER_CHANNEL_PARAMS, uplink=uplink)
-
-    bandwidths_hz = [10e6, 30e6, 50e6, 100e6, 200e6, 400e6]
-    successes = [
-        success_probability_for_pooling(4, channel=with_bandwidth(b))
-        for b in bandwidths_hz
-    ]
-    assert all(b >= a - 1e-12 for a, b in zip(successes, successes[1:]))
-    # The paper's 30 MHz uplink makes 4x4 pooling nearly undecodable ...
-    assert successes[1] < 0.1
-    # ... while a much wider uplink would fix it.
-    assert successes[-1] > 0.9
 
 
 def test_table1_runner_trends(smoke_scale, smoke_dataset):
